@@ -9,34 +9,31 @@ derivatives, the exact contribution of each palindrome half-length, the
 domain of valid arguments, and the characteristic function of the ladder
 increment used by the overshoot correction in module scan.
 
-All evaluators accept the real arguments of the public API; the internal
-kernels also take complex arguments so the characteristic function can reuse
-the same matrix series.
+One kernel serves every evaluator: it carries each factor of the matrix form
+as a truncated Taylor series in the argument, so the MGF and its first two
+derivatives come out of the same matrix products in closed form. The public
+evaluators take real arguments; the kernel also takes complex ones, so the
+characteristic function reuses the same matrix series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, SingularMatrixError
 from .markov import (
     MarkovModel,
     center_pair_probs,
     iid_match_prob,
+    iid_rate,
+    markov_rate,
     quasi_transition_matrix,
 )
-from .numeric import (
-    DERIV_STEP,
-    DERIV_STEP_SECOND,
-    derivative,
-    find_root,
-    mat_inv,
-    mat_pow,
-    spectral_radius,
-)
+from .numeric import find_root, mat_inv, mat_pow, spectral_radius
 from .palindrome import SCORE_KINDS
 
 SERIES_RTOL = 1e-16
@@ -100,16 +97,28 @@ class ScoreModel:
     def rate(self) -> float:
         """Per-position probability of an occurrence (h >= half_length)."""
         if self.iid_mode:
-            return float(self.gamma**self.half_length)
-        return float(
-            self.model.pi
-            @ mat_pow(self.t_matrix, self.half_length - 1)
-            @ self.closure_probs
-        )
+            return iid_rate(self.model.pi, self.half_length).value
+        return markov_rate(self.model, self.half_length).value
 
     @cached_property
     def domain(self) -> "TiltDomain":
         return mgf_domain(self)
+
+    @cached_property
+    def null_cumulants(self) -> tuple[float, float, float]:
+        """cumulants at theta = 0: zero up to rounding, then the mean and the
+        variance of the score."""
+        return cumulants(self, 0.0)
+
+    @cached_property
+    def _pls_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(pi T^(h-1), T, (I - T) c) of the pls form; 1 x 1 in iid mode."""
+        h = self.half_length
+        if self.iid_mode:
+            g = self.gamma
+            return np.array([g ** (h - 1)]), np.array([[g]]), np.array([(1.0 - g) * g])
+        t = self.t_matrix
+        return self.model.pi @ mat_pow(t, h - 1), t, (_EYE - t) @ self.closure_probs
 
 
 @dataclass(frozen=True)
@@ -127,16 +136,18 @@ class TiltDomain:
         return t < self.t_max
 
 
-def _entrywise_power(base: np.ndarray, expo) -> np.ndarray:
-    """base ** expo for non-negative base and Re(expo) > 0, complex-safe.
+def _power_jet(base: np.ndarray, z, order: int = 0) -> list[np.ndarray]:
+    """Taylor coefficients in z of the entrywise power base ** (1 - z).
 
-    Zero entries map to zero, matching the limit from positive base.
+    Coefficient j is base ** (1 - z) * (-log base) ** j / j!. Zero entries
+    map to zero, matching the limit from positive base; z may be complex.
     """
-    cplx = isinstance(expo, complex) or np.iscomplexobj(expo)
-    out = np.zeros(base.shape, dtype=complex if cplx else float)
     pos = base > 0
-    out[pos] = np.exp(expo * np.log(base[pos]))
-    return out
+    log_base = np.log(np.where(pos, base, 1.0))
+    jet = [np.exp((1.0 - z) * log_base) * pos]
+    for j in range(1, order + 1):
+        jet.append(jet[-1] * log_base / -j)
+    return jet
 
 
 def mgf_domain(sm: ScoreModel) -> TiltDomain:
@@ -156,13 +167,15 @@ def mgf_domain(sm: ScoreModel) -> TiltDomain:
 
     def excess(t: float) -> float:
         if sm.iid_mode:
-            return _tilted_iid_match(sm.model.pi, t) - 1.0
-        return spectral_radius(_entrywise_power(sm.t_matrix, 1.0 - t)) - 1.0
+            return _iid_match_jet(sm.model.pi, t)[0] - 1.0
+        return spectral_radius(_power_jet(sm.t_matrix, t)[0]) - 1.0
 
+    # The edge is located to round-off, so that the resolvent I - Q is
+    # numerically singular right at t_max rather than some 1e-9 beyond it.
     hi = 1.0 - 1e-9
     if excess(hi) < 0.0:
         return TiltDomain(kind=sm.kind, t_max=1.0)
-    return TiltDomain(kind=sm.kind, t_max=find_root(excess, 0.0, hi, tol=1e-9))
+    return TiltDomain(kind=sm.kind, t_max=find_root(excess, 0.0, hi, tol=1e-15))
 
 
 def require_in_domain(sm: ScoreModel, z) -> None:
@@ -177,67 +190,118 @@ def require_in_domain(sm: ScoreModel, z) -> None:
         )
 
 
-def _tilted_iid_match(pi: np.ndarray, t) -> complex | float:
-    """Tilted analogue of the complementary-pair probability gamma."""
-    at, cg = pi[0] * pi[3], pi[1] * pi[2]
-    return 2.0 * (
-        _entrywise_power(np.array([at]), 1.0 - t)[0]
-        + _entrywise_power(np.array([cg]), 1.0 - t)[0]
-    )
+def _iid_match_jet(pi: np.ndarray, z, order: int = 0) -> list:
+    """Taylor coefficients in z of the tilted complementary-pair probability
+    2 * ((pi_A pi_T) ** (1 - z) + (pi_C pi_G) ** (1 - z)), the tilted analogue
+    of gamma."""
+    pairs = np.array([pi[0] * pi[3], pi[1] * pi[2]])
+    return [2.0 * c.sum() for c in _power_jet(pairs, z, order)]
 
 
-def _pls_value(sm: ScoreModel, z):
+def _bws_factors(sm: ScoreModel, z, order: int):
+    """Series (v, Q, u) of the bws form v Q^(k-1) u for half-length exactly k.
+
+    In matrix mode these are the entrywise (1 - z) powers of the start
+    weights, the quasi transition matrix and the closure vector. In iid mode
+    they are 1 x 1: the tilted non-match weight (1 - gamma) ** (1 - z) and
+    the tilted match probability, twice.
+    """
     if sm.iid_mode:
-        g = sm.gamma
-        return np.exp(z) * (1.0 - g) / (1.0 - np.exp(z / sm.half_length) * g)
-    t, h = sm.t_matrix, sm.half_length
-    core = mat_inv(_EYE - np.exp(z / h) * t)
-    head = sm.model.pi @ mat_pow(t, h - 1)
-    tail = (_EYE - t) @ sm.closure_probs
-    return np.exp(z) * (head @ core @ tail) / sm.rate
-
-
-def _bws_value(sm: ScoreModel, z):
-    if sm.iid_mode:
-        g = sm.gamma
-        gt = _tilted_iid_match(sm.model.pi, z)
-        one = _entrywise_power(np.array([1.0 - g]), 1.0 - z)[0]
-        return one / (1.0 - gt) * (gt / g) ** sm.half_length
+        match = _iid_match_jet(sm.model.pi, z, order)
+        v = _power_jet(np.array([1.0 - sm.gamma]), z, order)
+        return v, [np.array([[m]]) for m in match], [np.array([m]) for m in match]
     start = sm.start_weights
     if sm.bws_column_start:
         start = (_EYE - sm.t_matrix) @ sm.model.pi
     if np.any(start < 0):
         raise DomainError("start weights have negative entries; bws undefined")
-    q = _entrywise_power(sm.t_matrix, 1.0 - z)
-    u = _entrywise_power(sm.closure_probs, 1.0 - z)
-    v = _entrywise_power(start, 1.0 - z)
-    val = v @ mat_pow_any(q, sm.half_length - 1) @ mat_inv(_EYE.astype(q.dtype) - q) @ u
-    return val / sm.rate
+    return (_power_jet(start, z, order), _power_jet(sm.t_matrix, z, order),
+            _power_jet(sm.closure_probs, z, order))
 
 
-def mat_pow_any(m: np.ndarray, k: int) -> np.ndarray:
-    """Matrix power that tolerates complex dtype."""
-    if np.iscomplexobj(m):
-        out = np.eye(m.shape[0], dtype=complex)
-        base = m.copy()
-        e = k
-        while e:
-            if e & 1:
-                out = out @ base
-            base = base @ base
-            e >>= 1
-        return out
-    return mat_pow(m, k)
+def _toeplitz(jet: list[np.ndarray]) -> np.ndarray:
+    """Block upper-triangular Toeplitz matrix of a truncated Taylor series.
+
+    Block (i, j) is jet[j - i]. Products of such matrices are the Cauchy
+    products of their series, so one chain of matrix products carries every
+    Taylor coefficient at once; a row vector's series enters as the plain
+    concatenation of its coefficients, its first block row.
+    """
+    r, c = jet[0].shape
+    k = len(jet)
+    out = np.zeros((k * r, k * c), dtype=np.result_type(*jet))
+    for i in range(k):
+        for j in range(i, k):
+            out[i * r:(i + 1) * r, j * c:(j + 1) * c] = jet[j - i]
+    return out
+
+
+def _mgf_jet(sm: ScoreModel, z, order: int = 0) -> np.ndarray:
+    """Taylor coefficients M^(j)(z) / j!, j = 0 .. order, of the score MGF.
+
+    pls and bws share one form, M(z) = v Q^n (I - Q)^-1 u / rate:
+      - pls: v = e^z pi T^(h-1), Q = e^(z/h) T, n = 0, u = (I - T) c;
+      - bws: v, Q, u the entrywise (1 - z) powers of the start weights, T
+        and c, and n = h - 1.
+    In iid mode the same forms hold with 1 x 1 matrices built from gamma.
+    Each factor is carried as a Taylor series in z. The resolvent
+    W = (I - Q)^-1 has W_0 = (I - Q_0)^-1 and W_k = W_0 (Q_1 W_(k-1) + ...
+    + Q_k W_0), which for pls is dR/dz = (e^(z/h) / h) R T R and its
+    successor; the product of the series then gives exact derivatives.
+    z may be complex (domain checks use Re z).
+
+    Raises:
+        DomainError: Re z at or beyond the domain supremum.
+        SingularMatrixError: I - Q_0 is numerically singular, i.e. z sits at
+            the domain edge to round-off.
+    """
+    require_in_domain(sm, z)
+    fact = np.array([factorial(j) for j in range(order + 1)], dtype=float)
+    if sm.kind == "pcs":
+        return np.exp(z) / fact
+    h = sm.half_length
+    if sm.kind == "pls":
+        head, t, tail = sm._pls_factors
+        grow = np.exp(z / h) / (h ** np.arange(order + 1) * fact)
+        v = [head * (np.exp(z) / f) for f in fact]
+        q = [t * c for c in grow]
+        u = [tail] + [np.zeros_like(tail)] * order
+        n = 0
+    else:
+        v, q, u = _bws_factors(sm, z, order)
+        n = h - 1
+    w = [mat_inv(np.eye(q[0].shape[0]) - q[0])]
+    for k in range(1, order + 1):
+        w.append(w[0] @ sum(q[j] @ w[k - j] for j in range(1, k + 1)))
+    row = np.concatenate(v)
+    if n:
+        row = row @ np.linalg.matrix_power(_toeplitz(q), n)
+    return row @ _toeplitz(w) @ _toeplitz([b[:, None] for b in u]) / sm.rate
 
 
 def _mgf_value(sm: ScoreModel, z):
-    """Kernel for all kinds; z may be complex (domain checks use Re z)."""
-    require_in_domain(sm, z)
+    """The MGF itself at a real or complex argument."""
+    return _mgf_jet(sm, z)[0]
+
+
+def cumulants(sm: ScoreModel, theta: float) -> tuple[float, float, float]:
+    """The cumulant function phi = log M and its first two derivatives.
+
+    phi' is the tilted mean score and phi'' the tilted score variance, both
+    in closed form from the MGF's Taylor coefficients at theta.
+
+    Raises:
+        DomainError: theta at or beyond the domain supremum.
+        SingularMatrixError: theta at the domain edge to round-off, where
+            the resolvent is singular or the MGF no longer positive.
+    """
     if sm.kind == "pcs":
-        return np.exp(z)
-    if sm.kind == "pls":
-        return _pls_value(sm, z)
-    return _bws_value(sm, z)
+        return float(theta), 1.0, 0.0
+    m0, m1, m2 = np.real(_mgf_jet(sm, float(theta), order=2))
+    if not (np.isfinite(m0) and m0 > 0.0):
+        raise SingularMatrixError(f"MGF is {m0!r} at {theta!r}: resolvent singular")
+    mean = m1 / m0
+    return float(np.log(m0)), float(mean), float(2.0 * m2 / m0 - mean * mean)
 
 
 def pls_mgf(sm: ScoreModel, t: float) -> float:
@@ -293,17 +357,8 @@ def mgf_at_length(sm: ScoreModel, t: float, k: int) -> float:
     if sm.kind == "pls":
         return float(np.exp(t * k / sm.half_length)) * exact_length_prob(sm, k)
     require_in_domain(sm, t)
-    if sm.iid_mode:
-        g = sm.gamma
-        one = _entrywise_power(np.array([1.0 - g]), 1.0 - t)[0]
-        return float(one * _tilted_iid_match(sm.model.pi, t) ** k)
-    start = sm.start_weights
-    if sm.bws_column_start:
-        start = (_EYE - sm.t_matrix) @ sm.model.pi
-    q = _entrywise_power(sm.t_matrix, 1.0 - t)
-    u = _entrywise_power(sm.closure_probs, 1.0 - t)
-    v = _entrywise_power(start, 1.0 - t)
-    return float(np.real(v @ mat_pow_any(q, k - 1) @ u))
+    (v,), (q,), (u,) = _bws_factors(sm, t, 0)
+    return float(np.real(v @ np.linalg.matrix_power(q, k - 1) @ u))
 
 
 def mgf_series(sm: ScoreModel, t: float) -> float:
@@ -329,36 +384,17 @@ def mgf_series(sm: ScoreModel, t: float) -> float:
 
 def log_mgf(sm: ScoreModel, theta: float) -> float:
     """Cumulant function: log of the score MGF (identity map for pcs)."""
-    if sm.kind == "pcs":
-        return float(theta)
-    return float(np.log(score_mgf(sm, theta)))
-
-
-def _adaptive_step(sm: ScoreModel, theta: float, base: float) -> float:
-    h = base * max(1.0, abs(theta))
-    t_max = sm.domain.t_max
-    if np.isfinite(t_max):
-        gap = t_max - theta
-        if gap <= 0:
-            raise DomainError(f"theta {theta!r} outside MGF domain (max {t_max!r})")
-        h = min(h, gap / 8.0)
-    return h
+    return cumulants(sm, theta)[0]
 
 
 def log_mgf_prime(sm: ScoreModel, theta: float) -> float:
     """First derivative of the cumulant function (the tilted mean score)."""
-    if sm.kind == "pcs":
-        return 1.0
-    return derivative(lambda x: log_mgf(sm, x), theta, order=1,
-                      step=_adaptive_step(sm, theta, DERIV_STEP))
+    return cumulants(sm, theta)[1]
 
 
 def log_mgf_double_prime(sm: ScoreModel, theta: float) -> float:
     """Second derivative of the cumulant function (the tilted score variance)."""
-    if sm.kind == "pcs":
-        return 0.0
-    return derivative(lambda x: log_mgf(sm, x), theta, order=2,
-                      step=_adaptive_step(sm, theta, DERIV_STEP_SECOND))
+    return cumulants(sm, theta)[2]
 
 
 def increment_charfn(sm: ScoreModel, lambda0: float, lambda1: float,

@@ -1,9 +1,10 @@
 """Small numerical kernels shared across the package.
 
-Matrix powers and inverses delegate to numpy's linear algebra with explicit
-conditioning checks layered on top; the spectral radius, scalar root finder,
-and finite-difference derivatives are self-contained so their convergence
-and failure behaviour stays under our control.
+Matrix powers, inverses and spectral radii delegate to numpy's linear
+algebra, with explicit conditioning checks layered on top of the inverse.
+The scalar root finders (a bracketing secant and a bracketed Newton method)
+are self-contained so their convergence and failure behaviour stays under
+our control.
 """
 
 from __future__ import annotations
@@ -13,10 +14,6 @@ import numpy as np
 from .errors import BracketError, ConvergenceError, NonFiniteError, SingularMatrixError
 
 SINGULARITY_TOL = 1e-12
-SPECTRAL_TOL = 1e-10
-SPECTRAL_MAX_ITER = 10_000
-DERIV_STEP = 1e-5
-DERIV_STEP_SECOND = 2e-4
 ROOT_TOL = 1e-12
 ROOT_MAX_ITER = 200
 
@@ -58,52 +55,38 @@ def mat_inv(m: np.ndarray) -> np.ndarray:
     return inv
 
 
-def spectral_radius(m: np.ndarray, tol: float = SPECTRAL_TOL,
-                    max_iter: int = SPECTRAL_MAX_ITER) -> float:
-    """Largest absolute eigenvalue of a non-negative matrix, by power iteration.
+def spectral_radius(m: np.ndarray) -> float:
+    """Largest absolute eigenvalue of a non-negative matrix.
 
-    Intended for entrywise non-negative matrices (Perron-Frobenius regime),
-    where the dominant eigenvalue is real and the iteration is monotone
-    enough for a simple ratio test.
-
-    Raises:
-        ConvergenceError: the eigenvalue ratio fails to stabilise.
+    A nilpotent matrix (one whose support graph has no cycle) gives exactly
+    0.0, where an eigenvalue solver would return round-off instead.
     """
     m = np.asarray(m, dtype=float)
     if np.any(m < 0):
         raise ValueError("spectral_radius expects a non-negative matrix")
-    n = m.shape[0]
-    v = np.full(n, 1.0 / n)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = m @ v
-        norm = np.abs(w).max()
-        if norm == 0.0:
-            return 0.0  # nilpotent-like action on the positive cone
-        w /= norm
-        if abs(norm - lam) <= tol * max(1.0, abs(norm)):
-            return float(norm)
-        lam = norm
-        v = w
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} steps (last ratio {lam:.6e})"
-    )
+    if not np.linalg.matrix_power(m > 0, m.shape[0]).any():
+        return 0.0
+    return float(np.abs(np.linalg.eigvals(m)).max())
 
 
 def find_root(f, lo: float, hi: float, tol: float = ROOT_TOL,
-              max_iter: int = ROOT_MAX_ITER) -> float:
+              max_iter: int = ROOT_MAX_ITER, f_lo: float | None = None,
+              f_hi: float | None = None) -> float:
     """Root of a scalar function on a bracketing interval.
 
     Uses bisection with secant acceleration (a safeguarded false-position
     step), succeeding when either |f(x)| <= tol or the bracket width shrinks
     below tol * max(1, |x|). Infinite function values at the endpoints are
-    tolerated; they simply force bisection.
+    tolerated; they simply force bisection. ``f_lo`` and ``f_hi`` are the
+    values of f at the endpoints when the caller already has them; f is
+    evaluated only at the endpoints whose value is not given.
 
     Raises:
         BracketError: f(lo) and f(hi) do not straddle zero.
         ConvergenceError: iteration cap reached.
     """
-    flo, fhi = f(lo), f(hi)
+    flo = f(lo) if f_lo is None else f_lo
+    fhi = f(hi) if f_hi is None else f_hi
     if not np.isfinite(flo) and not np.isfinite(fhi):
         raise BracketError("function is non-finite at both endpoints")
     if flo == 0.0:
@@ -149,38 +132,39 @@ def find_root(f, lo: float, hi: float, tol: float = ROOT_TOL,
     raise ConvergenceError(f"root search did not converge in {max_iter} iterations")
 
 
-def derivative(f, x: float, order: int = 1, step: float | None = None) -> float:
-    """First or second derivative by central differences with one Richardson pass.
+def newton_root(f, lo: float, hi: float, x: float, tol: float = ROOT_TOL,
+                max_iter: int = ROOT_MAX_ITER) -> float:
+    """Root of an increasing function by Newton steps kept inside a bracket.
 
-    Args:
-        f: scalar function, assumed smooth near x.
-        x: evaluation point.
-        order: 1 or 2.
-        step: base step; the default scales DERIV_STEP (first order) or
-            DERIV_STEP_SECOND (second order, where roundoff grows as 1/h^2)
-            by max(1, |x|).
+    ``f(x)`` returns the pair (value, slope). The value must be negative at
+    lo and positive at hi; an infinite value counts as positive, so a
+    function that fails beyond some point can report +inf there. The search
+    starts at x; a Newton step that would leave the bracket, or a point
+    where the value or slope is not finite, falls back to bisection. It
+    succeeds when |f(x)| <= tol, or when the next step or the bracket
+    shrinks below tol * max(1, |x|), and returns the last x at which f was
+    evaluated.
 
     Raises:
-        NonFiniteError: any stencil evaluation is non-finite.
+        NonFiniteError: f returns NaN.
+        ConvergenceError: iteration cap reached.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    if step is not None:
-        h = step
-    else:
-        base = DERIV_STEP if order == 1 else DERIV_STEP_SECOND
-        h = base * max(1.0, abs(x))
-
-    def central(hh: float) -> float:
-        if order == 1:
-            num = f(x + hh) - f(x - hh)
-            return num / (2.0 * hh)
-        num = f(x + hh) - 2.0 * f(x) + f(x - hh)
-        return num / (hh * hh)
-
-    d1 = central(h)
-    d2 = central(h / 2.0)
-    if not (np.isfinite(d1) and np.isfinite(d2)):
-        raise NonFiniteError(f"non-finite stencil for derivative at x={x!r}")
-    # Richardson: central differences have error O(h^2)
-    return float((4.0 * d2 - d1) / 3.0)
+    for _ in range(max_iter):
+        fx, slope = f(x)
+        if np.isnan(fx):
+            raise NonFiniteError(f"f({x!r}) is NaN during root search")
+        if abs(fx) <= tol:
+            return float(x)
+        if fx < 0.0:
+            lo = x
+        else:
+            hi = x
+        newton = np.isfinite(fx) and np.isfinite(slope) and slope > 0
+        nxt = x - fx / slope if newton else lo
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        scale = tol * max(1.0, abs(x))
+        if abs(nxt - x) <= scale or hi - lo <= scale:
+            return float(x)
+        x = nxt
+    raise ConvergenceError(f"Newton search did not converge in {max_iter} iterations")

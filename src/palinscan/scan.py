@@ -15,14 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, LadderCapError, SingularMatrixError
-from .mgf import ScoreModel, log_mgf, log_mgf_double_prime, log_mgf_prime
-from .numeric import find_root
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    LadderCapError,
+    SingularMatrixError,
+)
+from .mgf import ScoreModel, cumulants
+from .numeric import find_root, newton_root
 
 DEFAULT_NU_WALKS = 100_000
 LADDER_STEP_CAP = 1_000_000
 MAX_CAPPED_FRACTION = 1e-3
 SMALL_TILT_NU_LIMIT = 0.05
+ALPHA_TOL = 1e-6
+NU_FIXED_POINT_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -182,7 +189,10 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float, window: int,
 
     Substituting the rate-matching condition into the centering condition
     leaves one equation in theta: window * lambda0 * exp(phi(theta)) *
-    phi'(theta) = threshold, solved on (0, t_max).
+    phi'(theta) = threshold. In log form, phi + log phi' = log(threshold /
+    (window * lambda0)), its left side is increasing on (0, t_max) with the
+    closed-form slope phi' + phi'' / phi', so it is solved by Newton steps
+    kept inside that bracket.
 
     Raises:
         ValueError: threshold below the null window mean.
@@ -191,7 +201,8 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float, window: int,
     if lambda0 <= 0:
         raise ValueError("lambda0 must be positive")
     scale = _condition_scale(window, literal_condition)
-    null_mean = scale * lambda0 * log_mgf_prime(sm, 0.0)
+    _, mean0, var0 = sm.null_cumulants
+    null_mean = scale * lambda0 * mean0
     if threshold < null_mean * (1.0 - 1e-12):
         raise ValueError(
             f"threshold {threshold!r} is below the null window mean {null_mean!r}"
@@ -200,28 +211,37 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float, window: int,
         return TiltSolution(lambda0=lambda0, lambda1=lambda0, theta0=0.0,
                             theta1=0.0, threshold=threshold, window=window)
 
-    def centering_gap(theta: float) -> float:
+    log_threshold = np.log(threshold / (scale * lambda0))
+    phis = {}  # phi at each evaluated theta, reused at the root
+
+    def centering_gap(theta: float) -> tuple[float, float]:
+        # log M'(theta) is close to linear in theta, so Newton steps on it
+        # converge in a few iterations from the one taken at theta = 0.
         try:
-            mean = scale * lambda0 * np.exp(log_mgf(sm, theta)) * log_mgf_prime(sm, theta)
+            phi, mean, var = cumulants(sm, theta)
         except (DomainError, SingularMatrixError, FloatingPointError, OverflowError):
-            return np.inf
-        return mean - threshold if np.isfinite(mean) else np.inf
+            return np.inf, np.nan
+        phis[theta] = phi
+        return phi + np.log(mean) - log_threshold, mean + var / mean
 
     t_max = sm.domain.t_max
     if np.isfinite(t_max):
         hi = t_max * (1.0 - 1e-10)
     else:
         hi = 1.0
-        while centering_gap(hi) < 0.0:
+        while centering_gap(hi)[0] < 0.0:
             hi *= 2.0
             if hi > 1e6:
                 raise DomainError("threshold unreachable: tilt equation has no root")
-    if centering_gap(hi) < 0.0:
+    if centering_gap(hi)[0] < 0.0:
         raise DomainError(
             f"threshold {threshold!r} unreachable within the MGF domain"
         )
-    theta1 = find_root(centering_gap, 0.0, hi, tol=1e-13)
-    lambda1 = lambda0 * float(np.exp(log_mgf(sm, theta1)))
+    start = (log_threshold - np.log(mean0)) / (mean0 + var0 / mean0)  # step from 0
+    theta1 = newton_root(centering_gap, 0.0, hi, x=min(start, 0.5 * hi),
+                         tol=1e-13)
+    phi1 = phis[theta1] if theta1 in phis else cumulants(sm, theta1)[0]
+    lambda1 = lambda0 * float(np.exp(phi1))
     return TiltSolution(lambda0=lambda0, lambda1=lambda1, theta0=0.0,
                         theta1=theta1, threshold=threshold, window=window)
 
@@ -357,12 +377,9 @@ def p_value(threshold: float, window: int, total_length: int, lambda0: float,
     tilt = solve_tilt(lambda0, sm, threshold, window, literal_condition)
     if tilt.theta1 <= 0.0:
         raise ValueError("threshold must strictly exceed the null window mean")
-    mu0 = log_mgf_prime(sm, 0.0)
-    mean1 = log_mgf_prime(sm, tilt.theta1)
-    if sm.kind == "pcs":
-        var_term = mean1 * mean1
-    else:
-        var_term = log_mgf_double_prime(sm, tilt.theta1)
+    mu0 = sm.null_cumulants[1]
+    _, mean1, var1 = cumulants(sm, tilt.theta1)
+    var_term = mean1 * mean1 if sm.kind == "pcs" else var1
     if nu_fixed is not None:
         nu, nu_se = float(nu_fixed), 0.0
     elif tilt.theta1 < SMALL_TILT_NU_LIMIT:
@@ -408,18 +425,27 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
 
     The p-value is unimodal in the threshold: an artifact branch rises from
     zero just above the null mean (where the approximation is not valid)
-    before the true decaying branch. The search walks a geometric grid until
-    it has seen p >= alpha followed by p < alpha, then root-finds on that
-    decaying branch.
+    before the true decaying branch. At a fixed overshoot correction (given
+    as ``nu_fixed``, or a trial value below) the search walks a geometric
+    grid until it has seen p >= alpha followed by p < alpha, then
+    root-finds on that decaying branch.
 
-    Every candidate threshold re-estimates the overshoot correction from an
-    identical generator state (``nu_entropy``; drawn from ``rng`` when not
-    given), so the searched function is deterministic. Accuracy of the
-    returned threshold's p-value is limited by residual Monte Carlo jitter
-    across tilt parameters; pass ``nu_fixed`` for an exact inversion.
+    With a Monte Carlo correction the threshold is a fixed point in nu:
+    invert at nu = 1, estimate nu there, invert again at that fixed nu, and
+    so on until two thresholds bracket alpha; a bracketing secant on the
+    real p-value then finishes. Every nu estimate restarts from an identical
+    generator state (``nu_entropy``; drawn from ``rng`` when not given), so
+    the search is deterministic. It typically needs 2 to 6 estimates; more
+    when the estimate of nu, which steps slightly between nearby thresholds,
+    moves p by more than the tolerance right at the root.
+    Both searches stop once |p - alpha| <= 1e-6 or the bracket is narrower
+    than 1e-6 times the threshold; with a Monte Carlo nu the p-value at the
+    returned threshold is reproduced by ``p_value`` with
+    ``default_rng(nu_entropy)``.
 
     Raises:
         DomainError: no threshold attains alpha (alpha above the branch peak).
+        ConvergenceError: the nu fixed point failed to bracket alpha.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -428,21 +454,56 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
             raise ValueError("need rng, nu_entropy, or nu_fixed")
         nu_entropy = int(rng.integers(2**63))
 
-    def p_of(b: float) -> float:
-        frozen = None if nu_fixed is not None else np.random.default_rng(nu_entropy)
+    def report(b: float, nu: float | None) -> PvalueReport:
+        frozen = None if nu is not None else np.random.default_rng(nu_entropy)
         return p_value(b, window, total_length, lambda0, sm, rng=frozen,
-                       delta=delta, n_walks=n_walks, nu_fixed=nu_fixed,
+                       delta=delta, n_walks=n_walks, nu_fixed=nu,
                        ey1_literal=ey1_literal,
-                       literal_condition=literal_condition).p
+                       literal_condition=literal_condition)
 
     scale = _condition_scale(window, literal_condition)
-    b = scale * lambda0 * log_mgf_prime(sm, 0.0) * 1.05
-    b_lo = None
-    for _ in range(200):
-        p = p_of(b)
-        if p >= alpha:
-            b_lo = b
-        elif b_lo is not None:
-            return float(find_root(lambda x: p_of(x) - alpha, b_lo, b, tol=1e-6))
-        b *= 1.25
-    raise DomainError(f"alpha={alpha!r} is not attainable by any threshold")
+    null_mean = scale * lambda0 * sm.null_cumulants[1]
+
+    def invert(nu: float) -> float:
+        def gap(b: float) -> float:
+            return report(b, nu).p - alpha
+
+        b = null_mean * 1.05
+        b_lo = gap_lo = None
+        for _ in range(200):
+            g = gap(b)
+            if g >= 0.0:
+                b_lo, gap_lo = b, g
+            elif b_lo is not None:
+                return float(find_root(gap, b_lo, b, tol=ALPHA_TOL, f_lo=gap_lo, f_hi=g))
+            b *= 1.25
+        raise DomainError(f"alpha={alpha!r} is not attainable by any threshold")
+
+    if nu_fixed is not None:
+        return invert(nu_fixed)
+
+    def mc_gap(b: float) -> float:
+        return report(b, None).p - alpha
+
+    # p(b) = 1 - exp(-nu(b) A(b)) with A free of nu, and nu <= 1, so the
+    # nu = 1 root lies above the Monte Carlo root. Each step estimates nu at
+    # the current threshold and re-inverts at that fixed nu; the steps
+    # alternate around the root, and once they bracket it a secant on the
+    # real p finishes the search.
+    sides = {}  # gap > 0 -> (threshold, gap) of the latest step on that side
+    b = invert(1.0)
+    for _ in range(NU_FIXED_POINT_STEPS):
+        rep = report(b, None)
+        g = rep.p - alpha
+        if abs(g) <= ALPHA_TOL:
+            return b
+        sides[g > 0.0] = (b, g)
+        if len(sides) == 2:
+            (b_lo, g_lo), (b_hi, g_hi) = sides[True], sides[False]
+            return float(find_root(mc_gap, b_lo, b_hi, tol=ALPHA_TOL,
+                                   f_lo=g_lo, f_hi=g_hi))
+        b = invert(rep.nu)
+    raise ConvergenceError(
+        f"the nu fixed point did not bracket alpha={alpha!r} in "
+        f"{NU_FIXED_POINT_STEPS} steps"
+    )

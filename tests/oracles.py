@@ -1,8 +1,8 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately naive: plain loops, exhaustive enumeration,
-and direct summation, sharing no code with the package internals beyond
-numpy primitives.
+direct summation and finite differences, sharing no code with the package
+internals beyond numpy primitives and the package's error types.
 """
 
 from __future__ import annotations
@@ -10,6 +10,11 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from palinscan.errors import NonFiniteError
+
+DERIV_STEP = 1e-5
+DERIV_STEP_SECOND = 2e-4
 
 COMP = {0: 3, 1: 2, 2: 1, 3: 0}
 LETTER = "ACGT"
@@ -205,3 +210,40 @@ def random_model(rng: np.random.Generator):
     pi = np.abs(np.real(vecs[:, idx]))
     pi /= pi.sum()
     return pi, trans
+
+
+def derivative(f, x: float, order: int = 1, step: float | None = None) -> float:
+    """First or second derivative by central differences with one Richardson pass.
+
+    Args:
+        f: scalar function, assumed smooth near x.
+        x: evaluation point.
+        order: 1 or 2.
+        step: base step; the default scales DERIV_STEP (first order) or
+            DERIV_STEP_SECOND (second order, where roundoff grows as 1/h^2)
+            by max(1, |x|).
+
+    Raises:
+        NonFiniteError: any stencil evaluation is non-finite.
+    """
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
+    if step is not None:
+        h = step
+    else:
+        base = DERIV_STEP if order == 1 else DERIV_STEP_SECOND
+        h = base * max(1.0, abs(x))
+
+    def central(hh: float) -> float:
+        if order == 1:
+            num = f(x + hh) - f(x - hh)
+            return num / (2.0 * hh)
+        num = f(x + hh) - 2.0 * f(x) + f(x - hh)
+        return num / (hh * hh)
+
+    d1 = central(h)
+    d2 = central(h / 2.0)
+    if not (np.isfinite(d1) and np.isfinite(d2)):
+        raise NonFiniteError(f"non-finite stencil for derivative at x={x!r}")
+    # Richardson: central differences have error O(h^2)
+    return float((4.0 * d2 - d1) / 3.0)

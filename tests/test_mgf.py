@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palinscan import (
     ConvergenceError,
     DomainError,
     MarkovModel,
     ScoreModel,
+    SingularMatrixError,
     bws_mgf,
     center_pair_probs,
     exact_length_prob,
@@ -24,8 +27,10 @@ from palinscan import (
     score_mgf,
 )
 import palinscan.mgf as mgf_module
+from palinscan.mgf import cumulants
 
 from oracles import (
+    derivative,
     enum_exact_length_mgf,
     enum_exact_length_prob,
     quasi_matrix,
@@ -289,6 +294,88 @@ class TestCumulant:
         for kind in ("pls", "bws"):
             sm = ScoreModel(kind, bohv1, 6)
             assert log_mgf_double_prime(sm, 0.1) > 0.0
+
+
+@st.composite
+def markov_models(draw):
+    """Random first-order models with every transition in (0, 1), whose
+    quasi transition matrices are therefore strictly subcritical."""
+    trans = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=16, max_size=16)))
+    trans = trans.reshape(4, 4) / trans.reshape(4, 4).sum(axis=1, keepdims=True)
+    vals, vecs = np.linalg.eig(trans.T)
+    pi = np.abs(np.real(vecs[:, int(np.argmin(np.abs(vals - 1.0)))]))
+    return MarkovModel(pi=pi / pi.sum(), trans=trans)
+
+
+def series_cumulants(model, half_length, kind, theta):
+    """phi, phi', phi'' from the truncated exact-length series oracle.
+
+    M' comes from a complex step through the series (no cancellation), and
+    M'' from a finite difference of that M'.
+    """
+    step = 1e-20
+
+    def m_prime(x):
+        z = complex(x, step)
+        return series_mgf(model.pi, model.trans, half_length, z, kind).imag / step
+
+    m = float(np.real(series_mgf(model.pi, model.trans, half_length, theta, kind)))
+    mean = m_prime(theta) / m
+    return np.log(m), mean, derivative(m_prime, theta, order=1) / m - mean * mean
+
+
+CLOSED_FORM_CASES = [(kind, iid) for kind in ("pls", "bws") for iid in (False, True)]
+
+
+class TestClosedFormCumulants:
+    """The closed-form cumulant kernel against a finite-difference oracle and
+    the truncated series, over random strictly subcritical models.
+
+    In iid mode the reference series is that of the iid model with the same
+    composition, whose matrix form the iid closed forms reproduce.
+    """
+
+    @pytest.mark.parametrize("kind,iid", CLOSED_FORM_CASES)
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(model=markov_models(), half_length=st.integers(1, 8),
+           frac=st.floats(0.0, 0.95))
+    def test_derivatives_match_oracles(self, kind, iid, model, half_length, frac):
+        sm = ScoreModel(kind, model, half_length, iid_mode=iid)
+        theta = frac * sm.domain.t_max
+        phi, mean, var = cumulants(sm, theta)
+        f = lambda x: log_mgf(sm, x)
+        assert mean == pytest.approx(derivative(f, theta, order=1), rel=1e-8)
+        assert var == pytest.approx(derivative(f, theta, order=2), rel=1e-4)
+        reference = iid_model(model.pi) if iid else model
+        s_phi, s_mean, s_var = series_cumulants(reference, half_length, kind, theta)
+        assert phi == pytest.approx(s_phi, rel=1e-10, abs=1e-12)
+        assert mean == pytest.approx(s_mean, rel=1e-9)
+        assert var == pytest.approx(s_var, rel=1e-6)
+        assert (log_mgf(sm, theta), log_mgf_prime(sm, theta),
+                log_mgf_double_prime(sm, theta)) == (phi, mean, var)
+
+    @pytest.mark.parametrize("kind,iid", CLOSED_FORM_CASES)
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(model=markov_models(), half_length=st.integers(1, 8))
+    def test_domain_edge_fails_loudly(self, kind, iid, model, half_length):
+        sm = ScoreModel(kind, model, half_length, iid_mode=iid)
+        t_max = sm.domain.t_max
+        for theta in (t_max, 1.01 * t_max):
+            with pytest.raises(DomainError):
+                cumulants(sm, theta)
+        # One ulp inside the edge the resolvent I - Q is singular to
+        # round-off: a 4 x 4 matrix form must refuse it; the 1 x 1 iid form
+        # may return a huge finite value instead. Neither may return NaN.
+        edge = np.nextafter(t_max, 0.0)
+        if iid:
+            try:
+                values = cumulants(sm, edge)
+            except SingularMatrixError:
+                return
+            assert np.all(np.isfinite(values))
+        else:
+            with pytest.raises(SingularMatrixError):
+                cumulants(sm, edge)
 
 
 class TestIncrementCharfn:

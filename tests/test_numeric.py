@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from palinscan import BracketError, ConvergenceError, NonFiniteError, SingularMatrixError
-from palinscan.numeric import derivative, find_root, mat_inv, mat_pow, spectral_radius
+from palinscan.numeric import find_root, mat_inv, mat_pow, newton_root, spectral_radius
+
+from oracles import derivative
 
 
 class TestMatPow:
@@ -106,6 +108,53 @@ class TestFindRoot:
         f = lambda x: -1.0 if x < math.pi / 10 else 1.0
         with pytest.raises(ConvergenceError):
             find_root(f, 0.0, 1.0, tol=0.0, max_iter=20)
+
+
+    def test_known_endpoint_values_are_not_recomputed(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return math.exp(x) - 5.0
+
+        plain = find_root(f, 0.0, 3.0, tol=1e-13)
+        assert seen[:2] == [0.0, 3.0]
+        seen.clear()
+        given = find_root(f, 0.0, 3.0, tol=1e-13, f_lo=f(0.0), f_hi=f(3.0))
+        assert given == plain
+        assert seen.count(0.0) == 1 and seen.count(3.0) == 1  # only the two calls above
+
+    def test_known_endpoint_values_still_checked(self):
+        with pytest.raises(BracketError):
+            find_root(lambda x: x, -1.0, 1.0, f_lo=1.0, f_hi=2.0)
+
+
+class TestNewtonRoot:
+    def test_cubic(self):
+        root = newton_root(lambda x: (x**3 - 2.0, 3.0 * x * x), 0.0, 2.0, x=1.9)
+        assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-12)
+
+    def test_far_start_on_convex_function(self):
+        # Newton from the left of a convex root jumps past the bracket; the
+        # step must fall back to bisection and still converge
+        f = lambda x: (math.exp(20.0 * x) - 1e-4, 20.0 * math.exp(20.0 * x))
+        root = newton_root(f, -2.0, 1.0, x=-1.9, tol=1e-13)
+        assert root == pytest.approx(math.log(1e-4) / 20.0, abs=1e-12)
+
+    def test_infinite_values_count_as_positive(self):
+        # beyond 2 the function "fails"; the bracket must shrink onto [.., 2)
+        f = lambda x: (x - 1.5, 1.0) if x < 2.0 else (math.inf, math.nan)
+        assert newton_root(f, 0.0, 10.0, x=9.0) == pytest.approx(1.5, abs=1e-12)
+
+    def test_nan_raises(self):
+        with pytest.raises(NonFiniteError):
+            newton_root(lambda x: (math.nan, 1.0), 0.0, 1.0, x=0.5)
+
+    def test_iteration_cap(self):
+        # a jump with no root and a zero slope allows bisection only
+        f = lambda x: (-1.0 if x < math.pi / 10 else 1.0, 0.0)
+        with pytest.raises(ConvergenceError):
+            newton_root(f, 0.0, 1.0, x=0.5, tol=0.0, max_iter=20)
 
 
 class TestDerivative:

@@ -17,6 +17,7 @@ from palinscan import (
     threshold_for_alpha,
     window_scores,
 )
+import palinscan.scan as scan_module
 from palinscan.scan import WindowSeries
 
 from oracles import window_sums
@@ -247,6 +248,49 @@ class TestThresholdForAlpha:
         kw = dict(nu_entropy=11, n_walks=10_000)
         assert threshold_for_alpha(0.05, WINDOW, W, lam0, pls, **kw) == \
             threshold_for_alpha(0.05, WINDOW, W, lam0, pls, **kw)
+
+    @pytest.mark.parametrize("kind", ["pls", "bws"])
+    @pytest.mark.parametrize("alpha", [0.05, 0.001])
+    def test_monte_carlo_nu_fixed_point(self, kind, alpha, lam0, monkeypatch):
+        # A handful of Monte Carlo nu estimates per threshold, not one per
+        # candidate, and the search stops on its rule: |p - alpha| <= 1e-6,
+        # or two estimated thresholds that straddle alpha within 1e-6 * b.
+        # The second branch is real: with 100k walks the frozen-entropy nu
+        # steps by about 1e-4 (relative) between nearby thresholds, which
+        # moves p by more than 1e-6 at alpha = 0.05, and bisecting such a
+        # step down to the bracket rule costs extra estimates.
+        sm = ScoreModel(kind, bohv1_model(), 6)
+        calls, gaps = [], {}
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].threshold)
+            return overshoot_nu(*args, **kwargs)
+
+        def recorded(b, *args, **kwargs):
+            rep = p_value(b, *args, **kwargs)
+            if kwargs.get("rng") is not None:
+                gaps[b] = rep.p - alpha
+            return rep
+
+        monkeypatch.setattr(scan_module, "overshoot_nu", counted)
+        monkeypatch.setattr(scan_module, "p_value", recorded)
+        b_fixed = threshold_for_alpha(alpha, WINDOW, W, lam0, sm, nu_fixed=1.0)
+        for entropy in (1, 2, 3):
+            calls.clear()
+            gaps.clear()
+            b = threshold_for_alpha(alpha, WINDOW, W, lam0, sm, nu_entropy=entropy)
+            estimates = len(calls)
+            assert b < b_fixed
+            rep = p_value(b, WINDOW, W, lam0, sm, rng=np.random.default_rng(entropy))
+            if abs(rep.p - alpha) <= 1e-6:
+                assert 1 <= estimates <= 8
+            else:
+                near = [g for x, g in gaps.items() if abs(x - b) <= 1e-6 * b]
+                assert min(near) < 0.0 < max(near)
+                assert estimates <= 16
+        kw = dict(nu_entropy=1)
+        assert threshold_for_alpha(alpha, WINDOW, W, lam0, sm, **kw) == \
+            threshold_for_alpha(alpha, WINDOW, W, lam0, sm, **kw)
 
     def test_smaller_alpha_larger_threshold(self, lam0, pls):
         b5 = threshold_for_alpha(0.05, WINDOW, W, lam0, pls, nu_fixed=1.0)
