@@ -18,7 +18,7 @@ from palinscan import (
     generate_sequence,
     markov_rate,
     p_value,
-    score_event,
+    score_events,
     threshold_for_alpha,
     window_scores,
 )
@@ -34,8 +34,8 @@ rng = np.random.default_rng(7)
 # -- simulate, detect, score, window ----------------------------------------
 seq = generate_sequence(model, LENGTH, rng)
 events = find_palindromes(seq, HALF_LENGTH)
-scored = [(e.center, score_event(e, KIND, HALF_LENGTH, model)) for e in events]
-series = window_scores(scored, WINDOW, LENGTH)
+scores = score_events(events, KIND, HALF_LENGTH, model)
+series = window_scores(zip([e.center for e in events], scores), WINDOW, LENGTH)
 print(f"{len(events)} palindromes; best window starts at {series.argmax} "
       f"with total score {series.max_value:.4f}")
 

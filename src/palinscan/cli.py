@@ -39,7 +39,7 @@ from .mgf import (
     log_mgf_prime,
     score_mgf,
 )
-from .palindrome import average_rate, events_to_tsv, find_palindromes, score_event
+from .palindrome import average_rate, events_to_tsv, find_palindromes, score_events
 from .scan import p_value, window_scores
 from .seqio import ALPHABET, FastaRecord, fetch_sequence, parse_fasta_file
 from .sim import (
@@ -279,11 +279,9 @@ def _cmd_scan(config: RunConfig, out) -> int:
         lambda0 = iid_rate(model.pi, config.half_length).value
     sm = ScoreModel(config.score, model, config.half_length,
                     bws_column_start=config.compat_paper)
-    scored = [
-        (e.center, score_event(e, config.score, config.half_length, model))
-        for e in events
-    ]
-    series = window_scores(scored, config.window, total_length)
+    scores = score_events(events, config.score, config.half_length, model)
+    series = window_scores(zip([e.center for e in events], scores),
+                           config.window, total_length)
     threshold = config.threshold if config.threshold is not None else series.max_value
 
     null_mean = config.window * lambda0 * log_mgf_prime(sm, 0.0)

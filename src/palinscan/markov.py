@@ -209,14 +209,37 @@ def stationary_gap(model: MarkovModel) -> float:
     return float(np.abs(model.pi - stationary(model)).max())
 
 
+def _step_map_composition() -> np.ndarray:
+    """table[a, b]: the byte-coded step map "apply a, then b".
+
+    A step map sends each current base s to a next base, held in bits
+    2s..2s+1 of one byte, so 256 codes cover every map of 4 bases.
+    """
+    a = np.arange(256, dtype=np.uint8)[:, None]
+    b = np.arange(256, dtype=np.uint8)[None, :]
+    table = np.zeros((256, 256), dtype=np.uint8)
+    for s in range(4):
+        via = (a >> (2 * s)) & 3
+        table |= ((b >> (2 * via)) & 3) << (2 * s)
+    return table
+
+
+_COMPOSE = _step_map_composition()
+
+
 def generate_sequence(model: MarkovModel, length: int,
                       rng: np.random.Generator) -> DnaSeq:
     """Sample a sequence of the given length from the model.
 
-    The chain is realised without a per-base Python loop: each uniform draw
-    is first turned into a next-state lookup table (which base follows each
-    possible current base), and the tables are then composed blockwise, so
-    the sequential work is O(sqrt(length)) numpy passes.
+    One uniform draw u per position. The first base is the composition
+    quantile of u[0]. Every later draw becomes a byte-coded step map: bits
+    2s..2s+1 hold the base that follows base s, namely the number of row s's
+    first three cumulative transition probabilities that u exceeds. The
+    chain is realised without a per-base Python loop: the maps are cut into
+    about sqrt(length) blocks, each block's prefix compositions are built
+    column by column through a 256x256 composition table, the block start
+    bases follow by one pass over the block-final maps, and each base is
+    read out of its prefix map by shift and mask.
     """
     if length < 0:
         raise ValueError("length must be non-negative")
@@ -230,33 +253,32 @@ def generate_sequence(model: MarkovModel, length: int,
     if m == 0:
         return DnaSeq(bases=out, source_id="generated")
 
-    # step t maps the base at position t to the base at position t+1
-    thresholds = np.cumsum(model.trans, axis=1)[:, :3]
-    steps = (u[1:, None, None] > thresholds[None, :, :]).sum(axis=2).astype(np.uint8)
-
     block = max(int(math.isqrt(m)), 1)
     nblocks = -(-m // block)
-    pad = nblocks * block - m
-    if pad:
-        identity = np.tile(np.arange(4, dtype=np.uint8), (pad, 1))
-        steps = np.concatenate([steps, identity])
-    steps = steps.reshape(nblocks, block, 4)
+    # steps[t] maps the base at position t + 1 to the base at position t + 2;
+    # the padding after the last step is never read out
+    steps = np.zeros(nblocks * block, dtype=np.uint8)
+    v = u[1:]
+    thresholds = np.cumsum(model.trans, axis=1)[:, :3]
+    for s in range(4):
+        nxt = (v > thresholds[s, 0]).view(np.uint8)
+        nxt = nxt + (v > thresholds[s, 1]).view(np.uint8)
+        nxt += (v > thresholds[s, 2]).view(np.uint8)
+        steps[:m] |= nxt << (2 * s)
+    prefix = steps.reshape(nblocks, block)
 
-    # partial[b, t, s]: base at position b*block + t + 1, given base s at b*block
-    partial = np.empty_like(steps)
-    cur = np.tile(np.arange(4, dtype=np.uint8), (nblocks, 1))
-    for t in range(block):
-        cur = np.take_along_axis(steps[:, t, :], cur, axis=1)
-        partial[:, t, :] = cur
+    # composed in place: prefix[b, t] then maps the base at b*block to the
+    # one t + 1 places on
+    for t in range(1, block):
+        prefix[:, t] = _COMPOSE[prefix[:, t - 1], prefix[:, t]]
 
-    starts = np.empty(nblocks, dtype=np.intp)
+    starts = np.empty(nblocks, dtype=np.uint8)
     state = first
-    for b in range(nblocks):
+    for b, code in enumerate(prefix[:, -1].tolist()):
         starts[b] = state
-        state = int(partial[b, block - 1, state])
+        state = (code >> (2 * state)) & 3
 
-    inner = partial[np.arange(nblocks)[:, None], np.arange(block)[None, :],
-                    starts[:, None]]
+    inner = (prefix >> (2 * starts[:, None])) & 3
     out[1:] = inner.reshape(-1)[:m]
     return DnaSeq(bases=out, source_id="generated")
 

@@ -31,7 +31,7 @@ class PalindromeEvent:
         half_length: maximal h such that all h outward pairs are
             complementary.
         pattern: the palindrome itself (length 2 * half_length).
-        pcs, pls, bws: optional attached scores (see score_event).
+        pcs, pls, bws: optional attached scores (see score_events).
     """
 
     center: int
@@ -96,6 +96,33 @@ def _pattern_bases(pattern) -> np.ndarray:
     return np.asarray(pattern, dtype=np.uint8)
 
 
+def _log_probs(lefts: list[np.ndarray], model: MarkovModel) -> np.ndarray:
+    """Log occurrence probabilities of palindromes given by their left halves.
+
+    Every pattern's factors (start weight, quasi steps, centre closure) are
+    gathered into one flat array, pattern after pattern, and summed per
+    pattern; the model's matrices are built once for the whole batch.
+    """
+    t = quasi_transition_matrix(model)
+    start = model.pi - model.pi @ t
+    sizes = np.fromiter((a.size for a in lefts), dtype=np.intp, count=len(lefts))
+    flat = np.concatenate(lefts)
+    first = np.cumsum(sizes) - sizes
+    last = first + sizes - 1
+    # base j of pattern i owns factor slot j + i; each closure takes the
+    # slot after its pattern's last base
+    slot = np.arange(flat.size) + np.repeat(np.arange(len(lefts)), sizes)
+    factors = np.empty(flat.size + len(lefts))
+    factors[slot[1:]] = t[flat[:-1], flat[1:]]
+    factors[slot[first]] = start[flat[first]]
+    factors[slot[last] + 1] = center_pair_probs(model)[flat[last]]
+    if np.any(factors <= 0.0):
+        raise InfiniteScoreError(
+            "pattern has zero probability under the model"
+        )
+    return np.add.reduceat(np.log(factors), slot[first])
+
+
 def pattern_log_prob(pattern, model: MarkovModel) -> float:
     """Natural log of the exact occurrence probability of a palindrome pattern.
 
@@ -111,58 +138,61 @@ def pattern_log_prob(pattern, model: MarkovModel) -> float:
             positive probability under the model.
     """
     bases = _pattern_bases(pattern)
-    left = bases[: bases.size // 2]
-    if left.size == 0 or bases.size % 2:
+    if bases.size == 0 or bases.size % 2:
         raise ValueError("pattern must have positive even length")
-    t = quasi_transition_matrix(model)
-    start = model.pi - model.pi @ t
-    factors = np.concatenate((
-        [start[left[0]]],
-        t[left[:-1], left[1:]],
-        [center_pair_probs(model)[left[-1]]],
-    ))
-    if np.any(factors <= 0.0):
-        raise InfiniteScoreError(
-            "pattern has zero probability under the model"
-        )
-    return float(np.log(factors).sum())
+    return float(_log_probs([bases[: bases.size // 2]], model)[0])
 
 
-def score_event(event: PalindromeEvent, kind: str, min_half_length: int,
-                model: MarkovModel | None = None) -> float:
-    """Score a palindrome event.
+def score_events(events, kind: str, min_half_length: int,
+                 model: MarkovModel | None = None) -> np.ndarray:
+    """Scores of palindrome events, in event order.
 
     Kinds (case-insensitive):
         pcs: plain count — every event scores 1.
         pls: length ratio — half_length / min_half_length.
         bws: weight by rarity — minus the log occurrence probability of the
-            exact pattern under ``model`` (required for this kind).
+            exact pattern under ``model`` (required for this kind; see
+            pattern_log_prob), for all events in one vectorised pass.
+
+    Raises:
+        ValueError: unknown kind, an event below the detection threshold, or
+            bws without a model.
+        InfiniteScoreError: (bws) some pattern has zero probability.
     """
     kind = kind.lower()
     if kind not in SCORE_KINDS:
         raise ValueError(f"unknown score kind {kind!r}; expected one of {SCORE_KINDS}")
-    if event.half_length < min_half_length:
+    events = list(events)
+    half = np.fromiter((e.half_length for e in events), dtype=np.int64,
+                       count=len(events))
+    if np.any(half < min_half_length):
         raise ValueError("event half_length is below the detection threshold")
     if kind == "pcs":
-        return 1.0
+        return np.ones(half.size)
     if kind == "pls":
-        return event.half_length / min_half_length
+        return half / min_half_length
     if model is None:
         raise ValueError("bws scoring requires a model")
-    return -pattern_log_prob(event.pattern, model)
+    if not events:
+        return np.empty(0)
+    return -_log_probs([e.pattern.bases[: e.half_length] for e in events], model)
+
+
+def score_event(event: PalindromeEvent, kind: str, min_half_length: int,
+                model: MarkovModel | None = None) -> float:
+    """Score of one palindrome event; see score_events for the kinds."""
+    return float(score_events([event], kind, min_half_length, model)[0])
 
 
 def attach_scores(events, min_half_length: int,
                   model: MarkovModel) -> list[PalindromeEvent]:
     """Copy of events with all three scores filled in."""
+    events = list(events)
+    pcs, pls, bws = (score_events(events, kind, min_half_length, model)
+                     for kind in SCORE_KINDS)
     return [
-        replace(
-            e,
-            pcs=score_event(e, "pcs", min_half_length),
-            pls=score_event(e, "pls", min_half_length),
-            bws=score_event(e, "bws", min_half_length, model),
-        )
-        for e in events
+        replace(e, pcs=float(a), pls=float(b), bws=float(c))
+        for e, a, b, c in zip(events, pcs, pls, bws)
     ]
 
 

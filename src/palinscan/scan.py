@@ -11,7 +11,8 @@ correction for the discrete ladder of the excess process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +55,7 @@ class WindowSeries:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    @property
+    @cached_property
     def argmax(self) -> int:
         return int(np.argmax(self.values))
 
@@ -78,6 +79,10 @@ class TiltSolution:
     theta1: float
     threshold: float
     window: int
+    # (phi, phi', phi'') at theta1 as solve_tilt evaluated them, so that
+    # p_value need not evaluate the kernel there again
+    _cumulants: tuple[float, float, float] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -145,11 +150,14 @@ def window_scores(events, window: int, total_length: int) -> WindowSeries:
         if pos.min() < 0 or pos.max() >= total_length:
             raise ValueError("event position out of range")
         np.add.at(per_position, pos, scores)
-    prefix = np.concatenate(([0.0], np.cumsum(per_position)))
-    t = np.arange(total_length - window + 1)
-    hi = np.minimum(t + window + 1, total_length)
-    return WindowSeries(window=window, total_length=total_length,
-                        values=prefix[hi] - prefix[t + 1])
+    # prefix[k]: total score at positions 0..k. Window t covers positions
+    # t + 1 .. t + window, so it sums to prefix[t + window] - prefix[t]; the
+    # last window stops at the sequence end.
+    prefix = np.cumsum(per_position, out=per_position)
+    values = np.empty(total_length - window + 1)
+    np.subtract(prefix[window:], prefix[:total_length - window], out=values[:-1])
+    values[-1] = prefix[-1] - prefix[total_length - window]
+    return WindowSeries(window=window, total_length=total_length, values=values)
 
 
 def llr_statistics(series: WindowSeries, tilt: TiltSolution,
@@ -212,7 +220,7 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float, window: int,
                             theta1=0.0, threshold=threshold, window=window)
 
     log_threshold = np.log(threshold / (scale * lambda0))
-    phis = {}  # phi at each evaluated theta, reused at the root
+    jets = {}  # cumulants at each evaluated theta, reused at the root
 
     def centering_gap(theta: float) -> tuple[float, float]:
         # log M'(theta) is close to linear in theta, so Newton steps on it
@@ -221,7 +229,7 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float, window: int,
             phi, mean, var = cumulants(sm, theta)
         except (DomainError, SingularMatrixError, FloatingPointError, OverflowError):
             return np.inf, np.nan
-        phis[theta] = phi
+        jets[theta] = phi, mean, var
         return phi + np.log(mean) - log_threshold, mean + var / mean
 
     t_max = sm.domain.t_max
@@ -240,10 +248,12 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float, window: int,
     start = (log_threshold - np.log(mean0)) / (mean0 + var0 / mean0)  # step from 0
     theta1 = newton_root(centering_gap, 0.0, hi, x=min(start, 0.5 * hi),
                          tol=1e-13)
-    phi1 = phis[theta1] if theta1 in phis else cumulants(sm, theta1)[0]
-    lambda1 = lambda0 * float(np.exp(phi1))
-    return TiltSolution(lambda0=lambda0, lambda1=lambda1, theta0=0.0,
+    jet = jets[theta1] if theta1 in jets else cumulants(sm, theta1)
+    lambda1 = lambda0 * float(np.exp(jet[0]))
+    tilt = TiltSolution(lambda0=lambda0, lambda1=lambda1, theta0=0.0,
                         theta1=theta1, threshold=threshold, window=window)
+    object.__setattr__(tilt, "_cumulants", jet)
+    return tilt
 
 
 def _truncated_poisson_cum(mu: float) -> np.ndarray:
@@ -378,7 +388,7 @@ def p_value(threshold: float, window: int, total_length: int, lambda0: float,
     if tilt.theta1 <= 0.0:
         raise ValueError("threshold must strictly exceed the null window mean")
     mu0 = sm.null_cumulants[1]
-    _, mean1, var1 = cumulants(sm, tilt.theta1)
+    _, mean1, var1 = tilt._cumulants
     var_term = mean1 * mean1 if sm.kind == "pcs" else var1
     if nu_fixed is not None:
         nu, nu_se = float(nu_fixed), 0.0

@@ -24,7 +24,7 @@ from .palindrome import (
     average_rate,
     build_bank,
     find_palindromes,
-    score_event,
+    score_events,
 )
 from .scan import DEFAULT_NU_WALKS, threshold_for_alpha, window_scores
 from .seqio import DnaSeq
@@ -366,6 +366,21 @@ def _threshold_entropy(cfg: ExperimentConfig, index: int) -> int:
     return int(np.random.default_rng(ss).integers(2**63))
 
 
+def _replicates(cfg: ExperimentConfig):
+    """Yield (events, average rate, Markov rate) for each replicate in turn;
+    the steps are those rate_experiment describes."""
+    specs = default_hotspot_specs(cfg)
+    bank = _bank_for(cfg)
+    for i in range(cfg.replicates):
+        rng = _replicate_rng(cfg.master_seed, i)
+        background = generate_sequence(cfg.model, cfg.seq_length, rng)
+        seq, _ = insert_hotspots(background, specs, bank, cfg.lambda0_target, rng)
+        events = find_palindromes(seq, cfg.half_length)
+        yield (events,
+               average_rate(events, cfg.seq_length, cfg.half_length).value,
+               markov_rate(estimate_model(seq), cfg.half_length).value)
+
+
 def rate_experiment(cfg: ExperimentConfig) -> RateExperimentResult:
     """Bias of the average-rate and model-based estimators under hot spots.
 
@@ -373,17 +388,10 @@ def rate_experiment(cfg: ExperimentConfig) -> RateExperimentResult:
     palindromes, and record the observed average rate alongside the rate
     implied by a model re-fitted to the contaminated sequence.
     """
-    specs = default_hotspot_specs(cfg)
-    bank = _bank_for(cfg)
     avg = np.empty(cfg.replicates)
     mk = np.empty(cfg.replicates)
-    for i in range(cfg.replicates):
-        rng = _replicate_rng(cfg.master_seed, i)
-        background = generate_sequence(cfg.model, cfg.seq_length, rng)
-        seq, _ = insert_hotspots(background, specs, bank, cfg.lambda0_target, rng)
-        events = find_palindromes(seq, cfg.half_length)
-        avg[i] = average_rate(events, cfg.seq_length, cfg.half_length).value
-        mk[i] = markov_rate(estimate_model(seq), cfg.half_length).value
+    for i, (_, avg_rate, mk_rate) in enumerate(_replicates(cfg)):
+        avg[i], mk[i] = avg_rate, mk_rate
     return RateExperimentResult(multipliers=tuple(cfg.multipliers),
                                 replicates=cfg.replicates,
                                 average_rates=avg, markov_rates=mk)
@@ -417,26 +425,17 @@ def power_experiment(cfg: ExperimentConfig, kind: str, alpha: float = 0.05,
     """
     sm = ScoreModel(kind, cfg.model, cfg.half_length,
                     bws_column_start=bws_column_start)
-    specs = default_hotspot_specs(cfg)
-    bank = _bank_for(cfg)
-    n_seg = len(specs)
-    seg_max = np.empty((cfg.replicates, n_seg))
+    bounds = [_segment_window_bounds(spec, cfg.window, cfg.seq_length)
+              for spec in default_hotspot_specs(cfg)]
+    seg_max = np.empty((cfg.replicates, len(bounds)))
     avg = np.empty(cfg.replicates)
     mk = np.empty(cfg.replicates)
-    for i in range(cfg.replicates):
-        rng = _replicate_rng(cfg.master_seed, i)
-        background = generate_sequence(cfg.model, cfg.seq_length, rng)
-        seq, _ = insert_hotspots(background, specs, bank, cfg.lambda0_target, rng)
-        events = find_palindromes(seq, cfg.half_length)
-        avg[i] = average_rate(events, cfg.seq_length, cfg.half_length).value
-        mk[i] = markov_rate(estimate_model(seq), cfg.half_length).value
-        scored = [
-            (e.center, score_event(e, kind, cfg.half_length, cfg.model))
-            for e in events
-        ]
-        series = window_scores(scored, cfg.window, cfg.seq_length)
-        for j, spec in enumerate(specs):
-            lo, hi = _segment_window_bounds(spec, cfg.window, cfg.seq_length)
+    for i, (events, avg_rate, mk_rate) in enumerate(_replicates(cfg)):
+        avg[i], mk[i] = avg_rate, mk_rate
+        scores = score_events(events, kind, cfg.half_length, cfg.model)
+        series = window_scores(zip([e.center for e in events], scores),
+                               cfg.window, cfg.seq_length)
+        for j, (lo, hi) in enumerate(bounds):
             seg_max[i, j] = series.values[lo : hi + 1].max()
 
     estimates = {"average": avg, "markov": mk}

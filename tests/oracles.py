@@ -10,8 +10,9 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
 
-from palinscan.errors import NonFiniteError
+from palinscan.errors import InfiniteScoreError, NonFiniteError
 
 DERIV_STEP = 1e-5
 DERIV_STEP_SECOND = 2e-4
@@ -96,6 +97,27 @@ def quasi_matrix(trans) -> np.ndarray:
 def closure_vector(trans) -> np.ndarray:
     trans = np.asarray(trans, dtype=float)
     return np.array([trans[i, COMP[i]] for i in range(4)])
+
+
+def naive_pattern_log_prob(bases, pi, trans) -> float:
+    """Log occurrence probability of one palindrome pattern, factor by factor.
+
+    The factors along the left half a_1..a_k are the start weight of a_1,
+    one quasi step per outward pair and the centre closure of a_k.
+
+    Raises:
+        InfiniteScoreError: some factor is zero or negative.
+    """
+    left = [int(x) for x in bases[: len(bases) // 2]]
+    t = quasi_matrix(trans)
+    factors = np.array(
+        [start_weights(pi, trans)[left[0]]]
+        + [t[a, b] for a, b in zip(left[:-1], left[1:])]
+        + [closure_vector(trans)[left[-1]]]
+    )
+    if np.any(factors <= 0.0):
+        raise InfiniteScoreError("pattern has zero probability under the model")
+    return float(np.log(factors).sum())
 
 
 def enum_exact_length_patterns(pi, trans, k: int):
@@ -210,6 +232,20 @@ def random_model(rng: np.random.Generator):
     pi = np.abs(np.real(vecs[:, idx]))
     pi /= pi.sum()
     return pi, trans
+
+
+@st.composite
+def sparse_models(draw):
+    """Random first-order models as (pi, trans), with exact zeros allowed.
+
+    Rows that draw all zeros become uniform, so every model is valid; pi is
+    drawn apart from trans and need not be stationary.
+    """
+    entry = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    raw = np.array(draw(st.lists(entry, min_size=20, max_size=20))).reshape(5, 4)
+    raw[raw.sum(axis=1) == 0.0] = 1.0
+    raw /= raw.sum(axis=1, keepdims=True)
+    return raw[0], raw[1:]
 
 
 def derivative(f, x: float, order: int = 1, step: float | None = None) -> float:

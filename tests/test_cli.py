@@ -302,6 +302,48 @@ class TestPower:
         assert all(len(r["powers"]) == 3 for r in payload[0]["rows"])
 
 
+class TestPinnedOutput:
+    """Seeded simulate and power TSV, recorded before the byte-coded sampler
+    and array scoring replaced the per-base step tables and per-event
+    scoring. The figures are printed at 10 significant digits, so a change
+    to how sequences are drawn or scored must leave them exactly as they are.
+    """
+
+    ARGS = ("--replicates", "4", "--length", "20000", "--seed", "3")
+
+    def test_simulate(self):
+        code, text = invoke("simulate", *self.ARGS,
+                            "--multipliers", "1,1,1", "--multipliers", "10,10,10")
+        assert code == 0
+        assert text == (
+            "a1\ta2\ta3\tlambda_avg\tlambda_markov\n"
+            "1\t1\t1\t0.0015375\t0.001094355652\n"
+            "10\t10\t10\t0.003075\t0.001144568498\n"
+        )
+
+    @pytest.mark.parametrize("kind,lines", [
+        ("pls", [
+            "10,10,10\taverage\t0.003075\t13.41449674\t0.5000\t0.2500\t1.0000",
+            "10,10,10\tmarkov\t0.001144568498\t8.150251121\t0.7500\t0.7500\t1.0000",
+            "3,3,3\taverage\t0.0018125\t10.16836923\t0.2500\t0.0000\t0.0000",
+            "3,3,3\tmarkov\t0.001103490938\t8.014185855\t0.2500\t0.2500\t0.5000",
+        ]),
+        ("bws", [
+            "10,10,10\taverage\t0.003075\t173.3094937\t0.7500\t0.2500\t1.0000",
+            "10,10,10\tmarkov\t0.001144568498\t105.5630977\t0.7500\t0.7500\t1.0000",
+            "3,3,3\taverage\t0.0018125\t131.5140582\t0.0000\t0.0000\t0.0000",
+            "3,3,3\tmarkov\t0.001103490938\t103.8147663\t0.2500\t0.2500\t0.2500",
+        ]),
+    ])
+    def test_power(self, kind, lines):
+        code, text = invoke("power", "--score", kind, *self.ARGS, "--nu-fixed", "1.0",
+                            "--multipliers", "10,10,10", "--multipliers", "3,3,3")
+        assert code == 0
+        header = ("kind\talpha\tmultipliers\testimator\trate\tthreshold"
+                  "\tpower1\tpower2\tpower3")
+        assert text == "\n".join([header, *(f"{kind}\t0.05\t{x}" for x in lines)]) + "\n"
+
+
 class TestConsoleScript:
     def test_entry_point(self, sample_path):
         proc = subprocess.run(

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palinscan import (
     BOHV1_GENOME_LENGTH,
@@ -23,7 +25,24 @@ from palinscan import (
     stationary_gap,
 )
 
-from oracles import enum_markov_rate, iid_match_gamma, quasi_matrix, random_model
+from oracles import (
+    enum_markov_rate,
+    iid_match_gamma,
+    quasi_matrix,
+    random_model,
+    sparse_models,
+)
+
+# Lengths at the sampler's block boundaries: it cuts the m = length - 1
+# steps into blocks of isqrt(m), so both the lengths and the step counts
+# k^2, k^2 +- 1 and k(k + 1) are edges.
+BLOCK_EDGES = sorted({
+    n
+    for k in range(1, 71)
+    for edge in (k * k - 1, k * k, k * k + 1, k * (k + 1))
+    for n in (edge, edge + 1)
+    if 1 <= n <= 5000
+})
 
 
 class TestMarkovModel:
@@ -181,10 +200,21 @@ class TestGenerateSequence:
             out.append(int((u[t] > cum_tr[out[-1]]).sum()))
         return np.array(out, dtype=np.uint8)
 
-    @pytest.mark.parametrize("length", [1, 2, 3, 17, 100, 1001])
+    # 143..158 straddle the block edges at 12 x 12 and 12 x 13 steps
+    @pytest.mark.parametrize("length", [1, 2, 3, 17, 100, 1001,
+                                        143, 144, 145, 146, 156, 157, 158])
     def test_matches_sequential_reference(self, bohv1, length):
         got = generate_sequence(bohv1, length, np.random.default_rng(99))
         assert np.array_equal(got.bases, self.naive_chain(bohv1, length, 99))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(chain=sparse_models(),
+           length=st.one_of(st.sampled_from(BLOCK_EDGES), st.integers(1, 5000)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_sequential_reference_property(self, chain, length, seed):
+        model = MarkovModel(pi=chain[0], trans=chain[1])
+        got = generate_sequence(model, length, np.random.default_rng(seed))
+        assert np.array_equal(got.bases, self.naive_chain(model, length, seed))
 
     def test_zero_length(self, bohv1):
         assert generate_sequence(bohv1, 0, np.random.default_rng(0)).length == 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palinscan import (
     DnaSeq,
@@ -18,10 +20,16 @@ from palinscan import (
     pattern_log_prob,
     reverse_complement,
     score_event,
+    score_events,
 )
 from palinscan.seqio import encode
 
-from oracles import brute_palindromes, random_model
+from oracles import (
+    brute_palindromes,
+    naive_pattern_log_prob,
+    random_model,
+    sparse_models,
+)
 
 
 def seq_of(text: str) -> DnaSeq:
@@ -157,6 +165,52 @@ class TestScores:
             assert sc.pcs == 1.0
             assert sc.pls == pytest.approx(raw.half_length / 2.0)
             assert sc.bws == pytest.approx(-pattern_log_prob(raw.pattern, uniform))
+
+
+class TestScoreEvents:
+    def test_matches_score_event(self, bohv1):
+        seq = generate_sequence(bohv1, 20_000, np.random.default_rng(4))
+        events = find_palindromes(seq, 4)
+        for kind in ("pcs", "pls", "bws"):
+            got = score_events(events, kind, 4, bohv1)
+            assert got.shape == (len(events),)
+            assert list(got) == [score_event(e, kind, 4, bohv1) for e in events]
+
+    def test_empty(self, uniform):
+        for kind in ("pcs", "pls", "bws"):
+            assert score_events([], kind, 3, uniform).shape == (0,)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(chain=sparse_models(), length=st.integers(50, 3000),
+           min_half=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_matches_pattern_oracle(self, chain, length, min_half, seed):
+        model = MarkovModel(pi=chain[0], trans=chain[1])
+        seq = generate_sequence(model, length, np.random.default_rng(seed))
+        events = find_palindromes(seq, min_half)
+        half = [e.half_length for e in events]
+        assert list(score_events(events, "pcs", min_half)) == [1.0] * len(events)
+        assert list(score_events(events, "pls", min_half)) == [h / min_half for h in half]
+
+        oracle, rejected = [], []
+        for e in events:
+            try:
+                oracle.append(-naive_pattern_log_prob(e.pattern.bases, *chain))
+            except InfiniteScoreError:
+                oracle.append(None)
+                rejected.append(e)
+        for e, want in zip(events, oracle):
+            if want is None:
+                with pytest.raises(InfiniteScoreError):
+                    score_events([e], "bws", min_half, model)
+            else:
+                got = score_events([e], "bws", min_half, model)[0]
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        if rejected:
+            with pytest.raises(InfiniteScoreError):
+                score_events(events, "bws", min_half, model)
+        else:
+            got = score_events(events, "bws", min_half, model)
+            assert got == pytest.approx(np.array(oracle, dtype=float), rel=1e-12, abs=0.0)
 
 
 class TestAverageRate:

@@ -181,6 +181,20 @@ class TestPvalue:
         ]
         assert ps == sorted(ps, reverse=True)
 
+    @pytest.mark.parametrize("kind", ["pls", "bws"])
+    def test_reuses_cumulants_at_tilt_root(self, kind, lam0, monkeypatch):
+        sm = ScoreModel(kind, bohv1_model(), 6)
+        b = 10.0 if kind == "pls" else 120.0
+        calls = []
+        kernel = scan_module.cumulants
+        monkeypatch.setattr(scan_module, "cumulants",
+                            lambda *a: calls.append(a) or kernel(*a))
+        solve_tilt(lam0, sm, b, WINDOW)
+        tilt_calls = len(calls)
+        calls.clear()
+        p_value(b, WINDOW, W, lam0, sm, nu_fixed=1.0)
+        assert len(calls) == tilt_calls
+
     def test_report_fields(self, lam0, bws):
         rng = np.random.default_rng(0)
         rep = p_value(125.0, WINDOW, W, lam0, bws, rng=rng, n_walks=5000)
@@ -325,6 +339,14 @@ class TestLlrStatistics:
 
 
 class TestWindowSeries:
+    def test_argmax_computed_once(self, monkeypatch):
+        series = window_scores([(10, 1.0), (11, 2.0), (30, 0.5)], 5, 50)
+        calls = []
+        argmax = np.argmax
+        monkeypatch.setattr(np, "argmax", lambda *a: calls.append(a) or argmax(*a))
+        assert (series.argmax, series.max_value, series.max_value) == (6, 3.0, 3.0)
+        assert len(calls) == 1
+
     def test_length_validation(self):
         with pytest.raises(ValueError):
             WindowSeries(window=10, total_length=50, values=np.zeros(5))
