@@ -135,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", dest="json_output", action="store_true",
                         help="emit JSON instead of TSV")
     common.add_argument("--nu-fixed", dest="nu_fixed", type=float, default=None,
-                        help="skip the Monte Carlo overshoot and use this "
-                             "fixed value (e.g. 1.0)")
+                        help="use this overshoot correction (e.g. 1.0) instead "
+                             "of the one computed from the score MGF")
     common.add_argument("--compat-paper", dest="compat_paper",
                         action="store_true",
                         help="switch all literal-convention variants on")
@@ -291,9 +291,8 @@ def _cmd_scan(config: RunConfig, out) -> int:
             "nu": 1.0, "nu_se": 0.0, "p": 1.0,
         }
     else:
-        rng = np.random.default_rng(config.seed)
         rep = p_value(threshold, config.window, total_length, lambda0, sm,
-                      rng=rng, nu_fixed=config.nu_fixed,
+                      nu_fixed=config.nu_fixed,
                       ey1_literal=config.compat_paper,
                       literal_condition=config.compat_paper)
         report = {

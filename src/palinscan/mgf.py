@@ -6,14 +6,16 @@ count (pcs), the length ratio (pls), or minus the log pattern probability
 function with a closed matrix form built from the quasi transition matrix;
 this module evaluates those forms, their log (the cumulant function) and its
 derivatives, the exact contribution of each palindrome half-length, the
-domain of valid arguments, and the characteristic function of the ladder
-increment used by the overshoot correction in module scan.
+domain of valid arguments, and the log characteristic function of the
+ladder increment used by the overshoot correction in module scan.
 
 One kernel serves every evaluator: it carries each factor of the matrix form
 as a truncated Taylor series in the argument, so the MGF and its first two
 derivatives come out of the same matrix products in closed form. The public
-evaluators take real arguments; the kernel also takes complex ones, so the
-characteristic function reuses the same matrix series.
+evaluators take real arguments; the kernel also takes complex ones, one or a
+whole array at a time (as a stack of matrix products), so the log
+characteristic function reuses the same matrix series at every quadrature
+node.
 """
 
 from __future__ import annotations
@@ -120,6 +122,27 @@ class ScoreModel:
         t = self.t_matrix
         return self.model.pi @ mat_pow(t, h - 1), t, (_EYE - t) @ self.closure_probs
 
+    @cached_property
+    def _bws_log_bases(self) -> tuple:
+        """_log_base of each base the bws form raises to the power 1 - z: the
+        start weights, T and the closure vector; in iid mode the non-match
+        weight 1 - gamma and the two complementary-pair products.
+
+        Raises:
+            DomainError: start weights with negative entries.
+        """
+        if self.iid_mode:
+            pi = self.model.pi
+            bases = np.array([1.0 - self.gamma]), np.array([pi[0] * pi[3], pi[1] * pi[2]])
+        else:
+            start = self.start_weights
+            if self.bws_column_start:
+                start = (_EYE - self.t_matrix) @ self.model.pi
+            if np.any(start < 0):
+                raise DomainError("start weights have negative entries; bws undefined")
+            bases = start, self.t_matrix, self.closure_probs
+        return tuple(_log_base(b) for b in bases)
+
 
 @dataclass(frozen=True)
 class TiltDomain:
@@ -136,15 +159,23 @@ class TiltDomain:
         return t < self.t_max
 
 
-def _power_jet(base: np.ndarray, z, order: int = 0) -> list[np.ndarray]:
+def _log_base(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log base, base > 0), the log read as 0 where base is not positive."""
+    pos = base > 0
+    return np.log(np.where(pos, base, 1.0)), pos
+
+
+def _power_jet(log_base: tuple[np.ndarray, np.ndarray], z,
+               order: int = 0) -> list[np.ndarray]:
     """Taylor coefficients in z of the entrywise power base ** (1 - z).
 
-    Coefficient j is base ** (1 - z) * (-log base) ** j / j!. Zero entries
-    map to zero, matching the limit from positive base; z may be complex.
+    log_base is _log_base(base). Coefficient j is base ** (1 - z) * (-log
+    base) ** j / j!. Zero entries map to zero, matching the limit from
+    positive base; z may be complex, and an array of z gives coefficients of
+    shape z.shape + base.shape.
     """
-    pos = base > 0
-    log_base = np.log(np.where(pos, base, 1.0))
-    jet = [np.exp((1.0 - z) * log_base) * pos]
+    log_base, pos = log_base
+    jet = [np.exp(np.multiply.outer(1.0 - z, log_base)) * pos]
     for j in range(1, order + 1):
         jet.append(jet[-1] * log_base / -j)
     return jet
@@ -167,8 +198,8 @@ def mgf_domain(sm: ScoreModel) -> TiltDomain:
 
     def excess(t: float) -> float:
         if sm.iid_mode:
-            return _iid_match_jet(sm.model.pi, t)[0] - 1.0
-        return spectral_radius(_power_jet(sm.t_matrix, t)[0]) - 1.0
+            return _iid_match_jet(sm, t)[0] - 1.0
+        return spectral_radius(_power_jet(_log_base(sm.t_matrix), t)[0]) - 1.0
 
     # The edge is located to round-off, so that the resolvent I - Q is
     # numerically singular right at t_max rather than some 1e-9 beyond it.
@@ -179,8 +210,10 @@ def mgf_domain(sm: ScoreModel) -> TiltDomain:
 
 
 def require_in_domain(sm: ScoreModel, z) -> None:
-    """Raise DomainError unless Re(z) is a valid MGF argument for sm."""
-    re = float(np.real(z))
+    """Raise DomainError unless Re(z) is a valid MGF argument for sm (for
+    every entry when z is an array)."""
+    re = np.real(z)
+    re = float(re if isinstance(re, float) else re.max())
     if sm.kind == "bws" and re >= 1.0:
         raise DomainError(f"bws MGF argument must satisfy Re t < 1, got {re!r}")
     t_max = sm.domain.t_max
@@ -190,12 +223,11 @@ def require_in_domain(sm: ScoreModel, z) -> None:
         )
 
 
-def _iid_match_jet(pi: np.ndarray, z, order: int = 0) -> list:
+def _iid_match_jet(sm: ScoreModel, z, order: int = 0) -> list:
     """Taylor coefficients in z of the tilted complementary-pair probability
     2 * ((pi_A pi_T) ** (1 - z) + (pi_C pi_G) ** (1 - z)), the tilted analogue
-    of gamma."""
-    pairs = np.array([pi[0] * pi[3], pi[1] * pi[2]])
-    return [2.0 * c.sum() for c in _power_jet(pairs, z, order)]
+    of gamma (iid mode)."""
+    return [2.0 * c.sum(axis=-1) for c in _power_jet(sm._bws_log_bases[1], z, order)]
 
 
 def _bws_factors(sm: ScoreModel, z, order: int):
@@ -207,16 +239,10 @@ def _bws_factors(sm: ScoreModel, z, order: int):
     the tilted match probability, twice.
     """
     if sm.iid_mode:
-        match = _iid_match_jet(sm.model.pi, z, order)
-        v = _power_jet(np.array([1.0 - sm.gamma]), z, order)
-        return v, [np.array([[m]]) for m in match], [np.array([m]) for m in match]
-    start = sm.start_weights
-    if sm.bws_column_start:
-        start = (_EYE - sm.t_matrix) @ sm.model.pi
-    if np.any(start < 0):
-        raise DomainError("start weights have negative entries; bws undefined")
-    return (_power_jet(start, z, order), _power_jet(sm.t_matrix, z, order),
-            _power_jet(sm.closure_probs, z, order))
+        match = _iid_match_jet(sm, z, order)
+        v = _power_jet(sm._bws_log_bases[0], z, order)
+        return v, [m[..., None, None] for m in match], [m[..., None] for m in match]
+    return tuple(_power_jet(b, z, order) for b in sm._bws_log_bases)
 
 
 def _toeplitz(jet: list[np.ndarray]) -> np.ndarray:
@@ -225,14 +251,17 @@ def _toeplitz(jet: list[np.ndarray]) -> np.ndarray:
     Block (i, j) is jet[j - i]. Products of such matrices are the Cauchy
     products of their series, so one chain of matrix products carries every
     Taylor coefficient at once; a row vector's series enters as the plain
-    concatenation of its coefficients, its first block row.
+    concatenation of its coefficients, its first block row. Leading axes are
+    a stack of series, one per argument; every coefficient has one shape.
     """
-    r, c = jet[0].shape
     k = len(jet)
-    out = np.zeros((k * r, k * c), dtype=np.result_type(*jet))
+    if k == 1:
+        return jet[0]
+    *stack, r, c = jet[0].shape
+    out = np.zeros((*stack, k * r, k * c), dtype=np.result_type(*jet))
     for i in range(k):
         for j in range(i, k):
-            out[i * r:(i + 1) * r, j * c:(j + 1) * c] = jet[j - i]
+            out[..., i * r:(i + 1) * r, j * c:(j + 1) * c] = jet[j - i]
     return out
 
 
@@ -248,7 +277,10 @@ def _mgf_jet(sm: ScoreModel, z, order: int = 0) -> np.ndarray:
     W = (I - Q)^-1 has W_0 = (I - Q_0)^-1 and W_k = W_0 (Q_1 W_(k-1) + ...
     + Q_k W_0), which for pls is dR/dz = (e^(z/h) / h) R T R and its
     successor; the product of the series then gives exact derivatives.
-    z may be complex (domain checks use Re z).
+    z may be complex (domain checks use Re z), and may be an array: every
+    factor then carries a leading axis of arguments, the matrix products and
+    the inverse run on the whole stack, and the result has shape
+    z.shape + (order + 1,).
 
     Raises:
         DomainError: Re z at or beyond the domain supremum.
@@ -256,32 +288,33 @@ def _mgf_jet(sm: ScoreModel, z, order: int = 0) -> np.ndarray:
             the domain edge to round-off.
     """
     require_in_domain(sm, z)
-    fact = np.array([factorial(j) for j in range(order + 1)], dtype=float)
+    fact = [float(factorial(j)) for j in range(order + 1)]
     if sm.kind == "pcs":
-        return np.exp(z) / fact
+        return np.divide.outer(np.exp(z), fact)
     h = sm.half_length
     if sm.kind == "pls":
         head, t, tail = sm._pls_factors
-        grow = np.exp(z / h) / (h ** np.arange(order + 1) * fact)
-        v = [head * (np.exp(z) / f) for f in fact]
-        q = [t * c for c in grow]
+        scale, grow = np.exp(z), np.exp(z / h)
+        v = [np.multiply.outer(scale / f, head) for f in fact]
+        q = [np.multiply.outer(grow / (h ** j * f), t) for j, f in enumerate(fact)]
         u = [tail] + [np.zeros_like(tail)] * order
         n = 0
     else:
         v, q, u = _bws_factors(sm, z, order)
         n = h - 1
-    w = [mat_inv(np.eye(q[0].shape[0]) - q[0])]
+    w = [mat_inv(np.eye(q[0].shape[-1]) - q[0])]
     for k in range(1, order + 1):
         w.append(w[0] @ sum(q[j] @ w[k - j] for j in range(1, k + 1)))
-    row = np.concatenate(v)
+    row = np.concatenate(v, axis=-1)[..., None, :]
     if n:
         row = row @ np.linalg.matrix_power(_toeplitz(q), n)
-    return row @ _toeplitz(w) @ _toeplitz([b[:, None] for b in u]) / sm.rate
+    col = _toeplitz([b[..., None] for b in u])
+    return (row @ _toeplitz(w) @ col)[..., 0, :] / sm.rate
 
 
 def _mgf_value(sm: ScoreModel, z):
-    """The MGF itself at a real or complex argument."""
-    return _mgf_jet(sm, z)[0]
+    """The MGF itself at a real or complex argument, or at each of an array."""
+    return _mgf_jet(sm, z)[..., 0]
 
 
 def cumulants(sm: ScoreModel, theta: float) -> tuple[float, float, float]:
@@ -397,23 +430,36 @@ def log_mgf_double_prime(sm: ScoreModel, theta: float) -> float:
     return cumulants(sm, theta)[2]
 
 
-def increment_charfn(sm: ScoreModel, lambda0: float, lambda1: float,
-                     theta0: float, theta1: float, delta: float,
-                     t: float) -> complex:
-    """Characteristic function of one ladder increment of the overshoot walk.
+def increment_log_charfn(sm: ScoreModel, lambda0: float, lambda1: float,
+                         theta0: float, theta1: float, delta: float, t):
+    """Log of the characteristic function E exp(i t Y) of one stretch increment Y.
 
     The increment over a stretch of length delta subtracts the scores of a
     Poisson(lambda0 * delta) number of occurrences drawn under tilt theta0
     and adds those of a Poisson(lambda1 * delta) number drawn under tilt
-    theta1. Both compound-Poisson factors reduce to evaluations of the score
-    MGF at complex arguments theta0 - i t and theta1 + i t.
+    theta1, so log E exp(i t Y) = lambda0 delta (M(theta0 - i t) / M(theta0)
+    - 1) + lambda1 delta (M(theta1 + i t) / M(theta1) - 1). The exponent is
+    returned rather than the transform because it keeps its relative
+    precision where the transform is within rounding of 1.
+
+    t may be complex, which makes this the log of the two-sided Laplace
+    transform E exp(-s Y) at s = -i t, and may be an array; all MGF values
+    come from one batched kernel call. On the line Im t = (theta1 - theta0)
+    / 2 the two MGF arguments are complex conjugates, so one evaluation per
+    t serves both.
 
     Raises:
-        DomainError: theta0 or theta1 outside the MGF domain.
+        DomainError: an MGF argument outside the domain.
     """
-    k0 = score_mgf(sm, theta0)
-    f_minus = _mgf_value(sm, complex(theta0, -t)) / k0
-    f_plus = _mgf_value(sm, complex(theta1, t)) / k0
-    first = np.exp(lambda0 * delta * (f_minus - 1.0))
-    second = np.exp(-lambda1 * delta + lambda0 * delta * f_plus)
-    return complex(first * second)
+    t = np.asarray(t, dtype=complex)
+    plus = (theta1 - t.imag) + 1j * t.real    # theta1 + i t
+    minus = (theta0 + t.imag) - 1j * t.real   # theta0 - i t
+    mirrored = np.array_equal(minus, np.conj(plus))
+    args = [[theta0, theta1], plus.ravel()] + ([] if mirrored else [minus.ravel()])
+    values = _mgf_value(sm, np.concatenate(args))
+    k0, k1 = values[:2].real
+    m_plus = values[2:2 + t.size].reshape(t.shape)
+    m_minus = np.conj(m_plus) if mirrored else values[2 + t.size:].reshape(t.shape)
+    out = (lambda0 * delta * (m_minus / k0 - 1.0)
+           + lambda1 * delta * (m_plus / k1 - 1.0))
+    return out if out.ndim else complex(out)

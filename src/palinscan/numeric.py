@@ -29,7 +29,8 @@ def mat_inv(m: np.ndarray) -> np.ndarray:
     """Inverse with an explicit near-singularity check.
 
     Real input stays real; complex input (e.g. MGF evaluation off the real
-    axis) is inverted in complex arithmetic.
+    axis) is inverted in complex arithmetic. A stack of matrices (shape
+    (..., n, n)) is inverted matrix by matrix, and the check applies to each.
 
     Raises:
         SingularMatrixError: determinant is tiny relative to the matrix scale,
@@ -38,20 +39,23 @@ def mat_inv(m: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(m)
     m = m.astype(complex) if np.iscomplexobj(m) else m.astype(float)
-    n = m.shape[0]
-    scale = np.abs(m).max()
-    if scale == 0.0:
+    n = m.shape[-1]
+    # a stack reduces per matrix; one matrix keeps its checks on scalars
+    axes, fails = ((-2, -1), np.any) if m.ndim > 2 else (None, bool)
+    scale = np.abs(m).max(axis=axes)
+    if fails(scale == 0.0):
         raise SingularMatrixError("zero matrix")
-    det = np.linalg.det(m)
-    if abs(det) < SINGULARITY_TOL * scale**n:
-        raise SingularMatrixError(f"near-singular matrix: |det| = {abs(det):.3e}")
+    det = abs(np.linalg.det(m))
+    if fails(det < SINGULARITY_TOL * scale**n):
+        raise SingularMatrixError(f"near-singular matrix: |det| = {np.min(det):.3e}")
     try:
         inv = np.linalg.inv(m)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
-    residual = np.abs(m @ inv - np.eye(n)).max()
-    if residual > 1e-8 * max(1.0, np.abs(inv).max() * scale):
-        raise SingularMatrixError(f"ill-conditioned inverse: residual = {residual:.3e}")
+    residual = np.abs(m @ inv - np.eye(n)).max(axis=axes)
+    # residual > 1e-8 * max(1, |inv| * scale), entrywise over the stack
+    if fails((residual > 1e-8) & (residual > 1e-8 * (np.abs(inv).max(axis=axes) * scale))):
+        raise SingularMatrixError(f"ill-conditioned inverse: residual = {np.max(residual):.3e}")
     return inv
 
 

@@ -80,14 +80,13 @@ def find_palindromes(s: DnaSeq, min_half_length: int) -> list[PalindromeEvent]:
         half[alive] += 1
         depth += 1
 
-    events = []
-    for i in np.flatnonzero(half >= min_half_length):
-        c = int(centers[i])
-        h = int(half[i])
-        pattern = DnaSeq(bases=b[c - h + 1 : c + h + 1].copy(),
-                         source_id=s.source_id)
-        events.append(PalindromeEvent(center=c, half_length=h, pattern=pattern))
-    return events
+    # the patterns are slices of bases that s already validated
+    keep = half >= min_half_length
+    return [
+        PalindromeEvent(center=c, half_length=h,
+                        pattern=DnaSeq._trusted(b[c - h + 1 : c + h + 1].copy(), s.source_id))
+        for c, h in zip(centers[keep].tolist(), half[keep].tolist())
+    ]
 
 
 def _pattern_bases(pattern) -> np.ndarray:

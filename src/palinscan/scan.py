@@ -5,13 +5,15 @@ palindrome scores inside a fixed-width window. Its tail probability is
 approximated by a compound-Poisson change of measure: a tilted rate lambda1
 and tilt theta1 are chosen so the window mean under the alternative sits at
 the threshold, and the exceedance probability follows from a large-deviation
-exponent, a Gaussian local-limit factor, and a Monte Carlo overshoot
-correction for the discrete ladder of the excess process.
+exponent, a Gaussian local-limit factor, and an overshoot correction for the
+discrete ladder of the excess process. The correction is computed from the
+score MGF by Spitzer's identity and Fourier inversion (analytic_nu); the
+Monte Carlo ladder walk (overshoot_nu) stays as its independent check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -22,15 +24,24 @@ from .errors import (
     LadderCapError,
     SingularMatrixError,
 )
-from .mgf import ScoreModel, cumulants
+from .mgf import ScoreModel, cumulants, increment_log_charfn
 from .numeric import find_root, newton_root
 
 DEFAULT_NU_WALKS = 100_000
 LADDER_STEP_CAP = 1_000_000
 MAX_CAPPED_FRACTION = 1e-3
-SMALL_TILT_NU_LIMIT = 0.05
 ALPHA_TOL = 1e-6
 NU_FIXED_POINT_STEPS = 10
+# Quadrature of the overshoot integral (see analytic_nu): Gauss-Legendre
+# nodes per panel, the width of the uniform panels, and the cut-off of the
+# integral for non-lattice scores.
+NU_PANEL_NODES = 16
+NU_PANEL_WIDTH = 0.25
+NU_CUTOFF = 20.0
+# Near t = 0 the transform's distance from 1 is about (theta / 2)^2 E[s^2]
+# (s the null score) in units of its rounding error; below the tilt gap where
+# that falls to this value nu is interpolated linearly to nu(0+) = 1.
+NU_TILT_FLOOR_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -107,8 +118,8 @@ class PvalueReport:
     Attributes:
         rate_function: large-deviation rate of one window at the threshold;
             the exceedance exponent is rate_function * window.
-        nu, nu_se: overshoot correction and its Monte Carlo standard error
-            (se is 0 when nu was fixed by the caller).
+        nu, nu_se: overshoot correction and its standard error; nu comes
+            from analytic_nu (or was fixed by the caller), so nu_se is 0.
     """
 
     threshold: float
@@ -278,6 +289,8 @@ def overshoot_nu(tilt: TiltSolution, sm: ScoreModel, rng: np.random.Generator,
                  step_cap: int = LADDER_STEP_CAP) -> tuple[float, float]:
     """Monte Carlo overshoot correction with a delta-method standard error.
 
+    The pipeline uses analytic_nu; this walk is its independent check.
+
     Each walk accumulates increments observed per stretch of ``delta``
     bases: a Poisson(lambda0 * delta) number of null-tilt scores subtracted
     plus a Poisson(lambda1 * delta) number of theta1-tilted scores added, and
@@ -363,17 +376,128 @@ def overshoot_nu(tilt: TiltSolution, sm: ScoreModel, rng: np.random.Generator,
     return min(nu, 1.0), se
 
 
+def _graded_panels(scale: float, stop: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, stop]: panels [0, scale],
+    [scale, 2 scale], ... doubling up to 1, then panels of NU_PANEL_WIDTH."""
+    graded, edge = [0.0], scale
+    while edge < 1.0:
+        graded.append(edge)
+        edge *= 2.0
+    uniform = np.arange(1.0, stop, NU_PANEL_WIDTH)
+    edges = np.array(graded + list(uniform) + [stop])
+    x, g = np.polynomial.legendre.leggauss(NU_PANEL_NODES)
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    return (lo + 0.5 * width * (x + 1.0)).ravel(), (0.5 * width * g).ravel()
+
+
+def _nu_quadrature(sm: ScoreModel, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t >= 0 and weights w with sum(w f(t)) approximating
+    (1/pi) integral_0^inf 2c / (c^2 + t^2) f(t) dt for an even f that is
+    the transform of a walk increment.
+
+    For a lattice score (pcs has span 1, pls span 1 / half_length) f is
+    periodic with period 2 pi / span, and the weight summed over periods is
+    the Poisson kernel sinh a / (cosh a - cos u) in u = t span, a = c span,
+    whose denominator is taken as 2 sinh^2(a/2) + 2 sin^2(u/2) to avoid
+    cancellation; by evenness one half period, u in [0, pi], is enough.
+
+    Otherwise (bws) f is almost periodic and does not decay. The nodes run
+    to NU_CUTOFF, and the weight's mass beyond it multiplies the mean of f
+    over the uniform panels.
+
+    Either way the panels are graded geometrically from the peak width of
+    the weight (a, or c) up to 1, so the nodes follow the tilt down to
+    small values.
+    """
+    if sm.kind in ("pcs", "pls"):
+        span = 1.0 if sm.kind == "pcs" else 1.0 / sm.half_length
+        a = c * span
+        u, g = _graded_panels(a, np.pi)
+        kernel = np.sinh(a) / (2.0 * np.sinh(0.5 * a) ** 2 + 2.0 * np.sin(0.5 * u) ** 2)
+        return u / span, g * kernel / np.pi
+    t, g = _graded_panels(c, NU_CUTOFF)
+    w = g * (2.0 * c / np.pi) / (c * c + t * t)
+    far = t >= 1.0
+    w[far] += g[far] * (2.0 / np.pi) * np.arctan(c / NU_CUTOFF) / (NU_CUTOFF - 1.0)
+    return t, w
+
+
+def _nu_tilt_floor(sm: ScoreModel) -> float:
+    """Smallest tilt gap at which analytic_nu uses its quadrature."""
+    _, mean0, var0 = sm.null_cumulants
+    return 2.0 * float(np.sqrt(NU_TILT_FLOOR_GAP / (var0 + mean0 * mean0)))
+
+
+def analytic_nu(tilt: TiltSolution, sm: ScoreModel, delta: float = 1.0) -> float:
+    """Overshoot correction computed from the score MGF.
+
+    The ladder walk is the one overshoot_nu simulates: per stretch of delta
+    bases it adds the increment Y of solve_tilt's compound-Poisson pair, and
+    stretches without events, which leave it where it is, are dropped. X is
+    Y given at least one event, S_n the walk of X steps and theta = theta1 -
+    theta0 (theta0 is 0, and rate matching makes theta the root of
+    E exp(-theta Y) = 1). Spitzer's identities for the ladder height H,
+    1 - E exp(-theta H) = exp(-sum_n E[exp(-theta S_n); S_n > 0] / n) and
+    E H = E X exp(sum_n P(S_n <= 0) / n), give
+
+        nu = (1 - E exp(-theta H)) / ((1 - exp(-theta)) E H)
+           = exp(-C) / ((1 - exp(-theta)) E X),
+        C = sum_n E[min(1, exp(-theta S_n))] / n
+
+    (Siegmund, Sequential Analysis, 1985, ch. VIII; Woodroofe, Nonlinear
+    Renewal Theory, 1982). By Parseval on the line Re z = c = theta / 2,
+    C = (1/pi) integral_0^inf theta / (c^2 + t^2) (-log(1 - psi(t))) dt,
+    where psi(t) = E exp(-(c + i t) X) is real on that line and at most
+    psi(0) < 1, so the integrand is smooth and bounded; log psi follows
+    from increment_log_charfn with one batched MGF evaluation per node.
+    Lattice and atoms need no special case, because min(1, exp(-theta x))
+    is continuous.
+
+    Returns:
+        nu, capped at 1 as overshoot_nu caps its estimate (for pls, whose
+        ladder heights can be shorter than 1, the uncapped value can exceed
+        1 slightly).
+
+    Raises:
+        ValueError: non-positive tilt gap or stretch length.
+    """
+    theta = tilt.theta1 - tilt.theta0
+    if theta <= 0:
+        raise ValueError("overshoot correction requires theta1 > theta0")
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    floor = _nu_tilt_floor(sm)
+    if theta < floor:
+        at_floor = replace(tilt, theta1=tilt.theta0 + floor, lambda1=tilt.lambda0
+                           * float(np.exp(cumulants(sm, tilt.theta0 + floor)[0])))
+        return 1.0 - theta / floor * (1.0 - analytic_nu(at_floor, sm, delta))
+    c = 0.5 * theta
+    t, w = _nu_quadrature(sm, c)
+    log_psi_y = increment_log_charfn(sm, tilt.lambda0, tilt.lambda1, tilt.theta0,
+                                     tilt.theta1, delta, t + 1j * c).real
+    mu = (tilt.lambda0 + tilt.lambda1) * delta
+    eventful = -np.expm1(-mu)
+    # 1 - psi_x = (1 - psi_y) / P(an event), without forming psi_y near 1
+    log_sum = float(w @ -np.log(-np.expm1(log_psi_y) / eventful))
+    mean1 = (tilt._cumulants or cumulants(sm, tilt.theta1))[1]
+    mean_x = delta * (tilt.lambda1 * mean1 - tilt.lambda0 * sm.null_cumulants[1]) / eventful
+    nu = float(np.exp(-log_sum) / (-np.expm1(-theta) * mean_x))
+    return min(nu, 1.0)
+
+
 def p_value(threshold: float, window: int, total_length: int, lambda0: float,
             sm: ScoreModel, rng: np.random.Generator | None = None, *,
-            delta: float = 1.0, n_walks: int = DEFAULT_NU_WALKS,
-            nu_fixed: float | None = None, ey1_literal: bool = False,
+            delta: float = 1.0, nu_fixed: float | None = None,
+            ey1_literal: bool = False,
             literal_condition: bool = False) -> PvalueReport:
     """Tail probability of the scan maximum exceeding a threshold.
 
     The mean number of exceeding windows is (total_length - window) times
     the overshoot correction, the mean ladder increment, the exponential
     large-deviation factor, and a Gaussian local-limit factor; the p-value is
-    its Poisson complement, clamped to [0, 1].
+    its Poisson complement, clamped to [0, 1]. The overshoot correction is
+    ``nu_fixed`` when given, else analytic_nu at the solved tilt. ``rng`` is
+    accepted for compatibility and not used: the result is deterministic.
 
     ``ey1_literal`` replaces the mean ladder increment with the plain
     (threshold - lambda0 * mean score) difference. For the count score the
@@ -381,8 +505,7 @@ def p_value(threshold: float, window: int, total_length: int, lambda0: float,
     degenerate and its cumulant curvature vanishes.
 
     Raises:
-        ValueError: threshold at or below the null window mean, or missing
-            rng for the Monte Carlo overshoot.
+        ValueError: threshold at or below the null window mean.
     """
     tilt = solve_tilt(lambda0, sm, threshold, window, literal_condition)
     if tilt.theta1 <= 0.0:
@@ -390,17 +513,7 @@ def p_value(threshold: float, window: int, total_length: int, lambda0: float,
     mu0 = sm.null_cumulants[1]
     _, mean1, var1 = tilt._cumulants
     var_term = mean1 * mean1 if sm.kind == "pcs" else var1
-    if nu_fixed is not None:
-        nu, nu_se = float(nu_fixed), 0.0
-    elif tilt.theta1 < SMALL_TILT_NU_LIMIT:
-        # As the tilt vanishes, the overshoot correction tends to 1 while the
-        # ladder walk loses its drift (epochs ~ 1/theta1^2 steps), so the
-        # Monte Carlo would stall exactly where its answer is known.
-        nu, nu_se = 1.0, 0.0
-    else:
-        if rng is None:
-            raise ValueError("rng is required when nu is estimated by Monte Carlo")
-        nu, nu_se = overshoot_nu(tilt, sm, rng, delta=delta, n_walks=n_walks)
+    nu = float(nu_fixed) if nu_fixed is not None else analytic_nu(tilt, sm, delta)
     if ey1_literal:
         mean_increment = threshold - lambda0 * mu0
     else:
@@ -419,15 +532,14 @@ def p_value(threshold: float, window: int, total_length: int, lambda0: float,
         mean_hits = float(np.exp(min(np.log(prefactor) - exceed_exponent, 700.0)))
     p = float(min(max(-np.expm1(-mean_hits), 0.0), 1.0))
     return PvalueReport(threshold=threshold, window=window,
-                        total_length=total_length, p=p, nu=nu, nu_se=nu_se,
+                        total_length=total_length, p=p, nu=nu, nu_se=0.0,
                         rate_function=exceed_exponent / window, tilt=tilt)
 
 
 def threshold_for_alpha(alpha: float, window: int, total_length: int,
                         lambda0: float, sm: ScoreModel,
                         rng: np.random.Generator | None = None, *,
-                        delta: float = 1.0, n_walks: int = DEFAULT_NU_WALKS,
-                        nu_fixed: float | None = None,
+                        delta: float = 1.0, nu_fixed: float | None = None,
                         nu_entropy: int | None = None,
                         ey1_literal: bool = False,
                         literal_condition: bool = False) -> float:
@@ -440,18 +552,17 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
     grid until it has seen p >= alpha followed by p < alpha, then
     root-finds on that decaying branch.
 
-    With a Monte Carlo correction the threshold is a fixed point in nu:
-    invert at nu = 1, estimate nu there, invert again at that fixed nu, and
-    so on until two thresholds bracket alpha; a bracketing secant on the
-    real p-value then finishes. Every nu estimate restarts from an identical
-    generator state (``nu_entropy``; drawn from ``rng`` when not given), so
-    the search is deterministic. It typically needs 2 to 6 estimates; more
-    when the estimate of nu, which steps slightly between nearby thresholds,
-    moves p by more than the tolerance right at the root.
+    Without ``nu_fixed`` the correction is analytic_nu at each threshold.
+    The search inverts at nu = 1, which lands above the root, then steps
+    down on log(-log(1 - p)), nearly linear in the threshold, by Newton and
+    secant steps on the real p-value, each of which costs one nu; a step
+    that lands past the peak of p, on the artifact branch, with p below
+    alpha is replaced by a re-inversion at fixed nu. Two thresholds that
+    bracket alpha are finished by a bracketing secant. It typically computes
+    nu 2 to 4 times.
     Both searches stop once |p - alpha| <= 1e-6 or the bracket is narrower
-    than 1e-6 times the threshold; with a Monte Carlo nu the p-value at the
-    returned threshold is reproduced by ``p_value`` with
-    ``default_rng(nu_entropy)``.
+    than 1e-6 times the threshold. ``rng`` and ``nu_entropy`` are accepted
+    for compatibility and not used: the result is deterministic.
 
     Raises:
         DomainError: no threshold attains alpha (alpha above the branch peak).
@@ -459,16 +570,10 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if nu_fixed is None and nu_entropy is None:
-        if rng is None:
-            raise ValueError("need rng, nu_entropy, or nu_fixed")
-        nu_entropy = int(rng.integers(2**63))
 
     def report(b: float, nu: float | None) -> PvalueReport:
-        frozen = None if nu is not None else np.random.default_rng(nu_entropy)
-        return p_value(b, window, total_length, lambda0, sm, rng=frozen,
-                       delta=delta, n_walks=n_walks, nu_fixed=nu,
-                       ey1_literal=ey1_literal,
+        return p_value(b, window, total_length, lambda0, sm, delta=delta,
+                       nu_fixed=nu, ey1_literal=ey1_literal,
                        literal_condition=literal_condition)
 
     scale = _condition_scale(window, literal_condition)
@@ -492,27 +597,48 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
     if nu_fixed is not None:
         return invert(nu_fixed)
 
-    def mc_gap(b: float) -> float:
+    def real_gap(b: float) -> float:
         return report(b, None).p - alpha
 
     # p(b) = 1 - exp(-nu(b) A(b)) with A free of nu, and nu <= 1, so the
-    # nu = 1 root lies above the Monte Carlo root. Each step estimates nu at
-    # the current threshold and re-inverts at that fixed nu; the steps
-    # alternate around the root, and once they bracket it a secant on the
-    # real p finishes the search.
+    # nu = 1 root lies above the true root, and p is below alpha there. Up to
+    # the root, log(-log(1 - p)) = log nu + log A falls almost linearly in b
+    # with slope close to -theta1 (the exceedance exponent's derivative), so
+    # steps on it move down to the root: Newton with that slope first, then
+    # secant steps. A step that would not move down re-inverts at the fixed
+    # nu of the current threshold instead (the fixed point in nu). A step
+    # that lands with p below alpha but not above p where it started has
+    # passed the peak of p, onto the artifact branch: it is not kept, and the
+    # search re-inverts at its nu instead. A step that lands with p above
+    # alpha brackets the root with the threshold it started from, on either
+    # side of the peak: between the two, p rises to the peak and falls once
+    # through alpha. Once two thresholds bracket alpha a secant on the real
+    # p finishes.
+    target = np.log(-np.log1p(-alpha))
     sides = {}  # gap > 0 -> (threshold, gap) of the latest step on that side
-    b = invert(1.0)
+    last = None  # (threshold, h) of the latest threshold kept
+    b, stepped = invert(1.0), False
     for _ in range(NU_FIXED_POINT_STEPS):
         rep = report(b, None)
         g = rep.p - alpha
         if abs(g) <= ALPHA_TOL:
             return b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = np.log(-np.log1p(-rep.p)) - target
+        if stepped and g < 0.0 and not h > last[1]:
+            b, stepped = invert(rep.nu), False
+            continue
         sides[g > 0.0] = (b, g)
         if len(sides) == 2:
             (b_lo, g_lo), (b_hi, g_hi) = sides[True], sides[False]
-            return float(find_root(mc_gap, b_lo, b_hi, tol=ALPHA_TOL,
+            return float(find_root(real_gap, b_lo, b_hi, tol=ALPHA_TOL,
                                    f_lo=g_lo, f_hi=g_hi))
-        b = invert(rep.nu)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = -rep.tilt.theta1 if last is None else (h - last[1]) / (b - last[0])
+            step = float(b - h / slope)
+        last = b, h
+        stepped = null_mean < step < b
+        b = step if stepped else invert(rep.nu)
     raise ConvergenceError(
         f"the nu fixed point did not bracket alpha={alpha!r} in "
         f"{NU_FIXED_POINT_STEPS} steps"

@@ -26,7 +26,7 @@ from .palindrome import (
     find_palindromes,
     score_events,
 )
-from .scan import DEFAULT_NU_WALKS, threshold_for_alpha, window_scores
+from .scan import threshold_for_alpha, window_scores
 from .seqio import DnaSeq
 
 PLACEMENT_RETRIES = 1000
@@ -361,11 +361,6 @@ def _bank_for(cfg: ExperimentConfig) -> PalindromeBank:
     return build_bank(reference, cfg.half_length)
 
 
-def _threshold_entropy(cfg: ExperimentConfig, index: int) -> int:
-    ss = np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(2, index))
-    return int(np.random.default_rng(ss).integers(2**63))
-
-
 def _replicates(cfg: ExperimentConfig):
     """Yield (events, average rate, Markov rate) for each replicate in turn;
     the steps are those rate_experiment describes."""
@@ -408,7 +403,6 @@ def _segment_window_bounds(spec: HotspotSpec, window: int,
 def power_experiment(cfg: ExperimentConfig, kind: str, alpha: float = 0.05,
                      thresholds: dict[str, float] | None = None,
                      nu_fixed: float | None = None,
-                     n_walks: int = DEFAULT_NU_WALKS,
                      per_replicate_thresholds: bool = False,
                      ey1_literal: bool = False,
                      literal_condition: bool = False,
@@ -438,27 +432,21 @@ def power_experiment(cfg: ExperimentConfig, kind: str, alpha: float = 0.05,
         for j, (lo, hi) in enumerate(bounds):
             seg_max[i, j] = series.values[lo : hi + 1].max()
 
+    def threshold(rate: float) -> float:
+        return threshold_for_alpha(
+            alpha, cfg.window, cfg.seq_length, rate, sm, nu_fixed=nu_fixed,
+            ey1_literal=ey1_literal, literal_condition=literal_condition)
+
     estimates = {"average": avg, "markov": mk}
     rows = []
-    for index, (name, rates) in enumerate(estimates.items()):
+    for name, rates in estimates.items():
         mean_rate = float(rates.mean())
         if thresholds is not None:
             b = float(thresholds[name])
         elif per_replicate_thresholds:
-            b = np.array([
-                threshold_for_alpha(
-                    alpha, cfg.window, cfg.seq_length, float(r), sm,
-                    nu_fixed=nu_fixed, n_walks=n_walks,
-                    nu_entropy=_threshold_entropy(cfg, index),
-                    ey1_literal=ey1_literal, literal_condition=literal_condition)
-                for r in rates
-            ])
+            b = np.array([threshold(float(r)) for r in rates])
         else:
-            b = threshold_for_alpha(
-                alpha, cfg.window, cfg.seq_length, mean_rate, sm,
-                nu_fixed=nu_fixed, n_walks=n_walks,
-                nu_entropy=_threshold_entropy(cfg, index),
-                ey1_literal=ey1_literal, literal_condition=literal_condition)
+            b = threshold(mean_rate)
         detected = seg_max >= (b[:, None] if isinstance(b, np.ndarray) else b)
         powers = tuple(float(x) for x in detected.mean(axis=0))
         row_b = float(b.mean()) if isinstance(b, np.ndarray) else float(b)

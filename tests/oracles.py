@@ -283,3 +283,44 @@ def derivative(f, x: float, order: int = 1, step: float | None = None) -> float:
         raise NonFiniteError(f"non-finite stencil for derivative at x={x!r}")
     # Richardson: central differences have error O(h^2)
     return float((4.0 * d2 - d1) / 3.0)
+
+
+def poisson_compound_pmf(rate: float, pmf: np.ndarray, terms: int = 60) -> np.ndarray:
+    """PMF on 0, 1, 2, ... of a Poisson(rate) sum of independent draws from
+    ``pmf`` (itself on 0, 1, 2, ...), summed over at most ``terms`` counts."""
+    out = np.zeros(1 + (terms - 1) * (pmf.size - 1))
+    power = np.array([1.0])
+    weight = np.exp(-rate)
+    for n in range(terms):
+        out[:power.size] += weight * power
+        power = np.convolve(power, pmf)
+        weight *= rate / (n + 1)
+    return out
+
+
+def ladder_nu_series(step_pmf: np.ndarray, offset: int, span: float,
+                     theta: float, max_terms: int = 2000) -> float:
+    """Overshoot correction of a lattice random walk by direct summation.
+
+    The steps take the values span * (k - offset) with probabilities
+    step_pmf[k]. Spitzer's identities give nu = exp(-C) / ((1 - exp(-theta))
+    E X) with C = sum_n E[min(1, exp(-theta S_n))] / n; the law of S_n is
+    built by repeated convolution and the series is summed until its terms
+    vanish.
+    """
+    values = span * (np.arange(step_pmf.size) - offset)
+    mean_step = float(step_pmf @ values)
+    dist, lo = np.array([1.0]), 0
+    total = 0.0
+    for n in range(1, max_terms + 1):
+        dist = np.convolve(dist, step_pmf)
+        lo -= offset
+        x = span * (np.arange(dist.size) + lo)
+        term = float(dist @ np.exp(-theta * np.maximum(x, 0.0)))
+        total += term / n
+        if term < 1e-18:
+            return float(np.exp(-total) / (-np.expm1(-theta) * mean_step))
+        keep = np.flatnonzero(dist > 1e-40)
+        dist = dist[keep[0]:keep[-1] + 1]
+        lo += int(keep[0])
+    raise AssertionError("ladder series did not converge")

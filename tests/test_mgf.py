@@ -12,7 +12,7 @@ from palinscan import (
     bws_mgf,
     center_pair_probs,
     exact_length_prob,
-    increment_charfn,
+    increment_log_charfn,
     iid_model,
     log_mgf,
     log_mgf_double_prime,
@@ -378,6 +378,11 @@ class TestClosedFormCumulants:
                 cumulants(sm, edge)
 
 
+def increment_charfn(*args):
+    """The characteristic function itself, from its log."""
+    return np.exp(increment_log_charfn(*args))
+
+
 class TestIncrementCharfn:
     def _setup(self, bohv1, kind="pls", theta1=1.0):
         sm = ScoreModel(kind, bohv1, 6)
@@ -401,3 +406,56 @@ class TestIncrementCharfn:
         at_zero = abs(increment_charfn(sm, lam0, lam1, 0.0, theta1, 1.0, 0.0))
         for t in (0.1, 0.5, 2.0):
             assert abs(increment_charfn(sm, lam0, lam1, 0.0, theta1, 1.0, t)) <= at_zero + 1e-12
+
+    @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
+    def test_array_argument_matches_scalars(self, kind, bohv1):
+        sm, lam0, lam1, theta1 = self._setup(bohv1, kind=kind, theta1=0.2)
+        t = np.array([0.0, 0.35, -1.2, 3.0 + 0.05j, 0.7 + 0.1j])
+        batch = increment_charfn(sm, lam0, lam1, 0.0, theta1, 1.0, t)
+        single = [increment_charfn(sm, lam0, lam1, 0.0, theta1, 1.0, x) for x in t]
+        assert batch.shape == t.shape
+        assert np.allclose(batch, single, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
+    def test_laplace_line_is_real(self, kind, bohv1, monkeypatch):
+        # on Im t = theta1 / 2 one MGF evaluation per t serves both factors,
+        # and the transform is real: 2 lambda0 Re M(c + i u) - lambda0 - lambda1
+        sm, lam0, lam1, theta1 = self._setup(bohv1, kind=kind, theta1=0.2)
+        c = theta1 / 2
+        u = np.linspace(0.0, 5.0, 7)
+        sizes = []
+        kernel = mgf_module._mgf_value
+        monkeypatch.setattr(mgf_module, "_mgf_value",
+                            lambda sm, z: sizes.append(np.size(z)) or kernel(sm, z))
+        log_psi = increment_log_charfn(sm, lam0, lam1, 0.0, theta1, 1.0, u + 1j * c)
+        assert sizes == [u.size + 2]
+        expected = 2.0 * lam0 * np.real(kernel(sm, c + 1j * u)) - lam0 - lam1
+        assert np.allclose(log_psi, expected, rtol=1e-12, atol=1e-15)
+
+    def test_general_rates_without_rate_matching(self, bohv1):
+        # each compound-Poisson factor is normalised by its own tilt's MGF
+        sm = ScoreModel("pls", bohv1, 6)
+        lam0, lam1, theta0, theta1, t = 0.02, 0.07, 0.1, 0.9, 0.4
+        got = increment_charfn(sm, lam0, lam1, theta0, theta1, 1.0, t)
+        m = lambda z: complex(mgf_module._mgf_value(sm, z))
+        expected = np.exp(lam0 * (m(theta0 - 1j * t) / m(theta0) - 1.0)
+                          + lam1 * (m(theta1 + 1j * t) / m(theta1) - 1.0))
+        assert got == pytest.approx(expected, rel=1e-13)
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
+    @pytest.mark.parametrize("iid", [False, True])
+    def test_array_matches_scalar_evaluations(self, kind, iid, bohv1):
+        sm = ScoreModel(kind, bohv1, 6, iid_mode=iid)
+        z = np.array([0.0, 0.1 + 0.3j, 0.05 - 2.0j, 0.2, 7.0j])
+        for order in (0, 2):
+            batch = mgf_module._mgf_jet(sm, z, order=order)
+            assert batch.shape == (z.size, order + 1)
+            single = np.array([mgf_module._mgf_jet(sm, x, order=order) for x in z])
+            assert np.array_equal(batch, single)
+
+    def test_domain_checked_for_every_entry(self, bohv1):
+        sm = ScoreModel("bws", bohv1, 6)
+        with pytest.raises(DomainError):
+            mgf_module._mgf_value(sm, np.array([0.1, sm.domain.t_max + 0.01j]))

@@ -103,6 +103,26 @@ class TestFindPalindromes:
         with pytest.raises(ValueError):
             find_palindromes(seq_of("ACGT"), 0)
 
+    def test_patterns_not_revalidated(self, bohv1, monkeypatch):
+        # the patterns are slices of bases the input already validated; they
+        # equal validated copies field for field
+        s = DnaSeq(bases=generate_sequence(bohv1, 5000, np.random.default_rng(3)).bases,
+                   source_id="chr")
+        checks = []
+        post_init = DnaSeq.__post_init__
+        monkeypatch.setattr(DnaSeq, "__post_init__",
+                            lambda self: checks.append(1) or post_init(self))
+        events = find_palindromes(s, 3)
+        assert events and not checks
+        for e in events:
+            c, h = e.center, e.half_length
+            ref = DnaSeq(bases=s.bases[c - h + 1 : c + h + 1].copy(), source_id="chr")
+            for name in ("source_id", "dropped_count"):
+                assert getattr(e.pattern, name) == getattr(ref, name)
+            assert e.pattern.bases.dtype == ref.bases.dtype
+            assert np.array_equal(e.pattern.bases, ref.bases)
+            assert not np.shares_memory(e.pattern.bases, s.bases)
+
 
 class TestCheckPalindrome:
     def test_true_cases(self):

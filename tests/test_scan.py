@@ -5,6 +5,7 @@ from palinscan import (
     DomainError,
     LadderCapError,
     ScoreModel,
+    analytic_nu,
     bohv1_model,
     llr_statistics,
     log_mgf_double_prime,
@@ -18,9 +19,9 @@ from palinscan import (
     window_scores,
 )
 import palinscan.scan as scan_module
-from palinscan.scan import WindowSeries
+from palinscan.scan import TiltSolution, WindowSeries, _nu_tilt_floor
 
-from oracles import window_sums
+from oracles import iid_match_gamma, ladder_nu_series, poisson_compound_pmf, window_sums
 
 W = 135_301
 WINDOW = 1000
@@ -158,17 +159,22 @@ class TestPvalue:
         assert ratio == pytest.approx(expected * WINDOW, rel=1e-6)
 
     def test_small_tilt_shortcut(self, lam0, pls):
-        # tiny tilts skip the Monte Carlo (no rng needed) and pin nu at its
-        # zero-tilt limit
+        # small tilts take the analytic nu too, which tends to its zero-tilt
+        # limit 1; a tilt far below the interpolation floor stays in (0, 1]
         null_mean = WINDOW * lam0 * log_mgf_prime(pls, 0.0)
-        rep = p_value(null_mean * 1.001, WINDOW, W, lam0, pls)
-        assert rep.nu == 1.0
-        assert rep.nu_se == 0.0
-        assert 0.0 <= rep.p <= 1.0
+        for excess, tol in ((1e-3, 1e-4), (1e-9, 1e-9)):
+            rep = p_value(null_mean * (1.0 + excess), WINDOW, W, lam0, pls)
+            assert rep.nu == analytic_nu(rep.tilt, pls)
+            assert 1.0 - tol < rep.nu <= 1.0
+            assert rep.nu_se == 0.0
+            assert 0.0 <= rep.p <= 1.0
 
-    def test_requires_rng_for_monte_carlo(self, lam0, pls):
-        with pytest.raises(ValueError, match="rng"):
-            p_value(10.0, WINDOW, W, lam0, pls)
+    def test_no_rng_needed(self, lam0, pls):
+        rep = p_value(10.0, WINDOW, W, lam0, pls)
+        assert 0.0 < rep.nu < 1.0
+        assert rep.nu_se == 0.0
+        with_rng = p_value(10.0, WINDOW, W, lam0, pls, rng=np.random.default_rng(5))
+        assert (with_rng.p, with_rng.nu) == (rep.p, rep.nu)
 
     def test_below_mean_rejected(self, lam0, pls):
         with pytest.raises(ValueError):
@@ -197,11 +203,11 @@ class TestPvalue:
 
     def test_report_fields(self, lam0, bws):
         rng = np.random.default_rng(0)
-        rep = p_value(125.0, WINDOW, W, lam0, bws, rng=rng, n_walks=5000)
+        rep = p_value(125.0, WINDOW, W, lam0, bws, rng=rng)
         assert rep.window == WINDOW
         assert rep.total_length == W
         assert 0.0 < rep.nu <= 1.0
-        assert rep.nu_se > 0.0
+        assert rep.nu_se == 0.0
         assert 0.0 <= rep.p <= 1.0
 
 
@@ -234,13 +240,133 @@ class TestOvershoot:
         assert abs(nu - 1.0) <= 3.0 * max(se, 1e-12) + 1e-9
 
     def test_step_cap(self, lam0, pls):
-        # a tilt barely above the shortcut region drifts slowly; a tiny step
-        # cap must trip the guard rather than stall
+        # a small tilt drifts slowly; a tiny step cap must trip the guard
+        # rather than stall
         b = WINDOW * lam0 * log_mgf_prime(pls, 0.0) * 1.2
         tilt = solve_tilt(lam0, pls, b, WINDOW)
         with pytest.raises(LadderCapError):
             overshoot_nu(tilt, pls, np.random.default_rng(3), n_walks=500,
                          step_cap=50)
+
+
+def tilt_at(sm, theta, lam0=0.05):
+    """The rate-matched tilt solution at a given tilt."""
+    lam1 = lam0 * score_mgf(sm, theta)
+    return TiltSolution(lambda0=lam0, lambda1=lam1, theta0=0.0, theta1=theta,
+                        threshold=WINDOW * lam1 * log_mgf_prime(sm, theta),
+                        window=WINDOW)
+
+
+class TestAnalyticNu:
+    MODES = [(False, 1.0), (False, 0.5), (True, 1.0)]
+    GRID = {"pcs": (0.05, 0.3, 2.0), "pls": (0.05, 0.3, 2.0), "bws": (0.01, 0.05, 0.2)}
+
+    @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
+    @pytest.mark.parametrize("iid,delta", MODES)
+    def test_matches_monte_carlo_oracle(self, kind, iid, delta, bohv1):
+        sm = ScoreModel(kind, bohv1, 6, iid_mode=iid)
+        for i, theta in enumerate(self.GRID[kind]):
+            tilt = tilt_at(sm, theta)
+            nu_mc, se = overshoot_nu(tilt, sm, np.random.default_rng(60 + i),
+                                     delta=delta, n_walks=10_000)
+            nu = analytic_nu(tilt, sm, delta)
+            assert abs(nu - nu_mc) <= 3.0 * se, (theta, nu, nu_mc, se)
+
+    @pytest.mark.parametrize("kind", ["pls", "bws"])
+    def test_matches_monte_carlo_at_benchmark_thresholds(self, kind, lam0, bohv1):
+        sm = ScoreModel(kind, bohv1, 6)
+        for alpha in (0.05, 0.01, 0.001):
+            b = threshold_for_alpha(alpha, WINDOW, W, lam0, sm)
+            tilt = solve_tilt(lam0, sm, b, WINDOW)
+            nu_mc, se = overshoot_nu(tilt, sm, np.random.default_rng(int(1 / alpha)))
+            assert abs(analytic_nu(tilt, sm) - nu_mc) <= 3.0 * se
+
+    @pytest.mark.parametrize("lam0,theta,delta", [
+        (0.05, 2.0, 1.0), (0.05, 1.0, 0.5), (0.3, 1.0, 1.0)])
+    def test_pcs_matches_ladder_series(self, lam0, theta, delta, pcs):
+        # counts make the walk a difference of Poisson variables, whose
+        # ladder series can be summed directly
+        tilt = tilt_at(pcs, theta, lam0)
+        unit = np.array([0.0, 1.0])
+        up = poisson_compound_pmf(tilt.lambda1 * delta, unit)
+        down = poisson_compound_pmf(lam0 * delta, unit)
+        assert analytic_nu(tilt, pcs, delta) == pytest.approx(
+            ladder_nu_series(*self._eventful(up, down, tilt, delta), 1.0, theta),
+            rel=1e-10)
+
+    def test_pls_matches_ladder_series(self, bohv1):
+        # in iid mode the half-length is geometric: P(k) = (1 - g) g^(k - h)
+        sm = ScoreModel("pls", bohv1, 6, iid_mode=True)
+        g = iid_match_gamma(bohv1.pi)
+        theta, delta = 1.5, 1.0
+        tilt = tilt_at(sm, theta)
+        k = np.arange(6 + 150)
+        null = np.where(k >= 6, (1.0 - g) * g ** np.maximum(k - 6, 0), 0.0)
+        tilted = null * np.exp(theta * k / 6)
+        tilted /= tilted.sum()
+        up = poisson_compound_pmf(tilt.lambda1 * delta, tilted, terms=25)
+        down = poisson_compound_pmf(tilt.lambda0 * delta, null, terms=25)
+        assert analytic_nu(tilt, sm, delta) == pytest.approx(
+            ladder_nu_series(*self._eventful(up, down, tilt, delta), 1.0 / 6, theta),
+            rel=1e-9)
+
+    @staticmethod
+    def _eventful(up, down, tilt, delta):
+        """(pmf, offset) of up - down given at least one event."""
+        pmf = np.convolve(up, down[::-1])
+        offset = down.size - 1
+        mu = (tilt.lambda0 + tilt.lambda1) * delta
+        pmf[offset] -= np.exp(-mu)
+        return pmf / -np.expm1(-mu), offset
+
+    @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
+    def test_converged_in_nodes(self, kind, lam0, bohv1, monkeypatch):
+        cases = []
+        for iid, delta in self.MODES:
+            sm = ScoreModel(kind, bohv1, 6, iid_mode=iid)
+            for theta in (0.01, 0.05, 0.2) + ((0.8, 2.0) if kind != "bws" else ()):
+                for rate in (lam0, 0.05):
+                    tilt = tilt_at(sm, theta, rate)
+                    cases.append((tilt, sm, delta, analytic_nu(tilt, sm, delta)))
+        monkeypatch.setattr(scan_module, "NU_PANEL_NODES", 2 * scan_module.NU_PANEL_NODES)
+        for tilt, sm, delta, nu in cases:
+            assert abs(analytic_nu(tilt, sm, delta) - nu) < 1e-8
+
+    def test_bws_continuous_across_old_small_tilt_cut(self, lam0, bws):
+        # nu used to jump to 1 below theta1 = 0.05; read it through p_value
+        nus = []
+        for theta in (0.0499, 0.0501):
+            b = tilt_at(bws, theta, lam0).threshold
+            rep = p_value(b, WINDOW, W, lam0, bws, rng=np.random.default_rng(0))
+            nus.append(rep.nu)
+        assert abs(nus[1] - nus[0]) < 2e-3
+        assert nus[0] < 0.75
+
+    @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
+    def test_continuous_across_tilt_floor(self, kind, bohv1, lam0):
+        # below the floor nu is interpolated to its zero-tilt limit 1
+        sm = ScoreModel(kind, bohv1, 6)
+        below, above = (analytic_nu(tilt_at(sm, _nu_tilt_floor(sm) * f, lam0), sm)
+                        for f in (1.0 - 1e-6, 1.0 + 1e-6))
+        assert abs(above - below) < 1e-8
+        assert 0.0 < below <= 1.0
+
+    def test_deterministic(self, lam0, bws):
+        b = 125.0
+        reps = [p_value(b, WINDOW, W, lam0, bws, rng=rng)
+                for rng in (None, np.random.default_rng(1), np.random.default_rng(2))]
+        assert len({(r.p, r.nu, r.nu_se) for r in reps}) == 1
+        thresholds = {threshold_for_alpha(0.01, WINDOW, W, lam0, bws, nu_entropy=e)
+                      for e in (None, 1, 2)}
+        assert len(thresholds) == 1
+
+    def test_validation(self, lam0, pls):
+        tilt = solve_tilt(lam0, pls, 10.0, WINDOW)
+        with pytest.raises(ValueError):
+            analytic_nu(tilt, pls, delta=0.0)
+        with pytest.raises(ValueError):
+            analytic_nu(solve_tilt(lam0, pls, WINDOW * lam0 * log_mgf_prime(pls, 0.0),
+                                   WINDOW), pls)
 
 
 class TestThresholdForAlpha:
@@ -252,59 +378,53 @@ class TestThresholdForAlpha:
             assert rep.p == pytest.approx(alpha, abs=1e-4)
 
     def test_monte_carlo_variant_lands_near_alpha(self, lam0, pls):
-        b = threshold_for_alpha(0.05, WINDOW, W, lam0, pls, nu_entropy=42,
-                                n_walks=20_000)
-        rep = p_value(b, WINDOW, W, lam0, pls,
-                      rng=np.random.default_rng(999), n_walks=100_000)
-        assert 0.03 < rep.p < 0.07
+        # the p-value at the returned threshold, with nu from the Monte Carlo
+        # oracle instead, lands near alpha as well
+        b = threshold_for_alpha(0.05, WINDOW, W, lam0, pls)
+        tilt = solve_tilt(lam0, pls, b, WINDOW)
+        nu, se = overshoot_nu(tilt, pls, np.random.default_rng(999))
+        rep = p_value(b, WINDOW, W, lam0, pls, nu_fixed=nu)
+        assert 0.045 < rep.p < 0.055
 
     def test_deterministic_given_entropy(self, lam0, pls):
-        kw = dict(nu_entropy=11, n_walks=10_000)
-        assert threshold_for_alpha(0.05, WINDOW, W, lam0, pls, **kw) == \
-            threshold_for_alpha(0.05, WINDOW, W, lam0, pls, **kw)
+        # nu is deterministic: neither the entropy nor the generator that
+        # threshold_for_alpha still accepts changes the threshold
+        b = threshold_for_alpha(0.05, WINDOW, W, lam0, pls)
+        for kw in (dict(nu_entropy=11), dict(nu_entropy=12),
+                   dict(rng=np.random.default_rng(3))):
+            assert threshold_for_alpha(0.05, WINDOW, W, lam0, pls, **kw) == b
 
     @pytest.mark.parametrize("kind", ["pls", "bws"])
-    @pytest.mark.parametrize("alpha", [0.05, 0.001])
+    @pytest.mark.parametrize("alpha", [0.05, 0.01, 0.001])
     def test_monte_carlo_nu_fixed_point(self, kind, alpha, lam0, monkeypatch):
-        # A handful of Monte Carlo nu estimates per threshold, not one per
-        # candidate, and the search stops on its rule: |p - alpha| <= 1e-6,
-        # or two estimated thresholds that straddle alpha within 1e-6 * b.
-        # The second branch is real: with 100k walks the frozen-entropy nu
-        # steps by about 1e-4 (relative) between nearby thresholds, which
-        # moves p by more than 1e-6 at alpha = 0.05, and bisecting such a
-        # step down to the bracket rule costs extra estimates.
+        # A handful of nu evaluations per threshold, not one per candidate,
+        # and the search ends with |p - alpha| <= 1e-6.
         sm = ScoreModel(kind, bohv1_model(), 6)
-        calls, gaps = [], {}
+        calls = []
 
         def counted(*args, **kwargs):
             calls.append(args[0].threshold)
-            return overshoot_nu(*args, **kwargs)
+            return analytic_nu(*args, **kwargs)
 
-        def recorded(b, *args, **kwargs):
-            rep = p_value(b, *args, **kwargs)
-            if kwargs.get("rng") is not None:
-                gaps[b] = rep.p - alpha
-            return rep
-
-        monkeypatch.setattr(scan_module, "overshoot_nu", counted)
-        monkeypatch.setattr(scan_module, "p_value", recorded)
+        monkeypatch.setattr(scan_module, "analytic_nu", counted)
         b_fixed = threshold_for_alpha(alpha, WINDOW, W, lam0, sm, nu_fixed=1.0)
-        for entropy in (1, 2, 3):
-            calls.clear()
-            gaps.clear()
-            b = threshold_for_alpha(alpha, WINDOW, W, lam0, sm, nu_entropy=entropy)
-            estimates = len(calls)
-            assert b < b_fixed
-            rep = p_value(b, WINDOW, W, lam0, sm, rng=np.random.default_rng(entropy))
-            if abs(rep.p - alpha) <= 1e-6:
-                assert 1 <= estimates <= 8
-            else:
-                near = [g for x, g in gaps.items() if abs(x - b) <= 1e-6 * b]
-                assert min(near) < 0.0 < max(near)
-                assert estimates <= 16
-        kw = dict(nu_entropy=1)
-        assert threshold_for_alpha(alpha, WINDOW, W, lam0, sm, **kw) == \
-            threshold_for_alpha(alpha, WINDOW, W, lam0, sm, **kw)
+        assert not calls
+        b = threshold_for_alpha(alpha, WINDOW, W, lam0, sm)
+        assert 1 <= len(calls) <= 8
+        assert b < b_fixed
+        assert abs(p_value(b, WINDOW, W, lam0, sm).p - alpha) <= 1e-6
+
+    @pytest.mark.parametrize("kind, window, total", [
+        ("pls", 50, 100), ("bws", 20, 40), ("bws", 50, 100)])
+    def test_root_on_decaying_branch(self, kind, window, total, lam0):
+        # Few windows and a large alpha put the root close to the peak of p,
+        # past which a search step would land on the artifact branch.
+        sm = ScoreModel(kind, bohv1_model(), 6)
+        b = threshold_for_alpha(0.2, window, total, lam0, sm)
+        p = p_value(b, window, total, lam0, sm).p
+        assert abs(p - 0.2) <= 1e-6
+        null_mean = window * lam0 * sm.null_cumulants[1]
+        assert p_value(b + 1e-5 * (b - null_mean), window, total, lam0, sm).p < p
 
     def test_smaller_alpha_larger_threshold(self, lam0, pls):
         b5 = threshold_for_alpha(0.05, WINDOW, W, lam0, pls, nu_fixed=1.0)
