@@ -40,7 +40,7 @@ from .mgf import (
     score_mgf,
 )
 from .palindrome import average_rate, events_to_tsv, find_palindromes, score_events
-from .scan import p_value, window_scores
+from .scan import null_window_mean, p_value, window_scores
 from .seqio import ALPHABET, FastaRecord, fetch_sequence, parse_fasta_file
 from .sim import (
     ExperimentConfig,
@@ -284,7 +284,7 @@ def _cmd_scan(config: RunConfig, out) -> int:
                            config.window, total_length)
     threshold = config.threshold if config.threshold is not None else series.max_value
 
-    null_mean = config.window * lambda0 * log_mgf_prime(sm, 0.0)
+    null_mean = null_window_mean(lambda0, sm, config.window, config.compat_paper)
     if threshold <= null_mean:
         report = {
             "b": threshold, "theta1": 0.0, "lambda1": lambda0,

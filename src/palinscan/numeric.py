@@ -74,23 +74,20 @@ def spectral_radius(m: np.ndarray) -> float:
 
 
 def find_root(f, lo: float, hi: float, tol: float = ROOT_TOL,
-              max_iter: int = ROOT_MAX_ITER, f_lo: float | None = None,
-              f_hi: float | None = None) -> float:
+              max_iter: int = ROOT_MAX_ITER) -> float:
     """Root of a scalar function on a bracketing interval.
 
     Uses bisection with secant acceleration (a safeguarded false-position
     step), succeeding when either |f(x)| <= tol or the bracket width shrinks
     below tol * max(1, |x|). Infinite function values at the endpoints are
-    tolerated; they simply force bisection. ``f_lo`` and ``f_hi`` are the
-    values of f at the endpoints when the caller already has them; f is
-    evaluated only at the endpoints whose value is not given.
+    tolerated; they simply force bisection.
 
     Raises:
         BracketError: f(lo) and f(hi) do not straddle zero.
         ConvergenceError: iteration cap reached.
     """
-    flo = f(lo) if f_lo is None else f_lo
-    fhi = f(hi) if f_hi is None else f_hi
+    flo = f(lo)
+    fhi = f(hi)
     if not np.isfinite(flo) and not np.isfinite(fhi):
         raise BracketError("function is non-finite at both endpoints")
     if flo == 0.0:

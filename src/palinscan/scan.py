@@ -25,13 +25,14 @@ from .errors import (
     SingularMatrixError,
 )
 from .mgf import ScoreModel, cumulants, increment_log_charfn
-from .numeric import find_root, newton_root
+from .numeric import ROOT_MAX_ITER, newton_root
 
 DEFAULT_NU_WALKS = 100_000
 LADDER_STEP_CAP = 1_000_000
 MAX_CAPPED_FRACTION = 1e-3
-ALPHA_TOL = 1e-6
-NU_FIXED_POINT_STEPS = 10
+# threshold_for_alpha stops once log(-log(1 - p)) is within this of its value
+# at alpha, which bounds |p / alpha - 1| by about the same figure.
+ALPHA_RTOL = 1e-7
 # Quadrature of the overshoot integral (see analytic_nu): Gauss-Legendre
 # nodes per panel, the width of the uniform panels, and the cut-off of the
 # integral for non-lattice scores.
@@ -195,11 +196,16 @@ def llr_statistics(series: WindowSeries, tilt: TiltSolution,
     )
 
 
-def _condition_scale(window: int, literal_condition: bool) -> float:
-    # The centering condition reads "tilted rate times tilted mean score
-    # equals the threshold". Per-base rates require the window factor; the
-    # literal variant treats the rate as already accumulated over a window.
-    return 1.0 if literal_condition else float(window)
+def null_window_mean(lambda0: float, sm: ScoreModel, window: int,
+                     literal_condition: bool = False) -> float:
+    """Mean score sum of a window under the null: window * lambda0 * E s.
+
+    The centering condition reads "tilted rate times tilted mean score
+    equals the threshold". Per-base rates require the window factor; the
+    literal variant treats the rate as already accumulated over a window
+    and drops it.
+    """
+    return (1.0 if literal_condition else window) * lambda0 * sm.null_cumulants[1]
 
 
 def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float, window: int,
@@ -207,11 +213,10 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float, window: int,
     """Solve the tilt equations for a threshold.
 
     Substituting the rate-matching condition into the centering condition
-    leaves one equation in theta: window * lambda0 * exp(phi(theta)) *
-    phi'(theta) = threshold. In log form, phi + log phi' = log(threshold /
-    (window * lambda0)), its left side is increasing on (0, t_max) with the
-    closed-form slope phi' + phi'' / phi', so it is solved by Newton steps
-    kept inside that bracket.
+    leaves one equation in theta: exp(phi(theta)) * phi'(theta) / phi'(0) =
+    threshold / null_window_mean. In log form its left side is increasing on
+    (0, t_max) with the closed-form slope phi' + phi'' / phi', so it is
+    solved by Newton steps kept inside that bracket.
 
     Raises:
         ValueError: threshold below the null window mean.
@@ -219,9 +224,8 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float, window: int,
     """
     if lambda0 <= 0:
         raise ValueError("lambda0 must be positive")
-    scale = _condition_scale(window, literal_condition)
     _, mean0, var0 = sm.null_cumulants
-    null_mean = scale * lambda0 * mean0
+    null_mean = null_window_mean(lambda0, sm, window, literal_condition)
     if threshold < null_mean * (1.0 - 1e-12):
         raise ValueError(
             f"threshold {threshold!r} is below the null window mean {null_mean!r}"
@@ -230,7 +234,7 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float, window: int,
         return TiltSolution(lambda0=lambda0, lambda1=lambda0, theta0=0.0,
                             theta1=0.0, threshold=threshold, window=window)
 
-    log_threshold = np.log(threshold / (scale * lambda0))
+    log_ratio = np.log(threshold / null_mean)
     jets = {}  # cumulants at each evaluated theta, reused at the root
 
     def centering_gap(theta: float) -> tuple[float, float]:
@@ -241,7 +245,7 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float, window: int,
         except (DomainError, SingularMatrixError, FloatingPointError, OverflowError):
             return np.inf, np.nan
         jets[theta] = phi, mean, var
-        return phi + np.log(mean) - log_threshold, mean + var / mean
+        return phi + np.log(mean / mean0) - log_ratio, mean + var / mean
 
     t_max = sm.domain.t_max
     if np.isfinite(t_max):
@@ -256,7 +260,7 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float, window: int,
         raise DomainError(
             f"threshold {threshold!r} unreachable within the MGF domain"
         )
-    start = (log_threshold - np.log(mean0)) / (mean0 + var0 / mean0)  # step from 0
+    start = log_ratio / (mean0 + var0 / mean0)  # step from 0
     theta1 = newton_root(centering_gap, 0.0, hi, x=min(start, 0.5 * hi),
                          tol=1e-13)
     jet = jets[theta1] if theta1 in jets else cumulants(sm, theta1)
@@ -540,106 +544,64 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
                         lambda0: float, sm: ScoreModel,
                         rng: np.random.Generator | None = None, *,
                         delta: float = 1.0, nu_fixed: float | None = None,
-                        nu_entropy: int | None = None,
-                        ey1_literal: bool = False,
+                        nu_entropy: int | None = None, ey1_literal: bool = False,
                         literal_condition: bool = False) -> float:
     """Invert the p-value approximation: smallest threshold with p <= alpha.
 
-    The p-value is unimodal in the threshold: an artifact branch rises from
-    zero just above the null mean (where the approximation is not valid)
-    before the true decaying branch. At a fixed overshoot correction (given
-    as ``nu_fixed``, or a trial value below) the search walks a geometric
-    grid until it has seen p >= alpha followed by p < alpha, then
-    root-finds on that decaying branch.
-
-    Without ``nu_fixed`` the correction is analytic_nu at each threshold.
-    The search inverts at nu = 1, which lands above the root, then steps
-    down on log(-log(1 - p)), nearly linear in the threshold, by Newton and
-    secant steps on the real p-value, each of which costs one nu; a step
-    that lands past the peak of p, on the artifact branch, with p below
-    alpha is replaced by a re-inversion at fixed nu. Two thresholds that
-    bracket alpha are finished by a bracketing secant. It typically computes
-    nu 2 to 4 times.
-    Both searches stop once |p - alpha| <= 1e-6 or the bracket is narrower
-    than 1e-6 times the threshold. ``rng`` and ``nu_entropy`` are accepted
-    for compatibility and not used: the result is deterministic.
+    p is unimodal in the threshold b: an artifact branch rises from zero just
+    above the null mean (where the approximation is not valid) to the peak,
+    past which h(b) = log(-log(1 - p)) - log(-log(1 - alpha)) falls almost
+    linearly, with slope about -theta1. The search starts past the peak,
+    where a Gaussian maximum over the windows would reach alpha, takes a
+    Newton step with slope -theta1, then secant steps. It keeps a bracket
+    (lo, hi) from (null mean, inf): h > 0, or h < 0 with a secant slope that
+    is not negative (the artifact branch), raises lo; any other h < 0 lowers
+    hi; a step out of the bracket bisects it (doubles b - null mean while hi
+    is infinite). It stops once |h| <= ALPHA_RTOL, so |p / alpha - 1| <=
+    ALPHA_RTOL, or returns hi once the bracket about a sign change of h is
+    narrower than 1e-10 of b. Without ``nu_fixed`` it runs at nu = 1 first,
+    where p-values are cheap, then continues from that root on the real p,
+    one analytic_nu per step. ``rng`` and ``nu_entropy`` are ignored (the
+    result is deterministic).
 
     Raises:
-        DomainError: no threshold attains alpha (alpha above the branch peak).
-        ConvergenceError: the nu fixed point failed to bracket alpha.
+        DomainError: h < 0 throughout a closed bracket (alpha above the peak).
+        ConvergenceError: neither stop in ROOT_MAX_ITER p-values.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-
-    def report(b: float, nu: float | None) -> PvalueReport:
-        return p_value(b, window, total_length, lambda0, sm, delta=delta,
-                       nu_fixed=nu, ey1_literal=ey1_literal,
-                       literal_condition=literal_condition)
-
-    scale = _condition_scale(window, literal_condition)
-    null_mean = scale * lambda0 * sm.null_cumulants[1]
-
-    def invert(nu: float) -> float:
-        def gap(b: float) -> float:
-            return report(b, nu).p - alpha
-
-        b = null_mean * 1.05
-        b_lo = gap_lo = None
-        for _ in range(200):
-            g = gap(b)
-            if g >= 0.0:
-                b_lo, gap_lo = b, g
-            elif b_lo is not None:
-                return float(find_root(gap, b_lo, b, tol=ALPHA_TOL, f_lo=gap_lo, f_hi=g))
-            b *= 1.25
-        raise DomainError(f"alpha={alpha!r} is not attainable by any threshold")
-
-    if nu_fixed is not None:
-        return invert(nu_fixed)
-
-    def real_gap(b: float) -> float:
-        return report(b, None).p - alpha
-
-    # p(b) = 1 - exp(-nu(b) A(b)) with A free of nu, and nu <= 1, so the
-    # nu = 1 root lies above the true root, and p is below alpha there. Up to
-    # the root, log(-log(1 - p)) = log nu + log A falls almost linearly in b
-    # with slope close to -theta1 (the exceedance exponent's derivative), so
-    # steps on it move down to the root: Newton with that slope first, then
-    # secant steps. A step that would not move down re-inverts at the fixed
-    # nu of the current threshold instead (the fixed point in nu). A step
-    # that lands with p below alpha but not above p where it started has
-    # passed the peak of p, onto the artifact branch: it is not kept, and the
-    # search re-inverts at its nu instead. A step that lands with p above
-    # alpha brackets the root with the threshold it started from, on either
-    # side of the peak: between the two, p rises to the peak and falls once
-    # through alpha. Once two thresholds bracket alpha a secant on the real
-    # p finishes.
+    null_mean = null_window_mean(lambda0, sm, window, literal_condition)
     target = np.log(-np.log1p(-alpha))
-    sides = {}  # gap > 0 -> (threshold, gap) of the latest step on that side
-    last = None  # (threshold, h) of the latest threshold kept
-    b, stepped = invert(1.0), False
-    for _ in range(NU_FIXED_POINT_STEPS):
-        rep = report(b, None)
-        g = rep.p - alpha
-        if abs(g) <= ALPHA_TOL:
-            return b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h = np.log(-np.log1p(-rep.p)) - target
-        if stepped and g < 0.0 and not h > last[1]:
-            b, stepped = invert(rep.nu), False
-            continue
-        sides[g > 0.0] = (b, g)
-        if len(sides) == 2:
-            (b_lo, g_lo), (b_hi, g_hi) = sides[True], sides[False]
-            return float(find_root(real_gap, b_lo, b_hi, tol=ALPHA_TOL,
-                                   f_lo=g_lo, f_hi=g_hi))
-        with np.errstate(divide="ignore", invalid="ignore"):
+
+    def search(b: float, nu: float | None) -> float:
+        lo, hi, last, attained = null_mean, np.inf, None, False
+        for _ in range(ROOT_MAX_ITER):
+            rep = p_value(b, window, total_length, lambda0, sm, delta=delta, nu_fixed=nu,
+                          ey1_literal=ey1_literal, literal_condition=literal_condition)
+            with np.errstate(divide="ignore"):
+                h = np.log(-np.log1p(-rep.p)) - target
+            if abs(h) <= ALPHA_RTOL:
+                return float(b)
             slope = -rep.tilt.theta1 if last is None else (h - last[1]) / (b - last[0])
-            step = float(b - h / slope)
-        last = b, h
-        stepped = null_mean < step < b
-        b = step if stepped else invert(rep.nu)
-    raise ConvergenceError(
-        f"the nu fixed point did not bracket alpha={alpha!r} in "
-        f"{NU_FIXED_POINT_STEPS} steps"
-    )
+            attained |= h > 0
+            if h > 0 or not slope < 0:
+                lo = b
+            else:
+                hi = b
+            if hi - lo <= 1e-10 * lo:
+                if attained:
+                    return float(hi)
+                raise DomainError(f"alpha={alpha!r} is not attainable by any threshold")
+            last = (b, h) if np.isfinite(h) else None
+            with np.errstate(divide="ignore", invalid="ignore"):
+                b = b - h / slope
+            if not lo < b < hi:
+                b = 0.5 * (lo + hi) if hi < np.inf else 2.0 * lo - null_mean
+        raise ConvergenceError(f"threshold search for alpha={alpha!r} did not "
+                               f"converge in {ROOT_MAX_ITER} p-values")
+
+    _, mean0, var0 = sm.null_cumulants
+    z = np.sqrt(2.0 * np.log(max(total_length - window, 1) / alpha))
+    b = search(null_mean + z * np.sqrt(null_mean * (mean0 + var0 / mean0)),
+               1.0 if nu_fixed is None else nu_fixed)
+    return b if nu_fixed is not None else search(b, None)

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from palinscan import (
+    ScoreModel,
     average_rate,
     estimate_model,
     find_palindromes,
     iid_rate,
     markov_rate,
+    p_value,
     parse_fasta_file,
 )
 from palinscan.cli import SCAN_REPORT_KEYS, build_parser, config_from_args, main, run
@@ -172,6 +174,22 @@ class TestScan:
         p_compat = float(dict(zip(*[l.split("\t") for l in compat.splitlines()]))["p"])
         assert p_plain != p_compat
 
+    def test_compat_threshold_below_window_mean(self, sample_path, sample_record):
+        # --compat-paper centres the tilt on lambda0 * mu0, not window *
+        # lambda0 * mu0, so a threshold between the two gets its p-value
+        model = estimate_model(sample_record.seq)
+        lambda0 = markov_rate(model, 6).value
+        sm = ScoreModel("pls", model, 6, bws_column_start=True)
+        b = 0.5 * 1000 * lambda0 * sm.null_cumulants[1]
+        _, text = invoke("scan", "--input", sample_path, "--nu-fixed", "1.0",
+                         "--threshold", repr(b), "--compat-paper")
+        row = dict(zip(*[l.split("\t") for l in text.splitlines()]))
+        rep = p_value(b, 1000, sample_record.seq.length, lambda0, sm, nu_fixed=1.0,
+                      ey1_literal=True, literal_condition=True)
+        assert rep.tilt.theta1 > 0.0
+        assert float(row["theta1"]) == pytest.approx(rep.tilt.theta1, rel=1e-9)
+        assert float(row["p"]) == pytest.approx(rep.p, rel=1e-9)
+
     def test_monte_carlo_seeded(self, sample_path):
         args = ("scan", "--input", sample_path, "--threshold", "9.0",
                 "--seed", "11")
@@ -303,10 +321,14 @@ class TestPower:
 
 
 class TestPinnedOutput:
-    """Seeded simulate and power TSV, recorded before the byte-coded sampler
-    and array scoring replaced the per-base step tables and per-event
-    scoring. The figures are printed at 10 significant digits, so a change
-    to how sequences are drawn or scored must leave them exactly as they are.
+    """Seeded simulate and power TSV at 10 significant digits, so a change to
+    how sequences are drawn or scored must leave them exactly as they are.
+    The sequences, rates and powers were recorded before the byte-coded
+    sampler and array scoring replaced the per-base step tables and
+    per-event scoring. The thresholds were recorded again when the
+    inversion began to stop on |p / alpha - 1| <= 1e-7 instead of
+    |p - alpha| <= 1e-6, which moved them in their last digits (by up to
+    1.3e-6 of their value) and left every power as it was.
     """
 
     ARGS = ("--replicates", "4", "--length", "20000", "--seed", "3")
@@ -323,16 +345,16 @@ class TestPinnedOutput:
 
     @pytest.mark.parametrize("kind,lines", [
         ("pls", [
-            "10,10,10\taverage\t0.003075\t13.41449674\t0.5000\t0.2500\t1.0000",
-            "10,10,10\tmarkov\t0.001144568498\t8.150251121\t0.7500\t0.7500\t1.0000",
-            "3,3,3\taverage\t0.0018125\t10.16836923\t0.2500\t0.0000\t0.0000",
-            "3,3,3\tmarkov\t0.001103490938\t8.014185855\t0.2500\t0.2500\t0.5000",
+            "10,10,10\taverage\t0.003075\t13.41449605\t0.5000\t0.2500\t1.0000",
+            "10,10,10\tmarkov\t0.001144568498\t8.150247489\t0.7500\t0.7500\t1.0000",
+            "3,3,3\taverage\t0.0018125\t10.16836806\t0.2500\t0.0000\t0.0000",
+            "3,3,3\tmarkov\t0.001103490938\t8.014185359\t0.2500\t0.2500\t0.5000",
         ]),
         ("bws", [
-            "10,10,10\taverage\t0.003075\t173.3094937\t0.7500\t0.2500\t1.0000",
-            "10,10,10\tmarkov\t0.001144568498\t105.5630977\t0.7500\t0.7500\t1.0000",
-            "3,3,3\taverage\t0.0018125\t131.5140582\t0.0000\t0.0000\t0.0000",
-            "3,3,3\tmarkov\t0.001103490938\t103.8147663\t0.2500\t0.2500\t0.2500",
+            "10,10,10\taverage\t0.003075\t173.3094655\t0.7500\t0.2500\t1.0000",
+            "10,10,10\tmarkov\t0.001144568498\t105.5630659\t0.7500\t0.7500\t1.0000",
+            "3,3,3\taverage\t0.0018125\t131.5140499\t0.0000\t0.0000\t0.0000",
+            "3,3,3\tmarkov\t0.001103490938\t103.8146289\t0.2500\t0.2500\t0.2500",
         ]),
     ])
     def test_power(self, kind, lines):

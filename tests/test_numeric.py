@@ -123,25 +123,6 @@ class TestFindRoot:
             find_root(f, 0.0, 1.0, tol=0.0, max_iter=20)
 
 
-    def test_known_endpoint_values_are_not_recomputed(self):
-        seen = []
-
-        def f(x):
-            seen.append(x)
-            return math.exp(x) - 5.0
-
-        plain = find_root(f, 0.0, 3.0, tol=1e-13)
-        assert seen[:2] == [0.0, 3.0]
-        seen.clear()
-        given = find_root(f, 0.0, 3.0, tol=1e-13, f_lo=f(0.0), f_hi=f(3.0))
-        assert given == plain
-        assert seen.count(0.0) == 1 and seen.count(3.0) == 1  # only the two calls above
-
-    def test_known_endpoint_values_still_checked(self):
-        with pytest.raises(BracketError):
-            find_root(lambda x: x, -1.0, 1.0, f_lo=1.0, f_hi=2.0)
-
-
 class TestNewtonRoot:
     def test_cubic(self):
         root = newton_root(lambda x: (x**3 - 2.0, 3.0 * x * x), 0.0, 2.0, x=1.9)

@@ -375,7 +375,19 @@ class TestThresholdForAlpha:
             sm = ScoreModel(kind, bohv1_model(), 6)
             b = threshold_for_alpha(alpha, WINDOW, W, lam0, sm, nu_fixed=1.0)
             rep = p_value(b, WINDOW, W, lam0, sm, nu_fixed=1.0)
-            assert rep.p == pytest.approx(alpha, abs=1e-4)
+            assert rep.p == pytest.approx(alpha, rel=1e-6)
+
+    @pytest.mark.parametrize("nu_fixed", [None, 1.0])
+    @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
+    def test_relative_accuracy_down_to_small_alpha(self, kind, nu_fixed, lam0):
+        # A genome-wide scan with a multiple-testing correction needs alpha
+        # far below 1e-6, where an absolute tolerance on p means nothing.
+        sm = ScoreModel(kind, bohv1_model(), 6)
+        ratios = {}
+        for alpha in (0.2, 0.05, 1e-3, 1e-5, 1e-6, 1e-7, 1e-9, 1e-12):
+            b = threshold_for_alpha(alpha, WINDOW, W, lam0, sm, nu_fixed=nu_fixed)
+            ratios[alpha] = p_value(b, WINDOW, W, lam0, sm, nu_fixed=nu_fixed).p / alpha
+        assert all(abs(r - 1.0) <= 1e-6 for r in ratios.values()), ratios
 
     def test_monte_carlo_variant_lands_near_alpha(self, lam0, pls):
         # the p-value at the returned threshold, with nu from the Monte Carlo
@@ -396,23 +408,27 @@ class TestThresholdForAlpha:
 
     @pytest.mark.parametrize("kind", ["pls", "bws"])
     @pytest.mark.parametrize("alpha", [0.05, 0.01, 0.001])
-    def test_monte_carlo_nu_fixed_point(self, kind, alpha, lam0, monkeypatch):
-        # A handful of nu evaluations per threshold, not one per candidate,
-        # and the search ends with |p - alpha| <= 1e-6.
+    def test_few_p_values_per_threshold(self, kind, alpha, lam0, monkeypatch):
+        # A handful of p-values per threshold with nu fixed, a handful of nu
+        # evaluations without, and the search ends with |p / alpha - 1| <= 1e-6.
         sm = ScoreModel(kind, bohv1_model(), 6)
-        calls = []
+        p_calls, nu_calls = [], []
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].threshold)
-            return analytic_nu(*args, **kwargs)
+        def counted(count, f):
+            def wrapped(*args, **kwargs):
+                count.append(args[0])
+                return f(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(scan_module, "analytic_nu", counted)
+        monkeypatch.setattr(scan_module, "p_value", counted(p_calls, p_value))
+        monkeypatch.setattr(scan_module, "analytic_nu", counted(nu_calls, analytic_nu))
         b_fixed = threshold_for_alpha(alpha, WINDOW, W, lam0, sm, nu_fixed=1.0)
-        assert not calls
+        assert not nu_calls
+        assert 1 <= len(p_calls) <= 8
         b = threshold_for_alpha(alpha, WINDOW, W, lam0, sm)
-        assert 1 <= len(calls) <= 8
+        assert 1 <= len(nu_calls) <= 8
         assert b < b_fixed
-        assert abs(p_value(b, WINDOW, W, lam0, sm).p - alpha) <= 1e-6
+        assert abs(p_value(b, WINDOW, W, lam0, sm).p / alpha - 1.0) <= 1e-6
 
     @pytest.mark.parametrize("kind, window, total", [
         ("pls", 50, 100), ("bws", 20, 40), ("bws", 50, 100)])
