@@ -53,18 +53,21 @@ class ScoreModel:
         half_length: detection threshold h >= half_length.
         iid_mode: evaluate with the closed-form expressions for independent
             bases (using only model.pi) instead of the matrix forms.
-        bws_column_start: for bws only, build the start weights from the
-            column product (I - T) pi instead of the row product pi (I - T).
-            The row form is the default; it is the one that normalises the
-            length distribution exactly. The column variant exists for
-            comparison.
+        compat_paper: use the paper's literal conventions, for comparison
+            with the internally consistent defaults: the bws MGF takes its
+            start weights from the column product (I - T) pi instead of the
+            row product pi (I - T), which is the one that normalises the
+            length distribution exactly; the tilt is centred on
+            lambda1 * phi'(theta1) = b instead of w * lambda1 * phi'(theta1)
+            = b (scan.null_window_mean); and the p-value's mean ladder
+            increment is b - lambda0 * mean score (scan.p_value).
     """
 
     kind: str
     model: MarkovModel
     half_length: int
     iid_mode: bool = False
-    bws_column_start: bool = False
+    compat_paper: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "kind", self.kind.lower())
@@ -136,7 +139,7 @@ class ScoreModel:
             bases = np.array([1.0 - self.gamma]), np.array([pi[0] * pi[3], pi[1] * pi[2]])
         else:
             start = self.start_weights
-            if self.bws_column_start:
+            if self.compat_paper:
                 start = (_EYE - self.t_matrix) @ self.model.pi
             if np.any(start < 0):
                 raise DomainError("start weights have negative entries; bws undefined")

@@ -196,20 +196,19 @@ def llr_statistics(series: WindowSeries, tilt: TiltSolution,
     )
 
 
-def null_window_mean(lambda0: float, sm: ScoreModel, window: int,
-                     literal_condition: bool = False) -> float:
+def null_window_mean(lambda0: float, sm: ScoreModel, window: int) -> float:
     """Mean score sum of a window under the null: window * lambda0 * E s.
 
     The centering condition reads "tilted rate times tilted mean score
-    equals the threshold". Per-base rates require the window factor; the
-    literal variant treats the rate as already accumulated over a window
-    and drops it.
+    equals the threshold". Per-base rates require the window factor; under
+    ``sm.compat_paper`` the rate is read as already accumulated over a
+    window, and the factor is dropped.
     """
-    return (1.0 if literal_condition else window) * lambda0 * sm.null_cumulants[1]
+    return (1.0 if sm.compat_paper else window) * lambda0 * sm.null_cumulants[1]
 
 
-def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float, window: int,
-               literal_condition: bool = False) -> TiltSolution:
+def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float,
+               window: int) -> TiltSolution:
     """Solve the tilt equations for a threshold.
 
     Substituting the rate-matching condition into the centering condition
@@ -225,7 +224,7 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float, window: int,
     if lambda0 <= 0:
         raise ValueError("lambda0 must be positive")
     _, mean0, var0 = sm.null_cumulants
-    null_mean = null_window_mean(lambda0, sm, window, literal_condition)
+    null_mean = null_window_mean(lambda0, sm, window)
     if threshold < null_mean * (1.0 - 1e-12):
         raise ValueError(
             f"threshold {threshold!r} is below the null window mean {null_mean!r}"
@@ -491,9 +490,7 @@ def analytic_nu(tilt: TiltSolution, sm: ScoreModel, delta: float = 1.0) -> float
 
 def p_value(threshold: float, window: int, total_length: int, lambda0: float,
             sm: ScoreModel, rng: np.random.Generator | None = None, *,
-            delta: float = 1.0, nu_fixed: float | None = None,
-            ey1_literal: bool = False,
-            literal_condition: bool = False) -> PvalueReport:
+            nu_fixed: float | None = None) -> PvalueReport:
     """Tail probability of the scan maximum exceeding a threshold.
 
     The mean number of exceeding windows is (total_length - window) times
@@ -503,25 +500,26 @@ def p_value(threshold: float, window: int, total_length: int, lambda0: float,
     ``nu_fixed`` when given, else analytic_nu at the solved tilt. ``rng`` is
     accepted for compatibility and not used: the result is deterministic.
 
-    ``ey1_literal`` replaces the mean ladder increment with the plain
-    (threshold - lambda0 * mean score) difference. For the count score the
+    Under ``sm.compat_paper`` the mean ladder increment is the plain
+    (threshold - lambda0 * mean score) difference, and the tilt is centred
+    without the window factor (null_window_mean). For the count score the
     local-limit variance uses the tilted second moment, since the score is
     degenerate and its cumulant curvature vanishes.
 
     Raises:
         ValueError: threshold at or below the null window mean.
     """
-    tilt = solve_tilt(lambda0, sm, threshold, window, literal_condition)
+    tilt = solve_tilt(lambda0, sm, threshold, window)
     if tilt.theta1 <= 0.0:
         raise ValueError("threshold must strictly exceed the null window mean")
     mu0 = sm.null_cumulants[1]
     _, mean1, var1 = tilt._cumulants
     var_term = mean1 * mean1 if sm.kind == "pcs" else var1
-    nu = float(nu_fixed) if nu_fixed is not None else analytic_nu(tilt, sm, delta)
-    if ey1_literal:
+    nu = float(nu_fixed) if nu_fixed is not None else analytic_nu(tilt, sm)
+    if sm.compat_paper:
         mean_increment = threshold - lambda0 * mu0
     else:
-        mean_increment = delta * (tilt.lambda1 * mean1 - lambda0 * mu0)
+        mean_increment = tilt.lambda1 * mean1 - lambda0 * mu0
     exceed_exponent = (
         threshold * (tilt.theta1 - tilt.theta0)
         - window * (tilt.lambda1 - tilt.lambda0)
@@ -543,9 +541,8 @@ def p_value(threshold: float, window: int, total_length: int, lambda0: float,
 def threshold_for_alpha(alpha: float, window: int, total_length: int,
                         lambda0: float, sm: ScoreModel,
                         rng: np.random.Generator | None = None, *,
-                        delta: float = 1.0, nu_fixed: float | None = None,
-                        nu_entropy: int | None = None, ey1_literal: bool = False,
-                        literal_condition: bool = False) -> float:
+                        nu_fixed: float | None = None,
+                        nu_entropy: int | None = None) -> float:
     """Invert the p-value approximation: smallest threshold with p <= alpha.
 
     p is unimodal in the threshold b: an artifact branch rises from zero just
@@ -561,8 +558,9 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
     ALPHA_RTOL, or returns hi once the bracket about a sign change of h is
     narrower than 1e-10 of b. Without ``nu_fixed`` it runs at nu = 1 first,
     where p-values are cheap, then continues from that root on the real p,
-    one analytic_nu per step. ``rng`` and ``nu_entropy`` are ignored (the
-    result is deterministic).
+    one analytic_nu per step. p and the null mean follow ``sm.compat_paper``
+    as in p_value. ``rng`` and ``nu_entropy`` are ignored (the result is
+    deterministic).
 
     Raises:
         DomainError: h < 0 throughout a closed bracket (alpha above the peak).
@@ -570,14 +568,13 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    null_mean = null_window_mean(lambda0, sm, window, literal_condition)
+    null_mean = null_window_mean(lambda0, sm, window)
     target = np.log(-np.log1p(-alpha))
 
     def search(b: float, nu: float | None) -> float:
         lo, hi, last, attained = null_mean, np.inf, None, False
         for _ in range(ROOT_MAX_ITER):
-            rep = p_value(b, window, total_length, lambda0, sm, delta=delta, nu_fixed=nu,
-                          ey1_literal=ey1_literal, literal_condition=literal_condition)
+            rep = p_value(b, window, total_length, lambda0, sm, nu_fixed=nu)
             with np.errstate(divide="ignore"):
                 h = np.log(-np.log1p(-rep.p)) - target
             if abs(h) <= ALPHA_RTOL:

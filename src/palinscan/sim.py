@@ -404,9 +404,7 @@ def power_experiment(cfg: ExperimentConfig, kind: str, alpha: float = 0.05,
                      thresholds: dict[str, float] | None = None,
                      nu_fixed: float | None = None,
                      per_replicate_thresholds: bool = False,
-                     ey1_literal: bool = False,
-                     literal_condition: bool = False,
-                     bws_column_start: bool = False) -> PowerExperimentResult:
+                     compat_paper: bool = False) -> PowerExperimentResult:
     """Detection power of scan thresholds built from each rate estimator.
 
     Per replicate, the maximal window score overlapping each hot-spot
@@ -415,10 +413,10 @@ def power_experiment(cfg: ExperimentConfig, kind: str, alpha: float = 0.05,
     approximation at ``alpha`` under each estimator's scenario-averaged rate
     (or per replicate with ``per_replicate_thresholds``), or may be injected
     directly via ``thresholds`` with keys "average" and "markov". Scores and
-    tilt computations use the generator model.
+    tilt computations use the generator model; ``compat_paper`` selects the
+    paper's literal conventions for them (see ScoreModel).
     """
-    sm = ScoreModel(kind, cfg.model, cfg.half_length,
-                    bws_column_start=bws_column_start)
+    sm = ScoreModel(kind, cfg.model, cfg.half_length, compat_paper=compat_paper)
     bounds = [_segment_window_bounds(spec, cfg.window, cfg.seq_length)
               for spec in default_hotspot_specs(cfg)]
     seg_max = np.empty((cfg.replicates, len(bounds)))
@@ -434,8 +432,7 @@ def power_experiment(cfg: ExperimentConfig, kind: str, alpha: float = 0.05,
 
     def threshold(rate: float) -> float:
         return threshold_for_alpha(
-            alpha, cfg.window, cfg.seq_length, rate, sm, nu_fixed=nu_fixed,
-            ey1_literal=ey1_literal, literal_condition=literal_condition)
+            alpha, cfg.window, cfg.seq_length, rate, sm, nu_fixed=nu_fixed)
 
     estimates = {"average": avg, "markov": mk}
     rows = []

@@ -161,20 +161,23 @@ def enum_exact_length_mgf(pi, trans, min_half: int, k: int, t: float,
 
 
 def series_mgf(pi, trans, min_half: int, t, kind: str,
-               max_terms: int = 5000, rtol: float = 1e-14):
+               max_terms: int = 5000, rtol: float = 1e-14, bws_start=None):
     """Score MGF as a truncated sum of exact-length terms over the rate.
 
     Exact-length terms for k beyond enumeration reach use the matrix form
     v(t)' Q(t)^{k-1} u(t) built directly here (entrywise powers for the
     log-rarity score), which is the series the closed-form kernel must match.
-    Accepts a complex argument t.
+    Accepts a complex argument t. ``bws_start`` replaces the start weights
+    that the log-rarity form raises to 1 - t; the rate it is divided by keeps
+    the row form.
     """
     v0 = start_weights(pi, trans)
     tq = quasi_matrix(trans)
     close = closure_vector(trans)
     if kind == "bws":
         expo = 1.0 - t
-        base = np.where(v0 > 0, v0, 0.0)
+        start = v0 if bws_start is None else np.asarray(bws_start, dtype=float)
+        base = np.where(start > 0, start, 0.0)
         v = base.astype(complex) ** expo if np.iscomplex(t) else base**expo
         q = tq.astype(complex) ** expo if np.iscomplex(t) else tq**expo
         u = close.astype(complex) ** expo if np.iscomplex(t) else close**expo

@@ -1,7 +1,10 @@
 import io
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,15 +19,13 @@ from palinscan import (
     p_value,
     parse_fasta_file,
 )
-from palinscan.cli import SCAN_REPORT_KEYS, build_parser, config_from_args, main, run
+from palinscan.cli import SCAN_REPORT_KEYS, build_parser, main, run
 
 
 def invoke(*argv):
     """Run the CLI in-process; return (exit_code, stdout_text)."""
-    parser = build_parser()
-    config = config_from_args(parser.parse_args(list(argv)))
     buf = io.StringIO()
-    code = run(config, out=buf)
+    code = run(build_parser().parse_args(list(argv)), out=buf)
     return code, buf.getvalue()
 
 
@@ -50,17 +51,44 @@ class TestParser:
         assert exc.value.code == 2
 
     def test_defaults(self):
-        args = build_parser().parse_args(["scan"])
-        config = config_from_args(args)
-        assert config.half_length == 6
-        assert config.window == 1000
-        assert config.alpha == 0.05
-        assert config.score == "pls"
-        assert config.multipliers == [(1.0, 1.0, 1.0)]
+        parse = build_parser().parse_args
+        scan = parse(["scan"])
+        assert scan.half_length == 6
+        assert scan.window == 1000
+        assert scan.score == "pls"
+        assert parse(["power"]).alpha == 0.05
+        assert parse(["mgf"]).points == 25
+        # no --multipliers means the one scenario (1, 1, 1)
+        assert parse(["simulate"]).multipliers is None
+        _, text = invoke("simulate", "--replicates", "1", "--length", "20000")
+        assert text.splitlines()[1].startswith("1\t1\t1\t")
 
     def test_invalid_alpha_exits_2(self):
         with pytest.raises(SystemExit) as exc:
-            main(["scan", "--alpha", "1.5"])
+            main(["power", "--alpha", "1.5"])
+        assert exc.value.code == 2
+
+    def test_flags_of_other_subcommands_exit_2(self, capsys):
+        for argv in (["mgf", "--replicates", "5"], ["estimate", "--w", "10"],
+                     ["scan", "--alpha", "0.1"], ["simulate", "--score", "bws"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err
+        # scan keeps --seed, which it ignores, for callers that pass it
+        assert build_parser().parse_args(["scan", "--seed", "11"]).seed == 11
+
+    @pytest.mark.parametrize("argv", [
+        ["power", "--w", "0"],
+        ["power", "--replicates", "0"],
+        ["power", "--nu-fixed", "0"],
+        ["power", "--nu-fixed", "1.5"],
+        ["mgf", "--points", "1"],
+        ["simulate", "--multipliers", "0.5,1,1"],
+    ])
+    def test_out_of_range_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2
 
     def test_invalid_half_length_exits_2(self):
@@ -179,13 +207,12 @@ class TestScan:
         # lambda0 * mu0, so a threshold between the two gets its p-value
         model = estimate_model(sample_record.seq)
         lambda0 = markov_rate(model, 6).value
-        sm = ScoreModel("pls", model, 6, bws_column_start=True)
+        sm = ScoreModel("pls", model, 6, compat_paper=True)
         b = 0.5 * 1000 * lambda0 * sm.null_cumulants[1]
         _, text = invoke("scan", "--input", sample_path, "--nu-fixed", "1.0",
                          "--threshold", repr(b), "--compat-paper")
         row = dict(zip(*[l.split("\t") for l in text.splitlines()]))
-        rep = p_value(b, 1000, sample_record.seq.length, lambda0, sm, nu_fixed=1.0,
-                      ey1_literal=True, literal_condition=True)
+        rep = p_value(b, 1000, sample_record.seq.length, lambda0, sm, nu_fixed=1.0)
         assert rep.tilt.theta1 > 0.0
         assert float(row["theta1"]) == pytest.approx(rep.tilt.theta1, rel=1e-9)
         assert float(row["p"]) == pytest.approx(rep.p, rel=1e-9)
@@ -364,6 +391,19 @@ class TestPinnedOutput:
         header = ("kind\talpha\tmultipliers\testimator\trate\tthreshold"
                   "\tpower1\tpower2\tpower3")
         assert text == "\n".join([header, *(f"{kind}\t0.05\t{x}" for x in lines)]) + "\n"
+
+
+class TestReadme:
+    def test_command_line_examples_parse(self):
+        # every example in README's "Command line" block must stay valid
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("## Command line", 1)[1]
+        block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+        lines = [l.split("#", 1)[0] for l in block.splitlines()
+                 if l.startswith("palinscan ")]
+        assert len(lines) >= 5
+        for line in lines:
+            build_parser().parse_args(shlex.split(line)[1:])
 
 
 class TestConsoleScript:

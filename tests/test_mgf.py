@@ -151,6 +151,21 @@ class TestKernelAgainstSeriesOracle:
         with pytest.raises(ValueError):
             bws_mgf(pls, 0.1)
 
+    def test_compat_paper_bws_column_start(self):
+        # compat_paper takes the bws start weights from the column form
+        # (I - T) pi instead of the row form pi (I - T). BoHV-1 is so close
+        # to symmetric that the two differ by 4e-7 at t = 0.3; this model
+        # moves the MGF there by about 7%.
+        pi, trans = random_model(np.random.default_rng(2))
+        model = MarkovModel(pi=pi, trans=trans)
+        column = pi - quasi_matrix(trans) @ pi
+        compat = ScoreModel("bws", model, 6, compat_paper=True)
+        for t in (0.0, 0.3, -0.5):
+            oracle = series_mgf(pi, trans, 6, t, "bws", bws_start=column)
+            assert score_mgf(compat, t) == pytest.approx(oracle, rel=1e-8)
+        default = score_mgf(ScoreModel("bws", model, 6), 0.3)
+        assert abs(score_mgf(compat, 0.3) / default - 1.0) > 0.01
+
     def test_pcs_closed_form(self, bohv1):
         sm = ScoreModel("pcs", bohv1, 6)
         for t in (0.0, 0.7, 2.5, -1.0):

@@ -113,10 +113,12 @@ class TestSolveTilt:
             lam0 * score_mgf(sm, tilt.theta1), rel=1e-10
         )
 
-    def test_literal_condition_variant(self, lam0, pls):
+    def test_literal_condition_variant(self, lam0):
+        # compat_paper centres on lambda1 * phi'(theta1) = b, without the window
+        sm = ScoreModel("pls", bohv1_model(), 6, compat_paper=True)
         b = 10.0
-        tilt = solve_tilt(lam0, pls, b, WINDOW, literal_condition=True)
-        lhs = tilt.lambda1 * log_mgf_prime(pls, tilt.theta1)
+        tilt = solve_tilt(lam0, sm, b, WINDOW)
+        lhs = tilt.lambda1 * log_mgf_prime(sm, tilt.theta1)
         assert lhs == pytest.approx(b, rel=1e-8)
 
     def test_threshold_at_null_mean_gives_zero_tilt(self, lam0, pls):
@@ -148,15 +150,22 @@ class TestPvalue:
         assert rep.p == pytest.approx(-np.expm1(-hits), rel=1e-10)
         assert rep.rate_function == pytest.approx(exponent / WINDOW, rel=1e-12)
 
-    def test_ey1_literal_variant(self, lam0, pcs):
-        b = 9.0
-        base = p_value(b, WINDOW, W, lam0, pcs, nu_fixed=1.0)
-        lit = p_value(b, WINDOW, W, lam0, pcs, nu_fixed=1.0, ey1_literal=True)
-        # for counts: delta*(lambda1*phi' - lambda0*phi'(0)) = b/w - lambda0,
-        # while the literal form uses b - lambda0 (order window/1 larger)
-        ratio = np.log1p(-lit.p) / np.log1p(-base.p)
-        expected = (b - lam0 * WINDOW * 1.0 / WINDOW) / (b / WINDOW - lam0) / WINDOW
-        assert ratio == pytest.approx(expected * WINDOW, rel=1e-6)
+    def test_ey1_literal_variant(self, lam0):
+        # compat_paper, recomputed for counts (phi' = 1): the literal centring
+        # lambda1 * phi'(theta1) = b gives lambda1 = b and theta1 = log(b /
+        # lambda0), and the mean increment is b - lambda0 * mu0. A short
+        # window keeps p inside (0, 1); at w = 1000 it clamps to 1.
+        sm = ScoreModel("pcs", bohv1_model(), 6, compat_paper=True)
+        b, window = 4.0, 5
+        rep = p_value(b, window, W, lam0, sm, nu_fixed=1.0)
+        theta1 = np.log(b / lam0)
+        assert rep.tilt.lambda1 == pytest.approx(b, rel=1e-12)
+        assert rep.tilt.theta1 == pytest.approx(theta1, rel=1e-12)
+        exponent = b * theta1 - window * (b - lam0)
+        local = 1.0 / np.sqrt(2.0 * np.pi * window * b)
+        hits = (W - window) * (b - lam0) * np.exp(-exponent) * local
+        assert 0.01 < rep.p < 0.99
+        assert rep.p == pytest.approx(-np.expm1(-hits), rel=1e-9)
 
     def test_small_tilt_shortcut(self, lam0, pls):
         # small tilts take the analytic nu too, which tends to its zero-tilt
