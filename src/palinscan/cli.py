@@ -44,6 +44,7 @@ from .scan import null_window_mean, p_value, window_scores
 from .seqio import ALPHABET, FastaRecord, fetch_sequence, parse_fasta_file
 from .sim import (
     ExperimentConfig,
+    min_seq_length,
     power_experiment,
     power_result_to_tsv,
     rate_experiment,
@@ -224,6 +225,9 @@ def _cmd_scan(args: argparse.Namespace, out) -> int:
     records = _load_records(args)
     if not records:
         raise PalinscanError("scan needs --input or --accession")
+    if len(records) > 1:
+        raise PalinscanError(f"scan takes one sequence, but the input holds "
+                             f"{len(records)} records")
     seq = records[0].seq
     total_length = seq.length
     model = estimate_model(seq)
@@ -320,13 +324,21 @@ def _cmd_mgf(args: argparse.Namespace, out) -> int:
 def _experiments(args: argparse.Namespace, **fields) -> list[ExperimentConfig]:
     """One experiment per --multipliers scenario, on the --input model."""
     model = _model_for(_load_records(args))
-    return [
+    configs = [
         ExperimentConfig(model=model, seq_length=args.seq_length,
                          half_length=args.half_length, replicates=args.replicates,
                          multipliers=scenario, lambda0_target=args.lambda0_target,
                          master_seed=args.seed, **fields)
         for scenario in args.multipliers or [(1.0, 1.0, 1.0)]
     ]
+    for cfg in configs:
+        shortest = min_seq_length(cfg)
+        if cfg.seq_length < shortest:
+            raise PalinscanError(
+                f"--length {cfg.seq_length} is too short for "
+                f"{len(cfg.multipliers)} hot-spot segments of "
+                f"{cfg.hotspot_length} bp; use --length {shortest} or more")
+    return configs
 
 
 def _cmd_simulate(args: argparse.Namespace, out) -> int:

@@ -108,13 +108,13 @@ def estimate_model(seq: DnaSeq, pseudocount: float = 0.0) -> MarkovModel:
     b = seq.bases
     if b.size < 2:
         raise EstimationError("need at least two bases to estimate transitions")
-    base_counts = np.bincount(b, minlength=4).astype(float)
     pair_counts = (
-        np.bincount(b[:-1].astype(np.intp) * 4 + b[1:], minlength=16)
-        .reshape(4, 4)
-        .astype(float)
+        np.bincount((b[:-1] << 2) | b[1:], minlength=16).reshape(4, 4).astype(float)
     )
     row_totals = pair_counts.sum(axis=1)
+    # every base but the last starts one pair
+    base_counts = row_totals.copy()
+    base_counts[b[-1]] += 1.0
     if pseudocount == 0.0 and np.any(row_totals == 0):
         missing = "".join("ACGT"[i] for i in np.flatnonzero(row_totals == 0))
         raise EstimationError(
@@ -236,10 +236,12 @@ def generate_sequence(model: MarkovModel, length: int,
     2s..2s+1 hold the base that follows base s, namely the number of row s's
     first three cumulative transition probabilities that u exceeds. The
     chain is realised without a per-base Python loop: the maps are cut into
-    about sqrt(length) blocks, each block's prefix compositions are built
-    column by column through a 256x256 composition table, the block start
-    bases follow by one pass over the block-final maps, and each base is
-    read out of its prefix map by shift and mask.
+    blocks, each block's prefix compositions are built column by column
+    through a 256x256 composition table, the block start bases follow by one
+    pass over the block-final maps, and each base is read out of its prefix
+    map by shift and mask. A column step costs about as much as 32 turns of
+    the start-base pass, so blocks of about sqrt(length / 32) maps balance
+    the two loops.
     """
     if length < 0:
         raise ValueError("length must be non-negative")
@@ -253,7 +255,7 @@ def generate_sequence(model: MarkovModel, length: int,
     if m == 0:
         return DnaSeq(bases=out, source_id="generated")
 
-    block = max(int(math.isqrt(m)), 1)
+    block = max(math.isqrt(m // 32), 1)
     nblocks = -(-m // block)
     # steps[t] maps the base at position t + 1 to the base at position t + 2;
     # the padding after the last step is never read out

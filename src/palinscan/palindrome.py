@@ -53,10 +53,13 @@ class PalindromeBank:
 def find_palindromes(s: DnaSeq, min_half_length: int) -> list[PalindromeEvent]:
     """All maximal palindromes with half-length >= min_half_length.
 
-    Works breadth-first over extension depth: all centres matching at depth 1
-    are found in one vectorised pass, then the surviving set is re-tested at
-    depth 2, and so on. Each round discards a (1 - gamma) fraction of centres
-    on typical sequences, so total work is close to linear.
+    Every kept centre c pairs b[c + k] with the complement of b[c - k + 1]
+    at all depths k = 1..L (L = min_half_length), so those depths are tested
+    densely, as L comparisons of shifted views over the centres that have
+    room for them. Only the centres matching at every one of them are then
+    extended, one depth per round, each round keeping the centres that
+    still match. Each round discards a (1 - gamma) fraction of centres on
+    typical sequences, so total work is close to linear.
 
     Returns events sorted by centre. Overlapping palindromes at different
     centres are all reported.
@@ -65,11 +68,18 @@ def find_palindromes(s: DnaSeq, min_half_length: int) -> list[PalindromeEvent]:
         raise ValueError("min_half_length must be >= 1")
     b = s.bases
     n = b.size
+    low = min_half_length - 1  # the first centre with room for depth L
+    count = n - 2 * min_half_length + 1
+    if count <= 0:
+        return []
     comp = (3 - b).astype(np.uint8)
-    centers = np.flatnonzero(b[1:] == comp[:-1])
-    half = np.ones(centers.size, dtype=np.int64)
+    match = np.ones(count, dtype=bool)
+    for k in range(1, min_half_length + 1):
+        match &= b[low + k : low + k + count] == comp[low - k + 1 : low - k + 1 + count]
+    centers = low + np.flatnonzero(match)
+    half = np.full(centers.size, min_half_length, dtype=np.int64)
     alive = np.arange(centers.size)
-    depth = 2
+    depth = min_half_length + 1
     while alive.size:
         c = centers[alive]
         inside = (c - depth + 1 >= 0) & (c + depth < n)
@@ -81,11 +91,10 @@ def find_palindromes(s: DnaSeq, min_half_length: int) -> list[PalindromeEvent]:
         depth += 1
 
     # the patterns are slices of bases that s already validated
-    keep = half >= min_half_length
     return [
         PalindromeEvent(center=c, half_length=h,
                         pattern=DnaSeq._trusted(b[c - h + 1 : c + h + 1].copy(), s.source_id))
-        for c, h in zip(centers[keep].tolist(), half[keep].tolist())
+        for c, h in zip(centers.tolist(), half.tolist())
     ]
 
 

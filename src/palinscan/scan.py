@@ -47,33 +47,96 @@ NU_TILT_FLOOR_GAP = 1e-6
 
 @dataclass(frozen=True)
 class WindowSeries:
-    """Sliding-window score sums over a sequence.
+    """Sliding-window score sums over a sequence, held as the scored event
+    positions and the running total of their scores.
+
+    Window t, for t = 0 .. total_length - window, covers positions t + 1 ..
+    t + window. Its sum is cumulative[i] - cumulative[j], where i and j
+    count the positions <= t + window and <= t, so any window costs two
+    binary searches and no per-base array is built. Scores are non-negative
+    (window_scores rejects others); see peak for why that matters.
 
     Attributes:
         window: window width in bases.
         total_length: sequence length in bases.
-        values: values[t] = sum of scores at positions in (t, t + window],
-            for t = 0 .. total_length - window.
+        positions: strictly increasing event positions in [0, total_length).
+        cumulative: cumulative[k] = total score at the first k positions;
+            one entry longer than positions and non-decreasing.
     """
 
     window: int
     total_length: int
-    values: np.ndarray
+    positions: np.ndarray
+    cumulative: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.total_length - self.window + 1,):
-            raise ValueError("values must have length total_length - window + 1")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        if not 1 <= self.window <= self.total_length:
+            raise ValueError("window must satisfy 1 <= window <= total_length")
+        positions = np.asarray(self.positions, dtype=np.int64)
+        cumulative = np.asarray(self.cumulative, dtype=float)
+        if positions.ndim != 1 or cumulative.shape != (positions.size + 1,):
+            raise ValueError("cumulative must have one entry more than positions")
+        if positions.size and (positions[0] < 0 or positions[-1] >= self.total_length):
+            raise ValueError("event position out of range")
+        if np.any(np.diff(positions) <= 0) or np.any(np.diff(cumulative) < 0):
+            raise ValueError("positions must increase and cumulative must not decrease")
+        for name, array in (("positions", positions), ("cumulative", cumulative)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    def _sums(self, starts) -> np.ndarray:
+        """Window sums at the given window starts."""
+        starts = np.asarray(starts, dtype=np.int64)
+        right = np.searchsorted(self.positions, starts + self.window, side="right")
+        left = np.searchsorted(self.positions, starts, side="right")
+        return self.cumulative[right] - self.cumulative[left]
+
+    def peak(self, lo: int = 0, hi: int | None = None) -> tuple[int, float]:
+        """The first of the window starts lo..hi with the largest sum, and
+        that sum (hi defaults to the last start).
+
+        Moving a window one base to the left adds the score of the base it
+        gains, which is >= 0, and loses only the score at its old right end.
+        So the first maximum lies at lo or at a start whose window ends on
+        an event, and only those starts are summed. The float sums obey the
+        same order, since a running total of non-negative terms never
+        decreases, so the result equals a scan over every start exactly.
+        """
+        last = self.total_length - self.window
+        hi = last if hi is None else hi
+        if not 0 <= lo <= hi <= last:
+            raise ValueError("window starts need 0 <= lo <= hi <= total_length - window")
+        w = self.window
+        first, stop = np.searchsorted(self.positions, [lo + w, hi + w], side="right")
+        starts = np.concatenate(([lo], self.positions[first:stop] - w))
+        sums = self._sums(starts)
+        k = int(np.argmax(sums))
+        return int(starts[k]), float(sums[k])
 
     @cached_property
+    def _overall_peak(self) -> tuple[int, float]:
+        return self.peak()
+
+    @property
     def argmax(self) -> int:
-        return int(np.argmax(self.values))
+        return self._overall_peak[0]
 
     @property
     def max_value(self) -> float:
-        return float(self.values[self.argmax])
+        return self._overall_peak[1]
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """values[t] = sum of the window at start t, for every start; built
+        on first use, as it holds one float per base."""
+        n, w = self.total_length, self.window
+        # prefix[k] = cumulative[number of positions <= k]
+        prefix = np.repeat(self.cumulative, np.diff(self.positions, prepend=0, append=n))
+        values = np.empty(n - w + 1)
+        np.subtract(prefix[w:], prefix[: n - w], out=values[:-1])
+        values[-1] = prefix[-1] - prefix[n - w]
+        values.flags.writeable = False
+        return values
 
 
 @dataclass(frozen=True)
@@ -140,36 +203,30 @@ class PvalueReport:
 
 
 def window_scores(events, window: int, total_length: int) -> WindowSeries:
-    """Sum scores over every window position in one prefix-sum pass.
+    """Window sums of event scores over every window start.
 
     Args:
-        events: iterable of (position, score) pairs, positions in
-            [0, total_length).
+        events: iterable of (position, score) pairs in any order, positions
+            in [0, total_length) and scores finite and >= 0; the scores at a
+            repeated position are added in input order.
         window: window width.
         total_length: sequence length.
 
     Raises:
-        ValueError: width out of range or an event position outside the
-            sequence.
+        ValueError: width out of range, an event position outside the
+            sequence, or a negative or non-finite score.
     """
-    if not 1 <= window <= total_length:
-        raise ValueError("window must satisfy 1 <= window <= total_length")
     pairs = list(events)
-    per_position = np.zeros(total_length)
-    if pairs:
-        pos = np.asarray([p for p, _ in pairs], dtype=np.int64)
-        scores = np.asarray([x for _, x in pairs], dtype=float)
-        if pos.min() < 0 or pos.max() >= total_length:
-            raise ValueError("event position out of range")
-        np.add.at(per_position, pos, scores)
-    # prefix[k]: total score at positions 0..k. Window t covers positions
-    # t + 1 .. t + window, so it sums to prefix[t + window] - prefix[t]; the
-    # last window stops at the sequence end.
-    prefix = np.cumsum(per_position, out=per_position)
-    values = np.empty(total_length - window + 1)
-    np.subtract(prefix[window:], prefix[:total_length - window], out=values[:-1])
-    values[-1] = prefix[-1] - prefix[total_length - window]
-    return WindowSeries(window=window, total_length=total_length, values=values)
+    pos = np.asarray([p for p, _ in pairs], dtype=np.int64)
+    scores = np.asarray([x for _, x in pairs], dtype=float)
+    if not np.all((scores >= 0.0) & (scores < np.inf)):
+        raise ValueError("event scores must be finite and non-negative")
+    positions, slot = np.unique(pos, return_inverse=True)
+    per_position = np.zeros(positions.size)
+    np.add.at(per_position, slot, scores)
+    cumulative = np.concatenate(([0.0], np.cumsum(per_position)))
+    return WindowSeries(window=window, total_length=total_length,
+                        positions=positions, cumulative=cumulative)
 
 
 def llr_statistics(series: WindowSeries, tilt: TiltSolution,

@@ -32,6 +32,21 @@ for _ws in " \t\r\n\v\f":
 
 _DECODE = np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)
 
+# parse_fasta reads FASTA text the way str.splitlines and str.strip see it.
+# Its byte classes: bases 0..3 and dropped symbols 255 as in _CODE, then the
+# line breaks splitlines knows, the whitespace strip removes that ends no
+# line, and \x1f, which strip removes at a line's ends but which is a dropped
+# symbol inside a line.
+_BREAK, _INDENT, _UNIT_SEPARATOR = 254, 253, 252
+_LINE_BREAKS = b"\n\r\v\f\x1c\x1d\x1e"
+_FASTA_CODE = _CODE.copy()
+_FASTA_CODE[list(_LINE_BREAKS)] = _BREAK
+_FASTA_CODE[list(b" \t")] = _INDENT
+_FASTA_CODE[0x1F] = _UNIT_SEPARATOR
+_FASTA_TABLE = _FASTA_CODE.tobytes()  # for bytes.translate, far faster than indexing
+_LINE_BREAK_RE = re.compile(b"[" + re.escape(_LINE_BREAKS) + b"]")
+_NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
+
 
 @dataclass(frozen=True, eq=False)
 class DnaSeq:
@@ -122,20 +137,49 @@ class FastaRecord:
             raise FastaError("FASTA record id must be non-empty")
 
 
+def _ascii_stand_in(match: re.Match) -> str:
+    """The ASCII character that parse_fasta treats like the non-ASCII one
+    matched: a line break for those str.splitlines breaks at, \\x1f for
+    other whitespace, and '?' (a dropped symbol) for the rest."""
+    c = match.group()
+    if c in "\x85\u2028\u2029":
+        return "\n"
+    return "\x1f" if c.isspace() else "?"
+
+
+def _inner_separators(codes: np.ndarray) -> int:
+    """How many \\x1f codes stand inside a line, between two characters
+    that are neither whitespace nor a line break."""
+    separators = np.flatnonzero(codes == _UNIT_SEPARATOR)
+    if not separators.size:
+        return 0
+    stops = np.flatnonzero((codes <= 3) | (codes >= _BREAK))
+    i = np.searchsorted(stops, separators)
+    i = i[(i > 0) & (i < stops.size)]
+    return int(np.count_nonzero((codes[stops[i - 1]] != _BREAK)
+                                & (codes[stops[i]] != _BREAK)))
+
+
 def parse_fasta(source) -> list[FastaRecord]:
     """Parse FASTA text into records, cleaning each sequence.
 
+    Lines are those of str.splitlines, stripped of whitespace; empty ones
+    are skipped. A line starting with '>' is a header whose stripped rest is
+    the record id; the lines up to the next header are its sequence.
+
     Args:
-        source: bytes, str, or a file-like object yielding either.
+        source: bytes (read as ASCII, each other byte a replacement
+            character), str, or a file-like object yielding either.
 
     Returns:
-        One ``FastaRecord`` per '>' header, in file order. Sequence lines are
-        concatenated, upper-cased, and non-ACGT symbols are dropped and
-        counted per record.
+        One ``FastaRecord`` per header, in file order. Sequence lines are
+        concatenated and upper-cased; whitespace inside them is skipped and
+        any other non-ACGT symbol is dropped and counted per record.
 
     Raises:
-        FastaError: empty input, sequence data before the first header, or a
-            record with zero valid symbols.
+        FastaError: empty input, sequence data before the first header, a
+            header with an empty id, or a record with zero valid symbols,
+            whichever comes first in the text.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -147,33 +191,38 @@ def parse_fasta(source) -> list[FastaRecord]:
     if not text.strip():
         raise FastaError("empty FASTA input")
 
-    records: list[FastaRecord] = []
-    header: str | None = None
-    chunks: list[str] = []
-
-    def flush():
-        if header is None:
-            return
-        seq = DnaSeq.from_string("".join(chunks), source_id=header)
-        if seq.length == 0:
-            raise FastaError(f"record {header!r} has no valid ACGT symbols")
-        records.append(FastaRecord(id=header, seq=seq))
-
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
+    # one ASCII byte per character, so offsets into data are offsets into text
+    ascii_text = text if text.isascii() else _NON_ASCII_RE.sub(_ascii_stand_in, text)
+    data = ascii_text.encode("ascii")
+    codes = np.frombuffer(data.translate(_FASTA_TABLE), dtype=np.uint8)
+    headers: list[tuple[int, int]] = []  # offset of each header's '>', end of its line
+    at = data.find(b">")
+    while at >= 0:
+        p = at - 1
+        while p >= 0 and codes[p] in (_INDENT, _UNIT_SEPARATOR):
+            p -= 1
+        if p >= 0 and codes[p] != _BREAK:  # a '>' inside a sequence line
+            at = data.find(b">", at + 1)
             continue
-        if line.startswith(">"):
-            flush()
-            header = line[1:].strip()
-            if not header:
-                raise FastaError("FASTA header line with empty id")
-            chunks = []
-        else:
-            if header is None:
-                raise FastaError("sequence data before first '>' header")
-            chunks.append(line)
-    flush()
+        eol = _LINE_BREAK_RE.search(data, at)
+        end = eol.start() if eol else len(data)
+        headers.append((at, end))
+        at = data.find(b">", end)
+
+    if text[: headers[0][0] if headers else len(text)].strip():
+        raise FastaError("sequence data before first '>' header")
+    records: list[FastaRecord] = []
+    for k, (at, end) in enumerate(headers):
+        header = text[at + 1 : end].strip()
+        if not header:
+            raise FastaError("FASTA header line with empty id")
+        body = codes[end : headers[k + 1][0] if k + 1 < len(headers) else len(codes)]
+        bases = body[body <= 3]
+        if bases.size == 0:
+            raise FastaError(f"record {header!r} has no valid ACGT symbols")
+        dropped = np.count_nonzero(body == 255) + _inner_separators(body)
+        records.append(FastaRecord(id=header, seq=DnaSeq(
+            bases=bases, source_id=header, dropped_count=int(dropped))))
     return records
 
 

@@ -11,7 +11,7 @@ do not depend on execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -156,6 +156,30 @@ def _validate_specs(specs, seq_length: int) -> None:
     for a, b in zip(ordered, ordered[1:]):
         if a.stop > b.start:
             raise ValueError(f"hotspots {a} and {b} overlap")
+
+
+def min_seq_length(cfg: ExperimentConfig) -> int:
+    """Shortest seq_length from which on the default hot-spot layout of cfg
+    (hotspot_starts None) places every segment inside the sequence, with no
+    two overlapping.
+
+    From (hotspot_length + 1) * (segments + 1) bases on, neighbouring
+    segments start at least hotspot_length apart and the outer ones keep
+    clear of the ends whatever the rounding of the starts, so the search
+    steps down from there.
+    """
+    def fits(n: int) -> bool:
+        try:
+            specs = default_hotspot_specs(replace(cfg, seq_length=n, hotspot_starts=None))
+            _validate_specs(specs, n)
+        except ValueError:
+            return False
+        return True
+
+    n = (cfg.hotspot_length + 1) * (len(cfg.multipliers) + 1)
+    while n > 1 and fits(n - 1):
+        n -= 1
+    return n
 
 
 def insert_hotspots(background: DnaSeq, specs, bank: PalindromeBank,
@@ -428,7 +452,7 @@ def power_experiment(cfg: ExperimentConfig, kind: str, alpha: float = 0.05,
         series = window_scores(zip([e.center for e in events], scores),
                                cfg.window, cfg.seq_length)
         for j, (lo, hi) in enumerate(bounds):
-            seg_max[i, j] = series.values[lo : hi + 1].max()
+            seg_max[i, j] = series.peak(lo, hi)[1]
 
     def threshold(rate: float) -> float:
         return threshold_for_alpha(

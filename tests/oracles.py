@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 from hypothesis import strategies as st
 
-from palinscan.errors import InfiniteScoreError, NonFiniteError
+from palinscan.errors import EstimationError, FastaError, InfiniteScoreError, NonFiniteError
 
 DERIV_STEP = 1e-5
 DERIV_STEP_SECOND = 2e-4
@@ -36,6 +36,51 @@ def naive_parse_fasta(text: str) -> list[tuple[str, str]]:
             chunks.append("".join(c for c in line.upper() if c in LETTER))
     if header is not None:
         records.append((header, "".join(chunks)))
+    return records
+
+
+def line_parse_fasta(source) -> list[tuple[str, str, int]]:
+    """FASTA records as (id, upper-case ACGT sequence, dropped count).
+
+    Reads line by line: lines come from str.splitlines and are stripped; a
+    stripped line starting with '>' is a header, anything else non-empty is
+    sequence. In sequence lines ACGT (either case) is kept, the whitespace
+    " \\t\\r\\n\\v\\f" is skipped, and every other character counts as
+    dropped. Bytes are decoded as ASCII with one replacement character per
+    non-ASCII byte. Raises FastaError with parse_fasta's messages.
+    """
+    text = source.decode("ascii", errors="replace") if isinstance(source, bytes) else source
+    if not text.strip():
+        raise FastaError("empty FASTA input")
+    records: list[tuple[str, str, int]] = []
+    header = None
+    chunks: list[str] = []
+
+    def flush():
+        if header is None:
+            return
+        body = "".join(chunks)
+        seq = "".join(c.upper() for c in body if c in "ACGTacgt")
+        dropped = sum(c not in "ACGTacgt \t\r\n\v\f" for c in body)
+        if not seq:
+            raise FastaError(f"record {header!r} has no valid ACGT symbols")
+        records.append((header, seq, dropped))
+
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith(">"):
+            flush()
+            header = line[1:].strip()
+            if not header:
+                raise FastaError("FASTA header line with empty id")
+            chunks = []
+        else:
+            if header is None:
+                raise FastaError("sequence data before first '>' header")
+            chunks.append(line)
+    flush()
     return records
 
 
@@ -219,6 +264,44 @@ def window_sums(events: list[tuple[int, float]], window: int,
                 acc += score
         values[t] = acc
     return values
+
+
+def dense_window_sums(events: list[tuple[int, float]], window: int,
+                      total_length: int) -> np.ndarray:
+    """Windowed scores from a per-position prefix sum over the whole sequence.
+
+    Scores are added into one slot per position (repeats in input order),
+    the slots are cumulated, and window t is prefix[t + window] - prefix[t],
+    the last window stopping at the sequence end.
+    """
+    per_position = np.zeros(total_length)
+    for pos, score in events:
+        per_position[pos] += score
+    prefix = np.cumsum(per_position)
+    values = np.empty(total_length - window + 1)
+    values[:-1] = prefix[window:] - prefix[:total_length - window]
+    values[-1] = prefix[-1] - prefix[total_length - window]
+    return values
+
+
+def counted_model(bases, pseudocount: float = 0.0):
+    """(pi, trans) of a first-order fit by counting bases and adjacent pairs.
+
+    Raises EstimationError when, without a pseudocount, some base is never
+    followed by another.
+    """
+    bases = [int(x) for x in bases]
+    base_counts = [float(bases.count(i)) for i in range(4)]
+    pairs = [[0.0] * 4 for _ in range(4)]
+    for a, b in zip(bases, bases[1:]):
+        pairs[a][b] += 1.0
+    rows = [sum(r) for r in pairs]
+    if pseudocount == 0.0 and 0.0 in rows:
+        raise EstimationError("a base is never followed by another")
+    pi = [(c + pseudocount) / (len(bases) + 4.0 * pseudocount) for c in base_counts]
+    trans = [[(x + pseudocount) / (rows[i] + 4.0 * pseudocount) for x in pairs[i]]
+             for i in range(4)]
+    return np.array(pi), np.array(trans)
 
 
 def iid_match_gamma(pi) -> float:

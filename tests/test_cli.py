@@ -247,6 +247,18 @@ class TestScan:
         code, _ = invoke("scan")
         assert code == 1
 
+    def test_more_than_one_record_exits_1(self, data_dir, sample_path, capsys):
+        code, _ = invoke("scan", "--input", str(data_dir / "mixed.fa"))
+        assert code == 1
+        assert "3 records" in capsys.readouterr().err
+        code, _ = invoke("scan", "--input", sample_path, "--input", sample_path)
+        assert code == 1
+        assert "2 records" in capsys.readouterr().err
+        # estimate still reports every record
+        code, text = invoke("estimate", "--input", sample_path, "--input", sample_path)
+        assert code == 0
+        assert len(text.splitlines()) == 3
+
 
 class TestMgf:
     def test_grid_layout(self):
@@ -319,6 +331,17 @@ class TestSimulate:
         assert payload[0]["lambda_avg"] > 0.0
 
 
+    def test_length_too_short_exits_1(self, capsys):
+        code, _ = invoke("simulate", "--replicates", "1", "--length", "10")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--length 10" in err and "--length 4000 or more" in err
+        code, _ = invoke("simulate", "--replicates", "1", "--length", "3999")
+        assert code == 1
+        code, _ = invoke("simulate", "--replicates", "1", "--length", "4000")
+        assert code == 0
+
+
 class TestPower:
     ARGS = ("power", "--replicates", "2", "--length", "20000",
             "--multipliers", "10,10,10", "--nu-fixed", "1.0", "--seed", "3")
@@ -345,6 +368,19 @@ class TestPower:
         assert payload[0]["kind"] == "pls"
         assert [r["estimator"] for r in payload[0]["rows"]] == ["average", "markov"]
         assert all(len(r["powers"]) == 3 for r in payload[0]["rows"])
+
+
+    def test_length_too_short_exits_1(self, capsys):
+        code, _ = invoke("power", "--replicates", "1", "--length", "500",
+                         "--nu-fixed", "1.0")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--length 500" in err and "--length 4000 or more" in err
+        # two segments fit on a shorter sequence
+        code, _ = invoke("power", "--replicates", "1", "--length", "2999",
+                         "--multipliers", "2,2", "--nu-fixed", "1.0")
+        assert code == 1
+        assert "--length 3000 or more" in capsys.readouterr().err
 
 
 class TestPinnedOutput:

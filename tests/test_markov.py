@@ -26,6 +26,7 @@ from palinscan import (
 )
 
 from oracles import (
+    counted_model,
     enum_markov_rate,
     iid_match_gamma,
     quasi_matrix,
@@ -34,14 +35,15 @@ from oracles import (
 )
 
 # Lengths at the sampler's block boundaries: it cuts the m = length - 1
-# steps into blocks of isqrt(m), so both the lengths and the step counts
-# k^2, k^2 +- 1 and k(k + 1) are edges.
+# steps into blocks of isqrt(m // 32), which changes size where m // 32
+# reaches k^2 and fills its last block exactly at m = 32 k(k + 1); so the
+# step counts 32 k^2 and 32 k(k + 1), each +- 1, are edges.
 BLOCK_EDGES = sorted({
-    n
-    for k in range(1, 71)
-    for edge in (k * k - 1, k * k, k * k + 1, k * (k + 1))
-    for n in (edge, edge + 1)
-    if 1 <= n <= 5000
+    m + 1
+    for k in range(1, 13)
+    for edge in (32 * k * k, 32 * k * (k + 1))
+    for m in (edge - 1, edge, edge + 1)
+    if m + 1 <= 5000
 })
 
 
@@ -92,6 +94,21 @@ class TestEstimateModel:
     def test_negative_pseudocount(self):
         with pytest.raises(ValueError):
             estimate_model(DnaSeq.from_string("ACGT"), pseudocount=-1.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(bases=st.lists(st.integers(0, 3), min_size=2, max_size=60),
+           pseudocount=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_matches_direct_counting(self, bases, pseudocount):
+        seq = DnaSeq(bases=np.array(bases, dtype=np.uint8))
+        try:
+            pi, trans = counted_model(bases, pseudocount)
+        except EstimationError:
+            with pytest.raises(EstimationError):
+                estimate_model(seq, pseudocount)
+            return
+        m = estimate_model(seq, pseudocount)
+        assert np.array_equal(m.pi, pi)
+        assert np.array_equal(m.trans, trans)
 
     def test_recovers_generator(self, bohv1, rng):
         seq = generate_sequence(bohv1, 300_000, rng)
@@ -200,9 +217,14 @@ class TestGenerateSequence:
             out.append(int((u[t] > cum_tr[out[-1]]).sum()))
         return np.array(out, dtype=np.uint8)
 
-    # 143..158 straddle the block edges at 12 x 12 and 12 x 13 steps
+    # 143..158 straddle the edges of isqrt(m) blocks at 12 x 12 and 12 x 13
+    # steps; 32..386 straddle those of isqrt(m // 32) blocks at
+    # m // 32 = k^2 and k(k + 1) for k = 1..3 (see BLOCK_EDGES)
     @pytest.mark.parametrize("length", [1, 2, 3, 17, 100, 1001,
-                                        143, 144, 145, 146, 156, 157, 158])
+                                        143, 144, 145, 146, 156, 157, 158,
+                                        32, 33, 34, 64, 65, 66, 128, 129, 130,
+                                        192, 193, 194, 288, 289, 290,
+                                        384, 385, 386])
     def test_matches_sequential_reference(self, bohv1, length):
         got = generate_sequence(bohv1, length, np.random.default_rng(99))
         assert np.array_equal(got.bases, self.naive_chain(bohv1, length, 99))

@@ -76,6 +76,21 @@ class TestFindPalindromes:
             got = [(e.center, e.half_length) for e in find_palindromes(s, min_half)]
             assert got == brute_palindromes(bases, min_half)
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), min_half=st.integers(1, 8))
+    def test_matches_per_centre_extension(self, data, min_half):
+        # lengths 0..3L cover sequences shorter than one kept palindrome
+        # (n < 2L); a planted palindrome makes long ones common
+        length = data.draw(st.integers(0, 3 * min_half))
+        bases = data.draw(st.lists(st.integers(0, 3), min_size=length, max_size=length))
+        half = data.draw(st.integers(0, length // 2))
+        at = data.draw(st.integers(0, length - 2 * half))
+        left = bases[at : at + half]
+        bases[at + half : at + 2 * half] = [3 - x for x in reversed(left)]
+        s = DnaSeq(bases=np.array(bases, dtype=np.uint8))
+        got = [(e.center, e.half_length) for e in find_palindromes(s, min_half)]
+        assert got == brute_palindromes(bases, min_half)
+
     def test_boundary_truncation(self):
         # palindrome against the left edge cannot extend beyond the sequence
         events = find_palindromes(seq_of("ATAT"), 1)

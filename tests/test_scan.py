@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palinscan import (
     DomainError,
@@ -21,7 +23,13 @@ from palinscan import (
 import palinscan.scan as scan_module
 from palinscan.scan import TiltSolution, WindowSeries, _nu_tilt_floor
 
-from oracles import iid_match_gamma, ladder_nu_series, poisson_compound_pmf, window_sums
+from oracles import (
+    dense_window_sums,
+    iid_match_gamma,
+    ladder_nu_series,
+    poisson_compound_pmf,
+    window_sums,
+)
 
 W = 135_301
 WINDOW = 1000
@@ -58,6 +66,35 @@ class TestWindowScores:
         series = window_scores(events, window, total)
         assert np.allclose(series.values, window_sums(events, window, total))
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_dense_prefix_sum(self, data):
+        # small integer (pcs-like) scores tie often; the window may span the
+        # whole sequence, and the event list may be empty, unsorted or hold
+        # repeated positions
+        total = data.draw(st.integers(1, 60))
+        window = data.draw(st.integers(1, total))
+        score = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 0.1, 1 / 3]),
+                          st.floats(0.0, 1e3))
+        events = data.draw(st.lists(st.tuples(st.integers(0, total - 1), score),
+                                    max_size=20))
+        dense = dense_window_sums(events, window, total)
+        series = window_scores(events, window, total)
+        assert series.argmax == int(np.argmax(dense))
+        assert series.max_value == dense.max()
+        # segment maxima, as power_experiment takes them
+        lo = data.draw(st.integers(0, total - window))
+        hi = data.draw(st.integers(lo, total - window))
+        segment = dense[lo : hi + 1]
+        assert series.peak(lo, hi) == (lo + int(np.argmax(segment)), segment.max())
+        assert np.array_equal(series.values, dense)
+
+    def test_unsorted_input(self):
+        events = [(30, 0.5), (11, 2.0), (10, 1.0), (11, 0.25)]
+        series = window_scores(events, 5, 50)
+        assert np.array_equal(series.values, dense_window_sums(events, 5, 50))
+        assert (series.argmax, series.max_value) == (6, 3.25)
+
     def test_window_covers_positions_after_t(self):
         # window at t covers centres t+1 .. t+window
         series = window_scores([(5, 2.0)], 5, 20)
@@ -87,6 +124,23 @@ class TestWindowScores:
             window_scores([], 20, 10)
         with pytest.raises(ValueError):
             window_scores([(25, 1.0)], 5, 20)  # centre outside sequence
+
+    @pytest.mark.parametrize("score", [-1.0, -1e-300, np.inf, np.nan])
+    def test_rejects_negative_and_non_finite_scores(self, score):
+        with pytest.raises(ValueError, match="non-negative"):
+            window_scores([(3, 1.0), (7, score)], 5, 20)
+
+    def test_peak_range_validation(self):
+        series = window_scores([(3, 1.0)], 5, 20)
+        for lo, hi in ((-1, 3), (4, 3), (0, 16)):
+            with pytest.raises(ValueError):
+                series.peak(lo, hi)
+
+    def test_values_built_only_on_demand(self):
+        series = window_scores([(9_999_999, 2.0), (5, 1.0)], 1000, 10_000_000)
+        assert (series.argmax, series.max_value) == (9_998_999, 2.0)
+        assert series.peak(0, 5000) == (0, 1.0)
+        assert "values" not in vars(series)
 
     def test_series_is_frozen(self):
         series = window_scores([(3, 1.0)], 5, 20)
@@ -494,4 +548,13 @@ class TestWindowSeries:
 
     def test_length_validation(self):
         with pytest.raises(ValueError):
-            WindowSeries(window=10, total_length=50, values=np.zeros(5))
+            WindowSeries(window=10, total_length=50, positions=np.array([3, 7]),
+                         cumulative=np.zeros(2))
+
+    def test_order_validation(self):
+        with pytest.raises(ValueError):  # positions out of order
+            WindowSeries(window=10, total_length=50, positions=np.array([7, 3]),
+                         cumulative=np.array([0.0, 1.0, 2.0]))
+        with pytest.raises(ValueError):  # a negative score
+            WindowSeries(window=10, total_length=50, positions=np.array([3, 7]),
+                         cumulative=np.array([0.0, 1.0, 0.5]))

@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palinscan import (
     DnaSeq,
@@ -18,7 +20,7 @@ from palinscan import (
 )
 from palinscan.seqio import decode, encode
 
-from oracles import naive_parse_fasta
+from oracles import line_parse_fasta, naive_parse_fasta
 
 
 class TestDnaSeq:
@@ -82,6 +84,33 @@ class TestParseFasta:
         assert records[0].seq.dropped_count == 4
         assert str(records[1].seq) == "TTTTAAAA"
         assert records[2].seq.dropped_count == 4
+
+    # Pieces of FASTA text: headers (indented, empty, with '>' inside),
+    # bases in both cases, N and junk, every line ending splitlines knows,
+    # whitespace that is stripped at line ends but counted inside a line
+    # (\x1f, \xa0), and non-ASCII characters.
+    PIECES = (">", "> id", " >x y ", "\t>", ">a>b", "A", "C", "G", "T", "acgt",
+              "N", "n", "-", "*", "0", " ", "\t", "\n", "\r\n", "\r", "\v",
+              "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+              "\u2028", "\u3000", "\xe9", "\ufeff", "\x00")
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(head=st.sampled_from(["", ">r\n", "  >r 1\r\n"]),
+           pieces=st.lists(st.one_of(st.sampled_from(PIECES),
+                                     st.sampled_from(["ACGT", "\n", "ga\n"])),
+                           max_size=40))
+    def test_matches_line_parser(self, head, pieces):
+        text = head + "".join(pieces)
+        for source in (text, text.encode("utf-8")):
+            try:
+                want = line_parse_fasta(source)
+            except FastaError as exc:
+                with pytest.raises(FastaError) as got:
+                    parse_fasta(source)
+                assert str(got.value) == str(exc)
+                continue
+            got = [(r.id, str(r.seq), r.seq.dropped_count) for r in parse_fasta(source)]
+            assert got == want
 
     def test_accepts_bytes_and_file_objects(self):
         text = ">r\nACGT\n"

@@ -25,7 +25,12 @@ from palinscan import (
     sample_tilted_score,
     score_mgf,
 )
-from palinscan.sim import _replicate_rng, _segment_window_bounds
+from palinscan.sim import (
+    _replicate_rng,
+    _segment_window_bounds,
+    _validate_specs,
+    min_seq_length,
+)
 
 from oracles import series_mgf
 
@@ -75,6 +80,24 @@ class TestExperimentConfig:
                                seq_length=50_000)
         with pytest.raises(ValueError, match="one start per multiplier"):
             default_hotspot_specs(cfg)
+
+    @pytest.mark.parametrize("segments", [1, 2, 3, 5])
+    @pytest.mark.parametrize("hotspot_length", [7, 999, 1000])
+    def test_min_seq_length(self, bohv1, segments, hotspot_length):
+        def fits(n):
+            cfg = ExperimentConfig(model=bohv1, seq_length=n,
+                                   multipliers=(1.0,) * segments,
+                                   hotspot_length=hotspot_length)
+            try:
+                _validate_specs(default_hotspot_specs(cfg), n)
+            except ValueError:
+                return False
+            return True
+
+        shortest = min_seq_length(ExperimentConfig(
+            model=bohv1, multipliers=(1.0,) * segments, hotspot_length=hotspot_length))
+        assert not fits(shortest - 1)
+        assert all(fits(n) for n in range(shortest, 3 * shortest))
 
 
 class TestInsertHotspots:
