@@ -35,7 +35,7 @@ rng = np.random.default_rng(7)
 seq = generate_sequence(model, LENGTH, rng)
 events = find_palindromes(seq, HALF_LENGTH)
 scores = score_events(events, KIND, HALF_LENGTH, model)
-series = window_scores(zip([e.center for e in events], scores), WINDOW, LENGTH)
+series = window_scores(zip(events.centers, scores), WINDOW, LENGTH)
 print(f"{len(events)} palindromes; best window starts at {series.argmax} "
       f"with total score {series.max_value:.4f}")
 

@@ -175,10 +175,19 @@ def _load_records(args: argparse.Namespace) -> list[FastaRecord]:
     return records
 
 
-def _model_for(records) -> MarkovModel:
-    if records:
-        return estimate_model(records[0].seq)
-    return bohv1_model()
+def _single_record(args: argparse.Namespace) -> FastaRecord | None:
+    """The one input record, or None when no input was given."""
+    records = _load_records(args)
+    if len(records) > 1:
+        raise PalinscanError(f"{args.command} takes one sequence, but the input "
+                             f"holds {len(records)} records")
+    return records[0] if records else None
+
+
+def _model_for(args: argparse.Namespace) -> MarkovModel:
+    """The model fitted to the one input record, or BoHV-1 without input."""
+    rec = _single_record(args)
+    return estimate_model(rec.seq) if rec else bohv1_model()
 
 
 def _cmd_estimate(args: argparse.Namespace, out) -> int:
@@ -222,13 +231,10 @@ def _cmd_estimate(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace, out) -> int:
-    records = _load_records(args)
-    if not records:
+    rec = _single_record(args)
+    if rec is None:
         raise PalinscanError("scan needs --input or --accession")
-    if len(records) > 1:
-        raise PalinscanError(f"scan takes one sequence, but the input holds "
-                             f"{len(records)} records")
-    seq = records[0].seq
+    seq = rec.seq
     total_length = seq.length
     model = estimate_model(seq)
     events = find_palindromes(seq, args.half_length)
@@ -243,8 +249,7 @@ def _cmd_scan(args: argparse.Namespace, out) -> int:
     sm = ScoreModel(args.score, model, args.half_length,
                     compat_paper=args.compat_paper)
     scores = score_events(events, args.score, args.half_length, model)
-    series = window_scores(zip([e.center for e in events], scores),
-                           args.window, total_length)
+    series = window_scores(zip(events.centers, scores), args.window, total_length)
     threshold = args.threshold if args.threshold is not None else series.max_value
 
     null_mean = null_window_mean(lambda0, sm, args.window)
@@ -290,7 +295,7 @@ def _cell(value) -> str:
 
 
 def _cmd_mgf(args: argparse.Namespace, out) -> int:
-    model = _model_for(_load_records(args))
+    model = _model_for(args)
     kinds = {
         kind: ScoreModel(kind, model, args.half_length,
                          compat_paper=args.compat_paper)
@@ -323,7 +328,7 @@ def _cmd_mgf(args: argparse.Namespace, out) -> int:
 
 def _experiments(args: argparse.Namespace, **fields) -> list[ExperimentConfig]:
     """One experiment per --multipliers scenario, on the --input model."""
-    model = _model_for(_load_records(args))
+    model = _model_for(args)
     configs = [
         ExperimentConfig(model=model, seq_length=args.seq_length,
                          half_length=args.half_length, replicates=args.replicates,

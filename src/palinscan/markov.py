@@ -24,6 +24,10 @@ from .seqio import DnaSeq
 
 PROB_ATOL = 1e-6
 
+# estimate_model counts pair codes in blocks of this many bases, so that
+# bincount's cast of each block to intp stays in cache
+PAIR_BLOCK = 1 << 16
+
 # Base composition and transition frequencies of the bovine herpes virus 1
 # reference genome (135,301 bp), rounded to four decimals; rows are
 # renormalised on construction since the rounding leaves sums off by 1e-4.
@@ -94,6 +98,11 @@ class RateEstimate:
 def estimate_model(seq: DnaSeq, pseudocount: float = 0.0) -> MarkovModel:
     """Fit composition and transition frequencies to a sequence.
 
+    Transitions are counted as codes 4a + b of adjacent bases (a, b), in
+    blocks of PAIR_BLOCK bases that overlap by one base, so every pair is
+    counted once; the counts are integers, so the fit does not depend on
+    the block size.
+
     Args:
         seq: sequence to fit.
         pseudocount: added to every base count and every transition count
@@ -108,9 +117,11 @@ def estimate_model(seq: DnaSeq, pseudocount: float = 0.0) -> MarkovModel:
     b = seq.bases
     if b.size < 2:
         raise EstimationError("need at least two bases to estimate transitions")
-    pair_counts = (
-        np.bincount((b[:-1] << 2) | b[1:], minlength=16).reshape(4, 4).astype(float)
-    )
+    counts = np.zeros(16, dtype=np.int64)
+    for start in range(0, b.size - 1, PAIR_BLOCK - 1):
+        block = b[start : start + PAIR_BLOCK]
+        counts += np.bincount((block[:-1] << 2) | block[1:], minlength=16)
+    pair_counts = counts.reshape(4, 4).astype(float)
     row_totals = pair_counts.sum(axis=1)
     # every base but the last starts one pair
     base_counts = row_totals.copy()

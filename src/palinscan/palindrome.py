@@ -50,7 +50,51 @@ class PalindromeBank:
     source_id: str = ""
 
 
-def find_palindromes(s: DnaSeq, min_half_length: int) -> list[PalindromeEvent]:
+@dataclass(frozen=True, eq=False)
+class PalindromeTable:
+    """The maximal palindromes of one sequence, as parallel arrays.
+
+    Attributes:
+        seq: the searched sequence.
+        centers: int64 centres, ascending (see PalindromeEvent.center).
+        half_lengths: int64 maximal half-length at each centre.
+
+    ``len()`` is the event count. Indexing or iterating builds
+    PalindromeEvent views on demand, each with its own copy of the pattern.
+    """
+
+    seq: DnaSeq
+    centers: np.ndarray
+    half_lengths: np.ndarray
+
+    def __post_init__(self):
+        centers = np.asarray(self.centers, dtype=np.int64)
+        half = np.asarray(self.half_lengths, dtype=np.int64)
+        if centers.ndim != 1 or half.shape != centers.shape:
+            raise ValueError("centers and half_lengths must be 1-d arrays of one length")
+        centers.flags.writeable = False
+        half.flags.writeable = False
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "half_lengths", half)
+
+    def __len__(self) -> int:
+        return self.centers.size
+
+    def __getitem__(self, i: int) -> PalindromeEvent:
+        return self._event(int(self.centers[i]), int(self.half_lengths[i]))
+
+    def __iter__(self):
+        for c, h in zip(self.centers.tolist(), self.half_lengths.tolist()):
+            yield self._event(c, h)
+
+    def _event(self, c: int, h: int) -> PalindromeEvent:
+        # the patterns are slices of bases that seq already validated
+        pattern = DnaSeq._trusted(self.seq.bases[c - h + 1 : c + h + 1].copy(),
+                                  self.seq.source_id)
+        return PalindromeEvent(center=c, half_length=h, pattern=pattern)
+
+
+def find_palindromes(s: DnaSeq, min_half_length: int) -> PalindromeTable:
     """All maximal palindromes with half-length >= min_half_length.
 
     Every kept centre c pairs b[c + k] with the complement of b[c - k + 1]
@@ -61,8 +105,9 @@ def find_palindromes(s: DnaSeq, min_half_length: int) -> list[PalindromeEvent]:
     still match. Each round discards a (1 - gamma) fraction of centres on
     typical sequences, so total work is close to linear.
 
-    Returns events sorted by centre. Overlapping palindromes at different
-    centres are all reported.
+    Returns a PalindromeTable of centres (ascending) and half-lengths; no
+    event object is built until the table is indexed or iterated.
+    Overlapping palindromes at different centres are all reported.
     """
     if min_half_length < 1:
         raise ValueError("min_half_length must be >= 1")
@@ -71,7 +116,7 @@ def find_palindromes(s: DnaSeq, min_half_length: int) -> list[PalindromeEvent]:
     low = min_half_length - 1  # the first centre with room for depth L
     count = n - 2 * min_half_length + 1
     if count <= 0:
-        return []
+        return PalindromeTable(s, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
     comp = (3 - b).astype(np.uint8)
     match = np.ones(count, dtype=bool)
     for k in range(1, min_half_length + 1):
@@ -89,13 +134,7 @@ def find_palindromes(s: DnaSeq, min_half_length: int) -> list[PalindromeEvent]:
         alive = alive[matched]
         half[alive] += 1
         depth += 1
-
-    # the patterns are slices of bases that s already validated
-    return [
-        PalindromeEvent(center=c, half_length=h,
-                        pattern=DnaSeq._trusted(b[c - h + 1 : c + h + 1].copy(), s.source_id))
-        for c, h in zip(centers.tolist(), half.tolist())
-    ]
+    return PalindromeTable(s, centers, half)
 
 
 def _pattern_bases(pattern) -> np.ndarray:
@@ -104,23 +143,44 @@ def _pattern_bases(pattern) -> np.ndarray:
     return np.asarray(pattern, dtype=np.uint8)
 
 
-def _log_probs(lefts: list[np.ndarray], model: MarkovModel) -> np.ndarray:
+def _half_lengths(events) -> np.ndarray:
+    """Half-lengths of a PalindromeTable or a sized iterable of events."""
+    if isinstance(events, PalindromeTable):
+        return events.half_lengths
+    return np.fromiter((e.half_length for e in events), dtype=np.int64,
+                       count=len(events))
+
+
+def _left_halves(events) -> np.ndarray:
+    """The events' left halves (outermost base to fold), concatenated.
+
+    A table's halves are gathered from its sequence by offset; event i's
+    run starts at centers[i] - half_lengths[i] + 1.
+    """
+    if not isinstance(events, PalindromeTable):
+        return np.concatenate([e.pattern.bases[: e.half_length] for e in events])
+    sizes = events.half_lengths
+    first = np.cumsum(sizes) - sizes
+    offset = events.centers - sizes + 1 - first
+    return events.seq.bases[np.arange(sizes.sum()) + np.repeat(offset, sizes)]
+
+
+def _log_probs(flat: np.ndarray, sizes: np.ndarray, model: MarkovModel) -> np.ndarray:
     """Log occurrence probabilities of palindromes given by their left halves.
 
-    Every pattern's factors (start weight, quasi steps, centre closure) are
-    gathered into one flat array, pattern after pattern, and summed per
+    ``flat`` holds every pattern's left half, pattern after pattern, and
+    ``sizes`` their lengths. Every pattern's factors (start weight, quasi
+    steps, centre closure) are gathered into one flat array and summed per
     pattern; the model's matrices are built once for the whole batch.
     """
     t = quasi_transition_matrix(model)
     start = model.pi - model.pi @ t
-    sizes = np.fromiter((a.size for a in lefts), dtype=np.intp, count=len(lefts))
-    flat = np.concatenate(lefts)
     first = np.cumsum(sizes) - sizes
     last = first + sizes - 1
     # base j of pattern i owns factor slot j + i; each closure takes the
     # slot after its pattern's last base
-    slot = np.arange(flat.size) + np.repeat(np.arange(len(lefts)), sizes)
-    factors = np.empty(flat.size + len(lefts))
+    slot = np.arange(flat.size) + np.repeat(np.arange(sizes.size), sizes)
+    factors = np.empty(flat.size + sizes.size)
     factors[slot[1:]] = t[flat[:-1], flat[1:]]
     factors[slot[first]] = start[flat[first]]
     factors[slot[last] + 1] = center_pair_probs(model)[flat[last]]
@@ -148,7 +208,8 @@ def pattern_log_prob(pattern, model: MarkovModel) -> float:
     bases = _pattern_bases(pattern)
     if bases.size == 0 or bases.size % 2:
         raise ValueError("pattern must have positive even length")
-    return float(_log_probs([bases[: bases.size // 2]], model)[0])
+    half = bases.size // 2
+    return float(_log_probs(bases[:half], np.array([half]), model)[0])
 
 
 def score_events(events, kind: str, min_half_length: int,
@@ -162,6 +223,10 @@ def score_events(events, kind: str, min_half_length: int,
             exact pattern under ``model`` (required for this kind; see
             pattern_log_prob), for all events in one vectorised pass.
 
+    ``events`` is a PalindromeTable or an iterable of PalindromeEvent. A
+    table is scored from its arrays alone: bws gathers each left half from
+    the sequence by offset, with no event object built.
+
     Raises:
         ValueError: unknown kind, an event below the detection threshold, or
             bws without a model.
@@ -170,9 +235,9 @@ def score_events(events, kind: str, min_half_length: int,
     kind = kind.lower()
     if kind not in SCORE_KINDS:
         raise ValueError(f"unknown score kind {kind!r}; expected one of {SCORE_KINDS}")
-    events = list(events)
-    half = np.fromiter((e.half_length for e in events), dtype=np.int64,
-                       count=len(events))
+    if not isinstance(events, PalindromeTable):
+        events = list(events)
+    half = _half_lengths(events)
     if np.any(half < min_half_length):
         raise ValueError("event half_length is below the detection threshold")
     if kind == "pcs":
@@ -181,9 +246,9 @@ def score_events(events, kind: str, min_half_length: int,
         return half / min_half_length
     if model is None:
         raise ValueError("bws scoring requires a model")
-    if not events:
+    if not half.size:
         return np.empty(0)
-    return -_log_probs([e.pattern.bases[: e.half_length] for e in events], model)
+    return -_log_probs(_left_halves(events), half, model)
 
 
 def score_event(event: PalindromeEvent, kind: str, min_half_length: int,
@@ -195,7 +260,8 @@ def score_event(event: PalindromeEvent, kind: str, min_half_length: int,
 def attach_scores(events, min_half_length: int,
                   model: MarkovModel) -> list[PalindromeEvent]:
     """Copy of events with all three scores filled in."""
-    events = list(events)
+    if not isinstance(events, PalindromeTable):
+        events = list(events)
     pcs, pls, bws = (score_events(events, kind, min_half_length, model)
                      for kind in SCORE_KINDS)
     return [
@@ -232,7 +298,8 @@ def average_rate(events, seq_length: int,
     if seq_length < 1:
         raise ValueError("seq_length must be >= 1")
     if half_length is None:
-        half_length = min((e.half_length for e in events), default=0)
+        half = _half_lengths(events)
+        half_length = int(half.min()) if half.size else 0
     return RateEstimate(value=len(events) / seq_length, method="average",
                         half_length=half_length)
 

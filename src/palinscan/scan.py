@@ -33,6 +33,10 @@ MAX_CAPPED_FRACTION = 1e-3
 # threshold_for_alpha stops once log(-log(1 - p)) is within this of its value
 # at alpha, which bounds |p / alpha - 1| by about the same figure.
 ALPHA_RTOL = 1e-7
+# When the search bracket closes before that stop, the nearer bracket end is
+# a threshold only if its p is within this of alpha; beyond it p jumps across
+# alpha between two adjacent thresholds.
+BRACKET_RTOL = 1e-6
 # Quadrature of the overshoot integral (see analytic_nu): Gauss-Legendre
 # nodes per panel, the width of the uniform panels, and the cut-off of the
 # integral for non-lattice scores.
@@ -612,15 +616,18 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
     is not negative (the artifact branch), raises lo; any other h < 0 lowers
     hi; a step out of the bracket bisects it (doubles b - null mean while hi
     is infinite). It stops once |h| <= ALPHA_RTOL, so |p / alpha - 1| <=
-    ALPHA_RTOL, or returns hi once the bracket about a sign change of h is
-    narrower than 1e-10 of b. Without ``nu_fixed`` it runs at nu = 1 first,
+    ALPHA_RTOL. Once the bracket about a sign change of h is narrower than
+    1e-10 of b, it returns the end whose p is nearer alpha, if that p is
+    within BRACKET_RTOL of alpha. Without ``nu_fixed`` it runs at nu = 1 first,
     where p-values are cheap, then continues from that root on the real p,
     one analytic_nu per step. p and the null mean follow ``sm.compat_paper``
     as in p_value. ``rng`` and ``nu_entropy`` are ignored (the result is
     deterministic).
 
     Raises:
-        DomainError: h < 0 throughout a closed bracket (alpha above the peak).
+        DomainError: h < 0 throughout a closed bracket (alpha above the
+            peak), or p jumps across alpha inside a closed bracket (as for
+            pcs under compat_paper, where p falls from 1 to 0).
         ConvergenceError: neither stop in ROOT_MAX_ITER p-values.
     """
     if not 0.0 < alpha < 1.0:
@@ -630,6 +637,7 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
 
     def search(b: float, nu: float | None) -> float:
         lo, hi, last, attained = null_mean, np.inf, None, False
+        p_lo = p_hi = None
         for _ in range(ROOT_MAX_ITER):
             rep = p_value(b, window, total_length, lambda0, sm, nu_fixed=nu)
             with np.errstate(divide="ignore"):
@@ -639,13 +647,19 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
             slope = -rep.tilt.theta1 if last is None else (h - last[1]) / (b - last[0])
             attained |= h > 0
             if h > 0 or not slope < 0:
-                lo = b
+                lo, p_lo = b, rep.p
             else:
-                hi = b
+                hi, p_hi = b, rep.p
             if hi - lo <= 1e-10 * lo:
-                if attained:
-                    return float(hi)
-                raise DomainError(f"alpha={alpha!r} is not attainable by any threshold")
+                if not attained:
+                    raise DomainError(f"alpha={alpha!r} is not attainable by any threshold")
+                # attained, so lo was evaluated too
+                b, p = min((lo, p_lo), (hi, p_hi), key=lambda e: abs(e[1] / alpha - 1.0))
+                if abs(p / alpha - 1.0) > BRACKET_RTOL:
+                    raise DomainError(
+                        f"p jumps from {p_lo:.3g} to {p_hi:.3g} between thresholds "
+                        f"{lo:.10g} and {hi:.10g}, across alpha={alpha!r}")
+                return float(b)
             last = (b, h) if np.isfinite(h) else None
             with np.errstate(divide="ignore", invalid="ignore"):
                 b = b - h / slope

@@ -449,8 +449,7 @@ def power_experiment(cfg: ExperimentConfig, kind: str, alpha: float = 0.05,
     for i, (events, avg_rate, mk_rate) in enumerate(_replicates(cfg)):
         avg[i], mk[i] = avg_rate, mk_rate
         scores = score_events(events, kind, cfg.half_length, cfg.model)
-        series = window_scores(zip([e.center for e in events], scores),
-                               cfg.window, cfg.seq_length)
+        series = window_scores(zip(events.centers, scores), cfg.window, cfg.seq_length)
         for j, (lo, hi) in enumerate(bounds):
             seg_max[i, j] = series.peak(lo, hi)[1]
 

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -288,6 +289,16 @@ class TestMgf:
         _, fitted_text = invoke("mgf", "--points", "4", "--input", sample_path)
         assert default_text != fitted_text
 
+    @pytest.mark.parametrize("command", ["mgf", "simulate", "power"])
+    def test_more_than_one_record_exits_1(self, command, data_dir, sample_path, capsys):
+        # the model is fitted to one sequence; further records are an error,
+        # not silently dropped
+        code, text = invoke(command, "--input", sample_path,
+                            "--input", str(data_dir / "mixed.fa"))
+        assert code == 1
+        assert text == ""
+        assert "4 records" in capsys.readouterr().err
+
     def test_bws_grid_in_narrow_domain(self):
         # bws has t_max < 1, so the grid must stay finite and populated
         code, text = invoke("mgf", "--points", "6", "--score", "bws")
@@ -440,6 +451,19 @@ class TestReadme:
         assert len(lines) >= 5
         for line in lines:
             build_parser().parse_args(shlex.split(line)[1:])
+
+    def test_library_tour_runs(self, tmp_path):
+        # README's "Library tour" block must run as printed
+        root = Path(__file__).resolve().parents[1]
+        section = (root / "README.md").read_text().split("## Library tour", 1)[1]
+        block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        script = tmp_path / "tour.py"
+        script.write_text(block)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                              text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestConsoleScript:

@@ -24,6 +24,7 @@ from palinscan import (
     stationary,
     stationary_gap,
 )
+from palinscan.markov import PAIR_BLOCK
 
 from oracles import (
     counted_model,
@@ -33,6 +34,21 @@ from oracles import (
     random_model,
     sparse_models,
 )
+
+
+def assert_fit_matches_counting(bases: np.ndarray, pseudocount: float) -> None:
+    """estimate_model equals the counting oracle exactly, errors included."""
+    seq = DnaSeq(bases=bases)
+    try:
+        pi, trans = counted_model(bases, pseudocount)
+    except EstimationError:
+        with pytest.raises(EstimationError):
+            estimate_model(seq, pseudocount)
+        return
+    m = estimate_model(seq, pseudocount)
+    assert np.array_equal(m.pi, pi)
+    assert np.array_equal(m.trans, trans)
+
 
 # Lengths at the sampler's block boundaries: it cuts the m = length - 1
 # steps into blocks of isqrt(m // 32), which changes size where m // 32
@@ -99,16 +115,41 @@ class TestEstimateModel:
     @given(bases=st.lists(st.integers(0, 3), min_size=2, max_size=60),
            pseudocount=st.sampled_from([0.0, 0.5, 1.0]))
     def test_matches_direct_counting(self, bases, pseudocount):
-        seq = DnaSeq(bases=np.array(bases, dtype=np.uint8))
-        try:
-            pi, trans = counted_model(bases, pseudocount)
-        except EstimationError:
-            with pytest.raises(EstimationError):
-                estimate_model(seq, pseudocount)
-            return
-        m = estimate_model(seq, pseudocount)
-        assert np.array_equal(m.pi, pi)
-        assert np.array_equal(m.trans, trans)
+        assert_fit_matches_counting(np.array(bases, dtype=np.uint8), pseudocount)
+
+    # pairs are counted in blocks of PAIR_BLOCK bases overlapping by one, so
+    # lengths about one and two blocks are the edges
+    @pytest.mark.parametrize("length", [
+        2, PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1, PAIR_BLOCK + 2,
+        2 * PAIR_BLOCK - 1, 2 * PAIR_BLOCK, 2 * PAIR_BLOCK + 1,
+    ])
+    def test_matches_direct_counting_at_block_edges(self, length):
+        rng = np.random.default_rng(length)
+        for pseudocount in (0.0, 0.5):
+            assert_fit_matches_counting(rng.integers(0, 4, length, dtype=np.uint8),
+                                        pseudocount)
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(length=st.integers(2, 3 * PAIR_BLOCK), seed=st.integers(0, 2**32 - 1))
+    def test_matches_direct_counting_at_random_lengths(self, length, seed):
+        bases = np.random.default_rng(seed).integers(0, 4, length, dtype=np.uint8)
+        assert_fit_matches_counting(bases, 0.0)
+
+    def test_counts_pairs_one_block_at_a_time(self, monkeypatch, rng):
+        # the pair codes go to bincount a block at a time, so its cast to
+        # intp never sees more than one block
+        sizes = []
+        bincount = np.bincount
+
+        def counted(x, *args, **kwargs):
+            sizes.append(len(x))
+            return bincount(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counted)
+        seq = DnaSeq(bases=rng.integers(0, 4, 3 * PAIR_BLOCK + 5, dtype=np.uint8))
+        estimate_model(seq)
+        assert sum(sizes) == seq.length - 1
+        assert max(sizes) <= PAIR_BLOCK
 
     def test_recovers_generator(self, bohv1, rng):
         seq = generate_sequence(bohv1, 300_000, rng)

@@ -9,6 +9,7 @@ from palinscan import (
     InfiniteScoreError,
     MarkovModel,
     PalindromeEvent,
+    PalindromeTable,
     attach_scores,
     average_rate,
     build_bank,
@@ -48,8 +49,46 @@ class TestFindPalindromes:
         assert [(e.center, e.half_length) for e in events] == [(0, 1)]
 
     def test_no_events(self):
-        assert find_palindromes(seq_of("AAAA"), 1) == []
-        assert find_palindromes(seq_of("GAATTC"), 4) == []
+        assert len(find_palindromes(seq_of("AAAA"), 1)) == 0
+        assert len(find_palindromes(seq_of("GAATTC"), 4)) == 0
+
+    def test_table_arrays_and_views(self):
+        s = seq_of("CCGAATTCGGAATT")
+        table = find_palindromes(s, 1)
+        assert isinstance(table, PalindromeTable)
+        assert table.seq is s
+        assert table.centers.dtype == table.half_lengths.dtype == np.int64
+        assert np.all(np.diff(table.centers) > 0)
+        events = list(table)
+        assert len(events) == len(table)
+        assert [(e.center, e.half_length) for e in events] == list(
+            zip(table.centers.tolist(), table.half_lengths.tolist()))
+        assert table[0] == events[0] and table[-1] == events[-1]
+        for e in events:
+            c, h = e.center, e.half_length
+            assert str(e.pattern) == str(s)[c - h + 1 : c + h + 1]
+        with pytest.raises(IndexError):
+            table[len(table)]
+        with pytest.raises(ValueError):
+            table.centers[0] = 1
+
+    def test_builds_no_event_objects(self, bohv1, monkeypatch):
+        # detection returns arrays; PalindromeEvent views are built only on
+        # indexing or iteration
+        built = []
+        init = PalindromeEvent.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PalindromeEvent, "__init__", counted)
+        seq = generate_sequence(bohv1, 20_000, np.random.default_rng(5))
+        table = find_palindromes(seq, 4)
+        assert len(table) > 0
+        assert built == []
+        list(table)
+        assert len(built) == len(table)
 
     def test_embedded_and_maximal(self):
         # CCGAATTCGG extends EcoRI by one palindromic pair on each side
@@ -221,7 +260,7 @@ class TestScoreEvents:
     def test_matches_pattern_oracle(self, chain, length, min_half, seed):
         model = MarkovModel(pi=chain[0], trans=chain[1])
         seq = generate_sequence(model, length, np.random.default_rng(seed))
-        events = find_palindromes(seq, min_half)
+        events = find_palindromes(seq, min_half)  # a table; [e] below is a list
         half = [e.half_length for e in events]
         assert list(score_events(events, "pcs", min_half)) == [1.0] * len(events)
         assert list(score_events(events, "pls", min_half)) == [h / min_half for h in half]
@@ -246,6 +285,32 @@ class TestScoreEvents:
         else:
             got = score_events(events, "bws", min_half, model)
             assert got == pytest.approx(np.array(oracle, dtype=float), rel=1e-12, abs=0.0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(chain=sparse_models(), length=st.integers(50, 3000),
+           min_half=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_table_matches_event_list(self, chain, length, min_half, seed):
+        # a table is scored from its arrays (bws gathers the left halves from
+        # the sequence); its materialised events go through the patterns.
+        # Both give the same bits, or both raise. test_matches_pattern_oracle
+        # checks the table path against the naive oracle.
+        model = MarkovModel(pi=chain[0], trans=chain[1])
+        seq = generate_sequence(model, length, np.random.default_rng(seed))
+        table = find_palindromes(seq, min_half)
+        events = list(table)
+        for kind in ("pcs", "pls"):
+            assert np.array_equal(score_events(table, kind, min_half),
+                                  score_events(events, kind, min_half))
+        scored = []
+        for batch in (table, events):
+            try:
+                scored.append(score_events(batch, "bws", min_half, model))
+            except InfiniteScoreError:
+                scored.append(None)
+        if scored[0] is None or scored[1] is None:
+            assert scored[0] is None and scored[1] is None
+        else:
+            assert np.array_equal(scored[0], scored[1])
 
 
 class TestAverageRate:

@@ -516,6 +516,27 @@ class TestThresholdForAlpha:
         with pytest.raises(DomainError, match="alpha"):
             threshold_for_alpha(0.9, WINDOW, 1200, lam0, pls, nu_fixed=1.0)
 
+    @pytest.mark.parametrize("window,total", [(50, 100), (100, 10**7)])
+    def test_compat_pcs_jump_raises(self, window, total, lam0):
+        # under compat_paper the pcs p falls from 1 straight to 0 (at about
+        # 5.7e18 and 2.9e40 here), so no threshold has p near alpha
+        sm = ScoreModel("pcs", bohv1_model(), 6, compat_paper=True)
+        with pytest.raises(DomainError, match="jumps"):
+            threshold_for_alpha(0.05, window, total, lam0, sm)
+
+    @pytest.mark.parametrize("total,alpha,nu_fixed", [
+        (135_301, 1e-3, None), (20_000, 1e-6, 1.0), (10**7, 1e-9, None),
+    ])
+    def test_compat_bws_bracket_stop_returns_threshold(self, total, alpha, nu_fixed,
+                                                       lam0):
+        # Under compat_paper bws thresholds are about 1.4e6, where h falls so
+        # steeply that these searches close their bracket before |h| <= 1e-7.
+        # The bracket end nearer alpha is still a threshold.
+        sm = ScoreModel("bws", bohv1_model(), 6, compat_paper=True)
+        b = threshold_for_alpha(alpha, WINDOW, total, lam0, sm, nu_fixed=nu_fixed)
+        ratio = p_value(b, WINDOW, total, lam0, sm, nu_fixed=nu_fixed).p / alpha
+        assert 1e-7 < abs(ratio - 1.0) <= scan_module.BRACKET_RTOL
+
 
 class TestLlrStatistics:
     def test_recomputed_by_hand(self, lam0, pls):
