@@ -12,14 +12,7 @@ over each score's domain; the output is plot-ready TSV.
 
 import numpy as np
 
-from palinscan import (
-    ScoreModel,
-    bohv1_model,
-    log_mgf,
-    log_mgf_double_prime,
-    log_mgf_prime,
-    score_mgf,
-)
+from palinscan import ScoreModel, bohv1_model, cumulants, score_mgf
 
 HALF_LENGTH = 6
 POINTS = 12
@@ -40,8 +33,9 @@ for kind in ("pls", "bws"):
     grid = np.linspace(0.0, 0.90 * sm.domain.t_max, POINTS)
     for t in grid:
         t = float(t)
-        print(f"{kind}\t{t:.6g}\t{score_mgf(sm, t):.6g}\t{log_mgf(sm, t):.6g}"
-              f"\t{log_mgf_prime(sm, t):.6g}\t{log_mgf_double_prime(sm, t):.6g}")
+        phi, phi_prime, phi_double_prime = cumulants(sm, t)
+        print(f"{kind}\t{t:.6g}\t{score_mgf(sm, t):.6g}\t{phi:.6g}"
+              f"\t{phi_prime:.6g}\t{phi_double_prime:.6g}")
 
 # phi_prime(0) is the mean score of one palindrome; its growth along t is
 # what the exponential tilt exploits to reach rare thresholds. Near t_max

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import PalinscanError
 from .markov import (
+    BOHV1_GENOME_LENGTH,
     MarkovModel,
     bohv1_model,
     estimate_model,
@@ -32,14 +33,14 @@ from .markov import (
     markov_rate,
     model_to_json,
 )
-from .mgf import (
-    ScoreModel,
-    log_mgf,
-    log_mgf_double_prime,
-    log_mgf_prime,
-    score_mgf,
+from .mgf import ScoreModel, cumulants, score_mgf
+from .palindrome import (
+    SCORE_KINDS,
+    average_rate,
+    events_to_tsv,
+    find_palindromes,
+    score_events,
 )
-from .palindrome import average_rate, events_to_tsv, find_palindromes, score_events
 from .scan import null_window_mean, p_value, window_scores
 from .seqio import ALPHABET, FastaRecord, fetch_sequence, parse_fasta_file
 from .sim import (
@@ -106,8 +107,8 @@ _FLAGS = {
                             "of the one computed from the score MGF"),
     "--compat-paper": dict(dest="compat_paper", action="store_true",
                            help="use the paper's literal conventions"),
-    "--length": dict(dest="seq_length", type=int, default=135301,
-                     help="simulated sequence length (default 135301)"),
+    "--length": dict(dest="seq_length", type=int, default=BOHV1_GENOME_LENGTH,
+                     help="simulated sequence length (default %(default)s)"),
     "--lambda0": dict(type=float, default=None,
                       help="override the null rate per bp"),
     "--lambda0-target": dict(dest="lambda0_target", type=float, default=0.00098,
@@ -296,25 +297,17 @@ def _cell(value) -> str:
 
 def _cmd_mgf(args: argparse.Namespace, out) -> int:
     model = _model_for(args)
-    kinds = {
-        kind: ScoreModel(kind, model, args.half_length,
-                         compat_paper=args.compat_paper)
-        for kind in ("pls", "bws")
-    }
-    sm = (kinds.get(args.score)
-          or ScoreModel(args.score, model, args.half_length))
+    sms = {kind: ScoreModel(kind, model, args.half_length, compat_paper=args.compat_paper)
+           for kind in SCORE_KINDS}
+    sm = sms[args.score]
     grid = np.linspace(0.0, 0.95 * min(sm.domain.t_max, 50.0), args.points)
     rows = []
-    for t in grid:
-        row = {"t": float(t)}
-        for kind, skm in kinds.items():
-            row[f"mgf_{kind}"] = (
-                score_mgf(skm, float(t))
-                if t < 0.99 * skm.domain.t_max else float("nan")
-            )
-        row["phi"] = log_mgf(sm, float(t))
-        row["phi_prime"] = log_mgf_prime(sm, float(t))
-        row["phi_double_prime"] = log_mgf_double_prime(sm, float(t))
+    for t in grid.tolist():
+        row = {"t": t}
+        for kind in ("pls", "bws"):
+            row[f"mgf_{kind}"] = (score_mgf(sms[kind], t)
+                                  if t < 0.99 * sms[kind].domain.t_max else float("nan"))
+        row["phi"], row["phi_prime"], row["phi_double_prime"] = cumulants(sm, t)
         rows.append(row)
     if args.json_output:
         out.write(json.dumps(rows, indent=2) + "\n")

@@ -45,9 +45,5 @@ class EmptyBankError(PalinscanError, ValueError):
     """No palindrome available to populate a pattern bank."""
 
 
-class LadderCapError(PalinscanError, RuntimeError):
-    """Too many random walks failed to reach a ladder epoch within the cap."""
-
-
 class CrowdedSegmentError(PalinscanError, RuntimeError):
     """A hot-spot segment is too crowded to place the requested patterns."""

@@ -201,25 +201,6 @@ def iid_rate(pi, half_length: int) -> RateEstimate:
     )
 
 
-def stationary(model: MarkovModel) -> np.ndarray:
-    """Stationary composition of the transition matrix."""
-    vals, vecs = np.linalg.eig(model.trans.T)
-    k = int(np.argmin(np.abs(vals - 1.0)))
-    v = np.real(vecs[:, k])
-    v = np.abs(v)
-    return v / v.sum()
-
-
-def stationary_gap(model: MarkovModel) -> float:
-    """Largest absolute difference between pi and the stationary composition.
-
-    A large gap means the model's composition vector is not self-consistent
-    with its transition matrix, so rate formulas that anchor the first base
-    at pi describe a chain started from pi rather than an equilibrium chain.
-    """
-    return float(np.abs(model.pi - stationary(model)).max())
-
-
 def _step_map_composition() -> np.ndarray:
     """table[a, b]: the byte-coded step map "apply a, then b".
 
@@ -307,19 +288,3 @@ def model_to_json(model: MarkovModel) -> str:
         "trans": [[_round12(x) for x in row] for row in model.trans],
     }
     return json.dumps(payload)
-
-
-def model_from_json(text: str) -> MarkovModel:
-    """Parse a model serialised by model_to_json.
-
-    Raises:
-        ValueError: malformed JSON, missing keys, or wrong shapes.
-    """
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid model JSON: {exc}") from exc
-    if not isinstance(payload, dict) or not {"pi", "trans"} <= set(payload):
-        raise ValueError('model JSON must be an object with keys "pi" and "trans"')
-    return MarkovModel(pi=np.asarray(payload["pi"], dtype=float),
-                       trans=np.asarray(payload["trans"], dtype=float))

@@ -4,18 +4,20 @@ Scores attach to palindrome occurrences (see module palindrome): a plain
 count (pcs), the length ratio (pls), or minus the log pattern probability
 (bws). Conditioned on an occurrence, each score has a moment-generating
 function with a closed matrix form built from the quasi transition matrix;
-this module evaluates those forms, their log (the cumulant function) and its
-derivatives, the exact contribution of each palindrome half-length, the
-domain of valid arguments, and the log characteristic function of the
-ladder increment used by the overshoot correction in module scan.
+this module evaluates those forms (score_mgf), the cumulant function and its
+first two derivatives (cumulants), the exact contribution of each palindrome
+half-length, the domain of valid arguments, and the log characteristic
+function of the ladder increment used by the overshoot correction in module
+scan.
 
 One kernel serves every evaluator: it carries each factor of the matrix form
 as a truncated Taylor series in the argument, so the MGF and its first two
-derivatives come out of the same matrix products in closed form. The public
-evaluators take real arguments; the kernel also takes complex ones, one or a
-whole array at a time (as a stack of matrix products), so the log
+derivatives come out of the same matrix products in closed form. score_mgf
+and cumulants take real arguments; the kernel also takes complex ones, one
+or a whole array at a time (as a stack of matrix products), so the log
 characteristic function reuses the same matrix series at every quadrature
-node.
+node. A model with independent bases is the Markov model iid_model(pi),
+whose rank-one quasi transition matrix takes the same path.
 """
 
 from __future__ import annotations
@@ -26,20 +28,11 @@ from math import factorial
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SingularMatrixError
-from .markov import (
-    MarkovModel,
-    center_pair_probs,
-    iid_match_prob,
-    iid_rate,
-    markov_rate,
-    quasi_transition_matrix,
-)
+from .errors import DomainError, SingularMatrixError
+from .markov import MarkovModel, center_pair_probs, markov_rate, quasi_transition_matrix
 from .numeric import find_root, mat_inv, mat_pow, spectral_radius
 from .palindrome import SCORE_KINDS
 
-SERIES_RTOL = 1e-16
-SERIES_MAX_TERMS = 100_000
 _EYE = np.eye(4)
 
 
@@ -51,8 +44,6 @@ class ScoreModel:
         kind: "pcs", "pls", or "bws".
         model: the null first-order Markov model.
         half_length: detection threshold h >= half_length.
-        iid_mode: evaluate with the closed-form expressions for independent
-            bases (using only model.pi) instead of the matrix forms.
         compat_paper: use the paper's literal conventions, for comparison
             with the internally consistent defaults: the bws MGF takes its
             start weights from the column product (I - T) pi instead of the
@@ -66,7 +57,6 @@ class ScoreModel:
     kind: str
     model: MarkovModel
     half_length: int
-    iid_mode: bool = False
     compat_paper: bool = False
 
     def __post_init__(self):
@@ -95,14 +85,8 @@ class ScoreModel:
         return v
 
     @cached_property
-    def gamma(self) -> float:
-        return iid_match_prob(self.model.pi)
-
-    @cached_property
     def rate(self) -> float:
         """Per-position probability of an occurrence (h >= half_length)."""
-        if self.iid_mode:
-            return iid_rate(self.model.pi, self.half_length).value
         return markov_rate(self.model, self.half_length).value
 
     @cached_property
@@ -117,34 +101,25 @@ class ScoreModel:
 
     @cached_property
     def _pls_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(pi T^(h-1), T, (I - T) c) of the pls form; 1 x 1 in iid mode."""
-        h = self.half_length
-        if self.iid_mode:
-            g = self.gamma
-            return np.array([g ** (h - 1)]), np.array([[g]]), np.array([(1.0 - g) * g])
+        """(pi T^(h-1), T, (I - T) c) of the pls form."""
         t = self.t_matrix
-        return self.model.pi @ mat_pow(t, h - 1), t, (_EYE - t) @ self.closure_probs
+        head = self.model.pi @ mat_pow(t, self.half_length - 1)
+        return head, t, (_EYE - t) @ self.closure_probs
 
     @cached_property
     def _bws_log_bases(self) -> tuple:
         """_log_base of each base the bws form raises to the power 1 - z: the
-        start weights, T and the closure vector; in iid mode the non-match
-        weight 1 - gamma and the two complementary-pair products.
+        start weights, T and the closure vector.
 
         Raises:
             DomainError: start weights with negative entries.
         """
-        if self.iid_mode:
-            pi = self.model.pi
-            bases = np.array([1.0 - self.gamma]), np.array([pi[0] * pi[3], pi[1] * pi[2]])
-        else:
-            start = self.start_weights
-            if self.compat_paper:
-                start = (_EYE - self.t_matrix) @ self.model.pi
-            if np.any(start < 0):
-                raise DomainError("start weights have negative entries; bws undefined")
-            bases = start, self.t_matrix, self.closure_probs
-        return tuple(_log_base(b) for b in bases)
+        start = self.start_weights
+        if self.compat_paper:
+            start = (_EYE - self.t_matrix) @ self.model.pi
+        if np.any(start < 0):
+            raise DomainError("start weights have negative entries; bws undefined")
+        return tuple(_log_base(b) for b in (start, self.t_matrix, self.closure_probs))
 
 
 @dataclass(frozen=True)
@@ -196,12 +171,10 @@ def mgf_domain(sm: ScoreModel) -> TiltDomain:
     if sm.kind == "pcs":
         return TiltDomain(kind=sm.kind, t_max=np.inf)
     if sm.kind == "pls":
-        rho = sm.gamma if sm.iid_mode else spectral_radius(sm.t_matrix)
+        rho = spectral_radius(sm.t_matrix)
         return TiltDomain(kind=sm.kind, t_max=-sm.half_length * np.log(rho))
 
     def excess(t: float) -> float:
-        if sm.iid_mode:
-            return _iid_match_jet(sm, t)[0] - 1.0
         return spectral_radius(_power_jet(_log_base(sm.t_matrix), t)[0]) - 1.0
 
     # The edge is located to round-off, so that the resolvent I - Q is
@@ -224,28 +197,6 @@ def require_in_domain(sm: ScoreModel, z) -> None:
         raise DomainError(
             f"{sm.kind} MGF argument {re!r} is outside the domain (max {t_max!r})"
         )
-
-
-def _iid_match_jet(sm: ScoreModel, z, order: int = 0) -> list:
-    """Taylor coefficients in z of the tilted complementary-pair probability
-    2 * ((pi_A pi_T) ** (1 - z) + (pi_C pi_G) ** (1 - z)), the tilted analogue
-    of gamma (iid mode)."""
-    return [2.0 * c.sum(axis=-1) for c in _power_jet(sm._bws_log_bases[1], z, order)]
-
-
-def _bws_factors(sm: ScoreModel, z, order: int):
-    """Series (v, Q, u) of the bws form v Q^(k-1) u for half-length exactly k.
-
-    In matrix mode these are the entrywise (1 - z) powers of the start
-    weights, the quasi transition matrix and the closure vector. In iid mode
-    they are 1 x 1: the tilted non-match weight (1 - gamma) ** (1 - z) and
-    the tilted match probability, twice.
-    """
-    if sm.iid_mode:
-        match = _iid_match_jet(sm, z, order)
-        v = _power_jet(sm._bws_log_bases[0], z, order)
-        return v, [m[..., None, None] for m in match], [m[..., None] for m in match]
-    return tuple(_power_jet(b, z, order) for b in sm._bws_log_bases)
 
 
 def _toeplitz(jet: list[np.ndarray]) -> np.ndarray:
@@ -275,7 +226,6 @@ def _mgf_jet(sm: ScoreModel, z, order: int = 0) -> np.ndarray:
       - pls: v = e^z pi T^(h-1), Q = e^(z/h) T, n = 0, u = (I - T) c;
       - bws: v, Q, u the entrywise (1 - z) powers of the start weights, T
         and c, and n = h - 1.
-    In iid mode the same forms hold with 1 x 1 matrices built from gamma.
     Each factor is carried as a Taylor series in z. The resolvent
     W = (I - Q)^-1 has W_0 = (I - Q_0)^-1 and W_k = W_0 (Q_1 W_(k-1) + ...
     + Q_k W_0), which for pls is dR/dz = (e^(z/h) / h) R T R and its
@@ -303,7 +253,7 @@ def _mgf_jet(sm: ScoreModel, z, order: int = 0) -> np.ndarray:
         u = [tail] + [np.zeros_like(tail)] * order
         n = 0
     else:
-        v, q, u = _bws_factors(sm, z, order)
+        v, q, u = (_power_jet(b, z, order) for b in sm._bws_log_bases)
         n = h - 1
     w = [mat_inv(np.eye(q[0].shape[-1]) - q[0])]
     for k in range(1, order + 1):
@@ -340,30 +290,12 @@ def cumulants(sm: ScoreModel, theta: float) -> tuple[float, float, float]:
     return float(np.log(m0)), float(mean), float(2.0 * m2 / m0 - mean * mean)
 
 
-def pls_mgf(sm: ScoreModel, t: float) -> float:
-    """MGF of the length-ratio score at t, conditioned on an occurrence.
+def score_mgf(sm: ScoreModel, t: float) -> float:
+    """MGF of the configured score kind at t, conditioned on an occurrence.
 
     Raises:
         DomainError: t at or beyond the domain supremum.
     """
-    if sm.kind != "pls":
-        raise ValueError("pls_mgf requires a pls score model")
-    return float(np.real(_mgf_value(sm, float(t))))
-
-
-def bws_mgf(sm: ScoreModel, t: float) -> float:
-    """MGF of the log-rarity score at t, conditioned on an occurrence.
-
-    Raises:
-        DomainError: t at or beyond the domain supremum (always < 1).
-    """
-    if sm.kind != "bws":
-        raise ValueError("bws_mgf requires a bws score model")
-    return float(np.real(_mgf_value(sm, float(t))))
-
-
-def score_mgf(sm: ScoreModel, t: float) -> float:
-    """MGF of the configured score kind at t."""
     return float(np.real(_mgf_value(sm, float(t))))
 
 
@@ -371,9 +303,6 @@ def exact_length_prob(sm: ScoreModel, k: int) -> float:
     """Probability that an occurrence has half-length exactly k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if sm.iid_mode:
-        g = sm.gamma
-        return float((1.0 - g) * g**k)
     return float(
         sm.start_weights @ mat_pow(sm.t_matrix, k - 1) @ sm.closure_probs
     )
@@ -393,57 +322,22 @@ def mgf_at_length(sm: ScoreModel, t: float, k: int) -> float:
     if sm.kind == "pls":
         return float(np.exp(t * k / sm.half_length)) * exact_length_prob(sm, k)
     require_in_domain(sm, t)
-    (v,), (q,), (u,) = _bws_factors(sm, t, 0)
+    v, q, u = (_power_jet(b, t)[0] for b in sm._bws_log_bases)
     return float(np.real(v @ np.linalg.matrix_power(q, k - 1) @ u))
 
 
-def mgf_series(sm: ScoreModel, t: float) -> float:
-    """MGF recomputed as the sum over half-lengths of mgf_at_length terms.
-
-    Serves as an internal cross-check of the closed matrix forms; truncation
-    continues until the term ratio falls below machine-level tolerance.
-
-    Raises:
-        ConvergenceError: series fails to decay within the term cap.
-    """
-    require_in_domain(sm, t)
-    total = 0.0
-    k = sm.half_length
-    while k < sm.half_length + SERIES_MAX_TERMS:
-        term = mgf_at_length(sm, t, k)
-        total += term
-        if k > sm.half_length + 4 and term <= SERIES_RTOL * total:
-            return total / sm.rate
-        k += 1
-    raise ConvergenceError("half-length series did not converge")
-
-
-def log_mgf(sm: ScoreModel, theta: float) -> float:
-    """Cumulant function: log of the score MGF (identity map for pcs)."""
-    return cumulants(sm, theta)[0]
-
-
-def log_mgf_prime(sm: ScoreModel, theta: float) -> float:
-    """First derivative of the cumulant function (the tilted mean score)."""
-    return cumulants(sm, theta)[1]
-
-
-def log_mgf_double_prime(sm: ScoreModel, theta: float) -> float:
-    """Second derivative of the cumulant function (the tilted score variance)."""
-    return cumulants(sm, theta)[2]
-
-
 def increment_log_charfn(sm: ScoreModel, lambda0: float, lambda1: float,
-                         theta0: float, theta1: float, delta: float, t):
-    """Log of the characteristic function E exp(i t Y) of one stretch increment Y.
+                         theta0: float, theta1: float, t):
+    """Log of the characteristic function E exp(i t Y) of one base's increment Y.
 
-    The increment over a stretch of length delta subtracts the scores of a
-    Poisson(lambda0 * delta) number of occurrences drawn under tilt theta0
-    and adds those of a Poisson(lambda1 * delta) number drawn under tilt
-    theta1, so log E exp(i t Y) = lambda0 delta (M(theta0 - i t) / M(theta0)
-    - 1) + lambda1 delta (M(theta1 + i t) / M(theta1) - 1). The exponent is
-    returned rather than the transform because it keeps its relative
-    precision where the transform is within rounding of 1.
+    The increment over one base subtracts the scores of a Poisson(lambda0)
+    number of occurrences drawn under tilt theta0 and adds those of a
+    Poisson(lambda1) number drawn under tilt theta1, so log E exp(i t Y) =
+    lambda0 (M(theta0 - i t) / M(theta0) - 1) + lambda1 (M(theta1 + i t) /
+    M(theta1) - 1). A stretch of d bases is the same increment with both
+    rates scaled by d. The exponent is returned rather than the transform
+    because it keeps its relative precision where the transform is within
+    rounding of 1.
 
     t may be complex, which makes this the log of the two-sided Laplace
     transform E exp(-s Y) at s = -i t, and may be an array; all MGF values
@@ -463,6 +357,5 @@ def increment_log_charfn(sm: ScoreModel, lambda0: float, lambda1: float,
     k0, k1 = values[:2].real
     m_plus = values[2:2 + t.size].reshape(t.shape)
     m_minus = np.conj(m_plus) if mirrored else values[2 + t.size:].reshape(t.shape)
-    out = (lambda0 * delta * (m_minus / k0 - 1.0)
-           + lambda1 * delta * (m_plus / k1 - 1.0))
+    out = lambda0 * (m_minus / k0 - 1.0) + lambda1 * (m_plus / k1 - 1.0)
     return out if out.ndim else complex(out)

@@ -5,17 +5,23 @@ complement: around an inter-base centre, base ``+k`` to the right pairs with
 the complement of base ``k-1`` to the left, for k = 1..h. Events record the
 maximal h per centre; nested sub-palindromes of the same centre are not
 emitted separately.
+
+Events are always held as one PalindromeTable of centre and half-length
+arrays over the searched sequence: score_events, average_rate and
+events_to_tsv read the arrays, and PalindromeEvent objects are built only
+when a table is indexed or iterated. pattern_log_prob is the bws score of
+one pattern on its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyBankError, InfiniteScoreError
 from .markov import MarkovModel, RateEstimate, center_pair_probs, quasi_transition_matrix
-from .seqio import DnaSeq, reverse_complement
+from .seqio import DnaSeq, decode
 
 SCORE_KINDS = ("pcs", "pls", "bws")
 
@@ -31,15 +37,11 @@ class PalindromeEvent:
         half_length: maximal h such that all h outward pairs are
             complementary.
         pattern: the palindrome itself (length 2 * half_length).
-        pcs, pls, bws: optional attached scores (see score_events).
     """
 
     center: int
     half_length: int
     pattern: DnaSeq
-    pcs: float | None = None
-    pls: float | None = None
-    bws: float | None = None
 
 
 @dataclass(frozen=True)
@@ -137,28 +139,10 @@ def find_palindromes(s: DnaSeq, min_half_length: int) -> PalindromeTable:
     return PalindromeTable(s, centers, half)
 
 
-def _pattern_bases(pattern) -> np.ndarray:
-    if isinstance(pattern, DnaSeq):
-        return pattern.bases
-    return np.asarray(pattern, dtype=np.uint8)
-
-
-def _half_lengths(events) -> np.ndarray:
-    """Half-lengths of a PalindromeTable or a sized iterable of events."""
-    if isinstance(events, PalindromeTable):
-        return events.half_lengths
-    return np.fromiter((e.half_length for e in events), dtype=np.int64,
-                       count=len(events))
-
-
-def _left_halves(events) -> np.ndarray:
-    """The events' left halves (outermost base to fold), concatenated.
-
-    A table's halves are gathered from its sequence by offset; event i's
-    run starts at centers[i] - half_lengths[i] + 1.
-    """
-    if not isinstance(events, PalindromeTable):
-        return np.concatenate([e.pattern.bases[: e.half_length] for e in events])
+def _left_halves(events: PalindromeTable) -> np.ndarray:
+    """The events' left halves (outermost base to fold), concatenated,
+    gathered from the sequence by offset: event i's run starts at
+    centers[i] - half_lengths[i] + 1."""
     sizes = events.half_lengths
     first = np.cumsum(sizes) - sizes
     offset = events.centers - sizes + 1 - first
@@ -205,16 +189,16 @@ def pattern_log_prob(pattern, model: MarkovModel) -> float:
             for a_1 when pi is far from stationary), so the pattern has no
             positive probability under the model.
     """
-    bases = _pattern_bases(pattern)
+    bases = np.asarray(getattr(pattern, "bases", pattern), dtype=np.uint8)
     if bases.size == 0 or bases.size % 2:
         raise ValueError("pattern must have positive even length")
     half = bases.size // 2
     return float(_log_probs(bases[:half], np.array([half]), model)[0])
 
 
-def score_events(events, kind: str, min_half_length: int,
+def score_events(events: PalindromeTable, kind: str, min_half_length: int,
                  model: MarkovModel | None = None) -> np.ndarray:
-    """Scores of palindrome events, in event order.
+    """Scores of the events of a PalindromeTable, in event order.
 
     Kinds (case-insensitive):
         pcs: plain count — every event scores 1.
@@ -223,9 +207,8 @@ def score_events(events, kind: str, min_half_length: int,
             exact pattern under ``model`` (required for this kind; see
             pattern_log_prob), for all events in one vectorised pass.
 
-    ``events`` is a PalindromeTable or an iterable of PalindromeEvent. A
-    table is scored from its arrays alone: bws gathers each left half from
-    the sequence by offset, with no event object built.
+    The table is scored from its arrays alone: bws gathers each left half
+    from the sequence by offset, with no event object built.
 
     Raises:
         ValueError: unknown kind, an event below the detection threshold, or
@@ -235,9 +218,7 @@ def score_events(events, kind: str, min_half_length: int,
     kind = kind.lower()
     if kind not in SCORE_KINDS:
         raise ValueError(f"unknown score kind {kind!r}; expected one of {SCORE_KINDS}")
-    if not isinstance(events, PalindromeTable):
-        events = list(events)
-    half = _half_lengths(events)
+    half = events.half_lengths
     if np.any(half < min_half_length):
         raise ValueError("event half_length is below the detection threshold")
     if kind == "pcs":
@@ -249,25 +230,6 @@ def score_events(events, kind: str, min_half_length: int,
     if not half.size:
         return np.empty(0)
     return -_log_probs(_left_halves(events), half, model)
-
-
-def score_event(event: PalindromeEvent, kind: str, min_half_length: int,
-                model: MarkovModel | None = None) -> float:
-    """Score of one palindrome event; see score_events for the kinds."""
-    return float(score_events([event], kind, min_half_length, model)[0])
-
-
-def attach_scores(events, min_half_length: int,
-                  model: MarkovModel) -> list[PalindromeEvent]:
-    """Copy of events with all three scores filled in."""
-    if not isinstance(events, PalindromeTable):
-        events = list(events)
-    pcs, pls, bws = (score_events(events, kind, min_half_length, model)
-                     for kind in SCORE_KINDS)
-    return [
-        replace(e, pcs=float(a), pls=float(b), bws=float(c))
-        for e, a, b, c in zip(events, pcs, pls, bws)
-    ]
 
 
 def build_bank(s: DnaSeq, min_half_length: int) -> PalindromeBank:
@@ -288,7 +250,7 @@ def build_bank(s: DnaSeq, min_half_length: int) -> PalindromeBank:
                           source_id=s.source_id)
 
 
-def average_rate(events, seq_length: int,
+def average_rate(events: PalindromeTable, seq_length: int,
                  half_length: int | None = None) -> RateEstimate:
     """Observed events per position: len(events) / seq_length.
 
@@ -298,24 +260,21 @@ def average_rate(events, seq_length: int,
     if seq_length < 1:
         raise ValueError("seq_length must be >= 1")
     if half_length is None:
-        half = _half_lengths(events)
+        half = events.half_lengths
         half_length = int(half.min()) if half.size else 0
     return RateEstimate(value=len(events) / seq_length, method="average",
                         half_length=half_length)
 
 
-def events_to_tsv(events, min_half_length: int, model: MarkovModel) -> str:
+def events_to_tsv(events: PalindromeTable, min_half_length: int,
+                  model: MarkovModel) -> str:
     """Render events as TSV with columns center, half_length, pattern, pcs, pls, bws."""
+    scores = [score_events(events, kind, min_half_length, model).tolist()
+              for kind in SCORE_KINDS]
+    bases = events.seq.bases
     lines = ["center\thalf_length\tpattern\tpcs\tpls\tbws"]
-    for e in attach_scores(events, min_half_length, model):
-        lines.append(
-            f"{e.center}\t{e.half_length}\t{e.pattern!s}"
-            f"\t{e.pcs:.10g}\t{e.pls:.10g}\t{e.bws:.10g}"
-        )
+    for c, h, pcs, pls, bws in zip(events.centers.tolist(),
+                                   events.half_lengths.tolist(), *scores):
+        lines.append(f"{c}\t{h}\t{decode(bases[c - h + 1 : c + h + 1])}"
+                     f"\t{pcs:.10g}\t{pls:.10g}\t{bws:.10g}")
     return "\n".join(lines) + "\n"
-
-
-def check_palindrome(pattern) -> bool:
-    """True iff the pattern (DnaSeq or code array) equals its reverse complement."""
-    bases = _pattern_bases(pattern)
-    return bases.size % 2 == 0 and bool(np.all(bases == 3 - bases[::-1]))

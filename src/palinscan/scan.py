@@ -7,8 +7,9 @@ and tilt theta1 are chosen so the window mean under the alternative sits at
 the threshold, and the exceedance probability follows from a large-deviation
 exponent, a Gaussian local-limit factor, and an overshoot correction for the
 discrete ladder of the excess process. The correction is computed from the
-score MGF by Spitzer's identity and Fourier inversion (analytic_nu); the
-Monte Carlo ladder walk (overshoot_nu) stays as its independent check.
+score MGF by Spitzer's identity and Fourier inversion (analytic_nu), so
+every result is deterministic; the test suite keeps a Monte Carlo ladder
+walk as its independent check.
 """
 
 from __future__ import annotations
@@ -18,18 +19,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    LadderCapError,
-    SingularMatrixError,
-)
+from .errors import ConvergenceError, DomainError, SingularMatrixError
 from .mgf import ScoreModel, cumulants, increment_log_charfn
 from .numeric import ROOT_MAX_ITER, newton_root
 
-DEFAULT_NU_WALKS = 100_000
-LADDER_STEP_CAP = 1_000_000
-MAX_CAPPED_FRACTION = 1e-3
 # threshold_for_alpha stops once log(-log(1 - p)) is within this of its value
 # at alpha, which bounds |p / alpha - 1| by about the same figure.
 ALPHA_RTOL = 1e-7
@@ -165,21 +158,6 @@ class TiltSolution:
 
 
 @dataclass(frozen=True)
-class LlrStatistics:
-    """Log-likelihood-ratio forms of the scan maxima.
-
-    count_llr transforms the maximal window event count; weighted_llr
-    transforms the maximal window score sum. Both are affine in the
-    respective maxima, which are reported alongside.
-    """
-
-    count_llr: float
-    weighted_llr: float
-    count_max: float
-    score_max: float
-
-
-@dataclass(frozen=True)
 class PvalueReport:
     """Approximate tail probability of the scan maximum at a threshold.
 
@@ -231,30 +209,6 @@ def window_scores(events, window: int, total_length: int) -> WindowSeries:
     cumulative = np.concatenate(([0.0], np.cumsum(per_position)))
     return WindowSeries(window=window, total_length=total_length,
                         positions=positions, cumulative=cumulative)
-
-
-def llr_statistics(series: WindowSeries, tilt: TiltSolution,
-                   count_series: WindowSeries | None = None) -> LlrStatistics:
-    """Likelihood-ratio statistics of a window series under a tilt solution.
-
-    ``count_series`` holds per-window event counts; it defaults to ``series``
-    itself, which is only correct when the series was built from unit (count)
-    scores.
-    """
-    if series.window != tilt.window:
-        raise ValueError("series and tilt solution use different windows")
-    if count_series is None:
-        count_series = series
-    drift = (tilt.lambda1 - tilt.lambda0) * tilt.window
-    count_max = count_series.max_value
-    score_max = series.max_value
-    ratio = np.log(tilt.lambda1 / tilt.lambda0)
-    return LlrStatistics(
-        count_llr=float(count_max * ratio - drift),
-        weighted_llr=float((tilt.theta1 - tilt.theta0) * score_max - drift),
-        count_max=count_max,
-        score_max=score_max,
-    )
 
 
 def null_window_mean(lambda0: float, sm: ScoreModel, window: int) -> float:
@@ -331,115 +285,6 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float,
     return tilt
 
 
-def _truncated_poisson_cum(mu: float) -> np.ndarray:
-    """Cumulative probabilities of a Poisson(mu) conditioned to be >= 1."""
-    norm = -np.expm1(-mu)
-    term = mu * np.exp(-mu)
-    probs = []
-    total = 0.0
-    m = 1
-    while total < norm * (1.0 - 1e-16) and m <= 400:
-        probs.append(term)
-        total += term
-        m += 1
-        term *= mu / m
-    cum = np.cumsum(probs) / norm
-    cum[-1] = max(cum[-1], 1.0)
-    return cum
-
-
-def overshoot_nu(tilt: TiltSolution, sm: ScoreModel, rng: np.random.Generator,
-                 delta: float = 1.0, n_walks: int = DEFAULT_NU_WALKS,
-                 step_cap: int = LADDER_STEP_CAP) -> tuple[float, float]:
-    """Monte Carlo overshoot correction with a delta-method standard error.
-
-    The pipeline uses analytic_nu; this walk is its independent check.
-
-    Each walk accumulates increments observed per stretch of ``delta``
-    bases: a Poisson(lambda0 * delta) number of null-tilt scores subtracted
-    plus a Poisson(lambda1 * delta) number of theta1-tilted scores added, and
-    stops at its first strictly positive level (the first ascending ladder
-    height). Zero-event stretches are skipped by drawing the geometric gap to
-    the next eventful stretch; skipped stretches still count against the per
-    walk step cap.
-
-    Returns:
-        (nu, se): the correction (capped at 1, its analytic bound) and its
-        standard error.
-
-    Raises:
-        ValueError: non-positive tilt gap.
-        LadderCapError: more than 0.1% of walks failed to reach a ladder
-            height within the step cap.
-    """
-    dtheta = tilt.theta1 - tilt.theta0
-    if dtheta <= 0:
-        raise ValueError("overshoot correction requires theta1 > theta0")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    from .sim import TiltedScoreSampler  # deferred: sim uses this module's solvers
-
-    null_sampler = TiltedScoreSampler(sm, tilt.theta0)
-    tilted_sampler = TiltedScoreSampler(sm, tilt.theta1)
-    mu = (tilt.lambda0 + tilt.lambda1) * delta
-    p_event = -np.expm1(-mu)
-    p_null = tilt.lambda0 / (tilt.lambda0 + tilt.lambda1)
-    cum_counts = _truncated_poisson_cum(mu)
-
-    level = np.zeros(n_walks)
-    steps = np.zeros(n_walks, dtype=np.int64)
-    heights = np.zeros(n_walks)
-    capped = np.zeros(n_walks, dtype=bool)
-    active = np.arange(n_walks)
-    while active.size:
-        steps[active] += rng.geometric(p_event, size=active.size)
-        over = steps[active] > step_cap
-        if over.any():
-            capped[active[over]] = True
-            active = active[~over]
-            if not active.size:
-                break
-        k = active.size
-        m = np.searchsorted(cum_counts, rng.random(k), side="right")
-        m = np.minimum(m, cum_counts.size - 1) + 1
-        n_null = rng.binomial(m, p_null)
-        n_tilt = m - n_null
-        y = np.zeros(k)
-        total = int(n_null.sum())
-        if total:
-            y -= np.bincount(np.repeat(np.arange(k), n_null),
-                             weights=null_sampler.draw(rng, total), minlength=k)
-        total = int(n_tilt.sum())
-        if total:
-            y += np.bincount(np.repeat(np.arange(k), n_tilt),
-                             weights=tilted_sampler.draw(rng, total), minlength=k)
-        level[active] += y
-        done = level[active] > 0.0
-        if done.any():
-            idx = active[done]
-            heights[idx] = level[idx]
-            active = active[~done]
-
-    n_capped = int(capped.sum())
-    if n_capped > MAX_CAPPED_FRACTION * n_walks:
-        raise LadderCapError(
-            f"{n_capped}/{n_walks} walks exceeded the {step_cap}-step cap"
-        )
-    h = heights[~capped]
-    decay = np.exp(-h * dtheta)
-    gap = -np.expm1(-dtheta)
-    mean_decay = float(decay.mean())
-    mean_height = float(h.mean())
-    nu = (1.0 - mean_decay) / (gap * mean_height)
-    cov = np.cov(np.vstack([decay, h]), ddof=1)
-    grad = np.array([
-        -1.0 / (gap * mean_height),
-        -(1.0 - mean_decay) / (gap * mean_height**2),
-    ])
-    se = float(np.sqrt(max(grad @ cov @ grad, 0.0) / h.size))
-    return min(nu, 1.0), se
-
-
 def _graded_panels(scale: float, stop: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, stop]: panels [0, scale],
     [scale, 2 scale], ... doubling up to 1, then panels of NU_PANEL_WIDTH."""
@@ -492,13 +337,14 @@ def _nu_tilt_floor(sm: ScoreModel) -> float:
     return 2.0 * float(np.sqrt(NU_TILT_FLOOR_GAP / (var0 + mean0 * mean0)))
 
 
-def analytic_nu(tilt: TiltSolution, sm: ScoreModel, delta: float = 1.0) -> float:
+def analytic_nu(tilt: TiltSolution, sm: ScoreModel) -> float:
     """Overshoot correction computed from the score MGF.
 
-    The ladder walk is the one overshoot_nu simulates: per stretch of delta
-    bases it adds the increment Y of solve_tilt's compound-Poisson pair, and
-    stretches without events, which leave it where it is, are dropped. X is
-    Y given at least one event, S_n the walk of X steps and theta = theta1 -
+    The ladder walk adds, per base, the increment Y of solve_tilt's
+    compound-Poisson pair: the scores of a Poisson(lambda1) number of
+    theta1-tilted occurrences minus those of a Poisson(lambda0) number of
+    null ones. Bases without events, which leave it where it is, are
+    dropped. X is Y given at least one event, S_n the walk of X steps and theta = theta1 -
     theta0 (theta0 is 0, and rate matching makes theta the root of
     E exp(-theta Y) = 1). Spitzer's identities for the ladder height H,
     1 - E exp(-theta H) = exp(-sum_n E[exp(-theta S_n); S_n > 0] / n) and
@@ -518,33 +364,30 @@ def analytic_nu(tilt: TiltSolution, sm: ScoreModel, delta: float = 1.0) -> float
     is continuous.
 
     Returns:
-        nu, capped at 1 as overshoot_nu caps its estimate (for pls, whose
-        ladder heights can be shorter than 1, the uncapped value can exceed
-        1 slightly).
+        nu, capped at 1, its bound for ladder heights of at least 1 (for
+        pls, whose ladder heights can be shorter than 1, the uncapped value
+        can exceed 1 slightly).
 
     Raises:
-        ValueError: non-positive tilt gap or stretch length.
+        ValueError: non-positive tilt gap.
     """
     theta = tilt.theta1 - tilt.theta0
     if theta <= 0:
         raise ValueError("overshoot correction requires theta1 > theta0")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     floor = _nu_tilt_floor(sm)
     if theta < floor:
         at_floor = replace(tilt, theta1=tilt.theta0 + floor, lambda1=tilt.lambda0
                            * float(np.exp(cumulants(sm, tilt.theta0 + floor)[0])))
-        return 1.0 - theta / floor * (1.0 - analytic_nu(at_floor, sm, delta))
+        return 1.0 - theta / floor * (1.0 - analytic_nu(at_floor, sm))
     c = 0.5 * theta
     t, w = _nu_quadrature(sm, c)
     log_psi_y = increment_log_charfn(sm, tilt.lambda0, tilt.lambda1, tilt.theta0,
-                                     tilt.theta1, delta, t + 1j * c).real
-    mu = (tilt.lambda0 + tilt.lambda1) * delta
-    eventful = -np.expm1(-mu)
+                                     tilt.theta1, t + 1j * c).real
+    eventful = -np.expm1(-(tilt.lambda0 + tilt.lambda1))
     # 1 - psi_x = (1 - psi_y) / P(an event), without forming psi_y near 1
     log_sum = float(w @ -np.log(-np.expm1(log_psi_y) / eventful))
     mean1 = (tilt._cumulants or cumulants(sm, tilt.theta1))[1]
-    mean_x = delta * (tilt.lambda1 * mean1 - tilt.lambda0 * sm.null_cumulants[1]) / eventful
+    mean_x = (tilt.lambda1 * mean1 - tilt.lambda0 * sm.null_cumulants[1]) / eventful
     nu = float(np.exp(-log_sum) / (-np.expm1(-theta) * mean_x))
     return min(nu, 1.0)
 

@@ -226,17 +226,6 @@ def parse_fasta(source) -> list[FastaRecord]:
     return records
 
 
-def serialize_fasta(records, width: int = 60) -> str:
-    """Render records back to FASTA text with fixed-width sequence lines."""
-    out: list[str] = []
-    for rec in records:
-        out.append(f">{rec.id}")
-        s = str(rec.seq)
-        for i in range(0, len(s), width):
-            out.append(s[i : i + width])
-    return "\n".join(out) + "\n"
-
-
 def parse_fasta_file(path) -> list[FastaRecord]:
     with open(path, "rb") as fh:
         return parse_fasta(fh)

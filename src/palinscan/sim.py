@@ -16,7 +16,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConvergenceError, CrowdedSegmentError, DomainError
-from .markov import MarkovModel, generate_sequence, estimate_model, iid_model, markov_rate
+from .markov import (
+    BOHV1_GENOME_LENGTH,
+    MarkovModel,
+    estimate_model,
+    generate_sequence,
+    markov_rate,
+)
 from .mgf import ScoreModel, require_in_domain
 from .numeric import mat_pow, spectral_radius
 from .palindrome import (
@@ -60,21 +66,18 @@ class ExperimentConfig:
         model: generator (and scoring) model for background sequences.
         lambda0_target: nominal per-position rate used to size hot-spot
             insert counts (length * multiplier * lambda0_target).
-        bank: palindrome patterns for insertion; when None, a bank is built
-            from one reference sequence generated from the model.
         hotspot_starts: segment start positions; when None, segments are
             centred at 25%, 50%, and 75% of the sequence.
     """
 
     model: MarkovModel
-    seq_length: int = 135_301
+    seq_length: int = BOHV1_GENOME_LENGTH
     half_length: int = 6
     window: int = 1000
     replicates: int = 500
     multipliers: tuple[float, ...] = (1.0, 1.0, 1.0)
     lambda0_target: float = 0.00098
     master_seed: int = 0
-    bank: PalindromeBank | None = None
     hotspot_length: int = 1000
     hotspot_starts: tuple[int, ...] | None = None
 
@@ -254,16 +257,11 @@ class TiltedScoreSampler:
         if self.kind == "pcs":
             return
         require_in_domain(sm, self.theta)
-        # In iid mode the score law depends on the composition only; sample
-        # from the equivalent identical-row model so one matrix path serves.
-        eff = sm
-        if sm.iid_mode:
-            eff = ScoreModel(sm.kind, iid_model(sm.model.pi), sm.half_length)
-        self.half_length = eff.half_length
+        self.half_length = sm.half_length
         if self.kind == "pls":
-            self._init_pls(eff)
+            self._init_pls(sm)
         else:
-            self._init_bws(eff)
+            self._init_bws(sm)
 
     def _length_table(self, weights_of_k, ratio: float, first_k: int):
         """Accumulate length weights until the geometric tail is negligible."""
@@ -360,15 +358,6 @@ class TiltedScoreSampler:
         return -log_prob
 
 
-def sample_tilted_score(sm: ScoreModel, theta: float,
-                        rng: np.random.Generator) -> float:
-    """One draw from the tilted score distribution.
-
-    For bulk draws construct a TiltedScoreSampler once and call draw().
-    """
-    return float(TiltedScoreSampler(sm, theta).draw(rng, 1)[0])
-
-
 def _replicate_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=master_seed, spawn_key=(0, index))
@@ -376,8 +365,8 @@ def _replicate_rng(master_seed: int, index: int) -> np.random.Generator:
 
 
 def _bank_for(cfg: ExperimentConfig) -> PalindromeBank:
-    if cfg.bank is not None:
-        return cfg.bank
+    """The bank of patterns built from one reference sequence generated
+    from the model, with its own stream of the master seed."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(1,))
     )

@@ -1,8 +1,12 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately naive: plain loops, exhaustive enumeration,
-direct summation and finite differences, sharing no code with the package
-internals beyond numpy primitives and the package's error types.
+direct summation, closed forms for independent bases and finite
+differences, sharing no code with the package internals beyond numpy
+primitives and the package's error types. The one exception is the Monte
+Carlo overshoot walk (overshoot_nu), which draws its scores from
+palinscan.sim.TiltedScoreSampler; the sampler is checked against the series
+and closed-form oracles in tests/test_sim.py.
 """
 
 from __future__ import annotations
@@ -12,7 +16,13 @@ import itertools
 import numpy as np
 from hypothesis import strategies as st
 
-from palinscan.errors import EstimationError, FastaError, InfiniteScoreError, NonFiniteError
+from palinscan.errors import (
+    EstimationError,
+    FastaError,
+    InfiniteScoreError,
+    NonFiniteError,
+    PalinscanError,
+)
 
 DERIV_STEP = 1e-5
 DERIV_STEP_SECOND = 2e-4
@@ -309,6 +319,80 @@ def iid_match_gamma(pi) -> float:
     return 2.0 * (pi[0] * pi[3] + pi[1] * pi[2])
 
 
+def iid_tilted_match(pi, t: float) -> float:
+    """2 ((pi_A pi_T)^(1 - t) + (pi_C pi_G)^(1 - t)): the sum over letters a
+    of (pi_a pi_comp(a))^(1 - t), which is gamma at t = 0."""
+    pi = np.asarray(pi, dtype=float)
+    return 2.0 * ((pi[0] * pi[3]) ** (1.0 - t) + (pi[1] * pi[2]) ** (1.0 - t))
+
+
+def iid_geometric_mgf(pi, min_half: int, t: float, kind: str) -> float:
+    """Score MGF for independent bases, in closed form.
+
+    With g = iid_match_gamma(pi) the half-length is geometric, P(half = k) =
+    (1 - g) g^k, and a pattern with left half a_1..a_k has probability
+    (1 - g) prod_j pi_(a_j) pi_comp(a_j). Summing exp(t * score) over k >=
+    min_half and dividing by the rate g^min_half gives
+      - pcs: e^t;
+      - pls: (1 - g) e^t / (1 - g e^(t / min_half));
+      - bws: (1 - g)^(1 - t) m^min_half / ((1 - m) g^min_half), m =
+        iid_tilted_match(pi, t).
+    Valid for g e^(t / min_half) < 1 (pls) and m < 1 (bws).
+    """
+    g = iid_match_gamma(pi)
+    if kind == "pcs":
+        return float(np.exp(t))
+    if kind == "pls":
+        return float((1.0 - g) * np.exp(t) / (1.0 - g * np.exp(t / min_half)))
+    m = iid_tilted_match(pi, t)
+    return float((1.0 - g) ** (1.0 - t) * m**min_half / ((1.0 - m) * g**min_half))
+
+
+def iid_domain_edge(pi, min_half: int, kind: str) -> float:
+    """Supremum of MGF arguments for independent bases: -min_half log g for
+    pls, and for bws the root of iid_tilted_match(pi, t) = 1 on (0, 1), by
+    bisection (1 when there is none)."""
+    if kind == "pls":
+        return float(-min_half * np.log(iid_match_gamma(pi)))
+    lo, hi = 0.0, 1.0 - 1e-12
+    if iid_tilted_match(pi, hi) < 1.0:
+        return 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if iid_tilted_match(pi, mid) < 1.0 else (lo, mid)
+    return lo
+
+
+def stationary(model) -> np.ndarray:
+    """Stationary composition of model.trans (left eigenvector for 1)."""
+    vals, vecs = np.linalg.eig(np.asarray(model.trans, dtype=float).T)
+    v = np.abs(np.real(vecs[:, int(np.argmin(np.abs(vals - 1.0)))]))
+    return v / v.sum()
+
+
+def stationary_gap(model) -> float:
+    """Largest absolute difference between model.pi and its stationary
+    composition."""
+    return float(np.abs(np.asarray(model.pi) - stationary(model)).max())
+
+
+def check_palindrome(bases) -> bool:
+    """True iff a code array (or DnaSeq) equals its reverse complement."""
+    b = [int(x) for x in getattr(bases, "bases", bases)]
+    return len(b) % 2 == 0 and all(x == COMP[y] for x, y in zip(b, reversed(b)))
+
+
+def serialize_fasta(records, width: int = 60) -> str:
+    """FASTA text of records (anything with .id and .seq), with sequence
+    lines of at most width letters."""
+    out: list[str] = []
+    for rec in records:
+        out.append(f">{rec.id}")
+        s = str(rec.seq)
+        out.extend(s[i : i + width] for i in range(0, len(s), width))
+    return "\n".join(out) + "\n"
+
+
 def random_model(rng: np.random.Generator):
     """A random valid stationary first-order model as (pi, trans)."""
     trans = rng.random((4, 4)) + 0.05
@@ -410,3 +494,119 @@ def ladder_nu_series(step_pmf: np.ndarray, offset: int, span: float,
         dist = dist[keep[0]:keep[-1] + 1]
         lo += int(keep[0])
     raise AssertionError("ladder series did not converge")
+
+
+# The Monte Carlo overshoot walk: walks per estimate, the step cap per walk,
+# and the fraction of walks allowed to hit it.
+DEFAULT_NU_WALKS = 100_000
+LADDER_STEP_CAP = 1_000_000
+MAX_CAPPED_FRACTION = 1e-3
+
+
+class LadderCapError(PalinscanError, RuntimeError):
+    """Too many random walks failed to reach a ladder epoch within the cap."""
+
+
+def _truncated_poisson_cum(mu: float) -> np.ndarray:
+    """Cumulative probabilities of a Poisson(mu) conditioned to be >= 1."""
+    norm = -np.expm1(-mu)
+    term = mu * np.exp(-mu)
+    probs = []
+    total = 0.0
+    m = 1
+    while total < norm * (1.0 - 1e-16) and m <= 400:
+        probs.append(term)
+        total += term
+        m += 1
+        term *= mu / m
+    cum = np.cumsum(probs) / norm
+    cum[-1] = max(cum[-1], 1.0)
+    return cum
+
+
+def overshoot_nu(tilt, sm, rng: np.random.Generator, n_walks: int = DEFAULT_NU_WALKS,
+                 step_cap: int = LADDER_STEP_CAP) -> tuple[float, float]:
+    """Monte Carlo overshoot correction with a delta-method standard error.
+
+    The independent check of palinscan.scan.analytic_nu. Each walk adds,
+    per base, a Poisson(lambda1) number of theta1-tilted scores minus a
+    Poisson(lambda0) number of theta0-tilted ones, and stops at its first
+    strictly positive level (the first ascending ladder height). Bases
+    without events are skipped by drawing the geometric gap to the next
+    eventful one; skipped bases still count against the per walk step cap.
+    A stretch of d bases per step is the same walk with both rates scaled
+    by d.
+
+    Returns:
+        (nu, se): the correction (capped at 1, its analytic bound) and its
+        standard error.
+
+    Raises:
+        ValueError: non-positive tilt gap.
+        LadderCapError: more than MAX_CAPPED_FRACTION of the walks failed to
+            reach a ladder height within the step cap.
+    """
+    from palinscan.sim import TiltedScoreSampler
+
+    dtheta = tilt.theta1 - tilt.theta0
+    if dtheta <= 0:
+        raise ValueError("overshoot correction requires theta1 > theta0")
+    null_sampler = TiltedScoreSampler(sm, tilt.theta0)
+    tilted_sampler = TiltedScoreSampler(sm, tilt.theta1)
+    mu = tilt.lambda0 + tilt.lambda1
+    p_event = -np.expm1(-mu)
+    p_null = tilt.lambda0 / (tilt.lambda0 + tilt.lambda1)
+    cum_counts = _truncated_poisson_cum(mu)
+
+    level = np.zeros(n_walks)
+    steps = np.zeros(n_walks, dtype=np.int64)
+    heights = np.zeros(n_walks)
+    capped = np.zeros(n_walks, dtype=bool)
+    active = np.arange(n_walks)
+    while active.size:
+        steps[active] += rng.geometric(p_event, size=active.size)
+        over = steps[active] > step_cap
+        if over.any():
+            capped[active[over]] = True
+            active = active[~over]
+            if not active.size:
+                break
+        k = active.size
+        m = np.searchsorted(cum_counts, rng.random(k), side="right")
+        m = np.minimum(m, cum_counts.size - 1) + 1
+        n_null = rng.binomial(m, p_null)
+        n_tilt = m - n_null
+        y = np.zeros(k)
+        total = int(n_null.sum())
+        if total:
+            y -= np.bincount(np.repeat(np.arange(k), n_null),
+                             weights=null_sampler.draw(rng, total), minlength=k)
+        total = int(n_tilt.sum())
+        if total:
+            y += np.bincount(np.repeat(np.arange(k), n_tilt),
+                             weights=tilted_sampler.draw(rng, total), minlength=k)
+        level[active] += y
+        done = level[active] > 0.0
+        if done.any():
+            idx = active[done]
+            heights[idx] = level[idx]
+            active = active[~done]
+
+    n_capped = int(capped.sum())
+    if n_capped > MAX_CAPPED_FRACTION * n_walks:
+        raise LadderCapError(
+            f"{n_capped}/{n_walks} walks exceeded the {step_cap}-step cap"
+        )
+    h = heights[~capped]
+    decay = np.exp(-h * dtheta)
+    gap = -np.expm1(-dtheta)
+    mean_decay = float(decay.mean())
+    mean_height = float(h.mean())
+    nu = (1.0 - mean_decay) / (gap * mean_height)
+    cov = np.cov(np.vstack([decay, h]), ddof=1)
+    grad = np.array([
+        -1.0 / (gap * mean_height),
+        -(1.0 - mean_decay) / (gap * mean_height**2),
+    ])
+    se = float(np.sqrt(max(grad @ cov @ grad, 0.0) / h.size))
+    return min(nu, 1.0), se

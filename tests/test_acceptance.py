@@ -17,25 +17,23 @@ from palinscan import (
     MarkovModel,
     ScoreModel,
     bohv1_model,
-    bws_mgf,
     find_palindromes,
     generate_sequence,
     iid_match_prob,
     iid_rate,
     markov_rate,
-    overshoot_nu,
-    pls_mgf,
     power_experiment,
     power_result_to_tsv,
     rate_experiment,
     rate_results_to_tsv,
-    score_event,
+    score_events,
+    score_mgf,
     solve_tilt,
     threshold_for_alpha,
     window_scores,
 )
 
-from oracles import random_model, series_mgf
+from oracles import overshoot_nu, random_model, series_mgf
 
 GENOME_LENGTH = 135_301
 WINDOW = 1000
@@ -102,12 +100,13 @@ def test_bohv1_reference_rates():
 def test_mgf_normalization_and_series_oracle():
     start = time.monotonic()
     model = bohv1_model()
-    for kind, mgf in (("pls", pls_mgf), ("bws", bws_mgf)):
+    for kind in ("pls", "bws"):
         sm = ScoreModel(kind, model, HALF)
-        assert abs(mgf(sm, 0.0) - 1.0) < 1e-10, f"{kind} MGF at 0 is {mgf(sm, 0.0)!r}"
+        at_zero = score_mgf(sm, 0.0)
+        assert abs(at_zero - 1.0) < 1e-10, f"{kind} MGF at 0 is {at_zero!r}"
         for frac in np.linspace(0.05, 0.85, 10):
             t = frac * min(sm.domain.t_max, 50.0)
-            got = mgf(sm, float(t))
+            got = score_mgf(sm, float(t))
             want = series_mgf(model.pi, model.trans, HALF, float(t), kind)
             assert abs(got - want) < 1e-8 * abs(want), (
                 f"{kind} MGF at t={t:.4f}: kernel {got!r} vs series {want!r}"
@@ -181,10 +180,8 @@ def test_null_scan_calibration():
     for i in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence(303, spawn_key=(i,)))
         seq = generate_sequence(model, GENOME_LENGTH, rng)
-        scored = [
-            (e.center, score_event(e, "pls", HALF, model))
-            for e in find_palindromes(seq, HALF)
-        ]
+        events = find_palindromes(seq, HALF)
+        scored = zip(events.centers, score_events(events, "pls", HALF, model))
         if window_scores(scored, WINDOW, GENOME_LENGTH).max_value >= b:
             hits += 1
     rate = hits / reps

@@ -299,6 +299,24 @@ class TestMgf:
         assert text == ""
         assert "4 records" in capsys.readouterr().err
 
+    def test_cumulants_once_per_grid_point(self, monkeypatch):
+        # phi, phi' and phi'' of a grid point come from one cumulants call
+        import palinscan.cli as cli_module
+        import palinscan.mgf as mgf_module
+
+        calls = []
+        kernel = mgf_module.cumulants
+
+        def counted(*args):
+            calls.append(args[1])
+            return kernel(*args)
+
+        monkeypatch.setattr(mgf_module, "cumulants", counted)
+        monkeypatch.setattr(cli_module, "cumulants", counted, raising=False)
+        code, _ = invoke("mgf", "--points", "25", "--score", "pls")
+        assert code == 0
+        assert len(calls) == 25
+
     def test_bws_grid_in_narrow_domain(self):
         # bws has t_max < 1, so the grid must stay finite and populated
         code, text = invoke("mgf", "--points", "6", "--score", "bws")

@@ -1,0 +1,40 @@
+"""Every name a package module imports is used in that module.
+
+__init__.py is left out: its imports are the package's exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).parent.parent / "src" / "palinscan"
+SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the module's import statements that no other part of
+    the module reads (an attribute chain counts through its root name)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name == "*" or (isinstance(node, ast.ImportFrom)
+                                         and node.module == "__future__"):
+                    continue
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_checker_flags_an_unused_name():
+    source = "import os\nfrom math import pi, tau\nimport numpy as np\nprint(pi, np.e)\n"
+    assert unused_imports(source) == ["os (line 1)", "tau (line 2)"]

@@ -4,35 +4,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palinscan import (
-    ConvergenceError,
     DomainError,
     MarkovModel,
     ScoreModel,
     SingularMatrixError,
-    bws_mgf,
     center_pair_probs,
+    cumulants,
     exact_length_prob,
     increment_log_charfn,
     iid_model,
-    log_mgf,
-    log_mgf_double_prime,
-    log_mgf_prime,
     markov_rate,
     mgf_at_length,
     mgf_domain,
-    mgf_series,
-    pls_mgf,
     quasi_transition_matrix,
     require_in_domain,
     score_mgf,
 )
 import palinscan.mgf as mgf_module
-from palinscan.mgf import cumulants
 
 from oracles import (
     derivative,
     enum_exact_length_mgf,
     enum_exact_length_prob,
+    iid_domain_edge,
+    iid_geometric_mgf,
     quasi_matrix,
     random_model,
     series_mgf,
@@ -102,9 +97,11 @@ class TestNormalisation:
         sm = ScoreModel(kind, model, 6)
         assert abs(score_mgf(sm, 0.0) - 1.0) < 1e-10
 
-    def test_iid_mode_normalisation(self, uniform):
+    def test_iid_mode_normalisation(self):
+        # independent bases with an uneven composition, as iid_model(pi)
+        model = iid_model([0.1, 0.2, 0.3, 0.4])
         for kind in ("pls", "bws"):
-            sm = ScoreModel(kind, uniform, 6, iid_mode=True)
+            sm = ScoreModel(kind, model, 6)
             assert abs(score_mgf(sm, 0.0) - 1.0) < 1e-12
 
 
@@ -136,20 +133,12 @@ class TestKernelAgainstSeriesOracle:
             assert got.imag == pytest.approx(oracle.imag, rel=1e-8)
 
     def test_internal_series_agrees(self, bohv1):
+        # the per-length terms of mgf_at_length sum to the closed form
         for kind in ("pcs", "pls", "bws"):
             sm = ScoreModel(kind, bohv1, 6)
             t = 0.3 if kind == "bws" else 1.0
-            assert mgf_series(sm, t) == pytest.approx(score_mgf(sm, t), rel=1e-10)
-
-    def test_kind_specific_wrappers(self, bohv1):
-        pls = ScoreModel("pls", bohv1, 6)
-        bws = ScoreModel("bws", bohv1, 6)
-        assert pls_mgf(pls, 1.0) == score_mgf(pls, 1.0)
-        assert bws_mgf(bws, 0.2) == score_mgf(bws, 0.2)
-        with pytest.raises(ValueError):
-            pls_mgf(bws, 0.1)
-        with pytest.raises(ValueError):
-            bws_mgf(pls, 0.1)
+            total = sum(mgf_at_length(sm, t, k) for k in range(6, 400))
+            assert total / sm.rate == pytest.approx(score_mgf(sm, t), rel=1e-10)
 
     def test_compat_paper_bws_column_start(self):
         # compat_paper takes the bws start weights from the column form
@@ -208,25 +197,28 @@ class TestExactLengthTerms:
 
 
 class TestIidMode:
+    """Independent bases take the matrix path as iid_model(pi); the
+    geometric half-length law gives their MGFs and domains in closed form."""
+
     def test_matches_matrix_form_on_iid_models(self, rng):
         for _ in range(3):
             pi = rng.random(4) + 0.2
             pi /= pi.sum()
             model = iid_model(pi)
-            for kind in ("pls", "bws"):
-                matrix_sm = ScoreModel(kind, model, 6, iid_mode=False)
-                iid_sm = ScoreModel(kind, model, 6, iid_mode=True)
-                hi = 0.8 * min(matrix_sm.domain.t_max, iid_sm.domain.t_max)
-                for t in np.linspace(0.05, 1.0, 5) * hi:
-                    assert score_mgf(iid_sm, float(t)) == pytest.approx(
-                        score_mgf(matrix_sm, float(t)), rel=1e-10
+            for kind in ("pcs", "pls", "bws"):
+                sm = ScoreModel(kind, model, 6)
+                hi = 0.8 * min(sm.domain.t_max, 5.0)
+                for t in np.linspace(-1.0, 1.0, 7) * hi:
+                    assert score_mgf(sm, float(t)) == pytest.approx(
+                        iid_geometric_mgf(pi, 6, float(t), kind), rel=1e-10
                     )
 
-    def test_iid_domains_match_matrix_domains(self, uniform):
-        for kind in ("pls", "bws"):
-            a = ScoreModel(kind, uniform, 6, iid_mode=True).domain.t_max
-            b = ScoreModel(kind, uniform, 6, iid_mode=False).domain.t_max
-            assert a == pytest.approx(b, abs=1e-6)
+    def test_iid_domains_match_matrix_domains(self, uniform, rng):
+        pi = rng.random(4) + 0.2
+        for model in (uniform, iid_model(pi / pi.sum())):
+            for kind in ("pls", "bws"):
+                got = ScoreModel(kind, model, 6).domain.t_max
+                assert got == pytest.approx(iid_domain_edge(model.pi, 6, kind), abs=1e-9)
 
 
 class TestDomain:
@@ -268,23 +260,15 @@ class TestDomain:
         with pytest.raises(DomainError):
             require_in_domain(bws, complex(1.2, 0.1))
 
-    def test_series_rejects_boundary(self, bohv1, monkeypatch):
-        sm = ScoreModel("pls", bohv1, 6)
-        monkeypatch.setattr(mgf_module, "SERIES_MAX_TERMS", 40)
-        with pytest.raises(ConvergenceError):
-            mgf_series(sm, 0.99 * sm.domain.t_max)
-
 
 class TestCumulant:
     def test_log_mgf_consistency(self, bohv1):
         sm = ScoreModel("pls", bohv1, 6)
-        assert log_mgf(sm, 1.2) == pytest.approx(np.log(score_mgf(sm, 1.2)), rel=1e-12)
+        assert cumulants(sm, 1.2)[0] == pytest.approx(np.log(score_mgf(sm, 1.2)), rel=1e-12)
 
     def test_pcs_exact(self, bohv1):
         sm = ScoreModel("pcs", bohv1, 6)
-        assert log_mgf(sm, 0.9) == pytest.approx(0.9)
-        assert log_mgf_prime(sm, 0.9) == 1.0
-        assert log_mgf_double_prime(sm, 0.9) == 0.0
+        assert cumulants(sm, 0.9) == (0.9, 1.0, 0.0)
 
     def test_pls_mean_at_zero_vs_series(self, bohv1):
         # phi'(0) is the mean score: sum over k of (k/L) P(half = k) / rate
@@ -293,22 +277,23 @@ class TestCumulant:
         mean = sum(
             (k / 6.0) * exact_length_prob(sm, k) for k in range(6, 400)
         ) / lam
-        assert log_mgf_prime(sm, 0.0) == pytest.approx(mean, rel=1e-6)
+        assert cumulants(sm, 0.0)[1] == pytest.approx(mean, rel=1e-6)
 
     def test_derivatives_stable_across_steps(self, bohv1):
         sm = ScoreModel("bws", bohv1, 6)
-        f = lambda x: log_mgf(sm, x)
+        f = lambda x: cumulants(sm, x)[0]
         for theta in (0.0, 0.2):
             h = 1e-4
+            _, mean, var = cumulants(sm, theta)
             fd1 = (f(theta + h) - f(theta - h)) / (2 * h)
-            assert log_mgf_prime(sm, theta) == pytest.approx(fd1, rel=1e-5)
+            assert mean == pytest.approx(fd1, rel=1e-5)
             fd2 = (f(theta + h) - 2 * f(theta) + f(theta - h)) / h**2
-            assert log_mgf_double_prime(sm, theta) == pytest.approx(fd2, rel=1e-3)
+            assert var == pytest.approx(fd2, rel=1e-3)
 
     def test_variance_positive(self, bohv1):
         for kind in ("pls", "bws"):
             sm = ScoreModel(kind, bohv1, 6)
-            assert log_mgf_double_prime(sm, 0.1) > 0.0
+            assert cumulants(sm, 0.1)[2] > 0.0
 
 
 @st.composite
@@ -346,8 +331,8 @@ class TestClosedFormCumulants:
     """The closed-form cumulant kernel against a finite-difference oracle and
     the truncated series, over random strictly subcritical models.
 
-    In iid mode the reference series is that of the iid model with the same
-    composition, whose matrix form the iid closed forms reproduce.
+    With iid the model is iid_model of the drawn composition: independent
+    bases, whose quasi transition matrix has rank one.
     """
 
     @pytest.mark.parametrize("kind,iid", CLOSED_FORM_CASES)
@@ -355,42 +340,32 @@ class TestClosedFormCumulants:
     @given(model=markov_models(), half_length=st.integers(1, 8),
            frac=st.floats(0.0, 0.95))
     def test_derivatives_match_oracles(self, kind, iid, model, half_length, frac):
-        sm = ScoreModel(kind, model, half_length, iid_mode=iid)
+        model = iid_model(model.pi) if iid else model
+        sm = ScoreModel(kind, model, half_length)
         theta = frac * sm.domain.t_max
         phi, mean, var = cumulants(sm, theta)
-        f = lambda x: log_mgf(sm, x)
+        f = lambda x: cumulants(sm, x)[0]
         assert mean == pytest.approx(derivative(f, theta, order=1), rel=1e-8)
         assert var == pytest.approx(derivative(f, theta, order=2), rel=1e-4)
-        reference = iid_model(model.pi) if iid else model
-        s_phi, s_mean, s_var = series_cumulants(reference, half_length, kind, theta)
+        s_phi, s_mean, s_var = series_cumulants(model, half_length, kind, theta)
         assert phi == pytest.approx(s_phi, rel=1e-10, abs=1e-12)
         assert mean == pytest.approx(s_mean, rel=1e-9)
         assert var == pytest.approx(s_var, rel=1e-6)
-        assert (log_mgf(sm, theta), log_mgf_prime(sm, theta),
-                log_mgf_double_prime(sm, theta)) == (phi, mean, var)
 
     @pytest.mark.parametrize("kind,iid", CLOSED_FORM_CASES)
     @settings(max_examples=10, deadline=None, derandomize=True, database=None)
     @given(model=markov_models(), half_length=st.integers(1, 8))
     def test_domain_edge_fails_loudly(self, kind, iid, model, half_length):
-        sm = ScoreModel(kind, model, half_length, iid_mode=iid)
+        sm = ScoreModel(kind, iid_model(model.pi) if iid else model, half_length)
         t_max = sm.domain.t_max
         for theta in (t_max, 1.01 * t_max):
             with pytest.raises(DomainError):
                 cumulants(sm, theta)
         # One ulp inside the edge the resolvent I - Q is singular to
-        # round-off: a 4 x 4 matrix form must refuse it; the 1 x 1 iid form
-        # may return a huge finite value instead. Neither may return NaN.
-        edge = np.nextafter(t_max, 0.0)
-        if iid:
-            try:
-                values = cumulants(sm, edge)
-            except SingularMatrixError:
-                return
-            assert np.all(np.isfinite(values))
-        else:
-            with pytest.raises(SingularMatrixError):
-                cumulants(sm, edge)
+        # round-off, and the matrix form must refuse it rather than return
+        # a NaN or a huge value.
+        with pytest.raises(SingularMatrixError):
+            cumulants(sm, np.nextafter(t_max, 0.0))
 
 
 def increment_charfn(*args):
@@ -407,27 +382,27 @@ class TestIncrementCharfn:
 
     def test_unit_value_at_zero(self, bohv1):
         sm, lam0, lam1, theta1 = self._setup(bohv1)
-        val = increment_charfn(sm, lam0, lam1, 0.0, theta1, 1.0, 0.0)
+        val = increment_charfn(sm, lam0, lam1, 0.0, theta1, 0.0)
         assert val == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
     def test_conjugate_symmetry(self, bohv1):
         sm, lam0, lam1, theta1 = self._setup(bohv1)
-        plus = increment_charfn(sm, lam0, lam1, 0.0, theta1, 1.0, 0.35)
-        minus = increment_charfn(sm, lam0, lam1, 0.0, theta1, 1.0, -0.35)
+        plus = increment_charfn(sm, lam0, lam1, 0.0, theta1, 0.35)
+        minus = increment_charfn(sm, lam0, lam1, 0.0, theta1, -0.35)
         assert minus == pytest.approx(np.conj(plus), abs=1e-12)
 
     def test_modulus_bounded_by_value_at_zero(self, bohv1):
         sm, lam0, lam1, theta1 = self._setup(bohv1, kind="bws", theta1=0.2)
-        at_zero = abs(increment_charfn(sm, lam0, lam1, 0.0, theta1, 1.0, 0.0))
+        at_zero = abs(increment_charfn(sm, lam0, lam1, 0.0, theta1, 0.0))
         for t in (0.1, 0.5, 2.0):
-            assert abs(increment_charfn(sm, lam0, lam1, 0.0, theta1, 1.0, t)) <= at_zero + 1e-12
+            assert abs(increment_charfn(sm, lam0, lam1, 0.0, theta1, t)) <= at_zero + 1e-12
 
     @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
     def test_array_argument_matches_scalars(self, kind, bohv1):
         sm, lam0, lam1, theta1 = self._setup(bohv1, kind=kind, theta1=0.2)
         t = np.array([0.0, 0.35, -1.2, 3.0 + 0.05j, 0.7 + 0.1j])
-        batch = increment_charfn(sm, lam0, lam1, 0.0, theta1, 1.0, t)
-        single = [increment_charfn(sm, lam0, lam1, 0.0, theta1, 1.0, x) for x in t]
+        batch = increment_charfn(sm, lam0, lam1, 0.0, theta1, t)
+        single = [increment_charfn(sm, lam0, lam1, 0.0, theta1, x) for x in t]
         assert batch.shape == t.shape
         assert np.allclose(batch, single, rtol=1e-13, atol=0.0)
 
@@ -442,7 +417,7 @@ class TestIncrementCharfn:
         kernel = mgf_module._mgf_value
         monkeypatch.setattr(mgf_module, "_mgf_value",
                             lambda sm, z: sizes.append(np.size(z)) or kernel(sm, z))
-        log_psi = increment_log_charfn(sm, lam0, lam1, 0.0, theta1, 1.0, u + 1j * c)
+        log_psi = increment_log_charfn(sm, lam0, lam1, 0.0, theta1, u + 1j * c)
         assert sizes == [u.size + 2]
         expected = 2.0 * lam0 * np.real(kernel(sm, c + 1j * u)) - lam0 - lam1
         assert np.allclose(log_psi, expected, rtol=1e-12, atol=1e-15)
@@ -451,7 +426,7 @@ class TestIncrementCharfn:
         # each compound-Poisson factor is normalised by its own tilt's MGF
         sm = ScoreModel("pls", bohv1, 6)
         lam0, lam1, theta0, theta1, t = 0.02, 0.07, 0.1, 0.9, 0.4
-        got = increment_charfn(sm, lam0, lam1, theta0, theta1, 1.0, t)
+        got = increment_charfn(sm, lam0, lam1, theta0, theta1, t)
         m = lambda z: complex(mgf_module._mgf_value(sm, z))
         expected = np.exp(lam0 * (m(theta0 - 1j * t) / m(theta0) - 1.0)
                           + lam1 * (m(theta1 + 1j * t) / m(theta1) - 1.0))
@@ -462,7 +437,7 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
     @pytest.mark.parametrize("iid", [False, True])
     def test_array_matches_scalar_evaluations(self, kind, iid, bohv1):
-        sm = ScoreModel(kind, bohv1, 6, iid_mode=iid)
+        sm = ScoreModel(kind, iid_model(bohv1.pi) if iid else bohv1, 6)
         z = np.array([0.0, 0.1 + 0.3j, 0.05 - 2.0j, 0.2, 7.0j])
         for order in (0, 2):
             batch = mgf_module._mgf_jet(sm, z, order=order)

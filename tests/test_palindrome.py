@@ -10,23 +10,21 @@ from palinscan import (
     MarkovModel,
     PalindromeEvent,
     PalindromeTable,
-    attach_scores,
     average_rate,
     build_bank,
-    check_palindrome,
     events_to_tsv,
     find_palindromes,
     generate_sequence,
     iid_model,
     pattern_log_prob,
     reverse_complement,
-    score_event,
     score_events,
 )
 from palinscan.seqio import encode
 
 from oracles import (
     brute_palindromes,
+    check_palindrome,
     naive_pattern_log_prob,
     random_model,
     sparse_models,
@@ -35,6 +33,12 @@ from oracles import (
 
 def seq_of(text: str) -> DnaSeq:
     return DnaSeq.from_string(text)
+
+
+def one_event(table: PalindromeTable, i: int) -> PalindromeTable:
+    """The table holding only event i of table."""
+    return PalindromeTable(table.seq, table.centers[i : i + 1],
+                           table.half_lengths[i : i + 1])
 
 
 class TestFindPalindromes:
@@ -214,45 +218,50 @@ class TestScores:
             pattern_log_prob(encode("AATT"), m)
 
     def test_score_event_kinds(self, uniform):
-        e = find_palindromes(seq_of("GGAATTCC"), 3)[0]
-        assert score_event(e, "pcs", 3) == 1.0
-        assert score_event(e, "pls", 3) == pytest.approx(e.half_length / 3.0)
-        bws = score_event(e, "bws", 3, model=uniform)
+        events = find_palindromes(seq_of("GGAATTCC"), 3)
+        (e,) = events
+        assert score_events(events, "pcs", 3).tolist() == [1.0]
+        assert score_events(events, "pls", 3)[0] == pytest.approx(e.half_length / 3.0)
+        bws = score_events(events, "bws", 3, model=uniform)[0]
         assert bws == pytest.approx(-pattern_log_prob(e.pattern, uniform))
 
     def test_score_event_validation(self, uniform):
-        e = find_palindromes(seq_of("GAATTC"), 1)[0]
+        events = find_palindromes(seq_of("GAATTC"), 1)
         with pytest.raises(ValueError, match="kind"):
-            score_event(e, "nope", 1)
+            score_events(events, "nope", 1)
         with pytest.raises(ValueError, match="model"):
-            score_event(e, "bws", 1)
+            score_events(events, "bws", 1)
         with pytest.raises(ValueError):
-            score_event(e, "pls", e.half_length + 1)
+            score_events(events, "pls", events[0].half_length + 1)
 
     def test_attach_scores(self, uniform):
-        s = seq_of("CCGAATTCGG")
-        events = find_palindromes(s, 2)
-        scored = attach_scores(events, 2, uniform)
-        assert len(scored) == len(events)
-        for raw, sc in zip(events, scored):
-            assert sc.center == raw.center
-            assert sc.pcs == 1.0
-            assert sc.pls == pytest.approx(raw.half_length / 2.0)
-            assert sc.bws == pytest.approx(-pattern_log_prob(raw.pattern, uniform))
+        # events_to_tsv attaches each event's three scores to its row
+        events = find_palindromes(seq_of("CCGAATTCGG"), 2)
+        lines = events_to_tsv(events, 2, uniform).splitlines()[1:]
+        rows = [line.split("\t") for line in lines]
+        assert len(rows) == len(events) > 0
+        for e, row in zip(events, rows):
+            assert row[:3] == [str(e.center), str(e.half_length), str(e.pattern)]
+            assert float(row[3]) == 1.0
+            assert float(row[4]) == pytest.approx(e.half_length / 2.0)
+            assert float(row[5]) == pytest.approx(-pattern_log_prob(e.pattern, uniform))
 
 
 class TestScoreEvents:
     def test_matches_score_event(self, bohv1):
+        # scoring the whole table gives each event's score on its own
         seq = generate_sequence(bohv1, 20_000, np.random.default_rng(4))
         events = find_palindromes(seq, 4)
         for kind in ("pcs", "pls", "bws"):
             got = score_events(events, kind, 4, bohv1)
             assert got.shape == (len(events),)
-            assert list(got) == [score_event(e, kind, 4, bohv1) for e in events]
+            assert list(got) == [score_events(one_event(events, i), kind, 4, bohv1)[0]
+                                 for i in range(len(events))]
 
     def test_empty(self, uniform):
+        events = find_palindromes(seq_of("AAAAAAAA"), 3)
         for kind in ("pcs", "pls", "bws"):
-            assert score_events([], kind, 3, uniform).shape == (0,)
+            assert score_events(events, kind, 3, uniform).shape == (0,)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(chain=sparse_models(), length=st.integers(50, 3000),
@@ -260,7 +269,7 @@ class TestScoreEvents:
     def test_matches_pattern_oracle(self, chain, length, min_half, seed):
         model = MarkovModel(pi=chain[0], trans=chain[1])
         seq = generate_sequence(model, length, np.random.default_rng(seed))
-        events = find_palindromes(seq, min_half)  # a table; [e] below is a list
+        events = find_palindromes(seq, min_half)
         half = [e.half_length for e in events]
         assert list(score_events(events, "pcs", min_half)) == [1.0] * len(events)
         assert list(score_events(events, "pls", min_half)) == [h / min_half for h in half]
@@ -272,12 +281,12 @@ class TestScoreEvents:
             except InfiniteScoreError:
                 oracle.append(None)
                 rejected.append(e)
-        for e, want in zip(events, oracle):
+        for i, want in enumerate(oracle):
             if want is None:
                 with pytest.raises(InfiniteScoreError):
-                    score_events([e], "bws", min_half, model)
+                    score_events(one_event(events, i), "bws", min_half, model)
             else:
-                got = score_events([e], "bws", min_half, model)[0]
+                got = score_events(one_event(events, i), "bws", min_half, model)[0]
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         if rejected:
             with pytest.raises(InfiniteScoreError):
@@ -291,22 +300,25 @@ class TestScoreEvents:
            min_half=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     def test_table_matches_event_list(self, chain, length, min_half, seed):
         # a table is scored from its arrays (bws gathers the left halves from
-        # the sequence); its materialised events go through the patterns.
-        # Both give the same bits, or both raise. test_matches_pattern_oracle
-        # checks the table path against the naive oracle.
+        # the sequence); its materialised events' patterns go through
+        # pattern_log_prob, the one-pattern form. Both give the same bits, or
+        # both raise. test_matches_pattern_oracle checks the table against
+        # the naive oracle.
         model = MarkovModel(pi=chain[0], trans=chain[1])
         seq = generate_sequence(model, length, np.random.default_rng(seed))
         table = find_palindromes(seq, min_half)
         events = list(table)
-        for kind in ("pcs", "pls"):
-            assert np.array_equal(score_events(table, kind, min_half),
-                                  score_events(events, kind, min_half))
+        assert np.array_equal(score_events(table, "pls", min_half),
+                              [e.half_length / min_half for e in events])
         scored = []
-        for batch in (table, events):
-            try:
-                scored.append(score_events(batch, "bws", min_half, model))
-            except InfiniteScoreError:
-                scored.append(None)
+        try:
+            scored.append(score_events(table, "bws", min_half, model))
+        except InfiniteScoreError:
+            scored.append(None)
+        try:
+            scored.append([-pattern_log_prob(e.pattern, model) for e in events])
+        except InfiniteScoreError:
+            scored.append(None)
         if scored[0] is None or scored[1] is None:
             assert scored[0] is None and scored[1] is None
         else:
@@ -321,7 +333,7 @@ class TestAverageRate:
         assert est.method == "average"
 
     def test_explicit_half_length(self):
-        est = average_rate([], 100, half_length=6)
+        est = average_rate(find_palindromes(seq_of("AAAA"), 2), 100, half_length=6)
         assert est.value == 0.0
         assert est.half_length == 6
 
@@ -332,7 +344,7 @@ class TestAverageRate:
 
     def test_length_validation(self):
         with pytest.raises(ValueError):
-            average_rate([], 0)
+            average_rate(find_palindromes(seq_of("AAAA"), 2), 0)
 
 
 class TestBank:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,15 +7,12 @@ from hypothesis import strategies as st
 
 from palinscan import (
     DomainError,
-    LadderCapError,
     ScoreModel,
     analytic_nu,
     bohv1_model,
-    llr_statistics,
-    log_mgf_double_prime,
-    log_mgf_prime,
+    cumulants,
+    iid_model,
     markov_rate,
-    overshoot_nu,
     p_value,
     score_mgf,
     solve_tilt,
@@ -24,9 +23,11 @@ import palinscan.scan as scan_module
 from palinscan.scan import TiltSolution, WindowSeries, _nu_tilt_floor
 
 from oracles import (
+    LadderCapError,
     dense_window_sums,
     iid_match_gamma,
     ladder_nu_series,
+    overshoot_nu,
     poisson_compound_pmf,
     window_sums,
 )
@@ -160,7 +161,7 @@ class TestSolveTilt:
         sm = ScoreModel(kind, bohv1_model(), 6)
         b = 10.0 if kind == "pls" else 120.0
         tilt = solve_tilt(lam0, sm, b, WINDOW)
-        lhs = WINDOW * tilt.lambda1 * log_mgf_prime(sm, tilt.theta1)
+        lhs = WINDOW * tilt.lambda1 * cumulants(sm, tilt.theta1)[1]
         assert lhs == pytest.approx(b, rel=1e-8)
         # rate matching ties lambda1 to the MGF value
         assert tilt.lambda1 == pytest.approx(
@@ -172,11 +173,11 @@ class TestSolveTilt:
         sm = ScoreModel("pls", bohv1_model(), 6, compat_paper=True)
         b = 10.0
         tilt = solve_tilt(lam0, sm, b, WINDOW)
-        lhs = tilt.lambda1 * log_mgf_prime(sm, tilt.theta1)
+        lhs = tilt.lambda1 * cumulants(sm, tilt.theta1)[1]
         assert lhs == pytest.approx(b, rel=1e-8)
 
     def test_threshold_at_null_mean_gives_zero_tilt(self, lam0, pls):
-        null_mean = WINDOW * lam0 * log_mgf_prime(pls, 0.0)
+        null_mean = WINDOW * lam0 * pls.null_cumulants[1]
         tilt = solve_tilt(lam0, pls, null_mean, WINDOW)
         assert tilt.theta1 == 0.0
         assert tilt.lambda1 == pytest.approx(lam0)
@@ -224,7 +225,7 @@ class TestPvalue:
     def test_small_tilt_shortcut(self, lam0, pls):
         # small tilts take the analytic nu too, which tends to its zero-tilt
         # limit 1; a tilt far below the interpolation floor stays in (0, 1]
-        null_mean = WINDOW * lam0 * log_mgf_prime(pls, 0.0)
+        null_mean = WINDOW * lam0 * pls.null_cumulants[1]
         for excess, tol in ((1e-3, 1e-4), (1e-9, 1e-9)):
             rep = p_value(null_mean * (1.0 + excess), WINDOW, W, lam0, pls)
             assert rep.nu == analytic_nu(rep.tilt, pls)
@@ -305,7 +306,7 @@ class TestOvershoot:
     def test_step_cap(self, lam0, pls):
         # a small tilt drifts slowly; a tiny step cap must trip the guard
         # rather than stall
-        b = WINDOW * lam0 * log_mgf_prime(pls, 0.0) * 1.2
+        b = WINDOW * lam0 * pls.null_cumulants[1] * 1.2
         tilt = solve_tilt(lam0, pls, b, WINDOW)
         with pytest.raises(LadderCapError):
             overshoot_nu(tilt, pls, np.random.default_rng(3), n_walks=500,
@@ -313,26 +314,34 @@ class TestOvershoot:
 
 
 def tilt_at(sm, theta, lam0=0.05):
-    """The rate-matched tilt solution at a given tilt."""
+    """The rate-matched tilt solution at a given tilt, per base."""
     lam1 = lam0 * score_mgf(sm, theta)
     return TiltSolution(lambda0=lam0, lambda1=lam1, theta0=0.0, theta1=theta,
-                        threshold=WINDOW * lam1 * log_mgf_prime(sm, theta),
+                        threshold=WINDOW * lam1 * cumulants(sm, theta)[1],
                         window=WINDOW)
 
 
+def per_stretch(tilt, delta):
+    """The tilt solution of a walk that steps once per delta bases: both
+    rates scaled by delta."""
+    return replace(tilt, lambda0=tilt.lambda0 * delta, lambda1=tilt.lambda1 * delta)
+
+
 class TestAnalyticNu:
+    # (iid, delta): iid evaluates on iid_model(pi), and delta steps the walk
+    # once per delta bases (per_stretch)
     MODES = [(False, 1.0), (False, 0.5), (True, 1.0)]
     GRID = {"pcs": (0.05, 0.3, 2.0), "pls": (0.05, 0.3, 2.0), "bws": (0.01, 0.05, 0.2)}
 
     @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
     @pytest.mark.parametrize("iid,delta", MODES)
     def test_matches_monte_carlo_oracle(self, kind, iid, delta, bohv1):
-        sm = ScoreModel(kind, bohv1, 6, iid_mode=iid)
+        sm = ScoreModel(kind, iid_model(bohv1.pi) if iid else bohv1, 6)
         for i, theta in enumerate(self.GRID[kind]):
-            tilt = tilt_at(sm, theta)
+            tilt = per_stretch(tilt_at(sm, theta), delta)
             nu_mc, se = overshoot_nu(tilt, sm, np.random.default_rng(60 + i),
-                                     delta=delta, n_walks=10_000)
-            nu = analytic_nu(tilt, sm, delta)
+                                     n_walks=10_000)
+            nu = analytic_nu(tilt, sm)
             assert abs(nu - nu_mc) <= 3.0 * se, (theta, nu, nu_mc, se)
 
     @pytest.mark.parametrize("kind", ["pls", "bws"])
@@ -349,36 +358,37 @@ class TestAnalyticNu:
     def test_pcs_matches_ladder_series(self, lam0, theta, delta, pcs):
         # counts make the walk a difference of Poisson variables, whose
         # ladder series can be summed directly
-        tilt = tilt_at(pcs, theta, lam0)
+        tilt = per_stretch(tilt_at(pcs, theta, lam0), delta)
         unit = np.array([0.0, 1.0])
-        up = poisson_compound_pmf(tilt.lambda1 * delta, unit)
-        down = poisson_compound_pmf(lam0 * delta, unit)
-        assert analytic_nu(tilt, pcs, delta) == pytest.approx(
-            ladder_nu_series(*self._eventful(up, down, tilt, delta), 1.0, theta),
+        up = poisson_compound_pmf(tilt.lambda1, unit)
+        down = poisson_compound_pmf(tilt.lambda0, unit)
+        assert analytic_nu(tilt, pcs) == pytest.approx(
+            ladder_nu_series(*self._eventful(up, down, tilt), 1.0, theta),
             rel=1e-10)
 
     def test_pls_matches_ladder_series(self, bohv1):
-        # in iid mode the half-length is geometric: P(k) = (1 - g) g^(k - h)
-        sm = ScoreModel("pls", bohv1, 6, iid_mode=True)
+        # for independent bases the half-length is geometric:
+        # P(k) = (1 - g) g^(k - h)
+        sm = ScoreModel("pls", iid_model(bohv1.pi), 6)
         g = iid_match_gamma(bohv1.pi)
-        theta, delta = 1.5, 1.0
+        theta = 1.5
         tilt = tilt_at(sm, theta)
         k = np.arange(6 + 150)
         null = np.where(k >= 6, (1.0 - g) * g ** np.maximum(k - 6, 0), 0.0)
         tilted = null * np.exp(theta * k / 6)
         tilted /= tilted.sum()
-        up = poisson_compound_pmf(tilt.lambda1 * delta, tilted, terms=25)
-        down = poisson_compound_pmf(tilt.lambda0 * delta, null, terms=25)
-        assert analytic_nu(tilt, sm, delta) == pytest.approx(
-            ladder_nu_series(*self._eventful(up, down, tilt, delta), 1.0 / 6, theta),
+        up = poisson_compound_pmf(tilt.lambda1, tilted, terms=25)
+        down = poisson_compound_pmf(tilt.lambda0, null, terms=25)
+        assert analytic_nu(tilt, sm) == pytest.approx(
+            ladder_nu_series(*self._eventful(up, down, tilt), 1.0 / 6, theta),
             rel=1e-9)
 
     @staticmethod
-    def _eventful(up, down, tilt, delta):
+    def _eventful(up, down, tilt):
         """(pmf, offset) of up - down given at least one event."""
         pmf = np.convolve(up, down[::-1])
         offset = down.size - 1
-        mu = (tilt.lambda0 + tilt.lambda1) * delta
+        mu = tilt.lambda0 + tilt.lambda1
         pmf[offset] -= np.exp(-mu)
         return pmf / -np.expm1(-mu), offset
 
@@ -386,14 +396,14 @@ class TestAnalyticNu:
     def test_converged_in_nodes(self, kind, lam0, bohv1, monkeypatch):
         cases = []
         for iid, delta in self.MODES:
-            sm = ScoreModel(kind, bohv1, 6, iid_mode=iid)
+            sm = ScoreModel(kind, iid_model(bohv1.pi) if iid else bohv1, 6)
             for theta in (0.01, 0.05, 0.2) + ((0.8, 2.0) if kind != "bws" else ()):
                 for rate in (lam0, 0.05):
-                    tilt = tilt_at(sm, theta, rate)
-                    cases.append((tilt, sm, delta, analytic_nu(tilt, sm, delta)))
+                    tilt = per_stretch(tilt_at(sm, theta, rate), delta)
+                    cases.append((tilt, sm, analytic_nu(tilt, sm)))
         monkeypatch.setattr(scan_module, "NU_PANEL_NODES", 2 * scan_module.NU_PANEL_NODES)
-        for tilt, sm, delta, nu in cases:
-            assert abs(analytic_nu(tilt, sm, delta) - nu) < 1e-8
+        for tilt, sm, nu in cases:
+            assert abs(analytic_nu(tilt, sm) - nu) < 1e-8
 
     def test_bws_continuous_across_old_small_tilt_cut(self, lam0, bws):
         # nu used to jump to 1 below theta1 = 0.05; read it through p_value
@@ -424,11 +434,8 @@ class TestAnalyticNu:
         assert len(thresholds) == 1
 
     def test_validation(self, lam0, pls):
-        tilt = solve_tilt(lam0, pls, 10.0, WINDOW)
         with pytest.raises(ValueError):
-            analytic_nu(tilt, pls, delta=0.0)
-        with pytest.raises(ValueError):
-            analytic_nu(solve_tilt(lam0, pls, WINDOW * lam0 * log_mgf_prime(pls, 0.0),
+            analytic_nu(solve_tilt(lam0, pls, WINDOW * lam0 * pls.null_cumulants[1],
                                    WINDOW), pls)
 
 
@@ -536,26 +543,6 @@ class TestThresholdForAlpha:
         b = threshold_for_alpha(alpha, WINDOW, total, lam0, sm, nu_fixed=nu_fixed)
         ratio = p_value(b, WINDOW, total, lam0, sm, nu_fixed=nu_fixed).p / alpha
         assert 1e-7 < abs(ratio - 1.0) <= scan_module.BRACKET_RTOL
-
-
-class TestLlrStatistics:
-    def test_recomputed_by_hand(self, lam0, pls):
-        tilt = solve_tilt(lam0, pls, 10.0, WINDOW)
-        series = window_scores([(100, 2.0), (150, 1.0)], WINDOW, 5000)
-        counts = window_scores([(100, 1.0), (150, 1.0)], WINDOW, 5000)
-        stats = llr_statistics(series, tilt, count_series=counts)
-        assert stats.score_max == series.max_value
-        assert stats.count_max == counts.max_value
-        expected_count_llr = (
-            counts.max_value * np.log(tilt.lambda1 / tilt.lambda0)
-            - (tilt.lambda1 - tilt.lambda0) * WINDOW
-        )
-        assert stats.count_llr == pytest.approx(expected_count_llr, rel=1e-12)
-        expected_weighted = (
-            tilt.theta1 * series.max_value
-            - (tilt.lambda1 - tilt.lambda0) * WINDOW
-        )
-        assert stats.weighted_llr == pytest.approx(expected_weighted, rel=1e-12)
 
 
 class TestWindowSeries:

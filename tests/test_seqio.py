@@ -16,11 +16,10 @@ from palinscan import (
     parse_fasta,
     parse_fasta_file,
     reverse_complement,
-    serialize_fasta,
 )
 from palinscan.seqio import decode, encode
 
-from oracles import line_parse_fasta, naive_parse_fasta
+from oracles import line_parse_fasta, naive_parse_fasta, serialize_fasta
 
 
 class TestDnaSeq:

@@ -15,14 +15,13 @@ from palinscan import (
     exact_length_prob,
     find_palindromes,
     generate_sequence,
+    iid_model,
     insert_hotspots,
-    log_mgf_prime,
     markov_rate,
     power_experiment,
     power_result_to_tsv,
     rate_experiment,
     rate_results_to_tsv,
-    sample_tilted_score,
     score_mgf,
 )
 from palinscan.sim import (
@@ -32,7 +31,7 @@ from palinscan.sim import (
     min_seq_length,
 )
 
-from oracles import series_mgf
+from oracles import iid_geometric_mgf, series_mgf
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +206,7 @@ class TestTiltedSampler:
         sm = ScoreModel("bws", bohv1, 6)
         draws = TiltedScoreSampler(sm, 0.0).draw(np.random.default_rng(3), 150_000)
         se = draws.std(ddof=1) / np.sqrt(draws.size)
-        assert abs(draws.mean() - log_mgf_prime(sm, 0.0)) < 5 * se
+        assert abs(draws.mean() - sm.null_cumulants[1]) < 5 * se
 
     def test_bws_tilted_mean_shifts_up(self, bohv1):
         sm = ScoreModel("bws", bohv1, 6)
@@ -216,25 +215,24 @@ class TestTiltedSampler:
         m1 = TiltedScoreSampler(sm, 0.3).draw(rng, 50_000).mean()
         assert m1 > m0 + 1.0
 
-    def test_iid_mode_equivalent(self, uniform):
-        rng_a = np.random.default_rng(123)
-        rng_b = np.random.default_rng(123)
-        a = TiltedScoreSampler(ScoreModel("bws", uniform, 6, iid_mode=True), 0.2)
-        b = TiltedScoreSampler(ScoreModel("bws", uniform, 6, iid_mode=False), 0.2)
-        da, db = a.draw(rng_a, 20_000), b.draw(rng_b, 20_000)
-        assert np.allclose(da, db)
+    def test_iid_mode_equivalent(self):
+        # independent bases (iid_model): under tilt theta, E[exp(s X)] =
+        # K(theta + s) / K(theta) with K the closed geometric-law MGF
+        pi = np.array([0.1, 0.2, 0.3, 0.4])
+        sm = ScoreModel("bws", iid_model(pi), 6)
+        theta, s = 0.2, -0.15
+        draws = TiltedScoreSampler(sm, theta).draw(np.random.default_rng(123), 100_000)
+        vals = np.exp(s * draws)
+        expected = (iid_geometric_mgf(pi, 6, theta + s, "bws")
+                    / iid_geometric_mgf(pi, 6, theta, "bws"))
+        se = vals.std(ddof=1) / np.sqrt(vals.size)
+        assert abs(vals.mean() - expected) < 5 * se
 
     def test_domain_enforced(self, bohv1):
         sm = ScoreModel("bws", bohv1, 6)
         from palinscan import DomainError
         with pytest.raises(DomainError):
             TiltedScoreSampler(sm, 0.99)
-
-    def test_single_draw_helper(self, bohv1):
-        sm = ScoreModel("pls", bohv1, 6)
-        x = sample_tilted_score(sm, 0.5, np.random.default_rng(0))
-        assert isinstance(x, float)
-        assert x >= 1.0
 
     def test_draws_reproducible(self, bohv1):
         sm = ScoreModel("bws", bohv1, 6)
