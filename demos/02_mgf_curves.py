@@ -24,13 +24,13 @@ model = bohv1_model()
 # finite domain boundary where the defining geometric series stops converging.
 for kind in ("pcs", "pls", "bws"):
     sm = ScoreModel(kind, model, HALF_LENGTH)
-    print(f"{kind}: domain upper end t_max = {sm.domain.t_max:.6g}")
+    print(f"{kind}: domain upper end t_max = {sm.t_max:.6g}")
 
 # -- tabulate K, phi = log K, and the first two phi derivatives --------------
 print("\nkind\tt\tmgf\tphi\tphi_prime\tphi_double_prime")
 for kind in ("pls", "bws"):
     sm = ScoreModel(kind, model, HALF_LENGTH)
-    grid = np.linspace(0.0, 0.90 * sm.domain.t_max, POINTS)
+    grid = np.linspace(0.0, 0.90 * sm.t_max, POINTS)
     for t in grid:
         t = float(t)
         phi, phi_prime, phi_double_prime = cumulants(sm, t)

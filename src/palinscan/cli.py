@@ -300,13 +300,13 @@ def _cmd_mgf(args: argparse.Namespace, out) -> int:
     sms = {kind: ScoreModel(kind, model, args.half_length, compat_paper=args.compat_paper)
            for kind in SCORE_KINDS}
     sm = sms[args.score]
-    grid = np.linspace(0.0, 0.95 * min(sm.domain.t_max, 50.0), args.points)
+    grid = np.linspace(0.0, 0.95 * min(sm.t_max, 50.0), args.points)
     rows = []
     for t in grid.tolist():
         row = {"t": t}
         for kind in ("pls", "bws"):
             row[f"mgf_{kind}"] = (score_mgf(sms[kind], t)
-                                  if t < 0.99 * sms[kind].domain.t_max else float("nan"))
+                                  if t < 0.99 * sms[kind].t_max else float("nan"))
         row["phi"], row["phi_prime"], row["phi_double_prime"] = cumulants(sm, t)
         rows.append(row)
     if args.json_output:

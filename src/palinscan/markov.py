@@ -170,6 +170,19 @@ def center_pair_probs(model: MarkovModel) -> np.ndarray:
     return np.diag(model.trans[:, ::-1]).copy()
 
 
+def start_weights(model: MarkovModel) -> np.ndarray:
+    """Row vector pi - pi T of palindrome start weights.
+
+    Component j weights palindromes whose outermost left base is j without
+    being extendable one step further; summed over half-lengths they
+    telescope back to pi. Entries within 1e-12 below zero are rounding and
+    read as 0; larger negative entries (pi far from stationary) are kept.
+    """
+    v = model.pi - model.pi @ quasi_transition_matrix(model)
+    v[(v < 0) & (v > -1e-12)] = 0.0
+    return v
+
+
 def markov_rate(model: MarkovModel, half_length: int) -> RateEstimate:
     """Per-position rate of palindromes of at least the given half-length.
 

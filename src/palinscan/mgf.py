@@ -5,10 +5,9 @@ count (pcs), the length ratio (pls), or minus the log pattern probability
 (bws). Conditioned on an occurrence, each score has a moment-generating
 function with a closed matrix form built from the quasi transition matrix;
 this module evaluates those forms (score_mgf), the cumulant function and its
-first two derivatives (cumulants), the exact contribution of each palindrome
-half-length, the domain of valid arguments, and the log characteristic
-function of the ladder increment used by the overshoot correction in module
-scan.
+first two derivatives (cumulants), the domain of valid arguments, and the
+log characteristic function of the ladder increment used by the overshoot
+correction in module scan.
 
 One kernel serves every evaluator: it carries each factor of the matrix form
 as a truncated Taylor series in the argument, so the MGF and its first two
@@ -18,6 +17,11 @@ or a whole array at a time (as a stack of matrix products), so the log
 characteristic function reuses the same matrix series at every quadrature
 node. A model with independent bases is the Markov model iid_model(pi),
 whose rank-one quasi transition matrix takes the same path.
+
+The per-length law behind the closed form, E[exp(t * score); half-length
+= k] (length_terms, and mgf_at_length for one k), is read from the factors
+the kernel caches on ScoreModel, so the tilted sampler of module sim, which
+draws from that law, follows the same conventions (compat_paper included).
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ from math import factorial
 import numpy as np
 
 from .errors import DomainError, SingularMatrixError
-from .markov import MarkovModel, center_pair_probs, markov_rate, quasi_transition_matrix
+from .markov import (MarkovModel, center_pair_probs, markov_rate,
+                     quasi_transition_matrix, start_weights)
 from .numeric import find_root, mat_inv, mat_pow, spectral_radius
 from .palindrome import SCORE_KINDS
 
@@ -78,11 +83,8 @@ class ScoreModel:
 
     @cached_property
     def start_weights(self) -> np.ndarray:
-        """Row vector pi (I - T); component j weights palindromes whose
-        outermost left base is j without being extendable one step further."""
-        v = self.model.pi - self.model.pi @ self.t_matrix
-        v[(v < 0) & (v > -1e-12)] = 0.0
-        return v
+        """Row vector pi (I - T) (markov.start_weights)."""
+        return start_weights(self.model)
 
     @cached_property
     def rate(self) -> float:
@@ -90,7 +92,8 @@ class ScoreModel:
         return markov_rate(self.model, self.half_length).value
 
     @cached_property
-    def domain(self) -> "TiltDomain":
+    def t_max(self) -> float:
+        """Supremum of valid MGF arguments (mgf_domain)."""
         return mgf_domain(self)
 
     @cached_property
@@ -122,21 +125,6 @@ class ScoreModel:
         return tuple(_log_base(b) for b in (start, self.t_matrix, self.closure_probs))
 
 
-@dataclass(frozen=True)
-class TiltDomain:
-    """Supremum of valid MGF arguments for one score kind."""
-
-    kind: str
-    t_max: float
-
-    def __post_init__(self):
-        if not self.t_max > 0:
-            raise ValueError("t_max must be positive")
-
-    def __contains__(self, t: float) -> bool:
-        return t < self.t_max
-
-
 def _log_base(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(log base, base > 0), the log read as 0 where base is not positive."""
     pos = base > 0
@@ -159,8 +147,9 @@ def _power_jet(log_base: tuple[np.ndarray, np.ndarray], z,
     return jet
 
 
-def mgf_domain(sm: ScoreModel) -> TiltDomain:
-    """Largest open interval (−inf, t_max) on which the MGF converges.
+def mgf_domain(sm: ScoreModel) -> float:
+    """Supremum t_max of the open interval (−inf, t_max) on which the MGF
+    converges (cached as ScoreModel.t_max).
 
     pcs scores are bounded, so t_max is infinite. pls arguments must keep
     exp(t / half_length) times the spectral radius of the quasi transition
@@ -169,10 +158,9 @@ def mgf_domain(sm: ScoreModel) -> TiltDomain:
     the radius stays below 1 on the whole interval.
     """
     if sm.kind == "pcs":
-        return TiltDomain(kind=sm.kind, t_max=np.inf)
+        return np.inf
     if sm.kind == "pls":
-        rho = spectral_radius(sm.t_matrix)
-        return TiltDomain(kind=sm.kind, t_max=-sm.half_length * np.log(rho))
+        return float(-sm.half_length * np.log(spectral_radius(sm.t_matrix)))
 
     def excess(t: float) -> float:
         return spectral_radius(_power_jet(_log_base(sm.t_matrix), t)[0]) - 1.0
@@ -181,8 +169,8 @@ def mgf_domain(sm: ScoreModel) -> TiltDomain:
     # numerically singular right at t_max rather than some 1e-9 beyond it.
     hi = 1.0 - 1e-9
     if excess(hi) < 0.0:
-        return TiltDomain(kind=sm.kind, t_max=1.0)
-    return TiltDomain(kind=sm.kind, t_max=find_root(excess, 0.0, hi, tol=1e-15))
+        return 1.0
+    return find_root(excess, 0.0, hi, tol=1e-15)
 
 
 def require_in_domain(sm: ScoreModel, z) -> None:
@@ -192,7 +180,7 @@ def require_in_domain(sm: ScoreModel, z) -> None:
     re = float(re if isinstance(re, float) else re.max())
     if sm.kind == "bws" and re >= 1.0:
         raise DomainError(f"bws MGF argument must satisfy Re t < 1, got {re!r}")
-    t_max = sm.domain.t_max
+    t_max = sm.t_max
     if re >= t_max:
         raise DomainError(
             f"{sm.kind} MGF argument {re!r} is outside the domain (max {t_max!r})"
@@ -299,60 +287,72 @@ def score_mgf(sm: ScoreModel, t: float) -> float:
     return float(np.real(_mgf_value(sm, float(t))))
 
 
-def exact_length_prob(sm: ScoreModel, k: int) -> float:
-    """Probability that an occurrence has half-length exactly k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return float(
-        sm.start_weights @ mat_pow(sm.t_matrix, k - 1) @ sm.closure_probs
-    )
+def length_terms(sm: ScoreModel, t: float, k_max: int) -> np.ndarray:
+    """Joint terms E[exp(t * score); half-length = k], k = 1 .. k_max, for
+    a single centre; entry k - 1 is the term of half-length k.
+
+    The term is v Q^(k-1) u from the factors the kernel caches: the start
+    weights, T and the closure vector, with exp(t) folded into v for pcs and
+    exp(t / h) into Q and u for pls (the score k / h gains 1 / h per step);
+    for bws their entrywise (1 - t) powers (the kernel's _bws_log_bases, so
+    compat_paper applies). The terms from k = h on sum to score_mgf(sm, t)
+    * sm.rate.
+
+    Raises:
+        DomainError: t at or beyond the domain supremum.
+    """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    require_in_domain(sm, t)
+    v, q, u = sm.start_weights, sm.t_matrix, sm.closure_probs
+    if sm.kind == "pcs":
+        v = np.exp(t) * v
+    elif sm.kind == "pls":
+        grow = np.exp(t / sm.half_length)
+        q, u = grow * q, grow * u
+    else:
+        v, q, u = (_power_jet(b, t)[0] for b in sm._bws_log_bases)
+    rows = np.empty((k_max, 4))
+    rows[0] = v
+    for k in range(1, k_max):
+        rows[k] = rows[k - 1] @ q
+    return rows @ u
 
 
 def mgf_at_length(sm: ScoreModel, t: float, k: int) -> float:
-    """Joint term E[exp(t * score); half-length = k] for a single centre.
-
-    For bws this is the tilted matrix bracket; for pls and pcs the score is
-    a function of k alone, so the term is the exact-length probability times
-    the scored exponential.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if sm.kind == "pcs":
-        return float(np.exp(t)) * exact_length_prob(sm, k)
-    if sm.kind == "pls":
-        return float(np.exp(t * k / sm.half_length)) * exact_length_prob(sm, k)
-    require_in_domain(sm, t)
-    v, q, u = (_power_jet(b, t)[0] for b in sm._bws_log_bases)
-    return float(np.real(v @ np.linalg.matrix_power(q, k - 1) @ u))
+    """Joint term E[exp(t * score); half-length = k] for a single centre
+    (length_terms); at t = 0 on a pcs or pls model, the probability that a
+    centre holds a palindrome of half-length exactly k."""
+    return float(length_terms(sm, t, k)[-1])
 
 
 def increment_log_charfn(sm: ScoreModel, lambda0: float, lambda1: float,
-                         theta0: float, theta1: float, t):
+                         theta1: float, t):
     """Log of the characteristic function E exp(i t Y) of one base's increment Y.
 
     The increment over one base subtracts the scores of a Poisson(lambda0)
-    number of occurrences drawn under tilt theta0 and adds those of a
-    Poisson(lambda1) number drawn under tilt theta1, so log E exp(i t Y) =
-    lambda0 (M(theta0 - i t) / M(theta0) - 1) + lambda1 (M(theta1 + i t) /
-    M(theta1) - 1). A stretch of d bases is the same increment with both
-    rates scaled by d. The exponent is returned rather than the transform
-    because it keeps its relative precision where the transform is within
-    rounding of 1.
+    number of null occurrences and adds those of a Poisson(lambda1) number
+    drawn under tilt theta1, so log E exp(i t Y) = lambda0 (M(-i t) / M(0)
+    - 1) + lambda1 (M(theta1 + i t) / M(theta1) - 1), with M(0) evaluated
+    like M(theta1) rather than taken as 1. A stretch of d bases is the same
+    increment with both rates scaled by d. The exponent is returned rather
+    than the transform because it keeps its relative precision where the
+    transform is within rounding of 1.
 
     t may be complex, which makes this the log of the two-sided Laplace
     transform E exp(-s Y) at s = -i t, and may be an array; all MGF values
-    come from one batched kernel call. On the line Im t = (theta1 - theta0)
-    / 2 the two MGF arguments are complex conjugates, so one evaluation per
-    t serves both.
+    come from one batched kernel call. On the line Im t = theta1 / 2 the two
+    MGF arguments are complex conjugates, so one evaluation per t serves
+    both.
 
     Raises:
         DomainError: an MGF argument outside the domain.
     """
     t = np.asarray(t, dtype=complex)
     plus = (theta1 - t.imag) + 1j * t.real    # theta1 + i t
-    minus = (theta0 + t.imag) - 1j * t.real   # theta0 - i t
+    minus = t.imag - 1j * t.real              # -i t
     mirrored = np.array_equal(minus, np.conj(plus))
-    args = [[theta0, theta1], plus.ravel()] + ([] if mirrored else [minus.ravel()])
+    args = [[0.0, theta1], plus.ravel()] + ([] if mirrored else [minus.ravel()])
     values = _mgf_value(sm, np.concatenate(args))
     k0, k1 = values[:2].real
     m_plus = values[2:2 + t.size].reshape(t.shape)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBankError, InfiniteScoreError
-from .markov import MarkovModel, RateEstimate, center_pair_probs, quasi_transition_matrix
+from .markov import (MarkovModel, RateEstimate, center_pair_probs,
+                     quasi_transition_matrix, start_weights)
 from .seqio import DnaSeq, decode
 
 SCORE_KINDS = ("pcs", "pls", "bws")
@@ -158,7 +159,7 @@ def _log_probs(flat: np.ndarray, sizes: np.ndarray, model: MarkovModel) -> np.nd
     pattern; the model's matrices are built once for the whole batch.
     """
     t = quasi_transition_matrix(model)
-    start = model.pi - model.pi @ t
+    start = start_weights(model)
     first = np.cumsum(sizes) - sizes
     last = first + sizes - 1
     # base j of pattern i owns factor slot j + i; each closure takes the

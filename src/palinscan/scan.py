@@ -147,7 +147,6 @@ class TiltSolution:
 
     lambda0: float
     lambda1: float
-    theta0: float
     theta1: float
     threshold: float
     window: int
@@ -245,8 +244,8 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float,
             f"threshold {threshold!r} is below the null window mean {null_mean!r}"
         )
     if threshold <= null_mean * (1.0 + 1e-12):
-        return TiltSolution(lambda0=lambda0, lambda1=lambda0, theta0=0.0,
-                            theta1=0.0, threshold=threshold, window=window)
+        return TiltSolution(lambda0=lambda0, lambda1=lambda0, theta1=0.0,
+                            threshold=threshold, window=window)
 
     log_ratio = np.log(threshold / null_mean)
     jets = {}  # cumulants at each evaluated theta, reused at the root
@@ -261,7 +260,7 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float,
         jets[theta] = phi, mean, var
         return phi + np.log(mean / mean0) - log_ratio, mean + var / mean
 
-    t_max = sm.domain.t_max
+    t_max = sm.t_max
     if np.isfinite(t_max):
         hi = t_max * (1.0 - 1e-10)
     else:
@@ -279,8 +278,8 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float,
                          tol=1e-13)
     jet = jets[theta1] if theta1 in jets else cumulants(sm, theta1)
     lambda1 = lambda0 * float(np.exp(jet[0]))
-    tilt = TiltSolution(lambda0=lambda0, lambda1=lambda1, theta0=0.0,
-                        theta1=theta1, threshold=threshold, window=window)
+    tilt = TiltSolution(lambda0=lambda0, lambda1=lambda1, theta1=theta1,
+                        threshold=threshold, window=window)
     object.__setattr__(tilt, "_cumulants", jet)
     return tilt
 
@@ -344,9 +343,9 @@ def analytic_nu(tilt: TiltSolution, sm: ScoreModel) -> float:
     compound-Poisson pair: the scores of a Poisson(lambda1) number of
     theta1-tilted occurrences minus those of a Poisson(lambda0) number of
     null ones. Bases without events, which leave it where it is, are
-    dropped. X is Y given at least one event, S_n the walk of X steps and theta = theta1 -
-    theta0 (theta0 is 0, and rate matching makes theta the root of
-    E exp(-theta Y) = 1). Spitzer's identities for the ladder height H,
+    dropped. X is Y given at least one event, S_n the walk of X steps and
+    theta = theta1 (rate matching makes it the root of E exp(-theta Y) =
+    1). Spitzer's identities for the ladder height H,
     1 - E exp(-theta H) = exp(-sum_n E[exp(-theta S_n); S_n > 0] / n) and
     E H = E X exp(sum_n P(S_n <= 0) / n), give
 
@@ -369,20 +368,20 @@ def analytic_nu(tilt: TiltSolution, sm: ScoreModel) -> float:
         can exceed 1 slightly).
 
     Raises:
-        ValueError: non-positive tilt gap.
+        ValueError: non-positive tilt.
     """
-    theta = tilt.theta1 - tilt.theta0
+    theta = tilt.theta1
     if theta <= 0:
-        raise ValueError("overshoot correction requires theta1 > theta0")
+        raise ValueError("overshoot correction requires theta1 > 0")
     floor = _nu_tilt_floor(sm)
     if theta < floor:
-        at_floor = replace(tilt, theta1=tilt.theta0 + floor, lambda1=tilt.lambda0
-                           * float(np.exp(cumulants(sm, tilt.theta0 + floor)[0])))
+        at_floor = replace(tilt, theta1=floor, lambda1=tilt.lambda0
+                           * float(np.exp(cumulants(sm, floor)[0])))
         return 1.0 - theta / floor * (1.0 - analytic_nu(at_floor, sm))
     c = 0.5 * theta
     t, w = _nu_quadrature(sm, c)
-    log_psi_y = increment_log_charfn(sm, tilt.lambda0, tilt.lambda1, tilt.theta0,
-                                     tilt.theta1, t + 1j * c).real
+    log_psi_y = increment_log_charfn(sm, tilt.lambda0, tilt.lambda1, theta,
+                                     t + 1j * c).real
     eventful = -np.expm1(-(tilt.lambda0 + tilt.lambda1))
     # 1 - psi_x = (1 - psi_y) / P(an event), without forming psi_y near 1
     log_sum = float(w @ -np.log(-np.expm1(log_psi_y) / eventful))
@@ -424,10 +423,7 @@ def p_value(threshold: float, window: int, total_length: int, lambda0: float,
         mean_increment = threshold - lambda0 * mu0
     else:
         mean_increment = tilt.lambda1 * mean1 - lambda0 * mu0
-    exceed_exponent = (
-        threshold * (tilt.theta1 - tilt.theta0)
-        - window * (tilt.lambda1 - tilt.lambda0)
-    )
+    exceed_exponent = threshold * tilt.theta1 - window * (tilt.lambda1 - tilt.lambda0)
     local_factor = 1.0 / np.sqrt(2.0 * np.pi * window * tilt.lambda1 * var_term)
     prefactor = (total_length - window) * nu * mean_increment * local_factor
     if prefactor <= 0.0:

@@ -3,7 +3,10 @@
 Two experiment harnesses mirror the package's analysis pipeline end to end.
 The rate experiment measures how clustered palindrome inserts ("hot spots")
 bias the window-free rate estimators; the power experiment measures how often
-scan thresholds derived from each estimator flag the inserted segments.
+scan thresholds derived from each estimator flag the inserted segments. The
+tilted score sampler draws from the per-length law of module mgf, built from
+the MGF kernel's own factors, so it samples the law score_mgf describes under
+either ScoreModel convention.
 Everything is reproducible: replicate i draws from a generator seeded by
 mixing the master seed with (0, i) through numpy's SeedSequence, so results
 do not depend on execution order.
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, CrowdedSegmentError, DomainError
+from .errors import ConvergenceError, CrowdedSegmentError
 from .markov import (
     BOHV1_GENOME_LENGTH,
     MarkovModel,
@@ -23,8 +26,7 @@ from .markov import (
     generate_sequence,
     markov_rate,
 )
-from .mgf import ScoreModel, require_in_domain
-from .numeric import mat_pow, spectral_radius
+from .mgf import ScoreModel, _power_jet, length_terms, score_mgf
 from .palindrome import (
     PalindromeBank,
     average_rate,
@@ -186,13 +188,12 @@ def min_seq_length(cfg: ExperimentConfig) -> int:
 
 
 def insert_hotspots(background: DnaSeq, specs, bank: PalindromeBank,
-                    lambda0: float, rng: np.random.Generator,
-                    max_retries: int = PLACEMENT_RETRIES):
+                    lambda0: float, rng: np.random.Generator):
     """Overwrite hot-spot segments with palindromes resampled from a bank.
 
     Each segment receives a Poisson(length * multiplier * lambda0) number of
     patterns drawn uniformly with replacement; each pattern is placed at a
-    uniform centre inside the segment, redrawing (up to ``max_retries``
+    uniform centre inside the segment, redrawing (up to PLACEMENT_RETRIES
     times) when it would overlap a previous placement or cross the segment
     boundary. Background palindromes remain, so a segment's total event rate
     is the insert intensity plus the background rate.
@@ -214,7 +215,7 @@ def insert_hotspots(background: DnaSeq, specs, bank: PalindromeBank,
         count = int(rng.poisson(spec.length * spec.multiplier * lambda0))
         placed: list[tuple[int, int]] = []
         for _ in range(count):
-            for _attempt in range(max_retries):
+            for _attempt in range(PLACEMENT_RETRIES):
                 pattern = bank.patterns[int(rng.integers(len(bank.patterns)))]
                 h = pattern.length // 2
                 c_lo = spec.start + h - 1
@@ -232,7 +233,7 @@ def insert_hotspots(background: DnaSeq, specs, bank: PalindromeBank,
             else:
                 raise CrowdedSegmentError(
                     f"could not place pattern {len(placed) + 1}/{count} in "
-                    f"segment at {spec.start} after {max_retries} retries"
+                    f"segment at {spec.start} after {PLACEMENT_RETRIES} retries"
                 )
     out = DnaSeq(bases=bases, source_id=background.source_id,
                  dropped_count=background.dropped_count)
@@ -243,10 +244,14 @@ class TiltedScoreSampler:
     """Draws palindrome scores from the exponentially tilted distribution.
 
     Tilting by theta reweights the null score density by exp(theta * x)
-    (normalised). For the length-ratio score this only tilts the half-length
-    distribution; for the log-rarity score it also reshapes the letters of
-    the pattern, which are sampled with backward accumulation vectors so
-    each conditional step is an exact categorical draw.
+    (normalised). The half-length law is mgf.length_terms at theta from k =
+    half_length on, cut where the terms reach 1 - _TAIL_MASS of their
+    closed-form total score_mgf(sm, theta) * sm.rate. For the length-ratio
+    score that is the whole law; for the log-rarity score the letters of the
+    pattern are then sampled with backward accumulation vectors of the
+    kernel's (1 - theta) powers of the start weights, T and the closure
+    vector, so each conditional step is an exact categorical draw. Every
+    factor is the MGF kernel's, so the draws follow sm.compat_paper.
 
     Construction precomputes all lookup tables; ``draw`` is vectorised.
     """
@@ -256,64 +261,22 @@ class TiltedScoreSampler:
         self.theta = float(theta)
         if self.kind == "pcs":
             return
-        require_in_domain(sm, self.theta)
-        self.half_length = sm.half_length
-        if self.kind == "pls":
-            self._init_pls(sm)
-        else:
+        self.half_length = h = sm.half_length
+        target = (1.0 - _TAIL_MASS) * score_mgf(sm, self.theta) * sm.rate
+        cum, k_max = [0.0], h
+        while not cum[-1] >= target:  # "not >=", so a NaN sum never passes
+            if k_max > 100_000:
+                raise ConvergenceError("tilted length distribution failed to truncate")
+            k_max *= 2
+            cum = np.cumsum(length_terms(sm, self.theta, k_max)[h - 1:])
+        n = int(np.searchsorted(cum, target)) + 1
+        self._ks = np.arange(h, h + n)
+        self._cum = cum[:n] / cum[n - 1]
+        if self.kind == "bws":
             self._init_bws(sm)
 
-    def _length_table(self, weights_of_k, ratio: float, first_k: int):
-        """Accumulate length weights until the geometric tail is negligible."""
-        ks, terms, total = [], [], 0.0
-        k = first_k
-        while k < first_k + 100_000:
-            term = weights_of_k(k)
-            ks.append(k)
-            terms.append(term)
-            total += term
-            tail = term * ratio / (1.0 - ratio)
-            if k > first_k and tail < _TAIL_MASS * total:
-                return np.asarray(ks), np.cumsum(terms) / total
-            k += 1
-        raise ConvergenceError("tilted length distribution failed to truncate")
-
-    def _init_pls(self, sm: ScoreModel) -> None:
-        t, h = sm.t_matrix, sm.half_length
-        ratio = np.exp(self.theta / h) * spectral_radius(t)
-        row = sm.start_weights @ mat_pow(t, h - 1)
-        state = {"row": row, "k": h}
-
-        def weight(k: int) -> float:
-            while state["k"] < k:
-                state["row"] = state["row"] @ t
-                state["k"] += 1
-            return float(np.exp(self.theta * k / h) * (state["row"] @ sm.closure_probs))
-
-        self._ks, self._cum = self._length_table(weight, ratio, h)
-
     def _init_bws(self, sm: ScoreModel) -> None:
-        expo = 1.0 - self.theta
-        with np.errstate(divide="ignore"):
-            q = np.where(sm.t_matrix > 0, sm.t_matrix, 1.0) ** expo
-            q[sm.t_matrix <= 0] = 0.0
-            u = np.where(sm.closure_probs > 0, sm.closure_probs, 1.0) ** expo
-            u[sm.closure_probs <= 0] = 0.0
-        v0 = sm.start_weights
-        if np.any(v0 < 0):
-            raise DomainError("negative start weights; log-rarity tilt undefined")
-        v = np.where(v0 > 0, v0, 1.0) ** expo
-        v[v0 <= 0] = 0.0
-        ratio = spectral_radius(q)
-        state = {"row": v.copy(), "k": 1}
-
-        def weight(k: int) -> float:
-            while state["k"] < k:
-                state["row"] = state["row"] @ q
-                state["k"] += 1
-            return float(state["row"] @ u)
-
-        self._ks, self._cum = self._length_table(weight, ratio, sm.half_length)
+        v, q, u = (_power_jet(b, self.theta)[0] for b in sm._bws_log_bases)
         k_last = int(self._ks[-1])
         # backward[m] = q^m u; conditional step tables follow from them
         backward = np.empty((k_last, 4))
@@ -328,9 +291,8 @@ class TiltedScoreSampler:
                 table = q * backward[m - 1][None, :] / backward[m][:, None]
                 steps[m] = np.where(np.isfinite(table), table, 0.0)
         self._step_cum = np.cumsum(steps, axis=2)
-        self._log_start = np.log(np.where(v0 > 0, v0, 1.0))
-        self._log_step = np.log(np.where(sm.t_matrix > 0, sm.t_matrix, 1.0))
-        self._log_close = np.log(np.where(sm.closure_probs > 0, sm.closure_probs, 1.0))
+        self._log_start, self._log_step, self._log_close = (
+            log for log, _ in sm._bws_log_bases)
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Sample ``size`` scores."""

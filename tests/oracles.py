@@ -530,7 +530,7 @@ def overshoot_nu(tilt, sm, rng: np.random.Generator, n_walks: int = DEFAULT_NU_W
 
     The independent check of palinscan.scan.analytic_nu. Each walk adds,
     per base, a Poisson(lambda1) number of theta1-tilted scores minus a
-    Poisson(lambda0) number of theta0-tilted ones, and stops at its first
+    Poisson(lambda0) number of null ones, and stops at its first
     strictly positive level (the first ascending ladder height). Bases
     without events are skipped by drawing the geometric gap to the next
     eventful one; skipped bases still count against the per walk step cap.
@@ -548,10 +548,10 @@ def overshoot_nu(tilt, sm, rng: np.random.Generator, n_walks: int = DEFAULT_NU_W
     """
     from palinscan.sim import TiltedScoreSampler
 
-    dtheta = tilt.theta1 - tilt.theta0
-    if dtheta <= 0:
-        raise ValueError("overshoot correction requires theta1 > theta0")
-    null_sampler = TiltedScoreSampler(sm, tilt.theta0)
+    theta = tilt.theta1
+    if theta <= 0:
+        raise ValueError("overshoot correction requires theta1 > 0")
+    null_sampler = TiltedScoreSampler(sm, 0.0)
     tilted_sampler = TiltedScoreSampler(sm, tilt.theta1)
     mu = tilt.lambda0 + tilt.lambda1
     p_event = -np.expm1(-mu)
@@ -598,8 +598,8 @@ def overshoot_nu(tilt, sm, rng: np.random.Generator, n_walks: int = DEFAULT_NU_W
             f"{n_capped}/{n_walks} walks exceeded the {step_cap}-step cap"
         )
     h = heights[~capped]
-    decay = np.exp(-h * dtheta)
-    gap = -np.expm1(-dtheta)
+    decay = np.exp(-h * theta)
+    gap = -np.expm1(-theta)
     mean_decay = float(decay.mean())
     mean_height = float(h.mean())
     nu = (1.0 - mean_decay) / (gap * mean_height)

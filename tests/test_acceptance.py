@@ -105,7 +105,7 @@ def test_mgf_normalization_and_series_oracle():
         at_zero = score_mgf(sm, 0.0)
         assert abs(at_zero - 1.0) < 1e-10, f"{kind} MGF at 0 is {at_zero!r}"
         for frac in np.linspace(0.05, 0.85, 10):
-            t = frac * min(sm.domain.t_max, 50.0)
+            t = frac * min(sm.t_max, 50.0)
             got = score_mgf(sm, float(t))
             want = series_mgf(model.pi, model.trans, HALF, float(t), kind)
             assert abs(got - want) < 1e-8 * abs(want), (

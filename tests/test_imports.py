@@ -1,12 +1,15 @@
 """Every name a package module imports is used in that module.
 
-__init__.py is left out: its imports are the package's exports.
+__init__.py is left out: its imports are the package's exports, and
+__all__ must list exactly those.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import palinscan
 
 PACKAGE = Path(__file__).parent.parent / "src" / "palinscan"
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -38,3 +41,10 @@ def test_no_unused_imports(path):
 def test_checker_flags_an_unused_name():
     source = "import os\nfrom math import pi, tau\nimport numpy as np\nprint(pi, np.e)\n"
     assert unused_imports(source) == ["os (line 1)", "tau (line 2)"]
+
+
+def test_all_lists_exactly_the_imported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(palinscan.__all__) == sorted(imported)

@@ -10,7 +10,6 @@ from palinscan import (
     SingularMatrixError,
     center_pair_probs,
     cumulants,
-    exact_length_prob,
     increment_log_charfn,
     iid_model,
     markov_rate,
@@ -55,7 +54,7 @@ MODELS = models_under_test()
 
 
 def grid_in_domain(sm, n=10):
-    t_max = min(sm.domain.t_max, 5.0) if np.isinf(sm.domain.t_max) else sm.domain.t_max
+    t_max = min(sm.t_max, 5.0) if np.isinf(sm.t_max) else sm.t_max
     return np.linspace(0.05, 0.85, n) * t_max
 
 
@@ -133,11 +132,11 @@ class TestKernelAgainstSeriesOracle:
             assert got.imag == pytest.approx(oracle.imag, rel=1e-8)
 
     def test_internal_series_agrees(self, bohv1):
-        # the per-length terms of mgf_at_length sum to the closed form
+        # the terms of length_terms from k = h on sum to the closed form
         for kind in ("pcs", "pls", "bws"):
             sm = ScoreModel(kind, bohv1, 6)
             t = 0.3 if kind == "bws" else 1.0
-            total = sum(mgf_at_length(sm, t, k) for k in range(6, 400))
+            total = mgf_module.length_terms(sm, t, 399)[5:].sum()
             assert total / sm.rate == pytest.approx(score_mgf(sm, t), rel=1e-10)
 
     def test_compat_paper_bws_column_start(self):
@@ -166,7 +165,7 @@ class TestExactLengthTerms:
     def test_probability_vs_enumeration(self, name, model):
         sm = ScoreModel("pls", model, 2)
         for k in (1, 2, 3, 4):
-            assert exact_length_prob(sm, k) == pytest.approx(
+            assert mgf_at_length(sm, 0.0, k) == pytest.approx(
                 enum_exact_length_prob(model.pi, model.trans, k), abs=1e-14
             )
 
@@ -185,13 +184,11 @@ class TestExactLengthTerms:
 
     def test_lengths_sum_to_rate(self, bohv1):
         sm = ScoreModel("pls", bohv1, 6)
-        total = sum(exact_length_prob(sm, k) for k in range(6, 200))
+        total = sum(mgf_at_length(sm, 0.0, k) for k in range(6, 200))
         assert total == pytest.approx(markov_rate(bohv1, 6).value, rel=1e-12)
 
     def test_k_validation(self, bohv1):
         sm = ScoreModel("pls", bohv1, 6)
-        with pytest.raises(ValueError):
-            exact_length_prob(sm, 0)
         with pytest.raises(ValueError):
             mgf_at_length(sm, 0.1, 0)
 
@@ -207,7 +204,7 @@ class TestIidMode:
             model = iid_model(pi)
             for kind in ("pcs", "pls", "bws"):
                 sm = ScoreModel(kind, model, 6)
-                hi = 0.8 * min(sm.domain.t_max, 5.0)
+                hi = 0.8 * min(sm.t_max, 5.0)
                 for t in np.linspace(-1.0, 1.0, 7) * hi:
                     assert score_mgf(sm, float(t)) == pytest.approx(
                         iid_geometric_mgf(pi, 6, float(t), kind), rel=1e-10
@@ -217,42 +214,42 @@ class TestIidMode:
         pi = rng.random(4) + 0.2
         for model in (uniform, iid_model(pi / pi.sum())):
             for kind in ("pls", "bws"):
-                got = ScoreModel(kind, model, 6).domain.t_max
+                got = ScoreModel(kind, model, 6).t_max
                 assert got == pytest.approx(iid_domain_edge(model.pi, 6, kind), abs=1e-9)
 
 
 class TestDomain:
     def test_pcs_domain_infinite(self, bohv1):
-        assert np.isinf(mgf_domain(ScoreModel("pcs", bohv1, 6)).t_max)
+        assert np.isinf(mgf_domain(ScoreModel("pcs", bohv1, 6)))
 
     def test_pls_uniform_value(self, uniform):
         # quasi matrix is constant 1/16, radius 1/4; sup t = -6 ln(1/4)
         sm = ScoreModel("pls", uniform, 6)
-        assert sm.domain.t_max == pytest.approx(-6.0 * np.log(0.25), rel=1e-10)
+        assert sm.t_max == pytest.approx(-6.0 * np.log(0.25), rel=1e-10)
 
     def test_bws_uniform_value(self, uniform):
         # tilted match probability 4 * 16^(t-1) hits 1 exactly at t = 1/2
         sm = ScoreModel("bws", uniform, 6)
-        assert sm.domain.t_max == pytest.approx(0.5, abs=1e-6)
+        assert sm.t_max == pytest.approx(0.5, abs=1e-6)
 
     def test_bws_boundary_vs_eigvals(self, bohv1):
         sm = ScoreModel("bws", bohv1, 6)
-        t_star = sm.domain.t_max
+        t_star = sm.t_max
         q = quasi_matrix(bohv1.trans) ** (1.0 - t_star)
         assert np.abs(np.linalg.eigvals(q)).max() == pytest.approx(1.0, abs=1e-6)
 
     def test_membership_and_rejection(self, bohv1):
         pls = ScoreModel("pls", bohv1, 6)
-        assert 0.0 in pls.domain
-        assert pls.domain.t_max - 1e-6 in pls.domain
-        assert pls.domain.t_max + 0.1 not in pls.domain
+        assert 0.0 < pls.t_max < np.inf
+        require_in_domain(pls, 0.0)
+        require_in_domain(pls, pls.t_max - 1e-6)
         with pytest.raises(DomainError):
-            require_in_domain(pls, pls.domain.t_max + 0.1)
+            require_in_domain(pls, pls.t_max + 0.1)
         bws = ScoreModel("bws", bohv1, 6)
         with pytest.raises(DomainError):
             require_in_domain(bws, 1.0)
         with pytest.raises(DomainError):
-            score_mgf(bws, bws.domain.t_max + 1e-3)
+            score_mgf(bws, bws.t_max + 1e-3)
 
     def test_complex_arguments_use_real_part(self, bohv1):
         bws = ScoreModel("bws", bohv1, 6)
@@ -275,7 +272,7 @@ class TestCumulant:
         sm = ScoreModel("pls", bohv1, 6)
         lam = markov_rate(bohv1, 6).value
         mean = sum(
-            (k / 6.0) * exact_length_prob(sm, k) for k in range(6, 400)
+            (k / 6.0) * mgf_at_length(sm, 0.0, k) for k in range(6, 400)
         ) / lam
         assert cumulants(sm, 0.0)[1] == pytest.approx(mean, rel=1e-6)
 
@@ -342,7 +339,7 @@ class TestClosedFormCumulants:
     def test_derivatives_match_oracles(self, kind, iid, model, half_length, frac):
         model = iid_model(model.pi) if iid else model
         sm = ScoreModel(kind, model, half_length)
-        theta = frac * sm.domain.t_max
+        theta = frac * sm.t_max
         phi, mean, var = cumulants(sm, theta)
         f = lambda x: cumulants(sm, x)[0]
         assert mean == pytest.approx(derivative(f, theta, order=1), rel=1e-8)
@@ -357,7 +354,7 @@ class TestClosedFormCumulants:
     @given(model=markov_models(), half_length=st.integers(1, 8))
     def test_domain_edge_fails_loudly(self, kind, iid, model, half_length):
         sm = ScoreModel(kind, iid_model(model.pi) if iid else model, half_length)
-        t_max = sm.domain.t_max
+        t_max = sm.t_max
         for theta in (t_max, 1.01 * t_max):
             with pytest.raises(DomainError):
                 cumulants(sm, theta)
@@ -382,27 +379,27 @@ class TestIncrementCharfn:
 
     def test_unit_value_at_zero(self, bohv1):
         sm, lam0, lam1, theta1 = self._setup(bohv1)
-        val = increment_charfn(sm, lam0, lam1, 0.0, theta1, 0.0)
+        val = increment_charfn(sm, lam0, lam1, theta1, 0.0)
         assert val == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
     def test_conjugate_symmetry(self, bohv1):
         sm, lam0, lam1, theta1 = self._setup(bohv1)
-        plus = increment_charfn(sm, lam0, lam1, 0.0, theta1, 0.35)
-        minus = increment_charfn(sm, lam0, lam1, 0.0, theta1, -0.35)
+        plus = increment_charfn(sm, lam0, lam1, theta1, 0.35)
+        minus = increment_charfn(sm, lam0, lam1, theta1, -0.35)
         assert minus == pytest.approx(np.conj(plus), abs=1e-12)
 
     def test_modulus_bounded_by_value_at_zero(self, bohv1):
         sm, lam0, lam1, theta1 = self._setup(bohv1, kind="bws", theta1=0.2)
-        at_zero = abs(increment_charfn(sm, lam0, lam1, 0.0, theta1, 0.0))
+        at_zero = abs(increment_charfn(sm, lam0, lam1, theta1, 0.0))
         for t in (0.1, 0.5, 2.0):
-            assert abs(increment_charfn(sm, lam0, lam1, 0.0, theta1, t)) <= at_zero + 1e-12
+            assert abs(increment_charfn(sm, lam0, lam1, theta1, t)) <= at_zero + 1e-12
 
     @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
     def test_array_argument_matches_scalars(self, kind, bohv1):
         sm, lam0, lam1, theta1 = self._setup(bohv1, kind=kind, theta1=0.2)
         t = np.array([0.0, 0.35, -1.2, 3.0 + 0.05j, 0.7 + 0.1j])
-        batch = increment_charfn(sm, lam0, lam1, 0.0, theta1, t)
-        single = [increment_charfn(sm, lam0, lam1, 0.0, theta1, x) for x in t]
+        batch = increment_charfn(sm, lam0, lam1, theta1, t)
+        single = [increment_charfn(sm, lam0, lam1, theta1, x) for x in t]
         assert batch.shape == t.shape
         assert np.allclose(batch, single, rtol=1e-13, atol=0.0)
 
@@ -417,7 +414,7 @@ class TestIncrementCharfn:
         kernel = mgf_module._mgf_value
         monkeypatch.setattr(mgf_module, "_mgf_value",
                             lambda sm, z: sizes.append(np.size(z)) or kernel(sm, z))
-        log_psi = increment_log_charfn(sm, lam0, lam1, 0.0, theta1, u + 1j * c)
+        log_psi = increment_log_charfn(sm, lam0, lam1, theta1, u + 1j * c)
         assert sizes == [u.size + 2]
         expected = 2.0 * lam0 * np.real(kernel(sm, c + 1j * u)) - lam0 - lam1
         assert np.allclose(log_psi, expected, rtol=1e-12, atol=1e-15)
@@ -425,10 +422,10 @@ class TestIncrementCharfn:
     def test_general_rates_without_rate_matching(self, bohv1):
         # each compound-Poisson factor is normalised by its own tilt's MGF
         sm = ScoreModel("pls", bohv1, 6)
-        lam0, lam1, theta0, theta1, t = 0.02, 0.07, 0.1, 0.9, 0.4
-        got = increment_charfn(sm, lam0, lam1, theta0, theta1, t)
+        lam0, lam1, theta1, t = 0.02, 0.07, 0.9, 0.4
+        got = increment_charfn(sm, lam0, lam1, theta1, t)
         m = lambda z: complex(mgf_module._mgf_value(sm, z))
-        expected = np.exp(lam0 * (m(theta0 - 1j * t) / m(theta0) - 1.0)
+        expected = np.exp(lam0 * (m(-1j * t) / m(0.0) - 1.0)
                           + lam1 * (m(theta1 + 1j * t) / m(theta1) - 1.0))
         assert got == pytest.approx(expected, rel=1e-13)
 
@@ -448,4 +445,4 @@ class TestBatchedKernel:
     def test_domain_checked_for_every_entry(self, bohv1):
         sm = ScoreModel("bws", bohv1, 6)
         with pytest.raises(DomainError):
-            mgf_module._mgf_value(sm, np.array([0.1, sm.domain.t_max + 0.01j]))
+            mgf_module._mgf_value(sm, np.array([0.1, sm.t_max + 0.01j]))

@@ -316,7 +316,7 @@ class TestOvershoot:
 def tilt_at(sm, theta, lam0=0.05):
     """The rate-matched tilt solution at a given tilt, per base."""
     lam1 = lam0 * score_mgf(sm, theta)
-    return TiltSolution(lambda0=lam0, lambda1=lam1, theta0=0.0, theta1=theta,
+    return TiltSolution(lambda0=lam0, lambda1=lam1, theta1=theta,
                         threshold=WINDOW * lam1 * cumulants(sm, theta)[1],
                         window=WINDOW)
 

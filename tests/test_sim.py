@@ -6,18 +6,19 @@ from palinscan import (
     DnaSeq,
     ExperimentConfig,
     HotspotSpec,
+    MarkovModel,
     PalindromeBank,
     ScoreModel,
     TiltedScoreSampler,
     bohv1_model,
     build_bank,
     default_hotspot_specs,
-    exact_length_prob,
     find_palindromes,
     generate_sequence,
     iid_model,
     insert_hotspots,
     markov_rate,
+    mgf_at_length,
     power_experiment,
     power_result_to_tsv,
     rate_experiment,
@@ -31,7 +32,7 @@ from palinscan.sim import (
     min_seq_length,
 )
 
-from oracles import iid_geometric_mgf, series_mgf
+from oracles import iid_geometric_mgf, quasi_matrix, random_model, series_mgf
 
 
 @pytest.fixture(scope="module")
@@ -172,11 +173,11 @@ class TestTiltedSampler:
         n = 200_000
         draws = sampler.draw(np.random.default_rng(42), n)
         norm = sum(
-            np.exp(theta * k / 6.0) * exact_length_prob(sm, k)
+            np.exp(theta * k / 6.0) * mgf_at_length(sm, 0.0, k)
             for k in range(6, 60)
         )
         for k in range(6, 12):
-            p_k = np.exp(theta * k / 6.0) * exact_length_prob(sm, k) / norm
+            p_k = np.exp(theta * k / 6.0) * mgf_at_length(sm, 0.0, k) / norm
             emp = float(np.mean(draws == k / 6.0))
             se = np.sqrt(p_k * (1 - p_k) / n)
             assert abs(emp - p_k) < 5 * se + 1e-9
@@ -185,20 +186,39 @@ class TestTiltedSampler:
         sm = ScoreModel("pls", bohv1, 6)
         draws = TiltedScoreSampler(sm, 0.0).draw(np.random.default_rng(7), 100_000)
         lam = markov_rate(bohv1, 6).value
-        p6 = exact_length_prob(sm, 6) / lam
+        p6 = mgf_at_length(sm, 0.0, 6) / lam
         emp = float(np.mean(draws == 1.0))
         assert abs(emp - p6) < 5 * np.sqrt(p6 * (1 - p6) / draws.size)
 
-    def test_bws_mgf_identity(self, bohv1):
-        # under tilt theta, E[exp(s X)] = K(theta + s) / K(theta)
+    @pytest.mark.parametrize("compat_paper", [False, True])
+    def test_bws_mgf_identity(self, compat_paper):
+        # under tilt theta, E[exp(s X)] = K(theta + s) / K(theta), with K the
+        # MGF of the model's convention. BoHV-1 is too close to symmetric for
+        # the two bws start weights to differ visibly; on this model they
+        # move the ratio by 1.6%, which 150k draws resolve at about 15 SE.
         theta, s = 0.2, -0.15
-        sm = ScoreModel("bws", bohv1, 6)
+        pi, trans = random_model(np.random.default_rng(2))
+        sm = ScoreModel("bws", MarkovModel(pi=pi, trans=trans), 6,
+                        compat_paper=compat_paper)
+        column = pi - quasi_matrix(trans) @ pi if compat_paper else None
         draws = TiltedScoreSampler(sm, theta).draw(np.random.default_rng(13), 150_000)
         vals = np.exp(s * draws)
         expected = (
-            series_mgf(bohv1.pi, bohv1.trans, 6, theta + s, "bws")
-            / series_mgf(bohv1.pi, bohv1.trans, 6, theta, "bws")
+            series_mgf(pi, trans, 6, theta + s, "bws", bws_start=column)
+            / series_mgf(pi, trans, 6, theta, "bws", bws_start=column)
         )
+        se = vals.std(ddof=1) / np.sqrt(vals.size)
+        assert abs(vals.mean() - expected) < 5 * se
+
+    def test_pls_near_domain_edge(self, bohv1):
+        # a tilt close to t_max needs thousands of half-lengths, whose
+        # scored exponentials exp(theta k / h) alone overflow; the reference
+        # is the resolvent form, which sums no series
+        sm = ScoreModel("pls", bohv1, 6)
+        theta, s = 0.99 * sm.t_max, -1.0
+        draws = TiltedScoreSampler(sm, theta).draw(np.random.default_rng(4), 20_000)
+        vals = np.exp(s * draws)
+        expected = score_mgf(sm, theta + s) / score_mgf(sm, theta)
         se = vals.std(ddof=1) / np.sqrt(vals.size)
         assert abs(vals.mean() - expected) < 5 * se
 
