@@ -40,7 +40,7 @@ for row in fitted.trans:
 
 # -- the three rate estimates -----------------------------------------------
 events = find_palindromes(seq, HALF_LENGTH)
-lam_avg = average_rate(events, seq.length, HALF_LENGTH)
+lam_avg = average_rate(events)      # count / length, at the table's threshold
 lam_iid = iid_rate(fitted.pi, HALF_LENGTH)
 lam_markov = markov_rate(fitted, HALF_LENGTH)
 true_rate = markov_rate(model, HALF_LENGTH).value

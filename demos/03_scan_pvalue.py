@@ -32,16 +32,17 @@ model = bohv1_model()
 rng = np.random.default_rng(7)
 
 # -- simulate, detect, score, window ----------------------------------------
+# One ScoreModel fixes the score kind, null model and threshold; it scores
+# the events here and gives the MGF behind the p-value below.
+sm = ScoreModel(KIND, model, HALF_LENGTH)
 seq = generate_sequence(model, LENGTH, rng)
 events = find_palindromes(seq, HALF_LENGTH)
-scores = score_events(events, KIND, HALF_LENGTH, model)
-series = window_scores(zip(events.centers, scores), WINDOW, LENGTH)
+series = window_scores(events.centers, score_events(events, sm), WINDOW, LENGTH)
 print(f"{len(events)} palindromes; best window starts at {series.argmax} "
       f"with total score {series.max_value:.4f}")
 
 # -- p-value of the observed maximum ----------------------------------------
 lam0 = markov_rate(model, HALF_LENGTH).value
-sm = ScoreModel(KIND, model, HALF_LENGTH)
 report = p_value(series.max_value, WINDOW, LENGTH, lam0, sm)
 print(f"\ntilted rate lambda1 = {report.tilt.lambda1:.6g} "
       f"(null {lam0:.6g}), tilt theta1 = {report.tilt.theta1:.4f}")

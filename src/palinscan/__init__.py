@@ -3,7 +3,9 @@
 The package covers the full pipeline: sequence I/O and encoding
 (:mod:`palinscan.seqio`), first-order Markov model estimation and
 palindrome rates (:mod:`palinscan.markov`), palindrome detection and
-scoring (:mod:`palinscan.palindrome`, events held as one PalindromeTable of arrays),
+scoring under a ScoreModel (:mod:`palinscan.palindrome`; events are one
+PalindromeTable of arrays that carries its detection threshold from
+detection to window sums),
 analytic score MGFs and their cumulants with exponential tilting
 (:mod:`palinscan.mgf`), windowed scan p-values and thresholds with a
 deterministic overshoot correction computed from the score MGF
@@ -51,11 +53,9 @@ from .mgf import (
     score_mgf,
 )
 from .palindrome import (
-    PalindromeBank,
     PalindromeEvent,
     PalindromeTable,
     average_rate,
-    build_bank,
     events_to_tsv,
     find_palindromes,
     pattern_log_prob,
@@ -115,7 +115,6 @@ __all__ = [
     "InfiniteScoreError",
     "MarkovModel",
     "NonFiniteError",
-    "PalindromeBank",
     "PalindromeEvent",
     "PalindromeTable",
     "PalinscanError",
@@ -132,7 +131,6 @@ __all__ = [
     "analytic_nu",
     "average_rate",
     "bohv1_model",
-    "build_bank",
     "center_pair_probs",
     "cumulants",
     "default_hotspot_specs",

@@ -33,14 +33,8 @@ from .markov import (
     markov_rate,
     model_to_json,
 )
-from .mgf import ScoreModel, cumulants, score_mgf
-from .palindrome import (
-    SCORE_KINDS,
-    average_rate,
-    events_to_tsv,
-    find_palindromes,
-    score_events,
-)
+from .mgf import SCORE_KINDS, ScoreModel, cumulants, score_mgf
+from .palindrome import average_rate, events_to_tsv, find_palindromes, score_events
 from .scan import null_window_mean, p_value, window_scores
 from .seqio import ALPHABET, FastaRecord, fetch_sequence, parse_fasta_file
 from .sim import (
@@ -203,8 +197,7 @@ def _cmd_estimate(args: argparse.Namespace, out) -> int:
             "id": rec.id,
             "length": rec.seq.length,
             "dropped": rec.seq.dropped_count,
-            "lambda_avg": average_rate(events, rec.seq.length,
-                                       args.half_length).value,
+            "lambda_avg": average_rate(events).value,
             "lambda_iid": iid_rate(model.pi, args.half_length).value,
             "lambda_markov": markov_rate(model, args.half_length).value,
             "model": json.loads(model_to_json(model)),
@@ -244,13 +237,13 @@ def _cmd_scan(args: argparse.Namespace, out) -> int:
     elif args.rate_estimator == "markov":
         lambda0 = markov_rate(model, args.half_length).value
     elif args.rate_estimator == "average":
-        lambda0 = average_rate(events, total_length, args.half_length).value
+        lambda0 = average_rate(events).value
     else:
         lambda0 = iid_rate(model.pi, args.half_length).value
     sm = ScoreModel(args.score, model, args.half_length,
                     compat_paper=args.compat_paper)
-    scores = score_events(events, args.score, args.half_length, model)
-    series = window_scores(zip(events.centers, scores), args.window, total_length)
+    series = window_scores(events.centers, score_events(events, sm), args.window,
+                           total_length)
     threshold = args.threshold if args.threshold is not None else series.max_value
 
     null_mean = null_window_mean(lambda0, sm, args.window)
@@ -280,7 +273,7 @@ def _cmd_scan(args: argparse.Namespace, out) -> int:
                 fh.write(f"{t}\t{v:.10g}\n")
     if args.dump_events:
         with open(args.dump_events, "w") as fh:
-            fh.write(events_to_tsv(events, args.half_length, model))
+            fh.write(events_to_tsv(events, model))
     if args.json_output:
         out.write(json.dumps(ordered, indent=2) + "\n")
     else:

@@ -36,8 +36,8 @@ from .errors import DomainError, SingularMatrixError
 from .markov import (MarkovModel, center_pair_probs, markov_rate,
                      quasi_transition_matrix, start_weights)
 from .numeric import find_root, mat_inv, mat_pow, spectral_radius
-from .palindrome import SCORE_KINDS
 
+SCORE_KINDS = ("pcs", "pls", "bws")
 _EYE = np.eye(4)
 
 
@@ -178,8 +178,6 @@ def require_in_domain(sm: ScoreModel, z) -> None:
     every entry when z is an array)."""
     re = np.real(z)
     re = float(re if isinstance(re, float) else re.max())
-    if sm.kind == "bws" and re >= 1.0:
-        raise DomainError(f"bws MGF argument must satisfy Re t < 1, got {re!r}")
     t_max = sm.t_max
     if re >= t_max:
         raise DomainError(

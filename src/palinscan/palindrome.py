@@ -6,11 +6,14 @@ the complement of base ``k-1`` to the left, for k = 1..h. Events record the
 maximal h per centre; nested sub-palindromes of the same centre are not
 emitted separately.
 
-Events are always held as one PalindromeTable of centre and half-length
-arrays over the searched sequence: score_events, average_rate and
-events_to_tsv read the arrays, and PalindromeEvent objects are built only
-when a table is indexed or iterated. pattern_log_prob is the bws score of
-one pattern on its own.
+Events are always held as one PalindromeTable: centre and half-length
+arrays over the searched sequence, and the threshold they were searched at.
+It is the one event value from detection to window sums: score_events
+scores it under a ScoreModel of the same threshold, average_rate and
+events_to_tsv read it alone, its centres are the positions window_scores
+sums over, and the hot-spot simulation draws its inserts from one.
+PalindromeEvent objects are built only when a table is indexed or iterated.
+pattern_log_prob is the bws score of one pattern on its own.
 """
 
 from __future__ import annotations
@@ -19,12 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBankError, InfiniteScoreError
+from .errors import InfiniteScoreError
 from .markov import (MarkovModel, RateEstimate, center_pair_probs,
                      quasi_transition_matrix, start_weights)
+from .mgf import SCORE_KINDS, ScoreModel
 from .seqio import DnaSeq, decode
-
-SCORE_KINDS = ("pcs", "pls", "bws")
 
 
 @dataclass(frozen=True)
@@ -45,14 +47,6 @@ class PalindromeEvent:
     pattern: DnaSeq
 
 
-@dataclass(frozen=True)
-class PalindromeBank:
-    """Pool of palindrome patterns (with multiplicity) for resampling."""
-
-    patterns: list[DnaSeq]
-    source_id: str = ""
-
-
 @dataclass(frozen=True, eq=False)
 class PalindromeTable:
     """The maximal palindromes of one sequence, as parallel arrays.
@@ -61,6 +55,8 @@ class PalindromeTable:
         seq: the searched sequence.
         centers: int64 centres, ascending (see PalindromeEvent.center).
         half_lengths: int64 maximal half-length at each centre.
+        min_half_length: the detection threshold L >= 1 the sequence was
+            searched at; every half-length is at least L.
 
     ``len()`` is the event count. Indexing or iterating builds
     PalindromeEvent views on demand, each with its own copy of the pattern.
@@ -69,12 +65,17 @@ class PalindromeTable:
     seq: DnaSeq
     centers: np.ndarray
     half_lengths: np.ndarray
+    min_half_length: int
 
     def __post_init__(self):
         centers = np.asarray(self.centers, dtype=np.int64)
         half = np.asarray(self.half_lengths, dtype=np.int64)
         if centers.ndim != 1 or half.shape != centers.shape:
             raise ValueError("centers and half_lengths must be 1-d arrays of one length")
+        if self.min_half_length < 1:
+            raise ValueError("min_half_length must be >= 1")
+        if np.any(half < self.min_half_length):
+            raise ValueError("event half_length is below the detection threshold")
         centers.flags.writeable = False
         half.flags.writeable = False
         object.__setattr__(self, "centers", centers)
@@ -108,18 +109,21 @@ def find_palindromes(s: DnaSeq, min_half_length: int) -> PalindromeTable:
     still match. Each round discards a (1 - gamma) fraction of centres on
     typical sequences, so total work is close to linear.
 
-    Returns a PalindromeTable of centres (ascending) and half-lengths; no
-    event object is built until the table is indexed or iterated.
-    Overlapping palindromes at different centres are all reported.
+    Returns a PalindromeTable of centres (ascending) and half-lengths at
+    threshold min_half_length; no event object is built until the table is
+    indexed or iterated. Overlapping palindromes at different centres are
+    all reported.
+
+    Raises:
+        ValueError: min_half_length < 1 (the table's own check).
     """
-    if min_half_length < 1:
-        raise ValueError("min_half_length must be >= 1")
     b = s.bases
     n = b.size
     low = min_half_length - 1  # the first centre with room for depth L
     count = n - 2 * min_half_length + 1
-    if count <= 0:
-        return PalindromeTable(s, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    if count <= 0 or min_half_length < 1:
+        none = np.empty(0, dtype=np.int64)
+        return PalindromeTable(s, none, none, min_half_length)
     comp = (3 - b).astype(np.uint8)
     match = np.ones(count, dtype=bool)
     for k in range(1, min_half_length + 1):
@@ -137,7 +141,7 @@ def find_palindromes(s: DnaSeq, min_half_length: int) -> PalindromeTable:
         alive = alive[matched]
         half[alive] += 1
         depth += 1
-    return PalindromeTable(s, centers, half)
+    return PalindromeTable(s, centers, half, min_half_length)
 
 
 def _left_halves(events: PalindromeTable) -> np.ndarray:
@@ -150,16 +154,16 @@ def _left_halves(events: PalindromeTable) -> np.ndarray:
     return events.seq.bases[np.arange(sizes.sum()) + np.repeat(offset, sizes)]
 
 
-def _log_probs(flat: np.ndarray, sizes: np.ndarray, model: MarkovModel) -> np.ndarray:
+def _log_probs(flat: np.ndarray, sizes: np.ndarray, start: np.ndarray,
+               t: np.ndarray, close: np.ndarray) -> np.ndarray:
     """Log occurrence probabilities of palindromes given by their left halves.
 
     ``flat`` holds every pattern's left half, pattern after pattern, and
-    ``sizes`` their lengths. Every pattern's factors (start weight, quasi
-    steps, centre closure) are gathered into one flat array and summed per
-    pattern; the model's matrices are built once for the whole batch.
+    ``sizes`` their lengths; ``start``, ``t`` and ``close`` are the model's
+    start weights, quasi transition matrix and centre closure vector. Every
+    pattern's factors are gathered into one flat array and summed per
+    pattern.
     """
-    t = quasi_transition_matrix(model)
-    start = start_weights(model)
     first = np.cumsum(sizes) - sizes
     last = first + sizes - 1
     # base j of pattern i owns factor slot j + i; each closure takes the
@@ -168,7 +172,7 @@ def _log_probs(flat: np.ndarray, sizes: np.ndarray, model: MarkovModel) -> np.nd
     factors = np.empty(flat.size + sizes.size)
     factors[slot[1:]] = t[flat[:-1], flat[1:]]
     factors[slot[first]] = start[flat[first]]
-    factors[slot[last] + 1] = center_pair_probs(model)[flat[last]]
+    factors[slot[last] + 1] = close[flat[last]]
     if np.any(factors <= 0.0):
         raise InfiniteScoreError(
             "pattern has zero probability under the model"
@@ -194,88 +198,65 @@ def pattern_log_prob(pattern, model: MarkovModel) -> float:
     if bases.size == 0 or bases.size % 2:
         raise ValueError("pattern must have positive even length")
     half = bases.size // 2
-    return float(_log_probs(bases[:half], np.array([half]), model)[0])
+    return float(_log_probs(bases[:half], np.array([half]), start_weights(model),
+                            quasi_transition_matrix(model),
+                            center_pair_probs(model))[0])
 
 
-def score_events(events: PalindromeTable, kind: str, min_half_length: int,
-                 model: MarkovModel | None = None) -> np.ndarray:
-    """Scores of the events of a PalindromeTable, in event order.
+def score_events(events: PalindromeTable, sm: ScoreModel) -> np.ndarray:
+    """Scores of the events of a PalindromeTable under sm, in event order.
 
-    Kinds (case-insensitive):
+    Kinds (sm.kind):
         pcs: plain count — every event scores 1.
-        pls: length ratio — half_length / min_half_length.
+        pls: length ratio — half_length / sm.half_length.
         bws: weight by rarity — minus the log occurrence probability of the
-            exact pattern under ``model`` (required for this kind; see
-            pattern_log_prob), for all events in one vectorised pass.
-
-    The table is scored from its arrays alone: bws gathers each left half
-    from the sequence by offset, with no event object built.
+            exact pattern (see pattern_log_prob) from sm's start weights,
+            quasi transition matrix and closure vector, for all events in
+            one vectorised pass; each left half is gathered from the
+            sequence by offset, with no event object built.
 
     Raises:
-        ValueError: unknown kind, an event below the detection threshold, or
-            bws without a model.
+        ValueError: the table was searched at another threshold than
+            sm.half_length, so its scores are not the ones sm's MGF
+            describes.
         InfiniteScoreError: (bws) some pattern has zero probability.
     """
-    kind = kind.lower()
-    if kind not in SCORE_KINDS:
-        raise ValueError(f"unknown score kind {kind!r}; expected one of {SCORE_KINDS}")
+    if sm.half_length != events.min_half_length:
+        raise ValueError(f"score model threshold {sm.half_length} differs from "
+                         f"the table's {events.min_half_length}")
     half = events.half_lengths
-    if np.any(half < min_half_length):
-        raise ValueError("event half_length is below the detection threshold")
-    if kind == "pcs":
+    if sm.kind == "pcs":
         return np.ones(half.size)
-    if kind == "pls":
-        return half / min_half_length
-    if model is None:
-        raise ValueError("bws scoring requires a model")
+    if sm.kind == "pls":
+        return half / sm.half_length
     if not half.size:
         return np.empty(0)
-    return -_log_probs(_left_halves(events), half, model)
+    return -_log_probs(_left_halves(events), half, sm.start_weights,
+                       sm.t_matrix, sm.closure_probs)
 
 
-def build_bank(s: DnaSeq, min_half_length: int) -> PalindromeBank:
-    """Collect every maximal palindrome pattern of a sequence into a bank.
-
-    Patterns are kept with multiplicity so that resampling reproduces the
-    source's pattern frequencies.
+def average_rate(events: PalindromeTable) -> RateEstimate:
+    """Observed events per position of the searched sequence, recorded at
+    the table's threshold.
 
     Raises:
-        EmptyBankError: the sequence contains no qualifying palindrome.
+        ValueError: the sequence is empty.
     """
-    events = find_palindromes(s, min_half_length)
-    if not events:
-        raise EmptyBankError(
-            f"no palindromes of half-length >= {min_half_length} in source"
-        )
-    return PalindromeBank(patterns=[e.pattern for e in events],
-                          source_id=s.source_id)
+    if events.seq.length < 1:
+        raise ValueError("average rate of an empty sequence")
+    return RateEstimate(value=len(events) / events.seq.length, method="average",
+                        half_length=events.min_half_length)
 
 
-def average_rate(events: PalindromeTable, seq_length: int,
-                 half_length: int | None = None) -> RateEstimate:
-    """Observed events per position: len(events) / seq_length.
-
-    ``half_length`` records the detection threshold in the estimate; when
-    omitted it is inferred from the smallest event (0 if there are none).
-    """
-    if seq_length < 1:
-        raise ValueError("seq_length must be >= 1")
-    if half_length is None:
-        half = events.half_lengths
-        half_length = int(half.min()) if half.size else 0
-    return RateEstimate(value=len(events) / seq_length, method="average",
-                        half_length=half_length)
-
-
-def events_to_tsv(events: PalindromeTable, min_half_length: int,
-                  model: MarkovModel) -> str:
-    """Render events as TSV with columns center, half_length, pattern, pcs, pls, bws."""
-    scores = [score_events(events, kind, min_half_length, model).tolist()
+def events_to_tsv(events: PalindromeTable, model: MarkovModel) -> str:
+    """Render events as TSV with columns center, half_length, pattern, pcs,
+    pls, bws, each score under ``model`` at the table's threshold."""
+    scores = [score_events(events, ScoreModel(kind, model, events.min_half_length))
               for kind in SCORE_KINDS]
+    columns = (events.centers, events.half_lengths, *scores)
     bases = events.seq.bases
     lines = ["center\thalf_length\tpattern\tpcs\tpls\tbws"]
-    for c, h, pcs, pls, bws in zip(events.centers.tolist(),
-                                   events.half_lengths.tolist(), *scores):
+    for c, h, pcs, pls, bws in zip(*(col.tolist() for col in columns)):
         lines.append(f"{c}\t{h}\t{decode(bases[c - h + 1 : c + h + 1])}"
                      f"\t{pcs:.10g}\t{pls:.10g}\t{bws:.10g}")
     return "\n".join(lines) + "\n"

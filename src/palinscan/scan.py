@@ -183,29 +183,25 @@ class PvalueReport:
             raise ValueError("nu must lie in (0, 1]")
 
 
-def window_scores(events, window: int, total_length: int) -> WindowSeries:
+def window_scores(positions, scores, window: int, total_length: int) -> WindowSeries:
     """Window sums of event scores over every window start.
 
     Args:
-        events: iterable of (position, score) pairs in any order, positions
-            in [0, total_length) and scores finite and >= 0; the scores at a
-            repeated position are added in input order.
+        positions: strictly increasing event positions in [0, total_length),
+            such as a PalindromeTable's centers.
+        scores: the score at each position, finite and >= 0.
         window: window width.
         total_length: sequence length.
 
     Raises:
-        ValueError: width out of range, an event position outside the
-            sequence, or a negative or non-finite score.
+        ValueError: width out of range, positions out of range or not
+            strictly increasing, one score per position not given, or a
+            negative or non-finite score.
     """
-    pairs = list(events)
-    pos = np.asarray([p for p, _ in pairs], dtype=np.int64)
-    scores = np.asarray([x for _, x in pairs], dtype=float)
+    scores = np.asarray(scores, dtype=float)
     if not np.all((scores >= 0.0) & (scores < np.inf)):
         raise ValueError("event scores must be finite and non-negative")
-    positions, slot = np.unique(pos, return_inverse=True)
-    per_position = np.zeros(positions.size)
-    np.add.at(per_position, slot, scores)
-    cumulative = np.concatenate(([0.0], np.cumsum(per_position)))
+    cumulative = np.concatenate(([0.0], np.cumsum(scores)))
     return WindowSeries(window=window, total_length=total_length,
                         positions=positions, cumulative=cumulative)
 

@@ -3,10 +3,13 @@
 Two experiment harnesses mirror the package's analysis pipeline end to end.
 The rate experiment measures how clustered palindrome inserts ("hot spots")
 bias the window-free rate estimators; the power experiment measures how often
-scan thresholds derived from each estimator flag the inserted segments. The
-tilted score sampler draws from the per-length law of module mgf, built from
-the MGF kernel's own factors, so it samples the law score_mgf describes under
-either ScoreModel convention.
+scan thresholds derived from each estimator flag the inserted segments. Hot
+spots are drawn from a bank that is simply the PalindromeTable of a
+reference sequence, and the power experiment scores each replicate's table
+under the same ScoreModel that sets its thresholds. The tilted score sampler
+draws from the per-length law of module mgf, built from the MGF kernel's own
+factors, so it samples the law score_mgf describes under either ScoreModel
+convention.
 Everything is reproducible: replicate i draws from a generator seeded by
 mixing the master seed with (0, i) through numpy's SeedSequence, so results
 do not depend on execution order.
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, CrowdedSegmentError
+from .errors import ConvergenceError, CrowdedSegmentError, EmptyBankError
 from .markov import (
     BOHV1_GENOME_LENGTH,
     MarkovModel,
@@ -28,9 +31,8 @@ from .markov import (
 )
 from .mgf import ScoreModel, _power_jet, length_terms, score_mgf
 from .palindrome import (
-    PalindromeBank,
+    PalindromeTable,
     average_rate,
-    build_bank,
     find_palindromes,
     score_events,
 )
@@ -187,27 +189,32 @@ def min_seq_length(cfg: ExperimentConfig) -> int:
     return n
 
 
-def insert_hotspots(background: DnaSeq, specs, bank: PalindromeBank,
+def insert_hotspots(background: DnaSeq, specs, bank: PalindromeTable,
                     lambda0: float, rng: np.random.Generator):
     """Overwrite hot-spot segments with palindromes resampled from a bank.
 
-    Each segment receives a Poisson(length * multiplier * lambda0) number of
-    patterns drawn uniformly with replacement; each pattern is placed at a
-    uniform centre inside the segment, redrawing (up to PLACEMENT_RETRIES
-    times) when it would overlap a previous placement or cross the segment
-    boundary. Background palindromes remain, so a segment's total event rate
-    is the insert intensity plus the background rate.
+    The bank is the table of palindromes found in a reference sequence, so
+    patterns are drawn with the reference's own frequencies. Each segment
+    receives a Poisson(length * multiplier * lambda0) number of patterns,
+    drawn uniformly with replacement from the bank's events; each pattern
+    is placed at a uniform centre inside the segment, redrawing (up to
+    PLACEMENT_RETRIES times) when it would overlap a previous placement or
+    cross the segment boundary. Background palindromes remain, so a
+    segment's total event rate is the insert intensity plus the background
+    rate.
 
     Returns:
         (sequence, centers): modified sequence and the sorted ground-truth
         centre positions of all inserted patterns.
 
     Raises:
+        EmptyBankError: the bank holds no palindrome.
         CrowdedSegmentError: a pattern could not be placed within the retry
             budget.
     """
-    if not bank.patterns:
-        raise ValueError("bank is empty")
+    if not len(bank):
+        raise EmptyBankError(f"bank is empty: no palindromes of half-length >= "
+                             f"{bank.min_half_length} in its sequence")
     _validate_specs(specs, background.length)
     bases = background.bases.copy()
     centers: list[int] = []
@@ -216,8 +223,8 @@ def insert_hotspots(background: DnaSeq, specs, bank: PalindromeBank,
         placed: list[tuple[int, int]] = []
         for _ in range(count):
             for _attempt in range(PLACEMENT_RETRIES):
-                pattern = bank.patterns[int(rng.integers(len(bank.patterns)))]
-                h = pattern.length // 2
+                i = int(rng.integers(len(bank)))
+                drawn, h = int(bank.centers[i]), int(bank.half_lengths[i])
                 c_lo = spec.start + h - 1
                 c_hi = spec.stop - 1 - h
                 if c_hi < c_lo:
@@ -226,7 +233,7 @@ def insert_hotspots(background: DnaSeq, specs, bank: PalindromeBank,
                 lo, hi = c - h + 1, c + h
                 if any(lo <= p_hi and p_lo <= hi for p_lo, p_hi in placed):
                     continue
-                bases[lo : hi + 1] = pattern.bases
+                bases[lo : hi + 1] = bank.seq.bases[drawn - h + 1 : drawn + h + 1]
                 placed.append((lo, hi))
                 centers.append(c)
                 break
@@ -326,14 +333,14 @@ def _replicate_rng(master_seed: int, index: int) -> np.random.Generator:
     )
 
 
-def _bank_for(cfg: ExperimentConfig) -> PalindromeBank:
-    """The bank of patterns built from one reference sequence generated
-    from the model, with its own stream of the master seed."""
+def _bank_for(cfg: ExperimentConfig) -> PalindromeTable:
+    """The bank of patterns: the palindromes of one reference sequence
+    generated from the model, with its own stream of the master seed."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(1,))
     )
     reference = generate_sequence(cfg.model, cfg.seq_length, rng)
-    return build_bank(reference, cfg.half_length)
+    return find_palindromes(reference, cfg.half_length)
 
 
 def _replicates(cfg: ExperimentConfig):
@@ -346,8 +353,7 @@ def _replicates(cfg: ExperimentConfig):
         background = generate_sequence(cfg.model, cfg.seq_length, rng)
         seq, _ = insert_hotspots(background, specs, bank, cfg.lambda0_target, rng)
         events = find_palindromes(seq, cfg.half_length)
-        yield (events,
-               average_rate(events, cfg.seq_length, cfg.half_length).value,
+        yield (events, average_rate(events).value,
                markov_rate(estimate_model(seq), cfg.half_length).value)
 
 
@@ -376,7 +382,6 @@ def _segment_window_bounds(spec: HotspotSpec, window: int,
 
 
 def power_experiment(cfg: ExperimentConfig, kind: str, alpha: float = 0.05,
-                     thresholds: dict[str, float] | None = None,
                      nu_fixed: float | None = None,
                      per_replicate_thresholds: bool = False,
                      compat_paper: bool = False) -> PowerExperimentResult:
@@ -386,10 +391,10 @@ def power_experiment(cfg: ExperimentConfig, kind: str, alpha: float = 0.05,
     segment is recorded; a segment counts as detected when that maximum
     reaches the threshold. Thresholds come from inverting the p-value
     approximation at ``alpha`` under each estimator's scenario-averaged rate
-    (or per replicate with ``per_replicate_thresholds``), or may be injected
-    directly via ``thresholds`` with keys "average" and "markov". Scores and
-    tilt computations use the generator model; ``compat_paper`` selects the
-    paper's literal conventions for them (see ScoreModel).
+    (or per replicate with ``per_replicate_thresholds``). One ScoreModel of
+    the generator model scores the events and solves the tilts;
+    ``compat_paper`` selects the paper's literal conventions for it (see
+    ScoreModel).
     """
     sm = ScoreModel(kind, cfg.model, cfg.half_length, compat_paper=compat_paper)
     bounds = [_segment_window_bounds(spec, cfg.window, cfg.seq_length)
@@ -399,8 +404,8 @@ def power_experiment(cfg: ExperimentConfig, kind: str, alpha: float = 0.05,
     mk = np.empty(cfg.replicates)
     for i, (events, avg_rate, mk_rate) in enumerate(_replicates(cfg)):
         avg[i], mk[i] = avg_rate, mk_rate
-        scores = score_events(events, kind, cfg.half_length, cfg.model)
-        series = window_scores(zip(events.centers, scores), cfg.window, cfg.seq_length)
+        series = window_scores(events.centers, score_events(events, sm),
+                               cfg.window, cfg.seq_length)
         for j, (lo, hi) in enumerate(bounds):
             seg_max[i, j] = series.peak(lo, hi)[1]
 
@@ -412,9 +417,7 @@ def power_experiment(cfg: ExperimentConfig, kind: str, alpha: float = 0.05,
     rows = []
     for name, rates in estimates.items():
         mean_rate = float(rates.mean())
-        if thresholds is not None:
-            b = float(thresholds[name])
-        elif per_replicate_thresholds:
+        if per_replicate_thresholds:
             b = np.array([threshold(float(r)) for r in rates])
         else:
             b = threshold(mean_rate)

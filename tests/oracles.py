@@ -222,9 +222,12 @@ def series_mgf(pi, trans, min_half: int, t, kind: str,
     Exact-length terms for k beyond enumeration reach use the matrix form
     v(t)' Q(t)^{k-1} u(t) built directly here (entrywise powers for the
     log-rarity score), which is the series the closed-form kernel must match.
-    Accepts a complex argument t. ``bws_start`` replaces the start weights
-    that the log-rarity form raises to 1 - t; the rate it is divided by keeps
-    the row form.
+    The tilt of the count score, e^t, is folded into v; that of the length
+    ratio, e^{t k / h}, into one factor e^{t / h} per step of Q and one in u,
+    so no term multiplies an underflowed row by an overflowed exponential
+    near the domain edge. Accepts a complex argument t. ``bws_start``
+    replaces the start weights that the log-rarity form raises to 1 - t; the
+    rate it is divided by keeps the row form.
     """
     v0 = start_weights(pi, trans)
     tq = quasi_matrix(trans)
@@ -236,8 +239,11 @@ def series_mgf(pi, trans, min_half: int, t, kind: str,
         v = base.astype(complex) ** expo if np.iscomplex(t) else base**expo
         q = tq.astype(complex) ** expo if np.iscomplex(t) else tq**expo
         u = close.astype(complex) ** expo if np.iscomplex(t) else close**expo
+    elif kind == "pls":
+        step = np.exp(t / min_half)
+        v, q, u = v0, step * tq, step * close
     else:
-        v, q, u = v0, tq, close
+        v, q, u = np.exp(t) * v0, tq, close
 
     rate = 0.0
     vec = v0 @ np.linalg.matrix_power(tq, min_half - 1)
@@ -246,13 +252,9 @@ def series_mgf(pi, trans, min_half: int, t, kind: str,
         vec = vec @ tq
 
     total = 0.0
-    vec = v @ np.linalg.matrix_power(q.astype(v.dtype), min_half - 1)
+    vec = v @ np.linalg.matrix_power(q, min_half - 1)
     for k in range(min_half, min_half + max_terms):
         term = vec @ u
-        if kind == "pcs":
-            term *= np.exp(t)
-        elif kind == "pls":
-            term *= np.exp(t * k / min_half)
         total += term
         if k > min_half + 4 and abs(term) < rtol * abs(total):
             break

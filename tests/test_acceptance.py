@@ -181,8 +181,9 @@ def test_null_scan_calibration():
         rng = np.random.default_rng(np.random.SeedSequence(303, spawn_key=(i,)))
         seq = generate_sequence(model, GENOME_LENGTH, rng)
         events = find_palindromes(seq, HALF)
-        scored = zip(events.centers, score_events(events, "pls", HALF, model))
-        if window_scores(scored, WINDOW, GENOME_LENGTH).max_value >= b:
+        series = window_scores(events.centers, score_events(events, sm), WINDOW,
+                               GENOME_LENGTH)
+        if series.max_value >= b:
             hits += 1
     rate = hits / reps
     assert 0.01 <= rate <= 0.12, (

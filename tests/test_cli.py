@@ -119,7 +119,7 @@ class TestEstimate:
         assert row["id"] == sample_record.id
         assert int(row["length"]) == seq.length
         assert float(row["lambda_avg"]) == pytest.approx(
-            average_rate(events, seq.length, 6).value, rel=1e-9)
+            average_rate(events).value, rel=1e-9)
         assert float(row["lambda_iid"]) == pytest.approx(
             iid_rate(model.pi, 6).value, rel=1e-9)
         assert float(row["lambda_markov"]) == pytest.approx(
@@ -165,7 +165,7 @@ class TestScan:
         model = estimate_model(seq)
         expect = {
             "markov": markov_rate(model, 6).value,
-            "average": average_rate(find_palindromes(seq, 6), seq.length, 6).value,
+            "average": average_rate(find_palindromes(seq, 6)).value,
             "iid": iid_rate(model.pi, 6).value,
         }
         for estimator, value in expect.items():
@@ -413,8 +413,10 @@ class TestPower:
 
 
 class TestPinnedOutput:
-    """Seeded simulate and power TSV at 10 significant digits, so a change to
-    how sequences are drawn or scored must leave them exactly as they are.
+    """Seeded simulate and power TSV, and scan reports and scored events on
+    tests/data/sample.fa, at 10 significant digits (JSON at full precision),
+    so a change to how sequences are drawn or scored must leave them exactly
+    as they are.
     The sequences, rates and powers were recorded before the byte-coded
     sampler and array scoring replaced the per-base step tables and
     per-event scoring. The thresholds were recorded again when the
@@ -456,6 +458,70 @@ class TestPinnedOutput:
         header = ("kind\talpha\tmultipliers\testimator\trate\tthreshold"
                   "\tpower1\tpower2\tpower3")
         assert text == "\n".join([header, *(f"{kind}\t0.05\t{x}" for x in lines)]) + "\n"
+
+    SCAN_HEADER = "w\tW\tlambda0\tkind\tb\ttheta1\tlambda1\tnu\tnu_se\tp\targmax\tmax"
+
+    @pytest.mark.parametrize("kind,row,report", [
+        ("pcs", "1000\t20000\t0.001130395015\tpcs\t3\t0.9760451467\t0.003"
+                "\t0.9990659558\t0\t0.9413504651\t0\t3",
+         dict(b=3.0, theta1=0.9760451466718211, lambda1=0.0029999999999999996,
+              nu=0.9990659557569276, p=0.9413504651475082, argmax=0, max=3.0)),
+        ("pls", "1000\t20000\t0.001130395015\tpls\t3.333333333\t0.9101248846"
+                "\t0.003038637189\t0.9723776886\t0\t0.999999987\t17658\t3.333333333",
+         dict(b=3.333333333333332, theta1=0.9101248845981144,
+              lambda1=0.0030386371890327754, nu=0.9723776885687395,
+              p=0.999999986950745, argmax=17658, max=3.333333333333332)),
+        ("bws", "1000\t20000\t0.001130395015\tbws\t45.47454101\t0.07195156512"
+                "\t0.003139084756\t0.6503443838\t0\t0.9996312499\t18975\t45.47454101",
+         dict(b=45.47454100523089, theta1=0.07195156511972377,
+              lambda1=0.003139084755987093, nu=0.6503443837830425,
+              p=0.9996312498910287, argmax=18975, max=45.47454100523089)),
+    ])
+    def test_scan(self, sample_path, kind, row, report):
+        code, text = invoke("scan", "--input", sample_path, "--score", kind)
+        assert code == 0
+        assert text == f"{self.SCAN_HEADER}\n{row}\n"
+        code, text = invoke("scan", "--input", sample_path, "--score", kind, "--json")
+        assert code == 0
+        full = {"w": 1000, "W": 20000, "lambda0": 0.001130395014503999,
+                "kind": kind, **report, "nu_se": 0.0}
+        expected = {k: full[k] for k in SCAN_REPORT_KEYS}
+        assert text == json.dumps(expected, indent=2) + "\n"
+
+    def test_dump_events(self, sample_path, tmp_path):
+        out = tmp_path / "events.tsv"
+        code, _ = invoke("scan", "--input", sample_path, "--dump-events", str(out))
+        assert code == 0
+        assert out.read_text() == (
+            "center\thalf_length\tpattern\tpcs\tpls\tbws\n"
+            "456\t6\tGCGCCGCGGCGC\t1\t1\t11.06429638\n"
+            "687\t7\tTCGCGCGCGCGCGA\t1\t1.166666667\t14.47006528\n"
+            "947\t6\tGCCGCATGCGGC\t1\t1\t13.57422098\n"
+            "2827\t6\tGCCTGGCCAGGC\t1\t1\t14.59437776\n"
+            "3025\t6\tAGGCCGCGGCCT\t1\t1\t14.22444641\n"
+            "4103\t6\tCCGCCCGGGCGG\t1\t1\t12.75351435\n"
+            "4307\t6\tGCGGCGCGCCGC\t1\t1\t11.06429638\n"
+            "4851\t6\tGGGCAGCTGCCC\t1\t1\t14.59437776\n"
+            "6037\t6\tGCCGCCGGCGGC\t1\t1\t11.86096116\n"
+            "6365\t7\tGCGCGGCGCCGCGC\t1\t1.166666667\t12.68533756\n"
+            "7418\t6\tGGCGGCGCCGCC\t1\t1\t11.86096116\n"
+            "8086\t6\tGCCGGGCCCGGC\t1\t1\t12.65762594\n"
+            "8763\t6\tGCCGCGCGCGGC\t1\t1\t11.06429638\n"
+            "10262\t7\tCGCCCGCGCGGGCG\t1\t1.166666667\t13.57789075\n"
+            "10610\t6\tGCCGTGCACGGC\t1\t1\t14.13072942\n"
+            "11469\t7\tACGGGGGCCCCCGT\t1\t1.166666667\t17.77183361\n"
+            "12029\t6\tGGAGCGCGCTCC\t1\t1\t14.06828884\n"
+            "12602\t7\tTGCGCCGCGGCGCA\t1\t1.166666667\t14.9961542\n"
+            "15628\t7\tGCGCCGGCCGGCGC\t1\t1.166666667\t13.48200234\n"
+            "16894\t6\tCGCGGCGCCGCG\t1\t1\t11.16018479\n"
+            "17549\t6\tCCGCGCGCGCGG\t1\t1\t11.16018479\n"
+            "18092\t6\tCGCGCCGGCGCG\t1\t1\t11.16018479\n"
+            "18097\t6\tCGGCGCGCGCCG\t1\t1\t11.16018479\n"
+            "18658\t8\tCCCGCCGCGCGGCGGG\t1\t1.333333333\t15.99559672\n"
+            "19305\t6\tGCGGGCGCCCGC\t1\t1\t11.86096116\n"
+            "19766\t6\tGTCTCCGGAGAC\t1\t1\t17.40529775\n"
+            "19975\t6\tAGCCGATCGGCT\t1\t1\t16.2082821\n"
+        )
 
 
 class TestReadme:

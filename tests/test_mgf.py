@@ -120,6 +120,14 @@ class TestKernelAgainstSeriesOracle:
                 oracle = series_mgf(bohv1.pi, bohv1.trans, 6, t, kind)
                 assert score_mgf(sm, t) == pytest.approx(oracle, rel=1e-8)
 
+    def test_pls_near_domain_edge(self, bohv1):
+        # the series needs about 2,500 terms here, and e^(t k / h) alone
+        # overflows from k = 620 on; the oracle folds it into its steps
+        sm = ScoreModel("pls", bohv1, 6)
+        t = 0.99 * sm.t_max
+        oracle = series_mgf(bohv1.pi, bohv1.trans, 6, t, "pls")
+        assert score_mgf(sm, t) == pytest.approx(oracle, rel=1e-8)
+
     def test_complex_arguments_match_series(self, bohv1):
         # the overshoot characteristic function evaluates the MGF off the
         # real axis; the truncated series is the reference there too

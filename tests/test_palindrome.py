@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 
 from palinscan import (
     DnaSeq,
-    EmptyBankError,
     InfiniteScoreError,
     MarkovModel,
     PalindromeEvent,
     PalindromeTable,
+    ScoreModel,
     average_rate,
-    build_bank,
     events_to_tsv,
     find_palindromes,
     generate_sequence,
@@ -38,7 +37,7 @@ def seq_of(text: str) -> DnaSeq:
 def one_event(table: PalindromeTable, i: int) -> PalindromeTable:
     """The table holding only event i of table."""
     return PalindromeTable(table.seq, table.centers[i : i + 1],
-                           table.half_lengths[i : i + 1])
+                           table.half_lengths[i : i + 1], table.min_half_length)
 
 
 class TestFindPalindromes:
@@ -60,7 +59,7 @@ class TestFindPalindromes:
         s = seq_of("CCGAATTCGGAATT")
         table = find_palindromes(s, 1)
         assert isinstance(table, PalindromeTable)
-        assert table.seq is s
+        assert table.seq is s and table.min_half_length == 1
         assert table.centers.dtype == table.half_lengths.dtype == np.int64
         assert np.all(np.diff(table.centers) > 0)
         events = list(table)
@@ -158,8 +157,15 @@ class TestFindPalindromes:
             assert len(e.pattern) == 2 * e.half_length
 
     def test_min_half_validation(self):
-        with pytest.raises(ValueError):
-            find_palindromes(seq_of("ACGT"), 0)
+        for bad in (0, -5):
+            with pytest.raises(ValueError):
+                find_palindromes(seq_of("ACGT"), bad)
+        # the table itself rejects a threshold below 1 or an event below it
+        s = seq_of("GAATTC")
+        with pytest.raises(ValueError, match=">= 1"):
+            PalindromeTable(s, [], [], 0)
+        with pytest.raises(ValueError, match="below the detection threshold"):
+            PalindromeTable(s, [2], [3], 4)
 
     def test_patterns_not_revalidated(self, bohv1, monkeypatch):
         # the patterns are slices of bases the input already validated; they
@@ -220,24 +226,37 @@ class TestScores:
     def test_score_event_kinds(self, uniform):
         events = find_palindromes(seq_of("GGAATTCC"), 3)
         (e,) = events
-        assert score_events(events, "pcs", 3).tolist() == [1.0]
-        assert score_events(events, "pls", 3)[0] == pytest.approx(e.half_length / 3.0)
-        bws = score_events(events, "bws", 3, model=uniform)[0]
+        assert score_events(events, ScoreModel("pcs", uniform, 3)).tolist() == [1.0]
+        pls = score_events(events, ScoreModel("pls", uniform, 3))[0]
+        assert pls == pytest.approx(e.half_length / 3.0)
+        bws = score_events(events, ScoreModel("bws", uniform, 3))[0]
         assert bws == pytest.approx(-pattern_log_prob(e.pattern, uniform))
 
     def test_score_event_validation(self, uniform):
+        # an unknown kind is the ScoreModel's error, an event below the
+        # threshold the table's
         events = find_palindromes(seq_of("GAATTC"), 1)
         with pytest.raises(ValueError, match="kind"):
-            score_events(events, "nope", 1)
-        with pytest.raises(ValueError, match="model"):
-            score_events(events, "bws", 1)
-        with pytest.raises(ValueError):
-            score_events(events, "pls", events[0].half_length + 1)
+            ScoreModel("nope", uniform, 1)
+        with pytest.raises(ValueError, match="below the detection threshold"):
+            PalindromeTable(events.seq, events.centers, events.half_lengths,
+                            events[0].half_length + 1)
+
+    @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
+    def test_threshold_must_match_score_model(self, kind, uniform):
+        # pls scores of a table searched at L = 2 divided by 3 would not be
+        # the scores whose MGF the ScoreModel gives
+        events = find_palindromes(seq_of("CCGGAATTCCGG"), 2)
+        with pytest.raises(ValueError, match="threshold 3 differs from the table's 2"):
+            score_events(events, ScoreModel(kind, uniform, 3))
+        with pytest.raises(ValueError, match="threshold 1 differs from the table's 2"):
+            score_events(events, ScoreModel(kind, uniform, 1))
+        assert score_events(events, ScoreModel(kind, uniform, 2)).shape == (len(events),)
 
     def test_attach_scores(self, uniform):
         # events_to_tsv attaches each event's three scores to its row
         events = find_palindromes(seq_of("CCGAATTCGG"), 2)
-        lines = events_to_tsv(events, 2, uniform).splitlines()[1:]
+        lines = events_to_tsv(events, uniform).splitlines()[1:]
         rows = [line.split("\t") for line in lines]
         assert len(rows) == len(events) > 0
         for e, row in zip(events, rows):
@@ -253,15 +272,16 @@ class TestScoreEvents:
         seq = generate_sequence(bohv1, 20_000, np.random.default_rng(4))
         events = find_palindromes(seq, 4)
         for kind in ("pcs", "pls", "bws"):
-            got = score_events(events, kind, 4, bohv1)
+            sm = ScoreModel(kind, bohv1, 4)
+            got = score_events(events, sm)
             assert got.shape == (len(events),)
-            assert list(got) == [score_events(one_event(events, i), kind, 4, bohv1)[0]
+            assert list(got) == [score_events(one_event(events, i), sm)[0]
                                  for i in range(len(events))]
 
     def test_empty(self, uniform):
         events = find_palindromes(seq_of("AAAAAAAA"), 3)
         for kind in ("pcs", "pls", "bws"):
-            assert score_events(events, kind, 3, uniform).shape == (0,)
+            assert score_events(events, ScoreModel(kind, uniform, 3)).shape == (0,)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(chain=sparse_models(), length=st.integers(50, 3000),
@@ -271,8 +291,9 @@ class TestScoreEvents:
         seq = generate_sequence(model, length, np.random.default_rng(seed))
         events = find_palindromes(seq, min_half)
         half = [e.half_length for e in events]
-        assert list(score_events(events, "pcs", min_half)) == [1.0] * len(events)
-        assert list(score_events(events, "pls", min_half)) == [h / min_half for h in half]
+        pcs, pls, bws = (ScoreModel(kind, model, min_half) for kind in ("pcs", "pls", "bws"))
+        assert list(score_events(events, pcs)) == [1.0] * len(events)
+        assert list(score_events(events, pls)) == [h / min_half for h in half]
 
         oracle, rejected = [], []
         for e in events:
@@ -284,15 +305,15 @@ class TestScoreEvents:
         for i, want in enumerate(oracle):
             if want is None:
                 with pytest.raises(InfiniteScoreError):
-                    score_events(one_event(events, i), "bws", min_half, model)
+                    score_events(one_event(events, i), bws)
             else:
-                got = score_events(one_event(events, i), "bws", min_half, model)[0]
+                got = score_events(one_event(events, i), bws)[0]
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         if rejected:
             with pytest.raises(InfiniteScoreError):
-                score_events(events, "bws", min_half, model)
+                score_events(events, bws)
         else:
-            got = score_events(events, "bws", min_half, model)
+            got = score_events(events, bws)
             assert got == pytest.approx(np.array(oracle, dtype=float), rel=1e-12, abs=0.0)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -308,11 +329,11 @@ class TestScoreEvents:
         seq = generate_sequence(model, length, np.random.default_rng(seed))
         table = find_palindromes(seq, min_half)
         events = list(table)
-        assert np.array_equal(score_events(table, "pls", min_half),
+        assert np.array_equal(score_events(table, ScoreModel("pls", model, min_half)),
                               [e.half_length / min_half for e in events])
         scored = []
         try:
-            scored.append(score_events(table, "bws", min_half, model))
+            scored.append(score_events(table, ScoreModel("bws", model, min_half)))
         except InfiniteScoreError:
             scored.append(None)
         try:
@@ -328,43 +349,31 @@ class TestScoreEvents:
 class TestAverageRate:
     def test_counts_over_length(self):
         events = find_palindromes(seq_of("GAATTCGAATTC"), 3)
-        est = average_rate(events, 12)
+        est = average_rate(events)
         assert est.value == pytest.approx(len(events) / 12.0)
         assert est.method == "average"
 
     def test_explicit_half_length(self):
-        est = average_rate(find_palindromes(seq_of("AAAA"), 2), 100, half_length=6)
+        # the table's threshold is recorded even when it holds no event
+        est = average_rate(find_palindromes(seq_of("AAAA"), 6))
         assert est.value == 0.0
         assert est.half_length == 6
 
     def test_infers_half_length(self):
+        # the threshold comes from the table, not from its smallest event
         events = find_palindromes(seq_of("GAATTC"), 2)
-        est = average_rate(events, 6)
-        assert est.half_length == min(e.half_length for e in events)
+        assert [e.half_length for e in events] == [3]
+        assert average_rate(events).half_length == 2
 
     def test_length_validation(self):
-        with pytest.raises(ValueError):
-            average_rate(find_palindromes(seq_of("AAAA"), 2), 0)
-
-
-class TestBank:
-    def test_build_bank(self, bohv1):
-        s = generate_sequence(bohv1, 30_000, np.random.default_rng(12))
-        bank = build_bank(s, 4)
-        events = find_palindromes(s, 4)
-        assert len(bank.patterns) == len(events)
-        for pat in bank.patterns:
-            assert check_palindrome(pat)
-
-    def test_empty_bank(self):
-        with pytest.raises(EmptyBankError):
-            build_bank(seq_of("AAAAAA"), 2)
+        with pytest.raises(ValueError, match="empty sequence"):
+            average_rate(find_palindromes(seq_of(""), 2))
 
 
 class TestEventsTsv:
     def test_golden_small_case(self, uniform):
         events = find_palindromes(seq_of("GAATTC"), 3)
-        text = events_to_tsv(events, 3, uniform)
+        text = events_to_tsv(events, uniform)
         lines = text.splitlines()
         assert lines[0] == "center\thalf_length\tpattern\tpcs\tpls\tbws"
         cols = lines[1].split("\t")
@@ -380,7 +389,7 @@ class TestEventsTsv:
     def test_deterministic(self, bohv1):
         s = generate_sequence(bohv1, 20_000, np.random.default_rng(2))
         events = find_palindromes(s, 4)
-        assert events_to_tsv(events, 4, bohv1) == events_to_tsv(events, 4, bohv1)
+        assert events_to_tsv(events, bohv1) == events_to_tsv(events, bohv1)
 
 
 class TestPalindromeEvent:

@@ -56,31 +56,38 @@ def pcs():
     return ScoreModel("pcs", bohv1_model(), 6)
 
 
+def series_of(events, window, total):
+    """window_scores over (position, score) pairs in increasing position."""
+    positions = np.array([p for p, _ in events], dtype=np.int64)
+    return window_scores(positions, [x for _, x in events], window, total)
+
+
 class TestWindowScores:
     def test_matches_quadratic_oracle(self, rng):
         total = 300
         window = 40
         events = [
             (int(c), float(s))
-            for c, s in zip(rng.integers(0, total, 25), rng.random(25) * 3)
+            for c, s in zip(np.sort(rng.choice(total, 25, replace=False)),
+                            rng.random(25) * 3)
         ]
-        series = window_scores(events, window, total)
+        series = series_of(events, window, total)
         assert np.allclose(series.values, window_sums(events, window, total))
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_matches_dense_prefix_sum(self, data):
         # small integer (pcs-like) scores tie often; the window may span the
-        # whole sequence, and the event list may be empty, unsorted or hold
-        # repeated positions
+        # whole sequence, and the event list may be empty
         total = data.draw(st.integers(1, 60))
         window = data.draw(st.integers(1, total))
         score = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 0.1, 1 / 3]),
                           st.floats(0.0, 1e3))
-        events = data.draw(st.lists(st.tuples(st.integers(0, total - 1), score),
-                                    max_size=20))
+        positions = sorted(data.draw(st.lists(st.integers(0, total - 1),
+                                              unique=True, max_size=20)))
+        events = [(p, data.draw(score)) for p in positions]
         dense = dense_window_sums(events, window, total)
-        series = window_scores(events, window, total)
+        series = series_of(events, window, total)
         assert series.argmax == int(np.argmax(dense))
         assert series.max_value == dense.max()
         # segment maxima, as power_experiment takes them
@@ -91,60 +98,62 @@ class TestWindowScores:
         assert np.array_equal(series.values, dense)
 
     def test_unsorted_input(self):
-        events = [(30, 0.5), (11, 2.0), (10, 1.0), (11, 0.25)]
-        series = window_scores(events, 5, 50)
-        assert np.array_equal(series.values, dense_window_sums(events, 5, 50))
-        assert (series.argmax, series.max_value) == (6, 3.25)
+        # positions are a table's centres, so they must strictly increase
+        for positions in ([30, 11, 10], [10, 11, 11]):
+            with pytest.raises(ValueError, match="increase"):
+                window_scores(np.array(positions), [0.5, 2.0, 1.0], 5, 50)
 
     def test_window_covers_positions_after_t(self):
         # window at t covers centres t+1 .. t+window
-        series = window_scores([(5, 2.0)], 5, 20)
+        series = series_of([(5, 2.0)], 5, 20)
         expected_ts = [t for t in range(16) if t + 1 <= 5 <= t + 5]
         got = np.flatnonzero(series.values > 0).tolist()
         assert got == expected_ts
 
     def test_empty_events(self):
-        series = window_scores([], 10, 50)
+        series = series_of([], 10, 50)
         assert series.values.shape == (41,)
         assert series.max_value == 0.0
 
     def test_argmax_and_max(self):
-        series = window_scores([(10, 1.0), (11, 2.0), (30, 0.5)], 5, 50)
+        series = series_of([(10, 1.0), (11, 2.0), (30, 0.5)], 5, 50)
         assert series.max_value == 3.0
         assert series.values[series.argmax] == 3.0
 
     def test_total_equals_window(self):
-        series = window_scores([(3, 1.5)], 10, 10)
+        series = series_of([(3, 1.5)], 10, 10)
         assert series.values.shape == (1,)
         assert series.values[0] == 1.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            window_scores([], 0, 10)
+            series_of([], 0, 10)
         with pytest.raises(ValueError):
-            window_scores([], 20, 10)
+            series_of([], 20, 10)
         with pytest.raises(ValueError):
-            window_scores([(25, 1.0)], 5, 20)  # centre outside sequence
+            series_of([(25, 1.0)], 5, 20)  # centre outside sequence
+        with pytest.raises(ValueError):
+            window_scores(np.array([3, 7]), [1.0], 5, 20)  # one score short
 
     @pytest.mark.parametrize("score", [-1.0, -1e-300, np.inf, np.nan])
     def test_rejects_negative_and_non_finite_scores(self, score):
         with pytest.raises(ValueError, match="non-negative"):
-            window_scores([(3, 1.0), (7, score)], 5, 20)
+            series_of([(3, 1.0), (7, score)], 5, 20)
 
     def test_peak_range_validation(self):
-        series = window_scores([(3, 1.0)], 5, 20)
+        series = series_of([(3, 1.0)], 5, 20)
         for lo, hi in ((-1, 3), (4, 3), (0, 16)):
             with pytest.raises(ValueError):
                 series.peak(lo, hi)
 
     def test_values_built_only_on_demand(self):
-        series = window_scores([(9_999_999, 2.0), (5, 1.0)], 1000, 10_000_000)
+        series = series_of([(5, 1.0), (9_999_999, 2.0)], 1000, 10_000_000)
         assert (series.argmax, series.max_value) == (9_998_999, 2.0)
         assert series.peak(0, 5000) == (0, 1.0)
         assert "values" not in vars(series)
 
     def test_series_is_frozen(self):
-        series = window_scores([(3, 1.0)], 5, 20)
+        series = series_of([(3, 1.0)], 5, 20)
         with pytest.raises(ValueError):
             series.values[0] = 9.9
 
@@ -547,7 +556,7 @@ class TestThresholdForAlpha:
 
 class TestWindowSeries:
     def test_argmax_computed_once(self, monkeypatch):
-        series = window_scores([(10, 1.0), (11, 2.0), (30, 0.5)], 5, 50)
+        series = series_of([(10, 1.0), (11, 2.0), (30, 0.5)], 5, 50)
         calls = []
         argmax = np.argmax
         monkeypatch.setattr(np, "argmax", lambda *a: calls.append(a) or argmax(*a))

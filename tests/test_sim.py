@@ -4,14 +4,13 @@ import pytest
 from palinscan import (
     CrowdedSegmentError,
     DnaSeq,
+    EmptyBankError,
     ExperimentConfig,
     HotspotSpec,
     MarkovModel,
-    PalindromeBank,
     ScoreModel,
     TiltedScoreSampler,
     bohv1_model,
-    build_bank,
     default_hotspot_specs,
     find_palindromes,
     generate_sequence,
@@ -39,7 +38,7 @@ from oracles import iid_geometric_mgf, quasi_matrix, random_model, series_mgf
 def bank():
     model = bohv1_model()
     seq = generate_sequence(model, 60_000, np.random.default_rng(77))
-    return build_bank(seq, 6)
+    return find_palindromes(seq, 6)
 
 
 class TestHotspotSpec:
@@ -154,8 +153,8 @@ class TestInsertHotspots:
                             np.random.default_rng(9))
 
     def test_empty_bank_rejected(self):
-        empty = PalindromeBank(patterns=[])
-        with pytest.raises(ValueError, match="empty"):
+        empty = find_palindromes(DnaSeq.from_string("A" * 100), 6)
+        with pytest.raises(EmptyBankError, match="empty"):
             insert_hotspots(self._background(1000), [HotspotSpec(start=10, length=100)],
                             empty, 0.1, np.random.default_rng(0))
 
@@ -329,20 +328,18 @@ class TestPowerExperiment:
                                 multipliers=(30.0, 30.0, 30.0),
                                 master_seed=seed)
 
-    def test_injected_thresholds(self):
-        res = power_experiment(self._cfg(), "pls",
-                               thresholds={"average": 9.0, "markov": 8.0})
-        assert [r.estimator for r in res.rows] == ["average", "markov"]
-        assert res.rows[0].threshold == 9.0
-        assert res.segment_maxima.shape == (3, 3)
-        for row in res.rows:
-            assert all(0.0 <= p <= 1.0 for p in row.powers)
-
     def test_lower_threshold_never_loses_power(self):
-        res = power_experiment(self._cfg(reps=4), "pls",
-                               thresholds={"average": 11.0, "markov": 9.0})
+        # the Markov threshold is the lower one here; each power is the
+        # share of replicates whose segment maximum reaches the threshold
+        res = power_experiment(self._cfg(reps=4), "pls", alpha=0.05, nu_fixed=1.0)
         avg_row, mk_row = res.rows
+        assert [r.estimator for r in res.rows] == ["average", "markov"]
+        assert res.segment_maxima.shape == (4, 3)
+        assert mk_row.threshold < avg_row.threshold
         assert all(pm >= pa for pa, pm in zip(avg_row.powers, mk_row.powers))
+        for row in res.rows:
+            expected = (res.segment_maxima >= row.threshold).mean(axis=0)
+            assert row.powers == tuple(expected.tolist())
 
     def test_reproducible_tsv(self):
         kw = dict(alpha=0.05, nu_fixed=1.0)
@@ -365,13 +362,16 @@ class TestPowerExperiment:
             assert row.threshold > 0
 
     def test_tsv_layout(self):
-        res = power_experiment(self._cfg(reps=2), "pls",
-                               thresholds={"average": 9.0, "markov": 8.0})
+        res = power_experiment(self._cfg(reps=2), "pls", nu_fixed=1.0)
         lines = power_result_to_tsv(res).splitlines()
         assert lines[0] == "kind\talpha\tmultipliers\testimator\trate\tthreshold\tpower1\tpower2\tpower3"
         assert lines[1].startswith("pls\t0.05\t30,30,30\taverage")
+        assert lines[2].startswith("pls\t0.05\t30,30,30\tmarkov")
 
     def test_bws_kind_runs(self):
-        res = power_experiment(self._cfg(reps=2), "bws",
-                               thresholds={"average": 120.0, "markov": 110.0})
+        res = power_experiment(self._cfg(reps=2), "bws", nu_fixed=1.0)
         assert res.kind == "bws"
+        assert res.segment_maxima.shape == (2, 3)
+        for row in res.rows:
+            assert row.threshold > 0
+            assert all(0.0 <= p <= 1.0 for p in row.powers)
