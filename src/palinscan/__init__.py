@@ -15,7 +15,6 @@ deterministic overshoot correction computed from the score MGF
 """
 
 from .errors import (
-    BracketError,
     ConvergenceError,
     CrowdedSegmentError,
     DomainError,
@@ -100,7 +99,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALPHABET",
     "BOHV1_GENOME_LENGTH",
-    "BracketError",
     "ConvergenceError",
     "CrowdedSegmentError",
     "DnaSeq",

@@ -38,6 +38,7 @@ from .palindrome import average_rate, events_to_tsv, find_palindromes, score_eve
 from .scan import null_window_mean, p_value, window_scores
 from .seqio import ALPHABET, FastaRecord, fetch_sequence, parse_fasta_file
 from .sim import (
+    HOTSPOT_LENGTH,
     ExperimentConfig,
     min_seq_length,
     power_experiment,
@@ -328,7 +329,7 @@ def _experiments(args: argparse.Namespace, **fields) -> list[ExperimentConfig]:
             raise PalinscanError(
                 f"--length {cfg.seq_length} is too short for "
                 f"{len(cfg.multipliers)} hot-spot segments of "
-                f"{cfg.hotspot_length} bp; use --length {shortest} or more")
+                f"{HOTSPOT_LENGTH} bp; use --length {shortest} or more")
     return configs
 
 

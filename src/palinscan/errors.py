@@ -21,10 +21,6 @@ class ConvergenceError(PalinscanError, RuntimeError):
     """An iterative routine exhausted its iteration budget."""
 
 
-class BracketError(PalinscanError, ValueError):
-    """Root bracket does not contain a sign change."""
-
-
 class NonFiniteError(PalinscanError, ArithmeticError):
     """A numeric evaluation produced NaN or infinity."""
 

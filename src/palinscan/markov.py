@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .numeric import mat_pow
 from .seqio import DnaSeq
 
 PROB_ATOL = 1e-6
@@ -127,9 +126,10 @@ def estimate_model(seq: DnaSeq, pseudocount: float = 0.0) -> MarkovModel:
     base_counts = row_totals.copy()
     base_counts[b[-1]] += 1.0
     if pseudocount == 0.0 and np.any(row_totals == 0):
-        missing = "".join("ACGT"[i] for i in np.flatnonzero(row_totals == 0))
+        missing = ", ".join("ACGT"[i] for i in np.flatnonzero(row_totals == 0))
         raise EstimationError(
-            f"no transitions out of {missing}; use a positive pseudocount"
+            f"no transitions out of bases {missing}; fit such a sequence with "
+            f"the library call estimate_model(seq, pseudocount=p), p > 0"
         )
     pi = (base_counts + pseudocount) / (b.size + 4.0 * pseudocount)
     trans = (pair_counts + pseudocount) / (
@@ -193,7 +193,7 @@ def markov_rate(model: MarkovModel, half_length: int) -> RateEstimate:
         raise ValueError("half_length must be >= 1")
     t = quasi_transition_matrix(model)
     value = float(
-        model.pi @ mat_pow(t, half_length - 1) @ center_pair_probs(model)
+        model.pi @ np.linalg.matrix_power(t, half_length - 1) @ center_pair_probs(model)
     )
     return RateEstimate(value=value, method="markov", half_length=half_length)
 

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DomainError, SingularMatrixError
 from .markov import (MarkovModel, center_pair_probs, markov_rate,
                      quasi_transition_matrix, start_weights)
-from .numeric import find_root, mat_inv, mat_pow, spectral_radius
+from .numeric import mat_inv, newton_root, spectral_radius
 
 SCORE_KINDS = ("pcs", "pls", "bws")
 _EYE = np.eye(4)
@@ -106,7 +106,7 @@ class ScoreModel:
     def _pls_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(pi T^(h-1), T, (I - T) c) of the pls form."""
         t = self.t_matrix
-        head = self.model.pi @ mat_pow(t, self.half_length - 1)
+        head = self.model.pi @ np.linalg.matrix_power(t, self.half_length - 1)
         return head, t, (_EYE - t) @ self.closure_probs
 
     @cached_property
@@ -153,24 +153,38 @@ def mgf_domain(sm: ScoreModel) -> float:
 
     pcs scores are bounded, so t_max is infinite. pls arguments must keep
     exp(t / half_length) times the spectral radius of the quasi transition
-    matrix below 1. bws arguments must keep the tilted matrix subcritical;
-    t_max is the root of its spectral radius hitting 1 on (0, 1), or 1 when
-    the radius stays below 1 on the whole interval.
+    matrix below 1. bws arguments must keep the tilted matrix Q(t), T to the
+    entrywise power 1 - t, subcritical; t_max is the root of rho(Q(t)) = 1
+    on (0, 1), or 1 when the radius stays below 1 on the whole interval.
+    The root comes from Newton steps with the slope of a simple eigenvalue,
+    l Q'(t) r / (l r) for the left and right Perron vectors l and r
+    (Magnus, Econometric Theory 1985), Q' from the kernel's _power_jet; the
+    Perron root is the eigenvalue of largest real part. Where that slope is
+    not finite and positive, as on some reducible chains, newton_root
+    bisects instead.
     """
     if sm.kind == "pcs":
         return np.inf
     if sm.kind == "pls":
         return float(-sm.half_length * np.log(spectral_radius(sm.t_matrix)))
+    log_t = _log_base(sm.t_matrix)
 
-    def excess(t: float) -> float:
-        return spectral_radius(_power_jet(_log_base(sm.t_matrix), t)[0]) - 1.0
+    def excess(t: float) -> tuple[float, float]:
+        q, dq = _power_jet(log_t, t, 1)
+        right, left = (vecs[:, np.argmax(vals.real)].real
+                       for vals, vecs in map(np.linalg.eig, (q, q.T)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return spectral_radius(q) - 1.0, (left @ dq @ right) / (left @ right)
 
     # The edge is located to round-off, so that the resolvent I - Q is
     # numerically singular right at t_max rather than some 1e-9 beyond it.
+    # Within round-off the edge depends on the start: from t = 1/4 the
+    # BoHV-1 edge is 0.5002161139831885, on which the tests' pinned
+    # threshold searches depend.
     hi = 1.0 - 1e-9
-    if excess(hi) < 0.0:
+    if excess(hi)[0] < 0.0:
         return 1.0
-    return find_root(excess, 0.0, hi, tol=1e-15)
+    return newton_root(excess, 0.0, hi, x=0.25, tol=1e-15)
 
 
 def require_in_domain(sm: ScoreModel, z) -> None:

@@ -1,28 +1,20 @@
 """Small numerical kernels shared across the package.
 
-Matrix powers, inverses and spectral radii delegate to numpy's linear
-algebra, with explicit conditioning checks layered on top of the inverse.
-The scalar root finders (a bracketing secant and a bracketed Newton method)
-are self-contained so their convergence and failure behaviour stays under
-our control.
+Inverses and spectral radii delegate to numpy's linear algebra, with
+explicit conditioning checks layered on top of the inverse. The one scalar
+root finder, a Newton method kept inside a bracket, is self-contained so
+its convergence and failure behaviour stays under our control.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BracketError, ConvergenceError, NonFiniteError, SingularMatrixError
+from .errors import ConvergenceError, NonFiniteError, SingularMatrixError
 
 SINGULARITY_TOL = 1e-12
 ROOT_TOL = 1e-12
 ROOT_MAX_ITER = 200
-
-
-def mat_pow(m: np.ndarray, k: int) -> np.ndarray:
-    """Non-negative integer matrix power (k = 0 gives the identity)."""
-    if k < 0:
-        raise ValueError("matrix power requires k >= 0")
-    return np.linalg.matrix_power(np.asarray(m, dtype=float), k)
 
 
 def mat_inv(m: np.ndarray) -> np.ndarray:
@@ -71,66 +63,6 @@ def spectral_radius(m: np.ndarray) -> float:
     if not np.linalg.matrix_power(m > 0, m.shape[0]).any():
         return 0.0
     return float(np.abs(np.linalg.eigvals(m)).max())
-
-
-def find_root(f, lo: float, hi: float, tol: float = ROOT_TOL,
-              max_iter: int = ROOT_MAX_ITER) -> float:
-    """Root of a scalar function on a bracketing interval.
-
-    Uses bisection with secant acceleration (a safeguarded false-position
-    step), succeeding when either |f(x)| <= tol or the bracket width shrinks
-    below tol * max(1, |x|). Infinite function values at the endpoints are
-    tolerated; they simply force bisection.
-
-    Raises:
-        BracketError: f(lo) and f(hi) do not straddle zero.
-        ConvergenceError: iteration cap reached.
-    """
-    flo = f(lo)
-    fhi = f(hi)
-    if not np.isfinite(flo) and not np.isfinite(fhi):
-        raise BracketError("function is non-finite at both endpoints")
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if np.sign(flo) == np.sign(fhi):
-        raise BracketError(
-            f"no sign change on [{lo!r}, {hi!r}]: f(lo)={flo!r}, f(hi)={fhi!r}"
-        )
-    a, b, fa, fb = lo, hi, flo, fhi
-    last_side = 0
-    stalled = 0
-    for _ in range(max_iter):
-        # Force bisection when secant updates hug one endpoint (regula-falsi
-        # stagnation on convex functions) so the bracket provably shrinks.
-        secant = (stalled < 2 and np.isfinite(fa) and np.isfinite(fb)
-                  and fa != fb)
-        if secant:
-            x = b - fb * (b - a) / (fb - fa)
-            if not (min(a, b) < x < max(a, b)):
-                x = 0.5 * (a + b)
-                secant = False
-        else:
-            x = 0.5 * (a + b)
-        fx = f(x)
-        if np.isnan(fx):
-            raise NonFiniteError(f"f({x!r}) is NaN during root search")
-        if fx == 0.0:
-            return float(x)
-        if abs(fx) <= tol and np.isfinite(fx):
-            return float(x)
-        if np.sign(fx) == np.sign(fa):
-            a, fa = x, fx
-            side = -1
-        else:
-            b, fb = x, fx
-            side = 1
-        stalled = stalled + 1 if (secant and side == last_side) else (1 if secant else 0)
-        last_side = side
-        if abs(b - a) <= tol * max(1.0, abs(x)):
-            return float(0.5 * (a + b))
-    raise ConvergenceError(f"root search did not converge in {max_iter} iterations")
 
 
 def newton_root(f, lo: float, hi: float, x: float, tol: float = ROOT_TOL,

@@ -142,7 +142,9 @@ class TiltSolution:
 
     The tilt theta1 and rate lambda1 satisfy the two coupling conditions:
     the tilted rate is lambda0 scaled by the MGF at theta1 (rate matching),
-    and the tilted window mean equals the threshold (centering).
+    and the tilted window mean equals the threshold (centering). cumulants,
+    set by solve_tilt and not an init argument (so replace leaves it None),
+    holds (phi, phi', phi'') at theta1 for p_value and analytic_nu.
     """
 
     lambda0: float
@@ -150,9 +152,7 @@ class TiltSolution:
     theta1: float
     threshold: float
     window: int
-    # (phi, phi', phi'') at theta1 as solve_tilt evaluated them, so that
-    # p_value need not evaluate the kernel there again
-    _cumulants: tuple[float, float, float] | None = field(
+    cumulants: tuple[float, float, float] | None = field(
         default=None, init=False, repr=False, compare=False)
 
 
@@ -223,9 +223,11 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float,
 
     Substituting the rate-matching condition into the centering condition
     leaves one equation in theta: exp(phi(theta)) * phi'(theta) / phi'(0) =
-    threshold / null_window_mean. In log form its left side is increasing on
-    (0, t_max) with the closed-form slope phi' + phi'' / phi', so it is
-    solved by Newton steps kept inside that bracket.
+    threshold / null_window_mean. For pcs, phi(theta) = theta and phi' = 1,
+    so the root is log(threshold / null_window_mean). For pls and bws the
+    log form's left side is increasing on (0, t_max) with the closed-form
+    slope phi' + phi'' / phi', so it is solved by Newton steps kept inside
+    that bracket.
 
     Raises:
         ValueError: threshold below the null window mean.
@@ -233,17 +235,32 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float,
     """
     if lambda0 <= 0:
         raise ValueError("lambda0 must be positive")
-    _, mean0, var0 = sm.null_cumulants
     null_mean = null_window_mean(lambda0, sm, window)
     if threshold < null_mean * (1.0 - 1e-12):
         raise ValueError(
             f"threshold {threshold!r} is below the null window mean {null_mean!r}"
         )
-    if threshold <= null_mean * (1.0 + 1e-12):
-        return TiltSolution(lambda0=lambda0, lambda1=lambda0, theta1=0.0,
-                            threshold=threshold, window=window)
-
     log_ratio = np.log(threshold / null_mean)
+    if threshold <= null_mean * (1.0 + 1e-12):
+        theta1, jet = 0.0, sm.null_cumulants
+    elif sm.kind == "pcs":
+        theta1 = float(log_ratio)
+        jet = cumulants(sm, theta1)
+    else:
+        theta1, jet = _newton_tilt(sm, threshold, log_ratio)
+    # rate matching; at theta1 = 0 phi is zero only up to rounding
+    lambda1 = lambda0 * float(np.exp(jet[0])) if theta1 else lambda0
+    tilt = TiltSolution(lambda0=lambda0, lambda1=lambda1, theta1=theta1,
+                        threshold=threshold, window=window)
+    object.__setattr__(tilt, "cumulants", jet)
+    return tilt
+
+
+def _newton_tilt(sm: ScoreModel, threshold: float,
+                 log_ratio: float) -> tuple[float, tuple[float, float, float]]:
+    """Root theta1 of the log-form tilt equation on (0, t_max) for pls and
+    bws, and the cumulants there (solve_tilt)."""
+    _, mean0, var0 = sm.null_cumulants
     jets = {}  # cumulants at each evaluated theta, reused at the root
 
     def centering_gap(theta: float) -> tuple[float, float]:
@@ -256,15 +273,7 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float,
         jets[theta] = phi, mean, var
         return phi + np.log(mean / mean0) - log_ratio, mean + var / mean
 
-    t_max = sm.t_max
-    if np.isfinite(t_max):
-        hi = t_max * (1.0 - 1e-10)
-    else:
-        hi = 1.0
-        while centering_gap(hi)[0] < 0.0:
-            hi *= 2.0
-            if hi > 1e6:
-                raise DomainError("threshold unreachable: tilt equation has no root")
+    hi = sm.t_max * (1.0 - 1e-10)
     if centering_gap(hi)[0] < 0.0:
         raise DomainError(
             f"threshold {threshold!r} unreachable within the MGF domain"
@@ -272,12 +281,7 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float,
     start = log_ratio / (mean0 + var0 / mean0)  # step from 0
     theta1 = newton_root(centering_gap, 0.0, hi, x=min(start, 0.5 * hi),
                          tol=1e-13)
-    jet = jets[theta1] if theta1 in jets else cumulants(sm, theta1)
-    lambda1 = lambda0 * float(np.exp(jet[0]))
-    tilt = TiltSolution(lambda0=lambda0, lambda1=lambda1, theta1=theta1,
-                        threshold=threshold, window=window)
-    object.__setattr__(tilt, "_cumulants", jet)
-    return tilt
+    return theta1, jets[theta1] if theta1 in jets else cumulants(sm, theta1)
 
 
 def _graded_panels(scale: float, stop: float) -> tuple[np.ndarray, np.ndarray]:
@@ -371,8 +375,10 @@ def analytic_nu(tilt: TiltSolution, sm: ScoreModel) -> float:
         raise ValueError("overshoot correction requires theta1 > 0")
     floor = _nu_tilt_floor(sm)
     if theta < floor:
-        at_floor = replace(tilt, theta1=floor, lambda1=tilt.lambda0
-                           * float(np.exp(cumulants(sm, floor)[0])))
+        jet = cumulants(sm, floor)
+        at_floor = replace(tilt, theta1=floor,
+                           lambda1=tilt.lambda0 * float(np.exp(jet[0])))
+        object.__setattr__(at_floor, "cumulants", jet)
         return 1.0 - theta / floor * (1.0 - analytic_nu(at_floor, sm))
     c = 0.5 * theta
     t, w = _nu_quadrature(sm, c)
@@ -381,7 +387,7 @@ def analytic_nu(tilt: TiltSolution, sm: ScoreModel) -> float:
     eventful = -np.expm1(-(tilt.lambda0 + tilt.lambda1))
     # 1 - psi_x = (1 - psi_y) / P(an event), without forming psi_y near 1
     log_sum = float(w @ -np.log(-np.expm1(log_psi_y) / eventful))
-    mean1 = (tilt._cumulants or cumulants(sm, tilt.theta1))[1]
+    mean1 = tilt.cumulants[1]
     mean_x = (tilt.lambda1 * mean1 - tilt.lambda0 * sm.null_cumulants[1]) / eventful
     nu = float(np.exp(-log_sum) / (-np.expm1(-theta) * mean_x))
     return min(nu, 1.0)
@@ -412,7 +418,7 @@ def p_value(threshold: float, window: int, total_length: int, lambda0: float,
     if tilt.theta1 <= 0.0:
         raise ValueError("threshold must strictly exceed the null window mean")
     mu0 = sm.null_cumulants[1]
-    _, mean1, var1 = tilt._cumulants
+    _, mean1, var1 = tilt.cumulants
     var_term = mean1 * mean1 if sm.kind == "pcs" else var1
     nu = float(nu_fixed) if nu_fixed is not None else analytic_nu(tilt, sm)
     if sm.compat_paper:

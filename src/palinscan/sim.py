@@ -40,6 +40,8 @@ from .scan import threshold_for_alpha, window_scores
 from .seqio import DnaSeq
 
 PLACEMENT_RETRIES = 1000
+# Length of each hot-spot segment, as in the paper's 3 x 1000 bp design.
+HOTSPOT_LENGTH = 1000
 _TAIL_MASS = 1e-12
 
 
@@ -48,7 +50,7 @@ class HotspotSpec:
     """One elevated-rate segment to insert into a background sequence."""
 
     start: int
-    length: int = 1000
+    length: int = HOTSPOT_LENGTH
     multiplier: float = 1.0
 
     def __post_init__(self):
@@ -70,8 +72,6 @@ class ExperimentConfig:
         model: generator (and scoring) model for background sequences.
         lambda0_target: nominal per-position rate used to size hot-spot
             insert counts (length * multiplier * lambda0_target).
-        hotspot_starts: segment start positions; when None, segments are
-            centred at 25%, 50%, and 75% of the sequence.
     """
 
     model: MarkovModel
@@ -82,8 +82,6 @@ class ExperimentConfig:
     multipliers: tuple[float, ...] = (1.0, 1.0, 1.0)
     lambda0_target: float = 0.00098
     master_seed: int = 0
-    hotspot_length: int = 1000
-    hotspot_starts: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -141,17 +139,14 @@ class PowerExperimentResult:
 
 
 def default_hotspot_specs(cfg: ExperimentConfig) -> list[HotspotSpec]:
-    """Hot-spot segments centred at quarter points of the sequence."""
-    if cfg.hotspot_starts is not None:
-        starts = cfg.hotspot_starts
-    else:
-        fracs = [(i + 1) / (len(cfg.multipliers) + 1) for i in range(len(cfg.multipliers))]
-        starts = [int(round(f * cfg.seq_length - cfg.hotspot_length / 2)) for f in fracs]
-    if len(starts) != len(cfg.multipliers):
-        raise ValueError("need one start per multiplier")
+    """Hot-spot segments of HOTSPOT_LENGTH bases, one per multiplier, centred
+    at the points i / (k + 1) of the sequence (the quarter points for k = 3
+    multipliers)."""
+    k = len(cfg.multipliers)
     return [
-        HotspotSpec(start=s, length=cfg.hotspot_length, multiplier=a)
-        for s, a in zip(starts, cfg.multipliers)
+        HotspotSpec(start=int(round((i + 1) / (k + 1) * cfg.seq_length
+                                    - HOTSPOT_LENGTH / 2)), multiplier=a)
+        for i, a in enumerate(cfg.multipliers)
     ]
 
 
@@ -166,24 +161,23 @@ def _validate_specs(specs, seq_length: int) -> None:
 
 
 def min_seq_length(cfg: ExperimentConfig) -> int:
-    """Shortest seq_length from which on the default hot-spot layout of cfg
-    (hotspot_starts None) places every segment inside the sequence, with no
-    two overlapping.
+    """Shortest seq_length from which on the hot-spot layout of cfg
+    (default_hotspot_specs) places every segment inside the sequence, with
+    no two overlapping.
 
-    From (hotspot_length + 1) * (segments + 1) bases on, neighbouring
-    segments start at least hotspot_length apart and the outer ones keep
+    From (HOTSPOT_LENGTH + 1) * (segments + 1) bases on, neighbouring
+    segments start at least HOTSPOT_LENGTH apart and the outer ones keep
     clear of the ends whatever the rounding of the starts, so the search
     steps down from there.
     """
     def fits(n: int) -> bool:
         try:
-            specs = default_hotspot_specs(replace(cfg, seq_length=n, hotspot_starts=None))
-            _validate_specs(specs, n)
+            _validate_specs(default_hotspot_specs(replace(cfg, seq_length=n)), n)
         except ValueError:
             return False
         return True
 
-    n = (cfg.hotspot_length + 1) * (len(cfg.multipliers) + 1)
+    n = (HOTSPOT_LENGTH + 1) * (len(cfg.multipliers) + 1)
     while n > 1 and fits(n - 1):
         n -= 1
     return n

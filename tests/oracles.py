@@ -365,6 +365,21 @@ def iid_domain_edge(pi, min_half: int, kind: str) -> float:
     return lo
 
 
+def bws_domain_edge(trans) -> float:
+    """Root of rho(T^(1 - t)) = 1 on (0, 1), T the quasi transition matrix
+    and the power entrywise, by plain bisection on the eigenvalues (1 when
+    the radius stays below 1)."""
+    t_mat = quasi_matrix(trans)
+    radius = lambda t: np.abs(np.linalg.eigvals(t_mat ** (1.0 - t))).max()
+    lo, hi = 0.0, 1.0 - 1e-9
+    if radius(hi) < 1.0:
+        return 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if radius(mid) < 1.0 else (lo, mid)
+    return hi
+
+
 def stationary(model) -> np.ndarray:
     """Stationary composition of model.trans (left eigenvector for 1)."""
     vals, vecs = np.linalg.eig(np.asarray(model.trans, dtype=float).T)

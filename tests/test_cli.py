@@ -138,9 +138,14 @@ class TestEstimate:
         assert len(entry["model"]["trans"]) == 4
 
     def test_unestimable_record_exits_1(self, data_dir, capsys):
+        # record beta is TTTTAAAA; no subcommand has a pseudocount option,
+        # so the message points at the library argument
         code, _ = invoke("estimate", "--input", str(data_dir / "mixed.fa"))
         assert code == 1
-        assert "palinscan estimate:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "palinscan estimate: no transitions out of bases C, G; fit such a "
+            "sequence with the library call estimate_model(seq, "
+            "pseudocount=p), p > 0\n")
 
     def test_missing_file_exits_1(self):
         code, _ = invoke("estimate", "--input", "/no/such/file.fa")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from palinscan import (
@@ -22,6 +22,7 @@ from palinscan import (
 import palinscan.mgf as mgf_module
 
 from oracles import (
+    bws_domain_edge,
     derivative,
     enum_exact_length_mgf,
     enum_exact_length_prob,
@@ -30,6 +31,7 @@ from oracles import (
     quasi_matrix,
     random_model,
     series_mgf,
+    sparse_models,
 )
 
 
@@ -240,6 +242,24 @@ class TestDomain:
         sm = ScoreModel("bws", uniform, 6)
         assert sm.t_max == pytest.approx(0.5, abs=1e-6)
 
+    def test_bws_edge_matches_bisection_oracle(self, bohv1, uniform):
+        for model in (bohv1, uniform):
+            assert ScoreModel("bws", model, 6).t_max == pytest.approx(
+                bws_domain_edge(model.trans), rel=1e-13)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(pi_trans=sparse_models())
+    def test_bws_edge_on_sparse_chains(self, pi_trans):
+        # zero transitions give reducible or periodic quasi matrices, whose
+        # eigenvalue of largest modulus need not be the Perron root, and on
+        # which eigvals resolves the radius only to about 1e-8
+        pi, trans = pi_trans
+        try:
+            sm = ScoreModel("bws", MarkovModel(pi=pi, trans=trans), 6)
+        except ValueError:  # T not subcritical
+            assume(False)
+        assert sm.t_max == pytest.approx(bws_domain_edge(trans), rel=1e-6)
+
     def test_bws_boundary_vs_eigvals(self, bohv1):
         sm = ScoreModel("bws", bohv1, 6)
         t_star = sm.t_max
@@ -356,6 +376,12 @@ class TestClosedFormCumulants:
         assert phi == pytest.approx(s_phi, rel=1e-10, abs=1e-12)
         assert mean == pytest.approx(s_mean, rel=1e-9)
         assert var == pytest.approx(s_var, rel=1e-6)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(model=markov_models())
+    def test_bws_edge_matches_bisection_oracle(self, model):
+        assert ScoreModel("bws", model, 6).t_max == pytest.approx(
+            bws_domain_edge(model.trans), rel=1e-13)
 
     @pytest.mark.parametrize("kind,iid", CLOSED_FORM_CASES)
     @settings(max_examples=10, deadline=None, derandomize=True, database=None)

@@ -3,25 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from palinscan import BracketError, ConvergenceError, NonFiniteError, SingularMatrixError
-from palinscan.numeric import find_root, mat_inv, mat_pow, newton_root, spectral_radius
+from palinscan import ConvergenceError, NonFiniteError, SingularMatrixError
+from palinscan.numeric import mat_inv, newton_root, spectral_radius
 
 from oracles import derivative
-
-
-class TestMatPow:
-    def test_zero_power_is_identity(self, rng):
-        m = rng.random((4, 4))
-        assert np.allclose(mat_pow(m, 0), np.eye(4))
-
-    def test_matches_repeated_product(self, rng):
-        m = rng.random((3, 3))
-        expected = m @ m @ m @ m @ m
-        assert np.allclose(mat_pow(m, 5), expected, rtol=1e-12)
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            mat_pow(np.eye(2), -1)
 
 
 class TestMatInv:
@@ -81,46 +66,6 @@ class TestSpectralRadius:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             spectral_radius(np.array([[1.0, -0.1], [0.0, 1.0]]))
-
-
-class TestFindRoot:
-    def test_polynomial(self):
-        root = find_root(lambda x: x**3 - 2.0, 0.0, 2.0)
-        assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-10)
-
-    def test_convex_exponential_no_stagnation(self):
-        # steep convex functions defeat plain regula falsi; the bracket must
-        # still shrink via forced bisection
-        f = lambda x: math.exp(20.0 * x) - 1e-4
-        root = find_root(f, -2.0, 1.0, tol=1e-13)
-        assert root == pytest.approx(math.log(1e-4) / 20.0, abs=1e-9)
-
-    def test_infinite_endpoint_tolerated(self):
-        f = lambda x: math.exp(x) - 5.0 if x < 700 else float("inf")
-        root = find_root(f, 0.0, 1000.0)
-        assert root == pytest.approx(math.log(5.0), abs=1e-8)
-
-    def test_exact_endpoint_roots(self):
-        assert find_root(lambda x: x, 0.0, 1.0) == 0.0
-        assert find_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
-
-    def test_no_bracket(self):
-        with pytest.raises(BracketError):
-            find_root(lambda x: x * x + 1.0, -1.0, 1.0)
-
-    def test_nan_inside(self):
-        with pytest.raises(NonFiniteError):
-            find_root(lambda x: float("nan") if 0 < x < 1 else x - 0.5, -1.0, 2.0)
-
-    def test_both_endpoints_nonfinite(self):
-        with pytest.raises(BracketError):
-            find_root(lambda x: float("inf"), 0.0, 1.0)
-
-    def test_iteration_cap(self):
-        # a discontinuous sign flip with no root keeps the bracket wide
-        f = lambda x: -1.0 if x < math.pi / 10 else 1.0
-        with pytest.raises(ConvergenceError):
-            find_root(f, 0.0, 1.0, tol=0.0, max_iter=20)
 
 
 class TestNewtonRoot:

@@ -165,6 +165,17 @@ class TestSolveTilt:
             assert tilt.lambda1 == pytest.approx(b / WINDOW, rel=1e-12)
             assert tilt.theta1 == pytest.approx(np.log(b / (WINDOW * lam0)), rel=1e-10)
 
+    @pytest.mark.parametrize("compat", [False, True])
+    def test_pcs_tilt_is_exactly_the_log_ratio(self, lam0, compat):
+        # phi(theta) = theta and phi' = 1 make the tilt equation theta =
+        # log(b / null window mean), which solve_tilt returns bit for bit
+        sm = ScoreModel("pcs", bohv1_model(), 6, compat_paper=compat)
+        null_mean = scan_module.null_window_mean(lam0, sm, WINDOW)
+        for b in null_mean * np.geomspace(1.001, 1e4, 50):
+            tilt = solve_tilt(lam0, sm, b, WINDOW)
+            assert tilt.theta1 == np.log(b / null_mean)
+            assert tilt.cumulants == (tilt.theta1, 1.0, 0.0)
+
     @pytest.mark.parametrize("kind", ["pls", "bws"])
     def test_centering_condition_holds(self, kind, lam0):
         sm = ScoreModel(kind, bohv1_model(), 6)
@@ -189,7 +200,8 @@ class TestSolveTilt:
         null_mean = WINDOW * lam0 * pls.null_cumulants[1]
         tilt = solve_tilt(lam0, pls, null_mean, WINDOW)
         assert tilt.theta1 == 0.0
-        assert tilt.lambda1 == pytest.approx(lam0)
+        assert tilt.lambda1 == lam0
+        assert tilt.cumulants == pls.null_cumulants
 
     def test_below_null_mean_rejected(self, lam0, pls):
         with pytest.raises(ValueError, match="mean"):
@@ -322,18 +334,26 @@ class TestOvershoot:
                          step_cap=50)
 
 
+def with_cumulants(tilt, jet):
+    """tilt with its cumulants field set, as solve_tilt sets it."""
+    object.__setattr__(tilt, "cumulants", jet)
+    return tilt
+
+
 def tilt_at(sm, theta, lam0=0.05):
     """The rate-matched tilt solution at a given tilt, per base."""
+    jet = cumulants(sm, theta)
     lam1 = lam0 * score_mgf(sm, theta)
-    return TiltSolution(lambda0=lam0, lambda1=lam1, theta1=theta,
-                        threshold=WINDOW * lam1 * cumulants(sm, theta)[1],
-                        window=WINDOW)
+    return with_cumulants(TiltSolution(lambda0=lam0, lambda1=lam1, theta1=theta,
+                                       threshold=WINDOW * lam1 * jet[1],
+                                       window=WINDOW), jet)
 
 
 def per_stretch(tilt, delta):
     """The tilt solution of a walk that steps once per delta bases: both
-    rates scaled by delta."""
-    return replace(tilt, lambda0=tilt.lambda0 * delta, lambda1=tilt.lambda1 * delta)
+    rates scaled by delta, theta1 and its cumulants kept."""
+    return with_cumulants(replace(tilt, lambda0=tilt.lambda0 * delta,
+                                  lambda1=tilt.lambda1 * delta), tilt.cumulants)
 
 
 class TestAnalyticNu:

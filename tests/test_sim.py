@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -69,32 +71,18 @@ class TestExperimentConfig:
         assert [s.start for s in specs] == [24_500, 49_500, 74_500]
         assert all(s.length == 1000 for s in specs)
 
-    def test_custom_starts(self, bohv1):
-        cfg = ExperimentConfig(model=bohv1, hotspot_starts=(10, 5000, 20_000),
-                               seq_length=50_000)
-        assert [s.start for s in default_hotspot_specs(cfg)] == [10, 5000, 20_000]
-
-    def test_starts_must_match_multipliers(self, bohv1):
-        cfg = ExperimentConfig(model=bohv1, hotspot_starts=(10, 5000),
-                               seq_length=50_000)
-        with pytest.raises(ValueError, match="one start per multiplier"):
-            default_hotspot_specs(cfg)
-
     @pytest.mark.parametrize("segments", [1, 2, 3, 5])
-    @pytest.mark.parametrize("hotspot_length", [7, 999, 1000])
-    def test_min_seq_length(self, bohv1, segments, hotspot_length):
+    def test_min_seq_length(self, bohv1, segments):
+        cfg = ExperimentConfig(model=bohv1, multipliers=(1.0,) * segments)
+
         def fits(n):
-            cfg = ExperimentConfig(model=bohv1, seq_length=n,
-                                   multipliers=(1.0,) * segments,
-                                   hotspot_length=hotspot_length)
             try:
-                _validate_specs(default_hotspot_specs(cfg), n)
+                _validate_specs(default_hotspot_specs(replace(cfg, seq_length=n)), n)
             except ValueError:
                 return False
             return True
 
-        shortest = min_seq_length(ExperimentConfig(
-            model=bohv1, multipliers=(1.0,) * segments, hotspot_length=hotspot_length))
+        shortest = min_seq_length(cfg)
         assert not fits(shortest - 1)
         assert all(fits(n) for n in range(shortest, 3 * shortest))
 
