@@ -13,10 +13,16 @@ One kernel serves every evaluator: it carries each factor of the matrix form
 as a truncated Taylor series in the argument, so the MGF and its first two
 derivatives come out of the same matrix products in closed form. score_mgf
 and cumulants take real arguments; the kernel also takes complex ones, one
-or a whole array at a time (as a stack of matrix products), so the log
-characteristic function reuses the same matrix series at every quadrature
-node. A model with independent bases is the Markov model iid_model(pi),
-whose rank-one quasi transition matrix takes the same path.
+or a whole array at a time, so the log characteristic function reuses the
+same series at every quadrature node. The factors are laid out
+entries-first: for N arguments, entry (i, j) of Q is one length-N array.
+An array of STACK_MIN_NODES arguments or more, such as the overshoot
+quadrature's nodes, runs the 4 x 4 algebra as elementwise arithmetic on
+these node vectors, with a Gauss-Jordan inverse (numeric.stack_inv), so
+its cost in numpy calls does not grow with N. One argument, or a few, runs
+as matrix products with one LAPACK inverse per argument, which takes fewer
+numpy calls there. A model with independent bases is the Markov model
+iid_model(pi), whose rank-one quasi transition matrix takes the same path.
 
 The per-length law behind the closed form, E[exp(t * score); half-length
 = k] (length_terms, and mgf_at_length for one k), is read from the factors
@@ -27,18 +33,24 @@ draws from that law, follows the same conventions (compat_paper included).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import factorial
+from operator import add
 
 import numpy as np
 
 from .errors import DomainError, SingularMatrixError
 from .markov import (MarkovModel, center_pair_probs, markov_rate,
                      quasi_transition_matrix, start_weights)
-from .numeric import mat_inv, newton_root, spectral_radius
+from .numeric import mat_inv, newton_root, spectral_radius, stack_inv, vec_mat
 
 SCORE_KINDS = ("pcs", "pls", "bws")
 _EYE = np.eye(4)
+# The MGF kernel evaluates an array of at least this many arguments as
+# elementwise arithmetic on node vectors (_jet_by_entries), and fewer as
+# matrix products argument by argument (_jet_by_blocks), which cost less
+# there: the two break even at about 30 to 100 arguments.
+STACK_MIN_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -97,6 +109,18 @@ class ScoreModel:
         return mgf_domain(self)
 
     @cached_property
+    def edge_cumulants(self) -> tuple[float, tuple[float, float, float] | None]:
+        """(theta, cumulants at theta) for theta = t_max (1 - 1e-10), the top
+        of the interval on which scan.solve_tilt looks for a pls or bws
+        tilt; the cumulants are None where the MGF cannot be evaluated
+        there."""
+        theta = self.t_max * (1.0 - 1e-10)
+        try:
+            return theta, cumulants(self, theta)
+        except (DomainError, SingularMatrixError, FloatingPointError, OverflowError):
+            return theta, None
+
+    @cached_property
     def null_cumulants(self) -> tuple[float, float, float]:
         """cumulants at theta = 0: zero up to rounding, then the mean and the
         variance of the score."""
@@ -110,9 +134,10 @@ class ScoreModel:
         return head, t, (_EYE - t) @ self.closure_probs
 
     @cached_property
-    def _bws_log_bases(self) -> tuple:
-        """_log_base of each base the bws form raises to the power 1 - z: the
-        start weights, T and the closure vector.
+    def _bws_log_base(self) -> tuple[np.ndarray, np.ndarray]:
+        """_log_base of the bases the bws form raises to the power 1 - z,
+        as one vector of 24 entries: the start weights, T row by row and
+        the closure vector (_bws_split takes them apart).
 
         Raises:
             DomainError: start weights with negative entries.
@@ -122,7 +147,14 @@ class ScoreModel:
             start = (_EYE - self.t_matrix) @ self.model.pi
         if np.any(start < 0):
             raise DomainError("start weights have negative entries; bws undefined")
-        return tuple(_log_base(b) for b in (start, self.t_matrix, self.closure_probs))
+        return _log_base(np.concatenate((start, self.t_matrix.ravel(), self.closure_probs)))
+
+
+def _bws_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(v, Q, u) of an array laid out as ScoreModel._bws_log_base: its
+    first axis's 24 entries become shapes (4,), (4, 4) and (4,), and any
+    trailing axes are kept."""
+    return a[:4], a[4:20].reshape((4, 4) + a.shape[1:]), a[20:]
 
 
 def _log_base(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,11 +169,19 @@ def _power_jet(log_base: tuple[np.ndarray, np.ndarray], z,
 
     log_base is _log_base(base). Coefficient j is base ** (1 - z) * (-log
     base) ** j / j!. Zero entries map to zero, matching the limit from
-    positive base; z may be complex, and an array of z gives coefficients of
-    shape z.shape + base.shape.
+    positive base; z may be complex, and an array of z gives coefficients
+    laid out entries-first, of shape base.shape + (len(z),).
     """
     log_base, pos = log_base
-    jet = [np.exp(np.multiply.outer(1.0 - z, log_base)) * pos]
+    if np.ndim(z):
+        # equal entries share one exponential: T[a, b] = T[b', a'] for the
+        # complements ', so at most 18 of the 24 bws entries differ
+        distinct, index = np.unique(log_base, return_inverse=True)
+        power = np.exp(np.multiply.outer(distinct, 1.0 - z))[index.reshape(log_base.shape)]
+        log_base, pos = log_base[..., None], pos[..., None]
+    else:
+        power = np.exp(log_base * (1.0 - z))
+    jet = [power if pos.all() else power * pos]
     for j in range(1, order + 1):
         jet.append(jet[-1] * log_base / -j)
     return jet
@@ -178,9 +218,6 @@ def mgf_domain(sm: ScoreModel) -> float:
 
     # The edge is located to round-off, so that the resolvent I - Q is
     # numerically singular right at t_max rather than some 1e-9 beyond it.
-    # Within round-off the edge depends on the start: from t = 1/4 the
-    # BoHV-1 edge is 0.5002161139831885, on which the tests' pinned
-    # threshold searches depend.
     hi = 1.0 - 1e-9
     if excess(hi)[0] < 0.0:
         return 1.0
@@ -219,6 +256,53 @@ def _toeplitz(jet: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _jet_by_entries(v, q, u, n: int) -> np.ndarray:
+    """Taylor coefficients of v Q^n (I - Q)^-1 u (_mgf_jet) at N arguments,
+    as elementwise arithmetic on node vectors.
+
+    Every coefficient is held entries-first, (4, N) for v and u and
+    (4, 4, N) for Q, and every vector-matrix product is numeric.vec_mat,
+    so the number of numpy calls does not grow with N. The row r = v Q^n
+    is n Cauchy products of series, r_k = r_0 Q_k + ... + r_k Q_0; the
+    resolvent enters through the series y = r W, which solves y (I - Q) = r
+    order by order: y_k = (r_k + y_(k-1) Q_1 + ... + y_0 Q_k) W_0, with W_0
+    = (I - Q_0)^-1 from numeric.stack_inv. Returns shape (N, order + 1).
+    """
+    order = len(q) - 1
+    w0 = stack_inv(_EYE[..., None] - q[0])
+    for _ in range(n):
+        v = [reduce(add, [vec_mat(v[j], q[k - j]) for j in range(k + 1)])
+             for k in range(order + 1)]
+    y = []
+    for k in range(order + 1):
+        rhs = reduce(add, [v[k]] + [vec_mat(y[k - j], q[j]) for j in range(1, k + 1)])
+        y.append(vec_mat(rhs, w0))
+    return np.stack([reduce(add, [vec_mat(y[j], u[k - j]) for j in range(k + 1)])
+                     for k in range(order + 1)], axis=-1)
+
+
+def _jet_by_blocks(v, q, u, n: int) -> np.ndarray:
+    """Taylor coefficients of v Q^n (I - Q)^-1 u (_mgf_jet) by matrix
+    products, argument by argument.
+
+    Every series becomes a block Toeplitz matrix (_toeplitz), so one chain
+    of matrix products carries all Taylor coefficients; the resolvent's
+    coefficients are W_0 = (I - Q_0)^-1 (numeric.mat_inv) and W_k = W_0
+    (Q_1 W_(k-1) + ... + Q_k W_0). Returns shape (order + 1,) for one
+    argument, (N, order + 1) for N.
+    """
+    if q[0].ndim > 2:  # the argument axis goes first
+        v, u, q = [c.T for c in v], [c.T for c in u], [c.transpose(2, 0, 1) for c in q]
+    w = [mat_inv(_EYE - q[0])]
+    for k in range(1, len(q)):
+        w.append(w[0] @ sum(q[j] @ w[k - j] for j in range(1, k + 1)))
+    row = np.concatenate(v, axis=-1)[..., None, :]
+    if n:
+        row = row @ np.linalg.matrix_power(_toeplitz(q), n)
+    col = _toeplitz([b[..., None] for b in u])
+    return (row @ _toeplitz(w) @ col)[..., 0, :]
+
+
 def _mgf_jet(sm: ScoreModel, z, order: int = 0) -> np.ndarray:
     """Taylor coefficients M^(j)(z) / j!, j = 0 .. order, of the score MGF.
 
@@ -226,14 +310,14 @@ def _mgf_jet(sm: ScoreModel, z, order: int = 0) -> np.ndarray:
       - pls: v = e^z pi T^(h-1), Q = e^(z/h) T, n = 0, u = (I - T) c;
       - bws: v, Q, u the entrywise (1 - z) powers of the start weights, T
         and c, and n = h - 1.
-    Each factor is carried as a Taylor series in z. The resolvent
-    W = (I - Q)^-1 has W_0 = (I - Q_0)^-1 and W_k = W_0 (Q_1 W_(k-1) + ...
-    + Q_k W_0), which for pls is dR/dz = (e^(z/h) / h) R T R and its
-    successor; the product of the series then gives exact derivatives.
-    z may be complex (domain checks use Re z), and may be an array: every
-    factor then carries a leading axis of arguments, the matrix products and
-    the inverse run on the whole stack, and the result has shape
-    z.shape + (order + 1,).
+    Each factor is carried as a Taylor series in z, and the product of the
+    series gives exact derivatives. An array of z lays the coefficients out
+    entries-first, with the arguments on a trailing axis. An array of at
+    least STACK_MIN_NODES arguments is evaluated as elementwise arithmetic
+    on node vectors (_jet_by_entries); a scalar or a smaller array by
+    matrix products, argument by argument (_jet_by_blocks). z may be
+    complex (domain checks use Re z); the result has shape z.shape +
+    (order + 1,).
 
     Raises:
         DomainError: Re z at or beyond the domain supremum.
@@ -244,25 +328,24 @@ def _mgf_jet(sm: ScoreModel, z, order: int = 0) -> np.ndarray:
     fact = [float(factorial(j)) for j in range(order + 1)]
     if sm.kind == "pcs":
         return np.divide.outer(np.exp(z), fact)
+    shape = np.shape(z)
+    if shape:  # one trailing axis of arguments
+        z = np.ravel(z)
     h = sm.half_length
     if sm.kind == "pls":
         head, t, tail = sm._pls_factors
+        if shape:
+            head, t, tail = head[:, None], t[..., None], tail[:, None]
         scale, grow = np.exp(z), np.exp(z / h)
-        v = [np.multiply.outer(scale / f, head) for f in fact]
-        q = [np.multiply.outer(grow / (h ** j * f), t) for j, f in enumerate(fact)]
+        v = [head * (scale / f) for f in fact]
+        q = [t * (grow / (h ** j * f)) for j, f in enumerate(fact)]
         u = [tail] + [np.zeros_like(tail)] * order
         n = 0
     else:
-        v, q, u = (_power_jet(b, z, order) for b in sm._bws_log_bases)
+        v, q, u = zip(*map(_bws_split, _power_jet(sm._bws_log_base, z, order)))
         n = h - 1
-    w = [mat_inv(np.eye(q[0].shape[-1]) - q[0])]
-    for k in range(1, order + 1):
-        w.append(w[0] @ sum(q[j] @ w[k - j] for j in range(1, k + 1)))
-    row = np.concatenate(v, axis=-1)[..., None, :]
-    if n:
-        row = row @ np.linalg.matrix_power(_toeplitz(q), n)
-    col = _toeplitz([b[..., None] for b in u])
-    return (row @ _toeplitz(w) @ col)[..., 0, :] / sm.rate
+    product = _jet_by_entries if shape and z.size >= STACK_MIN_NODES else _jet_by_blocks
+    return (product(v, q, u, n) / sm.rate).reshape(shape + (order + 1,))
 
 
 def _mgf_value(sm: ScoreModel, z):
@@ -306,7 +389,7 @@ def length_terms(sm: ScoreModel, t: float, k_max: int) -> np.ndarray:
     The term is v Q^(k-1) u from the factors the kernel caches: the start
     weights, T and the closure vector, with exp(t) folded into v for pcs and
     exp(t / h) into Q and u for pls (the score k / h gains 1 / h per step);
-    for bws their entrywise (1 - t) powers (the kernel's _bws_log_bases, so
+    for bws their entrywise (1 - t) powers (the kernel's _bws_log_base, so
     compat_paper applies). The terms from k = h on sum to score_mgf(sm, t)
     * sm.rate.
 
@@ -323,7 +406,7 @@ def length_terms(sm: ScoreModel, t: float, k_max: int) -> np.ndarray:
         grow = np.exp(t / sm.half_length)
         q, u = grow * q, grow * u
     else:
-        v, q, u = (_power_jet(b, t)[0] for b in sm._bws_log_bases)
+        v, q, u = _bws_split(_power_jet(sm._bws_log_base, t)[0])
     rows = np.empty((k_max, 4))
     rows[0] = v
     for k in range(1, k_max):

@@ -1,9 +1,12 @@
 """Small numerical kernels shared across the package.
 
-Inverses and spectral radii delegate to numpy's linear algebra, with
-explicit conditioning checks layered on top of the inverse. The one scalar
-root finder, a Newton method kept inside a bracket, is self-contained so
-its convergence and failure behaviour stays under our control.
+Two inverses make the same conditioning checks: mat_inv delegates to
+numpy's linear algebra, matrix by matrix, and stack_inv runs Gauss-Jordan
+elimination as elementwise arithmetic across a stack held entries-first,
+in a number of numpy calls that does not grow with the stack.
+Spectral radii delegate to numpy's eigenvalue solver. The one scalar root
+finder, a Newton method kept inside a bracket, is self-contained so its
+convergence and failure behaviour stays under our control.
 """
 
 from __future__ import annotations
@@ -47,6 +50,67 @@ def mat_inv(m: np.ndarray) -> np.ndarray:
     residual = np.abs(m @ inv - np.eye(n)).max(axis=axes)
     # residual > 1e-8 * max(1, |inv| * scale), entrywise over the stack
     if fails((residual > 1e-8) & (residual > 1e-8 * (np.abs(inv).max(axis=axes) * scale))):
+        raise SingularMatrixError(f"ill-conditioned inverse: residual = {np.max(residual):.3e}")
+    return inv
+
+
+def vec_mat(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The product x a at every node, for a vector x held entries-first as
+    (n, N) and a matrix a as (n, m, N): the sum over i of x[i] a[i], added
+    up row by row. Each entry's value is the same whatever N is."""
+    out = x[0] * a[0]
+    for i in range(1, len(x)):
+        out += x[i] * a[i]
+    return out
+
+
+def stack_inv(m: np.ndarray) -> np.ndarray:
+    """Inverse of each matrix of a stack held entries-first, with mat_inv's
+    checks.
+
+    m has shape (n, n, N): entry (i, j) of every matrix is the length-N
+    array m[i, j]. Gauss-Jordan elimination runs on all N matrices at once,
+    one row of entries (an (n, N) array) at a time, so its cost is a fixed
+    number of elementwise operations rather than one LAPACK call per
+    matrix. It does not pivot: it suits matrices that need no pivoting,
+    such as I - Q with |Q| (entrywise) of spectral radius below 1, an
+    H-matrix, and diagonally dominant ones; a zero pivot fails the
+    determinant check. The determinant is the product of the pivots.
+
+    Raises:
+        SingularMatrixError: as mat_inv, for any matrix of the stack.
+    """
+    m = np.asarray(m)
+    m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
+    n = len(m)
+    inv, det = m.copy(), 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n):
+            # row k becomes the pivot row over the pivot and column k the
+            # multipliers, so the inverse builds up in place
+            pivot = inv[k, k].copy()
+            det = det * pivot
+            inv[k, k] = 1.0
+            inv[k] *= 1.0 / pivot
+            for i in range(n):
+                if i != k:
+                    factor = inv[i, k].copy()
+                    inv[i, k] = 0.0
+                    inv[i] -= factor * inv[k]
+    # mat_inv's checks, for each matrix of the stack; "not >=" also fails
+    # the NaN determinant that a zero pivot leaves
+    scale = np.abs(m).max(axis=(0, 1))
+    if not scale.all():
+        raise SingularMatrixError("zero matrix")
+    det = np.abs(det)
+    if not (det >= SINGULARITY_TOL * scale**n).all():
+        raise SingularMatrixError(f"near-singular matrix: |det| = {np.min(det):.3e}")
+    residual = 0.0  # largest |m inv - I|, built up row by row
+    for i in range(n):
+        product = vec_mat(m[i], inv)
+        product[i] -= 1.0
+        residual = np.maximum(residual, np.abs(product).max(axis=0))
+    if ((residual > 1e-8) & (residual > 1e-8 * (np.abs(inv).max(axis=(0, 1)) * scale))).any():
         raise SingularMatrixError(f"ill-conditioned inverse: residual = {np.max(residual):.3e}")
     return inv
 

@@ -29,7 +29,7 @@ from .markov import (
     generate_sequence,
     markov_rate,
 )
-from .mgf import ScoreModel, _power_jet, length_terms, score_mgf
+from .mgf import ScoreModel, _bws_split, _power_jet, length_terms, score_mgf
 from .palindrome import (
     PalindromeTable,
     average_rate,
@@ -277,7 +277,7 @@ class TiltedScoreSampler:
             self._init_bws(sm)
 
     def _init_bws(self, sm: ScoreModel) -> None:
-        v, q, u = (_power_jet(b, self.theta)[0] for b in sm._bws_log_bases)
+        v, q, u = _bws_split(_power_jet(sm._bws_log_base, self.theta)[0])
         k_last = int(self._ks[-1])
         # backward[m] = q^m u; conditional step tables follow from them
         backward = np.empty((k_last, 4))
@@ -292,8 +292,8 @@ class TiltedScoreSampler:
                 table = q * backward[m - 1][None, :] / backward[m][:, None]
                 steps[m] = np.where(np.isfinite(table), table, 0.0)
         self._step_cum = np.cumsum(steps, axis=2)
-        self._log_start, self._log_step, self._log_close = (
-            log for log, _ in sm._bws_log_bases)
+        self._log_start, self._log_step, self._log_close = _bws_split(
+            sm._bws_log_base[0])
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Sample ``size`` scores."""

@@ -262,6 +262,38 @@ def series_mgf(pi, trans, min_half: int, t, kind: str,
     return total / rate
 
 
+def matrix_form_mgf(pi, trans, min_half: int, z, kind: str, bws_start=None):
+    """Score MGF from its closed matrix form, one argument at a time.
+
+    Summing the exact-length terms of series_mgf over k >= min_half gives
+    v Q^(min_half - 1) (I - Q)^-1 u / rate, taken here with plain
+    np.linalg.inv and matrix_power: v, Q and u are the start weights, the
+    quasi matrix and the closure vector, with e^(z / h) on Q and u for pls
+    and entrywise (1 - z) powers for bws (``bws_start`` replaces the start
+    weights raised), and rate = v T^(h - 1) (I - T)^-1 c. pcs gives e^z.
+    z may be complex.
+    """
+    if kind == "pcs":
+        return np.exp(z)
+    v0 = start_weights(pi, trans)
+    tq = quasi_matrix(trans)
+    close = closure_vector(trans)
+    eye = np.eye(4)
+    if kind == "bws":
+        start = v0 if bws_start is None else np.asarray(bws_start, dtype=float)
+
+        def power(base):
+            pos = base > 0
+            return np.where(pos, np.exp((1.0 - z) * np.log(np.where(pos, base, 1.0))), 0.0)
+
+        v, q, u = power(start), power(tq), power(close)
+    else:
+        step = np.exp(z / min_half)
+        v, q, u = v0, step * tq, step * close
+    rate = v0 @ np.linalg.matrix_power(tq, min_half - 1) @ np.linalg.inv(eye - tq) @ close
+    return v @ np.linalg.matrix_power(q, min_half - 1) @ np.linalg.inv(eye - q) @ u / rate
+
+
 def window_sums(events: list[tuple[int, float]], window: int,
                 total_length: int) -> np.ndarray:
     """Quadratic re-summation of windowed scores.

@@ -474,12 +474,12 @@ class TestPinnedOutput:
         ("pls", "1000\t20000\t0.001130395015\tpls\t3.333333333\t0.9101248846"
                 "\t0.003038637189\t0.9723776886\t0\t0.999999987\t17658\t3.333333333",
          dict(b=3.333333333333332, theta1=0.9101248845981144,
-              lambda1=0.0030386371890327754, nu=0.9723776885687395,
+              lambda1=0.0030386371890327754, nu=0.9723776885687391,
               p=0.999999986950745, argmax=17658, max=3.333333333333332)),
         ("bws", "1000\t20000\t0.001130395015\tbws\t45.47454101\t0.07195156512"
                 "\t0.003139084756\t0.6503443838\t0\t0.9996312499\t18975\t45.47454101",
          dict(b=45.47454100523089, theta1=0.07195156511972377,
-              lambda1=0.003139084755987093, nu=0.6503443837830425,
+              lambda1=0.003139084755987093, nu=0.6503443837830432,
               p=0.9996312498910287, argmax=18975, max=45.47454100523089)),
     ])
     def test_scan(self, sample_path, kind, row, report):

@@ -20,6 +20,7 @@ from palinscan import (
     score_mgf,
 )
 import palinscan.mgf as mgf_module
+from palinscan.scan import _nu_quadrature
 
 from oracles import (
     bws_domain_edge,
@@ -28,6 +29,7 @@ from oracles import (
     enum_exact_length_prob,
     iid_domain_edge,
     iid_geometric_mgf,
+    matrix_form_mgf,
     quasi_matrix,
     random_model,
     series_mgf,
@@ -168,6 +170,34 @@ class TestKernelAgainstSeriesOracle:
         sm = ScoreModel("pcs", bohv1, 6)
         for t in (0.0, 0.7, 2.5, -1.0):
             assert score_mgf(sm, t) == pytest.approx(np.exp(t), rel=1e-14)
+
+
+class TestKernelAgainstMatrixOracle:
+    """The kernel against its matrix form evaluated node by node with plain
+    np.linalg.inv and matrix_power (oracles.matrix_form_mgf)."""
+
+    @pytest.mark.parametrize("kind", ["pls", "bws"])
+    @pytest.mark.parametrize("iid", [False, True])
+    @pytest.mark.parametrize("compat", [False, True])
+    def test_node_stack_and_real_points(self, kind, iid, compat, bohv1):
+        model = iid_model(bohv1.pi) if iid else bohv1
+        sm = ScoreModel(kind, model, 6, compat_paper=compat)
+        start = None
+        if compat and kind == "bws":  # the column-form start weights
+            start = model.pi - quasi_matrix(model.trans) @ model.pi
+        oracle = lambda z: matrix_form_mgf(model.pi, model.trans, 6, z, kind,
+                                           bws_start=start)
+        # the nodes of analytic_nu at theta1 = 0.3 t_max, with 0 and theta1
+        # in front as increment_log_charfn puts them
+        theta = 0.3 * sm.t_max
+        t, _ = _nu_quadrature(sm, 0.5 * theta)
+        z = np.concatenate(([0.0, theta], 0.5 * theta + 1j * t))
+        assert z.size >= mgf_module.STACK_MIN_NODES
+        got = mgf_module._mgf_value(sm, z)
+        expected = np.array([oracle(x) for x in z])
+        assert np.all(np.abs(got / expected - 1.0) <= 1e-13)
+        for x in (0.0, 0.3 * sm.t_max, 0.9 * sm.t_max, -0.5):
+            assert score_mgf(sm, x) == pytest.approx(oracle(x).real, rel=1e-13)
 
 
 class TestExactLengthTerms:
@@ -394,9 +424,15 @@ class TestClosedFormCumulants:
                 cumulants(sm, theta)
         # One ulp inside the edge the resolvent I - Q is singular to
         # round-off, and the matrix form must refuse it rather than return
-        # a NaN or a huge value.
+        # a NaN or a huge value: at one argument, and at one node of a stack
+        # evaluated as array arithmetic.
+        edge = np.nextafter(t_max, 0.0)
         with pytest.raises(SingularMatrixError):
-            cumulants(sm, np.nextafter(t_max, 0.0))
+            cumulants(sm, edge)
+        z = np.linspace(0.0, 0.5 * t_max, mgf_module.STACK_MIN_NODES) + 0.1j
+        z[7] = edge
+        with pytest.raises(SingularMatrixError):
+            mgf_module._mgf_value(sm, z)
 
 
 def increment_charfn(*args):
@@ -475,6 +511,32 @@ class TestBatchedKernel:
             assert batch.shape == (z.size, order + 1)
             single = np.array([mgf_module._mgf_jet(sm, x, order=order) for x in z])
             assert np.array_equal(batch, single)
+
+    @pytest.mark.parametrize("kind", ["pls", "bws"])
+    @pytest.mark.parametrize("iid", [False, True])
+    def test_node_stack_matches_small_evaluations(self, kind, iid, bohv1):
+        # a stack long enough for array arithmetic agrees with the argument-
+        # by-argument products, jets included
+        sm = ScoreModel(kind, iid_model(bohv1.pi) if iid else bohv1, 6)
+        n = mgf_module.STACK_MIN_NODES
+        z = 0.3 * sm.t_max * np.linspace(-1.0, 1.0, n) + 1j * np.linspace(0.0, 7.0, n)
+        for order in (0, 2):
+            stack = mgf_module._mgf_jet(sm, z, order=order)
+            assert stack.shape == (n, order + 1)
+            small = np.concatenate([mgf_module._mgf_jet(sm, part, order=order)
+                                    for part in np.split(z, 8)])
+            assert np.all(np.abs(stack / small - 1.0) <= 1e-13)
+
+    def test_node_values_independent_of_the_stack(self, bohv1):
+        # array arithmetic gives each node the value it has in any other
+        # stack of the same kind
+        sm = ScoreModel("bws", bohv1, 6)
+        n = mgf_module.STACK_MIN_NODES
+        z = 0.2 + 1j * np.linspace(0.0, 20.0, 2 * n)
+        whole = mgf_module._mgf_jet(sm, z, order=2)
+        halves = [mgf_module._mgf_jet(sm, z[i::2], order=2) for i in (0, 1)]
+        assert np.array_equal(whole[0::2], halves[0])
+        assert np.array_equal(whole[1::2], halves[1])
 
     def test_domain_checked_for_every_entry(self, bohv1):
         sm = ScoreModel("bws", bohv1, 6)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from palinscan import ConvergenceError, NonFiniteError, SingularMatrixError
-from palinscan.numeric import mat_inv, newton_root, spectral_radius
+from palinscan.numeric import mat_inv, newton_root, spectral_radius, stack_inv, vec_mat
 
 from oracles import derivative
 
@@ -43,6 +43,62 @@ class TestMatInv:
         stack[1] = np.ones((3, 3))
         with pytest.raises(SingularMatrixError):
             mat_inv(stack)
+
+
+def entries_first(stack):
+    """A stack of matrices (N, n, n) laid out entries-first, (n, n, N)."""
+    return np.moveaxis(np.asarray(stack), 0, -1)
+
+
+class TestStackInv:
+    """The entries-first Gauss-Jordan inverse, mode by mode as mat_inv."""
+
+    def test_matches_numpy_inverse(self, rng):
+        stack = rng.random((7, 4, 4)) + 4.0 * np.eye(4) + 1j * rng.random((7, 4, 4))
+        inv = stack_inv(entries_first(stack))
+        assert inv.shape == (4, 4, 7)
+        assert np.allclose(entries_first(np.linalg.inv(stack)), inv, rtol=1e-13, atol=1e-15)
+
+    def test_h_matrix_without_pivoting(self, rng):
+        # I - Q for complex Q with |Q| of spectral radius 0.95, as in the
+        # MGF kernel: an H-matrix, on which elimination needs no pivoting
+        q = rng.random((5, 4, 4)) * np.exp(2j * np.pi * rng.random((5, 4, 4)))
+        q *= 0.95 / np.abs(np.linalg.eigvals(np.abs(q))).max(axis=1)[:, None, None]
+        m = np.eye(4) - q
+        inv = stack_inv(entries_first(m))
+        assert np.allclose(entries_first(np.linalg.inv(m)), inv, rtol=1e-12, atol=1e-14)
+
+    def test_singular_member(self, rng):
+        stack = rng.random((3, 4, 4)) + 4.0 * np.eye(4)
+        stack[1] = np.ones((4, 4))
+        with pytest.raises(SingularMatrixError):
+            stack_inv(entries_first(stack))
+
+    def test_near_singular_member(self, rng):
+        stack = rng.random((3, 4, 4)) + 4.0 * np.eye(4)
+        stack[2, 3] = stack[2, 2] * (1.0 + 1e-15)
+        with pytest.raises(SingularMatrixError):
+            stack_inv(entries_first(stack))
+
+    def test_zero_member(self, rng):
+        stack = rng.random((3, 4, 4)) + 4.0 * np.eye(4)
+        stack[0] = 0.0
+        with pytest.raises(SingularMatrixError):
+            stack_inv(entries_first(stack))
+
+    def test_scale_invariance(self):
+        # a well-conditioned matrix times a tiny scalar must still invert
+        stack = 1e-12 * (np.eye(4) + 0.1) * np.array([1.0, 1e-3])[:, None, None]
+        inv = stack_inv(entries_first(stack))
+        assert np.allclose(entries_first(np.linalg.inv(stack)), inv, rtol=1e-12)
+
+
+class TestVecMat:
+    def test_matches_matmul(self, rng):
+        x = rng.random((3, 4)) + 1j * rng.random((3, 4))
+        a = rng.random((3, 4, 5))
+        got = vec_mat(x.T, entries_first(a))
+        assert np.allclose(got.T, np.einsum("ni,nij->nj", x, a), rtol=1e-14)
 
 
 class TestSpectralRadius:

@@ -19,6 +19,7 @@ from palinscan import (
     threshold_for_alpha,
     window_scores,
 )
+import palinscan.mgf as mgf_module
 import palinscan.scan as scan_module
 from palinscan.scan import TiltSolution, WindowSeries, _nu_tilt_floor
 
@@ -434,6 +435,40 @@ class TestAnalyticNu:
         for tilt, sm, nu in cases:
             assert abs(analytic_nu(tilt, sm) - nu) < 1e-8
 
+    # the bws thresholds of the benchmark: alpha = 0.05, 0.01, 0.001 at
+    # w = 1000, W = 135,301
+    BENCHMARK_BWS = (112.8480032836862, 125.03101154129564, 141.3745951092381)
+
+    def test_bws_cutoff_error(self, lam0, bws, monkeypatch):
+        # Doubling the nodes (test_converged_in_nodes) keeps NU_CUTOFF and
+        # cannot see the truncation of the bws integral there. Longer cutoffs
+        # agree with each other to 1e-7 and move nu by about 3e-6, the
+        # accuracy that analytic_nu states.
+        tilts = [solve_tilt(lam0, bws, b, WINDOW) for b in self.BENCHMARK_BWS]
+        nus = {}
+        for cutoff in (scan_module.NU_CUTOFF, 80.0, 160.0):
+            monkeypatch.setattr(scan_module, "NU_CUTOFF", cutoff)
+            nus[cutoff] = np.array([analytic_nu(tilt, bws) for tilt in tilts])
+        assert np.all(np.abs(nus[80.0] / nus[160.0] - 1.0) < 1e-7)
+        assert np.all(np.abs(nus[160.0] / nus[20.0] - 1.0) < 5e-6)
+
+    def test_bws_nu_is_one_array_evaluation(self, lam0, bws, monkeypatch):
+        # all quadrature nodes go through the MGF kernel in one call, as
+        # array arithmetic: no per-matrix LAPACK inverse, determinant or
+        # matrix power (the model's own caches are filled beforehand)
+        tilt = solve_tilt(lam0, bws, self.BENCHMARK_BWS[1], WINDOW)
+        kernel_sizes, linalg_calls = [], []
+        kernel = mgf_module._mgf_jet
+        monkeypatch.setattr(mgf_module, "_mgf_jet", lambda sm, z, order=0: (
+            kernel_sizes.append(np.size(z)) or kernel(sm, z, order)))
+        for name in ("inv", "det", "matrix_power"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, f=getattr(np.linalg, name),
+                                name=name, **k: linalg_calls.append(name) or f(*a, **k))
+        analytic_nu(tilt, bws)
+        assert len(kernel_sizes) == 1
+        assert kernel_sizes[0] >= mgf_module.STACK_MIN_NODES
+        assert linalg_calls == []
+
     def test_bws_continuous_across_old_small_tilt_cut(self, lam0, bws):
         # nu used to jump to 1 below theta1 = 0.05; read it through p_value
         nus = []
@@ -564,14 +599,16 @@ class TestThresholdForAlpha:
         (135_301, 1e-3, None), (20_000, 1e-6, 1.0), (10**7, 1e-9, None),
     ])
     def test_compat_bws_bracket_stop_returns_threshold(self, total, alpha, nu_fixed,
-                                                       lam0):
+                                                       lam0, monkeypatch):
         # Under compat_paper bws thresholds are about 1.4e6, where h falls so
-        # steeply that these searches close their bracket before |h| <= 1e-7.
-        # The bracket end nearer alpha is still a threshold.
+        # steeply that p moves by about 1e-7 between adjacent thresholds.
+        # With the |h| stop switched off every search ends on its bracket,
+        # and the bracket end nearer alpha is still a threshold.
+        monkeypatch.setattr(scan_module, "ALPHA_RTOL", 0.0)
         sm = ScoreModel("bws", bohv1_model(), 6, compat_paper=True)
         b = threshold_for_alpha(alpha, WINDOW, total, lam0, sm, nu_fixed=nu_fixed)
         ratio = p_value(b, WINDOW, total, lam0, sm, nu_fixed=nu_fixed).p / alpha
-        assert 1e-7 < abs(ratio - 1.0) <= scan_module.BRACKET_RTOL
+        assert abs(ratio - 1.0) <= scan_module.BRACKET_RTOL
 
 
 class TestWindowSeries:
