@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,10 +33,17 @@ ALPHA_RTOL = 1e-7
 BRACKET_RTOL = 1e-6
 # Quadrature of the overshoot integral (see analytic_nu): Gauss-Legendre
 # nodes per panel, the width of the uniform panels, and the cut-off of the
-# integral for non-lattice scores.
+# integral for non-lattice scores. Panels 0.5 wide (688 bws nodes at the
+# tilts of BoHV-1 thresholds, against 1,296 at 0.25) keep nu within 1e-12
+# of a layout with four times the nodes there.
 NU_PANEL_NODES = 16
-NU_PANEL_WIDTH = 0.25
+NU_PANEL_WIDTH = 0.5
 NU_CUTOFF = 20.0
+# A bws score can be nearly periodic: on independent BoHV-1 bases the two
+# pair log-probabilities are nearly in ratio 2, and the integrand has peaks
+# about 0.1 wide (near t = 3, 6, 9.5, ...) that sharpen as the tilt falls. Below
+# this tilt the uniform bws panels are half as wide.
+NU_FINE_TILT = 0.1
 # Near t = 0 the transform's distance from 1 is about (theta / 2)^2 E[s^2]
 # (s the null score) in units of its rounding error; below the tilt gap where
 # that falls to this value nu is interpolated linearly to nu(0+) = 1.
@@ -233,6 +241,13 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float,
         ValueError: threshold below the null window mean.
         DomainError: threshold not reachable inside the MGF domain.
     """
+    return _solve_tilt(lambda0, sm, threshold, window, None)
+
+
+def _solve_tilt(lambda0: float, sm: ScoreModel, threshold: float, window: int,
+                near: TiltSolution | None) -> TiltSolution:
+    """solve_tilt, with the pls and bws Newton search started from the
+    solution ``near`` at a nearby threshold when one is given."""
     if lambda0 <= 0:
         raise ValueError("lambda0 must be positive")
     null_mean = null_window_mean(lambda0, sm, window)
@@ -247,7 +262,7 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float,
         theta1 = float(log_ratio)
         jet = cumulants(sm, theta1)
     else:
-        theta1, jet = _newton_tilt(sm, threshold, log_ratio)
+        theta1, jet = _newton_tilt(sm, threshold, log_ratio, near)
     # rate matching; at theta1 = 0 phi is zero only up to rounding
     lambda1 = lambda0 * float(np.exp(jet[0])) if theta1 else lambda0
     tilt = TiltSolution(lambda0=lambda0, lambda1=lambda1, theta1=theta1,
@@ -256,8 +271,8 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float,
     return tilt
 
 
-def _newton_tilt(sm: ScoreModel, threshold: float,
-                 log_ratio: float) -> tuple[float, tuple[float, float, float]]:
+def _newton_tilt(sm: ScoreModel, threshold: float, log_ratio: float,
+                 near: TiltSolution | None) -> tuple[float, tuple[float, float, float]]:
     """Root theta1 of the log-form tilt equation on (0, t_max) for pls and
     bws, and the cumulants there (solve_tilt)."""
     _, mean0, var0 = sm.null_cumulants
@@ -265,7 +280,8 @@ def _newton_tilt(sm: ScoreModel, threshold: float,
 
     def gap(jet: tuple[float, float, float]) -> tuple[float, float]:
         # log M'(theta) is close to linear in theta, so Newton steps on it
-        # converge in a few iterations from the one taken at theta = 0.
+        # converge in a few iterations from the one taken at theta = 0, and
+        # in one or two from the root at a nearby threshold.
         phi, mean, var = jet
         return phi + np.log(mean / mean0) - log_ratio, mean + var / mean
 
@@ -282,9 +298,14 @@ def _newton_tilt(sm: ScoreModel, threshold: float,
         raise DomainError(
             f"threshold {threshold!r} unreachable within the MGF domain"
         )
-    start = log_ratio / (mean0 + var0 / mean0)  # step from 0
-    theta1 = newton_root(centering_gap, 0.0, hi, x=min(start, 0.5 * hi),
-                         tol=1e-13)
+    # a Newton step from theta = 0, or from the root at the nearby threshold
+    start = min(log_ratio / (mean0 + var0 / mean0), 0.5 * hi)
+    if near is not None and near.theta1 > 0.0:
+        _, mean, var = near.cumulants
+        step = near.theta1 + np.log(threshold / near.threshold) / (mean + var / mean)
+        if 0.0 < step < hi:
+            start = step
+    theta1 = newton_root(centering_gap, 0.0, hi, x=start, tol=1e-13)
     return theta1, jets[theta1] if theta1 in jets else cumulants(sm, theta1)
 
 
@@ -298,14 +319,15 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _graded_panels(scale: float, stop: float) -> tuple[np.ndarray, np.ndarray]:
+def _graded_panels(scale: float, stop: float,
+                   width: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, stop]: panels [0, scale],
-    [scale, 2 scale], ... doubling up to 1, then panels of NU_PANEL_WIDTH."""
+    [scale, 2 scale], ... doubling up to 1, then panels of the given width."""
     graded, edge = [0.0], scale
     while edge < 1.0:
         graded.append(edge)
         edge *= 2.0
-    uniform = np.arange(1.0, stop, NU_PANEL_WIDTH)
+    uniform = np.arange(1.0, stop, width)
     edges = np.array(graded + list(uniform) + [stop])
     x, g = _gauss_legendre(NU_PANEL_NODES)
     lo, width = edges[:-1, None], np.diff(edges)[:, None]
@@ -329,15 +351,18 @@ def _nu_quadrature(sm: ScoreModel, c: float) -> tuple[np.ndarray, np.ndarray]:
 
     Either way the panels are graded geometrically from the peak width of
     the weight (a, or c) up to 1, so the nodes follow the tilt down to
-    small values.
+    small values. Beyond 1 they are NU_PANEL_WIDTH wide, or half that for
+    bws below NU_FINE_TILT: at BoHV-1's bws thresholds (theta1 = 0.13 to
+    0.15) that is 5 graded and 38 uniform panels, 688 nodes.
     """
     if sm.kind in ("pcs", "pls"):
         span = 1.0 if sm.kind == "pcs" else 1.0 / sm.half_length
         a = c * span
-        u, g = _graded_panels(a, np.pi)
+        u, g = _graded_panels(a, np.pi, NU_PANEL_WIDTH)
         kernel = np.sinh(a) / (2.0 * np.sinh(0.5 * a) ** 2 + 2.0 * np.sin(0.5 * u) ** 2)
         return u / span, g * kernel / np.pi
-    t, g = _graded_panels(c, NU_CUTOFF)
+    fine = 2.0 * c < NU_FINE_TILT
+    t, g = _graded_panels(c, NU_CUTOFF, NU_PANEL_WIDTH / (2.0 if fine else 1.0))
     w = g * (2.0 * c / np.pi) / (c * c + t * t)
     far = t >= 1.0
     w[far] += g[far] * (2.0 / np.pi) * np.arctan(c / NU_CUTOFF) / (NU_CUTOFF - 1.0)
@@ -413,6 +438,36 @@ def analytic_nu(tilt: TiltSolution, sm: ScoreModel) -> float:
     return min(nu, 1.0)
 
 
+def _check_nu_fixed(nu_fixed: float | None) -> None:
+    if nu_fixed is not None and not 0.0 < nu_fixed <= 1.0:
+        raise ValueError(f"nu_fixed must lie in (0, 1], got {nu_fixed!r}")
+
+
+def _tail(tilt: TiltSolution, nu: float, total_length: int,
+          sm: ScoreModel) -> tuple[float, float]:
+    """p-value at a solved tilt for the overshoot correction nu (p_value),
+    and its exceedance exponent. nu may be any positive value, such as a
+    prediction of analytic_nu's."""
+    threshold, window, lambda0 = tilt.threshold, tilt.window, tilt.lambda0
+    mu0 = sm.null_cumulants[1]
+    _, mean1, var1 = tilt.cumulants
+    var_term = mean1 * mean1 if sm.kind == "pcs" else var1
+    if sm.compat_paper:
+        mean_increment = threshold - lambda0 * mu0
+    else:
+        mean_increment = tilt.lambda1 * mean1 - lambda0 * mu0
+    exceed_exponent = threshold * tilt.theta1 - window * (tilt.lambda1 - tilt.lambda0)
+    local_factor = 1.0 / np.sqrt(2.0 * np.pi * window * tilt.lambda1 * var_term)
+    prefactor = (total_length - window) * nu * mean_increment * local_factor
+    if prefactor <= 0.0:
+        mean_hits = 0.0
+    else:
+        # Assemble in log space: a far-below-par exponent would overflow the
+        # bare exponential even though the p-value just clamps to 1.
+        mean_hits = float(np.exp(min(np.log(prefactor) - exceed_exponent, 700.0)))
+    return float(min(max(-np.expm1(-mean_hits), 0.0), 1.0)), exceed_exponent
+
+
 def p_value(threshold: float, window: int, total_length: int, lambda0: float,
             sm: ScoreModel, rng: np.random.Generator | None = None, *,
             nu_fixed: float | None = None) -> PvalueReport:
@@ -432,32 +487,29 @@ def p_value(threshold: float, window: int, total_length: int, lambda0: float,
     degenerate and its cumulant curvature vanishes.
 
     Raises:
-        ValueError: threshold at or below the null window mean.
+        ValueError: nu_fixed outside (0, 1], or threshold at or below the
+            null window mean.
     """
+    _check_nu_fixed(nu_fixed)
     tilt = solve_tilt(lambda0, sm, threshold, window)
     if tilt.theta1 <= 0.0:
         raise ValueError("threshold must strictly exceed the null window mean")
-    mu0 = sm.null_cumulants[1]
-    _, mean1, var1 = tilt.cumulants
-    var_term = mean1 * mean1 if sm.kind == "pcs" else var1
     nu = float(nu_fixed) if nu_fixed is not None else analytic_nu(tilt, sm)
-    if sm.compat_paper:
-        mean_increment = threshold - lambda0 * mu0
-    else:
-        mean_increment = tilt.lambda1 * mean1 - lambda0 * mu0
-    exceed_exponent = threshold * tilt.theta1 - window * (tilt.lambda1 - tilt.lambda0)
-    local_factor = 1.0 / np.sqrt(2.0 * np.pi * window * tilt.lambda1 * var_term)
-    prefactor = (total_length - window) * nu * mean_increment * local_factor
-    if prefactor <= 0.0:
-        mean_hits = 0.0
-    else:
-        # Assemble in log space: a far-below-par exponent would overflow the
-        # bare exponential even though the p-value just clamps to 1.
-        mean_hits = float(np.exp(min(np.log(prefactor) - exceed_exponent, 700.0)))
-    p = float(min(max(-np.expm1(-mean_hits), 0.0), 1.0))
+    p, exceed_exponent = _tail(tilt, nu, total_length, sm)
     return PvalueReport(threshold=threshold, window=window,
                         total_length=total_length, p=p, nu=nu, nu_se=0.0,
                         rate_function=exceed_exponent / window, tilt=tilt)
+
+
+class _Trial(NamedTuple):
+    """One evaluation in threshold_for_alpha: h and p at threshold b, and
+    whether the nu they used is exact (fixed, or from analytic_nu)."""
+
+    b: float
+    tilt: TiltSolution
+    h: float
+    p: float
+    exact: bool
 
 
 def threshold_for_alpha(alpha: float, window: int, total_length: int,
@@ -470,58 +522,104 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
     p is unimodal in the threshold b: an artifact branch rises from zero just
     above the null mean (where the approximation is not valid) to the peak,
     past which h(b) = log(-log(1 - p)) - log(-log(1 - alpha)) falls almost
-    linearly, with slope about -theta1. The search starts past the peak,
-    where a Gaussian maximum over the windows would reach alpha, takes a
-    Newton step with slope -theta1, then secant steps. It keeps a bracket
-    (lo, hi) from (null mean, inf): h > 0, or h < 0 with a secant slope that
-    is not negative (the artifact branch), raises lo; any other h < 0 lowers
-    hi; a step out of the bracket bisects it (doubles b - null mean while hi
-    is infinite). It stops once |h| <= ALPHA_RTOL, so |p / alpha - 1| <=
-    ALPHA_RTOL. Once the bracket about a sign change of h is narrower than
-    1e-10 of b, it returns the end whose p is nearer alpha, if that p is
-    within BRACKET_RTOL of alpha. Both tolerances are on the p computed with
-    analytic_nu's nu, itself accurate to about 3e-6 for bws. Without
-    ``nu_fixed`` it runs at nu = 1 first, where p-values are cheap, then
-    continues from that root on the real p, one analytic_nu per step. p and
-    the null mean follow ``sm.compat_paper`` as in p_value. ``rng`` and
-    ``nu_entropy`` are ignored (the result is deterministic).
+    linearly, with slope about -theta1. Up to rounding h is log M1(b) +
+    log nu(theta1(b)) - log(-log(1 - alpha)), where M1, the mean number of
+    exceeding windows at nu = 1, needs only the tilt.
+
+    So the search runs on a model of log nu: log(nu_fixed) when
+    ``nu_fixed`` is given; else 0 until the first analytic_nu, then the
+    secant in theta1 through the last two exact values, with (0, 0) (nu ->
+    1 as theta1 -> 0) standing in for the second while there is one. It
+    starts past the peak, where a Gaussian maximum over the windows would
+    reach alpha, takes a Newton step with slope -theta1, then secant steps.
+    It keeps a bracket (lo, hi) from (null mean, inf): h > 0, or h < 0 with
+    a secant slope that is not negative (the artifact branch), raises lo;
+    any other h < 0 lowers hi; a step out of the bracket bisects it
+    (doubles b - null mean while hi is infinite). It stops once |h| <=
+    ALPHA_RTOL, or once the bracket about a sign change of h is narrower
+    than 1e-10 of b, at the end whose p is nearer alpha. Where nu was
+    predicted at the stop, analytic_nu is computed there; if that moves h
+    past the stop, the search starts again from that b under the model
+    through the new value. On BoHV-1 at w = 1000 this takes 3 analytic_nu
+    per threshold down to alpha = 1e-12 (4 at alpha = 0.2 for bws).
+
+    Each tilt's Newton search starts from the last tilt, so theta1 lands
+    within the Newton tolerance of solve_tilt's root, not on it bit for
+    bit. Centering makes p stationary in theta1 there (the exponent's
+    slope b - w lambda1 phi' is zero), so p moves by at most 3e-14 on
+    BoHV-1. Under ``sm.compat_paper`` the window factor is missing from the
+    centering, and at bws thresholds near 1.4e6 a few ulps of theta1 move p
+    by about 3e-6, so there every tilt is solved from scratch, as p_value
+    does.
+
+    The returned b has |p / alpha - 1| <= ALPHA_RTOL, or, at a bracket
+    stop, <= BRACKET_RTOL, with analytic_nu's nu, itself accurate to about
+    3e-6 for bws. p and the null mean follow ``sm.compat_paper`` as in
+    p_value. ``rng`` and ``nu_entropy`` are ignored (the result is
+    deterministic).
 
     Raises:
+        ValueError: alpha outside (0, 1) or nu_fixed outside (0, 1].
         DomainError: h < 0 throughout a closed bracket (alpha above the
             peak), or p jumps across alpha inside a closed bracket (as for
             pcs under compat_paper, where p falls from 1 to 0).
-        ConvergenceError: neither stop in ROOT_MAX_ITER p-values.
+        ConvergenceError: a pass takes ROOT_MAX_ITER p-values, or the
+            search ROOT_MAX_ITER passes.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    _check_nu_fixed(nu_fixed)
     null_mean = null_window_mean(lambda0, sm, window)
     target = np.log(-np.log1p(-alpha))
+    exact = []  # (theta1, log nu) at each analytic_nu so far
+    exceeded = False  # h > 0 at some trial with exact nu: alpha is attained
 
-    def search(b: float, nu: float | None) -> float:
-        lo, hi, last, attained = null_mean, np.inf, None, False
-        p_lo = p_hi = None
+    def h_and_p(tilt: TiltSolution, nu: float) -> tuple[float, float]:
+        p = _tail(tilt, nu, total_length, sm)[0]
+        with np.errstate(divide="ignore"):
+            return np.log(-np.log1p(-p)) - target, p
+
+    def model_nu(theta: float) -> float:
+        if nu_fixed is not None:
+            return float(nu_fixed)
+        if not exact:
+            return 1.0
+        (ta, la), (tb, lb) = exact[-2:] if len(exact) > 1 else ((0.0, 0.0), exact[0])
+        return float(np.exp(lb + (lb - la) * ((theta - tb) / (tb - ta))))
+
+    def search(b: float, first: _Trial | None) -> tuple[_Trial, tuple | None]:
+        """One pass from b (evaluated as ``first`` when given) under the
+        current model of nu. Returns the trial where it stops and, at a
+        bracket stop, the bracket ((lo, p_lo), (hi, p_hi))."""
+        nonlocal exceeded
+        lo, hi, last, attained, ends = null_mean, np.inf, None, exceeded, {}
+        tilt = None if first is None else first.tilt
         for _ in range(ROOT_MAX_ITER):
-            rep = p_value(b, window, total_length, lambda0, sm, nu_fixed=nu)
-            with np.errstate(divide="ignore"):
-                h = np.log(-np.log1p(-rep.p)) - target
-            if abs(h) <= ALPHA_RTOL:
-                return float(b)
-            slope = -rep.tilt.theta1 if last is None else (h - last[1]) / (b - last[0])
-            attained |= h > 0
-            if h > 0 or not slope < 0:
-                lo, p_lo = b, rep.p
+            if first is not None:
+                trial, first = first, None
             else:
-                hi, p_hi = b, rep.p
+                near = None if sm.compat_paper else tilt
+                tilt = _solve_tilt(lambda0, sm, b, window, near)
+                if tilt.theta1 <= 0.0:
+                    raise ValueError("threshold must strictly exceed the null window mean")
+                trial = _Trial(b, tilt, *h_and_p(tilt, model_nu(tilt.theta1)),
+                               nu_fixed is not None)
+            h = trial.h
+            if abs(h) <= ALPHA_RTOL:
+                return trial, None
+            slope = -tilt.theta1 if last is None else (h - last[1]) / (b - last[0])
+            attained |= h > 0
+            exceeded |= trial.exact and h > 0
+            if h > 0 or not slope < 0:
+                lo, ends["lo"] = b, trial
+            else:
+                hi, ends["hi"] = b, trial
             if hi - lo <= 1e-10 * lo:
                 if not attained:
                     raise DomainError(f"alpha={alpha!r} is not attainable by any threshold")
                 # attained, so lo was evaluated too
-                b, p = min((lo, p_lo), (hi, p_hi), key=lambda e: abs(e[1] / alpha - 1.0))
-                if abs(p / alpha - 1.0) > BRACKET_RTOL:
-                    raise DomainError(
-                        f"p jumps from {p_lo:.3g} to {p_hi:.3g} between thresholds "
-                        f"{lo:.10g} and {hi:.10g}, across alpha={alpha!r}")
-                return float(b)
+                end = min(ends.values(), key=lambda e: abs(e.p / alpha - 1.0))
+                return end, ((lo, ends["lo"].p), (hi, ends["hi"].p))
             last = (b, h) if np.isfinite(h) else None
             with np.errstate(divide="ignore", invalid="ignore"):
                 b = b - h / slope
@@ -532,6 +630,22 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
 
     _, mean0, var0 = sm.null_cumulants
     z = np.sqrt(2.0 * np.log(max(total_length - window, 1) / alpha))
-    b = search(null_mean + z * np.sqrt(null_mean * (mean0 + var0 / mean0)),
-               1.0 if nu_fixed is None else nu_fixed)
-    return b if nu_fixed is not None else search(b, None)
+    b, first = null_mean + z * np.sqrt(null_mean * (mean0 + var0 / mean0)), None
+    for _ in range(ROOT_MAX_ITER):
+        trial, bracket = search(b, first)
+        b, tilt = trial.b, trial.tilt
+        if trial.exact:
+            if bracket is not None and abs(trial.p / alpha - 1.0) > BRACKET_RTOL:
+                (lo, p_lo), (hi, p_hi) = bracket
+                raise DomainError(
+                    f"p jumps from {p_lo:.3g} to {p_hi:.3g} between thresholds "
+                    f"{lo:.10g} and {hi:.10g}, across alpha={alpha!r}")
+            return float(b)
+        nu = analytic_nu(tilt, sm)
+        # near the edge of the MGF domain adjacent thresholds can share theta1
+        if exact and exact[-1][0] == tilt.theta1:
+            exact.pop()
+        exact.append((tilt.theta1, np.log(nu)))
+        first = _Trial(b, tilt, *h_and_p(tilt, nu), True)
+    raise ConvergenceError(f"threshold search for alpha={alpha!r} did not "
+                           f"settle in {ROOT_MAX_ITER} passes")

@@ -470,11 +470,11 @@ class TestPinnedOutput:
         ("pcs", "1000\t20000\t0.001130395015\tpcs\t3\t0.9760451467\t0.003"
                 "\t0.9990659558\t0\t0.9413504651\t0\t3",
          dict(b=3.0, theta1=0.9760451466718211, lambda1=0.0029999999999999996,
-              nu=0.9990659557569276, p=0.9413504651475082, argmax=0, max=3.0)),
+              nu=0.9990659557569278, p=0.9413504651475082, argmax=0, max=3.0)),
         ("pls", "1000\t20000\t0.001130395015\tpls\t3.333333333\t0.9101248846"
                 "\t0.003038637189\t0.9723776886\t0\t0.999999987\t17658\t3.333333333",
          dict(b=3.333333333333332, theta1=0.9101248845981144,
-              lambda1=0.0030386371890327754, nu=0.9723776885687391,
+              lambda1=0.0030386371890327754, nu=0.9723776885687379,
               p=0.999999986950745, argmax=17658, max=3.333333333333332)),
         ("bws", "1000\t20000\t0.001130395015\tbws\t45.47454101\t0.07195156512"
                 "\t0.003139084756\t0.6503443838\t0\t0.9996312499\t18975\t45.47454101",

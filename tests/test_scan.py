@@ -424,6 +424,8 @@ class TestAnalyticNu:
 
     @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
     def test_converged_in_nodes(self, kind, lam0, bohv1, monkeypatch):
+        # doubling the nodes per panel, or halving the width of the uniform
+        # panels, moves nu by less than 1e-8
         cases = []
         for iid, delta in self.MODES:
             sm = ScoreModel(kind, iid_model(bohv1.pi) if iid else bohv1, 6)
@@ -431,9 +433,11 @@ class TestAnalyticNu:
                 for rate in (lam0, 0.05):
                     tilt = per_stretch(tilt_at(sm, theta, rate), delta)
                     cases.append((tilt, sm, analytic_nu(tilt, sm)))
-        monkeypatch.setattr(scan_module, "NU_PANEL_NODES", 2 * scan_module.NU_PANEL_NODES)
-        for tilt, sm, nu in cases:
-            assert abs(analytic_nu(tilt, sm) - nu) < 1e-8
+        for name, factor in (("NU_PANEL_NODES", 2), ("NU_PANEL_WIDTH", 0.5)):
+            with monkeypatch.context() as patch:
+                patch.setattr(scan_module, name, factor * getattr(scan_module, name))
+                for tilt, sm, nu in cases:
+                    assert abs(analytic_nu(tilt, sm) - nu) < 1e-8, (name, tilt.theta1)
 
     # the bws thresholds of the benchmark: alpha = 0.05, 0.01, 0.001 at
     # w = 1000, W = 135,301
@@ -451,6 +455,18 @@ class TestAnalyticNu:
             nus[cutoff] = np.array([analytic_nu(tilt, bws) for tilt in tilts])
         assert np.all(np.abs(nus[80.0] / nus[160.0] - 1.0) < 1e-7)
         assert np.all(np.abs(nus[160.0] / nus[20.0] - 1.0) < 5e-6)
+
+    def test_bws_panels_at_benchmark_tilts(self, lam0, bws, monkeypatch):
+        # at the benchmark's tilts the 0.5-wide uniform panels need 688
+        # nodes, and nu stays within 1e-10 of the 0.25-wide layout's 1,296
+        tilts = [solve_tilt(lam0, bws, b, WINDOW) for b in self.BENCHMARK_BWS]
+        nus = [analytic_nu(tilt, bws) for tilt in tilts]
+        for tilt in tilts:
+            assert scan_module._nu_quadrature(bws, 0.5 * tilt.theta1)[0].size == 688
+        monkeypatch.setattr(scan_module, "NU_PANEL_WIDTH", 0.25)
+        for tilt, nu in zip(tilts, nus):
+            assert scan_module._nu_quadrature(bws, 0.5 * tilt.theta1)[0].size == 1296
+            assert abs(analytic_nu(tilt, bws) / nu - 1.0) < 1e-10
 
     def test_bws_nu_is_one_array_evaluation(self, lam0, bws, monkeypatch):
         # all quadrature nodes go through the MGF kernel in one call, as
@@ -540,29 +556,44 @@ class TestThresholdForAlpha:
                    dict(rng=np.random.default_rng(3))):
             assert threshold_for_alpha(0.05, WINDOW, W, lam0, pls, **kw) == b
 
-    @pytest.mark.parametrize("kind", ["pls", "bws"])
-    @pytest.mark.parametrize("alpha", [0.05, 0.01, 0.001])
-    def test_few_p_values_per_threshold(self, kind, alpha, lam0, monkeypatch):
-        # A handful of p-values per threshold with nu fixed, a handful of nu
-        # evaluations without, and the search ends with |p / alpha - 1| <= 1e-6.
-        sm = ScoreModel(kind, bohv1_model(), 6)
-        p_calls, nu_calls = [], []
+    # cumulants calls per threshold search, measured: {kind: {alpha: (with
+    # analytic_nu, with nu fixed)}}
+    CUMULANTS_PER_SEARCH = {
+        "pls": {0.05: (20, 12), 0.01: (20, 12), 0.001: (21, 14), 1e-6: (22, 15),
+                1e-12: (22, 15)},
+        "bws": {0.05: (22, 12), 0.01: (22, 12), 0.001: (21, 12), 1e-6: (24, 15),
+                1e-12: (24, 15)},
+    }
 
-        def counted(count, f):
+    @pytest.mark.parametrize("kind", ["pls", "bws"])
+    @pytest.mark.parametrize("alpha", [0.05, 0.01, 0.001, 1e-6, 1e-12])
+    def test_few_p_values_per_threshold(self, kind, alpha, lam0, monkeypatch):
+        # A handful of p-values per threshold with nu fixed, 3 analytic_nu
+        # without (4 allowed below 1e-3), tilts warm-started from the last
+        # one, and the search ends with |p / alpha - 1| <= 1e-7.
+        sm = ScoreModel(kind, bohv1_model(), 6)
+        calls = {"p": 0, "nu": 0, "cumulants": 0}
+
+        def counted(name, f):
             def wrapped(*args, **kwargs):
-                count.append(args[0])
+                calls[name] += 1
                 return f(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(scan_module, "p_value", counted(p_calls, p_value))
-        monkeypatch.setattr(scan_module, "analytic_nu", counted(nu_calls, analytic_nu))
+        monkeypatch.setattr(scan_module, "_tail", counted("p", scan_module._tail))
+        monkeypatch.setattr(scan_module, "analytic_nu", counted("nu", analytic_nu))
+        monkeypatch.setattr(scan_module, "cumulants", counted("cumulants", cumulants))
+        expected = self.CUMULANTS_PER_SEARCH[kind][alpha]
         b_fixed = threshold_for_alpha(alpha, WINDOW, W, lam0, sm, nu_fixed=1.0)
-        assert not nu_calls
-        assert 1 <= len(p_calls) <= 8
+        assert calls["nu"] == 0
+        assert 1 <= calls["p"] <= 8
+        assert calls["cumulants"] == expected[1]
+        calls.update(nu=0, cumulants=0)
         b = threshold_for_alpha(alpha, WINDOW, W, lam0, sm)
-        assert 1 <= len(nu_calls) <= 8
+        assert 1 <= calls["nu"] <= (3 if alpha >= 1e-3 else 4)
+        assert calls["cumulants"] == expected[0] < 36
         assert b < b_fixed
-        assert abs(p_value(b, WINDOW, W, lam0, sm).p / alpha - 1.0) <= 1e-6
+        assert abs(p_value(b, WINDOW, W, lam0, sm).p / alpha - 1.0) <= 1e-7
 
     @pytest.mark.parametrize("kind, window, total", [
         ("pls", 50, 100), ("bws", 20, 40), ("bws", 50, 100)])
@@ -609,6 +640,66 @@ class TestThresholdForAlpha:
         b = threshold_for_alpha(alpha, WINDOW, total, lam0, sm, nu_fixed=nu_fixed)
         ratio = p_value(b, WINDOW, total, lam0, sm, nu_fixed=nu_fixed).p / alpha
         assert abs(ratio - 1.0) <= scan_module.BRACKET_RTOL
+
+
+class TestCallHistory:
+    """Warm-started tilts live inside one threshold search: no result may
+    depend on the calls made before it."""
+
+    CONFIGS = [(kind, alpha, nu_fixed) for kind in ("pls", "bws")
+               for alpha in (0.05, 1e-3, 1e-9) for nu_fixed in (None, 1.0, 0.6)]
+
+    def test_thresholds_bitwise_equal_whatever_came_before(self, lam0, bohv1):
+        def threshold(sm, alpha, nu_fixed):
+            return threshold_for_alpha(alpha, WINDOW, W, lam0, sm, nu_fixed=nu_fixed)
+
+        fresh = {c: threshold(ScoreModel(c[0], bohv1, 6), *c[1:]) for c in self.CONFIGS}
+        shared = {kind: ScoreModel(kind, bohv1, 6) for kind in ("pls", "bws")}
+        order = self.CONFIGS[::-1] + self.CONFIGS[::2] + self.CONFIGS  # interleaved, repeated
+        for c in order:
+            assert threshold(shared[c[0]], *c[1:]) == fresh[c], c
+
+    @pytest.mark.parametrize("kind", ["pls", "bws"])
+    def test_warm_tilt_matches_cold_solve(self, kind, lam0, bohv1):
+        # over the thresholds of alpha = 0.2 .. 1e-12, stepping up, back down
+        # and across
+        sm = ScoreModel(kind, bohv1, 6)
+        lo, hi = (threshold_for_alpha(a, WINDOW, W, lam0, sm, nu_fixed=1.0)
+                  for a in (0.2, 1e-12))
+        sweep = np.concatenate([np.linspace(lo, hi, 25), np.linspace(hi, lo, 18),
+                                [hi, lo, 0.5 * (lo + hi), lo * 1.001]])
+        near = None
+        for b in sweep:
+            warm = scan_module._solve_tilt(lam0, sm, b, WINDOW, near)
+            cold = solve_tilt(lam0, sm, b, WINDOW)
+            assert abs(warm.theta1 / cold.theta1 - 1.0) <= 1e-13, b
+            near = warm
+
+    def test_domain_error_leaves_no_trace(self, lam0, bohv1):
+        # under compat_paper a pls threshold of 1e20 lies beyond the MGF
+        # domain edge, warm-started or not
+        sm = ScoreModel("pls", bohv1, 6, compat_paper=True)
+        cold = threshold_for_alpha(1e-3, WINDOW, W, lam0,
+                                   ScoreModel("pls", bohv1, 6, compat_paper=True))
+        near = solve_tilt(lam0, sm, 50.0, WINDOW)
+        with pytest.raises(DomainError):
+            scan_module._solve_tilt(lam0, sm, 1e20, WINDOW, near)
+        with pytest.raises(DomainError):
+            p_value(1e20, WINDOW, W, lam0, sm)
+        assert threshold_for_alpha(1e-3, WINDOW, W, lam0, sm) == cold
+
+
+class TestNuFixedValidation:
+    @pytest.mark.parametrize("nu_fixed", [np.nan, 0.0, -1.0, 1.5, np.inf])
+    def test_rejected_before_any_tilt(self, nu_fixed, lam0, pls, monkeypatch):
+        solved = []
+        monkeypatch.setattr(scan_module, "_solve_tilt",
+                            lambda *args: solved.append(args))
+        with pytest.raises(ValueError, match="nu_fixed"):
+            p_value(10.0, WINDOW, W, lam0, pls, nu_fixed=nu_fixed)
+        with pytest.raises(ValueError, match="nu_fixed"):
+            threshold_for_alpha(0.05, WINDOW, W, lam0, pls, nu_fixed=nu_fixed)
+        assert solved == []
 
 
 class TestWindowSeries:
