@@ -52,7 +52,6 @@ from .mgf import (
     score_mgf,
 )
 from .palindrome import (
-    PalindromeEvent,
     PalindromeTable,
     average_rate,
     events_to_tsv,
@@ -113,7 +112,6 @@ __all__ = [
     "InfiniteScoreError",
     "MarkovModel",
     "NonFiniteError",
-    "PalindromeEvent",
     "PalindromeTable",
     "PalinscanError",
     "PowerExperimentResult",

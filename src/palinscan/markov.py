@@ -13,7 +13,6 @@ complementary centre pair.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,6 +230,61 @@ def _step_map_composition() -> np.ndarray:
 
 _COMPOSE = _step_map_composition()
 
+# _walk's block width, and the most maps it walks by a Python loop; widths
+# 8 to 32 and loops of 16 to 256 maps walk 135 kbp within about 10% of one
+# another
+WALK_BLOCK = 16
+WALK_LEAF = 64
+
+
+def _walk(maps: np.ndarray, first: int) -> None:
+    """Replace each step map by the base the walk from `first` reaches there.
+
+    maps is a 1-D uint8 array of byte-coded step maps; afterwards maps[t]
+    holds the base that maps[0], ..., maps[t] take the base `first` to.
+    Up to WALK_LEAF maps are walked one by one. Longer runs are laid out as
+    a contiguous (WALK_BLOCK, nblocks) array whose column b holds block b,
+    zero-padded at the end, and each row is composed onto the row above
+    with one lookup in the flat composition table, so row r then holds the
+    composition of each block's first r + 1 maps. The block start bases are
+    the walk over the block-final maps, found by the same function, and
+    each base is read out of its prefix map by shift and mask.
+    """
+    m = maps.size
+    if m <= WALK_LEAF:
+        state = first
+        states = []
+        for code in maps.tolist():
+            state = (code >> (2 * state)) & 3
+            states.append(state)
+        maps[:] = states
+        return
+    full, rest = divmod(m, WALK_BLOCK)
+    nblocks = full + (rest > 0)
+    blocks = np.empty((WALK_BLOCK, nblocks), dtype=np.uint8)
+    blocks[:, :full] = maps[: full * WALK_BLOCK].reshape(full, WALK_BLOCK).T
+    if rest:
+        blocks[:rest, full] = maps[full * WALK_BLOCK :]
+        blocks[rest:, full] = 0
+    table = _COMPOSE.ravel()
+    pair = np.empty(nblocks, dtype=np.intp)
+    for r in range(1, WALK_BLOCK):
+        np.left_shift(blocks[r - 1], 8, out=pair, dtype=np.intp)
+        pair |= blocks[r]
+        table.take(pair, out=blocks[r], mode="clip")
+
+    # the block start bases, then doubled into bit offsets
+    shifts = np.empty(nblocks, dtype=np.uint8)
+    shifts[0] = first
+    shifts[1:] = blocks[-1, :-1]
+    _walk(shifts[1:], first)
+    shifts <<= 1
+    blocks >>= shifts
+    blocks &= 3
+    maps[: full * WALK_BLOCK].reshape(full, WALK_BLOCK)[:] = blocks[:, :full].T
+    if rest:
+        maps[full * WALK_BLOCK :] = blocks[:rest, full]
+
 
 def generate_sequence(model: MarkovModel, length: int,
                       rng: np.random.Generator) -> DnaSeq:
@@ -239,14 +293,15 @@ def generate_sequence(model: MarkovModel, length: int,
     One uniform draw u per position. The first base is the composition
     quantile of u[0]. Every later draw becomes a byte-coded step map: bits
     2s..2s+1 hold the base that follows base s, namely the number of row s's
-    first three cumulative transition probabilities that u exceeds. The
-    chain is realised without a per-base Python loop: the maps are cut into
-    blocks, each block's prefix compositions are built column by column
-    through a 256x256 composition table, the block start bases follow by one
-    pass over the block-final maps, and each base is read out of its prefix
-    map by shift and mask. A column step costs about as much as 32 turns of
-    the start-base pass, so blocks of about sqrt(length / 32) maps balance
-    the two loops.
+    first three cumulative transition probabilities that u exceeds. The maps
+    are written into the output array itself, and the chain is realised
+    there without a per-base Python loop by _walk: it composes the maps in
+    contiguous blocks of 16 through a 256x256 composition table, finds the
+    block start bases by walking the block-final maps the same way (three
+    levels of blocks at 135 kbp, five at 10 Mbp), and reads each base out
+    of its prefix map by shift and mask. Besides the draws and the output,
+    the maps take one comparison mask; the draws are freed before the walk
+    allocates its block array.
     """
     if length < 0:
         raise ValueError("length must be non-negative")
@@ -254,39 +309,23 @@ def generate_sequence(model: MarkovModel, length: int,
         return DnaSeq(bases=np.empty(0, dtype=np.uint8), source_id="generated")
     u = rng.random(length)
     first = min(int(np.searchsorted(np.cumsum(model.pi), u[0], side="right")), 3)
-    out = np.empty(length, dtype=np.uint8)
+    out = np.zeros(length, dtype=np.uint8)
     out[0] = first
-    m = length - 1
-    if m == 0:
-        return DnaSeq(bases=out, source_id="generated")
-
-    block = max(math.isqrt(m // 32), 1)
-    nblocks = -(-m // block)
-    # steps[t] maps the base at position t + 1 to the base at position t + 2;
-    # the padding after the last step is never read out
-    steps = np.zeros(nblocks * block, dtype=np.uint8)
+    # out[t] first holds the step map from the base at t - 1 to the one at
+    # t: the next bases of rows 3, 2, 1, 0 are added in place, shifting two
+    # bits up between rows
+    maps = out[1:]
     v = u[1:]
+    above = np.empty(v.size, dtype=bool)
     thresholds = np.cumsum(model.trans, axis=1)[:, :3]
-    for s in range(4):
-        nxt = (v > thresholds[s, 0]).view(np.uint8)
-        nxt = nxt + (v > thresholds[s, 1]).view(np.uint8)
-        nxt += (v > thresholds[s, 2]).view(np.uint8)
-        steps[:m] |= nxt << (2 * s)
-    prefix = steps.reshape(nblocks, block)
-
-    # composed in place: prefix[b, t] then maps the base at b*block to the
-    # one t + 1 places on
-    for t in range(1, block):
-        prefix[:, t] = _COMPOSE[prefix[:, t - 1], prefix[:, t]]
-
-    starts = np.empty(nblocks, dtype=np.uint8)
-    state = first
-    for b, code in enumerate(prefix[:, -1].tolist()):
-        starts[b] = state
-        state = (code >> (2 * state)) & 3
-
-    inner = (prefix >> (2 * starts[:, None])) & 3
-    out[1:] = inner.reshape(-1)[:m]
+    for s in range(3, -1, -1):
+        for threshold in thresholds[s]:
+            np.greater(v, threshold, out=above)
+            maps += above.view(np.uint8)
+        if s:
+            maps <<= 2
+    del u, v, above
+    _walk(maps, first)
     return DnaSeq(bases=out, source_id="generated")
 
 

@@ -12,7 +12,7 @@ It is the one event value from detection to window sums: score_events
 scores it under a ScoreModel of the same threshold, average_rate and
 events_to_tsv read it alone, its centres are the positions window_scores
 sums over, and the hot-spot simulation draws its inserts from one.
-PalindromeEvent objects are built only when a table is indexed or iterated.
+PalindromeEvent objects are built only when a table is iterated.
 pattern_log_prob is the bws score of one pattern on its own.
 """
 
@@ -58,8 +58,9 @@ class PalindromeTable:
         min_half_length: the detection threshold L >= 1 the sequence was
             searched at; every half-length is at least L.
 
-    ``len()`` is the event count. Indexing or iterating builds
-    PalindromeEvent views on demand, each with its own copy of the pattern.
+    ``len()`` is the event count. Iterating builds PalindromeEvent views on
+    demand, each with its own copy of the pattern; the pipeline itself reads
+    only the arrays.
     """
 
     seq: DnaSeq
@@ -84,18 +85,12 @@ class PalindromeTable:
     def __len__(self) -> int:
         return self.centers.size
 
-    def __getitem__(self, i: int) -> PalindromeEvent:
-        return self._event(int(self.centers[i]), int(self.half_lengths[i]))
-
     def __iter__(self):
+        bases = self.seq.bases
         for c, h in zip(self.centers.tolist(), self.half_lengths.tolist()):
-            yield self._event(c, h)
-
-    def _event(self, c: int, h: int) -> PalindromeEvent:
-        # the patterns are slices of bases that seq already validated
-        pattern = DnaSeq._trusted(self.seq.bases[c - h + 1 : c + h + 1].copy(),
-                                  self.seq.source_id)
-        return PalindromeEvent(center=c, half_length=h, pattern=pattern)
+            pattern = DnaSeq(bases=bases[c - h + 1 : c + h + 1].copy(),
+                             source_id=self.seq.source_id)
+            yield PalindromeEvent(center=c, half_length=h, pattern=pattern)
 
 
 def find_palindromes(s: DnaSeq, min_half_length: int) -> PalindromeTable:
@@ -110,8 +105,8 @@ def find_palindromes(s: DnaSeq, min_half_length: int) -> PalindromeTable:
     typical sequences, so total work is close to linear.
 
     Returns a PalindromeTable of centres (ascending) and half-lengths at
-    threshold min_half_length; no event object is built until the table is
-    indexed or iterated. Overlapping palindromes at different centres are
+    threshold min_half_length; no event object is built unless the table is
+    iterated. Overlapping palindromes at different centres are
     all reported.
 
     Raises:

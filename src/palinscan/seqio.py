@@ -70,17 +70,6 @@ class DnaSeq:
             raise ValueError("bases contain codes outside 0..3")
         object.__setattr__(self, "bases", b)
 
-    @classmethod
-    def _trusted(cls, bases: np.ndarray, source_id: str = "") -> "DnaSeq":
-        """A sequence over codes already known valid (a 1-D uint8 array of
-        codes 0..3, e.g. a slice of a DnaSeq's bases), built without
-        __post_init__'s checks."""
-        seq = object.__new__(cls)
-        object.__setattr__(seq, "bases", bases)
-        object.__setattr__(seq, "source_id", source_id)
-        object.__setattr__(seq, "dropped_count", 0)
-        return seq
-
     @property
     def length(self) -> int:
         return int(self.bases.size)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -21,7 +22,7 @@ from palinscan import (
     model_to_json,
     quasi_transition_matrix,
 )
-from palinscan.markov import PAIR_BLOCK
+from palinscan.markov import PAIR_BLOCK, _walk
 
 from oracles import (
     counted_model,
@@ -49,17 +50,20 @@ def assert_fit_matches_counting(bases: np.ndarray, pseudocount: float) -> None:
     assert np.array_equal(m.trans, trans)
 
 
-# Lengths at the sampler's block boundaries: it cuts the m = length - 1
-# steps into blocks of isqrt(m // 32), which changes size where m // 32
-# reaches k^2 and fills its last block exactly at m = 32 k(k + 1); so the
-# step counts 32 k^2 and 32 k(k + 1), each +- 1, are edges.
-BLOCK_EDGES = sorted({
-    m + 1
-    for k in range(1, 13)
-    for edge in (32 * k * k, 32 * k * (k + 1))
-    for m in (edge - 1, edge, edge + 1)
-    if m + 1 <= 5000
-})
+# Map counts m at the edges of _walk: it loops over up to 64 maps, else
+# composes blocks of 16, whose last block is full at m = 16k, and walks the
+# nblocks - 1 block-final maps by the same rule, so a second level of blocks
+# starts at m = 1041 (66 blocks) and a third at m = 16657. The edges are the
+# leaf 64/65, full last blocks 16k +- 1, the powers 1024/1025 and
+# 16384/16385, and the level starts.
+WALK_EDGES = [64, 65, 79, 80, 81, 1023, 1024, 1025, 1039, 1040, 1041,
+              16383, 16384, 16385, 16656, 16657]
+
+# sequence lengths whose m = length - 1 maps sit on the walk's edges
+WALK_EDGE_LENGTHS = [m + 1 for m in WALK_EDGES]
+
+# codes that send every base to A, C, G or T, and the identity map
+CONSTANT_AND_IDENTITY_CODES = [0, 85, 170, 255, 0b11_10_01_00]
 
 
 class TestMarkovModel:
@@ -249,34 +253,51 @@ class TestGenerateSequence:
     @staticmethod
     def naive_chain(model, length, seed):
         """Sequential reference using the same uniform draws."""
-        u = np.random.default_rng(seed).random(length)
+        u = np.random.default_rng(seed).random(length).tolist()
         cum_pi = np.cumsum(model.pi)
-        cum_tr = np.cumsum(model.trans, axis=1)[:, :3]
+        cum_tr = np.cumsum(model.trans, axis=1)[:, :3].tolist()
         out = [min(int(np.searchsorted(cum_pi, u[0], side="right")), 3)]
         for t in range(1, length):
-            out.append(int((u[t] > cum_tr[out[-1]]).sum()))
+            out.append(sum(u[t] > c for c in cum_tr[out[-1]]))
         return np.array(out, dtype=np.uint8)
 
-    # 143..158 straddle the edges of isqrt(m) blocks at 12 x 12 and 12 x 13
-    # steps; 32..386 straddle those of isqrt(m // 32) blocks at
-    # m // 32 = k^2 and k(k + 1) for k = 1..3 (see BLOCK_EDGES)
-    @pytest.mark.parametrize("length", [1, 2, 3, 17, 100, 1001,
-                                        143, 144, 145, 146, 156, 157, 158,
-                                        32, 33, 34, 64, 65, 66, 128, 129, 130,
-                                        192, 193, 194, 288, 289, 290,
-                                        384, 385, 386])
+    # short lengths, walked by the leaf loop or one level of blocks with
+    # partial and full last blocks, then the walk's edges
+    @pytest.mark.parametrize("length", sorted({
+        1, 2, 3, 17, 32, 33, 34, 64, 65, 66, 100, 128, 129, 130, 143, 144,
+        145, 146, 156, 157, 158, 192, 193, 194, 288, 289, 290, 384, 385, 386,
+        1001, *WALK_EDGE_LENGTHS}))
     def test_matches_sequential_reference(self, bohv1, length):
         got = generate_sequence(bohv1, length, np.random.default_rng(99))
         assert np.array_equal(got.bases, self.naive_chain(bohv1, length, 99))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(chain=sparse_models(),
-           length=st.one_of(st.sampled_from(BLOCK_EDGES), st.integers(1, 5000)),
+           length=st.one_of(st.sampled_from(WALK_EDGE_LENGTHS),
+                            st.integers(1, 5000)),
            seed=st.integers(0, 2**32 - 1))
     def test_matches_sequential_reference_property(self, chain, length, seed):
         model = MarkovModel(pi=chain[0], trans=chain[1])
         got = generate_sequence(model, length, np.random.default_rng(seed))
         assert np.array_equal(got.bases, self.naive_chain(model, length, seed))
+
+    # sha256 of the bases at 10^6, where the walk runs four levels of blocks
+    # and the sequential reference is too slow; the digests were taken from
+    # the earlier sampler (strided sqrt(length) blocks), an implementation
+    # independent of the walk
+    @pytest.mark.parametrize("model, seed, digest", [
+        (bohv1_model(), 3,
+         "7fc535a8b62b3cf10256d68bb902fecc044960d0bd570bfc471e98c8936818a4"),
+        (MarkovModel(pi=[0.3, 0.2, 0.0, 0.5],
+                     trans=[[0.0, 0.6, 0.0, 0.4],
+                            [0.5, 0.0, 0.5, 0.0],
+                            [0.0, 0.0, 0.0, 1.0],
+                            [0.25, 0.25, 0.25, 0.25]]), 4,
+         "acc2255097ac8ad712552cbf9074d371d62a26bc879a9c8723cf1cf1340ffb5d"),
+    ], ids=["bohv1", "sparse"])
+    def test_pinned_digest_at_a_million_bases(self, model, seed, digest):
+        got = generate_sequence(model, 1_000_000, np.random.default_rng(seed))
+        assert hashlib.sha256(got.bases.tobytes()).hexdigest() == digest
 
     def test_zero_length(self, bohv1):
         assert generate_sequence(bohv1, 0, np.random.default_rng(0)).length == 0
@@ -296,6 +317,32 @@ class TestGenerateSequence:
         seq = generate_sequence(uniform, 100_000, rng)
         counts = np.bincount(seq.bases, minlength=4)
         assert np.abs(counts / seq.length - 0.25).max() < 0.01
+
+
+class TestWalk:
+    @staticmethod
+    def loop_walk(maps, first):
+        """The walk one map at a time."""
+        out, state = [], first
+        for code in maps.tolist():
+            state = (code >> (2 * state)) & 3
+            out.append(state)
+        return np.array(out, dtype=np.uint8)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(length=st.one_of(st.sampled_from(WALK_EDGES),
+                            st.integers(0, 3000)),
+           palette=st.lists(st.one_of(st.sampled_from(CONSTANT_AND_IDENTITY_CODES),
+                                      st.integers(0, 255)),
+                            min_size=1, max_size=6),
+           first=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_loop(self, length, palette, first, seed):
+        maps = np.random.default_rng(seed).choice(
+            np.array(palette, dtype=np.uint8), size=length)
+        expected = self.loop_walk(maps, first)
+        _walk(maps, first)
+        assert np.array_equal(maps, expected)
 
 
 class TestModelJson:
