@@ -93,16 +93,25 @@ class PalindromeTable:
             yield PalindromeEvent(center=c, half_length=h, pattern=pattern)
 
 
+# Centres per block of find_palindromes' dense depth test: its buffers stay
+# in cache, and a 135 kbp sequence is one block.
+SEARCH_BLOCK = 1 << 18
+
+
 def find_palindromes(s: DnaSeq, min_half_length: int) -> PalindromeTable:
     """All maximal palindromes with half-length >= min_half_length.
 
     Every kept centre c pairs b[c + k] with the complement of b[c - k + 1]
     at all depths k = 1..L (L = min_half_length), so those depths are tested
     densely, as L comparisons of shifted views over the centres that have
-    room for them. Only the centres matching at every one of them are then
-    extended, one depth per round, each round keeping the centres that
-    still match. Each round discards a (1 - gamma) fraction of centres on
-    typical sequences, so total work is close to linear.
+    room for them. The test runs over blocks of SEARCH_BLOCK centres, each
+    with the complement of its own stretch of the sequence, into buffers
+    allocated once, so the sequence is streamed through cache about once
+    and no full-length temporary is made. Only the centres matching at
+    every depth are then extended, one depth per round, each round keeping
+    the centres that still match. Each round discards a (1 - gamma)
+    fraction of centres on typical sequences, so total work is close to
+    linear.
 
     Returns a PalindromeTable of centres (ascending) and half-lengths at
     threshold min_half_length; no event object is built unless the table is
@@ -119,11 +128,24 @@ def find_palindromes(s: DnaSeq, min_half_length: int) -> PalindromeTable:
     if count <= 0 or min_half_length < 1:
         none = np.empty(0, dtype=np.int64)
         return PalindromeTable(s, none, none, min_half_length)
-    comp = (3 - b).astype(np.uint8)
-    match = np.ones(count, dtype=bool)
-    for k in range(1, min_half_length + 1):
-        match &= b[low + k : low + k + count] == comp[low - k + 1 : low - k + 1 + count]
-    centers = low + np.flatnonzero(match)
+    size = min(count, SEARCH_BLOCK)
+    comp = np.empty(size + low, dtype=np.uint8)
+    match = np.empty(size, dtype=bool)
+    equal = np.empty(size, dtype=bool)
+    found = []
+    for first in range(0, count, SEARCH_BLOCK):
+        m = min(SEARCH_BLOCK, count - first)
+        # comp[i] complements b[first + i]: depth k reads comp[low - k + 1 + j]
+        # against b[first + low + k + j] for the block's centre j
+        np.subtract(3, b[first : first + m + low], out=comp[: m + low])
+        np.equal(b[first + low + 1 : first + low + 1 + m], comp[low : low + m],
+                 out=match[:m])
+        for k in range(2, min_half_length + 1):
+            np.equal(b[first + low + k : first + low + k + m],
+                     comp[low - k + 1 : low - k + 1 + m], out=equal[:m])
+            np.logical_and(match[:m], equal[:m], out=match[:m])
+        found.append(first + low + np.flatnonzero(match[:m]))
+    centers = np.concatenate(found)
     half = np.full(centers.size, min_half_length, dtype=np.int64)
     alive = np.arange(centers.size)
     depth = min_half_length + 1
@@ -132,7 +154,7 @@ def find_palindromes(s: DnaSeq, min_half_length: int) -> PalindromeTable:
         inside = (c - depth + 1 >= 0) & (c + depth < n)
         alive = alive[inside]
         c = c[inside]
-        matched = b[c + depth] == comp[c - depth + 1]
+        matched = b[c + depth] == 3 - b[c - depth + 1]
         alive = alive[matched]
         half[alive] += 1
         depth += 1

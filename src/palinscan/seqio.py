@@ -1,7 +1,10 @@
 """Sequence ingestion: FASTA parsing, remote fetch with caching, complements.
 
 Sequences are stored as uint8 code arrays over the fixed alphabet A=0, C=1,
-G=2, T=3, so that the complement of code ``c`` is ``3 - c``.
+G=2, T=3, so that the complement of code ``c`` is ``3 - c``. Text becomes
+codes through one byte table with ``bytes.translate``; parse_fasta reads
+ASCII bytes and makes each clean record body its base array in that one
+pass.
 """
 
 from __future__ import annotations
@@ -29,21 +32,27 @@ for _i, _c in enumerate(ALPHABET):
     _CODE[ord(_c.lower())] = _i
 for _ws in " \t\r\n\v\f":
     _CODE[ord(_ws)] = 254
+_CODE_TABLE = _CODE.tobytes()  # for bytes.translate, far faster than indexing
 
 _DECODE = np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)
 
-# parse_fasta reads FASTA text the way str.splitlines and str.strip see it.
-# Its byte classes: bases 0..3 and dropped symbols 255 as in _CODE, then the
-# line breaks splitlines knows, the whitespace strip removes that ends no
+# parse_fasta reads FASTA text the way str.splitlines and str.strip see it:
+# the line breaks splitlines knows, the whitespace strip removes that ends no
 # line, and \x1f, which strip removes at a line's ends but which is a dropped
-# symbol inside a line.
+# symbol inside a line. Record bodies are translated through _CODE_TABLE with
+# _SKIPPED deleted; only a body holding \x1f needs the line structure, read
+# from its _FASTA_TABLE codes: bases 0..3 and dropped symbols 255 as in
+# _CODE, then one code each for line breaks, other skipped whitespace and
+# \x1f.
 _BREAK, _INDENT, _UNIT_SEPARATOR = 254, 253, 252
 _LINE_BREAKS = b"\n\r\v\f\x1c\x1d\x1e"
+_SKIPPED = _LINE_BREAKS + b" \t"
+_BLANK = _SKIPPED + b"\x1f"  # what str.strip removes, in ASCII
 _FASTA_CODE = _CODE.copy()
 _FASTA_CODE[list(_LINE_BREAKS)] = _BREAK
 _FASTA_CODE[list(b" \t")] = _INDENT
 _FASTA_CODE[0x1F] = _UNIT_SEPARATOR
-_FASTA_TABLE = _FASTA_CODE.tobytes()  # for bytes.translate, far faster than indexing
+_FASTA_TABLE = _FASTA_CODE.tobytes()
 _LINE_BREAK_RE = re.compile(b"[" + re.escape(_LINE_BREAKS) + b"]")
 _NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 
@@ -95,8 +104,8 @@ class DnaSeq:
         Whitespace is ignored silently; anything else outside {A,C,G,T}
         (case-insensitive) is removed and tallied in ``dropped_count``.
         """
-        raw = np.frombuffer(text.encode("ascii", errors="replace"), dtype=np.uint8)
-        codes = _CODE[raw]
+        raw = text.encode("ascii", errors="replace")
+        codes = np.frombuffer(raw.translate(_CODE_TABLE), dtype=np.uint8)
         keep = codes <= 3
         dropped = int(np.count_nonzero(codes == 255))
         return cls(bases=codes[keep], source_id=source_id, dropped_count=dropped)
@@ -104,8 +113,7 @@ class DnaSeq:
 
 def encode(text: str) -> np.ndarray:
     """Encode an ACGT string (strictly clean) into a uint8 code array."""
-    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    codes = _CODE[raw]
+    codes = np.frombuffer(bytearray(text, "ascii").translate(_CODE_TABLE), dtype=np.uint8)
     if codes.size and codes.max() > 3:
         raise ValueError("encode() requires a clean ACGT string")
     return codes
@@ -156,6 +164,13 @@ def parse_fasta(source) -> list[FastaRecord]:
     are skipped. A line starting with '>' is a header whose stripped rest is
     the record id; the lines up to the next header are its sequence.
 
+    The text is read as ASCII bytes with no line split: non-ASCII bytes are
+    dropped symbols, and non-ASCII characters of str input first become the
+    ASCII character parse_fasta treats them like. Each record body is one
+    bytes.translate to base codes with whitespace and line breaks deleted,
+    which is the base array itself unless the body holds a symbol to drop
+    or a \x1f; only such a body is compressed and counted.
+
     Args:
         source: bytes (read as ASCII, each other byte a replacement
             character), str, or a file-like object yielding either.
@@ -163,7 +178,8 @@ def parse_fasta(source) -> list[FastaRecord]:
     Returns:
         One ``FastaRecord`` per header, in file order. Sequence lines are
         concatenated and upper-cased; whitespace inside them is skipped and
-        any other non-ACGT symbol is dropped and counted per record.
+        any other non-ACGT symbol is dropped and counted per record. Each
+        record's bases are a writable uint8 array of its own.
 
     Raises:
         FastaError: empty input, sequence data before the first header, a
@@ -173,24 +189,20 @@ def parse_fasta(source) -> list[FastaRecord]:
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
-        text = source.decode("ascii", errors="replace")
+        text, data = None, source
     else:
+        # one ASCII byte per character, so offsets into data are offsets into text
         text = source
+        ascii_text = text if text.isascii() else _NON_ASCII_RE.sub(_ascii_stand_in, text)
+        data = ascii_text.encode("ascii")
 
-    if not text.strip():
-        raise FastaError("empty FASTA input")
-
-    # one ASCII byte per character, so offsets into data are offsets into text
-    ascii_text = text if text.isascii() else _NON_ASCII_RE.sub(_ascii_stand_in, text)
-    data = ascii_text.encode("ascii")
-    codes = np.frombuffer(data.translate(_FASTA_TABLE), dtype=np.uint8)
     headers: list[tuple[int, int]] = []  # offset of each header's '>', end of its line
     at = data.find(b">")
     while at >= 0:
         p = at - 1
-        while p >= 0 and codes[p] in (_INDENT, _UNIT_SEPARATOR):
+        while p >= 0 and data[p] in b" \t\x1f":
             p -= 1
-        if p >= 0 and codes[p] != _BREAK:  # a '>' inside a sequence line
+        if p >= 0 and data[p] not in _LINE_BREAKS:  # a '>' inside a sequence line
             at = data.find(b">", at + 1)
             continue
         eol = _LINE_BREAK_RE.search(data, at)
@@ -198,20 +210,33 @@ def parse_fasta(source) -> list[FastaRecord]:
         headers.append((at, end))
         at = data.find(b">", end)
 
-    if text[: headers[0][0] if headers else len(text)].strip():
+    if data[: headers[0][0] if headers else len(data)].translate(None, _BLANK):
         raise FastaError("sequence data before first '>' header")
+    if not headers:
+        raise FastaError("empty FASTA input")
     records: list[FastaRecord] = []
+    view = memoryview(data)
     for k, (at, end) in enumerate(headers):
-        header = text[at + 1 : end].strip()
+        if text is None:
+            header = data[at + 1 : end].decode("ascii", errors="replace").strip()
+        else:
+            header = text[at + 1 : end].strip()
         if not header:
             raise FastaError("FASTA header line with empty id")
-        body = codes[end : headers[k + 1][0] if k + 1 < len(headers) else len(codes)]
-        bases = body[body <= 3]
+        body = bytearray(view[end : headers[k + 1][0] if k + 1 < len(headers) else len(data)])
+        packed = body.translate(_CODE_TABLE, _SKIPPED)
+        bases = np.frombuffer(packed, dtype=np.uint8)
+        dropped = 0
+        if 255 in packed:  # a symbol to drop or a \x1f
+            codes = bases
+            if 0x1F in body:  # whether a \x1f is dropped depends on its line
+                codes = np.frombuffer(body.translate(_FASTA_TABLE), dtype=np.uint8)
+            bases = codes[codes <= 3]
+            dropped = int(np.count_nonzero(codes == 255)) + _inner_separators(codes)
         if bases.size == 0:
             raise FastaError(f"record {header!r} has no valid ACGT symbols")
-        dropped = np.count_nonzero(body == 255) + _inner_separators(body)
         records.append(FastaRecord(id=header, seq=DnaSeq(
-            bases=bases, source_id=header, dropped_count=int(dropped))))
+            bases=bases, source_id=header, dropped_count=dropped)))
     return records
 
 
@@ -222,7 +247,7 @@ def parse_fasta_file(path) -> list[FastaRecord]:
 
 def reverse_complement(s: DnaSeq) -> DnaSeq:
     """Reverse-complement: output[i] = complement(s[length-1-i])."""
-    rc = (3 - s.bases[::-1]).astype(np.uint8)
+    rc = 3 - s.bases[::-1]
     return DnaSeq(bases=rc, source_id=s.source_id, dropped_count=s.dropped_count)
 
 

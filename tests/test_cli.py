@@ -13,14 +13,17 @@ import pytest
 from palinscan import (
     ScoreModel,
     average_rate,
+    bohv1_model,
     estimate_model,
     find_palindromes,
+    generate_sequence,
     iid_rate,
     markov_rate,
     p_value,
     parse_fasta_file,
 )
 from palinscan.cli import SCAN_REPORT_KEYS, build_parser, main, run
+from palinscan.seqio import decode
 
 
 def invoke(*argv):
@@ -528,6 +531,39 @@ class TestPinnedOutput:
             "19975\t6\tAGCCGATCGGCT\t1\t1\t16.2082821\n"
         )
 
+
+    def test_multi_block_chain(self, tmp_path):
+        # a 300 kbp chain searched in two blocks, written with CRLF line
+        # ends, every seventh line lower-case and three NN runs; recorded
+        # before parsing and the depth test went block by block
+        seq = generate_sequence(bohv1_model(), 300_000, np.random.default_rng(17))
+        lines = [decode(seq.bases[i : i + 70]) for i in range(0, seq.length, 70)]
+        for i in range(0, len(lines), 7):
+            lines[i] = lines[i].lower()
+        for i in (100, 2000, 4000):
+            lines[i] = lines[i][:30] + "NN" + lines[i][30:]
+        path = tmp_path / "chain.fa"
+        path.write_bytes(("\r\n".join([">chain 300 kbp", *lines]) + "\r\n").encode("ascii"))
+        head = '{\n  "w": 1000,\n  "W": 300000,\n  "lambda0": 0.0010827643734766682,\n'
+        assert invoke("scan", "--input", str(path), "--score", "pls", "--json") == (0, (
+            head + '  "kind": "pls",\n  "b": 6.6666666666667425,\n'
+            '  "theta1": 1.5626755837104058,\n  "lambda1": 0.005981142869903545,\n'
+            '  "nu": 0.9398650691995101,\n  "nu_se": 0.0,\n  "p": 0.9964091302819011,\n'
+            '  "argmax": 224235,\n  "max": 6.6666666666667425\n}\n'))
+        assert invoke("scan", "--input", str(path), "--score", "bws", "--json") == (0, (
+            head + '  "kind": "bws",\n  "b": 87.60956650636672,\n'
+            '  "theta1": 0.11645975015334359,\n  "lambda1": 0.00584274848714312,\n'
+            '  "nu": 0.5031733085673111,\n  "nu_se": 0.0,\n  "p": 0.9122884448614742,\n'
+            '  "argmax": 224235,\n  "max": 87.60956650636672\n}\n'))
+        assert invoke("estimate", "--input", str(path)) == (0, (
+            "id\tlength\tdropped\tlambda_avg\tlambda_iid\tlambda_markov"
+            "\tpi_A\tpi_C\tpi_G\tpi_T\tp_AA\tp_AC\tp_AG\tp_AT\tp_CA\tp_CC\tp_CG"
+            "\tp_CT\tp_GA\tp_GC\tp_GG\tp_GT\tp_TA\tp_TC\tp_TG\tp_TT\n"
+            "chain 300 kbp\t300000\t6\t0.001153333333\t0.0007320378494\t0.001082764373"
+            "\t0.1359333333\t0.35991\t0.3642\t0.1399566667\t0.1858018637\t0.3319519372"
+            "\t0.3526728789\t0.1295733203\t0.1270039732\t0.2936011781\t0.4336084021"
+            "\t0.1457864466\t0.1342681152\t0.4504251366\t0.2995542701\t0.1157524781"
+            "\t0.1147974373\t0.3220520637\t0.3651130112\t0.1980374878\n"))
 
 class TestReadme:
     def test_command_line_examples_parse(self):

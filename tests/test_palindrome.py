@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from palinscan import (
     reverse_complement,
     score_events,
 )
+from palinscan import palindrome
 from palinscan.palindrome import PalindromeEvent
 from palinscan.seqio import encode
 
@@ -186,6 +190,63 @@ class TestFindPalindromes:
             assert e.pattern.bases.dtype == ref.bases.dtype
             assert np.array_equal(e.pattern.bases, ref.bases)
             assert not np.shares_memory(e.pattern.bases, s.bases)
+
+
+class TestSearchBlocks:
+    """find_palindromes tests depths 1..L over blocks of SEARCH_BLOCK
+    centres; shrunk to 16, small sequences hold many block edges."""
+
+    BLOCK = 16
+
+    @pytest.fixture()
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(palindrome, "SEARCH_BLOCK", self.BLOCK)
+
+    @pytest.mark.usefixtures("small_blocks")
+    @pytest.mark.parametrize("min_half", range(1, 9))
+    def test_lengths_and_plants_at_block_edges(self, min_half):
+        rng = np.random.default_rng(min_half)
+        low = min_half - 1  # the centre at the start of block 0
+        for k in (1, 2, 3):
+            for d in sorted({-min_half, -1, 0, 1, min_half,
+                             2 * min_half - 2, 2 * min_half - 1, 2 * min_half}):
+                n = k * self.BLOCK + d
+                for letters in ((0, 1, 2, 3), (0, 3)):  # A/T only: long runs
+                    bases = rng.choice(np.array(letters, dtype=np.uint8), size=max(n, 0))
+                    # palindromes centred on and beside each block edge
+                    for edge in range(low + self.BLOCK, n, self.BLOCK):
+                        c = edge + int(rng.integers(-2, 2))
+                        h = int(rng.integers(min_half, min_half + 4))
+                        if c - h + 1 >= 0 and c + h < n:
+                            bases[c + 1 : c + h + 1] = 3 - bases[c - h + 1 : c + 1][::-1]
+                    got = find_palindromes(DnaSeq(bases=bases), min_half)
+                    assert list(zip(got.centers.tolist(), got.half_lengths.tolist())) \
+                        == brute_palindromes(bases, min_half)
+
+    # recorded with the whole-sequence depth test, before it ran in blocks
+    @pytest.mark.parametrize("min_half,events,digest", [
+        (1, 354406, "95fcd0bdbc19ef17b7f884046b85756afcd2f1853066927865491638234ecb3e"),
+        (6, 1099, "91a13255d56394392ce766caed3f3606c5216687fe40de72f06caf08da92781d"),
+    ])
+    def test_pinned_chain_digest(self, bohv1, min_half, events, digest):
+        s = generate_sequence(bohv1, 10**6, np.random.default_rng(2024))
+        table = find_palindromes(s, min_half)
+        assert len(table) == events
+        got = hashlib.sha256(table.centers.tobytes() + table.half_lengths.tobytes())
+        assert got.hexdigest() == digest
+
+    def test_allocation_peak(self, bohv1):
+        # block buffers and the events only: no full-length complement or mask
+        n = 2_000_000
+        s = generate_sequence(bohv1, n, np.random.default_rng(9))
+        tracemalloc.start()
+        try:
+            table = find_palindromes(s, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) > 0
+        assert peak <= 1.5 * n
 
 
 class TestCheckPalindrome:

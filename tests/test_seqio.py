@@ -1,6 +1,7 @@
 import http.server
 import io
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,82 @@ class TestParseFasta:
                 continue
             got = [(r.id, str(r.seq), r.seq.dropped_count) for r in parse_fasta(source)]
             assert got == want
+
+    # Long records: clean ones, which parse_fasta takes as one translated
+    # body, beside ones holding a symbol to drop, an inner \x1f or \xa0, or
+    # a non-ASCII character, which it compresses and counts.
+    DIRT = ("N", "n", "\x1f", "\xa0", "\xe9", "\u3000", "\x00", "-")
+
+    @staticmethod
+    def long_record(rng, index, dirt):
+        bases = "".join(rng.choice(list("ACGTacgt"), size=int(rng.integers(1, 1000))))
+        lines = [bases[i : i + 60] for i in range(0, len(bases), 60)]
+        for d in dirt:
+            at = int(rng.integers(0, len(lines)))
+            cut = int(rng.integers(0, len(lines[at]) + 1))
+            lines[at] = lines[at][:cut] + d + lines[at][cut:]
+        end = ("\n", "\r\n", "\r")[index % 3]
+        return end.join([f">rec {index}", *lines]) + end
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           dirt=st.lists(st.lists(st.sampled_from(DIRT), max_size=3),
+                         min_size=1, max_size=8))
+    def test_long_records_match_line_parser(self, seed, dirt):
+        rng = np.random.default_rng(seed)
+        text = "".join(self.long_record(rng, i, d) for i, d in enumerate(dirt))
+        for source in (text, text.encode("utf-8")):
+            want = line_parse_fasta(source)
+            got = [(r.id, str(r.seq), r.seq.dropped_count) for r in parse_fasta(source)]
+            assert got == want
+
+    def test_sources_agree_and_bases_are_writable(self):
+        rng = np.random.default_rng(5)
+        text = "".join(self.long_record(rng, i, d)
+                       for i, d in enumerate(([], ["N"], [], ["\x1f", "n"], [])))
+        data = text.encode("ascii")
+        parsed = [parse_fasta(source) for source in
+                  (text, data, io.StringIO(text), io.BytesIO(data))]
+        for records in parsed:
+            assert [(r.id, r.seq, r.seq.dropped_count) for r in records] == [
+                (r.id, r.seq, r.seq.dropped_count) for r in parsed[0]]
+            for r in records:
+                assert r.seq.bases.dtype == np.uint8
+                assert r.seq.bases.flags.writeable
+                r.seq.bases[0] = r.seq.bases[0]
+        assert [r.seq.dropped_count for r in parsed[0]][::2] == [0, 0, 0]
+
+    @pytest.mark.parametrize("source,message", [
+        ("   \n\x1f\r\n", "empty FASTA input"),
+        (b"", "empty FASTA input"),
+        ("ACGT\n>r\nACGT\n", "sequence data before first '>' header"),
+        (b"\xff\n>r\nACGT\n", "sequence data before first '>' header"),
+        ("AC>r\nACGT\n", "sequence data before first '>' header"),
+        (">r\nACGT\n> \t\nACGT\n", "FASTA header line with empty id"),
+        (">r\nACGT\n>s t\nNN\x1f-\n>\n", "record 's t' has no valid ACGT symbols"),
+        (b">r\xe9\n\xe9\n", "record 'r\ufffd' has no valid ACGT symbols"),
+    ])
+    def test_error_messages(self, source, message):
+        with pytest.raises(FastaError) as exc:
+            parse_fasta(source)
+        assert str(exc.value) == message
+
+    def test_clean_parse_allocation_peak(self):
+        # a clean body is copied out and translated once: about two bytes
+        # per base
+        rng = np.random.default_rng(11)
+        n = 2_000_000
+        bases = np.frombuffer(b"ACGT", dtype=np.uint8)[rng.integers(0, 4, n)]
+        data = b">chr\n" + b"\n".join(bases[i : i + 60].tobytes()
+                                       for i in range(0, n, 60)) + b"\n"
+        tracemalloc.start()
+        try:
+            (rec,) = parse_fasta(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.seq.length == n
+        assert peak <= 3.5 * n
 
     def test_accepts_bytes_and_file_objects(self):
         text = ">r\nACGT\n"
