@@ -211,10 +211,10 @@ def mgf_domain(sm: ScoreModel) -> float:
 
     def excess(t: float) -> tuple[float, float]:
         q, dq = _power_jet(log_t, t, 1)
-        right, left = (vecs[:, np.argmax(vals.real)].real
-                       for vals, vecs in map(np.linalg.eig, (q, q.T)))
+        eigs = [np.linalg.eig(m) for m in (q, q.T)]
+        right, left = (vecs[:, np.argmax(vals.real)].real for vals, vecs in eigs)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return spectral_radius(q) - 1.0, (left @ dq @ right) / (left @ right)
+            return np.abs(eigs[0][0]).max() - 1.0, (left @ dq @ right) / (left @ right)
 
     # The edge is located to round-off, so that the resolvent I - Q is
     # numerically singular right at t_max rather than some 1e-9 beyond it.

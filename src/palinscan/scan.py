@@ -9,13 +9,14 @@ exponent, a Gaussian local-limit factor, and an overshoot correction for the
 discrete ladder of the excess process. The correction is computed from the
 score MGF by Spitzer's identity and Fourier inversion (analytic_nu), so
 every result is deterministic; the test suite keeps a Monte Carlo ladder
-walk as its independent check.
+walk as its independent check. The threshold is explicit in theta1, so
+threshold_for_alpha, the p-value's inverse, searches over theta1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -151,8 +152,8 @@ class TiltSolution:
     The tilt theta1 and rate lambda1 satisfy the two coupling conditions:
     the tilted rate is lambda0 scaled by the MGF at theta1 (rate matching),
     and the tilted window mean equals the threshold (centering). cumulants,
-    set by solve_tilt and not an init argument (so replace leaves it None),
-    holds (phi, phi', phi'') at theta1 for p_value and analytic_nu.
+    set by solve_tilt and _tilt_at and not an init argument (so replace
+    leaves it None), holds (phi, phi', phi'') at theta1.
     """
 
     lambda0: float
@@ -241,20 +242,12 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float,
         ValueError: threshold below the null window mean.
         DomainError: threshold not reachable inside the MGF domain.
     """
-    return _solve_tilt(lambda0, sm, threshold, window, None)
-
-
-def _solve_tilt(lambda0: float, sm: ScoreModel, threshold: float, window: int,
-                near: TiltSolution | None) -> TiltSolution:
-    """solve_tilt, with the pls and bws Newton search started from the
-    solution ``near`` at a nearby threshold when one is given."""
     if lambda0 <= 0:
         raise ValueError("lambda0 must be positive")
     null_mean = null_window_mean(lambda0, sm, window)
     if threshold < null_mean * (1.0 - 1e-12):
-        raise ValueError(
-            f"threshold {threshold!r} is below the null window mean {null_mean!r}"
-        )
+        raise ValueError(f"threshold {threshold!r} is below the null window "
+                         f"mean {null_mean!r}")
     log_ratio = np.log(threshold / null_mean)
     if threshold <= null_mean * (1.0 + 1e-12):
         theta1, jet = 0.0, sm.null_cumulants
@@ -262,17 +255,30 @@ def _solve_tilt(lambda0: float, sm: ScoreModel, threshold: float, window: int,
         theta1 = float(log_ratio)
         jet = cumulants(sm, theta1)
     else:
-        theta1, jet = _newton_tilt(sm, threshold, log_ratio, near)
+        theta1, jet = _newton_tilt(sm, threshold, log_ratio)
+    return _tilt_solution(lambda0, theta1, jet, threshold, window)
+
+
+def _tilt_at(lambda0: float, sm: ScoreModel, theta1: float, window: int) -> TiltSolution:
+    """The tilt solution at theta1 > 0 from one cumulants call: solve_tilt's
+    equation gives its threshold, null_window_mean e^phi phi' / phi'(0)."""
+    jet = cumulants(sm, theta1)
+    threshold = (null_window_mean(lambda0, sm, window) * float(np.exp(jet[0]))
+                 * jet[1] / sm.null_cumulants[1])
+    return _tilt_solution(lambda0, theta1, jet, threshold, window)
+
+
+def _tilt_solution(lambda0: float, theta1: float, jet: tuple[float, float, float],
+                   threshold: float, window: int) -> TiltSolution:
     # rate matching; at theta1 = 0 phi is zero only up to rounding
     lambda1 = lambda0 * float(np.exp(jet[0])) if theta1 else lambda0
-    tilt = TiltSolution(lambda0=lambda0, lambda1=lambda1, theta1=theta1,
-                        threshold=threshold, window=window)
+    tilt = TiltSolution(lambda0, lambda1, theta1, threshold, window)
     object.__setattr__(tilt, "cumulants", jet)
     return tilt
 
 
-def _newton_tilt(sm: ScoreModel, threshold: float, log_ratio: float,
-                 near: TiltSolution | None) -> tuple[float, tuple[float, float, float]]:
+def _newton_tilt(sm: ScoreModel, threshold: float,
+                 log_ratio: float) -> tuple[float, tuple[float, float, float]]:
     """Root theta1 of the log-form tilt equation on (0, t_max) for pls and
     bws, and the cumulants there (solve_tilt)."""
     _, mean0, var0 = sm.null_cumulants
@@ -280,8 +286,7 @@ def _newton_tilt(sm: ScoreModel, threshold: float, log_ratio: float,
 
     def gap(jet: tuple[float, float, float]) -> tuple[float, float]:
         # log M'(theta) is close to linear in theta, so Newton steps on it
-        # converge in a few iterations from the one taken at theta = 0, and
-        # in one or two from the root at a nearby threshold.
+        # converge in a few iterations from the one taken at theta = 0
         phi, mean, var = jet
         return phi + np.log(mean / mean0) - log_ratio, mean + var / mean
 
@@ -295,17 +300,12 @@ def _newton_tilt(sm: ScoreModel, threshold: float, log_ratio: float,
     # the cumulants at the top of the bracket depend on sm only
     hi, edge = sm.edge_cumulants
     if edge is not None and gap(edge)[0] < 0.0:
-        raise DomainError(
-            f"threshold {threshold!r} unreachable within the MGF domain"
-        )
-    # a Newton step from theta = 0, or from the root at the nearby threshold
+        raise DomainError(f"threshold {threshold!r} unreachable within the MGF domain")
     start = min(log_ratio / (mean0 + var0 / mean0), 0.5 * hi)
-    if near is not None and near.theta1 > 0.0:
-        _, mean, var = near.cumulants
-        step = near.theta1 + np.log(threshold / near.threshold) / (mean + var / mean)
-        if 0.0 < step < hi:
-            start = step
-    theta1 = newton_root(centering_gap, 0.0, hi, x=start, tol=1e-13)
+    # Stop within 1e-14 of theta1, relative (newton_root scales tol by max(1,
+    # theta), and start is within 2x of theta1), or 1e-15 as rounding allows
+    theta1 = newton_root(centering_gap, 0.0, hi, x=start,
+                         tol=max(1e-14 * min(start, 1.0), 1e-15))
     return theta1, jets[theta1] if theta1 in jets else cumulants(sm, theta1)
 
 
@@ -420,10 +420,7 @@ def analytic_nu(tilt: TiltSolution, sm: ScoreModel) -> float:
         raise ValueError("overshoot correction requires theta1 > 0")
     floor = _nu_tilt_floor(sm)
     if theta < floor:
-        jet = cumulants(sm, floor)
-        at_floor = replace(tilt, theta1=floor,
-                           lambda1=tilt.lambda0 * float(np.exp(jet[0])))
-        object.__setattr__(at_floor, "cumulants", jet)
+        at_floor = _tilt_at(tilt.lambda0, sm, floor, tilt.window)
         return 1.0 - theta / floor * (1.0 - analytic_nu(at_floor, sm))
     c = 0.5 * theta
     t, w = _nu_quadrature(sm, c)
@@ -502,10 +499,10 @@ def p_value(threshold: float, window: int, total_length: int, lambda0: float,
 
 
 class _Trial(NamedTuple):
-    """One evaluation in threshold_for_alpha: h and p at threshold b, and
-    whether the nu they used is exact (fixed, or from analytic_nu)."""
+    """One evaluation in threshold_for_alpha: h and p at the search's point
+    x, and whether their nu is exact (fixed, or from analytic_nu)."""
 
-    b: float
+    x: float
     tilt: TiltSolution
     h: float
     p: float
@@ -526,31 +523,29 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
     log nu(theta1(b)) - log(-log(1 - alpha)), where M1, the mean number of
     exceeding windows at nu = 1, needs only the tilt.
 
-    So the search runs on a model of log nu: log(nu_fixed) when
+    b rises with theta1 and is explicit in it (_tilt_at), so the search
+    runs over theta1 in (0, t_max (1 - 1e-10)), or (0, inf) for pcs, one
+    cumulants call per trial, on a model of log nu: log(nu_fixed) when
     ``nu_fixed`` is given; else 0 until the first analytic_nu, then the
-    secant in theta1 through the last two exact values, with (0, 0) (nu ->
-    1 as theta1 -> 0) standing in for the second while there is one. It
-    starts past the peak, where a Gaussian maximum over the windows would
-    reach alpha, takes a Newton step with slope -theta1, then secant steps.
-    It keeps a bracket (lo, hi) from (null mean, inf): h > 0, or h < 0 with
-    a secant slope that is not negative (the artifact branch), raises lo;
-    any other h < 0 lowers hi; a step out of the bracket bisects it
-    (doubles b - null mean while hi is infinite). It stops once |h| <=
-    ALPHA_RTOL, or once the bracket about a sign change of h is narrower
-    than 1e-10 of b, at the end whose p is nearer alpha. Where nu was
-    predicted at the stop, analytic_nu is computed there; if that moves h
-    past the stop, the search starts again from that b under the model
-    through the new value. On BoHV-1 at w = 1000 this takes 3 analytic_nu
-    per threshold down to alpha = 1e-12 (4 at alpha = 0.2 for bws).
+    secant in theta1 through the last two exact values, (0, 0) (nu -> 1 as
+    theta1 -> 0) standing in for the second while there is one. Starting
+    past the peak, each step aims b along dh/db (-theta1, then secants),
+    moving theta1 along d log b / d theta1 = phi' + phi'' / phi'. h > 0, or
+    h < 0 with a secant slope that is not negative (the artifact branch),
+    raises the bracket's lo end, any other h lowers hi, and a step out of
+    the bracket bisects it (doubles theta1 while hi is infinite). The
+    search stops at |h| <= ALPHA_RTOL, or at the end nearer alpha once the
+    bracket about a sign change of h spans under 1e-10 of b. If nu was
+    predicted there, analytic_nu is computed, and if that moves h past the
+    stop the search starts again from there. On BoHV-1 at w = 1000 and
+    alpha down to 1e-12 that takes 3 analytic_nu (4 for bws at 0.2) and at
+    most 12 cumulants calls (6 with nu fixed).
 
-    Each tilt's Newton search starts from the last tilt, so theta1 lands
-    within the Newton tolerance of solve_tilt's root, not on it bit for
-    bit. Centering makes p stationary in theta1 there (the exponent's
-    slope b - w lambda1 phi' is zero), so p moves by at most 3e-14 on
-    BoHV-1. Under ``sm.compat_paper`` the window factor is missing from the
-    centering, and at bws thresholds near 1.4e6 a few ulps of theta1 move p
-    by about 3e-6, so there every tilt is solved from scratch, as p_value
-    does.
+    Centering makes p stationary in theta1 (the exponent's slope b - w
+    lambda1 phi' is zero), so p_value, which solves theta1 back from b,
+    moves p by far less than ALPHA_RTOL. Under ``sm.compat_paper`` it does
+    not: at bws thresholds near 1.4e6 a few ulps of theta1 move p by about
+    3e-6, so the search runs over b, solving each tilt as p_value does.
 
     The returned b has |p / alpha - 1| <= ALPHA_RTOL, or, at a bracket
     stop, <= BRACKET_RTOL, with analytic_nu's nu, itself accurate to about
@@ -561,8 +556,9 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
     Raises:
         ValueError: alpha outside (0, 1) or nu_fixed outside (0, 1].
         DomainError: h < 0 throughout a closed bracket (alpha above the
-            peak), or p jumps across alpha inside a closed bracket (as for
-            pcs under compat_paper, where p falls from 1 to 0).
+            peak) or h > 0 up to the MGF domain edge, or p jumps across
+            alpha inside a closed bracket (as for pcs under compat_paper,
+            where p falls from 1 to 0).
         ConvergenceError: a pass takes ROOT_MAX_ITER p-values, or the
             search ROOT_MAX_ITER passes.
     """
@@ -574,78 +570,85 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
     exact = []  # (theta1, log nu) at each analytic_nu so far
     exceeded = False  # h > 0 at some trial with exact nu: alpha is attained
 
-    def h_and_p(tilt: TiltSolution, nu: float) -> tuple[float, float]:
-        p = _tail(tilt, nu, total_length, sm)[0]
+    def trial_at(x: float, tilt: TiltSolution, nu: float | None = None) -> _Trial:
+        exact = nu is not None or nu_fixed is not None
+        p = _tail(tilt, model_nu(tilt.theta1) if nu is None else nu, total_length, sm)[0]
         with np.errstate(divide="ignore"):
-            return np.log(-np.log1p(-p)) - target, p
+            return _Trial(x, tilt, np.log(-np.log1p(-p)) - target, p, exact)
 
     def model_nu(theta: float) -> float:
         if nu_fixed is not None:
             return float(nu_fixed)
-        if not exact:
-            return 1.0
-        (ta, la), (tb, lb) = exact[-2:] if len(exact) > 1 else ((0.0, 0.0), exact[0])
+        # the line through the last two of (1, 0), (0, 0) and the exact values
+        (ta, la), (tb, lb) = ([(1.0, 0.0), (0.0, 0.0)] + exact)[-2:]
         return float(np.exp(lb + (lb - la) * ((theta - tb) / (tb - ta))))
 
-    def search(b: float, first: _Trial | None) -> tuple[_Trial, tuple | None]:
-        """One pass from b (evaluated as ``first`` when given) under the
-        current model of nu. Returns the trial where it stops and, at a
-        bracket stop, the bracket ((lo, p_lo), (hi, p_hi))."""
+    _, mean0, var0 = sm.null_cumulants
+    z = np.sqrt(2.0 * np.log(max(total_length - window, 1) / alpha))
+    b = null_mean + z * np.sqrt(null_mean * (mean0 + var0 / mean0))
+    tilt_of = partial(solve_tilt if sm.compat_paper else _tilt_at, lambda0, sm, window=window)
+    if sm.compat_paper:
+        floor, top, x = null_mean, np.inf, b
+    else:  # the Newton step from theta1 = 0 towards b
+        floor, top = 0.0, np.inf if sm.kind == "pcs" else sm.t_max * (1.0 - 1e-10)
+        x = min(np.log(b / null_mean) / (mean0 + var0 / mean0), 0.5 * top)
+
+    def search(x: float, first: _Trial | None) -> tuple[_Trial, tuple | None]:
+        """One pass from x (or from ``first``, the trial at x) under the
+        model of nu: its last trial, and ((b_lo, p_lo), (b_hi, p_hi)) at a
+        bracket stop."""
         nonlocal exceeded
-        lo, hi, last, attained, ends = null_mean, np.inf, None, exceeded, {}
-        tilt = None if first is None else first.tilt
+        lo, hi, b_lo, b_hi = floor, top, null_mean, np.inf
+        last, attained, ends = None, exceeded, {}
         for _ in range(ROOT_MAX_ITER):
-            if first is not None:
-                trial, first = first, None
-            else:
-                near = None if sm.compat_paper else tilt
-                tilt = _solve_tilt(lambda0, sm, b, window, near)
-                if tilt.theta1 <= 0.0:
-                    raise ValueError("threshold must strictly exceed the null window mean")
-                trial = _Trial(b, tilt, *h_and_p(tilt, model_nu(tilt.theta1)),
-                               nu_fixed is not None)
-            h = trial.h
+            trial, first = first or trial_at(x, tilt_of(x)), None
+            h, tilt, b = trial.h, trial.tilt, trial.tilt.threshold
             if abs(h) <= ALPHA_RTOL:
                 return trial, None
+            # dh/db, about -theta1 at the first trial
             slope = -tilt.theta1 if last is None else (h - last[1]) / (b - last[0])
             attained |= h > 0
             exceeded |= trial.exact and h > 0
             if h > 0 or not slope < 0:
-                lo, ends["lo"] = b, trial
+                lo, b_lo, ends["lo"] = x, b, trial
             else:
-                hi, ends["hi"] = b, trial
-            if hi - lo <= 1e-10 * lo:
-                if not attained:
+                hi, b_hi, ends["hi"] = x, b, trial
+            mid = 0.5 * (lo + hi) if hi < np.inf else 2.0 * lo - floor
+            # closed once its thresholds are, or no float lies inside it
+            if b_hi - b_lo <= 1e-10 * b_lo or not lo < mid < hi:
+                # without a hi end h > 0 up to the MGF domain edge; with one,
+                # and attained, lo was evaluated too
+                if not attained or "hi" not in ends:
                     raise DomainError(f"alpha={alpha!r} is not attainable by any threshold")
-                # attained, so lo was evaluated too
                 end = min(ends.values(), key=lambda e: abs(e.p / alpha - 1.0))
-                return end, ((lo, ends["lo"].p), (hi, ends["hi"].p))
+                return end, ((b_lo, ends["lo"].p), (b_hi, ends["hi"].p))
             last = (b, h) if np.isfinite(h) else None
+            _, mean, var = tilt.cumulants
             with np.errstate(divide="ignore", invalid="ignore"):
-                b = b - h / slope
-            if not lo < b < hi:
-                b = 0.5 * (lo + hi) if hi < np.inf else 2.0 * lo - null_mean
+                # a step in theta1 follows log b, whose slope is closed form
+                step = b - h / slope
+                x = step if sm.compat_paper else x + np.log(step / b) / (mean + var / mean)
+            if not lo < x < hi:
+                x = mid
         raise ConvergenceError(f"threshold search for alpha={alpha!r} did not "
                                f"converge in {ROOT_MAX_ITER} p-values")
 
-    _, mean0, var0 = sm.null_cumulants
-    z = np.sqrt(2.0 * np.log(max(total_length - window, 1) / alpha))
-    b, first = null_mean + z * np.sqrt(null_mean * (mean0 + var0 / mean0)), None
+    first = None
     for _ in range(ROOT_MAX_ITER):
-        trial, bracket = search(b, first)
-        b, tilt = trial.b, trial.tilt
+        trial, bracket = search(x, first)
+        x, tilt = trial.x, trial.tilt
         if trial.exact:
             if bracket is not None and abs(trial.p / alpha - 1.0) > BRACKET_RTOL:
                 (lo, p_lo), (hi, p_hi) = bracket
                 raise DomainError(
                     f"p jumps from {p_lo:.3g} to {p_hi:.3g} between thresholds "
                     f"{lo:.10g} and {hi:.10g}, across alpha={alpha!r}")
-            return float(b)
+            return float(tilt.threshold)
         nu = analytic_nu(tilt, sm)
         # near the edge of the MGF domain adjacent thresholds can share theta1
         if exact and exact[-1][0] == tilt.theta1:
             exact.pop()
         exact.append((tilt.theta1, np.log(nu)))
-        first = _Trial(b, tilt, *h_and_p(tilt, nu), True)
+        first = trial_at(x, tilt, nu)
     raise ConvergenceError(f"threshold search for alpha={alpha!r} did not "
                            f"settle in {ROOT_MAX_ITER} passes")

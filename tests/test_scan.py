@@ -32,6 +32,7 @@ from oracles import (
     poisson_compound_pmf,
     window_sums,
 )
+from test_mgf import markov_models
 
 W = 135_301
 WINDOW = 1000
@@ -212,6 +213,29 @@ class TestSolveTilt:
         tilts = [solve_tilt(lam0, pls, b, WINDOW).theta1 for b in (5.0, 8.0, 12.0)]
         assert tilts == sorted(tilts)
         assert tilts[0] > 0.0
+
+    @staticmethod
+    def assert_round_trip(lam0, sm, theta):
+        # the threshold of the tilt theta in closed form, solved back by
+        # Newton steps to theta and lambda1, relative to 1e-12
+        closed = scan_module._tilt_at(lam0, sm, theta, WINDOW)
+        solved = solve_tilt(lam0, sm, closed.threshold, WINDOW)
+        assert abs(solved.theta1 / theta - 1.0) <= 1e-12, theta
+        assert abs(solved.lambda1 / closed.lambda1 - 1.0) <= 1e-12, theta
+
+    @pytest.mark.parametrize("kind", ["pls", "bws"])
+    def test_closed_form_threshold_round_trip(self, kind, lam0, bohv1):
+        sm = ScoreModel(kind, bohv1, 6)
+        for theta in np.geomspace(1e-3, 0.9 * sm.t_max, 40):
+            self.assert_round_trip(lam0, sm, theta)
+
+    @pytest.mark.parametrize("kind", ["pls", "bws"])
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(model=markov_models(), frac=st.floats(0.0, 1.0))
+    def test_closed_form_threshold_round_trip_on_random_chains(self, kind, model, frac):
+        sm = ScoreModel(kind, model, 6)
+        # log-uniform in [1e-3, 0.9 t_max]
+        self.assert_round_trip(sm.rate, sm, 1e-3 * (900.0 * sm.t_max) ** frac)
 
 
 class TestPvalue:
@@ -527,17 +551,26 @@ class TestThresholdForAlpha:
             rep = p_value(b, WINDOW, W, lam0, sm, nu_fixed=1.0)
             assert rep.p == pytest.approx(alpha, rel=1e-6)
 
-    @pytest.mark.parametrize("nu_fixed", [None, 1.0])
+    @pytest.mark.parametrize("nu_fixed", [None, 1.0, 0.6])
     @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
-    def test_relative_accuracy_down_to_small_alpha(self, kind, nu_fixed, lam0):
+    def test_relative_accuracy_down_to_small_alpha(self, kind, nu_fixed, lam0, monkeypatch):
         # A genome-wide scan with a multiple-testing correction needs alpha
         # far below 1e-6, where an absolute tolerance on p means nothing.
-        sm = ScoreModel(kind, bohv1_model(), 6)
-        ratios = {}
-        for alpha in (0.2, 0.05, 1e-3, 1e-5, 1e-6, 1e-7, 1e-9, 1e-12):
-            b = threshold_for_alpha(alpha, WINDOW, W, lam0, sm, nu_fixed=nu_fixed)
-            ratios[alpha] = p_value(b, WINDOW, W, lam0, sm, nu_fixed=nu_fixed).p / alpha
-        assert all(abs(r - 1.0) <= 1e-6 for r in ratios.values()), ratios
+        # Searches off compat_paper solve no tilt; under it they may stop on
+        # their bracket (pcs has no threshold there: test_compat_pcs_jump_raises).
+        solved = []
+        monkeypatch.setattr(scan_module, "solve_tilt",
+                            lambda *a, **k: solved.append(a) or solve_tilt(*a, **k))
+        for compat in (False, True) if kind != "pcs" else (False,):
+            sm = ScoreModel(kind, bohv1_model(), 6, compat_paper=compat)
+            ratios = {}
+            for alpha in (0.2, 0.05, 1e-3, 1e-5, 1e-6, 1e-7, 1e-9, 1e-12):
+                solved.clear()
+                b = threshold_for_alpha(alpha, WINDOW, W, lam0, sm, nu_fixed=nu_fixed)
+                assert compat or not solved
+                ratios[alpha] = p_value(b, WINDOW, W, lam0, sm, nu_fixed=nu_fixed).p / alpha
+            tol = scan_module.BRACKET_RTOL if compat else scan_module.ALPHA_RTOL
+            assert all(abs(r - 1.0) <= tol for r in ratios.values()), (compat, ratios)
 
     def test_monte_carlo_variant_lands_near_alpha(self, lam0, pls):
         # the p-value at the returned threshold, with nu from the Monte Carlo
@@ -559,20 +592,20 @@ class TestThresholdForAlpha:
     # cumulants calls per threshold search, measured: {kind: {alpha: (with
     # analytic_nu, with nu fixed)}}
     CUMULANTS_PER_SEARCH = {
-        "pls": {0.05: (20, 12), 0.01: (20, 12), 0.001: (21, 14), 1e-6: (22, 15),
-                1e-12: (22, 15)},
-        "bws": {0.05: (22, 12), 0.01: (22, 12), 0.001: (21, 12), 1e-6: (24, 15),
-                1e-12: (24, 15)},
+        "pls": {0.05: (10, 5), 0.01: (10, 5), 0.001: (10, 5), 1e-6: (11, 6),
+                1e-12: (11, 6)},
+        "bws": {0.05: (9, 4), 0.01: (10, 5), 0.001: (10, 5), 1e-6: (10, 5),
+                1e-12: (11, 6)},
     }
 
     @pytest.mark.parametrize("kind", ["pls", "bws"])
     @pytest.mark.parametrize("alpha", [0.05, 0.01, 0.001, 1e-6, 1e-12])
     def test_few_p_values_per_threshold(self, kind, alpha, lam0, monkeypatch):
         # A handful of p-values per threshold with nu fixed, 3 analytic_nu
-        # without (4 allowed below 1e-3), tilts warm-started from the last
-        # one, and the search ends with |p / alpha - 1| <= 1e-7.
+        # without (4 allowed below 1e-3), one cumulants call per trial and
+        # no tilt solve, and the search ends with |p / alpha - 1| <= 1e-7.
         sm = ScoreModel(kind, bohv1_model(), 6)
-        calls = {"p": 0, "nu": 0, "cumulants": 0}
+        calls = {"p": 0, "nu": 0, "cumulants": 0, "solve": 0}
 
         def counted(name, f):
             def wrapped(*args, **kwargs):
@@ -583,15 +616,17 @@ class TestThresholdForAlpha:
         monkeypatch.setattr(scan_module, "_tail", counted("p", scan_module._tail))
         monkeypatch.setattr(scan_module, "analytic_nu", counted("nu", analytic_nu))
         monkeypatch.setattr(scan_module, "cumulants", counted("cumulants", cumulants))
+        monkeypatch.setattr(scan_module, "solve_tilt", counted("solve", solve_tilt))
         expected = self.CUMULANTS_PER_SEARCH[kind][alpha]
         b_fixed = threshold_for_alpha(alpha, WINDOW, W, lam0, sm, nu_fixed=1.0)
         assert calls["nu"] == 0
         assert 1 <= calls["p"] <= 8
-        assert calls["cumulants"] == expected[1]
+        assert calls["cumulants"] == expected[1] <= 7
         calls.update(nu=0, cumulants=0)
         b = threshold_for_alpha(alpha, WINDOW, W, lam0, sm)
         assert 1 <= calls["nu"] <= (3 if alpha >= 1e-3 else 4)
-        assert calls["cumulants"] == expected[0] < 36
+        assert calls["cumulants"] == expected[0] <= 13
+        assert calls["solve"] == 0
         assert b < b_fixed
         assert abs(p_value(b, WINDOW, W, lam0, sm).p / alpha - 1.0) <= 1e-7
 
@@ -643,8 +678,8 @@ class TestThresholdForAlpha:
 
 
 class TestCallHistory:
-    """Warm-started tilts live inside one threshold search: no result may
-    depend on the calls made before it."""
+    """A threshold search keeps its state to itself: no result may depend
+    on the calls made before it."""
 
     CONFIGS = [(kind, alpha, nu_fixed) for kind in ("pls", "bws")
                for alpha in (0.05, 1e-3, 1e-9) for nu_fixed in (None, 1.0, 0.6)]
@@ -659,31 +694,14 @@ class TestCallHistory:
         for c in order:
             assert threshold(shared[c[0]], *c[1:]) == fresh[c], c
 
-    @pytest.mark.parametrize("kind", ["pls", "bws"])
-    def test_warm_tilt_matches_cold_solve(self, kind, lam0, bohv1):
-        # over the thresholds of alpha = 0.2 .. 1e-12, stepping up, back down
-        # and across
-        sm = ScoreModel(kind, bohv1, 6)
-        lo, hi = (threshold_for_alpha(a, WINDOW, W, lam0, sm, nu_fixed=1.0)
-                  for a in (0.2, 1e-12))
-        sweep = np.concatenate([np.linspace(lo, hi, 25), np.linspace(hi, lo, 18),
-                                [hi, lo, 0.5 * (lo + hi), lo * 1.001]])
-        near = None
-        for b in sweep:
-            warm = scan_module._solve_tilt(lam0, sm, b, WINDOW, near)
-            cold = solve_tilt(lam0, sm, b, WINDOW)
-            assert abs(warm.theta1 / cold.theta1 - 1.0) <= 1e-13, b
-            near = warm
-
     def test_domain_error_leaves_no_trace(self, lam0, bohv1):
         # under compat_paper a pls threshold of 1e20 lies beyond the MGF
-        # domain edge, warm-started or not
+        # domain edge
         sm = ScoreModel("pls", bohv1, 6, compat_paper=True)
         cold = threshold_for_alpha(1e-3, WINDOW, W, lam0,
                                    ScoreModel("pls", bohv1, 6, compat_paper=True))
-        near = solve_tilt(lam0, sm, 50.0, WINDOW)
         with pytest.raises(DomainError):
-            scan_module._solve_tilt(lam0, sm, 1e20, WINDOW, near)
+            solve_tilt(lam0, sm, 1e20, WINDOW)
         with pytest.raises(DomainError):
             p_value(1e20, WINDOW, W, lam0, sm)
         assert threshold_for_alpha(1e-3, WINDOW, W, lam0, sm) == cold
@@ -692,14 +710,14 @@ class TestCallHistory:
 class TestNuFixedValidation:
     @pytest.mark.parametrize("nu_fixed", [np.nan, 0.0, -1.0, 1.5, np.inf])
     def test_rejected_before_any_tilt(self, nu_fixed, lam0, pls, monkeypatch):
-        solved = []
-        monkeypatch.setattr(scan_module, "_solve_tilt",
-                            lambda *args: solved.append(args))
+        evaluated = []
+        monkeypatch.setattr(scan_module, "cumulants",
+                            lambda *args: evaluated.append(args))
         with pytest.raises(ValueError, match="nu_fixed"):
             p_value(10.0, WINDOW, W, lam0, pls, nu_fixed=nu_fixed)
         with pytest.raises(ValueError, match="nu_fixed"):
             threshold_for_alpha(0.05, WINDOW, W, lam0, pls, nu_fixed=nu_fixed)
-        assert solved == []
+        assert evaluated == []
 
 
 class TestWindowSeries:
