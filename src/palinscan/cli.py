@@ -73,6 +73,7 @@ def _parse_multipliers(text: str) -> tuple[float, ...]:
 
 
 _at_least_1 = _checked(int, lambda v: v >= 1, ">= 1")
+_positive_rate = _checked(float, lambda v: 0.0 < v < np.inf, "finite and positive")
 
 _FLAGS = {
     "--input": dict(action="append", default=[], metavar="FASTA",
@@ -104,15 +105,15 @@ _FLAGS = {
                            help="use the paper's literal conventions"),
     "--length": dict(dest="seq_length", type=int, default=BOHV1_GENOME_LENGTH,
                      help="simulated sequence length (default %(default)s)"),
-    "--lambda0": dict(type=float, default=None,
+    "--lambda0": dict(type=_positive_rate, default=None,
                       help="override the null rate per bp"),
-    "--lambda0-target": dict(dest="lambda0_target", type=float, default=0.00098,
+    "--lambda0-target": dict(dest="lambda0_target", type=_positive_rate, default=0.00098,
                              help="nominal rate for hot-spot insertion "
                                   "(default 0.00098)"),
     "--rate-estimator": dict(dest="rate_estimator", default="markov",
                              choices=("markov", "average", "iid"),
                              help="null-rate estimator (default markov)"),
-    "--threshold": dict(type=float, default=None,
+    "--threshold": dict(type=_checked(float, np.isfinite, "finite"), default=None,
                         help="scan threshold b (default: observed maximum)"),
     "--dump-series": dict(dest="dump_series", default=None, metavar="PATH",
                           help="write the window series as TSV"),

@@ -14,15 +14,15 @@ as a truncated Taylor series in the argument, so the MGF and its first two
 derivatives come out of the same matrix products in closed form. score_mgf
 and cumulants take real arguments; the kernel also takes complex ones, one
 or a whole array at a time, so the log characteristic function reuses the
-same series at every quadrature node. The factors are laid out
-entries-first: for N arguments, entry (i, j) of Q is one length-N array.
-An array of STACK_MIN_NODES arguments or more, such as the overshoot
-quadrature's nodes, runs the 4 x 4 algebra as elementwise arithmetic on
-these node vectors, with a Gauss-Jordan inverse (numeric.stack_inv), so
-its cost in numpy calls does not grow with N. One argument, or a few, runs
-as matrix products with one LAPACK inverse per argument, which takes fewer
-numpy calls there. A model with independent bases is the Markov model
-iid_model(pi), whose rank-one quasi transition matrix takes the same path.
+same series at every quadrature node. The argument's shape picks the
+path. A scalar, as cumulants and score_mgf pass, runs as block matrix
+products with one LAPACK inverse (numeric.mat_inv). An array, such as the
+overshoot quadrature's nodes, is laid out entries-first (entry (i, j) of Q
+is one array over the arguments) and runs the 4 x 4 algebra as elementwise
+arithmetic with a Gauss-Jordan inverse (numeric.stack_inv), in a number of
+numpy calls that does not grow with its size. A model with independent
+bases is the Markov model iid_model(pi), whose rank-one quasi transition
+matrix takes the same paths.
 
 The per-length law behind the closed form, E[exp(t * score); half-length
 = k] (length_terms, and mgf_at_length for one k), is read from the factors
@@ -46,11 +46,6 @@ from .numeric import mat_inv, newton_root, spectral_radius, stack_inv, vec_mat
 
 SCORE_KINDS = ("pcs", "pls", "bws")
 _EYE = np.eye(4)
-# The MGF kernel evaluates an array of at least this many arguments as
-# elementwise arithmetic on node vectors (_jet_by_entries), and fewer as
-# matrix products argument by argument (_jet_by_blocks), which cost less
-# there: the two break even at about 30 to 100 arguments.
-STACK_MIN_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -242,17 +237,17 @@ def _toeplitz(jet: list[np.ndarray]) -> np.ndarray:
     Block (i, j) is jet[j - i]. Products of such matrices are the Cauchy
     products of their series, so one chain of matrix products carries every
     Taylor coefficient at once; a row vector's series enters as the plain
-    concatenation of its coefficients, its first block row. Leading axes are
-    a stack of series, one per argument; every coefficient has one shape.
+    concatenation of its coefficients, its first block row. Every
+    coefficient is a matrix of one shape.
     """
     k = len(jet)
     if k == 1:
         return jet[0]
-    *stack, r, c = jet[0].shape
-    out = np.zeros((*stack, k * r, k * c), dtype=np.result_type(*jet))
+    r, c = jet[0].shape
+    out = np.zeros((k * r, k * c), dtype=np.result_type(*jet))
     for i in range(k):
         for j in range(i, k):
-            out[..., i * r:(i + 1) * r, j * c:(j + 1) * c] = jet[j - i]
+            out[i * r:(i + 1) * r, j * c:(j + 1) * c] = jet[j - i]
     return out
 
 
@@ -282,25 +277,21 @@ def _jet_by_entries(v, q, u, n: int) -> np.ndarray:
 
 
 def _jet_by_blocks(v, q, u, n: int) -> np.ndarray:
-    """Taylor coefficients of v Q^n (I - Q)^-1 u (_mgf_jet) by matrix
-    products, argument by argument.
+    """Taylor coefficients of v Q^n (I - Q)^-1 u (_mgf_jet) at a scalar.
 
     Every series becomes a block Toeplitz matrix (_toeplitz), so one chain
     of matrix products carries all Taylor coefficients; the resolvent's
     coefficients are W_0 = (I - Q_0)^-1 (numeric.mat_inv) and W_k = W_0
-    (Q_1 W_(k-1) + ... + Q_k W_0). Returns shape (order + 1,) for one
-    argument, (N, order + 1) for N.
+    (Q_1 W_(k-1) + ... + Q_k W_0). Returns shape (order + 1,).
     """
-    if q[0].ndim > 2:  # the argument axis goes first
-        v, u, q = [c.T for c in v], [c.T for c in u], [c.transpose(2, 0, 1) for c in q]
     w = [mat_inv(_EYE - q[0])]
     for k in range(1, len(q)):
         w.append(w[0] @ sum(q[j] @ w[k - j] for j in range(1, k + 1)))
-    row = np.concatenate(v, axis=-1)[..., None, :]
+    row = np.concatenate(v)[None, :]
     if n:
         row = row @ np.linalg.matrix_power(_toeplitz(q), n)
-    col = _toeplitz([b[..., None] for b in u])
-    return (row @ _toeplitz(w) @ col)[..., 0, :]
+    col = _toeplitz([b[:, None] for b in u])
+    return (row @ _toeplitz(w) @ col)[0]
 
 
 def _mgf_jet(sm: ScoreModel, z, order: int = 0) -> np.ndarray:
@@ -311,13 +302,12 @@ def _mgf_jet(sm: ScoreModel, z, order: int = 0) -> np.ndarray:
       - bws: v, Q, u the entrywise (1 - z) powers of the start weights, T
         and c, and n = h - 1.
     Each factor is carried as a Taylor series in z, and the product of the
-    series gives exact derivatives. An array of z lays the coefficients out
-    entries-first, with the arguments on a trailing axis. An array of at
-    least STACK_MIN_NODES arguments is evaluated as elementwise arithmetic
-    on node vectors (_jet_by_entries); a scalar or a smaller array by
-    matrix products, argument by argument (_jet_by_blocks). z may be
-    complex (domain checks use Re z); the result has shape z.shape +
-    (order + 1,).
+    series gives exact derivatives. A scalar z is evaluated by block matrix
+    products (_jet_by_blocks). An array of z, of any size, lays the
+    coefficients out entries-first, with the arguments on a trailing axis,
+    and is evaluated as elementwise arithmetic on node vectors
+    (_jet_by_entries). z may be complex (domain checks use Re z); the
+    result has shape z.shape + (order + 1,).
 
     Raises:
         DomainError: Re z at or beyond the domain supremum.
@@ -344,7 +334,7 @@ def _mgf_jet(sm: ScoreModel, z, order: int = 0) -> np.ndarray:
     else:
         v, q, u = zip(*map(_bws_split, _power_jet(sm._bws_log_base, z, order)))
         n = h - 1
-    product = _jet_by_entries if shape and z.size >= STACK_MIN_NODES else _jet_by_blocks
+    product = _jet_by_entries if shape else _jet_by_blocks
     return (product(v, q, u, n) / sm.rate).reshape(shape + (order + 1,))
 
 

@@ -1,9 +1,9 @@
 """Small numerical kernels shared across the package.
 
-Two inverses make the same conditioning checks: mat_inv delegates to
-numpy's linear algebra, matrix by matrix, and stack_inv runs Gauss-Jordan
-elimination as elementwise arithmetic across a stack held entries-first,
-in a number of numpy calls that does not grow with the stack.
+Two inverses make the same conditioning checks: mat_inv inverts one
+matrix with numpy's linear algebra (an MGF at one argument), and stack_inv
+a stack held entries-first (an MGF at an array) by Gauss-Jordan elimination
+as elementwise arithmetic, in numpy calls that do not grow with the stack.
 Spectral radii delegate to numpy's eigenvalue solver. The one scalar root
 finder, a Newton method kept inside a bracket, is self-contained so its
 convergence and failure behaviour stays under our control.
@@ -21,11 +21,11 @@ ROOT_MAX_ITER = 200
 
 
 def mat_inv(m: np.ndarray) -> np.ndarray:
-    """Inverse with an explicit near-singularity check.
+    """Inverse of one n x n matrix with an explicit near-singularity check.
 
     Real input stays real; complex input (e.g. MGF evaluation off the real
-    axis) is inverted in complex arithmetic. A stack of matrices (shape
-    (..., n, n)) is inverted matrix by matrix, and the check applies to each.
+    axis) is inverted in complex arithmetic. A stack of matrices takes
+    stack_inv.
 
     Raises:
         SingularMatrixError: determinant is tiny relative to the matrix scale,
@@ -34,23 +34,20 @@ def mat_inv(m: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(m)
     m = m.astype(complex) if np.iscomplexobj(m) else m.astype(float)
-    n = m.shape[-1]
-    # a stack reduces per matrix; one matrix keeps its checks on scalars
-    axes, fails = ((-2, -1), np.any) if m.ndim > 2 else (None, bool)
-    scale = np.abs(m).max(axis=axes)
-    if fails(scale == 0.0):
+    n = len(m)
+    scale = np.abs(m).max()
+    if scale == 0.0:
         raise SingularMatrixError("zero matrix")
     det = abs(np.linalg.det(m))
-    if fails(det < SINGULARITY_TOL * scale**n):
-        raise SingularMatrixError(f"near-singular matrix: |det| = {np.min(det):.3e}")
+    if det < SINGULARITY_TOL * scale**n:
+        raise SingularMatrixError(f"near-singular matrix: |det| = {det:.3e}")
     try:
         inv = np.linalg.inv(m)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
-    residual = np.abs(m @ inv - np.eye(n)).max(axis=axes)
-    # residual > 1e-8 * max(1, |inv| * scale), entrywise over the stack
-    if fails((residual > 1e-8) & (residual > 1e-8 * (np.abs(inv).max(axis=axes) * scale))):
-        raise SingularMatrixError(f"ill-conditioned inverse: residual = {np.max(residual):.3e}")
+    residual = np.abs(m @ inv - np.eye(n)).max()
+    if residual > 1e-8 * max(1.0, np.abs(inv).max() * scale):
+        raise SingularMatrixError(f"ill-conditioned inverse: residual = {residual:.3e}")
     return inv
 
 

@@ -239,11 +239,13 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float,
     that bracket.
 
     Raises:
-        ValueError: threshold below the null window mean.
+        ValueError: lambda0 not finite and positive, threshold not finite,
+            or threshold below the null window mean.
         DomainError: threshold not reachable inside the MGF domain.
     """
-    if lambda0 <= 0:
-        raise ValueError("lambda0 must be positive")
+    _check_lambda0(lambda0)
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold!r}")
     null_mean = null_window_mean(lambda0, sm, window)
     if threshold < null_mean * (1.0 - 1e-12):
         raise ValueError(f"threshold {threshold!r} is below the null window "
@@ -435,6 +437,11 @@ def analytic_nu(tilt: TiltSolution, sm: ScoreModel) -> float:
     return min(nu, 1.0)
 
 
+def _check_lambda0(lambda0: float) -> None:
+    if not 0.0 < lambda0 < np.inf:
+        raise ValueError(f"lambda0 must be finite and positive, got {lambda0!r}")
+
+
 def _check_nu_fixed(nu_fixed: float | None) -> None:
     if nu_fixed is not None and not 0.0 < nu_fixed <= 1.0:
         raise ValueError(f"nu_fixed must lie in (0, 1], got {nu_fixed!r}")
@@ -484,8 +491,8 @@ def p_value(threshold: float, window: int, total_length: int, lambda0: float,
     degenerate and its cumulant curvature vanishes.
 
     Raises:
-        ValueError: nu_fixed outside (0, 1], or threshold at or below the
-            null window mean.
+        ValueError: nu_fixed outside (0, 1], lambda0 or threshold refused
+            by solve_tilt, or threshold at or below the null window mean.
     """
     _check_nu_fixed(nu_fixed)
     tilt = solve_tilt(lambda0, sm, threshold, window)
@@ -554,17 +561,19 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
     deterministic).
 
     Raises:
-        ValueError: alpha outside (0, 1) or nu_fixed outside (0, 1].
+        ValueError: alpha outside (0, 1), nu_fixed outside (0, 1], or
+            lambda0 not finite and positive.
         DomainError: h < 0 throughout a closed bracket (alpha above the
-            peak) or h > 0 up to the MGF domain edge, or p jumps across
-            alpha inside a closed bracket (as for pcs under compat_paper,
-            where p falls from 1 to 0).
+            peak), h > 0 up to the MGF domain edge or at every p-value of a
+            pass (pcs under compat_paper at w = 1000: p = 1 up to lambda0
+            e^w), or p jumps across alpha in a closed bracket (at small w).
         ConvergenceError: a pass takes ROOT_MAX_ITER p-values, or the
             search ROOT_MAX_ITER passes.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     _check_nu_fixed(nu_fixed)
+    _check_lambda0(lambda0)
     null_mean = null_window_mean(lambda0, sm, window)
     target = np.log(-np.log1p(-alpha))
     exact = []  # (theta1, log nu) at each analytic_nu so far
@@ -630,6 +639,9 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
                 x = step if sm.compat_paper else x + np.log(step / b) / (mean + var / mean)
             if not lo < x < hi:
                 x = mid
+        if "hi" not in ends:  # h > 0 at every threshold tried
+            raise DomainError(f"alpha={alpha!r} is not attainable by any threshold "
+                              f"up to {b_lo:.10g}")
         raise ConvergenceError(f"threshold search for alpha={alpha!r} did not "
                                f"converge in {ROOT_MAX_ITER} p-values")
 

@@ -89,11 +89,20 @@ class TestParser:
         ["power", "--nu-fixed", "1.5"],
         ["mgf", "--points", "1"],
         ["simulate", "--multipliers", "0.5,1,1"],
+        ["scan", "--lambda0", "nan"],
+        ["scan", "--lambda0", "inf"],
+        ["scan", "--lambda0", "0"],
+        ["simulate", "--lambda0-target", "nan"],
+        ["power", "--lambda0-target", "inf"],
+        ["scan", "--threshold", "nan"],
+        ["scan", "--threshold=-inf"],
     ])
-    def test_out_of_range_exits_2(self, argv):
+    def test_out_of_range_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+        flag = argv[1].split("=")[0]
+        assert f"argument {flag}:" in capsys.readouterr().err
 
     def test_invalid_half_length_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -31,19 +31,6 @@ class TestMatInv:
         inv = mat_inv(m)
         assert np.allclose(m @ inv, np.eye(3), atol=1e-8)
 
-    def test_stack_inverts_each_matrix(self, rng):
-        stack = rng.random((5, 4, 4)) + 4.0 * np.eye(4) + 1j * rng.random((5, 4, 4))
-        inv = mat_inv(stack)
-        assert inv.shape == stack.shape
-        for m, m_inv in zip(stack, inv):
-            assert np.array_equal(m_inv, mat_inv(m))
-
-    def test_stack_with_one_singular_member(self, rng):
-        stack = rng.random((3, 3, 3)) + 3.0 * np.eye(3)
-        stack[1] = np.ones((3, 3))
-        with pytest.raises(SingularMatrixError):
-            mat_inv(stack)
-
 
 def entries_first(stack):
     """A stack of matrices (N, n, n) laid out entries-first, (n, n, N)."""

@@ -32,6 +32,7 @@ from oracles import (
     poisson_compound_pmf,
     window_sums,
 )
+from test_cli import invoke
 from test_mgf import markov_models
 
 W = 135_301
@@ -56,6 +57,21 @@ def bws():
 @pytest.fixture(scope="module")
 def pcs():
     return ScoreModel("pcs", bohv1_model(), 6)
+
+
+# (lambda0, threshold) pairs of which one is not finite, or lambda0 not positive
+BAD_RATE_OR_THRESHOLD = [(np.nan, 5.0), (np.inf, 5.0), (0.0, 5.0), (-1e-3, 5.0),
+                         (1e-3, np.nan), (1e-3, np.inf), (1e-3, -np.inf)]
+
+
+def fresh_model_without_kernel(monkeypatch):
+    """A pls model with nothing cached, and an MGF kernel that fails the
+    test when it is called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the MGF kernel was called")
+    sm = ScoreModel("pls", bohv1_model(), 6)
+    monkeypatch.setattr(mgf_module, "_mgf_jet", refuse)
+    return sm
 
 
 def series_of(events, window, total):
@@ -209,6 +225,13 @@ class TestSolveTilt:
         with pytest.raises(ValueError, match="mean"):
             solve_tilt(lam0, pls, 0.5, WINDOW)
 
+    @pytest.mark.parametrize("lambda0,threshold", BAD_RATE_OR_THRESHOLD)
+    def test_bad_rate_or_threshold_rejected_before_the_kernel(self, lambda0, threshold,
+                                                              monkeypatch):
+        sm = fresh_model_without_kernel(monkeypatch)
+        with pytest.raises(ValueError, match="lambda0|threshold"):
+            solve_tilt(lambda0, sm, threshold, WINDOW)
+
     def test_monotone_in_threshold(self, lam0, pls):
         tilts = [solve_tilt(lam0, pls, b, WINDOW).theta1 for b in (5.0, 8.0, 12.0)]
         assert tilts == sorted(tilts)
@@ -289,6 +312,13 @@ class TestPvalue:
     def test_below_mean_rejected(self, lam0, pls):
         with pytest.raises(ValueError):
             p_value(0.2, WINDOW, W, lam0, pls, nu_fixed=1.0)
+
+    @pytest.mark.parametrize("lambda0,threshold", BAD_RATE_OR_THRESHOLD)
+    def test_bad_rate_or_threshold_rejected_before_the_kernel(self, lambda0, threshold,
+                                                              monkeypatch):
+        sm = fresh_model_without_kernel(monkeypatch)
+        with pytest.raises(ValueError, match="lambda0|threshold"):
+            p_value(threshold, WINDOW, W, lambda0, sm)
 
     def test_monotone_decreasing_on_decay_branch(self, lam0, pls):
         ps = [
@@ -505,8 +535,8 @@ class TestAnalyticNu:
             monkeypatch.setattr(np.linalg, name, lambda *a, f=getattr(np.linalg, name),
                                 name=name, **k: linalg_calls.append(name) or f(*a, **k))
         analytic_nu(tilt, bws)
-        assert len(kernel_sizes) == 1
-        assert kernel_sizes[0] >= mgf_module.STACK_MIN_NODES
+        nodes, _ = scan_module._nu_quadrature(bws, 0.5 * tilt.theta1)
+        assert kernel_sizes == [2 + nodes.size]  # 0 and theta1 go first
         assert linalg_calls == []
 
     def test_bws_continuous_across_old_small_tilt_cut(self, lam0, bws):
@@ -647,18 +677,29 @@ class TestThresholdForAlpha:
         b1 = threshold_for_alpha(0.01, WINDOW, W, lam0, pls, nu_fixed=1.0)
         assert b1 > b5
 
+    @pytest.mark.parametrize("lambda0", [np.nan, np.inf, 0.0, -1e-3])
+    @pytest.mark.parametrize("nu_fixed", [None, 1.0])
+    def test_bad_rate_rejected_before_the_kernel(self, lambda0, nu_fixed, monkeypatch):
+        sm = fresh_model_without_kernel(monkeypatch)
+        with pytest.raises(ValueError, match="lambda0"):
+            threshold_for_alpha(0.05, WINDOW, W, lambda0, sm, nu_fixed=nu_fixed)
+
     def test_unattainable_alpha(self, lam0, pls):
         # with only 200 windows the exceedance probability peaks well below
         # 0.9, so no threshold can attain that alpha
         with pytest.raises(DomainError, match="alpha"):
             threshold_for_alpha(0.9, WINDOW, 1200, lam0, pls, nu_fixed=1.0)
 
-    @pytest.mark.parametrize("window,total", [(50, 100), (100, 10**7)])
-    def test_compat_pcs_jump_raises(self, window, total, lam0):
+    @pytest.mark.parametrize("window,total,match", [
+        (50, 100, "jumps"), (100, 10**7, "jumps"), (1000, 135_301, "not attainable"),
+    ], ids=["50-100", "100-10000000", "1000-135301"])
+    def test_compat_pcs_jump_raises(self, window, total, match, lam0):
         # under compat_paper the pcs p falls from 1 straight to 0 (at about
-        # 5.7e18 and 2.9e40 here), so no threshold has p near alpha
+        # 5.7e18 and 2.9e40 for the first two), so no threshold has p near
+        # alpha; at w = 1000 p stays 1 up to b = lambda0 e^w, beyond float
+        # range, so every threshold the search tries has p = 1
         sm = ScoreModel("pcs", bohv1_model(), 6, compat_paper=True)
-        with pytest.raises(DomainError, match="jumps"):
+        with pytest.raises(DomainError, match=match):
             threshold_for_alpha(0.05, window, total, lam0, sm)
 
     @pytest.mark.parametrize("total,alpha,nu_fixed", [
@@ -718,6 +759,48 @@ class TestNuFixedValidation:
         with pytest.raises(ValueError, match="nu_fixed"):
             threshold_for_alpha(0.05, WINDOW, W, lam0, pls, nu_fixed=nu_fixed)
         assert evaluated == []
+
+
+class TestKernelTraffic:
+    """The MGF kernel takes the block products for a scalar and node-vector
+    arithmetic for any array, which is several times slower than the block
+    products for a handful of arguments. So every caller the pipeline runs
+    passes a scalar or a stack of at least MIN_NODES arguments."""
+
+    MIN_NODES = 64
+
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        shapes = []
+        kernel = mgf_module._mgf_jet
+        monkeypatch.setattr(mgf_module, "_mgf_jet", lambda sm, z, order=0: (
+            shapes.append(np.shape(z)) or kernel(sm, z, order)))
+        return shapes
+
+    def check(self, shapes):
+        assert shapes
+        small = [s for s in shapes if s != () and not (len(s) == 1 and s[0] >= self.MIN_NODES)]
+        assert small == []
+
+    @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
+    def test_cli_scan(self, kind, data_dir, shapes):
+        code, _ = invoke("scan", "--input", str(data_dir / "sample.fa"), "--score", kind)
+        assert code == 0
+        self.check(shapes)
+
+    @pytest.mark.parametrize("kind", ["pls", "bws"])
+    @pytest.mark.parametrize("alpha", [0.05, 1e-3])
+    @pytest.mark.parametrize("nu_fixed", [None, 1.0])
+    def test_threshold_for_alpha(self, kind, alpha, nu_fixed, lam0, bohv1, shapes):
+        threshold_for_alpha(alpha, WINDOW, W, lam0, ScoreModel(kind, bohv1, 6),
+                            nu_fixed=nu_fixed)
+        self.check(shapes)
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_analytic_nu_about_the_fine_panel_tilt(self, scale, lam0, bohv1, shapes):
+        sm = ScoreModel("bws", bohv1, 6)
+        analytic_nu(tilt_at(sm, scale * scan_module.NU_FINE_TILT, lam0), sm)
+        self.check(shapes)
 
 
 class TestWindowSeries:
