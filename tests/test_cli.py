@@ -445,9 +445,121 @@ class TestPinnedOutput:
     (theta1 by 3.9e-14) when solve_tilt's Newton stop became relative.
     The mgf grids and the compat_paper power thresholds were recorded while
     every scalar MGF argument already ran on the kernel's block products.
+    The estimate tables, the simulate and power JSON, the per-replicate
+    threshold table and the window series were recorded while sim,
+    palindrome and markov still rendered their own tables.
     """
 
     ARGS = ("--replicates", "4", "--length", "20000", "--seed", "3")
+
+    ESTIMATE_HEADER = (
+        "id\tlength\tdropped\tlambda_avg\tlambda_iid\tlambda_markov"
+        "\tpi_A\tpi_C\tpi_G\tpi_T\tp_AA\tp_AC\tp_AG\tp_AT\tp_CA\tp_CC\tp_CG"
+        "\tp_CT\tp_GA\tp_GC\tp_GG\tp_GT\tp_TA\tp_TC\tp_TG\tp_TT")
+
+    def test_estimate(self, sample_path):
+        assert invoke("estimate", "--input", sample_path) == (0, (
+            f"{self.ESTIMATE_HEADER}\n"
+            "sample-20k synthetic first-order sequence\t20000\t0\t0.00135"
+            "\t0.0007427154154\t0.001130395015\t0.1334\t0.3619\t0.36385\t0.14085"
+            "\t0.178035982\t0.3268365817\t0.3523238381\t0.1428035982"
+            "\t0.130717148\t0.2986043941\t0.4309796877\t0.1396987702"
+            "\t0.1279373368\t0.4587055105\t0.2984746461\t0.1148825065"
+            "\t0.1121760738\t0.3077742279\t0.3709620163\t0.2090876819\n"))
+        expected = [{
+            "id": "sample-20k synthetic first-order sequence",
+            "length": 20000, "dropped": 0, "lambda_avg": 0.00135,
+            "lambda_iid": 0.0007427154153629537,
+            "lambda_markov": 0.001130395014503999,
+            "model": {
+                "pi": [0.1334, 0.3619, 0.36385, 0.14085],
+                "trans": [
+                    [0.178035982009, 0.326836581709, 0.352323838081, 0.142803598201],
+                    [0.130717147989, 0.298604394086, 0.430979687716, 0.139698770209],
+                    [0.127937336815, 0.458705510513, 0.298474646145, 0.114882506527],
+                    [0.112176073837, 0.307774227902, 0.370962016329, 0.209087681931],
+                ],
+            },
+        }]
+        assert invoke("estimate", "--input", sample_path, "--json") == (
+            0, json.dumps(expected, indent=2) + "\n")
+
+    @pytest.mark.parametrize("fmt", [(), ("--json",)])
+    def test_estimate_unestimable_writes_nothing(self, data_dir, fmt):
+        # record beta of mixed.fa cannot be fitted; no row of the records
+        # before it reaches stdout
+        assert invoke("estimate", "--input", str(data_dir / "mixed.fa"), *fmt) == (1, "")
+
+    def test_simulate_json(self):
+        code, text = invoke("simulate", *self.ARGS, "--json",
+                            "--multipliers", "1,1,1", "--multipliers", "10,10,10")
+        assert code == 0
+        expected = [
+            {"multipliers": [1.0, 1.0, 1.0], "replicates": 4,
+             "lambda_avg": 0.0015375, "lambda_avg_se": 7.180703308172532e-05,
+             "lambda_markov": 0.0010943556522432065,
+             "lambda_markov_se": 1.900103050432758e-05},
+            {"multipliers": [10.0, 10.0, 10.0], "replicates": 4,
+             "lambda_avg": 0.0030749999999999996,
+             "lambda_avg_se": 0.00016894279110594407,
+             "lambda_markov": 0.001144568497760454,
+             "lambda_markov_se": 2.3635152601722142e-05},
+        ]
+        assert text == json.dumps(expected, indent=2) + "\n"
+
+    def test_power_json(self):
+        code, text = invoke("power", *self.ARGS, "--nu-fixed", "1.0", "--json",
+                            "--multipliers", "10,10,10", "--multipliers", "3,3,3")
+        assert code == 0
+
+        def row(estimator, rate, threshold, powers):
+            return {"estimator": estimator, "rate": rate, "threshold": threshold,
+                    "powers": powers}
+
+        expected = [
+            {"kind": "pls", "alpha": 0.05, "multipliers": [10.0, 10.0, 10.0],
+             "replicates": 4, "rows": [
+                 row("average", 0.0030749999999999996, 13.414496124976155,
+                     [0.5, 0.25, 1.0]),
+                 row("markov", 0.001144568497760454, 8.150247543567884,
+                     [0.75, 0.75, 1.0])]},
+            {"kind": "pls", "alpha": 0.05, "multipliers": [3.0, 3.0, 3.0],
+             "replicates": 4, "rows": [
+                 row("average", 0.0018124999999999999, 10.16836805854336,
+                     [0.25, 0.0, 0.0]),
+                 row("markov", 0.0011034909379832119, 8.014185401536787,
+                     [0.25, 0.25, 0.5])]},
+        ]
+        assert text == json.dumps(expected, indent=2) + "\n"
+
+    def test_power_per_replicate_thresholds(self):
+        code, text = invoke("power", *self.ARGS, "--nu-fixed", "1.0",
+                            "--per-replicate-thresholds",
+                            "--multipliers", "10,10,10", "--multipliers", "3,3,3")
+        assert code == 0
+        assert text == (
+            "kind\talpha\tmultipliers\testimator\trate\tthreshold"
+            "\tpower1\tpower2\tpower3\n"
+            "pls\t0.05\t10,10,10\taverage\t0.003075\t13.40492473"
+            "\t0.7500\t0.2500\t1.0000\n"
+            "pls\t0.05\t10,10,10\tmarkov\t0.001144568498\t8.149376025"
+            "\t0.7500\t0.7500\t1.0000\n"
+            "pls\t0.05\t3,3,3\taverage\t0.0018125\t10.15601455"
+            "\t0.2500\t0.0000\t0.0000\n"
+            "pls\t0.05\t3,3,3\tmarkov\t0.001103490938\t8.013382348"
+            "\t0.2500\t0.2500\t0.5000\n"
+        )
+
+    def test_dump_series(self, sample_path, tmp_path):
+        out = tmp_path / "series.tsv"
+        code, _ = invoke("scan", "--input", sample_path, "--dump-series", str(out))
+        assert code == 0
+        text = out.read_text()
+        lines = text.splitlines()
+        assert text.endswith("\n")
+        assert len(lines) == 19_002
+        assert lines[:2] == ["t\tvalue", "0\t3.166666667"]
+        assert lines[-1] == "19000\t3"
 
     def test_simulate(self):
         code, text = invoke("simulate", *self.ARGS,
