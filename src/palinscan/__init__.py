@@ -39,7 +39,6 @@ from .markov import (
     iid_model,
     iid_rate,
     markov_rate,
-    model_to_json,
     quasi_transition_matrix,
 )
 from .mgf import (
@@ -54,7 +53,6 @@ from .mgf import (
 from .palindrome import (
     PalindromeTable,
     average_rate,
-    events_to_tsv,
     find_palindromes,
     pattern_log_prob,
     score_events,
@@ -88,9 +86,7 @@ from .sim import (
     default_hotspot_specs,
     insert_hotspots,
     power_experiment,
-    power_result_to_tsv,
     rate_experiment,
-    rate_results_to_tsv,
 )
 
 __version__ = "0.1.0"
@@ -131,7 +127,6 @@ __all__ = [
     "cumulants",
     "default_hotspot_specs",
     "estimate_model",
-    "events_to_tsv",
     "fetch_sequence",
     "find_palindromes",
     "generate_sequence",
@@ -143,16 +138,13 @@ __all__ = [
     "markov_rate",
     "mgf_at_length",
     "mgf_domain",
-    "model_to_json",
     "p_value",
     "parse_fasta",
     "parse_fasta_file",
     "pattern_log_prob",
     "power_experiment",
-    "power_result_to_tsv",
     "quasi_transition_matrix",
     "rate_experiment",
-    "rate_results_to_tsv",
     "require_in_domain",
     "reverse_complement",
     "score_events",

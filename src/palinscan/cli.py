@@ -10,6 +10,11 @@ Subcommands:
 Each subcommand takes only the flags it reads, so a misplaced flag is an
 error rather than silently ignored; flag values are range-checked while
 parsing. Output is TSV on stdout by default; ``--json`` switches to JSON.
+This module is the package's one output layer: the library returns data,
+and every table and document is written here by _write_tsv and
+_write_json. The simulate and power tables have one multiplier or power
+column per hot-spot segment of the widest scenario; a scenario with fewer
+segments leaves the rest of its cells empty.
 ``--compat-paper`` (scan, mgf, power) builds the score model with
 ``compat_paper=True``, the paper's literal conventions (see ScoreModel), for
 side-by-side comparison with the defaults.
@@ -31,20 +36,17 @@ from .markov import (
     estimate_model,
     iid_rate,
     markov_rate,
-    model_to_json,
 )
 from .mgf import SCORE_KINDS, ScoreModel, cumulants, score_mgf
-from .palindrome import average_rate, events_to_tsv, find_palindromes, score_events
+from .palindrome import average_rate, find_palindromes, score_events
 from .scan import null_window_mean, p_value, window_scores
-from .seqio import ALPHABET, FastaRecord, fetch_sequence, parse_fasta_file
+from .seqio import ALPHABET, FastaRecord, decode, fetch_sequence, parse_fasta_file
 from .sim import (
     HOTSPOT_LENGTH,
     ExperimentConfig,
     min_seq_length,
     power_experiment,
-    power_result_to_tsv,
     rate_experiment,
-    rate_results_to_tsv,
 )
 
 SCAN_REPORT_KEYS = ("w", "W", "lambda0", "kind", "b", "theta1", "lambda1",
@@ -67,8 +69,9 @@ def _parse_multipliers(text: str) -> tuple[float, ...]:
         values = tuple(float(x) for x in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad multiplier list {text!r}") from exc
-    if any(a < 1.0 for a in values):
-        raise argparse.ArgumentTypeError(f"multipliers must be >= 1, got {text!r}")
+    if not all(1.0 <= a < np.inf for a in values):  # NaN fails too
+        raise argparse.ArgumentTypeError(
+            f"multipliers must be finite and >= 1, got {text!r}")
     return values
 
 
@@ -91,8 +94,8 @@ _FLAGS = {
                          help="simulation replicates (default 500)"),
     "--multipliers": dict(action="append", default=None, type=_parse_multipliers,
                           metavar="a1,a2,a3",
-                          help="hot-spot rate multipliers, each >= 1; repeat for "
-                               "several scenarios (default 1,1,1)"),
+                          help="hot-spot rate multipliers, each finite and >= 1; "
+                               "repeat for several scenarios (default 1,1,1)"),
     "--score": dict(choices=("pcs", "pls", "bws"), default="pls",
                     help="score kind (default pls)"),
     "--json": dict(dest="json_output", action="store_true",
@@ -187,6 +190,28 @@ def _model_for(args: argparse.Namespace) -> MarkovModel:
     return estimate_model(rec.seq) if rec else bohv1_model()
 
 
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.10g}"
+    return str(value)
+
+
+def _write_tsv(out, header, rows) -> None:
+    """A header line, then one line per row: floats at 10 significant
+    digits, every other cell (text the caller formatted) as it is."""
+    out.write("\t".join(header) + "\n")
+    for row in rows:
+        out.write("\t".join(map(_cell, row)) + "\n")
+
+
+def _write_json(out, payload) -> None:
+    out.write(json.dumps(payload, indent=2) + "\n")
+
+
+def _round12(values) -> list[float]:
+    return [float(f"{x:.12g}") for x in values]
+
+
 def _cmd_estimate(args: argparse.Namespace, out) -> int:
     records = _load_records(args)
     if not records:
@@ -202,27 +227,17 @@ def _cmd_estimate(args: argparse.Namespace, out) -> int:
             "lambda_avg": average_rate(events).value,
             "lambda_iid": iid_rate(model.pi, args.half_length).value,
             "lambda_markov": markov_rate(model, args.half_length).value,
-            "model": json.loads(model_to_json(model)),
+            "model": {"pi": _round12(model.pi),
+                      "trans": [_round12(row) for row in model.trans]},
         })
     if args.json_output:
-        out.write(json.dumps(results, indent=2) + "\n")
+        _write_json(out, results)
         return 0
-    pi_cols = "\t".join(f"pi_{c}" for c in ALPHABET)
-    trans_cols = "\t".join(
-        f"p_{a}{b}" for a in ALPHABET for b in ALPHABET
-    )
-    out.write("id\tlength\tdropped\tlambda_avg\tlambda_iid\tlambda_markov"
-              f"\t{pi_cols}\t{trans_cols}\n")
-    for r in results:
-        pi = "\t".join(f"{x:.10g}" for x in r["model"]["pi"])
-        trans = "\t".join(
-            f"{x:.10g}" for row in r["model"]["trans"] for x in row
-        )
-        out.write(
-            f"{r['id']}\t{r['length']}\t{r['dropped']}"
-            f"\t{r['lambda_avg']:.10g}\t{r['lambda_iid']:.10g}"
-            f"\t{r['lambda_markov']:.10g}\t{pi}\t{trans}\n"
-        )
+    scalars = ("id", "length", "dropped", "lambda_avg", "lambda_iid", "lambda_markov")
+    _write_tsv(out, (*scalars, *(f"pi_{c}" for c in ALPHABET),
+                     *(f"p_{a}{b}" for a in ALPHABET for b in ALPHABET)),
+               ([*(r[k] for k in scalars), *r["model"]["pi"],
+                 *(x for row in r["model"]["trans"] for x in row)] for r in results))
     return 0
 
 
@@ -270,24 +285,31 @@ def _cmd_scan(args: argparse.Namespace, out) -> int:
     ordered = {k: full[k] for k in SCAN_REPORT_KEYS}
     if args.dump_series:
         with open(args.dump_series, "w") as fh:
+            # one line per window start, formatted in place: faster than _write_tsv
             fh.write("t\tvalue\n")
             for t, v in enumerate(series.values):
                 fh.write(f"{t}\t{v:.10g}\n")
     if args.dump_events:
-        with open(args.dump_events, "w") as fh:
-            fh.write(events_to_tsv(events, model))
+        _dump_events(args.dump_events, events, model)
     if args.json_output:
-        out.write(json.dumps(ordered, indent=2) + "\n")
+        _write_json(out, ordered)
     else:
-        out.write("\t".join(SCAN_REPORT_KEYS) + "\n")
-        out.write("\t".join(_cell(ordered[k]) for k in SCAN_REPORT_KEYS) + "\n")
+        _write_tsv(out, SCAN_REPORT_KEYS, [ordered.values()])
     return 0
 
 
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
+def _dump_events(path: str, events, model: MarkovModel) -> None:
+    """Each event's centre, half-length and pattern, and its score of each
+    kind under model at the table's threshold."""
+    scores = [score_events(events, ScoreModel(kind, model, events.min_half_length))
+              for kind in SCORE_KINDS]
+    centers, half_lengths = events.centers.tolist(), events.half_lengths.tolist()
+    bases = events.seq.bases
+    patterns = [decode(bases[c - h + 1 : c + h + 1])
+                for c, h in zip(centers, half_lengths)]
+    with open(path, "w") as fh:
+        _write_tsv(fh, ("center", "half_length", "pattern", *SCORE_KINDS),
+                   zip(centers, half_lengths, patterns, *(x.tolist() for x in scores)))
 
 
 def _cmd_mgf(args: argparse.Namespace, out) -> int:
@@ -305,12 +327,9 @@ def _cmd_mgf(args: argparse.Namespace, out) -> int:
         row["phi"], row["phi_prime"], row["phi_double_prime"] = cumulants(sm, t)
         rows.append(row)
     if args.json_output:
-        out.write(json.dumps(rows, indent=2) + "\n")
-        return 0
-    cols = ["t", "mgf_pls", "mgf_bws", "phi", "phi_prime", "phi_double_prime"]
-    out.write("\t".join(cols) + "\n")
-    for row in rows:
-        out.write("\t".join(f"{row[c]:.10g}" for c in cols) + "\n")
+        _write_json(out, rows)
+    else:
+        _write_tsv(out, rows[0], (row.values() for row in rows))
     return 0
 
 
@@ -334,10 +353,15 @@ def _experiments(args: argparse.Namespace, **fields) -> list[ExperimentConfig]:
     return configs
 
 
+def _padded(cells: list[str], width: int) -> list[str]:
+    """Per-segment cells of one scenario, left empty past its segments."""
+    return cells + [""] * (width - len(cells))
+
+
 def _cmd_simulate(args: argparse.Namespace, out) -> int:
     results = [rate_experiment(cfg) for cfg in _experiments(args)]
     if args.json_output:
-        payload = [
+        _write_json(out, [
             {
                 "multipliers": list(r.multipliers),
                 "replicates": r.replicates,
@@ -347,10 +371,12 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
                 "lambda_markov_se": r.markov_rate_se,
             }
             for r in results
-        ]
-        out.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        out.write(rate_results_to_tsv(results))
+        ])
+        return 0
+    k = max(len(r.multipliers) for r in results)
+    _write_tsv(out, (*(f"a{j + 1}" for j in range(k)), "lambda_avg", "lambda_markov"),
+               ([*_padded([f"{a:g}" for a in r.multipliers], k),
+                 r.average_rate_mean, r.markov_rate_mean] for r in results))
     return 0
 
 
@@ -362,7 +388,7 @@ def _cmd_power(args: argparse.Namespace, out) -> int:
         for cfg in _experiments(args, window=args.window)
     ]
     if args.json_output:
-        payload = [
+        _write_json(out, [
             {
                 "kind": r.kind,
                 "alpha": r.alpha,
@@ -379,15 +405,15 @@ def _cmd_power(args: argparse.Namespace, out) -> int:
                 ],
             }
             for r in results
-        ]
-        out.write(json.dumps(payload, indent=2) + "\n")
+        ])
         return 0
-    blocks = [power_result_to_tsv(r) for r in results]
-    header = blocks[0].splitlines()[0]
-    out.write(header + "\n")
-    for block in blocks:
-        for line in block.splitlines()[1:]:
-            out.write(line + "\n")
+    k = max(len(r.multipliers) for r in results)
+    _write_tsv(out, ("kind", "alpha", "multipliers", "estimator", "rate", "threshold",
+                     *(f"power{j + 1}" for j in range(k))),
+               ([r.kind, f"{r.alpha:g}", ",".join(f"{a:g}" for a in r.multipliers),
+                 row.estimator, row.rate, row.threshold,
+                 *_padded([f"{p:.4f}" for p in row.powers], k)]
+                for r in results for row in r.rows))
     return 0
 
 

@@ -12,7 +12,6 @@ complementary centre pair.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,16 +326,3 @@ def generate_sequence(model: MarkovModel, length: int,
     del u, v, above
     _walk(maps, first)
     return DnaSeq(bases=out, source_id="generated")
-
-
-def _round12(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
-def model_to_json(model: MarkovModel) -> str:
-    """Serialise a model as JSON with keys "pi" and "trans" (12 sig. digits)."""
-    payload = {
-        "pi": [_round12(x) for x in model.pi],
-        "trans": [[_round12(x) for x in row] for row in model.trans],
-    }
-    return json.dumps(payload)

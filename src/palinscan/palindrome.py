@@ -9,9 +9,11 @@ emitted separately.
 Events are always held as one PalindromeTable: centre and half-length
 arrays over the searched sequence, and the threshold they were searched at.
 It is the one event value from detection to window sums: score_events
-scores it under a ScoreModel of the same threshold, average_rate and
-events_to_tsv read it alone, its centres are the positions window_scores
-sums over, and the hot-spot simulation draws its inserts from one.
+scores it under a ScoreModel of the same threshold, average_rate reads it
+alone, its centres are the positions window_scores sums over, and the
+hot-spot simulation draws its inserts from one. Nothing here renders
+text; the command line writes the scored-events table (scan
+--dump-events).
 PalindromeEvent objects are built only when a table is iterated.
 pattern_log_prob is the bws score of one pattern on its own.
 """
@@ -25,8 +27,8 @@ import numpy as np
 from .errors import InfiniteScoreError
 from .markov import (MarkovModel, RateEstimate, center_pair_probs,
                      quasi_transition_matrix, start_weights)
-from .mgf import SCORE_KINDS, ScoreModel
-from .seqio import DnaSeq, decode
+from .mgf import ScoreModel
+from .seqio import DnaSeq
 
 
 @dataclass(frozen=True)
@@ -263,17 +265,3 @@ def average_rate(events: PalindromeTable) -> RateEstimate:
         raise ValueError("average rate of an empty sequence")
     return RateEstimate(value=len(events) / events.seq.length, method="average",
                         half_length=events.min_half_length)
-
-
-def events_to_tsv(events: PalindromeTable, model: MarkovModel) -> str:
-    """Render events as TSV with columns center, half_length, pattern, pcs,
-    pls, bws, each score under ``model`` at the table's threshold."""
-    scores = [score_events(events, ScoreModel(kind, model, events.min_half_length))
-              for kind in SCORE_KINDS]
-    columns = (events.centers, events.half_lengths, *scores)
-    bases = events.seq.bases
-    lines = ["center\thalf_length\tpattern\tpcs\tpls\tbws"]
-    for c, h, pcs, pls, bws in zip(*(col.tolist() for col in columns)):
-        lines.append(f"{c}\t{h}\t{decode(bases[c - h + 1 : c + h + 1])}"
-                     f"\t{pcs:.10g}\t{pls:.10g}\t{bws:.10g}")
-    return "\n".join(lines) + "\n"

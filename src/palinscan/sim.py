@@ -12,7 +12,9 @@ factors, so it samples the law score_mgf describes under either ScoreModel
 convention.
 Everything is reproducible: replicate i draws from a generator seeded by
 mixing the master seed with (0, i) through numpy's SeedSequence, so results
-do not depend on execution order.
+do not depend on execution order. The experiments return result objects
+holding the per-replicate arrays and summary rows; the command line
+renders them as tables.
 """
 
 from __future__ import annotations
@@ -56,8 +58,9 @@ class HotspotSpec:
     def __post_init__(self):
         if self.start < 0 or self.length < 1:
             raise ValueError("hotspot segment must have start >= 0 and length >= 1")
-        if self.multiplier < 1.0:
-            raise ValueError("hotspot multiplier must be >= 1")
+        if not 1.0 <= self.multiplier < np.inf:  # NaN fails too
+            raise ValueError(f"hotspot multiplier must be finite and >= 1, "
+                             f"got {self.multiplier}")
 
     @property
     def stop(self) -> int:
@@ -86,10 +89,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if any(a < 1.0 for a in self.multipliers):
-            raise ValueError("multipliers must be >= 1")
-        if self.lambda0_target <= 0:
-            raise ValueError("lambda0_target must be positive")
+        if not all(1.0 <= a < np.inf for a in self.multipliers):  # NaN fails too
+            raise ValueError(f"multipliers must be finite and >= 1, "
+                             f"got {self.multipliers}")
+        if not 0.0 < self.lambda0_target < np.inf:
+            raise ValueError(f"lambda0_target must be finite and positive, "
+                             f"got {self.lambda0_target}")
 
 
 @dataclass(frozen=True)
@@ -424,29 +429,3 @@ def power_experiment(cfg: ExperimentConfig, kind: str, alpha: float = 0.05,
                                  multipliers=tuple(cfg.multipliers),
                                  replicates=cfg.replicates, rows=tuple(rows),
                                  segment_maxima=seg_max)
-
-
-def rate_results_to_tsv(results) -> str:
-    """Render rate-experiment rows (one per multiplier scenario) as TSV."""
-    lines = ["a1\ta2\ta3\tlambda_avg\tlambda_markov"]
-    for r in results:
-        mult = "\t".join(f"{a:g}" for a in r.multipliers)
-        lines.append(
-            f"{mult}\t{r.average_rate_mean:.10g}\t{r.markov_rate_mean:.10g}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def power_result_to_tsv(result: PowerExperimentResult) -> str:
-    """Render power-experiment rows as TSV, one line per estimator."""
-    n_seg = len(result.rows[0].powers) if result.rows else 0
-    powers_hdr = "\t".join(f"power{j + 1}" for j in range(n_seg))
-    lines = [f"kind\talpha\tmultipliers\testimator\trate\tthreshold\t{powers_hdr}"]
-    mult = ",".join(f"{a:g}" for a in result.multipliers)
-    for row in result.rows:
-        powers = "\t".join(f"{p:.4f}" for p in row.powers)
-        lines.append(
-            f"{result.kind}\t{result.alpha:g}\t{mult}\t{row.estimator}"
-            f"\t{row.rate:.10g}\t{row.threshold:.10g}\t{powers}"
-        )
-    return "\n".join(lines) + "\n"

@@ -23,9 +23,7 @@ from palinscan import (
     iid_rate,
     markov_rate,
     power_experiment,
-    power_result_to_tsv,
     rate_experiment,
-    rate_results_to_tsv,
     score_events,
     score_mgf,
     solve_tilt,
@@ -218,13 +216,17 @@ def test_overshoot_estimates_consistent():
 
 
 def test_seeded_experiments_byte_identical():
+    # a seed fixes every number of both experiments, bit for bit
     model = bohv1_model()
     cfg = ExperimentConfig(model=model, seq_length=30_000, replicates=3,
                            multipliers=(10.0, 10.0, 10.0), master_seed=404)
-    rate_a = rate_results_to_tsv([rate_experiment(cfg)])
-    rate_b = rate_results_to_tsv([rate_experiment(cfg)])
-    assert rate_a == rate_b
+    rate_a, rate_b = rate_experiment(cfg), rate_experiment(cfg)
+    assert rate_a.average_rates.tobytes() == rate_b.average_rates.tobytes()
+    assert rate_a.markov_rates.tobytes() == rate_b.markov_rates.tobytes()
 
-    power_a = power_result_to_tsv(power_experiment(cfg, "pls", nu_fixed=1.0))
-    power_b = power_result_to_tsv(power_experiment(cfg, "pls", nu_fixed=1.0))
-    assert power_a == power_b
+    power_a, power_b = (power_experiment(cfg, "pls", nu_fixed=1.0) for _ in range(2))
+    assert power_a.segment_maxima.tobytes() == power_b.segment_maxima.tobytes()
+    assert [r.estimator for r in power_a.rows] == [r.estimator for r in power_b.rows]
+    rows_a, rows_b = (np.array([[r.rate, r.threshold, *r.powers] for r in res.rows])
+                      for res in (power_a, power_b))
+    assert rows_a.tobytes() == rows_b.tobytes()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from palinscan import (
+    MarkovModel,
     ScoreModel,
     average_rate,
     bohv1_model,
@@ -21,6 +22,7 @@ from palinscan import (
     markov_rate,
     p_value,
     parse_fasta_file,
+    pattern_log_prob,
 )
 from palinscan.cli import SCAN_REPORT_KEYS, build_parser, main, run
 from palinscan.seqio import decode
@@ -89,6 +91,9 @@ class TestParser:
         ["power", "--nu-fixed", "1.5"],
         ["mgf", "--points", "1"],
         ["simulate", "--multipliers", "0.5,1,1"],
+        ["simulate", "--multipliers", "nan,1,1"],
+        ["simulate", "--multipliers", "inf,1,1"],
+        ["power", "--multipliers", "1,nan,1"],
         ["scan", "--lambda0", "nan"],
         ["scan", "--lambda0", "inf"],
         ["scan", "--lambda0", "0"],
@@ -139,15 +144,21 @@ class TestEstimate:
         assert float(row["pi_A"]) == pytest.approx(model.pi[0], rel=1e-9)
         assert float(row["p_TT"]) == pytest.approx(model.trans[3, 3], rel=1e-9)
 
-    def test_json_structure(self, sample_path):
+    def test_json_structure(self, sample_path, sample_record):
         code, text = invoke("estimate", "--input", sample_path, "--json")
         assert code == 0
+        assert invoke("estimate", "--input", sample_path, "--json") == (code, text)
         payload = json.loads(text)
         assert len(payload) == 1
         entry = payload[0]
         assert set(entry) == {"id", "length", "dropped", "lambda_avg",
                               "lambda_iid", "lambda_markov", "model"}
-        assert len(entry["model"]["trans"]) == 4
+        # the model at 12 significant digits rebuilds the fitted one
+        assert set(entry["model"]) == {"pi", "trans"}
+        fitted = estimate_model(sample_record.seq)
+        again = MarkovModel(pi=entry["model"]["pi"], trans=entry["model"]["trans"])
+        assert np.abs(again.pi - fitted.pi).max() < 1e-11
+        assert np.abs(again.trans - fitted.trans).max() < 1e-11
 
     def test_unestimable_record_exits_1(self, data_dir, capsys):
         # record beta is TTTTAAAA; no subcommand has a pseudocount option,
@@ -259,7 +270,17 @@ class TestScan:
                "--dump-events", str(out))
         lines = out.read_text().splitlines()
         assert lines[0] == "center\thalf_length\tpattern\tpcs\tpls\tbws"
-        assert len(lines) - 1 == len(find_palindromes(sample_record.seq, 6))
+        events = find_palindromes(sample_record.seq, 6)
+        model = estimate_model(sample_record.seq)
+        assert len(lines) - 1 == len(events) > 0
+        # each row carries its event's three scores under the fitted model
+        for e, line in zip(events, lines[1:]):
+            row = line.split("\t")
+            assert row[:3] == [str(e.center), str(e.half_length), str(e.pattern)]
+            assert float(row[3]) == 1.0
+            assert float(row[4]) == pytest.approx(e.half_length / 6, rel=1e-9)
+            assert float(row[5]) == pytest.approx(-pattern_log_prob(e.pattern, model),
+                                                  rel=1e-9)
 
     def test_requires_input(self):
         code, _ = invoke("scan")
@@ -368,6 +389,24 @@ class TestSimulate:
         assert code == 0
         assert len(text.splitlines()) == 3
 
+    def test_mixed_segment_counts(self):
+        # one multiplier column per segment of the widest scenario; a
+        # scenario with fewer segments leaves the rest empty
+        code, text = invoke("simulate", "--replicates", "2", "--length", "20000",
+                            "--multipliers", "2,3,4,5", "--multipliers", "1,1")
+        assert code == 0
+        rows = [line.split("\t") for line in text.splitlines()]
+        assert rows[0] == ["a1", "a2", "a3", "a4", "lambda_avg", "lambda_markov"]
+        assert [len(r) for r in rows] == [6, 6, 6]
+        assert rows[1][:4] == ["2", "3", "4", "5"]
+        assert rows[2][:4] == ["1", "1", "", ""]
+        code, text = invoke("simulate", "--replicates", "2", "--length", "5000",
+                            "--multipliers", "2,3")
+        assert code == 0
+        rows = [line.split("\t") for line in text.splitlines()]
+        assert rows[0] == ["a1", "a2", "lambda_avg", "lambda_markov"]
+        assert len(rows[1]) == 4
+
     def test_json(self):
         code, text = invoke(*self.ARGS, "--json")
         payload = json.loads(text)
@@ -399,8 +438,19 @@ class TestPower:
         assert lines[0] == ("kind\talpha\tmultipliers\testimator\trate"
                             "\tthreshold\tpower1\tpower2\tpower3")
         assert len(lines) == 3
-        assert lines[1].split("\t")[3] == "average"
-        assert lines[2].split("\t")[3] == "markov"
+        assert lines[1].startswith("pls\t0.05\t10,10,10\taverage\t")
+        assert lines[2].startswith("pls\t0.05\t10,10,10\tmarkov\t")
+
+    def test_mixed_segment_counts(self):
+        code, text = invoke("power", "--replicates", "2", "--length", "20000",
+                            "--nu-fixed", "1.0",
+                            "--multipliers", "2,3", "--multipliers", "1,1,1")
+        assert code == 0
+        rows = [line.split("\t") for line in text.splitlines()]
+        assert rows[0][6:] == ["power1", "power2", "power3"]
+        assert [len(r) for r in rows] == [9] * 5
+        assert [r[2] for r in rows[1:]] == ["2,3", "2,3", "1,1,1", "1,1,1"]
+        assert [r[8] == "" for r in rows[1:]] == [True, True, False, False]
 
     def test_rerun_byte_identical(self):
         _, a = invoke(*self.ARGS)

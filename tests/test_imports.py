@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module.
 
 __init__.py is left out: its imports are the package's exports, and
-__all__ must list exactly those.
+__all__ must list exactly those. Output rendering lives in cli.py alone:
+no other module imports json, and no export renders TSV or JSON.
 """
 
 import ast
@@ -48,3 +49,25 @@ def test_all_lists_exactly_the_imported_names():
     imported = {alias.asname or alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert sorted(palinscan.__all__) == sorted(imported)
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules the source imports (relative imports
+    by the module they name, e.g. "markov" for "from .markov import x")."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_cli_imports_json():
+    importers = [p.name for p in sorted(PACKAGE.glob("*.py"))
+                 if "json" in imported_modules(p.read_text())]
+    assert importers == ["cli.py"]
+
+
+def test_no_exported_renderers():
+    assert [n for n in palinscan.__all__ if n.endswith(("_tsv", "_json"))] == []

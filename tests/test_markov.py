@@ -1,5 +1,4 @@
 import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from palinscan import (
     iid_model,
     iid_rate,
     markov_rate,
-    model_to_json,
     quasi_transition_matrix,
 )
 from palinscan.markov import PAIR_BLOCK, _walk
@@ -343,18 +341,3 @@ class TestWalk:
         expected = self.loop_walk(maps, first)
         _walk(maps, first)
         assert np.array_equal(maps, expected)
-
-
-class TestModelJson:
-    def test_round_trip(self, bohv1):
-        payload = json.loads(model_to_json(bohv1))
-        again = MarkovModel(pi=payload["pi"], trans=payload["trans"])
-        assert np.abs(again.pi - bohv1.pi).max() < 1e-11
-        assert np.abs(again.trans - bohv1.trans).max() < 1e-11
-
-    def test_deterministic_text(self, bohv1):
-        assert model_to_json(bohv1) == model_to_json(bohv1)
-
-    def test_keys(self, bohv1):
-        payload = json.loads(model_to_json(bohv1))
-        assert set(payload) == {"pi", "trans"}

@@ -13,7 +13,6 @@ from palinscan import (
     PalindromeTable,
     ScoreModel,
     average_rate,
-    events_to_tsv,
     find_palindromes,
     generate_sequence,
     iid_model,
@@ -314,18 +313,6 @@ class TestScores:
             score_events(events, ScoreModel(kind, uniform, 1))
         assert score_events(events, ScoreModel(kind, uniform, 2)).shape == (len(events),)
 
-    def test_attach_scores(self, uniform):
-        # events_to_tsv attaches each event's three scores to its row
-        events = find_palindromes(seq_of("CCGAATTCGG"), 2)
-        lines = events_to_tsv(events, uniform).splitlines()[1:]
-        rows = [line.split("\t") for line in lines]
-        assert len(rows) == len(events) > 0
-        for e, row in zip(events, rows):
-            assert row[:3] == [str(e.center), str(e.half_length), str(e.pattern)]
-            assert float(row[3]) == 1.0
-            assert float(row[4]) == pytest.approx(e.half_length / 2.0)
-            assert float(row[5]) == pytest.approx(-pattern_log_prob(e.pattern, uniform))
-
 
 class TestScoreEvents:
     def test_matches_score_event(self, bohv1):
@@ -429,28 +416,6 @@ class TestAverageRate:
     def test_length_validation(self):
         with pytest.raises(ValueError, match="empty sequence"):
             average_rate(find_palindromes(seq_of(""), 2))
-
-
-class TestEventsTsv:
-    def test_golden_small_case(self, uniform):
-        events = find_palindromes(seq_of("GAATTC"), 3)
-        text = events_to_tsv(events, uniform)
-        lines = text.splitlines()
-        assert lines[0] == "center\thalf_length\tpattern\tpcs\tpls\tbws"
-        cols = lines[1].split("\t")
-        assert cols[0] == "2"
-        assert cols[1] == "3"
-        assert cols[2] == "GAATTC"
-        assert float(cols[3]) == 1.0
-        assert float(cols[4]) == 1.0
-        assert float(cols[5]) == pytest.approx(
-            -pattern_log_prob(encode("GAATTC"), uniform)
-        )
-
-    def test_deterministic(self, bohv1):
-        s = generate_sequence(bohv1, 20_000, np.random.default_rng(2))
-        events = find_palindromes(s, 4)
-        assert events_to_tsv(events, bohv1) == events_to_tsv(events, bohv1)
 
 
 class TestPalindromeEvent:
