@@ -1,4 +1,6 @@
 import hashlib
+import io
+import json
 
 import numpy as np
 import pytest
@@ -20,7 +22,9 @@ from palinscan import (
     markov_rate,
     quasi_transition_matrix,
 )
+from palinscan.cli import build_parser, run
 from palinscan.markov import PAIR_BLOCK, _walk
+from palinscan.seqio import decode
 
 from oracles import (
     counted_model,
@@ -341,3 +345,36 @@ class TestWalk:
         expected = self.loop_walk(maps, first)
         _walk(maps, first)
         assert np.array_equal(maps, expected)
+
+
+class TestModelJson:
+    # the model document is the "model" field of estimate --json
+    @pytest.fixture(scope="class")
+    def fitted(self, bohv1, tmp_path_factory):
+        seq = generate_sequence(bohv1, 20_000, np.random.default_rng(5))
+        path = tmp_path_factory.mktemp("model") / "bohv1.fa"
+        path.write_text(">sim\n" + decode(seq.bases) + "\n")
+        return str(path), estimate_model(seq)
+
+    @staticmethod
+    def model_json(path):
+        buf = io.StringIO()
+        args = build_parser().parse_args(["estimate", "--input", path, "--json"])
+        assert run(args, out=buf) == 0
+        return buf.getvalue()
+
+    def test_round_trip(self, fitted):
+        path, model = fitted
+        payload = json.loads(self.model_json(path))[0]["model"]
+        again = MarkovModel(pi=payload["pi"], trans=payload["trans"])
+        assert np.abs(again.pi - model.pi).max() < 1e-11
+        assert np.abs(again.trans - model.trans).max() < 1e-11
+
+    def test_deterministic_text(self, fitted):
+        path, _ = fitted
+        assert self.model_json(path) == self.model_json(path)
+
+    def test_keys(self, fitted):
+        path, _ = fitted
+        payload = json.loads(self.model_json(path))[0]["model"]
+        assert set(payload) == {"pi", "trans"}

@@ -21,6 +21,7 @@ from palinscan import (
     score_events,
 )
 from palinscan import palindrome
+from palinscan.cli import _dump_events
 from palinscan.palindrome import PalindromeEvent
 from palinscan.seqio import encode
 
@@ -35,6 +36,13 @@ from oracles import (
 
 def seq_of(text: str) -> DnaSeq:
     return DnaSeq.from_string(text)
+
+
+def events_tsv(events, model, directory) -> str:
+    """The table scan --dump-events writes for events under model."""
+    path = directory / "events.tsv"
+    _dump_events(str(path), events, model)
+    return path.read_text()
 
 
 def one_event(table: PalindromeTable, i: int) -> PalindromeTable:
@@ -313,6 +321,18 @@ class TestScores:
             score_events(events, ScoreModel(kind, uniform, 1))
         assert score_events(events, ScoreModel(kind, uniform, 2)).shape == (len(events),)
 
+    def test_attach_scores(self, uniform, tmp_path):
+        # --dump-events attaches each event's three scores to its row
+        events = find_palindromes(seq_of("CCGAATTCGG"), 2)
+        lines = events_tsv(events, uniform, tmp_path).splitlines()[1:]
+        rows = [line.split("\t") for line in lines]
+        assert len(rows) == len(events) > 0
+        for e, row in zip(events, rows):
+            assert row[:3] == [str(e.center), str(e.half_length), str(e.pattern)]
+            assert float(row[3]) == 1.0
+            assert float(row[4]) == pytest.approx(e.half_length / 2.0)
+            assert float(row[5]) == pytest.approx(-pattern_log_prob(e.pattern, uniform))
+
 
 class TestScoreEvents:
     def test_matches_score_event(self, bohv1):
@@ -416,6 +436,28 @@ class TestAverageRate:
     def test_length_validation(self):
         with pytest.raises(ValueError, match="empty sequence"):
             average_rate(find_palindromes(seq_of(""), 2))
+
+
+class TestEventsTsv:
+    def test_golden_small_case(self, uniform, tmp_path):
+        events = find_palindromes(seq_of("GAATTC"), 3)
+        text = events_tsv(events, uniform, tmp_path)
+        lines = text.splitlines()
+        assert lines[0] == "center\thalf_length\tpattern\tpcs\tpls\tbws"
+        cols = lines[1].split("\t")
+        assert cols[0] == "2"
+        assert cols[1] == "3"
+        assert cols[2] == "GAATTC"
+        assert float(cols[3]) == 1.0
+        assert float(cols[4]) == 1.0
+        assert float(cols[5]) == pytest.approx(
+            -pattern_log_prob(encode("GAATTC"), uniform)
+        )
+
+    def test_deterministic(self, bohv1, tmp_path):
+        s = generate_sequence(bohv1, 20_000, np.random.default_rng(2))
+        events = find_palindromes(s, 4)
+        assert events_tsv(events, bohv1, tmp_path) == events_tsv(events, bohv1, tmp_path)
 
 
 class TestPalindromeEvent:

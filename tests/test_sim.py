@@ -1,3 +1,4 @@
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from palinscan import (
     rate_experiment,
     score_mgf,
 )
+from palinscan.cli import build_parser, run
 from palinscan.sim import (
     _replicate_rng,
     _segment_window_bounds,
@@ -32,6 +34,13 @@ from palinscan.sim import (
 )
 
 from oracles import iid_geometric_mgf, quasi_matrix, random_model, series_mgf
+
+
+def cli_output(*argv) -> str:
+    """stdout of one palinscan command line run in-process."""
+    buf = io.StringIO()
+    assert run(build_parser().parse_args(list(argv)), out=buf) == 0
+    return buf.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -312,6 +321,13 @@ class TestRateExperiment:
         assert res.replicates == 3
         assert res.average_rate_se > 0.0
 
+    def test_tsv_header(self):
+        # the table simulate writes for _cfg((1.0, 1.0, 1.0), reps=2)
+        lines = cli_output("simulate", "--length", "40000", "--replicates", "2",
+                           "--multipliers", "1,1,1", "--seed", "0").splitlines()
+        assert lines[0] == "a1\ta2\ta3\tlambda_avg\tlambda_markov"
+        assert len(lines) == 2
+
 
 class TestPowerExperiment:
     def _cfg(self, reps=3, seed=1):
@@ -356,6 +372,15 @@ class TestPowerExperiment:
         assert len(res.rows) == 2
         for row in res.rows:
             assert row.threshold > 0
+
+    def test_tsv_layout(self):
+        # the table power writes for _cfg(reps=2) with the pls score
+        lines = cli_output("power", "--length", "40000", "--replicates", "2",
+                           "--multipliers", "30,30,30", "--seed", "1",
+                           "--nu-fixed", "1.0").splitlines()
+        assert lines[0] == "kind\talpha\tmultipliers\testimator\trate\tthreshold\tpower1\tpower2\tpower3"
+        assert lines[1].startswith("pls\t0.05\t30,30,30\taverage")
+        assert lines[2].startswith("pls\t0.05\t30,30,30\tmarkov")
 
     def test_bws_kind_runs(self):
         res = power_experiment(self._cfg(reps=2), "bws", nu_fixed=1.0)
