@@ -45,9 +45,7 @@ from .mgf import (
     ScoreModel,
     cumulants,
     increment_log_charfn,
-    mgf_at_length,
     mgf_domain,
-    require_in_domain,
     score_mgf,
 )
 from .palindrome import (
@@ -136,7 +134,6 @@ __all__ = [
     "increment_log_charfn",
     "insert_hotspots",
     "markov_rate",
-    "mgf_at_length",
     "mgf_domain",
     "p_value",
     "parse_fasta",
@@ -145,7 +142,6 @@ __all__ = [
     "power_experiment",
     "quasi_transition_matrix",
     "rate_experiment",
-    "require_in_domain",
     "reverse_complement",
     "score_events",
     "score_mgf",

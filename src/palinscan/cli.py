@@ -15,9 +15,6 @@ and every table and document is written here by _write_tsv and
 _write_json. The simulate and power tables have one multiplier or power
 column per hot-spot segment of the widest scenario; a scenario with fewer
 segments leaves the rest of its cells empty.
-``--compat-paper`` (scan, mgf, power) builds the score model with
-``compat_paper=True``, the paper's literal conventions (see ScoreModel), for
-side-by-side comparison with the defaults.
 """
 
 from __future__ import annotations
@@ -104,8 +101,6 @@ _FLAGS = {
                        type=_checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
                        help="use this overshoot correction (e.g. 1.0) instead "
                             "of the one computed from the score MGF"),
-    "--compat-paper": dict(dest="compat_paper", action="store_true",
-                           help="use the paper's literal conventions"),
     "--length": dict(dest="seq_length", type=int, default=BOHV1_GENOME_LENGTH,
                      help="simulated sequence length (default %(default)s)"),
     "--lambda0": dict(type=_positive_rate, default=None,
@@ -134,18 +129,17 @@ _FLAGS = {
 _SUBCOMMANDS = {
     "estimate": ("estimate models and palindrome rates per input", ("--json",)),
     "scan": ("windowed score scan with tilted p-value",
-             ("--w", "--score", "--json", "--nu-fixed", "--compat-paper",
-              "--lambda0", "--rate-estimator", "--threshold", "--dump-series",
-              "--dump-events")),
+             ("--w", "--score", "--json", "--nu-fixed", "--lambda0",
+              "--rate-estimator", "--threshold", "--dump-series", "--dump-events")),
     "mgf": ("tabulate score MGFs and cumulant derivatives",
-            ("--score", "--json", "--compat-paper", "--points")),
+            ("--score", "--json", "--points")),
     "simulate": ("hot-spot robustness of the rate estimators",
                  ("--seed", "--replicates", "--multipliers", "--length",
                   "--lambda0-target", "--json")),
     "power": ("power of estimator-derived scan thresholds",
               ("--w", "--alpha", "--seed", "--replicates", "--multipliers",
-               "--score", "--json", "--nu-fixed", "--compat-paper", "--length",
-               "--lambda0-target", "--per-replicate-thresholds")),
+               "--score", "--json", "--nu-fixed", "--length", "--lambda0-target",
+               "--per-replicate-thresholds")),
 }
 
 
@@ -257,8 +251,7 @@ def _cmd_scan(args: argparse.Namespace, out) -> int:
         lambda0 = average_rate(events).value
     else:
         lambda0 = iid_rate(model.pi, args.half_length).value
-    sm = ScoreModel(args.score, model, args.half_length,
-                    compat_paper=args.compat_paper)
+    sm = ScoreModel(args.score, model, args.half_length)
     series = window_scores(events.centers, score_events(events, sm), args.window,
                            total_length)
     threshold = args.threshold if args.threshold is not None else series.max_value
@@ -314,8 +307,7 @@ def _dump_events(path: str, events, model: MarkovModel) -> None:
 
 def _cmd_mgf(args: argparse.Namespace, out) -> int:
     model = _model_for(args)
-    sms = {kind: ScoreModel(kind, model, args.half_length, compat_paper=args.compat_paper)
-           for kind in SCORE_KINDS}
+    sms = {kind: ScoreModel(kind, model, args.half_length) for kind in SCORE_KINDS}
     sm = sms[args.score]
     grid = np.linspace(0.0, 0.95 * min(sm.t_max, 50.0), args.points)
     rows = []
@@ -383,8 +375,7 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
 def _cmd_power(args: argparse.Namespace, out) -> int:
     results = [
         power_experiment(cfg, args.score, alpha=args.alpha, nu_fixed=args.nu_fixed,
-                         per_replicate_thresholds=args.per_replicate_thresholds,
-                         compat_paper=args.compat_paper)
+                         per_replicate_thresholds=args.per_replicate_thresholds)
         for cfg in _experiments(args, window=args.window)
     ]
     if args.json_output:

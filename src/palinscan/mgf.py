@@ -25,9 +25,9 @@ bases is the Markov model iid_model(pi), whose rank-one quasi transition
 matrix takes the same paths.
 
 The per-length law behind the closed form, E[exp(t * score); half-length
-= k] (length_terms, and mgf_at_length for one k), is read from the factors
-the kernel caches on ScoreModel, so the tilted sampler of module sim, which
-draws from that law, follows the same conventions (compat_paper included).
+= k] (length_terms), is read from the factors the kernel caches on
+ScoreModel, so the tilted sampler of module sim, which draws from that law,
+follows the same conventions.
 """
 
 from __future__ import annotations
@@ -56,20 +56,11 @@ class ScoreModel:
         kind: "pcs", "pls", or "bws".
         model: the null first-order Markov model.
         half_length: detection threshold h >= half_length.
-        compat_paper: use the paper's literal conventions, for comparison
-            with the internally consistent defaults: the bws MGF takes its
-            start weights from the column product (I - T) pi instead of the
-            row product pi (I - T), which is the one that normalises the
-            length distribution exactly; the tilt is centred on
-            lambda1 * phi'(theta1) = b instead of w * lambda1 * phi'(theta1)
-            = b (scan.null_window_mean); and the p-value's mean ladder
-            increment is b - lambda0 * mean score (scan.p_value).
     """
 
     kind: str
     model: MarkovModel
     half_length: int
-    compat_paper: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "kind", self.kind.lower())
@@ -138,8 +129,6 @@ class ScoreModel:
             DomainError: start weights with negative entries.
         """
         start = self.start_weights
-        if self.compat_paper:
-            start = (_EYE - self.t_matrix) @ self.model.pi
         if np.any(start < 0):
             raise DomainError("start weights have negative entries; bws undefined")
         return _log_base(np.concatenate((start, self.t_matrix.ravel(), self.closure_probs)))
@@ -219,7 +208,7 @@ def mgf_domain(sm: ScoreModel) -> float:
     return newton_root(excess, 0.0, hi, x=0.25, tol=1e-15)
 
 
-def require_in_domain(sm: ScoreModel, z) -> None:
+def _require_in_domain(sm: ScoreModel, z) -> None:
     """Raise DomainError unless Re(z) is a valid MGF argument for sm (for
     every entry when z is an array)."""
     re = np.real(z)
@@ -314,7 +303,7 @@ def _mgf_jet(sm: ScoreModel, z, order: int = 0) -> np.ndarray:
         SingularMatrixError: I - Q_0 is numerically singular, i.e. z sits at
             the domain edge to round-off.
     """
-    require_in_domain(sm, z)
+    _require_in_domain(sm, z)
     fact = [float(factorial(j)) for j in range(order + 1)]
     if sm.kind == "pcs":
         return np.divide.outer(np.exp(z), fact)
@@ -379,16 +368,15 @@ def length_terms(sm: ScoreModel, t: float, k_max: int) -> np.ndarray:
     The term is v Q^(k-1) u from the factors the kernel caches: the start
     weights, T and the closure vector, with exp(t) folded into v for pcs and
     exp(t / h) into Q and u for pls (the score k / h gains 1 / h per step);
-    for bws their entrywise (1 - t) powers (the kernel's _bws_log_base, so
-    compat_paper applies). The terms from k = h on sum to score_mgf(sm, t)
-    * sm.rate.
+    for bws their entrywise (1 - t) powers (the kernel's _bws_log_base).
+    The terms from k = h on sum to score_mgf(sm, t) * sm.rate.
 
     Raises:
         DomainError: t at or beyond the domain supremum.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    require_in_domain(sm, t)
+    _require_in_domain(sm, t)
     v, q, u = sm.start_weights, sm.t_matrix, sm.closure_probs
     if sm.kind == "pcs":
         v = np.exp(t) * v
@@ -402,13 +390,6 @@ def length_terms(sm: ScoreModel, t: float, k_max: int) -> np.ndarray:
     for k in range(1, k_max):
         rows[k] = rows[k - 1] @ q
     return rows @ u
-
-
-def mgf_at_length(sm: ScoreModel, t: float, k: int) -> float:
-    """Joint term E[exp(t * score); half-length = k] for a single centre
-    (length_terms); at t = 0 on a pcs or pls model, the probability that a
-    centre holds a palindrome of half-length exactly k."""
-    return float(length_terms(sm, t, k)[-1])
 
 
 def increment_log_charfn(sm: ScoreModel, lambda0: float, lambda1: float,

@@ -16,7 +16,7 @@ threshold_for_alpha, the p-value's inverse, searches over theta1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -28,10 +28,6 @@ from .numeric import ROOT_MAX_ITER, newton_root
 # threshold_for_alpha stops once log(-log(1 - p)) is within this of its value
 # at alpha, which bounds |p / alpha - 1| by about the same figure.
 ALPHA_RTOL = 1e-7
-# When the search bracket closes before that stop, the nearer bracket end is
-# a threshold only if its p is within this of alpha; beyond it p jumps across
-# alpha between two adjacent thresholds.
-BRACKET_RTOL = 1e-6
 # Quadrature of the overshoot integral (see analytic_nu): Gauss-Legendre
 # nodes per panel, the width of the uniform panels, and the cut-off of the
 # integral for non-lattice scores. Panels 0.5 wide (688 bws nodes at the
@@ -218,12 +214,10 @@ def window_scores(positions, scores, window: int, total_length: int) -> WindowSe
 def null_window_mean(lambda0: float, sm: ScoreModel, window: int) -> float:
     """Mean score sum of a window under the null: window * lambda0 * E s.
 
-    The centering condition reads "tilted rate times tilted mean score
-    equals the threshold". Per-base rates require the window factor; under
-    ``sm.compat_paper`` the rate is read as already accumulated over a
-    window, and the factor is dropped.
+    The centering condition reads "window times tilted rate times tilted
+    mean score equals the threshold"; the rates are per base.
     """
-    return (1.0 if sm.compat_paper else window) * lambda0 * sm.null_cumulants[1]
+    return window * lambda0 * sm.null_cumulants[1]
 
 
 def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float,
@@ -456,10 +450,7 @@ def _tail(tilt: TiltSolution, nu: float, total_length: int,
     mu0 = sm.null_cumulants[1]
     _, mean1, var1 = tilt.cumulants
     var_term = mean1 * mean1 if sm.kind == "pcs" else var1
-    if sm.compat_paper:
-        mean_increment = threshold - lambda0 * mu0
-    else:
-        mean_increment = tilt.lambda1 * mean1 - lambda0 * mu0
+    mean_increment = tilt.lambda1 * mean1 - lambda0 * mu0
     exceed_exponent = threshold * tilt.theta1 - window * (tilt.lambda1 - tilt.lambda0)
     local_factor = 1.0 / np.sqrt(2.0 * np.pi * window * tilt.lambda1 * var_term)
     prefactor = (total_length - window) * nu * mean_increment * local_factor
@@ -484,11 +475,10 @@ def p_value(threshold: float, window: int, total_length: int, lambda0: float,
     ``nu_fixed`` when given, else analytic_nu at the solved tilt. ``rng`` is
     accepted for compatibility and not used: the result is deterministic.
 
-    Under ``sm.compat_paper`` the mean ladder increment is the plain
-    (threshold - lambda0 * mean score) difference, and the tilt is centred
-    without the window factor (null_window_mean). For the count score the
-    local-limit variance uses the tilted second moment, since the score is
-    degenerate and its cumulant curvature vanishes.
+    The mean ladder increment is lambda1 * tilted mean score - lambda0 *
+    mean score. For the count score the local-limit variance uses the
+    tilted second moment, since the score is degenerate and its cumulant
+    curvature vanishes.
 
     Raises:
         ValueError: nu_fixed outside (0, 1], lambda0 or threshold refused
@@ -506,13 +496,11 @@ def p_value(threshold: float, window: int, total_length: int, lambda0: float,
 
 
 class _Trial(NamedTuple):
-    """One evaluation in threshold_for_alpha: h and p at the search's point
-    x, and whether their nu is exact (fixed, or from analytic_nu)."""
+    """One evaluation in threshold_for_alpha: h at a tilt, and whether its
+    nu is exact (fixed, or from analytic_nu)."""
 
-    x: float
     tilt: TiltSolution
     h: float
-    p: float
     exact: bool
 
 
@@ -541,34 +529,27 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
     h < 0 with a secant slope that is not negative (the artifact branch),
     raises the bracket's lo end, any other h lowers hi, and a step out of
     the bracket bisects it (doubles theta1 while hi is infinite). The
-    search stops at |h| <= ALPHA_RTOL, or at the end nearer alpha once the
-    bracket about a sign change of h spans under 1e-10 of b. If nu was
-    predicted there, analytic_nu is computed, and if that moves h past the
-    stop the search starts again from there. On BoHV-1 at w = 1000 and
-    alpha down to 1e-12 that takes 3 analytic_nu (4 for bws at 0.2) and at
-    most 12 cumulants calls (6 with nu fixed).
+    search stops at |h| <= ALPHA_RTOL. If nu was predicted there,
+    analytic_nu is computed, and if that moves h past the stop the search
+    starts again from there. On BoHV-1 at w = 1000 and alpha down to 1e-12
+    that takes 3 analytic_nu (4 for bws at 0.2) and at most 12 cumulants
+    calls (6 with nu fixed).
 
     Centering makes p stationary in theta1 (the exponent's slope b - w
     lambda1 phi' is zero), so p_value, which solves theta1 back from b,
-    moves p by far less than ALPHA_RTOL. Under ``sm.compat_paper`` it does
-    not: at bws thresholds near 1.4e6 a few ulps of theta1 move p by about
-    3e-6, so the search runs over b, solving each tilt as p_value does.
-
-    The returned b has |p / alpha - 1| <= ALPHA_RTOL, or, at a bracket
-    stop, <= BRACKET_RTOL, with analytic_nu's nu, itself accurate to about
-    3e-6 for bws. p and the null mean follow ``sm.compat_paper`` as in
-    p_value. ``rng`` and ``nu_entropy`` are ignored (the result is
+    moves p by far less than ALPHA_RTOL. The returned b has |p / alpha -
+    1| <= ALPHA_RTOL with analytic_nu's nu, itself accurate to about 3e-6
+    for bws. ``rng`` and ``nu_entropy`` are ignored (the result is
     deterministic).
 
     Raises:
         ValueError: alpha outside (0, 1), nu_fixed outside (0, 1], or
             lambda0 not finite and positive.
-        DomainError: h < 0 throughout a closed bracket (alpha above the
-            peak), h > 0 up to the MGF domain edge or at every p-value of a
-            pass (pcs under compat_paper at w = 1000: p = 1 up to lambda0
-            e^w), or p jumps across alpha in a closed bracket (at small w).
-        ConvergenceError: a pass takes ROOT_MAX_ITER p-values, or the
-            search ROOT_MAX_ITER passes.
+        DomainError: h < 0 at every trial of a closed bracket (alpha above
+            the peak), or h > 0 up to the MGF domain edge.
+        ConvergenceError: the bracket about a sign change of h closes
+            (spans under 1e-10 of b) before |h| <= ALPHA_RTOL, a pass takes
+            ROOT_MAX_ITER p-values, or the search ROOT_MAX_ITER passes.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -579,11 +560,11 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
     exact = []  # (theta1, log nu) at each analytic_nu so far
     exceeded = False  # h > 0 at some trial with exact nu: alpha is attained
 
-    def trial_at(x: float, tilt: TiltSolution, nu: float | None = None) -> _Trial:
+    def trial_at(tilt: TiltSolution, nu: float | None = None) -> _Trial:
         exact = nu is not None or nu_fixed is not None
         p = _tail(tilt, model_nu(tilt.theta1) if nu is None else nu, total_length, sm)[0]
         with np.errstate(divide="ignore"):
-            return _Trial(x, tilt, np.log(-np.log1p(-p)) - target, p, exact)
+            return _Trial(tilt, np.log(-np.log1p(-p)) - target, exact)
 
     def model_nu(theta: float) -> float:
         if nu_fixed is not None:
@@ -595,51 +576,47 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
     _, mean0, var0 = sm.null_cumulants
     z = np.sqrt(2.0 * np.log(max(total_length - window, 1) / alpha))
     b = null_mean + z * np.sqrt(null_mean * (mean0 + var0 / mean0))
-    tilt_of = partial(solve_tilt if sm.compat_paper else _tilt_at, lambda0, sm, window=window)
-    if sm.compat_paper:
-        floor, top, x = null_mean, np.inf, b
-    else:  # the Newton step from theta1 = 0 towards b
-        floor, top = 0.0, np.inf if sm.kind == "pcs" else sm.t_max * (1.0 - 1e-10)
-        x = min(np.log(b / null_mean) / (mean0 + var0 / mean0), 0.5 * top)
+    top = np.inf if sm.kind == "pcs" else sm.t_max * (1.0 - 1e-10)
+    # the Newton step from theta1 = 0 towards b
+    x = min(np.log(b / null_mean) / (mean0 + var0 / mean0), 0.5 * top)
 
-    def search(x: float, first: _Trial | None) -> tuple[_Trial, tuple | None]:
-        """One pass from x (or from ``first``, the trial at x) under the
-        model of nu: its last trial, and ((b_lo, p_lo), (b_hi, p_hi)) at a
-        bracket stop."""
+    def search(x: float, first: _Trial | None) -> _Trial:
+        """One pass from theta1 = x (or from ``first``, the trial at x)
+        under the model of nu: the trial at which it stops."""
         nonlocal exceeded
-        lo, hi, b_lo, b_hi = floor, top, null_mean, np.inf
-        last, attained, ends = None, exceeded, {}
+        lo, hi, b_lo, b_hi = 0.0, top, null_mean, np.inf
+        last, attained = None, exceeded
         for _ in range(ROOT_MAX_ITER):
-            trial, first = first or trial_at(x, tilt_of(x)), None
+            trial, first = first or trial_at(_tilt_at(lambda0, sm, x, window)), None
             h, tilt, b = trial.h, trial.tilt, trial.tilt.threshold
             if abs(h) <= ALPHA_RTOL:
-                return trial, None
-            # dh/db, about -theta1 at the first trial
-            slope = -tilt.theta1 if last is None else (h - last[1]) / (b - last[0])
+                return trial
+            # dh/db, about -theta1 at the first trial; not finite once two
+            # adjacent tilts share a threshold
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slope = -tilt.theta1 if last is None else (h - last[1]) / (b - last[0])
             attained |= h > 0
             exceeded |= trial.exact and h > 0
             if h > 0 or not slope < 0:
-                lo, b_lo, ends["lo"] = x, b, trial
+                lo, b_lo = x, b
             else:
-                hi, b_hi, ends["hi"] = x, b, trial
-            mid = 0.5 * (lo + hi) if hi < np.inf else 2.0 * lo - floor
+                hi, b_hi = x, b
+            mid = 0.5 * (lo + hi) if hi < np.inf else 2.0 * lo
             # closed once its thresholds are, or no float lies inside it
             if b_hi - b_lo <= 1e-10 * b_lo or not lo < mid < hi:
-                # without a hi end h > 0 up to the MGF domain edge; with one,
-                # and attained, lo was evaluated too
-                if not attained or "hi" not in ends:
+                # without a hi end h > 0 up to the MGF domain edge
+                if not attained or b_hi == np.inf:
                     raise DomainError(f"alpha={alpha!r} is not attainable by any threshold")
-                end = min(ends.values(), key=lambda e: abs(e.p / alpha - 1.0))
-                return end, ((b_lo, ends["lo"].p), (b_hi, ends["hi"].p))
+                raise ConvergenceError(f"threshold search for alpha={alpha!r} closed its "
+                                       f"bracket at {b_lo:.10g} before p reached alpha")
             last = (b, h) if np.isfinite(h) else None
             _, mean, var = tilt.cumulants
             with np.errstate(divide="ignore", invalid="ignore"):
                 # a step in theta1 follows log b, whose slope is closed form
-                step = b - h / slope
-                x = step if sm.compat_paper else x + np.log(step / b) / (mean + var / mean)
+                x += np.log((b - h / slope) / b) / (mean + var / mean)
             if not lo < x < hi:
                 x = mid
-        if "hi" not in ends:  # h > 0 at every threshold tried
+        if b_hi == np.inf:  # h > 0 at every threshold tried
             raise DomainError(f"alpha={alpha!r} is not attainable by any threshold "
                               f"up to {b_lo:.10g}")
         raise ConvergenceError(f"threshold search for alpha={alpha!r} did not "
@@ -647,20 +624,16 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
 
     first = None
     for _ in range(ROOT_MAX_ITER):
-        trial, bracket = search(x, first)
-        x, tilt = trial.x, trial.tilt
+        trial = search(x, first)
+        tilt = trial.tilt
         if trial.exact:
-            if bracket is not None and abs(trial.p / alpha - 1.0) > BRACKET_RTOL:
-                (lo, p_lo), (hi, p_hi) = bracket
-                raise DomainError(
-                    f"p jumps from {p_lo:.3g} to {p_hi:.3g} between thresholds "
-                    f"{lo:.10g} and {hi:.10g}, across alpha={alpha!r}")
             return float(tilt.threshold)
+        x = tilt.theta1
         nu = analytic_nu(tilt, sm)
         # near the edge of the MGF domain adjacent thresholds can share theta1
         if exact and exact[-1][0] == tilt.theta1:
             exact.pop()
         exact.append((tilt.theta1, np.log(nu)))
-        first = trial_at(x, tilt, nu)
+        first = trial_at(tilt, nu)
     raise ConvergenceError(f"threshold search for alpha={alpha!r} did not "
                            f"settle in {ROOT_MAX_ITER} passes")

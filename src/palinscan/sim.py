@@ -257,7 +257,7 @@ class TiltedScoreSampler:
     pattern are then sampled with backward accumulation vectors of the
     kernel's (1 - theta) powers of the start weights, T and the closure
     vector, so each conditional step is an exact categorical draw. Every
-    factor is the MGF kernel's, so the draws follow sm.compat_paper.
+    factor is the MGF kernel's.
 
     Construction precomputes all lookup tables; ``draw`` is vectorised.
     """
@@ -382,8 +382,7 @@ def _segment_window_bounds(spec: HotspotSpec, window: int,
 
 def power_experiment(cfg: ExperimentConfig, kind: str, alpha: float = 0.05,
                      nu_fixed: float | None = None,
-                     per_replicate_thresholds: bool = False,
-                     compat_paper: bool = False) -> PowerExperimentResult:
+                     per_replicate_thresholds: bool = False) -> PowerExperimentResult:
     """Detection power of scan thresholds built from each rate estimator.
 
     Per replicate, the maximal window score overlapping each hot-spot
@@ -391,11 +390,9 @@ def power_experiment(cfg: ExperimentConfig, kind: str, alpha: float = 0.05,
     reaches the threshold. Thresholds come from inverting the p-value
     approximation at ``alpha`` under each estimator's scenario-averaged rate
     (or per replicate with ``per_replicate_thresholds``). One ScoreModel of
-    the generator model scores the events and solves the tilts;
-    ``compat_paper`` selects the paper's literal conventions for it (see
-    ScoreModel).
+    the generator model scores the events and solves the tilts.
     """
-    sm = ScoreModel(kind, cfg.model, cfg.half_length, compat_paper=compat_paper)
+    sm = ScoreModel(kind, cfg.model, cfg.half_length)
     bounds = [_segment_window_bounds(spec, cfg.window, cfg.seq_length)
               for spec in default_hotspot_specs(cfg)]
     seg_max = np.empty((cfg.replicates, len(bounds)))

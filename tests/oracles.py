@@ -3,10 +3,12 @@
 Everything here is deliberately naive: plain loops, exhaustive enumeration,
 direct summation, closed forms for independent bases and finite
 differences, sharing no code with the package internals beyond numpy
-primitives and the package's error types. The one exception is the Monte
-Carlo overshoot walk (overshoot_nu), which draws its scores from
-palinscan.sim.TiltedScoreSampler; the sampler is checked against the series
-and closed-form oracles in tests/test_sim.py.
+primitives and the package's error types. Two exceptions: the Monte
+Carlo overshoot walk (overshoot_nu) draws its scores from
+palinscan.sim.TiltedScoreSampler, and mgf_at_length reads one term of
+palinscan.mgf.length_terms; both are checked against the series,
+enumeration and closed-form oracles in tests/test_sim.py and
+tests/test_mgf.py.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from palinscan.errors import (
     NonFiniteError,
     PalinscanError,
 )
+from palinscan.mgf import length_terms
 
 DERIV_STEP = 1e-5
 DERIV_STEP_SECOND = 2e-4
@@ -215,8 +218,15 @@ def enum_exact_length_mgf(pi, trans, min_half: int, k: int, t: float,
     return total
 
 
+def mgf_at_length(sm, t: float, k: int) -> float:
+    """Joint term E[exp(t * score); half-length = k] for a single centre
+    (the last of length_terms); at t = 0 on a pcs or pls model, the
+    probability that a centre holds a palindrome of half-length exactly k."""
+    return float(length_terms(sm, t, k)[-1])
+
+
 def series_mgf(pi, trans, min_half: int, t, kind: str,
-               max_terms: int = 5000, rtol: float = 1e-14, bws_start=None):
+               max_terms: int = 5000, rtol: float = 1e-14):
     """Score MGF as a truncated sum of exact-length terms over the rate.
 
     Exact-length terms for k beyond enumeration reach use the matrix form
@@ -225,17 +235,14 @@ def series_mgf(pi, trans, min_half: int, t, kind: str,
     The tilt of the count score, e^t, is folded into v; that of the length
     ratio, e^{t k / h}, into one factor e^{t / h} per step of Q and one in u,
     so no term multiplies an underflowed row by an overflowed exponential
-    near the domain edge. Accepts a complex argument t. ``bws_start``
-    replaces the start weights that the log-rarity form raises to 1 - t; the
-    rate it is divided by keeps the row form.
+    near the domain edge. Accepts a complex argument t.
     """
     v0 = start_weights(pi, trans)
     tq = quasi_matrix(trans)
     close = closure_vector(trans)
     if kind == "bws":
         expo = 1.0 - t
-        start = v0 if bws_start is None else np.asarray(bws_start, dtype=float)
-        base = np.where(start > 0, start, 0.0)
+        base = np.where(v0 > 0, v0, 0.0)
         v = base.astype(complex) ** expo if np.iscomplex(t) else base**expo
         q = tq.astype(complex) ** expo if np.iscomplex(t) else tq**expo
         u = close.astype(complex) ** expo if np.iscomplex(t) else close**expo
@@ -292,6 +299,61 @@ def matrix_form_mgf(pi, trans, min_half: int, z, kind: str, bws_start=None):
         v, q, u = v0, step * tq, step * close
     rate = v0 @ np.linalg.matrix_power(tq, min_half - 1) @ np.linalg.inv(eye - tq) @ close
     return v @ np.linalg.matrix_power(q, min_half - 1) @ np.linalg.inv(eye - q) @ u / rate
+
+
+def column_start_weights(pi, trans) -> np.ndarray:
+    """The bws start weights of the paper's literal reading: the column
+    product (I - T) pi, where start_weights is the row product pi (I - T),
+    the one under which the MGF normalises to 1."""
+    pi = np.asarray(pi, dtype=float)
+    return pi - quasi_matrix(trans) @ pi
+
+
+def literal_threshold(alpha: float, window: int, total_length: int, lambda0: float,
+                      mgf, t_max: float, nu: float = 1.0) -> float:
+    """Threshold b with scan p-value alpha under the paper's literal reading,
+    for pls and bws scores.
+
+    ``mgf(z)`` is the score MGF over the row-form rate and takes complex z
+    (series_mgf and matrix_form_mgf do; with column_start_weights M(0)
+    differs from 1). M' is the complex step Im M(t + i eps) / eps, exact to
+    rounding, and phi'' = M'' / M - (M' / M)^2 takes M'' as a central
+    difference of M'. The literal reading:
+      - centring lambda1 phi'(theta) = b with no window factor, and rate
+        matching lambda1 = lambda0 M(theta), so b = lambda0 M'(theta) is
+        explicit in the tilt;
+      - the mean ladder increment b - lambda0 mu0, mu0 = M'(0) / M(0);
+      - p = 1 - exp(-(W - w) nu (b - lambda0 mu0) exp(-(b theta - w
+        (lambda1 - lambda0))) / sqrt(2 pi w lambda1 phi''(theta))).
+    p is taken on a grid of tilts up to t_max (1 - 1e-8), and its last
+    crossing of alpha is bisected until no float lies between the ends.
+    """
+    eps = 1e-30
+    m0 = lambda t: float(np.real(mgf(t)))
+    m1 = lambda t: float(np.imag(mgf(complex(t, eps)))) / eps
+    mu0 = m1(0.0) / m0(0.0)
+
+    def tail(theta: float) -> tuple[float, float]:
+        m = m0(theta)
+        mean = m1(theta) / m
+        b, lambda1 = lambda0 * m * mean, lambda0 * m
+        var = derivative(m1, theta) / m - mean * mean
+        if not (b > lambda0 * mu0 and var > 0.0):  # var < 0 if the stencil passes t_max
+            return b, 0.0
+        prefactor = ((total_length - window) * nu * (b - lambda0 * mu0)
+                     / np.sqrt(2.0 * np.pi * window * lambda1 * var))
+        exponent = b * theta - window * (lambda1 - lambda0)
+        return b, -np.expm1(-np.exp(min(np.log(prefactor) - exponent, 700.0)))
+
+    grid = t_max * (1.0 - np.geomspace(1.0 - 1e-6, 1e-8, 300))
+    above = [i for i, theta in enumerate(grid) if tail(theta)[1] >= alpha]
+    if not above or above[-1] + 1 == grid.size:
+        raise ValueError(f"p does not fall through alpha={alpha!r} on the grid")
+    lo, hi = grid[above[-1]], grid[above[-1] + 1]
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if tail(mid)[1] >= alpha else (lo, mid)
+    return tail(hi)[0]
 
 
 def window_sums(events: list[tuple[int, float]], window: int,

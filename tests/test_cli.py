@@ -12,7 +12,6 @@ import pytest
 
 from palinscan import (
     MarkovModel,
-    ScoreModel,
     average_rate,
     bohv1_model,
     estimate_model,
@@ -20,7 +19,6 @@ from palinscan import (
     generate_sequence,
     iid_rate,
     markov_rate,
-    p_value,
     parse_fasta_file,
     pattern_log_prob,
 )
@@ -108,6 +106,15 @@ class TestParser:
         assert exc.value.code == 2
         flag = argv[1].split("=")[0]
         assert f"argument {flag}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["scan", "mgf", "power"])
+    def test_compat_paper_flag_is_gone(self, command, capsys):
+        # the paper's literal reading lives on only as a test oracle
+        # (oracles.literal_threshold)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--compat-paper"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --compat-paper" in capsys.readouterr().err
 
     def test_invalid_half_length_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -221,30 +228,6 @@ class TestScan:
         assert float(row["theta1"]) == 0.0
         assert float(row["nu"]) == 1.0
         assert float(row["lambda1"]) == float(row["lambda0"])
-
-    def test_compat_changes_p(self, sample_path):
-        args = ("scan", "--input", sample_path, "--nu-fixed", "1.0",
-                "--threshold", "9.0")
-        _, plain = invoke(*args)
-        _, compat = invoke(*args, "--compat-paper")
-        p_plain = float(dict(zip(*[l.split("\t") for l in plain.splitlines()]))["p"])
-        p_compat = float(dict(zip(*[l.split("\t") for l in compat.splitlines()]))["p"])
-        assert p_plain != p_compat
-
-    def test_compat_threshold_below_window_mean(self, sample_path, sample_record):
-        # --compat-paper centres the tilt on lambda0 * mu0, not window *
-        # lambda0 * mu0, so a threshold between the two gets its p-value
-        model = estimate_model(sample_record.seq)
-        lambda0 = markov_rate(model, 6).value
-        sm = ScoreModel("pls", model, 6, compat_paper=True)
-        b = 0.5 * 1000 * lambda0 * sm.null_cumulants[1]
-        _, text = invoke("scan", "--input", sample_path, "--nu-fixed", "1.0",
-                         "--threshold", repr(b), "--compat-paper")
-        row = dict(zip(*[l.split("\t") for l in text.splitlines()]))
-        rep = p_value(b, 1000, sample_record.seq.length, lambda0, sm, nu_fixed=1.0)
-        assert rep.tilt.theta1 > 0.0
-        assert float(row["theta1"]) == pytest.approx(rep.tilt.theta1, rel=1e-9)
-        assert float(row["p"]) == pytest.approx(rep.p, rel=1e-9)
 
     def test_monte_carlo_seeded(self, sample_path):
         args = ("scan", "--input", sample_path, "--threshold", "9.0",
@@ -493,8 +476,8 @@ class TestPinnedOutput:
     the search moved from the threshold to the tilt theta1 (by up to 6.7e-9).
     The pls scan's JSON theta1, lambda1 and nu moved in their last digits
     (theta1 by 3.9e-14) when solve_tilt's Newton stop became relative.
-    The mgf grids and the compat_paper power thresholds were recorded while
-    every scalar MGF argument already ran on the kernel's block products.
+    The mgf grids were recorded while every scalar MGF argument already ran
+    on the kernel's block products.
     The estimate tables, the simulate and power JSON, the per-replicate
     threshold table and the window series were recorded while sim,
     palindrome and markov still rendered their own tables.
@@ -643,24 +626,10 @@ class TestPinnedOutput:
                   "\tpower1\tpower2\tpower3")
         assert text == "\n".join([header, *(f"{kind}\t0.05\t{x}" for x in lines)]) + "\n"
 
-    @pytest.mark.parametrize("kind,lines", [
-        ("pls", ["average\t0.0015375\t134305.3227", "markov\t0.001094355652\t95596.25302"]),
-        ("bws", ["average\t0.0015375\t1933659.685", "markov\t0.001094355652\t1376345.739"]),
-    ])
-    def test_power_compat_paper(self, kind, lines):
-        code, text = invoke("power", "--score", kind, *self.ARGS, "--nu-fixed", "1.0",
-                            "--compat-paper")
-        assert code == 0
-        header = ("kind\talpha\tmultipliers\testimator\trate\tthreshold"
-                  "\tpower1\tpower2\tpower3")
-        assert text == "\n".join(
-            [header, *(f"{kind}\t0.05\t1,1,1\t{x}\t0.0000\t0.0000\t0.0000" for x in lines)]
-        ) + "\n"
-
     MGF_COLUMNS = ("t", "mgf_pls", "mgf_bws", "phi", "phi_prime", "phi_double_prime")
 
-    @pytest.mark.parametrize("kind,compat,rows", [
-        ("pls", False, [
+    @pytest.mark.parametrize("kind,rows", [
+        ("pls", [
             (0.0, 1.0000000000000002, 1.0000000000000004,
              2.2204460492503128e-16, 1.0764483215129221, 0.018585729130471407),
             (0.8243053105174669, 2.4454908435336864, np.nan,
@@ -680,27 +649,7 @@ class TestPinnedOutput:
             (6.594442484139735, 8916.500394745453, np.nan,
              9.095658816163914, 3.7986840789623293, 8.299079683290469),
         ]),
-        ("pls", True, [
-            (0.0, 1.0000000000000002, 0.9999650939183214,
-             2.2204460492503128e-16, 1.0764483215129221, 0.018585729130471407),
-            (0.8243053105174669, 2.4454908435336864, np.nan,
-             0.894245856779955, 1.094060641832721, 0.024524173040884056),
-            (1.6486106210349338, 6.081932263287986, np.nan,
-             1.805322451950139, 1.1176948382194214, 0.03346787455226119),
-            (2.472915931552401, 15.478298651104188, np.nan,
-             2.7394389558620262, 1.1506999117907897, 0.04782710596652939),
-            (3.2972212420698677, 40.716997016536084, np.nan,
-             3.7066456223847015, 1.1994524857264783, 0.07302336156311773),
-            (4.121526552587334, 112.71083783953878, np.nan,
-             4.724825581812897, 1.2777815048498262, 0.1234594618235334),
-            (4.945831863104802, 340.61965555441094, np.nan,
-             5.830766475178926, 1.4223585469539421, 0.24877980086033213),
-            (5.770137173622269, 1239.1761749955383, np.nan,
-             7.122202062800612, 1.7730695518042048, 0.7264813945405613),
-            (6.594442484139735, 8916.500394745453, np.nan,
-             9.095658816163914, 3.7986840789623293, 8.299079683290469),
-        ]),
-        ("bws", False, [
+        ("bws", [
             (0.0, 1.0000000000000002, 1.0000000000000004,
              2.2204460492503128e-16, 13.994176328242137, 6.943285520841101),
             (0.059400663535503634, 1.066065472472887, 2.3262967576366633,
@@ -720,30 +669,9 @@ class TestPinnedOutput:
             (0.47520530828402907, 1.671538596031506, 8991.51254372149,
              9.10403636066867, 53.838255796157505, 1603.3105145143181),
         ]),
-        ("bws", True, [
-            (0.0, 1.0000000000000002, 0.9999650939183214,
-             -3.4906690910111425e-05, 13.994443183457145, 6.942219817224412),
-            (0.059400663535503634, 1.066065472472887, 2.326248069455595,
-             0.84425669907848, 14.446474525082108, 8.350683116590687),
-            (0.11880132707100727, 1.1365715603669797, 5.574375750643839,
-             1.7181803380980567, 14.997840544821152, 10.338127167443389),
-            (0.1782019906065109, 1.2118232579179655, 13.858225635981476,
-             2.6288789650744775, 15.694859720199734, 13.362828708427145),
-            (0.23760265414201454, 1.2921470811382074, 36.13697545181276,
-             3.5873165918946808, 16.625495942914405, 18.46231617893386),
-            (0.2970033176775182, 1.3778926385222021, 100.71021622448845,
-             4.612247246658924, 17.980732938655308, 28.403396171393354),
-            (0.3564039812130218, 1.4694343212543415, 311.4574802366289,
-             5.741262828867605, 20.268142607669887, 52.73958925310268),
-            (0.4158046447485254, 1.5671731224822438, 1179.4594747490364,
-             7.07281154026599, 25.427230950407683, 144.9031535113138),
-            (0.47520530828402907, 1.671538596031506, 8991.397885106098,
-             9.104023608715549, 53.83815116940874, 1603.3103302990785),
-        ]),
     ])
-    def test_mgf(self, kind, compat, rows):
-        code, text = invoke("mgf", "--json", "--points", "9", "--score", kind,
-                            *(["--compat-paper"] if compat else []))
+    def test_mgf(self, kind, rows):
+        code, text = invoke("mgf", "--json", "--points", "9", "--score", kind)
         assert code == 0
         expected = [dict(zip(self.MGF_COLUMNS, row)) for row in rows]
         assert text == json.dumps(expected, indent=2) + "\n"

@@ -1,8 +1,10 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+parameter a package function takes is read in its body.
 
-__init__.py is left out: its imports are the package's exports, and
-__all__ must list exactly those. Output rendering lives in cli.py alone:
-no other module imports json, and no export renders TSV or JSON.
+__init__.py is left out of the import check: its imports are the package's
+exports, and __all__ must list exactly those. Output rendering lives in
+cli.py alone: no other module imports json, and no export renders TSV or
+JSON.
 """
 
 import ast
@@ -71,3 +73,47 @@ def test_only_cli_imports_json():
 
 def test_no_exported_renderers():
     assert [n for n in palinscan.__all__ if n.endswith(("_tsv", "_json"))] == []
+
+
+# Parameters still accepted for callers that pass them, and ignored: the
+# threshold and the p-value are deterministic. ROADMAP item 1 moves those
+# callers off them, which empties this list.
+UNREAD_ALLOWED = {"scan.p_value.rng", "scan.threshold_for_alpha.rng",
+                  "scan.threshold_for_alpha.nu_entropy"}
+
+
+def unread_parameters(source: str, module: str = "m") -> list[str]:
+    """"module.function.parameter" for each parameter of each function or
+    method in the source that its body never reads (a nested function's
+    reads count for the function that holds it)."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                  + [args.vararg, args.kwarg] if a is not None]
+        read = set()
+        for stmt in node.body:
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    read.add(n.id)
+                elif isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name):
+                    read.add(n.target.id)
+        unread += [f"{module}.{node.name}.{p}" for p in params if p not in read]
+    return unread
+
+
+def test_no_unread_parameters():
+    unread = {name for path in SOURCES
+              for name in unread_parameters(path.read_text(), path.stem)}
+    assert unread == UNREAD_ALLOWED
+
+
+def test_unread_checker_flags_an_ignored_parameter():
+    source = ("def f(a, b, *rest, c=1, **kw):\n"
+              "    b += 1\n"
+              "    def g():\n"
+              "        return kw\n"
+              "    return g\n")
+    assert unread_parameters(source) == ["m.f.a", "m.f.c", "m.f.rest"]

@@ -13,10 +13,8 @@ from palinscan import (
     increment_log_charfn,
     iid_model,
     markov_rate,
-    mgf_at_length,
     mgf_domain,
     quasi_transition_matrix,
-    require_in_domain,
     score_mgf,
 )
 import palinscan.mgf as mgf_module
@@ -30,6 +28,7 @@ from oracles import (
     iid_domain_edge,
     iid_geometric_mgf,
     matrix_form_mgf,
+    mgf_at_length,
     quasi_matrix,
     random_model,
     series_mgf,
@@ -151,21 +150,6 @@ class TestKernelAgainstSeriesOracle:
             total = mgf_module.length_terms(sm, t, 399)[5:].sum()
             assert total / sm.rate == pytest.approx(score_mgf(sm, t), rel=1e-10)
 
-    def test_compat_paper_bws_column_start(self):
-        # compat_paper takes the bws start weights from the column form
-        # (I - T) pi instead of the row form pi (I - T). BoHV-1 is so close
-        # to symmetric that the two differ by 4e-7 at t = 0.3; this model
-        # moves the MGF there by about 7%.
-        pi, trans = random_model(np.random.default_rng(2))
-        model = MarkovModel(pi=pi, trans=trans)
-        column = pi - quasi_matrix(trans) @ pi
-        compat = ScoreModel("bws", model, 6, compat_paper=True)
-        for t in (0.0, 0.3, -0.5):
-            oracle = series_mgf(pi, trans, 6, t, "bws", bws_start=column)
-            assert score_mgf(compat, t) == pytest.approx(oracle, rel=1e-8)
-        default = score_mgf(ScoreModel("bws", model, 6), 0.3)
-        assert abs(score_mgf(compat, 0.3) / default - 1.0) > 0.01
-
     def test_pcs_closed_form(self, bohv1):
         sm = ScoreModel("pcs", bohv1, 6)
         for t in (0.0, 0.7, 2.5, -1.0):
@@ -178,15 +162,10 @@ class TestKernelAgainstMatrixOracle:
 
     @pytest.mark.parametrize("kind", ["pls", "bws"])
     @pytest.mark.parametrize("iid", [False, True])
-    @pytest.mark.parametrize("compat", [False, True])
-    def test_node_stack_and_real_points(self, kind, iid, compat, bohv1):
+    def test_node_stack_and_real_points(self, kind, iid, bohv1):
         model = iid_model(bohv1.pi) if iid else bohv1
-        sm = ScoreModel(kind, model, 6, compat_paper=compat)
-        start = None
-        if compat and kind == "bws":  # the column-form start weights
-            start = model.pi - quasi_matrix(model.trans) @ model.pi
-        oracle = lambda z: matrix_form_mgf(model.pi, model.trans, 6, z, kind,
-                                           bws_start=start)
+        sm = ScoreModel(kind, model, 6)
+        oracle = lambda z: matrix_form_mgf(model.pi, model.trans, 6, z, kind)
         # the nodes of analytic_nu at theta1 = 0.3 t_max, with 0 and theta1
         # in front as increment_log_charfn puts them
         theta = 0.3 * sm.t_max
@@ -298,21 +277,21 @@ class TestDomain:
     def test_membership_and_rejection(self, bohv1):
         pls = ScoreModel("pls", bohv1, 6)
         assert 0.0 < pls.t_max < np.inf
-        require_in_domain(pls, 0.0)
-        require_in_domain(pls, pls.t_max - 1e-6)
+        mgf_module._require_in_domain(pls, 0.0)
+        mgf_module._require_in_domain(pls, pls.t_max - 1e-6)
         with pytest.raises(DomainError):
-            require_in_domain(pls, pls.t_max + 0.1)
+            mgf_module._require_in_domain(pls, pls.t_max + 0.1)
         bws = ScoreModel("bws", bohv1, 6)
         with pytest.raises(DomainError):
-            require_in_domain(bws, 1.0)
+            mgf_module._require_in_domain(bws, 1.0)
         with pytest.raises(DomainError):
             score_mgf(bws, bws.t_max + 1e-3)
 
     def test_complex_arguments_use_real_part(self, bohv1):
         bws = ScoreModel("bws", bohv1, 6)
-        require_in_domain(bws, complex(0.2, 50.0))  # fine: Re is inside
+        mgf_module._require_in_domain(bws, complex(0.2, 50.0))  # fine: Re is inside
         with pytest.raises(DomainError):
-            require_in_domain(bws, complex(1.2, 0.1))
+            mgf_module._require_in_domain(bws, complex(1.2, 0.1))
 
 
 class TestCumulant:

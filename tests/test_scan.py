@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palinscan import (
+    ConvergenceError,
     DomainError,
     ScoreModel,
     analytic_nu,
@@ -25,11 +26,16 @@ from palinscan.scan import TiltSolution, WindowSeries, _nu_tilt_floor
 
 from oracles import (
     LadderCapError,
+    bws_domain_edge,
+    column_start_weights,
     dense_window_sums,
     iid_match_gamma,
     ladder_nu_series,
+    literal_threshold,
+    matrix_form_mgf,
     overshoot_nu,
     poisson_compound_pmf,
+    quasi_matrix,
     window_sums,
 )
 from test_cli import invoke
@@ -183,14 +189,12 @@ class TestSolveTilt:
             assert tilt.lambda1 == pytest.approx(b / WINDOW, rel=1e-12)
             assert tilt.theta1 == pytest.approx(np.log(b / (WINDOW * lam0)), rel=1e-10)
 
-    @pytest.mark.parametrize("compat", [False, True])
-    def test_pcs_tilt_is_exactly_the_log_ratio(self, lam0, compat):
+    def test_pcs_tilt_is_exactly_the_log_ratio(self, lam0, pcs):
         # phi(theta) = theta and phi' = 1 make the tilt equation theta =
         # log(b / null window mean), which solve_tilt returns bit for bit
-        sm = ScoreModel("pcs", bohv1_model(), 6, compat_paper=compat)
-        null_mean = scan_module.null_window_mean(lam0, sm, WINDOW)
+        null_mean = scan_module.null_window_mean(lam0, pcs, WINDOW)
         for b in null_mean * np.geomspace(1.001, 1e4, 50):
-            tilt = solve_tilt(lam0, sm, b, WINDOW)
+            tilt = solve_tilt(lam0, pcs, b, WINDOW)
             assert tilt.theta1 == np.log(b / null_mean)
             assert tilt.cumulants == (tilt.theta1, 1.0, 0.0)
 
@@ -205,14 +209,6 @@ class TestSolveTilt:
         assert tilt.lambda1 == pytest.approx(
             lam0 * score_mgf(sm, tilt.theta1), rel=1e-10
         )
-
-    def test_literal_condition_variant(self, lam0):
-        # compat_paper centres on lambda1 * phi'(theta1) = b, without the window
-        sm = ScoreModel("pls", bohv1_model(), 6, compat_paper=True)
-        b = 10.0
-        tilt = solve_tilt(lam0, sm, b, WINDOW)
-        lhs = tilt.lambda1 * cumulants(sm, tilt.theta1)[1]
-        assert lhs == pytest.approx(b, rel=1e-8)
 
     def test_threshold_at_null_mean_gives_zero_tilt(self, lam0, pls):
         null_mean = WINDOW * lam0 * pls.null_cumulants[1]
@@ -273,23 +269,6 @@ class TestPvalue:
         hits = (W - WINDOW) * mean_inc * np.exp(-exponent) * local
         assert rep.p == pytest.approx(-np.expm1(-hits), rel=1e-10)
         assert rep.rate_function == pytest.approx(exponent / WINDOW, rel=1e-12)
-
-    def test_ey1_literal_variant(self, lam0):
-        # compat_paper, recomputed for counts (phi' = 1): the literal centring
-        # lambda1 * phi'(theta1) = b gives lambda1 = b and theta1 = log(b /
-        # lambda0), and the mean increment is b - lambda0 * mu0. A short
-        # window keeps p inside (0, 1); at w = 1000 it clamps to 1.
-        sm = ScoreModel("pcs", bohv1_model(), 6, compat_paper=True)
-        b, window = 4.0, 5
-        rep = p_value(b, window, W, lam0, sm, nu_fixed=1.0)
-        theta1 = np.log(b / lam0)
-        assert rep.tilt.lambda1 == pytest.approx(b, rel=1e-12)
-        assert rep.tilt.theta1 == pytest.approx(theta1, rel=1e-12)
-        exponent = b * theta1 - window * (b - lam0)
-        local = 1.0 / np.sqrt(2.0 * np.pi * window * b)
-        hits = (W - window) * (b - lam0) * np.exp(-exponent) * local
-        assert 0.01 < rep.p < 0.99
-        assert rep.p == pytest.approx(-np.expm1(-hits), rel=1e-9)
 
     def test_small_tilt_shortcut(self, lam0, pls):
         # small tilts take the analytic nu too, which tends to its zero-tilt
@@ -586,21 +565,18 @@ class TestThresholdForAlpha:
     def test_relative_accuracy_down_to_small_alpha(self, kind, nu_fixed, lam0, monkeypatch):
         # A genome-wide scan with a multiple-testing correction needs alpha
         # far below 1e-6, where an absolute tolerance on p means nothing.
-        # Searches off compat_paper solve no tilt; under it they may stop on
-        # their bracket (pcs has no threshold there: test_compat_pcs_jump_raises).
+        # The searches solve no tilt.
         solved = []
         monkeypatch.setattr(scan_module, "solve_tilt",
                             lambda *a, **k: solved.append(a) or solve_tilt(*a, **k))
-        for compat in (False, True) if kind != "pcs" else (False,):
-            sm = ScoreModel(kind, bohv1_model(), 6, compat_paper=compat)
-            ratios = {}
-            for alpha in (0.2, 0.05, 1e-3, 1e-5, 1e-6, 1e-7, 1e-9, 1e-12):
-                solved.clear()
-                b = threshold_for_alpha(alpha, WINDOW, W, lam0, sm, nu_fixed=nu_fixed)
-                assert compat or not solved
-                ratios[alpha] = p_value(b, WINDOW, W, lam0, sm, nu_fixed=nu_fixed).p / alpha
-            tol = scan_module.BRACKET_RTOL if compat else scan_module.ALPHA_RTOL
-            assert all(abs(r - 1.0) <= tol for r in ratios.values()), (compat, ratios)
+        sm = ScoreModel(kind, bohv1_model(), 6)
+        ratios = {}
+        for alpha in (0.2, 0.05, 1e-3, 1e-5, 1e-6, 1e-7, 1e-9, 1e-12):
+            solved.clear()
+            b = threshold_for_alpha(alpha, WINDOW, W, lam0, sm, nu_fixed=nu_fixed)
+            assert not solved
+            ratios[alpha] = p_value(b, WINDOW, W, lam0, sm, nu_fixed=nu_fixed).p / alpha
+        assert all(abs(r - 1.0) <= scan_module.ALPHA_RTOL for r in ratios.values()), ratios
 
     def test_monte_carlo_variant_lands_near_alpha(self, lam0, pls):
         # the p-value at the returned threshold, with nu from the Monte Carlo
@@ -690,32 +666,50 @@ class TestThresholdForAlpha:
         with pytest.raises(DomainError, match="alpha"):
             threshold_for_alpha(0.9, WINDOW, 1200, lam0, pls, nu_fixed=1.0)
 
-    @pytest.mark.parametrize("window,total,match", [
-        (50, 100, "jumps"), (100, 10**7, "jumps"), (1000, 135_301, "not attainable"),
-    ], ids=["50-100", "100-10000000", "1000-135301"])
-    def test_compat_pcs_jump_raises(self, window, total, match, lam0):
-        # under compat_paper the pcs p falls from 1 straight to 0 (at about
-        # 5.7e18 and 2.9e40 for the first two), so no threshold has p near
-        # alpha; at w = 1000 p stays 1 up to b = lambda0 e^w, beyond float
-        # range, so every threshold the search tries has p = 1
-        sm = ScoreModel("pcs", bohv1_model(), 6, compat_paper=True)
-        with pytest.raises(DomainError, match=match):
-            threshold_for_alpha(0.05, window, total, lam0, sm)
-
-    @pytest.mark.parametrize("total,alpha,nu_fixed", [
-        (135_301, 1e-3, None), (20_000, 1e-6, 1.0), (10**7, 1e-9, None),
+    @pytest.mark.parametrize("kind,total,alpha,nu_fixed", [
+        ("pcs", 135_301, 0.05, None), ("pls", 20_000, 1e-3, None),
+        ("pls", 135_301, 1e-9, 1.0), ("bws", 135_301, 0.05, None),
+        ("bws", 10**7, 1e-6, 1.0),
     ])
-    def test_compat_bws_bracket_stop_returns_threshold(self, total, alpha, nu_fixed,
-                                                       lam0, monkeypatch):
-        # Under compat_paper bws thresholds are about 1.4e6, where h falls so
-        # steeply that p moves by about 1e-7 between adjacent thresholds.
-        # With the |h| stop switched off every search ends on its bracket,
-        # and the bracket end nearer alpha is still a threshold.
+    def test_closed_bracket_is_a_convergence_failure(self, kind, total, alpha, nu_fixed,
+                                                     lam0, monkeypatch):
+        # With the |h| stop switched off every search runs until its
+        # bracket closes about the sign change of h. alpha is attained there
+        # (the real stop returns a threshold), so the failure is one of
+        # convergence, never "not attainable".
+        sm = ScoreModel(kind, bohv1_model(), 6)
+        threshold_for_alpha(alpha, WINDOW, total, lam0, sm, nu_fixed=nu_fixed)
         monkeypatch.setattr(scan_module, "ALPHA_RTOL", 0.0)
-        sm = ScoreModel("bws", bohv1_model(), 6, compat_paper=True)
-        b = threshold_for_alpha(alpha, WINDOW, total, lam0, sm, nu_fixed=nu_fixed)
-        ratio = p_value(b, WINDOW, total, lam0, sm, nu_fixed=nu_fixed).p / alpha
-        assert abs(ratio - 1.0) <= scan_module.BRACKET_RTOL
+        with pytest.raises(ConvergenceError, match="closed its bracket"):
+            threshold_for_alpha(alpha, WINDOW, total, lam0, sm, nu_fixed=nu_fixed)
+
+
+class TestLiteralReading:
+    """The paper's literal reading of the p-value, kept as a test oracle
+    (oracles.literal_threshold): bws start weights from the column form
+    (I - T) pi, the tilt centred without the window factor, and the mean
+    ladder increment b - lambda0 * mean score."""
+
+    # The package's thresholds under this reading (ScoreModel(...,
+    # compat_paper=True), before the switch was removed) at alpha = 0.05,
+    # w = 1000, W = 135,301, BoHV-1, lambda0 = markov_rate and nu = 1.
+    RECORDED = {"pls": 95398.56938044372, "bws": 1373499.2983228709}
+
+    @pytest.mark.parametrize("kind", ["pls", "bws"])
+    def test_thresholds_for_the_record(self, kind, lam0, bohv1):
+        pi, trans = bohv1.pi, bohv1.trans
+        if kind == "pls":
+            start = None
+            t_max = -6.0 * np.log(np.abs(np.linalg.eigvals(quasi_matrix(trans))).max())
+        else:
+            start, t_max = column_start_weights(pi, trans), bws_domain_edge(trans)
+        mgf = lambda z: matrix_form_mgf(pi, trans, 6, z, kind, bws_start=start)
+        b = literal_threshold(0.05, WINDOW, W, lam0, mgf, t_max)
+        assert b == pytest.approx(self.RECORDED[kind], rel=1e-6)
+        # thousands of times the default reading's threshold: no window
+        # reaches it, so every power under this reading is 0
+        sm = ScoreModel(kind, bohv1, 6)
+        assert b > 1000.0 * threshold_for_alpha(0.05, WINDOW, W, lam0, sm, nu_fixed=1.0)
 
 
 class TestCallHistory:
@@ -736,15 +730,15 @@ class TestCallHistory:
             assert threshold(shared[c[0]], *c[1:]) == fresh[c], c
 
     def test_domain_error_leaves_no_trace(self, lam0, bohv1):
-        # under compat_paper a pls threshold of 1e20 lies beyond the MGF
-        # domain edge
-        sm = ScoreModel("pls", bohv1, 6, compat_paper=True)
-        cold = threshold_for_alpha(1e-3, WINDOW, W, lam0,
-                                   ScoreModel("pls", bohv1, 6, compat_paper=True))
+        # a pls threshold above the one at the top of the tilt interval
+        # (sm.edge_cumulants) lies beyond the MGF domain edge
+        sm = ScoreModel("pls", bohv1, 6)
+        cold = threshold_for_alpha(1e-3, WINDOW, W, lam0, ScoreModel("pls", bohv1, 6))
+        b = 2.0 * scan_module._tilt_at(lam0, sm, sm.edge_cumulants[0], WINDOW).threshold
         with pytest.raises(DomainError):
-            solve_tilt(lam0, sm, 1e20, WINDOW)
+            solve_tilt(lam0, sm, b, WINDOW)
         with pytest.raises(DomainError):
-            p_value(1e20, WINDOW, W, lam0, sm)
+            p_value(b, WINDOW, W, lam0, sm)
         assert threshold_for_alpha(1e-3, WINDOW, W, lam0, sm) == cold
 
 

@@ -20,7 +20,6 @@ from palinscan import (
     iid_model,
     insert_hotspots,
     markov_rate,
-    mgf_at_length,
     power_experiment,
     rate_experiment,
     score_mgf,
@@ -33,7 +32,7 @@ from palinscan.sim import (
     min_seq_length,
 )
 
-from oracles import iid_geometric_mgf, quasi_matrix, random_model, series_mgf
+from oracles import iid_geometric_mgf, mgf_at_length, random_model, series_mgf
 
 
 def cli_output(*argv) -> str:
@@ -197,23 +196,19 @@ class TestTiltedSampler:
         emp = float(np.mean(draws == 1.0))
         assert abs(emp - p6) < 5 * np.sqrt(p6 * (1 - p6) / draws.size)
 
-    @pytest.mark.parametrize("compat_paper", [False, True])
-    def test_bws_mgf_identity(self, compat_paper):
+    def test_bws_mgf_identity(self):
         # under tilt theta, E[exp(s X)] = K(theta + s) / K(theta), with K the
-        # MGF of the model's convention. BoHV-1 is too close to symmetric for
-        # the two bws start weights to differ visibly; on this model they
-        # move the ratio by 1.6%, which 150k draws resolve at about 15 SE.
+        # MGF. BoHV-1 is too close to symmetric for the start weights to
+        # matter visibly; on this model the column form (I - T) pi in place
+        # of the row form pi (I - T) would move the ratio by 1.6%, which
+        # 150k draws resolve at about 15 SE.
         theta, s = 0.2, -0.15
         pi, trans = random_model(np.random.default_rng(2))
-        sm = ScoreModel("bws", MarkovModel(pi=pi, trans=trans), 6,
-                        compat_paper=compat_paper)
-        column = pi - quasi_matrix(trans) @ pi if compat_paper else None
+        sm = ScoreModel("bws", MarkovModel(pi=pi, trans=trans), 6)
         draws = TiltedScoreSampler(sm, theta).draw(np.random.default_rng(13), 150_000)
         vals = np.exp(s * draws)
-        expected = (
-            series_mgf(pi, trans, 6, theta + s, "bws", bws_start=column)
-            / series_mgf(pi, trans, 6, theta, "bws", bws_start=column)
-        )
+        expected = (series_mgf(pi, trans, 6, theta + s, "bws")
+                    / series_mgf(pi, trans, 6, theta, "bws"))
         se = vals.std(ddof=1) / np.sqrt(vals.size)
         assert abs(vals.mean() - expected) < 5 * se
 
