@@ -21,9 +21,11 @@ from .seqio import DnaSeq
 
 PROB_ATOL = 1e-6
 
-# estimate_model counts pair codes in blocks of this many bases, so that
-# bincount's cast of each block to intp stays in cache
-PAIR_BLOCK = 1 << 16
+# estimate_model packs four bases per word and counts the word codes in
+# blocks of this many words, so that bincount's cast of each block to intp
+# (256 kB) stays in cache; blocks of 2^15 and 2^16 words count 10 Mbp
+# within a few percent of each other, 2^13 and 2^17 about 20-40% slower
+PAIR_BLOCK = 1 << 15
 
 # Base composition and transition frequencies of the bovine herpes virus 1
 # reference genome (135,301 bp), rounded to four decimals; rows are
@@ -92,13 +94,63 @@ class RateEstimate:
     half_length: int
 
 
+def _word_pairs() -> np.ndarray:
+    """table[c, 4a + b]: how often the pair (a, b) occurs among the four
+    adjacent pairs of the five bases in code c, base j in bits 2j..2j+1."""
+    codes = np.arange(1024)
+    table = np.zeros((1024, 16), dtype=np.int64)
+    for j in range(4):
+        pair = (((codes >> (2 * j)) & 3) << 2) | ((codes >> (2 * j + 2)) & 3)
+        table[codes, pair] += 1
+    return table
+
+
+_WORD_PAIRS = _word_pairs()
+
+
+def _pair_counts(b: np.ndarray) -> np.ndarray:
+    """counts[4a + b]: how often base b follows base a in b.
+
+    The bases from the first 4-byte boundary on are read as little-endian
+    uint32 words, and each word is packed with its successor's first base
+    into a 10-bit code (x | x >> 6, then | >> 12, puts the word's bases in
+    its low byte). A 1024-bin histogram of the codes, taken PAIR_BLOCK
+    words at a time, times the table of the pairs in each code gives the
+    four pairs that start in each word; the few pairs before the boundary
+    and from the last word on are counted one by one.
+    """
+    n = b.size
+    head = min(-b.ctypes.data % 4, n - 1)
+    m = max((n - head) // 4 - 1, 0)  # words counted by code, each with a successor
+    words = b[head : head + 4 * m + 4].view("<u4") if m else None
+    hist = np.zeros(1024, dtype=np.int64)
+    low = np.empty(min(m, PAIR_BLOCK) + 1, dtype=np.uint32)
+    high = np.empty_like(low)
+    for start in range(0, m, PAIR_BLOCK):
+        w = words[start : start + PAIR_BLOCK + 1]
+        k = w.size - 1
+        x, y = low[: k + 1], high[: k + 1]
+        np.right_shift(w, 6, out=y)
+        y |= w
+        np.right_shift(y, 12, out=x)
+        x |= y
+        x &= 0xFF
+        np.left_shift(w[1:], 8, out=y[:k])
+        y[:k] &= 0x300
+        x[:k] |= y[:k]
+        hist += np.bincount(x[:k], minlength=1024)
+    counts = hist @ _WORD_PAIRS
+    for i in [*range(head), *range(head + 4 * m, n - 1)]:
+        counts[4 * int(b[i]) + int(b[i + 1])] += 1
+    return counts
+
+
 def estimate_model(seq: DnaSeq, pseudocount: float = 0.0) -> MarkovModel:
     """Fit composition and transition frequencies to a sequence.
 
-    Transitions are counted as codes 4a + b of adjacent bases (a, b), in
-    blocks of PAIR_BLOCK bases that overlap by one base, so every pair is
-    counted once; the counts are integers, so the fit does not depend on
-    the block size.
+    Transitions are counted four bases per word by _pair_counts, on a
+    contiguous copy when the bases are strided; the counts are integers,
+    so the fit does not depend on how they were grouped.
 
     Args:
         seq: sequence to fit.
@@ -114,11 +166,7 @@ def estimate_model(seq: DnaSeq, pseudocount: float = 0.0) -> MarkovModel:
     b = seq.bases
     if b.size < 2:
         raise EstimationError("need at least two bases to estimate transitions")
-    counts = np.zeros(16, dtype=np.int64)
-    for start in range(0, b.size - 1, PAIR_BLOCK - 1):
-        block = b[start : start + PAIR_BLOCK]
-        counts += np.bincount((block[:-1] << 2) | block[1:], minlength=16)
-    pair_counts = counts.reshape(4, 4).astype(float)
+    pair_counts = _pair_counts(np.ascontiguousarray(b)).reshape(4, 4).astype(float)
     row_totals = pair_counts.sum(axis=1)
     # every base but the last starts one pair
     base_counts = row_totals.copy()
@@ -235,6 +283,11 @@ _COMPOSE = _step_map_composition()
 WALK_BLOCK = 16
 WALK_LEAF = 64
 
+# generate_sequence draws and maps this many uniforms at a time, so a
+# 135,301 bp replicate is one chunk; at 10 Mbp, chunks of 2^16 to 2^19 took
+# 121 to 167 ms (best of 5) against 220 to 236 ms for all draws at once
+DRAW_CHUNK = 1 << 18
+
 
 def _walk(maps: np.ndarray, first: int) -> None:
     """Replace each step map by the base the walk from `first` reaches there.
@@ -285,6 +338,37 @@ def _walk(maps: np.ndarray, first: int) -> None:
         maps[full * WALK_BLOCK :] = blocks[:rest, full]
 
 
+def _draw_step_maps(model: MarkovModel, rng: np.random.Generator,
+                    out: np.ndarray) -> int:
+    """Draw one uniform per position of out and return the first base;
+    every later draw becomes the step map into its position in out.
+
+    The draws are made and mapped DRAW_CHUNK at a time, in one float64
+    buffer, and give the same stream as one call for all of them.
+    """
+    u = np.empty(min(out.size, DRAW_CHUNK))
+    above = np.empty(u.size, dtype=bool)
+    thresholds = np.cumsum(model.trans, axis=1)[:, :3]
+    first = 0
+    for start in range(0, out.size, u.size):
+        v = u[: out.size - start]
+        rng.random(out=v)
+        maps = out[start : start + v.size]
+        if start == 0:
+            first = min(int(np.searchsorted(np.cumsum(model.pi), v[0], side="right")), 3)
+            v, maps = v[1:], maps[1:]
+        # maps first holds zeros: the next bases of rows 3, 2, 1, 0 are
+        # added in place, shifting two bits up between rows
+        mask = above[: v.size]
+        for s in range(3, -1, -1):
+            for threshold in thresholds[s]:
+                np.greater(v, threshold, out=mask)
+                maps += mask.view(np.uint8)
+            if s:
+                maps <<= 2
+    return first
+
+
 def generate_sequence(model: MarkovModel, length: int,
                       rng: np.random.Generator) -> DnaSeq:
     """Sample a sequence of the given length from the model.
@@ -292,37 +376,23 @@ def generate_sequence(model: MarkovModel, length: int,
     One uniform draw u per position. The first base is the composition
     quantile of u[0]. Every later draw becomes a byte-coded step map: bits
     2s..2s+1 hold the base that follows base s, namely the number of row s's
-    first three cumulative transition probabilities that u exceeds. The maps
-    are written into the output array itself, and the chain is realised
-    there without a per-base Python loop by _walk: it composes the maps in
-    contiguous blocks of 16 through a 256x256 composition table, finds the
-    block start bases by walking the block-final maps the same way (three
-    levels of blocks at 135 kbp, five at 10 Mbp), and reads each base out
-    of its prefix map by shift and mask. Besides the draws and the output,
-    the maps take one comparison mask; the draws are freed before the walk
-    allocates its block array.
+    first three cumulative transition probabilities that u exceeds. The
+    draws are made and mapped DRAW_CHUNK at a time, and the maps are written
+    into the output array itself, so besides it the draws take one chunk
+    of floats and one comparison mask, freed before the walk. The chain is
+    realised there without a per-base Python loop by _walk: it composes the
+    maps in contiguous blocks of 16 through a 256x256 composition table,
+    finds the block start bases by walking the block-final maps the same
+    way (three levels of blocks at 135 kbp, five at 10 Mbp), and reads each
+    base out of its prefix map by shift and mask. The walk's block array
+    and index buffer set the peak: about 2.7 bytes per base.
     """
     if length < 0:
         raise ValueError("length must be non-negative")
     if length == 0:
         return DnaSeq(bases=np.empty(0, dtype=np.uint8), source_id="generated")
-    u = rng.random(length)
-    first = min(int(np.searchsorted(np.cumsum(model.pi), u[0], side="right")), 3)
     out = np.zeros(length, dtype=np.uint8)
+    first = _draw_step_maps(model, rng, out)
     out[0] = first
-    # out[t] first holds the step map from the base at t - 1 to the one at
-    # t: the next bases of rows 3, 2, 1, 0 are added in place, shifting two
-    # bits up between rows
-    maps = out[1:]
-    v = u[1:]
-    above = np.empty(v.size, dtype=bool)
-    thresholds = np.cumsum(model.trans, axis=1)[:, :3]
-    for s in range(3, -1, -1):
-        for threshold in thresholds[s]:
-            np.greater(v, threshold, out=above)
-            maps += above.view(np.uint8)
-        if s:
-            maps <<= 2
-    del u, v, above
-    _walk(maps, first)
+    _walk(out[1:], first)
     return DnaSeq(bases=out, source_id="generated")

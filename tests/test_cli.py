@@ -22,6 +22,7 @@ from palinscan import (
     parse_fasta_file,
     pattern_log_prob,
 )
+from palinscan import cli
 from palinscan.cli import SCAN_REPORT_KEYS, build_parser, main, run
 from palinscan.seqio import decode
 
@@ -246,6 +247,22 @@ class TestScan:
         series_max = max(float(l.split("\t")[1]) for l in lines[1:])
         row = dict(zip(*[l.split("\t") for l in text.splitlines()]))
         assert series_max == pytest.approx(float(row["max"]), rel=1e-9)
+
+    def test_dump_series_matches_line_by_line(self, tmp_path):
+        # the series is written SERIES_CHUNK lines at a time, each distinct
+        # value formatted once: the bytes are those of one formatted line
+        # per start, across chunk edges, for runs of repeated values, both
+        # signed zeros and values past 10 significant digits
+        levels = np.array([0.0, -0.0, 1.0, 3.166666666666667, 0.1 + 0.2, 1e-300,
+                           2.5e15, 12345.678901234, 7.0000000004, 7.0000000006])
+        rng = np.random.default_rng(4)
+        values = np.repeat(levels[rng.integers(0, levels.size, 200)],
+                           rng.integers(1, 2000, 200))[: 2 * cli.SERIES_CHUNK + 123]
+        assert values.size == 2 * cli.SERIES_CHUNK + 123
+        path = tmp_path / "series.tsv"
+        cli._dump_series(str(path), values)
+        want = "t\tvalue\n" + "".join(f"{t}\t{v:.10g}\n" for t, v in enumerate(values))
+        assert path.read_bytes() == want.encode("ascii")
 
     def test_dump_events(self, sample_path, sample_record, tmp_path):
         out = tmp_path / "events.tsv"

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from palinscan import (
     quasi_transition_matrix,
 )
 from palinscan.cli import build_parser, run
+from palinscan import markov
 from palinscan.markov import PAIR_BLOCK, _walk
 from palinscan.seqio import decode
 
@@ -122,11 +124,26 @@ class TestEstimateModel:
     def test_matches_direct_counting(self, bases, pseudocount):
         assert_fit_matches_counting(np.array(bases, dtype=np.uint8), pseudocount)
 
-    # pairs are counted in blocks of PAIR_BLOCK bases overlapping by one, so
-    # lengths about one and two blocks are the edges
+    # every length 2..40 on aligned, unaligned and strided bases: the few
+    # pairs around the word boundaries are counted one by one, the rest as
+    # codes of whole words
+    @pytest.mark.parametrize("length", range(2, 41))
+    def test_matches_direct_counting_at_word_edges(self, length):
+        bases = np.random.default_rng(length).integers(0, 4, 2 * length + 3, dtype=np.uint8)
+        for view in (bases[:length], bases[1 : length + 1], bases[3 : length + 3],
+                     bases[::2][:length]):
+            assert view.size == length
+            for pseudocount in (0.0, 0.5):
+                assert_fit_matches_counting(view, pseudocount)
+
+    # words are counted in blocks of PAIR_BLOCK, each word with its
+    # successor, so k blocks are full from 4 * PAIR_BLOCK * k + 4 bases on;
+    # lengths about half a block, one block and two blocks, and the
+    # shortest fit
     @pytest.mark.parametrize("length", [
-        2, PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1, PAIR_BLOCK + 2,
-        2 * PAIR_BLOCK - 1, 2 * PAIR_BLOCK, 2 * PAIR_BLOCK + 1,
+        2, 2 * PAIR_BLOCK - 1, 2 * PAIR_BLOCK, 2 * PAIR_BLOCK + 1, 2 * PAIR_BLOCK + 2,
+        *range(4 * PAIR_BLOCK - 1, 4 * PAIR_BLOCK + 10),
+        *range(8 * PAIR_BLOCK + 2, 8 * PAIR_BLOCK + 10),
     ])
     def test_matches_direct_counting_at_block_edges(self, length):
         rng = np.random.default_rng(length)
@@ -135,14 +152,17 @@ class TestEstimateModel:
                                         pseudocount)
 
     @settings(max_examples=8, deadline=None, derandomize=True, database=None)
-    @given(length=st.integers(2, 3 * PAIR_BLOCK), seed=st.integers(0, 2**32 - 1))
-    def test_matches_direct_counting_at_random_lengths(self, length, seed):
-        bases = np.random.default_rng(seed).integers(0, 4, length, dtype=np.uint8)
-        assert_fit_matches_counting(bases, 0.0)
+    @given(length=st.integers(2, 12 * PAIR_BLOCK), seed=st.integers(0, 2**32 - 1),
+           offset=st.integers(0, 3))
+    def test_matches_direct_counting_at_random_lengths(self, length, seed, offset):
+        bases = np.random.default_rng(seed).integers(0, 4, length + offset, dtype=np.uint8)
+        assert_fit_matches_counting(bases[offset:], 0.0)
 
     def test_counts_pairs_one_block_at_a_time(self, monkeypatch, rng):
-        # the pair codes go to bincount a block at a time, so its cast to
-        # intp never sees more than one block
+        # the word codes go to bincount a block of PAIR_BLOCK words at a
+        # time, so its cast to intp never sees more than one block; each
+        # code stands for the four pairs starting in its word, and at most
+        # ten pairs around the word boundaries are counted one by one
         sizes = []
         bincount = np.bincount
 
@@ -151,10 +171,13 @@ class TestEstimateModel:
             return bincount(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "bincount", counted)
-        seq = DnaSeq(bases=rng.integers(0, 4, 3 * PAIR_BLOCK + 5, dtype=np.uint8))
-        estimate_model(seq)
-        assert sum(sizes) == seq.length - 1
-        assert max(sizes) <= PAIR_BLOCK
+        bases = rng.integers(0, 4, 12 * PAIR_BLOCK + 25, dtype=np.uint8)
+        for seq in (DnaSeq(bases=bases), DnaSeq(bases=bases[1:])):
+            sizes.clear()
+            estimate_model(seq)
+            assert len(sizes) == 4
+            assert max(sizes) <= PAIR_BLOCK
+            assert seq.length - 11 <= 4 * sum(sizes) <= seq.length - 1
 
     def test_recovers_generator(self, bohv1, rng):
         seq = generate_sequence(bohv1, 300_000, rng)
@@ -300,6 +323,30 @@ class TestGenerateSequence:
     def test_pinned_digest_at_a_million_bases(self, model, seed, digest):
         got = generate_sequence(model, 1_000_000, np.random.default_rng(seed))
         assert hashlib.sha256(got.bases.tobytes()).hexdigest() == digest
+
+    # the draws are made and mapped DRAW_CHUNK at a time: short chunks put
+    # the first base alone in its chunk or beside the first maps, and
+    # lengths a chunk or more end on and past chunk edges
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+    def test_draw_chunks_match_sequential_reference(self, bohv1, monkeypatch, chunk):
+        monkeypatch.setattr(markov, "DRAW_CHUNK", chunk)
+        for length in sorted({1, 2, 3, chunk, chunk + 1, 3 * chunk, 3 * chunk + 2, 1001}):
+            got = generate_sequence(bohv1, length, np.random.default_rng(99))
+            assert np.array_equal(got.bases, self.naive_chain(bohv1, length, 99))
+
+    def test_allocation_peak(self, bohv1):
+        # besides the output, the draws take one chunk of floats and a mask,
+        # freed before the walk, whose block array and index buffer set the
+        # peak: about 2.7 bytes per base, against 10 with every draw at once
+        n, rng = 2_000_000, np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            seq = generate_sequence(bohv1, n, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seq.length == n
+        assert peak <= 3 * n
 
     def test_zero_length(self, bohv1):
         assert generate_sequence(bohv1, 0, np.random.default_rng(0)).length == 0

@@ -2,6 +2,7 @@ import http.server
 import io
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from palinscan import (
     parse_fasta_file,
     reverse_complement,
 )
+from palinscan import seqio
 from palinscan.seqio import decode, encode
 
 from oracles import line_parse_fasta, naive_parse_fasta, serialize_fasta
@@ -66,6 +68,30 @@ class TestEncodeDecode:
             encode("ACGN")
 
 
+# parse_fasta's chunk sizes under test: the module's own, then pieces so
+# short that every line and most headers cross an edge
+CHUNKS = (None, 1, 2, 3, 64)
+
+
+def assert_parses_like_line_parser(text: str) -> None:
+    """parse_fasta agrees with the line parser, errors included, on str,
+    bytes and file-object sources read in pieces of each of CHUNKS."""
+    data = text.encode("utf-8")
+    for chunk in CHUNKS:
+        with mock.patch.object(seqio, "FASTA_CHUNK", chunk or seqio.FASTA_CHUNK):
+            for source, content in ((text, text), (data, data),
+                                    (io.StringIO(text), text), (io.BytesIO(data), data)):
+                try:
+                    want = line_parse_fasta(content)
+                except FastaError as exc:
+                    with pytest.raises(FastaError) as got:
+                        parse_fasta(source)
+                    assert str(got.value) == str(exc), (chunk, source)
+                    continue
+                got = [(r.id, str(r.seq), r.seq.dropped_count) for r in parse_fasta(source)]
+                assert got == want, (chunk, source)
+
+
 class TestParseFasta:
     def test_matches_naive_reader(self, data_dir):
         text = (data_dir / "mixed.fa").read_text()
@@ -100,17 +126,7 @@ class TestParseFasta:
                                      st.sampled_from(["ACGT", "\n", "ga\n"])),
                            max_size=40))
     def test_matches_line_parser(self, head, pieces):
-        text = head + "".join(pieces)
-        for source in (text, text.encode("utf-8")):
-            try:
-                want = line_parse_fasta(source)
-            except FastaError as exc:
-                with pytest.raises(FastaError) as got:
-                    parse_fasta(source)
-                assert str(got.value) == str(exc)
-                continue
-            got = [(r.id, str(r.seq), r.seq.dropped_count) for r in parse_fasta(source)]
-            assert got == want
+        assert_parses_like_line_parser(head + "".join(pieces))
 
     # Long records: clean ones, which parse_fasta takes as one translated
     # body, beside ones holding a symbol to drop, an inner \x1f or \xa0, or
@@ -134,11 +150,8 @@ class TestParseFasta:
                          min_size=1, max_size=8))
     def test_long_records_match_line_parser(self, seed, dirt):
         rng = np.random.default_rng(seed)
-        text = "".join(self.long_record(rng, i, d) for i, d in enumerate(dirt))
-        for source in (text, text.encode("utf-8")):
-            want = line_parse_fasta(source)
-            got = [(r.id, str(r.seq), r.seq.dropped_count) for r in parse_fasta(source)]
-            assert got == want
+        assert_parses_like_line_parser(
+            "".join(self.long_record(rng, i, d) for i, d in enumerate(dirt)))
 
     def test_sources_agree_and_bases_are_writable(self):
         rng = np.random.default_rng(5)
@@ -165,28 +178,70 @@ class TestParseFasta:
         (">r\nACGT\n> \t\nACGT\n", "FASTA header line with empty id"),
         (">r\nACGT\n>s t\nNN\x1f-\n>\n", "record 's t' has no valid ACGT symbols"),
         (b">r\xe9\n\xe9\n", "record 'r\ufffd' has no valid ACGT symbols"),
+        (">\nNN\n", "FASTA header line with empty id"),
     ])
     def test_error_messages(self, source, message):
-        with pytest.raises(FastaError) as exc:
-            parse_fasta(source)
-        assert str(exc.value) == message
+        for chunk in CHUNKS:
+            with mock.patch.object(seqio, "FASTA_CHUNK", chunk or seqio.FASTA_CHUNK):
+                with pytest.raises(FastaError) as exc:
+                    parse_fasta(source)
+            assert str(exc.value) == message
+
+    # Chunk edges (for the 64-character chunk of CHUNKS; pieces of 1 to 3
+    # put an edge at every offset): a sequence line longer than a chunk, a
+    # '>' inside a sequence line, \r | \n, and \x1f inside a line, at its
+    # start and at its end.
+    @pytest.mark.parametrize("text", [
+        ">r\n" + "ACGT" * 50 + "\n>s\n" + "GATTACA" * 30,
+        ">r\n" + "A" * 61 + ">x\n>s\nAC\n",
+        ">r\n" + "C" * 60 + "\r\n>s\r\nGG\r\n",
+        ">r\n" + "G" * 61 + "\x1fT\n",
+        ">r\n" + "G" * 60 + "\n\x1fT\n",
+        ">r\n" + "G" * 60 + "\x1f\nT\n",
+        ">" + "r" * 70 + "\nAC\n",
+    ], ids=["long-lines", "gt-in-line", "cr-lf", "x1f-inside", "x1f-at-start",
+            "x1f-at-end", "long-header"])
+    def test_chunk_edges(self, text):
+        assert_parses_like_line_parser(text)
+
+    @staticmethod
+    def one_record_fasta(n: int, seed: int) -> tuple[bytes, np.ndarray]:
+        """A one-record FASTA of n random bases in 60-column lines, and its
+        base codes."""
+        codes = np.random.default_rng(seed).integers(0, 4, n, dtype=np.uint8)
+        text = np.frombuffer(b"ACGT", dtype=np.uint8)[codes]
+        return b">chr\n" + b"\n".join(text[i : i + 60].tobytes()
+                                       for i in range(0, n, 60)) + b"\n", codes
 
     def test_clean_parse_allocation_peak(self):
-        # a clean body is copied out and translated once: about two bytes
-        # per base
-        rng = np.random.default_rng(11)
+        # the bytes are read a chunk of lines at a time into one base array
+        # sized from the text: about one byte per base
         n = 2_000_000
-        bases = np.frombuffer(b"ACGT", dtype=np.uint8)[rng.integers(0, 4, n)]
-        data = b">chr\n" + b"\n".join(bases[i : i + 60].tobytes()
-                                       for i in range(0, n, 60)) + b"\n"
+        data, codes = self.one_record_fasta(n, 11)
         tracemalloc.start()
         try:
             (rec,) = parse_fasta(data)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rec.seq.length == n
-        assert peak <= 3.5 * n
+        assert np.array_equal(rec.seq.bases, codes)
+        assert peak <= 1.25 * n
+
+    def test_file_parse_allocation_peak(self, tmp_path):
+        # a file is read the same way, its base array sized from the file:
+        # the text is never held whole, nor copied or translated whole
+        n = 1_000_000
+        data, codes = self.one_record_fasta(n, 12)
+        path = tmp_path / "one.fa"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            (rec,) = parse_fasta_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(rec.seq.bases, codes)
+        assert peak <= 1.25 * n
 
     def test_accepts_bytes_and_file_objects(self):
         text = ">r\nACGT\n"
