@@ -91,9 +91,11 @@ _FLAGS = {
                 help="scan window width in bp (default 1000)"),
     "--alpha": dict(type=_checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
                     default=0.05, help="significance level (default 0.05)"),
-    "--seed": dict(type=int, default=0, help="master seed (default 0)"),
-    "--replicates": dict(type=_at_least_1, default=500,
-                         help="simulation replicates (default 500)"),
+    "--seed": dict(type=_checked(int, lambda v: v >= 0, ">= 0"),
+                   default=ExperimentConfig.master_seed,
+                   help="master seed (default %(default)s)"),
+    "--replicates": dict(type=_at_least_1, default=ExperimentConfig.replicates,
+                         help="simulation replicates (default %(default)s)"),
     "--multipliers": dict(action="append", default=None, type=_parse_multipliers,
                           metavar="a1,a2,a3",
                           help="hot-spot rate multipliers, each finite and >= 1; "
@@ -110,9 +112,10 @@ _FLAGS = {
                      help="simulated sequence length (default %(default)s)"),
     "--lambda0": dict(type=_positive_rate, default=None,
                       help="override the null rate per bp"),
-    "--lambda0-target": dict(dest="lambda0_target", type=_positive_rate, default=0.00098,
+    "--lambda0-target": dict(dest="lambda0_target", type=_positive_rate,
+                             default=ExperimentConfig.lambda0_target,
                              help="nominal rate for hot-spot insertion "
-                                  "(default 0.00098)"),
+                                  "(default %(default)s)"),
     "--rate-estimator": dict(dest="rate_estimator", default="markov",
                              choices=("markov", "average", "iid"),
                              help="null-rate estimator (default markov)"),

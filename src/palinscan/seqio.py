@@ -1,11 +1,11 @@
 """Sequence ingestion: FASTA parsing, remote fetch with caching, complements.
 
 Sequences are stored as uint8 code arrays over the fixed alphabet A=0, C=1,
-G=2, T=3, so that the complement of code ``c`` is ``3 - c``. Text becomes
-codes through one byte table with ``bytes.translate``; parse_fasta reads
-its source as ASCII bytes in chunks of whole lines and translates each
-chunk's record bodies into one base array per record, so the text is never
-held whole.
+G=2, T=3, so that the complement of code ``c`` is ``3 - c``. Text is read
+as bytes, str text encoded as UTF-8, and becomes codes through one byte
+table with ``bytes.translate``. parse_fasta reads its source in chunks of
+whole lines and translates each chunk's record bodies into one base array
+per record, so the text is never held whole.
 """
 
 from __future__ import annotations
@@ -26,36 +26,21 @@ ALPHABET = "ACGT"
 CACHE_ENV_VAR = "PALINSCAN_CACHE"
 DEFAULT_ENDPOINT = "https://www.ebi.ac.uk/ena/browser/api/fasta"
 
-# byte -> code lookup; 255 marks a symbol to drop, 254 ignorable whitespace
+# Whitespace is what bytes.strip removes; lines end at \n, \r\n or \r,
+# where bytes.splitlines splits them
+_SKIPPED = b" \t\n\r\v\f"
+_LINE_BREAKS = b"\n\r"
+_LINE_BREAK_RE = re.compile(b"[" + _LINE_BREAKS + b"]")
+
+# byte -> code lookup; 255 marks a symbol to drop, 254 skipped whitespace
 _CODE = np.full(256, 255, dtype=np.uint8)
 for _i, _c in enumerate(ALPHABET):
     _CODE[ord(_c)] = _i
     _CODE[ord(_c.lower())] = _i
-for _ws in " \t\r\n\v\f":
-    _CODE[ord(_ws)] = 254
+_CODE[list(_SKIPPED)] = 254
 _CODE_TABLE = _CODE.tobytes()  # for bytes.translate, far faster than indexing
 
 _DECODE = np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)
-
-# parse_fasta reads FASTA text the way str.splitlines and str.strip see it:
-# the line breaks splitlines knows, the whitespace strip removes that ends no
-# line, and \x1f, which strip removes at a line's ends but which is a dropped
-# symbol inside a line. Record bodies are translated a chunk of whole lines
-# at a time through _CODE_TABLE with _SKIPPED deleted; only a piece holding
-# \x1f needs the line structure, read from its _FASTA_TABLE codes: bases
-# 0..3 and dropped symbols 255 as in _CODE, then one code each for line
-# breaks, other skipped whitespace and \x1f.
-_BREAK, _INDENT, _UNIT_SEPARATOR = 254, 253, 252
-_LINE_BREAKS = b"\n\r\v\f\x1c\x1d\x1e"
-_SKIPPED = _LINE_BREAKS + b" \t"
-_BLANK = _SKIPPED + b"\x1f"  # what str.strip removes, in ASCII
-_FASTA_CODE = _CODE.copy()
-_FASTA_CODE[list(_LINE_BREAKS)] = _BREAK
-_FASTA_CODE[list(b" \t")] = _INDENT
-_FASTA_CODE[0x1F] = _UNIT_SEPARATOR
-_FASTA_TABLE = _FASTA_CODE.tobytes()
-_LINE_BREAK_RE = re.compile(b"[" + re.escape(_LINE_BREAKS) + b"]")
-_NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 
 # parse_fasta reads its source this many characters at a time, each piece
 # cut after its last line break. Pieces of 2^16 and 2^17 parse the 10 Mbp
@@ -108,22 +93,15 @@ class DnaSeq:
     def from_string(cls, text: str, source_id: str = "") -> "DnaSeq":
         """Build a sequence from raw text, dropping and counting non-ACGT symbols.
 
-        Whitespace is ignored silently; anything else outside {A,C,G,T}
-        (case-insensitive) is removed and tallied in ``dropped_count``.
+        The text is read as its UTF-8 bytes. Whitespace is ignored
+        silently; any other byte outside {A,C,G,T} (case-insensitive) is
+        removed and tallied in ``dropped_count``.
         """
-        raw = text.encode("ascii", errors="replace")
+        raw = text.encode("utf-8", errors="replace")
         codes = np.frombuffer(raw.translate(_CODE_TABLE), dtype=np.uint8)
         keep = codes <= 3
         dropped = int(np.count_nonzero(codes == 255))
         return cls(bases=codes[keep], source_id=source_id, dropped_count=dropped)
-
-
-def encode(text: str) -> np.ndarray:
-    """Encode an ACGT string (strictly clean) into a uint8 code array."""
-    codes = np.frombuffer(bytearray(text, "ascii").translate(_CODE_TABLE), dtype=np.uint8)
-    if codes.size and codes.max() > 3:
-        raise ValueError("encode() requires a clean ACGT string")
-    return codes
 
 
 def decode(codes: np.ndarray) -> str:
@@ -141,29 +119,6 @@ class FastaRecord:
             raise FastaError("FASTA record id must be non-empty")
 
 
-def _ascii_stand_in(match: re.Match) -> str:
-    """The ASCII character that parse_fasta treats like the non-ASCII one
-    matched: a line break for those str.splitlines breaks at, \\x1f for
-    other whitespace, and '?' (a dropped symbol) for the rest."""
-    c = match.group()
-    if c in "\x85\u2028\u2029":
-        return "\n"
-    return "\x1f" if c.isspace() else "?"
-
-
-def _inner_separators(codes: np.ndarray) -> int:
-    """How many \\x1f codes stand inside a line, between two characters
-    that are neither whitespace nor a line break."""
-    separators = np.flatnonzero(codes == _UNIT_SEPARATOR)
-    if not separators.size:
-        return 0
-    stops = np.flatnonzero((codes <= 3) | (codes >= _BREAK))
-    i = np.searchsorted(stops, separators)
-    i = i[(i > 0) & (i < stops.size)]
-    return int(np.count_nonzero((codes[stops[i - 1]] != _BREAK)
-                                & (codes[stops[i]] != _BREAK)))
-
-
 def _source_size(source) -> int:
     """Characters of a str or bytes source, or bytes of the file behind a
     file object; 0 when unknown."""
@@ -176,40 +131,30 @@ def _source_size(source) -> int:
 
 
 def _line_chunks(source):
-    """The source as (ASCII bytes, str or None) chunks of whole lines.
+    """The source as bytes chunks of whole lines.
 
-    Pieces of FASTA_CHUNK characters are read in turn and each is cut after
-    its last line break; the rest is held and led into the next piece, so
-    a line longer than a piece arrives whole. Only the last chunk may end
-    without a line break. A str piece becomes ASCII one character per byte
-    and is returned beside it, so header ids keep their characters.
+    Pieces of FASTA_CHUNK characters are read in turn, a str piece encoded
+    as UTF-8, and each is cut after its last line break; the rest is held
+    and led into the next piece, so a line longer than a piece arrives
+    whole. Only the last chunk may end without a line break.
     """
     if hasattr(source, "read"):
         # read(0) is the empty piece of the source's type, which ends the reads
         pieces = iter(lambda: source.read(FASTA_CHUNK), source.read(0))
     else:
         pieces = (source[at : at + FASTA_CHUNK] for at in range(0, len(source), FASTA_CHUNK))
-    held: list = []  # (data, text) pieces of the next chunk
+    held: list = []  # pieces of the next chunk
     for piece in pieces:
-        if isinstance(piece, bytes):
-            data, text = piece, None
-        else:
-            text = piece
-            data = (text if text.isascii() else _NON_ASCII_RE.sub(_ascii_stand_in, text)
-                    ).encode("ascii")
-        cut = data.rfind(b"\n")
-        if _LINE_BREAK_RE.search(data, cut + 1):  # another line break after it
-            cut = max(data.rfind(c) for c in _LINE_BREAKS)
-        cut += 1
+        data = piece if isinstance(piece, bytes) else piece.encode("utf-8", errors="replace")
+        cut = max(map(data.rfind, _LINE_BREAKS)) + 1
         if not cut:  # the piece is all inside one line
-            held.append((data, text))
+            held.append(data)
             continue
-        rest = None
-        if cut < len(data):
-            rest = data[cut:], None if text is None else text[cut:]
-            data, text = memoryview(data)[:cut], None if text is None else text[:cut]
-        held.append((data, text))
-        del piece, data, text  # so that only the reader holds the chunk
+        rest = data[cut:]
+        if rest:
+            data = memoryview(data)[:cut]
+        held.append(data)
+        del piece, data  # so that only the reader holds the chunk
         yield _joined(held)
         if rest:
             held.append(rest)
@@ -217,13 +162,12 @@ def _line_chunks(source):
         yield _joined(held)
 
 
-def _joined(pieces: list) -> tuple[bytes, str | None]:
+def _joined(pieces: list) -> bytes:
     """The held pieces as one chunk; empties the list, so that a chunk is
     held by its reader alone."""
-    data = b"".join([d for d, _ in pieces])
-    text = None if pieces[0][1] is None else "".join([t for _, t in pieces])
+    data = b"".join(pieces)
     pieces.clear()
-    return data, text
+    return data
 
 
 def _header_lines(data: bytes):
@@ -232,9 +176,9 @@ def _header_lines(data: bytes):
     at = data.find(b">")
     while at >= 0:
         p = at - 1
-        while p >= 0 and data[p] in b" \t\x1f":
+        while p >= 0 and data[p] in _SKIPPED:
             p -= 1
-        if p >= 0 and data[p] not in _LINE_BREAKS:  # a '>' inside a sequence line
+        if p >= 0 and not _LINE_BREAK_RE.search(data, p, at):  # a '>' inside a line
             at = data.find(b">", at + 1)
             continue
         eol = _LINE_BREAK_RE.search(data, at)
@@ -281,30 +225,29 @@ class _Bases:
 def parse_fasta(source) -> list[FastaRecord]:
     """Parse FASTA text into records, cleaning each sequence.
 
-    Lines are those of str.splitlines, stripped of whitespace; empty ones
-    are skipped. A line starting with '>' is a header whose stripped rest is
-    the record id; the lines up to the next header are its sequence.
+    The text is read as bytes, str text encoded as UTF-8. Lines end at
+    \n, \r\n or \r and are stripped of the whitespace " \t\n\r\v\f";
+    empty ones are skipped. A line starting with '>' is a header whose
+    stripped rest, decoded as UTF-8, is the record id; the lines up to the
+    next header are its sequence.
 
-    The text is read as ASCII bytes: non-ASCII bytes are dropped symbols,
-    and non-ASCII characters of str input first become the ASCII character
-    parse_fasta treats them like. It is read in chunks of whole lines
-    (FASTA_CHUNK characters, extended to the end of a line), so the text
-    is never held whole. Each piece of a record body in a chunk is one
-    bytes.translate to base codes with whitespace and line breaks deleted,
-    copied into the record's one base array; only a piece holding a symbol
-    to drop or a \x1f is compressed and counted first. The base array is
-    sized from what is left of the source, so a one-record file is read
-    into it without growing and parsing peaks at about one byte per base.
+    The text is read in chunks of whole lines (FASTA_CHUNK characters,
+    extended to the end of a line), so it is never held whole. Each piece
+    of a record body in a chunk is one bytes.translate to base codes with
+    whitespace deleted, copied into the record's one base array; only a
+    piece holding a symbol to drop is compressed and counted first. The
+    base array is sized from what is left of the source, so a one-record
+    file is read into it without growing and parsing peaks at about one
+    byte per base.
 
     Args:
-        source: bytes (read as ASCII, each other byte a replacement
-            character), str, or a file-like object yielding either.
+        source: bytes, str, or a file-like object yielding either.
 
     Returns:
         One ``FastaRecord`` per header, in file order. Sequence lines are
         concatenated and upper-cased; whitespace inside them is skipped and
-        any other non-ACGT symbol is dropped and counted per record. Each
-        record's bases are a writable uint8 array of its own.
+        every other byte outside ACGT is dropped and counted per record.
+        Each record's bases are a writable uint8 array of its own.
 
     Raises:
         FastaError: empty input, sequence data before the first header, a
@@ -319,15 +262,13 @@ def parse_fasta(source) -> list[FastaRecord]:
     def add(body: bytes) -> None:
         nonlocal dropped
         if header is None:
-            if body.translate(None, _BLANK):
+            if body.strip(_SKIPPED):
                 raise FastaError("sequence data before first '>' header")
             return
         packed = body.translate(_CODE_TABLE, _SKIPPED)
         codes = np.frombuffer(packed, dtype=np.uint8)
-        if 255 in packed:  # a symbol to drop or a \x1f
-            if 0x1F in body:  # whether a \x1f is dropped depends on its line
-                codes = np.frombuffer(body.translate(_FASTA_TABLE), dtype=np.uint8)
-            dropped += int(np.count_nonzero(codes == 255)) + _inner_separators(codes)
+        if 255 in packed:  # a symbol to drop
+            dropped += int(np.count_nonzero(codes == 255))
             codes = codes[codes <= 3]
         bases.add(codes)
 
@@ -338,16 +279,13 @@ def parse_fasta(source) -> list[FastaRecord]:
             bases=bases.take(), source_id=header, dropped_count=dropped)))
 
     offset = 0  # of the chunk in the source
-    for data, text in _line_chunks(source):
+    for data in _line_chunks(source):
         start = 0
         for at, end in _header_lines(data):
             add(data[start:at])
             if header is not None:
                 finish()
-            if text is None:
-                header = data[at + 1 : end].decode("ascii", errors="replace").strip()
-            else:
-                header = text[at + 1 : end].strip()
+            header = data[at + 1 : end].strip(_SKIPPED).decode("utf-8", errors="replace")
             if not header:
                 raise FastaError("FASTA header line with empty id")
             dropped = 0
@@ -355,7 +293,7 @@ def parse_fasta(source) -> list[FastaRecord]:
             start = end
         offset += len(data)
         body = data[start:]
-        del data, text  # hold one chunk at a time: its body, then the next
+        del data  # hold one chunk at a time: its body, then the next
         add(body)
         del body
     if header is None:

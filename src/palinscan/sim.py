@@ -8,8 +8,7 @@ spots are drawn from a bank that is simply the PalindromeTable of a
 reference sequence, and the power experiment scores each replicate's table
 under the same ScoreModel that sets its thresholds. The tilted score sampler
 draws from the per-length law of module mgf, built from the MGF kernel's own
-factors, so it samples the law score_mgf describes under either ScoreModel
-convention.
+factors, so it samples the law score_mgf describes.
 Everything is reproducible: replicate i draws from a generator seeded by
 mixing the master seed with (0, i) through numpy's SeedSequence, so results
 do not depend on execution order. The experiments return result objects
@@ -95,6 +94,8 @@ class ExperimentConfig:
         if not 0.0 < self.lambda0_target < np.inf:
             raise ValueError(f"lambda0_target must be finite and positive, "
                              f"got {self.lambda0_target}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass(frozen=True)

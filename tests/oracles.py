@@ -55,37 +55,38 @@ def naive_parse_fasta(text: str) -> list[tuple[str, str]]:
 def line_parse_fasta(source) -> list[tuple[str, str, int]]:
     """FASTA records as (id, upper-case ACGT sequence, dropped count).
 
-    Reads line by line: lines come from str.splitlines and are stripped; a
-    stripped line starting with '>' is a header, anything else non-empty is
-    sequence. In sequence lines ACGT (either case) is kept, the whitespace
-    " \\t\\r\\n\\v\\f" is skipped, and every other character counts as
-    dropped. Bytes are decoded as ASCII with one replacement character per
-    non-ASCII byte. Raises FastaError with parse_fasta's messages.
+    Reads line by line: str is encoded as UTF-8, lines come from
+    bytes.splitlines and are stripped with bytes.strip; a stripped line
+    starting with '>' is a header whose stripped rest, decoded as UTF-8
+    with replacement, is the id, and anything else non-empty is sequence.
+    In sequence lines ACGT (either case) is kept, the whitespace
+    " \\t\\v\\f" is skipped, and every other byte counts as dropped.
+    Raises FastaError with parse_fasta's messages.
     """
-    text = source.decode("ascii", errors="replace") if isinstance(source, bytes) else source
-    if not text.strip():
+    data = source.encode("utf-8") if isinstance(source, str) else source
+    if not data.strip():
         raise FastaError("empty FASTA input")
     records: list[tuple[str, str, int]] = []
     header = None
-    chunks: list[str] = []
+    chunks: list[bytes] = []
 
     def flush():
         if header is None:
             return
-        body = "".join(chunks)
-        seq = "".join(c.upper() for c in body if c in "ACGTacgt")
-        dropped = sum(c not in "ACGTacgt \t\r\n\v\f" for c in body)
+        body = b"".join(chunks)
+        seq = bytes(c for c in body if c in b"ACGTacgt").upper().decode("ascii")
+        dropped = sum(c not in b"ACGTacgt \t\v\f" for c in body)
         if not seq:
             raise FastaError(f"record {header!r} has no valid ACGT symbols")
         records.append((header, seq, dropped))
 
-    for line in text.splitlines():
+    for line in data.splitlines():
         line = line.strip()
         if not line:
             continue
-        if line.startswith(">"):
+        if line.startswith(b">"):
             flush()
-            header = line[1:].strip()
+            header = line[1:].strip().decode("utf-8", errors="replace")
             if not header:
                 raise FastaError("FASTA header line with empty id")
             chunks = []

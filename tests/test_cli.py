@@ -98,6 +98,8 @@ class TestParser:
         ["scan", "--lambda0", "0"],
         ["simulate", "--lambda0-target", "nan"],
         ["power", "--lambda0-target", "inf"],
+        ["simulate", "--seed", "-1"],
+        ["power", "--seed=-1"],
         ["scan", "--threshold", "nan"],
         ["scan", "--threshold=-inf"],
     ])

@@ -23,7 +23,6 @@ from palinscan import (
 from palinscan import palindrome
 from palinscan.cli import _dump_events
 from palinscan.palindrome import PalindromeEvent
-from palinscan.seqio import encode
 
 from oracles import (
     brute_palindromes,
@@ -258,24 +257,24 @@ class TestSearchBlocks:
 
 class TestCheckPalindrome:
     def test_true_cases(self):
-        assert check_palindrome(encode("AT"))
-        assert check_palindrome(encode("GAATTC"))
+        assert check_palindrome(seq_of("AT").bases)
+        assert check_palindrome(seq_of("GAATTC").bases)
 
     def test_false_cases(self):
-        assert not check_palindrome(encode("AA"))
-        assert not check_palindrome(encode("ACGTA"))  # odd length
+        assert not check_palindrome(seq_of("AA").bases)
+        assert not check_palindrome(seq_of("ACGTA").bases)  # odd length
 
 
 class TestScores:
     def test_pattern_log_prob_uniform(self, uniform):
         # start weight 3/16 times centre closure 1/4 = 3/64
-        got = pattern_log_prob(encode("AT"), uniform)
+        got = pattern_log_prob(seq_of("AT").bases, uniform)
         assert got == pytest.approx(np.log(3.0 / 64.0), abs=1e-12)
 
     def test_pattern_log_prob_factorises(self, uniform):
         # each extra pair multiplies by the uniform quasi step 1/16
-        short = pattern_log_prob(encode("AT"), uniform)
-        long = pattern_log_prob(encode("AATT"), uniform)
+        short = pattern_log_prob(seq_of("AT").bases, uniform)
+        long = pattern_log_prob(seq_of("AATT").bases, uniform)
         assert long - short == pytest.approx(np.log(1.0 / 16.0), abs=1e-12)
 
     def test_infinite_score(self):
@@ -289,7 +288,7 @@ class TestScores:
         ])
         m = MarkovModel(pi=np.full(4, 0.25), trans=trans)
         with pytest.raises(InfiniteScoreError):
-            pattern_log_prob(encode("AATT"), m)
+            pattern_log_prob(seq_of("AATT").bases, m)
 
     def test_score_event_kinds(self, uniform):
         events = find_palindromes(seq_of("GGAATTCC"), 3)
@@ -451,7 +450,7 @@ class TestEventsTsv:
         assert float(cols[3]) == 1.0
         assert float(cols[4]) == 1.0
         assert float(cols[5]) == pytest.approx(
-            -pattern_log_prob(encode("GAATTC"), uniform)
+            -pattern_log_prob(seq_of("GAATTC").bases, uniform)
         )
 
     def test_deterministic(self, bohv1, tmp_path):
@@ -462,6 +461,6 @@ class TestEventsTsv:
 
 class TestPalindromeEvent:
     def test_frozen(self):
-        e = PalindromeEvent(center=1, half_length=1, pattern=encode("AT"))
+        e = PalindromeEvent(center=1, half_length=1, pattern=seq_of("AT").bases)
         with pytest.raises(AttributeError):
             e.center = 2

@@ -20,7 +20,7 @@ from palinscan import (
     reverse_complement,
 )
 from palinscan import seqio
-from palinscan.seqio import decode, encode
+from palinscan.seqio import decode
 
 from oracles import line_parse_fasta, naive_parse_fasta, serialize_fasta
 
@@ -61,11 +61,7 @@ class TestDnaSeq:
 class TestEncodeDecode:
     def test_round_trip(self):
         text = "GATTACA"
-        assert decode(encode(text)) == text
-
-    def test_encode_rejects_junk(self):
-        with pytest.raises(ValueError):
-            encode("ACGN")
+        assert decode(DnaSeq.from_string(text).bases) == text
 
 
 # parse_fasta's chunk sizes under test: the module's own, then pieces so
@@ -112,9 +108,10 @@ class TestParseFasta:
         assert records[2].seq.dropped_count == 4
 
     # Pieces of FASTA text: headers (indented, empty, with '>' inside),
-    # bases in both cases, N and junk, every line ending splitlines knows,
-    # whitespace that is stripped at line ends but counted inside a line
-    # (\x1f, \xa0), and non-ASCII characters.
+    # bases in both cases, N and junk, the line ends \n, \r\n and \r, the
+    # whitespace \v and \f, characters that str.splitlines or str.strip
+    # would take for line breaks or whitespace (\x1c-\x1f, \x85, \xa0,
+    # \u2028, \u3000), and other non-ASCII characters.
     PIECES = (">", "> id", " >x y ", "\t>", ">a>b", "A", "C", "G", "T", "acgt",
               "N", "n", "-", "*", "0", " ", "\t", "\n", "\r\n", "\r", "\v",
               "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
@@ -129,8 +126,8 @@ class TestParseFasta:
         assert_parses_like_line_parser(head + "".join(pieces))
 
     # Long records: clean ones, which parse_fasta takes as one translated
-    # body, beside ones holding a symbol to drop, an inner \x1f or \xa0, or
-    # a non-ASCII character, which it compresses and counts.
+    # body, beside ones holding a symbol to drop (\x1f, N, ...) or a
+    # non-ASCII character, whose bytes it compresses and counts.
     DIRT = ("N", "n", "\x1f", "\xa0", "\xe9", "\u3000", "\x00", "-")
 
     @staticmethod
@@ -170,7 +167,8 @@ class TestParseFasta:
         assert [r.seq.dropped_count for r in parsed[0]][::2] == [0, 0, 0]
 
     @pytest.mark.parametrize("source,message", [
-        ("   \n\x1f\r\n", "empty FASTA input"),
+        ("   \n\v\r\n", "empty FASTA input"),
+        ("   \n\x1f\r\n", "sequence data before first '>' header"),
         (b"", "empty FASTA input"),
         ("ACGT\n>r\nACGT\n", "sequence data before first '>' header"),
         (b"\xff\n>r\nACGT\n", "sequence data before first '>' header"),
@@ -189,8 +187,8 @@ class TestParseFasta:
 
     # Chunk edges (for the 64-character chunk of CHUNKS; pieces of 1 to 3
     # put an edge at every offset): a sequence line longer than a chunk, a
-    # '>' inside a sequence line, \r | \n, and \x1f inside a line, at its
-    # start and at its end.
+    # '>' inside a sequence line, \r | \n, and a dropped \x1f inside a
+    # line, at its start and at its end.
     @pytest.mark.parametrize("text", [
         ">r\n" + "ACGT" * 50 + "\n>s\n" + "GATTACA" * 30,
         ">r\n" + "A" * 61 + ">x\n>s\nAC\n",
@@ -203,6 +201,46 @@ class TestParseFasta:
             "x1f-at-end", "long-header"])
     def test_chunk_edges(self, text):
         assert_parses_like_line_parser(text)
+
+    # Inputs read differently from str.splitlines and str.strip: \v and \f
+    # are whitespace inside a line, \x1c-\x1f are symbols to drop, and a
+    # non-ASCII character is its UTF-8 bytes, each a symbol to drop.
+    @pytest.mark.parametrize("text,want", [
+        (">r\vs\nAC\n", [("r\vs", "AC", 0)]),
+        (">r\nAC\f>s\nGT\n", [("r", "ACGT", 2)]),
+        (">r\nAC\x1c>s\x1dGT\x1e\n", [("r", "ACGT", 5)]),
+        (">r\x1f\nAC\x1f\nG\x1fT\n", [("r\x1f", "ACGT", 2)]),
+        (">r\nAC\x85GT\n", [("r", "ACGT", 2)]),
+        (">r\u2028s\nAC\u2028GT\n", [("r\u2028s", "ACGT", 3)]),
+        (">r\xa0\nAC\xa0\n", [("r\xa0", "AC", 2)]),
+    ], ids=["v-in-header", "f-before-gt", "x1c-x1e", "x1f-end-and-inside",
+            "x85", "u2028", "xa0"])
+    def test_byte_lines(self, text, want):
+        assert line_parse_fasta(text) == want
+        assert_parses_like_line_parser(text)
+
+    def test_sources_agree_on_non_ascii_text(self):
+        rng = np.random.default_rng(8)
+        text = "".join(self.long_record(rng, i, d) for i, d in enumerate(
+            (["\xe9"], ["\u3000", "N"], ["\xa0", "\x85"], ["\u2028", "\ufeff"]))
+        ).replace(">rec ", ">r\xe9c\u3000")
+        data = text.encode("utf-8")
+        for chunk in CHUNKS:
+            with mock.patch.object(seqio, "FASTA_CHUNK", chunk or seqio.FASTA_CHUNK):
+                parsed = [[(r.id, r.seq, r.seq.dropped_count) for r in parse_fasta(source)]
+                          for source in (text, data, io.StringIO(text), io.BytesIO(data))]
+            assert parsed[1:] == parsed[:1] * 3, chunk
+        assert [(r_id, dropped) for r_id, _, dropped in parsed[0]] == [
+            ("r\xe9c\u30000", 2), ("r\xe9c\u30001", 4), ("r\xe9c\u30002", 4),
+            ("r\xe9c\u30003", 6)]
+
+    def test_utf8_header_id_from_file(self, tmp_path):
+        path = tmp_path / "utf8.fa"
+        path.write_bytes(">s\xe9q 1 \u2013 Bos\nACGT\n".encode("utf-8"))
+        (rec,) = parse_fasta_file(path)
+        assert rec.id == "s\xe9q 1 \u2013 Bos"
+        with open(path, encoding="utf-8") as fh:
+            assert parse_fasta(fh)[0].id == rec.id
 
     @staticmethod
     def one_record_fasta(n: int, seed: int) -> tuple[bytes, np.ndarray]:

@@ -84,6 +84,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="multipliers must be finite"):
             ExperimentConfig(model=bohv1, multipliers=(1.0, value, 1.0))
 
+    def test_negative_seed_names_the_field(self, bohv1):
+        # numpy's SeedSequence would fail later with a message naming nothing
+        with pytest.raises(ValueError, match="master_seed must be >= 0"):
+            ExperimentConfig(model=bohv1, master_seed=-1)
+
     def test_default_specs_quarter_points(self, bohv1):
         cfg = ExperimentConfig(model=bohv1, seq_length=100_000)
         specs = default_hotspot_specs(cfg)
