@@ -36,7 +36,7 @@ from .markov import (
 )
 from .mgf import SCORE_KINDS, ScoreModel, cumulants, score_mgf
 from .palindrome import average_rate, find_palindromes, score_events
-from .scan import null_window_mean, p_value, window_scores
+from .scan import check_scan, exceeds_null_mean, p_value, window_scores
 from .seqio import ALPHABET, FastaRecord, decode, fetch_sequence, parse_fasta_file
 from .sim import (
     HOTSPOT_LENGTH,
@@ -249,6 +249,7 @@ def _cmd_scan(args: argparse.Namespace, out) -> int:
         raise PalinscanError("scan needs --input or --accession")
     seq = rec.seq
     total_length = seq.length
+    check_scan(args.window, total_length, args.nu_fixed)
     model = estimate_model(seq)
     events = find_palindromes(seq, args.half_length)
     if args.lambda0 is not None:
@@ -264,19 +265,18 @@ def _cmd_scan(args: argparse.Namespace, out) -> int:
                            total_length)
     threshold = args.threshold if args.threshold is not None else series.max_value
 
-    null_mean = null_window_mean(lambda0, sm, args.window)
-    if threshold <= null_mean:
-        report = {
-            "b": threshold, "theta1": 0.0, "lambda1": lambda0,
-            "nu": 1.0, "nu_se": 0.0, "p": 1.0,
-        }
-    else:
+    if exceeds_null_mean(lambda0, sm, threshold, args.window):
         rep = p_value(threshold, args.window, total_length, lambda0, sm,
                       nu_fixed=args.nu_fixed)
         report = {
             "b": rep.threshold, "theta1": rep.tilt.theta1,
             "lambda1": rep.tilt.lambda1, "nu": rep.nu, "nu_se": rep.nu_se,
             "p": rep.p,
+        }
+    else:
+        report = {
+            "b": threshold, "theta1": 0.0, "lambda1": lambda0,
+            "nu": 1.0, "nu_se": 0.0, "p": 1.0,
         }
     full = {
         "w": args.window, "W": total_length, "lambda0": lambda0,

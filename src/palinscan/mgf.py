@@ -97,8 +97,8 @@ class ScoreModel:
     @cached_property
     def edge_cumulants(self) -> tuple[float, tuple[float, float, float] | None]:
         """(theta, cumulants at theta) for theta = t_max (1 - 1e-10), the top
-        of the interval on which scan.solve_tilt looks for a pls or bws
-        tilt; the cumulants are None where the MGF cannot be evaluated
+        of the interval on which scan.solve_tilt looks for a tilt (infinite
+        for pcs); the cumulants are None where the MGF cannot be evaluated
         there."""
         theta = self.t_max * (1.0 - 1e-10)
         try:

@@ -145,11 +145,9 @@ class WindowSeries:
 class TiltSolution:
     """Tilted alternative matched to a threshold.
 
-    The tilt theta1 and rate lambda1 satisfy the two coupling conditions:
-    the tilted rate is lambda0 scaled by the MGF at theta1 (rate matching),
-    and the tilted window mean equals the threshold (centering). cumulants,
-    set by solve_tilt and _tilt_at and not an init argument (so replace
-    leaves it None), holds (phi, phi', phi'') at theta1.
+    The tilt theta1 > 0 and rate lambda1 satisfy rate matching (lambda1 is
+    lambda0 scaled by the MGF at theta1) and centering (the tilted window
+    mean is the threshold); cumulants holds (phi, phi', phi'') at theta1.
     """
 
     lambda0: float
@@ -157,8 +155,7 @@ class TiltSolution:
     theta1: float
     threshold: float
     window: int
-    cumulants: tuple[float, float, float] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    cumulants: tuple[float, float, float] = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -212,12 +209,20 @@ def window_scores(positions, scores, window: int, total_length: int) -> WindowSe
 
 
 def null_window_mean(lambda0: float, sm: ScoreModel, window: int) -> float:
-    """Mean score sum of a window under the null: window * lambda0 * E s.
-
-    The centering condition reads "window times tilted rate times tilted
-    mean score equals the threshold"; the rates are per base.
-    """
+    """Mean score sum of a window under the null, window * lambda0 * E s
+    (rates per base): the centering condition's threshold at theta1 = 0."""
     return window * lambda0 * sm.null_cumulants[1]
+
+
+def exceeds_null_mean(lambda0: float, sm: ScoreModel, threshold: float, window: int) -> bool:
+    """Whether the threshold exceeds the null window mean by more than
+    rounding (1e-12 relative), so that it has a tilt and a p-value."""
+    return threshold > null_window_mean(lambda0, sm, window) * (1.0 + 1e-12)
+
+
+def _log_slope(jet: tuple[float, float, float]) -> float:
+    """d log b / d theta1 = phi' + phi'' / phi' at the cumulants jet (phi, phi', phi'')."""
+    return jet[1] + jet[2] / jet[1]
 
 
 def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float,
@@ -226,32 +231,48 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float,
 
     Substituting the rate-matching condition into the centering condition
     leaves one equation in theta: exp(phi(theta)) * phi'(theta) / phi'(0) =
-    threshold / null_window_mean. For pcs, phi(theta) = theta and phi' = 1,
-    so the root is log(threshold / null_window_mean). For pls and bws the
-    log form's left side is increasing on (0, t_max) with the closed-form
-    slope phi' + phi'' / phi', so it is solved by Newton steps kept inside
-    that bracket.
+    threshold / null_window_mean. Its log form rises on (0, t_max) with the
+    closed-form slope _log_slope, and Newton steps kept inside that bracket
+    solve it from the step taken at theta = 0, which for pcs (phi(theta) =
+    theta, phi' = 1) is the root log(threshold / null_window_mean) exactly.
 
     Raises:
-        ValueError: lambda0 not finite and positive, threshold not finite,
-            or threshold below the null window mean.
-        DomainError: threshold not reachable inside the MGF domain.
+        ValueError: lambda0 not finite and positive, or threshold not finite.
+        DomainError: threshold not above the null window mean
+            (exceeds_null_mean), or not reachable inside the MGF domain.
     """
     _check_lambda0(lambda0)
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold!r}")
     null_mean = null_window_mean(lambda0, sm, window)
-    if threshold < null_mean * (1.0 - 1e-12):
-        raise ValueError(f"threshold {threshold!r} is below the null window "
-                         f"mean {null_mean!r}")
+    if not exceeds_null_mean(lambda0, sm, threshold, window):
+        raise DomainError(f"threshold {threshold!r} does not exceed the null "
+                          f"window mean {null_mean!r}")
     log_ratio = np.log(threshold / null_mean)
-    if threshold <= null_mean * (1.0 + 1e-12):
-        theta1, jet = 0.0, sm.null_cumulants
-    elif sm.kind == "pcs":
-        theta1 = float(log_ratio)
-        jet = cumulants(sm, theta1)
-    else:
-        theta1, jet = _newton_tilt(sm, threshold, log_ratio)
+    jets = {}  # cumulants at each evaluated theta, reused at the root
+
+    def gap(jet: tuple[float, float, float]) -> tuple[float, float]:
+        # log M'(theta) is close to linear in theta, so Newton steps on it
+        # converge in a few iterations from the one taken at theta = 0
+        return jet[0] + np.log(jet[1] / sm.null_cumulants[1]) - log_ratio, _log_slope(jet)
+
+    def centering_gap(theta: float) -> tuple[float, float]:
+        try:
+            jets[theta] = cumulants(sm, theta)
+        except (DomainError, SingularMatrixError, FloatingPointError, OverflowError):
+            return np.inf, np.nan
+        return gap(jets[theta])
+
+    # the cumulants at the top of the bracket depend on sm only
+    hi, edge = sm.edge_cumulants
+    if edge is not None and gap(edge)[0] < 0.0:
+        raise DomainError(f"threshold {threshold!r} unreachable within the MGF domain")
+    start = min(log_ratio / _log_slope(sm.null_cumulants), 0.5 * hi)
+    # Stop within 1e-14 of theta1, relative (newton_root scales tol by max(1,
+    # theta), and start is within 2x of theta1), or 1e-15 as rounding allows
+    theta1 = newton_root(centering_gap, 0.0, hi, x=start,
+                         tol=max(1e-14 * min(start, 1.0), 1e-15))
+    jet = jets[theta1] if theta1 in jets else cumulants(sm, theta1)
     return _tilt_solution(lambda0, theta1, jet, threshold, window)
 
 
@@ -266,43 +287,8 @@ def _tilt_at(lambda0: float, sm: ScoreModel, theta1: float, window: int) -> Tilt
 
 def _tilt_solution(lambda0: float, theta1: float, jet: tuple[float, float, float],
                    threshold: float, window: int) -> TiltSolution:
-    # rate matching; at theta1 = 0 phi is zero only up to rounding
-    lambda1 = lambda0 * float(np.exp(jet[0])) if theta1 else lambda0
-    tilt = TiltSolution(lambda0, lambda1, theta1, threshold, window)
-    object.__setattr__(tilt, "cumulants", jet)
-    return tilt
-
-
-def _newton_tilt(sm: ScoreModel, threshold: float,
-                 log_ratio: float) -> tuple[float, tuple[float, float, float]]:
-    """Root theta1 of the log-form tilt equation on (0, t_max) for pls and
-    bws, and the cumulants there (solve_tilt)."""
-    _, mean0, var0 = sm.null_cumulants
-    jets = {}  # cumulants at each evaluated theta, reused at the root
-
-    def gap(jet: tuple[float, float, float]) -> tuple[float, float]:
-        # log M'(theta) is close to linear in theta, so Newton steps on it
-        # converge in a few iterations from the one taken at theta = 0
-        phi, mean, var = jet
-        return phi + np.log(mean / mean0) - log_ratio, mean + var / mean
-
-    def centering_gap(theta: float) -> tuple[float, float]:
-        try:
-            jets[theta] = cumulants(sm, theta)
-        except (DomainError, SingularMatrixError, FloatingPointError, OverflowError):
-            return np.inf, np.nan
-        return gap(jets[theta])
-
-    # the cumulants at the top of the bracket depend on sm only
-    hi, edge = sm.edge_cumulants
-    if edge is not None and gap(edge)[0] < 0.0:
-        raise DomainError(f"threshold {threshold!r} unreachable within the MGF domain")
-    start = min(log_ratio / (mean0 + var0 / mean0), 0.5 * hi)
-    # Stop within 1e-14 of theta1, relative (newton_root scales tol by max(1,
-    # theta), and start is within 2x of theta1), or 1e-15 as rounding allows
-    theta1 = newton_root(centering_gap, 0.0, hi, x=start,
-                         tol=max(1e-14 * min(start, 1.0), 1e-15))
-    return theta1, jets[theta1] if theta1 in jets else cumulants(sm, theta1)
+    lambda1 = lambda0 * float(np.exp(jet[0]))  # rate matching
+    return TiltSolution(lambda0, lambda1, theta1, threshold, window, jet)
 
 
 @lru_cache
@@ -436,9 +422,14 @@ def _check_lambda0(lambda0: float) -> None:
         raise ValueError(f"lambda0 must be finite and positive, got {lambda0!r}")
 
 
-def _check_nu_fixed(nu_fixed: float | None) -> None:
+def check_scan(window: int, total_length: int, nu_fixed: float | None) -> None:
+    """Refuse the scan arguments of p_value and threshold_for_alpha: a fixed
+    nu outside (0, 1], or a window not shorter than the sequence."""
     if nu_fixed is not None and not 0.0 < nu_fixed <= 1.0:
         raise ValueError(f"nu_fixed must lie in (0, 1], got {nu_fixed!r}")
+    if not window < total_length:
+        raise DomainError(f"window w={window!r} must be shorter than the "
+                          f"sequence, W={total_length!r}")
 
 
 def _tail(tilt: TiltSolution, nu: float, total_length: int,
@@ -447,10 +438,9 @@ def _tail(tilt: TiltSolution, nu: float, total_length: int,
     and its exceedance exponent. nu may be any positive value, such as a
     prediction of analytic_nu's."""
     threshold, window, lambda0 = tilt.threshold, tilt.window, tilt.lambda0
-    mu0 = sm.null_cumulants[1]
     _, mean1, var1 = tilt.cumulants
     var_term = mean1 * mean1 if sm.kind == "pcs" else var1
-    mean_increment = tilt.lambda1 * mean1 - lambda0 * mu0
+    mean_increment = tilt.lambda1 * mean1 - lambda0 * sm.null_cumulants[1]
     exceed_exponent = threshold * tilt.theta1 - window * (tilt.lambda1 - tilt.lambda0)
     local_factor = 1.0 / np.sqrt(2.0 * np.pi * window * tilt.lambda1 * var_term)
     prefactor = (total_length - window) * nu * mean_increment * local_factor
@@ -481,18 +471,17 @@ def p_value(threshold: float, window: int, total_length: int, lambda0: float,
     curvature vanishes.
 
     Raises:
-        ValueError: nu_fixed outside (0, 1], lambda0 or threshold refused
-            by solve_tilt, or threshold at or below the null window mean.
+        ValueError: nu_fixed outside (0, 1], or lambda0 or threshold
+            refused by solve_tilt.
+        DomainError: window not shorter than total_length (check_scan), or
+            threshold without a tilt (solve_tilt).
     """
-    _check_nu_fixed(nu_fixed)
+    check_scan(window, total_length, nu_fixed)
     tilt = solve_tilt(lambda0, sm, threshold, window)
-    if tilt.theta1 <= 0.0:
-        raise ValueError("threshold must strictly exceed the null window mean")
     nu = float(nu_fixed) if nu_fixed is not None else analytic_nu(tilt, sm)
     p, exceed_exponent = _tail(tilt, nu, total_length, sm)
-    return PvalueReport(threshold=threshold, window=window,
-                        total_length=total_length, p=p, nu=nu, nu_se=0.0,
-                        rate_function=exceed_exponent / window, tilt=tilt)
+    return PvalueReport(threshold=threshold, window=window, total_length=total_length, p=p,
+                        nu=nu, nu_se=0.0, rate_function=exceed_exponent / window, tilt=tilt)
 
 
 class _Trial(NamedTuple):
@@ -519,13 +508,13 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
     exceeding windows at nu = 1, needs only the tilt.
 
     b rises with theta1 and is explicit in it (_tilt_at), so the search
-    runs over theta1 in (0, t_max (1 - 1e-10)), or (0, inf) for pcs, one
+    runs over theta1 in (0, t_max (1 - 1e-10)), infinite for pcs, one
     cumulants call per trial, on a model of log nu: log(nu_fixed) when
     ``nu_fixed`` is given; else 0 until the first analytic_nu, then the
     secant in theta1 through the last two exact values, (0, 0) (nu -> 1 as
     theta1 -> 0) standing in for the second while there is one. Starting
     past the peak, each step aims b along dh/db (-theta1, then secants),
-    moving theta1 along d log b / d theta1 = phi' + phi'' / phi'. h > 0, or
+    moving theta1 along d log b / d theta1 (_log_slope). h > 0, or
     h < 0 with a secant slope that is not negative (the artifact branch),
     raises the bracket's lo end, any other h lowers hi, and a step out of
     the bracket bisects it (doubles theta1 while hi is infinite). The
@@ -545,15 +534,16 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
     Raises:
         ValueError: alpha outside (0, 1), nu_fixed outside (0, 1], or
             lambda0 not finite and positive.
-        DomainError: h < 0 at every trial of a closed bracket (alpha above
-            the peak), or h > 0 up to the MGF domain edge.
+        DomainError: window not shorter than total_length (check_scan),
+            h < 0 at every trial of a closed bracket (alpha above the peak),
+            or h > 0 up to the MGF domain edge.
         ConvergenceError: the bracket about a sign change of h closes
             (spans under 1e-10 of b) before |h| <= ALPHA_RTOL, a pass takes
             ROOT_MAX_ITER p-values, or the search ROOT_MAX_ITER passes.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    _check_nu_fixed(nu_fixed)
+    check_scan(window, total_length, nu_fixed)
     _check_lambda0(lambda0)
     null_mean = null_window_mean(lambda0, sm, window)
     target = np.log(-np.log1p(-alpha))
@@ -573,12 +563,12 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
         (ta, la), (tb, lb) = ([(1.0, 0.0), (0.0, 0.0)] + exact)[-2:]
         return float(np.exp(lb + (lb - la) * ((theta - tb) / (tb - ta))))
 
-    _, mean0, var0 = sm.null_cumulants
-    z = np.sqrt(2.0 * np.log(max(total_length - window, 1) / alpha))
-    b = null_mean + z * np.sqrt(null_mean * (mean0 + var0 / mean0))
-    top = np.inf if sm.kind == "pcs" else sm.t_max * (1.0 - 1e-10)
+    slope0 = _log_slope(sm.null_cumulants)
+    z = np.sqrt(2.0 * np.log((total_length - window) / alpha))
+    b = null_mean + z * np.sqrt(null_mean * slope0)
+    top = sm.t_max * (1.0 - 1e-10)
     # the Newton step from theta1 = 0 towards b
-    x = min(np.log(b / null_mean) / (mean0 + var0 / mean0), 0.5 * top)
+    x = min(np.log(b / null_mean) / slope0, 0.5 * top)
 
     def search(x: float, first: _Trial | None) -> _Trial:
         """One pass from theta1 = x (or from ``first``, the trial at x)
@@ -610,10 +600,9 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
                 raise ConvergenceError(f"threshold search for alpha={alpha!r} closed its "
                                        f"bracket at {b_lo:.10g} before p reached alpha")
             last = (b, h) if np.isfinite(h) else None
-            _, mean, var = tilt.cumulants
             with np.errstate(divide="ignore", invalid="ignore"):
                 # a step in theta1 follows log b, whose slope is closed form
-                x += np.log((b - h / slope) / b) / (mean + var / mean)
+                x += np.log((b - h / slope) / b) / _log_slope(tilt.cumulants)
             if not lo < x < hi:
                 x = mid
         if b_hi == np.inf:  # h > 0 at every threshold tried

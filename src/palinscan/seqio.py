@@ -120,9 +120,9 @@ class FastaRecord:
 
 
 def _source_size(source) -> int:
-    """Characters of a str or bytes source, or bytes of the file behind a
-    file object; 0 when unknown."""
-    if isinstance(source, (bytes, str)):
+    """Characters of a str or bytes-like source, or bytes of the file
+    behind a file object; 0 when unknown."""
+    if not hasattr(source, "read"):
         return len(source)
     try:
         return os.fstat(source.fileno()).st_size
@@ -134,9 +134,10 @@ def _line_chunks(source):
     """The source as bytes chunks of whole lines.
 
     Pieces of FASTA_CHUNK characters are read in turn, a str piece encoded
-    as UTF-8, and each is cut after its last line break; the rest is held
-    and led into the next piece, so a line longer than a piece arrives
-    whole. Only the last chunk may end without a line break.
+    as UTF-8 and any other taken as bytes, and each is cut after its last
+    line break; the rest is held and led into the next piece, so a line
+    longer than a piece arrives whole. Only the last chunk may end without
+    a line break.
     """
     if hasattr(source, "read"):
         # read(0) is the empty piece of the source's type, which ends the reads
@@ -145,7 +146,7 @@ def _line_chunks(source):
         pieces = (source[at : at + FASTA_CHUNK] for at in range(0, len(source), FASTA_CHUNK))
     held: list = []  # pieces of the next chunk
     for piece in pieces:
-        data = piece if isinstance(piece, bytes) else piece.encode("utf-8", errors="replace")
+        data = piece.encode("utf-8", errors="replace") if isinstance(piece, str) else bytes(piece)
         cut = max(map(data.rfind, _LINE_BREAKS)) + 1
         if not cut:  # the piece is all inside one line
             held.append(data)
@@ -241,7 +242,7 @@ def parse_fasta(source) -> list[FastaRecord]:
     byte per base.
 
     Args:
-        source: bytes, str, or a file-like object yielding either.
+        source: str, bytes-like, or a file-like object yielding either.
 
     Returns:
         One ``FastaRecord`` per header, in file order. Sequence lines are

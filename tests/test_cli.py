@@ -12,6 +12,7 @@ import pytest
 
 from palinscan import (
     MarkovModel,
+    ScoreModel,
     average_rate,
     bohv1_model,
     estimate_model,
@@ -24,6 +25,7 @@ from palinscan import (
 )
 from palinscan import cli
 from palinscan.cli import SCAN_REPORT_KEYS, build_parser, main, run
+from palinscan.scan import null_window_mean
 from palinscan.seqio import decode
 
 
@@ -231,6 +233,26 @@ class TestScan:
         assert float(row["theta1"]) == 0.0
         assert float(row["nu"]) == 1.0
         assert float(row["lambda1"]) == float(row["lambda0"])
+
+    def test_threshold_just_above_mean_degenerates(self, sample_path, sample_record):
+        # the next float above the null window mean lies inside its rounding
+        # band, where no tilt exists: p = 1, as at the mean itself
+        sm = ScoreModel("pls", estimate_model(sample_record.seq), 6)
+        b = np.nextafter(null_window_mean(0.001, sm, 1000), np.inf)
+        code, text = invoke("scan", "--input", sample_path, "--lambda0", "0.001",
+                            "--threshold", repr(float(b)))
+        assert code == 0
+        row = dict(zip(*[l.split("\t") for l in text.splitlines()]))
+        assert (float(row["p"]), float(row["theta1"])) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("threshold", [(), ("--threshold", "0.001")])
+    @pytest.mark.parametrize("window", [20_000, 20_001])  # w = W and w = W + 1
+    def test_window_not_shorter_than_sequence_exits_1(self, sample_path, window,
+                                                      threshold, capsys):
+        code, text = invoke("scan", "--input", sample_path, "--w", str(window), *threshold)
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == (f"palinscan scan: window w={window} must be "
+                                           f"shorter than the sequence, W=20000\n")
 
     def test_monte_carlo_seeded(self, sample_path):
         args = ("scan", "--input", sample_path, "--threshold", "9.0",

@@ -1,5 +1,7 @@
 """Every name a package module imports is used in that module, and every
-parameter a package function takes is read in its body.
+parameter a package function takes is read in its body. Frozen dataclasses
+set fields with object.__setattr__ only in __post_init__, where they
+normalise their own fields: every other field is an init argument.
 
 __init__.py is left out of the import check: its imports are the package's
 exports, and __all__ must list exactly those. Output rendering lives in
@@ -51,6 +53,43 @@ def test_all_lists_exactly_the_imported_names():
     imported = {alias.asname or alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert sorted(palinscan.__all__) == sorted(imported)
+
+
+def setattr_outside_post_init(source: str) -> list[int]:
+    """Lines that name object.__setattr__ outside a __post_init__ method (a
+    function nested in one counts as outside)."""
+    lines = []
+
+    def visit(node, inside: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name == "__post_init__")
+                continue
+            if (not inside and isinstance(child, ast.Attribute)
+                    and child.attr == "__setattr__" and isinstance(child.value, ast.Name)
+                    and child.value.id == "object"):
+                lines.append(child.lineno)
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_setattr_only_in_post_init(path):
+    assert setattr_outside_post_init(path.read_text()) == []
+
+
+def test_setattr_checker_flags_a_field_set_elsewhere():
+    source = ("class A:\n"
+              "    def __post_init__(self):\n"
+              "        object.__setattr__(self, 'x', 1)\n"
+              "        def later():\n"
+              "            object.__setattr__(self, 'y', 2)\n"
+              "def make(a):\n"
+              "    set_field = object.__setattr__\n"
+              "    set_field(a, 'x', 1)\n")
+    assert setattr_outside_post_init(source) == [5, 7]
 
 
 def imported_modules(source: str) -> set[str]:

@@ -210,15 +210,23 @@ class TestSolveTilt:
             lam0 * score_mgf(sm, tilt.theta1), rel=1e-10
         )
 
-    def test_threshold_at_null_mean_gives_zero_tilt(self, lam0, pls):
-        null_mean = WINDOW * lam0 * pls.null_cumulants[1]
-        tilt = solve_tilt(lam0, pls, null_mean, WINDOW)
-        assert tilt.theta1 == 0.0
-        assert tilt.lambda1 == lam0
-        assert tilt.cumulants == pls.null_cumulants
+    @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
+    def test_threshold_at_null_mean_has_no_tilt(self, kind, lam0, bohv1):
+        # every threshold up to the null mean's rounding band is refused,
+        # and the next float above that band has a positive tilt
+        sm = ScoreModel(kind, bohv1, 6)
+        null_mean = scan_module.null_window_mean(lam0, sm, WINDOW)
+        band = null_mean * (1.0 + 1e-12)
+        for b in (null_mean, np.nextafter(null_mean, np.inf), band):
+            assert not scan_module.exceeds_null_mean(lam0, sm, b, WINDOW)
+            with pytest.raises(DomainError, match="null window mean"):
+                solve_tilt(lam0, sm, b, WINDOW)
+        above = np.nextafter(band, np.inf)
+        assert scan_module.exceeds_null_mean(lam0, sm, above, WINDOW)
+        assert solve_tilt(lam0, sm, above, WINDOW).theta1 > 0.0
 
     def test_below_null_mean_rejected(self, lam0, pls):
-        with pytest.raises(ValueError, match="mean"):
+        with pytest.raises(DomainError, match="mean"):
             solve_tilt(lam0, pls, 0.5, WINDOW)
 
     @pytest.mark.parametrize("lambda0,threshold", BAD_RATE_OR_THRESHOLD)
@@ -291,6 +299,15 @@ class TestPvalue:
     def test_below_mean_rejected(self, lam0, pls):
         with pytest.raises(ValueError):
             p_value(0.2, WINDOW, W, lam0, pls, nu_fixed=1.0)
+
+    @pytest.mark.parametrize("total", [WINDOW, WINDOW - 1])  # w = W and w = W + 1
+    def test_window_not_shorter_than_sequence_refused_before_the_kernel(
+            self, total, lam0, monkeypatch):
+        sm = fresh_model_without_kernel(monkeypatch)
+        with pytest.raises(DomainError, match=f"w={WINDOW} .* W={total}$"):
+            p_value(10.0, WINDOW, total, lam0, sm, nu_fixed=1.0)
+        with pytest.raises(DomainError, match=f"w={WINDOW} .* W={total}$"):
+            threshold_for_alpha(0.05, WINDOW, total, lam0, sm)
 
     @pytest.mark.parametrize("lambda0,threshold", BAD_RATE_OR_THRESHOLD)
     def test_bad_rate_or_threshold_rejected_before_the_kernel(self, lambda0, threshold,
@@ -368,26 +385,18 @@ class TestOvershoot:
                          step_cap=50)
 
 
-def with_cumulants(tilt, jet):
-    """tilt with its cumulants field set, as solve_tilt sets it."""
-    object.__setattr__(tilt, "cumulants", jet)
-    return tilt
-
-
 def tilt_at(sm, theta, lam0=0.05):
     """The rate-matched tilt solution at a given tilt, per base."""
     jet = cumulants(sm, theta)
     lam1 = lam0 * score_mgf(sm, theta)
-    return with_cumulants(TiltSolution(lambda0=lam0, lambda1=lam1, theta1=theta,
-                                       threshold=WINDOW * lam1 * jet[1],
-                                       window=WINDOW), jet)
+    return TiltSolution(lambda0=lam0, lambda1=lam1, theta1=theta,
+                        threshold=WINDOW * lam1 * jet[1], window=WINDOW, cumulants=jet)
 
 
 def per_stretch(tilt, delta):
     """The tilt solution of a walk that steps once per delta bases: both
     rates scaled by delta, theta1 and its cumulants kept."""
-    return with_cumulants(replace(tilt, lambda0=tilt.lambda0 * delta,
-                                  lambda1=tilt.lambda1 * delta), tilt.cumulants)
+    return replace(tilt, lambda0=tilt.lambda0 * delta, lambda1=tilt.lambda1 * delta)
 
 
 class TestAnalyticNu:
@@ -547,9 +556,16 @@ class TestAnalyticNu:
         assert len(thresholds) == 1
 
     def test_validation(self, lam0, pls):
-        with pytest.raises(ValueError):
-            analytic_nu(solve_tilt(lam0, pls, WINDOW * lam0 * pls.null_cumulants[1],
-                                   WINDOW), pls)
+        # solve_tilt has no zero tilt to give, so one is built by replace
+        tilt = solve_tilt(lam0, pls, 9.0, WINDOW)
+        with pytest.raises(ValueError, match="theta1 > 0"):
+            analytic_nu(replace(tilt, theta1=0.0, lambda1=lam0,
+                                cumulants=pls.null_cumulants), pls)
+
+    def test_replaced_tilt_keeps_its_cumulants(self, lam0, pls):
+        tilt = solve_tilt(lam0, pls, 9.0, WINDOW)
+        assert replace(tilt).cumulants == tilt.cumulants
+        assert analytic_nu(replace(tilt), pls) == analytic_nu(tilt, pls)
 
 
 class TestThresholdForAlpha:

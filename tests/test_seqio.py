@@ -71,11 +71,13 @@ CHUNKS = (None, 1, 2, 3, 64)
 
 def assert_parses_like_line_parser(text: str) -> None:
     """parse_fasta agrees with the line parser, errors included, on str,
-    bytes and file-object sources read in pieces of each of CHUNKS."""
+    bytes, bytearray, memoryview and file-object sources read in pieces of
+    each of CHUNKS."""
     data = text.encode("utf-8")
     for chunk in CHUNKS:
         with mock.patch.object(seqio, "FASTA_CHUNK", chunk or seqio.FASTA_CHUNK):
-            for source, content in ((text, text), (data, data),
+            for source, content in ((text, text), (data, data), (bytearray(data), data),
+                                    (memoryview(data), data),
                                     (io.StringIO(text), text), (io.BytesIO(data), data)):
                 try:
                     want = line_parse_fasta(content)
