@@ -47,6 +47,10 @@ from .numeric import mat_inv, newton_root, spectral_radius, stack_inv, vec_mat
 SCORE_KINDS = ("pcs", "pls", "bws")
 _EYE = np.eye(4)
 
+# What cumulants raises where the MGF cannot be evaluated: beyond its
+# domain, at a singular resolvent, or on overflow
+KERNEL_FAILURES = (DomainError, SingularMatrixError, FloatingPointError, OverflowError)
+
 
 @dataclass(frozen=True)
 class ScoreModel:
@@ -95,16 +99,20 @@ class ScoreModel:
         return mgf_domain(self)
 
     @cached_property
-    def edge_cumulants(self) -> tuple[float, tuple[float, float, float] | None]:
-        """(theta, cumulants at theta) for theta = t_max (1 - 1e-10), the top
-        of the interval on which scan.solve_tilt looks for a tilt (infinite
-        for pcs); the cumulants are None where the MGF cannot be evaluated
-        there."""
-        theta = self.t_max * (1.0 - 1e-10)
+    def tilt_top(self) -> float:
+        """t_max (1 - 1e-10), the top of the interval on which
+        scan.solve_tilt and scan.threshold_for_alpha look for a tilt
+        (infinite for pcs)."""
+        return self.t_max * (1.0 - 1e-10)
+
+    @cached_property
+    def edge_cumulants(self) -> tuple[float, float, float] | None:
+        """cumulants at tilt_top, or None where the MGF cannot be evaluated
+        there (KERNEL_FAILURES)."""
         try:
-            return theta, cumulants(self, theta)
-        except (DomainError, SingularMatrixError, FloatingPointError, OverflowError):
-            return theta, None
+            return cumulants(self, self.tilt_top)
+        except KERNEL_FAILURES:
+            return None
 
     @cached_property
     def null_cumulants(self) -> tuple[float, float, float]:

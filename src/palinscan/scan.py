@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SingularMatrixError
-from .mgf import ScoreModel, cumulants, increment_log_charfn
+from .errors import ConvergenceError, DomainError
+from .mgf import KERNEL_FAILURES, ScoreModel, cumulants, increment_log_charfn
 from .numeric import ROOT_MAX_ITER, newton_root
 
 # threshold_for_alpha stops once log(-log(1 - p)) is within this of its value
@@ -259,12 +259,12 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float,
     def centering_gap(theta: float) -> tuple[float, float]:
         try:
             jets[theta] = cumulants(sm, theta)
-        except (DomainError, SingularMatrixError, FloatingPointError, OverflowError):
+        except KERNEL_FAILURES:
             return np.inf, np.nan
         return gap(jets[theta])
 
     # the cumulants at the top of the bracket depend on sm only
-    hi, edge = sm.edge_cumulants
+    hi, edge = sm.tilt_top, sm.edge_cumulants
     if edge is not None and gap(edge)[0] < 0.0:
         raise DomainError(f"threshold {threshold!r} unreachable within the MGF domain")
     start = min(log_ratio / _log_slope(sm.null_cumulants), 0.5 * hi)
@@ -508,7 +508,7 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
     exceeding windows at nu = 1, needs only the tilt.
 
     b rises with theta1 and is explicit in it (_tilt_at), so the search
-    runs over theta1 in (0, t_max (1 - 1e-10)), infinite for pcs, one
+    runs over theta1 in (0, sm.tilt_top), infinite for pcs, one
     cumulants call per trial, on a model of log nu: log(nu_fixed) when
     ``nu_fixed`` is given; else 0 until the first analytic_nu, then the
     secant in theta1 through the last two exact values, (0, 0) (nu -> 1 as
@@ -566,15 +566,14 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
     slope0 = _log_slope(sm.null_cumulants)
     z = np.sqrt(2.0 * np.log((total_length - window) / alpha))
     b = null_mean + z * np.sqrt(null_mean * slope0)
-    top = sm.t_max * (1.0 - 1e-10)
     # the Newton step from theta1 = 0 towards b
-    x = min(np.log(b / null_mean) / slope0, 0.5 * top)
+    x = min(np.log(b / null_mean) / slope0, 0.5 * sm.tilt_top)
 
     def search(x: float, first: _Trial | None) -> _Trial:
         """One pass from theta1 = x (or from ``first``, the trial at x)
         under the model of nu: the trial at which it stops."""
         nonlocal exceeded
-        lo, hi, b_lo, b_hi = 0.0, top, null_mean, np.inf
+        lo, hi, b_lo, b_hi = 0.0, sm.tilt_top, null_mean, np.inf
         last, attained = None, exceeded
         for _ in range(ROOT_MAX_ITER):
             trial, first = first or trial_at(_tilt_at(lambda0, sm, x, window)), None

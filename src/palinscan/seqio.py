@@ -6,15 +6,18 @@ as bytes, str text encoded as UTF-8, and becomes codes through one byte
 table with ``bytes.translate``. parse_fasta reads its source in chunks of
 whole lines and translates each chunk's record bodies into one base array
 per record, so the text is never held whole.
+
+fetch_sequence reads a cached copy when there is one and loads the network
+modules (urllib, http, ssl) only on a cache miss, so parsing, a scan and a
+warm-cache fetch never import them. A fetched body is cached only if it
+parses as FASTA, and every network failure, a timeout or a truncated body
+included, is raised as FetchError.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import tempfile
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -329,12 +332,15 @@ def fetch_sequence(
     """Fetch a sequence by accession, caching the raw FASTA on disk.
 
     The URL is ``endpoint`` with ``/accession`` appended. A cached copy (keyed
-    by accession) bypasses the network entirely. The PALINSCAN_CACHE
-    environment variable, when set, overrides ``cache_dir``; the fallback is
-    ``~/.cache/palinscan``. Writes go through a temp file plus atomic rename.
+    by accession) bypasses the network entirely: the network modules are
+    imported only on a cache miss. The PALINSCAN_CACHE environment variable,
+    when set, overrides ``cache_dir``; the fallback is ``~/.cache/palinscan``.
+    A response body is cached only once it parses, through a temp file plus
+    atomic rename, so a body that is not FASTA is fetched again next time.
 
     Raises:
-        FetchError: network failure with no cached copy, or unknown accession.
+        FetchError: any network failure with no cached copy (unknown
+            accession, unreachable host, timeout, truncated or empty body).
         FastaError: response body is not parseable FASTA.
     """
     env_dir = os.environ.get(CACHE_ENV_VAR)
@@ -348,27 +354,36 @@ def fetch_sequence(
 
     path = _cache_path(cache_dir, accession)
     if path.exists():
-        raw = path.read_bytes()
-    else:
-        url = endpoint.rstrip("/") + "/" + accession
-        try:
-            with urllib.request.urlopen(url, timeout=timeout) as resp:
-                raw = resp.read()
-        except urllib.error.HTTPError as exc:
-            raise FetchError(f"accession {accession!r} not found: HTTP {exc.code}") from exc
-        except urllib.error.URLError as exc:
-            raise FetchError(f"cannot reach {url}: {exc.reason}") from exc
-        if not raw.strip():
-            raise FetchError(f"empty response body for accession {accession!r}")
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".part")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(raw)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        return parse_fasta_file(path)[0]
 
-    records = parse_fasta(raw)
-    return records[0]
+    # imported on a cache miss only, so that every other path leaves the
+    # network stack unloaded
+    import http.client
+    import tempfile
+    import urllib.error
+    import urllib.request
+
+    url = endpoint.rstrip("/") + "/" + accession
+    try:
+        with urllib.request.urlopen(url, timeout=timeout) as resp:
+            raw = resp.read()
+    except urllib.error.HTTPError as exc:
+        raise FetchError(f"accession {accession!r} not found: HTTP {exc.code}") from exc
+    except urllib.error.URLError as exc:
+        raise FetchError(f"cannot reach {url}: {exc.reason}") from exc
+    except (OSError, http.client.HTTPException) as exc:  # a timeout, a cut body
+        raise FetchError(f"cannot read {url}: {exc}") from exc
+    if not raw.strip():
+        raise FetchError(f"empty response body for accession {accession!r}")
+    record = parse_fasta(raw)[0]  # a body that does not parse is not cached
+
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".part")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(raw)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+    return record

@@ -8,6 +8,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 from palinscan import MarkovModel, bohv1_model, iid_model
 
+from fasta_server import serving
+
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 
@@ -29,3 +31,10 @@ def uniform() -> MarkovModel:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1729)
+
+
+@pytest.fixture
+def local_endpoint():
+    """URL of a local fasta_server.FastaHandler endpoint."""
+    with serving() as url:
+        yield url

@@ -1,8 +1,10 @@
+import functools
 import io
 import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +25,7 @@ from palinscan import (
     parse_fasta_file,
     pattern_log_prob,
 )
-from palinscan import cli
+from palinscan import cli, seqio
 from palinscan.cli import SCAN_REPORT_KEYS, build_parser, main, run
 from palinscan.scan import null_window_mean
 from palinscan.seqio import decode
@@ -185,6 +187,21 @@ class TestEstimate:
     def test_missing_file_exits_1(self):
         code, _ = invoke("estimate", "--input", "/no/such/file.fa")
         assert code == 1
+
+    def test_cached_accession_prints_like_input(self, sample_path, tmp_path, monkeypatch):
+        monkeypatch.setenv("PALINSCAN_CACHE", str(tmp_path))
+        shutil.copyfile(sample_path, tmp_path / "SAMPLE1.fasta")
+        assert invoke("estimate", "--accession", "SAMPLE1") == invoke(
+            "estimate", "--input", sample_path)
+
+    def test_cut_fetch_exits_1(self, local_endpoint, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PALINSCAN_CACHE", str(tmp_path))
+        monkeypatch.setattr(cli, "fetch_sequence",
+                            functools.partial(seqio.fetch_sequence, endpoint=local_endpoint))
+        code, text = invoke("estimate", "--accession", "SHORT1")
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err.startswith(
+            f"palinscan estimate: cannot read {local_endpoint}/SHORT1: IncompleteRead(")
 
 
 class TestScan:

@@ -7,9 +7,16 @@ __init__.py is left out of the import check: its imports are the package's
 exports, and __all__ must list exactly those. Output rendering lives in
 cli.py alone: no other module imports json, and no export renders TSV or
 JSON.
+
+Importing the package and its CLI loads no module beyond what numpy,
+argparse, json and dataclasses load already: the network stack behind
+fetch_sequence loads only on a cache miss.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -156,3 +163,41 @@ def test_unread_checker_flags_an_ignored_parameter():
               "        return kw\n"
               "    return g\n")
     assert unread_parameters(source) == ["m.f.a", "m.f.c", "m.f.rest"]
+
+
+# Modules every palinscan process loads anyway, before palinscan itself
+PRELOADED = "import __future__, argparse, dataclasses, json, numpy"
+
+
+def modules_loaded_by(code: str) -> list[str]:
+    """Modules outside palinscan.* that a fresh interpreter, importing the
+    palinscan this process imported, loads to run code after PRELOADED."""
+    script = (f"import sys\n{PRELOADED}\nbefore = set(sys.modules)\n{code}\n"
+              "print(*sorted(set(sys.modules) - before), sep='\\n')")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(palinscan.__file__).parents[1]),
+                       os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return [m for m in proc.stdout.split()
+            if m != "palinscan" and not m.startswith("palinscan.")]
+
+
+def test_import_adds_no_modules():
+    added = modules_loaded_by("import palinscan, palinscan.cli")
+    assert not added, f"{len(added)} modules added: {', '.join(added)}"
+
+
+def test_network_modules_load_only_on_a_cache_miss(tmp_path):
+    (tmp_path / "ACC1.fasta").write_bytes(b">ACC1\nGAATTC\n")
+    fetch = ("from palinscan import FetchError, fetch_sequence\n"
+             f"cache = {str(tmp_path)!r}\n"
+             "assert str(fetch_sequence('ACC1', cache_dir=cache).seq) == 'GAATTC'\n")
+    warm = modules_loaded_by(fetch)
+    assert "urllib.request" not in warm and "ssl" not in warm
+    # a miss, refused by a closed local port, loads them: the check can see them
+    miss = modules_loaded_by(fetch + "try:\n    fetch_sequence('ACC2', endpoint="
+                             "'http://127.0.0.1:9/fasta', cache_dir=cache, timeout=0.5)\n"
+                             "except FetchError:\n    pass\n")
+    assert "urllib.request" in miss and "ssl" in miss

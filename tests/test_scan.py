@@ -747,10 +747,10 @@ class TestCallHistory:
 
     def test_domain_error_leaves_no_trace(self, lam0, bohv1):
         # a pls threshold above the one at the top of the tilt interval
-        # (sm.edge_cumulants) lies beyond the MGF domain edge
+        # (sm.tilt_top) lies beyond the MGF domain edge
         sm = ScoreModel("pls", bohv1, 6)
         cold = threshold_for_alpha(1e-3, WINDOW, W, lam0, ScoreModel("pls", bohv1, 6))
-        b = 2.0 * scan_module._tilt_at(lam0, sm, sm.edge_cumulants[0], WINDOW).threshold
+        b = 2.0 * scan_module._tilt_at(lam0, sm, sm.tilt_top, WINDOW).threshold
         with pytest.raises(DomainError):
             solve_tilt(lam0, sm, b, WINDOW)
         with pytest.raises(DomainError):

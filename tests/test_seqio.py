@@ -1,6 +1,5 @@
-import http.server
+import http.client
 import io
-import threading
 import tracemalloc
 from unittest import mock
 
@@ -22,6 +21,7 @@ from palinscan import (
 from palinscan import seqio
 from palinscan.seqio import decode
 
+from fasta_server import DECLARED_LENGTH, PARTIAL_BODY, FastaHandler
 from oracles import line_parse_fasta, naive_parse_fasta, serialize_fasta
 
 
@@ -344,47 +344,15 @@ class TestReverseComplement:
         assert reverse_complement(s) == s
 
 
-class _Handler(http.server.BaseHTTPRequestHandler):
-    hits = 0
-
-    def do_GET(self):
-        type(self).hits += 1
-        if self.path.endswith("/GOOD1"):
-            body = b">GOOD1 test record\nGAATTCACGT\n"
-            self.send_response(200)
-            self.end_headers()
-            self.wfile.write(body)
-        elif self.path.endswith("/EMPTY1"):
-            self.send_response(200)
-            self.end_headers()
-            self.wfile.write(b"  \n")
-        else:
-            self.send_error(404)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def local_endpoint():
-    server = http.server.HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    _Handler.hits = 0
-    yield f"http://127.0.0.1:{server.server_port}/fasta"
-    server.shutdown()
-    thread.join()
-
-
 class TestFetchSequence:
     def test_fetch_parses_and_caches(self, local_endpoint, tmp_path):
         rec = fetch_sequence("GOOD1", endpoint=local_endpoint, cache_dir=tmp_path)
         assert str(rec.seq) == "GAATTCACGT"
         assert (tmp_path / "GOOD1.fasta").exists()
-        assert _Handler.hits == 1
+        assert FastaHandler.hits == 1
         again = fetch_sequence("GOOD1", endpoint=local_endpoint, cache_dir=tmp_path)
         assert again.seq == rec.seq
-        assert _Handler.hits == 1  # served from cache
+        assert FastaHandler.hits == 1  # served from cache
 
     def test_env_var_overrides_cache_dir(self, local_endpoint, tmp_path, monkeypatch):
         env_dir = tmp_path / "env-cache"
@@ -409,3 +377,20 @@ class TestFetchSequence:
     def test_unsafe_accession(self, tmp_path):
         with pytest.raises(FetchError, match="unsafe"):
             fetch_sequence("../etc/passwd", cache_dir=tmp_path)
+
+    def test_unparseable_body_is_not_cached(self, local_endpoint, tmp_path):
+        for hits in (1, 2):  # each call asks the server again
+            with pytest.raises(FastaError, match="before first '>' header"):
+                fetch_sequence("HTML1", endpoint=local_endpoint, cache_dir=tmp_path)
+            assert FastaHandler.hits == hits
+            assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("accession, cause", [("SHORT1", http.client.IncompleteRead),
+                                                  ("STALL1", TimeoutError)])
+    def test_cut_body_is_a_fetch_error(self, local_endpoint, tmp_path, accession, cause):
+        # SHORT1 closes after PARTIAL_BODY, STALL1 holds the connection past the timeout
+        assert len(PARTIAL_BODY) < DECLARED_LENGTH
+        with pytest.raises(FetchError, match=f"cannot read {local_endpoint}/{accession}:") as exc:
+            fetch_sequence(accession, endpoint=local_endpoint, cache_dir=tmp_path, timeout=0.3)
+        assert isinstance(exc.value.__cause__, cause)
+        assert list(tmp_path.iterdir()) == []
