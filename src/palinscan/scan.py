@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -484,15 +483,6 @@ def p_value(threshold: float, window: int, total_length: int, lambda0: float,
                         nu=nu, nu_se=0.0, rate_function=exceed_exponent / window, tilt=tilt)
 
 
-class _Trial(NamedTuple):
-    """One evaluation in threshold_for_alpha: h at a tilt, and whether its
-    nu is exact (fixed, or from analytic_nu)."""
-
-    tilt: TiltSolution
-    h: float
-    exact: bool
-
-
 def threshold_for_alpha(alpha: float, window: int, total_length: int,
                         lambda0: float, sm: ScoreModel,
                         rng: np.random.Generator | None = None, *,
@@ -519,10 +509,12 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
     raises the bracket's lo end, any other h lowers hi, and a step out of
     the bracket bisects it (doubles theta1 while hi is infinite). The
     search stops at |h| <= ALPHA_RTOL. If nu was predicted there,
-    analytic_nu is computed, and if that moves h past the stop the search
-    starts again from there. On BoHV-1 at w = 1000 and alpha down to 1e-12
-    that takes 3 analytic_nu (4 for bws at 0.2) and at most 12 cumulants
-    calls (6 with nu fixed).
+    analytic_nu is computed and joins the model, h is evaluated again at
+    the same tilt, and unless that h stops the search the bracket restarts
+    in place from this trial: it forgets its ends and the last secant point,
+    and keeps only whether h > 0 at some analytic_nu. On BoHV-1 at w = 1000
+    and alpha down to 1e-12 that takes 3 analytic_nu (4 for bws at 0.2) and
+    at most 12 trials (6 with nu fixed), one cumulants call each.
 
     Centering makes p stationary in theta1 (the exponent's slope b - w
     lambda1 phi' is zero), so p_value, which solves theta1 back from b,
@@ -538,8 +530,8 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
             h < 0 at every trial of a closed bracket (alpha above the peak),
             or h > 0 up to the MGF domain edge.
         ConvergenceError: the bracket about a sign change of h closes
-            (spans under 1e-10 of b) before |h| <= ALPHA_RTOL, a pass takes
-            ROOT_MAX_ITER p-values, or the search ROOT_MAX_ITER passes.
+            (spans under 1e-10 of b) before |h| <= ALPHA_RTOL, or the search
+            takes ROOT_MAX_ITER trials, restarts included, without stopping.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -548,80 +540,66 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
     null_mean = null_window_mean(lambda0, sm, window)
     target = np.log(-np.log1p(-alpha))
     exact = []  # (theta1, log nu) at each analytic_nu so far
-    exceeded = False  # h > 0 at some trial with exact nu: alpha is attained
+    exceeded = False  # h > 0 at some analytic_nu: alpha is attained
 
-    def trial_at(tilt: TiltSolution, nu: float | None = None) -> _Trial:
-        exact = nu is not None or nu_fixed is not None
-        p = _tail(tilt, model_nu(tilt.theta1) if nu is None else nu, total_length, sm)[0]
+    def h_at(tilt: TiltSolution, nu: float | None = None) -> float:
+        nu = nu_fixed if nu is None else nu
+        if nu is None:
+            # the line through the last two of (1, 0), (0, 0) and the exact values
+            (ta, la), (tb, lb) = ([(1.0, 0.0), (0.0, 0.0)] + exact)[-2:]
+            nu = float(np.exp(lb + (lb - la) * ((tilt.theta1 - tb) / (tb - ta))))
+        p = _tail(tilt, nu, total_length, sm)[0]
         with np.errstate(divide="ignore"):
-            return _Trial(tilt, np.log(-np.log1p(-p)) - target, exact)
-
-    def model_nu(theta: float) -> float:
-        if nu_fixed is not None:
-            return float(nu_fixed)
-        # the line through the last two of (1, 0), (0, 0) and the exact values
-        (ta, la), (tb, lb) = ([(1.0, 0.0), (0.0, 0.0)] + exact)[-2:]
-        return float(np.exp(lb + (lb - la) * ((theta - tb) / (tb - ta))))
+            return np.log(-np.log1p(-p)) - target
 
     slope0 = _log_slope(sm.null_cumulants)
     z = np.sqrt(2.0 * np.log((total_length - window) / alpha))
     b = null_mean + z * np.sqrt(null_mean * slope0)
     # the Newton step from theta1 = 0 towards b
     x = min(np.log(b / null_mean) / slope0, 0.5 * sm.tilt_top)
-
-    def search(x: float, first: _Trial | None) -> _Trial:
-        """One pass from theta1 = x (or from ``first``, the trial at x)
-        under the model of nu: the trial at which it stops."""
-        nonlocal exceeded
-        lo, hi, b_lo, b_hi = 0.0, sm.tilt_top, null_mean, np.inf
-        last, attained = None, exceeded
-        for _ in range(ROOT_MAX_ITER):
-            trial, first = first or trial_at(_tilt_at(lambda0, sm, x, window)), None
-            h, tilt, b = trial.h, trial.tilt, trial.tilt.threshold
-            if abs(h) <= ALPHA_RTOL:
-                return trial
-            # dh/db, about -theta1 at the first trial; not finite once two
-            # adjacent tilts share a threshold
-            with np.errstate(divide="ignore", invalid="ignore"):
-                slope = -tilt.theta1 if last is None else (h - last[1]) / (b - last[0])
-            attained |= h > 0
-            exceeded |= trial.exact and h > 0
-            if h > 0 or not slope < 0:
-                lo, b_lo = x, b
-            else:
-                hi, b_hi = x, b
-            mid = 0.5 * (lo + hi) if hi < np.inf else 2.0 * lo
-            # closed once its thresholds are, or no float lies inside it
-            if b_hi - b_lo <= 1e-10 * b_lo or not lo < mid < hi:
-                # without a hi end h > 0 up to the MGF domain edge
-                if not attained or b_hi == np.inf:
-                    raise DomainError(f"alpha={alpha!r} is not attainable by any threshold")
-                raise ConvergenceError(f"threshold search for alpha={alpha!r} closed its "
-                                       f"bracket at {b_lo:.10g} before p reached alpha")
-            last = (b, h) if np.isfinite(h) else None
-            with np.errstate(divide="ignore", invalid="ignore"):
-                # a step in theta1 follows log b, whose slope is closed form
-                x += np.log((b - h / slope) / b) / _log_slope(tilt.cumulants)
-            if not lo < x < hi:
-                x = mid
-        if b_hi == np.inf:  # h > 0 at every threshold tried
-            raise DomainError(f"alpha={alpha!r} is not attainable by any threshold "
-                              f"up to {b_lo:.10g}")
-        raise ConvergenceError(f"threshold search for alpha={alpha!r} did not "
-                               f"converge in {ROOT_MAX_ITER} p-values")
-
-    first = None
+    lo, hi, b_lo, b_hi = 0.0, sm.tilt_top, null_mean, np.inf
+    last, attained = None, False
     for _ in range(ROOT_MAX_ITER):
-        trial = search(x, first)
-        tilt = trial.tilt
-        if trial.exact:
-            return float(tilt.threshold)
-        x = tilt.theta1
-        nu = analytic_nu(tilt, sm)
-        # near the edge of the MGF domain adjacent thresholds can share theta1
-        if exact and exact[-1][0] == tilt.theta1:
-            exact.pop()
-        exact.append((tilt.theta1, np.log(nu)))
-        first = trial_at(tilt, nu)
+        tilt = _tilt_at(lambda0, sm, x, window)
+        h, b = h_at(tilt), tilt.threshold
+        if abs(h) <= ALPHA_RTOL and nu_fixed is None:
+            # nu was predicted: compute it and restart the bracket here
+            nu = analytic_nu(tilt, sm)
+            # near the edge of the MGF domain adjacent thresholds can share theta1
+            if exact and exact[-1][0] == x:
+                exact.pop()
+            exact.append((x, np.log(nu)))
+            h = h_at(tilt, nu)
+            exceeded |= h > 0
+            lo, hi, b_lo, b_hi = 0.0, sm.tilt_top, null_mean, np.inf
+            last, attained = None, exceeded
+        if abs(h) <= ALPHA_RTOL:
+            return float(b)
+        # dh/db, about -theta1 at the first trial; not finite once two
+        # adjacent tilts share a threshold
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = -x if last is None else (h - last[1]) / (b - last[0])
+        attained |= h > 0
+        if h > 0 or not slope < 0:
+            lo, b_lo = x, b
+        else:
+            hi, b_hi = x, b
+        mid = 0.5 * (lo + hi) if hi < np.inf else 2.0 * lo
+        # closed once its thresholds are, or no float lies inside it
+        if b_hi - b_lo <= 1e-10 * b_lo or not lo < mid < hi:
+            # without a hi end h > 0 up to the MGF domain edge
+            if not attained or b_hi == np.inf:
+                raise DomainError(f"alpha={alpha!r} is not attainable by any threshold")
+            raise ConvergenceError(f"threshold search for alpha={alpha!r} closed its "
+                                   f"bracket at {b_lo:.10g} before p reached alpha")
+        last = (b, h) if np.isfinite(h) else None
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a step in theta1 follows log b, whose slope is closed form
+            x += np.log((b - h / slope) / b) / _log_slope(tilt.cumulants)
+        if not lo < x < hi:
+            x = mid
+    if b_hi == np.inf:  # h > 0 at every threshold tried
+        raise DomainError(f"alpha={alpha!r} is not attainable by any threshold "
+                          f"up to {b_lo:.10g}")
     raise ConvergenceError(f"threshold search for alpha={alpha!r} did not "
-                           f"settle in {ROOT_MAX_ITER} passes")
+                           f"converge in {ROOT_MAX_ITER} p-values")

@@ -336,7 +336,8 @@ def fetch_sequence(
     imported only on a cache miss. The PALINSCAN_CACHE environment variable,
     when set, overrides ``cache_dir``; the fallback is ``~/.cache/palinscan``.
     A response body is cached only once it parses, through a temp file plus
-    atomic rename, so a body that is not FASTA is fetched again next time.
+    atomic rename, so a body that is not FASTA is fetched again next time. A
+    cached file that does not parse is deleted and fetched again.
 
     Raises:
         FetchError: any network failure with no cached copy (unknown
@@ -354,7 +355,10 @@ def fetch_sequence(
 
     path = _cache_path(cache_dir, accession)
     if path.exists():
-        return parse_fasta_file(path)[0]
+        try:
+            return parse_fasta_file(path)[0]
+        except FastaError:  # cached unparsed by an older version
+            path.unlink(missing_ok=True)
 
     # imported on a cache miss only, so that every other path leaves the
     # network stack unloaded

@@ -414,14 +414,11 @@ def power_experiment(cfg: ExperimentConfig, kind: str, alpha: float = 0.05,
     rows = []
     for name, rates in estimates.items():
         mean_rate = float(rates.mean())
-        if per_replicate_thresholds:
-            b = np.array([threshold(float(r)) for r in rates])
-        else:
-            b = threshold(mean_rate)
-        detected = seg_max >= (b[:, None] if isinstance(b, np.ndarray) else b)
+        b = np.array([threshold(float(r)) for r in
+                      (rates if per_replicate_thresholds else [mean_rate])])
+        detected = seg_max >= b[:, None]
         powers = tuple(float(x) for x in detected.mean(axis=0))
-        row_b = float(b.mean()) if isinstance(b, np.ndarray) else float(b)
-        rows.append(PowerRow(estimator=name, rate=mean_rate, threshold=row_b,
+        rows.append(PowerRow(estimator=name, rate=mean_rate, threshold=float(b.mean()),
                              powers=powers))
     return PowerExperimentResult(kind=kind, alpha=alpha,
                                  multipliers=tuple(cfg.multipliers),

@@ -699,6 +699,44 @@ class TestThresholdForAlpha:
         with pytest.raises(ConvergenceError, match="closed its bracket"):
             threshold_for_alpha(alpha, WINDOW, total, lam0, sm, nu_fixed=nu_fixed)
 
+    # float.hex of the thresholds on BoHV-1 at w = 1000, W = 135,301:
+    # {kind: {(alpha, nu_fixed): threshold}}
+    PINNED = {
+        "pcs": {(0.2, None): "0x1.a1aeba353b547p+2", (0.2, 0.6): "0x1.8e0217a6ee95dp+2",
+                (0.05, None): "0x1.d76c48ae1fda7p+2", (0.05, 0.6): "0x1.c5537cc98a5fcp+2",
+                (1e-6, None): "0x1.8ea87619ca737p+3", (1e-6, 0.6): "0x1.87dbce1347949p+3",
+                (1e-12, None): "0x1.1cd62133f3992p+4", (1e-12, 0.6): "0x1.19ead4ed5d561p+4"},
+        "pls": {(0.2, None): "0x1.0730387a65e9dp+3", (0.2, 0.6): "0x1.fd7b030ee9551p+2",
+                (0.05, None): "0x1.22627681b3c60p+3", (0.05, 0.6): "0x1.1a7d1d8c72f9ap+3",
+                (1e-6, None): "0x1.cf6d172a96f37p+3", (1e-6, 0.6): "0x1.c974466facceep+3",
+                (1e-12, None): "0x1.4589d11a28782p+4", (1e-12, 0.6): "0x1.43090ed36f2d0p+4"},
+        "bws": {(0.2, None): "0x1.95041a31abf3dp+6", (0.2, 0.6): "0x1.9c75bab9f4616p+6",
+                (0.05, None): "0x1.c3645a9c9efe1p+6", (0.05, 0.6): "0x1.cb8d1231166a6p+6",
+                (1e-6, None): "0x1.745773906e2ecp+7", (1e-6, 0.6): "0x1.799a0d81416eap+7",
+                (1e-12, None): "0x1.098221a919d30p+8", (1e-12, 0.6): "0x1.0c68938be3a09p+8"},
+    }
+
+    @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
+    def test_thresholds_pinned_to_the_bit(self, kind, lam0, bohv1):
+        sm = ScoreModel(kind, bohv1, 6)
+        got = {(alpha, nu_fixed): threshold_for_alpha(alpha, WINDOW, W, lam0, sm,
+                                                      nu_fixed=nu_fixed).hex()
+               for alpha, nu_fixed in self.PINNED[kind]}
+        assert got == self.PINNED[kind]
+
+    @pytest.mark.parametrize("kind, nu_fixed, trials", [
+        ("pcs", 0.6, 5), ("pls", 0.6, 4), ("bws", 0.6, 5), ("bws", None, 9)])
+    def test_one_cap_on_all_trials(self, kind, nu_fixed, trials, lam0, bohv1, monkeypatch):
+        # ROOT_MAX_ITER caps the trials of a whole search: with nu computed
+        # the 9 bws trials span two analytic_nu restarts (4 + 3 + 2)
+        sm = ScoreModel(kind, bohv1, 6)
+        b = threshold_for_alpha(0.05, WINDOW, W, lam0, sm, nu_fixed=nu_fixed)
+        monkeypatch.setattr(scan_module, "ROOT_MAX_ITER", trials)
+        assert threshold_for_alpha(0.05, WINDOW, W, lam0, sm, nu_fixed=nu_fixed) == b
+        monkeypatch.setattr(scan_module, "ROOT_MAX_ITER", trials - 1)
+        with pytest.raises(ConvergenceError, match=f"did not converge in {trials - 1} p-values"):
+            threshold_for_alpha(0.05, WINDOW, W, lam0, sm, nu_fixed=nu_fixed)
+
 
 class TestLiteralReading:
     """The paper's literal reading of the p-value, kept as a test oracle

@@ -385,6 +385,22 @@ class TestFetchSequence:
             assert FastaHandler.hits == hits
             assert list(tmp_path.iterdir()) == []
 
+    def test_stale_cache_file_is_fetched_again(self, local_endpoint, tmp_path):
+        # a body cached unparsed, as older versions did, is replaced once
+        (tmp_path / "GOOD1.fasta").write_bytes(b"<html>rate limited</html>")
+        rec = fetch_sequence("GOOD1", endpoint=local_endpoint, cache_dir=tmp_path)
+        assert str(rec.seq) == "GAATTCACGT"
+        assert FastaHandler.hits == 1
+        assert fetch_sequence("GOOD1", endpoint=local_endpoint, cache_dir=tmp_path) == rec
+        assert FastaHandler.hits == 1
+
+    def test_stale_cache_file_of_a_bad_body_is_removed(self, local_endpoint, tmp_path):
+        (tmp_path / "HTML1.fasta").write_bytes(b"<html>rate limited</html>")
+        with pytest.raises(FastaError, match="before first '>' header"):
+            fetch_sequence("HTML1", endpoint=local_endpoint, cache_dir=tmp_path)
+        assert FastaHandler.hits == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("accession, cause", [("SHORT1", http.client.IncompleteRead),
                                                   ("STALL1", TimeoutError)])
     def test_cut_body_is_a_fetch_error(self, local_endpoint, tmp_path, accession, cause):
