@@ -35,7 +35,6 @@ from .markov import (
     center_pair_probs,
     estimate_model,
     generate_sequence,
-    iid_match_prob,
     iid_model,
     iid_rate,
     markov_rate,
@@ -52,7 +51,6 @@ from .palindrome import (
     PalindromeTable,
     average_rate,
     find_palindromes,
-    pattern_log_prob,
     score_events,
 )
 from .scan import (
@@ -72,7 +70,6 @@ from .seqio import (
     fetch_sequence,
     parse_fasta,
     parse_fasta_file,
-    reverse_complement,
 )
 from .sim import (
     ExperimentConfig,
@@ -128,7 +125,6 @@ __all__ = [
     "fetch_sequence",
     "find_palindromes",
     "generate_sequence",
-    "iid_match_prob",
     "iid_model",
     "iid_rate",
     "increment_log_charfn",
@@ -138,11 +134,9 @@ __all__ = [
     "p_value",
     "parse_fasta",
     "parse_fasta_file",
-    "pattern_log_prob",
     "power_experiment",
     "quasi_transition_matrix",
     "rate_experiment",
-    "reverse_complement",
     "score_events",
     "score_mgf",
     "solve_tilt",

@@ -244,17 +244,13 @@ def markov_rate(model: MarkovModel, half_length: int) -> RateEstimate:
     return RateEstimate(value=value, method="markov", half_length=half_length)
 
 
-def iid_match_prob(pi) -> float:
-    """Chance that two independent draws from pi are complementary."""
-    pi = np.asarray(pi, dtype=float)
-    return float(2.0 * (pi[0] * pi[3] + pi[1] * pi[2]))
-
-
 def iid_rate(pi, half_length: int) -> RateEstimate:
-    """Per-position palindrome rate when bases are independent draws from pi."""
+    """Per-position palindrome rate gamma ** half_length when bases are
+    independent draws from pi, gamma the chance that two are complementary."""
     if half_length < 1:
         raise ValueError("half_length must be >= 1")
-    gamma = iid_match_prob(pi)
+    pi = np.asarray(pi, dtype=float)
+    gamma = float(2.0 * (pi[0] * pi[3] + pi[1] * pi[2]))
     return RateEstimate(
         value=float(gamma**half_length), method="iid", half_length=half_length
     )

@@ -24,10 +24,10 @@ numpy calls that does not grow with its size. A model with independent
 bases is the Markov model iid_model(pi), whose rank-one quasi transition
 matrix takes the same paths.
 
-The per-length law behind the closed form, E[exp(t * score); half-length
-= k] (length_terms), is read from the factors the kernel caches on
-ScoreModel, so the tilted sampler of module sim, which draws from that law,
-follows the same conventions.
+The closed form sums the joint terms E[exp(t * score); half-length = k] =
+v Q^(k-1) u over k >= h. The tilted sampler of module sim draws from that
+per-length law, built from the factors ScoreModel caches (for bws the
+kernel's own _bws_log_base), so it samples the law score_mgf describes.
 """
 
 from __future__ import annotations
@@ -367,37 +367,6 @@ def score_mgf(sm: ScoreModel, t: float) -> float:
         DomainError: t at or beyond the domain supremum.
     """
     return float(np.real(_mgf_value(sm, float(t))))
-
-
-def length_terms(sm: ScoreModel, t: float, k_max: int) -> np.ndarray:
-    """Joint terms E[exp(t * score); half-length = k], k = 1 .. k_max, for
-    a single centre; entry k - 1 is the term of half-length k.
-
-    The term is v Q^(k-1) u from the factors the kernel caches: the start
-    weights, T and the closure vector, with exp(t) folded into v for pcs and
-    exp(t / h) into Q and u for pls (the score k / h gains 1 / h per step);
-    for bws their entrywise (1 - t) powers (the kernel's _bws_log_base).
-    The terms from k = h on sum to score_mgf(sm, t) * sm.rate.
-
-    Raises:
-        DomainError: t at or beyond the domain supremum.
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    _require_in_domain(sm, t)
-    v, q, u = sm.start_weights, sm.t_matrix, sm.closure_probs
-    if sm.kind == "pcs":
-        v = np.exp(t) * v
-    elif sm.kind == "pls":
-        grow = np.exp(t / sm.half_length)
-        q, u = grow * q, grow * u
-    else:
-        v, q, u = _bws_split(_power_jet(sm._bws_log_base, t)[0])
-    rows = np.empty((k_max, 4))
-    rows[0] = v
-    for k in range(1, k_max):
-        rows[k] = rows[k - 1] @ q
-    return rows @ u
 
 
 def increment_log_charfn(sm: ScoreModel, lambda0: float, lambda1: float,

@@ -14,8 +14,9 @@ alone, its centres are the positions window_scores sums over, and the
 hot-spot simulation draws its inserts from one. Nothing here renders
 text; the command line writes the scored-events table (scan
 --dump-events).
-PalindromeEvent objects are built only when a table is iterated.
-pattern_log_prob is the bws score of one pattern on its own.
+PalindromeEvent objects are built only when a table is iterated. The bws
+score exists only as score_events over a table: a single pattern is scored
+as a table of one event.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfiniteScoreError
-from .markov import (MarkovModel, RateEstimate, center_pair_probs,
-                     quasi_transition_matrix, start_weights)
+from .markov import RateEstimate
 from .mgf import ScoreModel
 from .seqio import DnaSeq
 
@@ -163,63 +163,32 @@ def find_palindromes(s: DnaSeq, min_half_length: int) -> PalindromeTable:
     return PalindromeTable(s, centers, half, min_half_length)
 
 
-def _left_halves(events: PalindromeTable) -> np.ndarray:
-    """The events' left halves (outermost base to fold), concatenated,
-    gathered from the sequence by offset: event i's run starts at
-    centers[i] - half_lengths[i] + 1."""
+def _log_probs(events: PalindromeTable, sm: ScoreModel) -> np.ndarray:
+    """Log occurrence probabilities of the events' patterns under sm.
+
+    The probability that a given maximal palindrome occupies a fixed centre
+    factorises along its left half a_1..a_k (outermost base to fold): the
+    start weight of a_1, which excludes one-step-longer palindromes, one
+    quasi-transition factor per outward step, and the centre-pair closure
+    of a_k. The left halves are gathered from the sequence by offset (event
+    i's starts at centers[i] - half_lengths[i] + 1), every pattern's factors
+    into one flat array, which is summed per pattern.
+    """
     sizes = events.half_lengths
     first = np.cumsum(sizes) - sizes
-    offset = events.centers - sizes + 1 - first
-    return events.seq.bases[np.arange(sizes.sum()) + np.repeat(offset, sizes)]
-
-
-def _log_probs(flat: np.ndarray, sizes: np.ndarray, start: np.ndarray,
-               t: np.ndarray, close: np.ndarray) -> np.ndarray:
-    """Log occurrence probabilities of palindromes given by their left halves.
-
-    ``flat`` holds every pattern's left half, pattern after pattern, and
-    ``sizes`` their lengths; ``start``, ``t`` and ``close`` are the model's
-    start weights, quasi transition matrix and centre closure vector. Every
-    pattern's factors are gathered into one flat array and summed per
-    pattern.
-    """
-    first = np.cumsum(sizes) - sizes
     last = first + sizes - 1
+    offset = events.centers - sizes + 1 - first
+    flat = events.seq.bases[np.arange(sizes.sum()) + np.repeat(offset, sizes)]
     # base j of pattern i owns factor slot j + i; each closure takes the
     # slot after its pattern's last base
     slot = np.arange(flat.size) + np.repeat(np.arange(sizes.size), sizes)
     factors = np.empty(flat.size + sizes.size)
-    factors[slot[1:]] = t[flat[:-1], flat[1:]]
-    factors[slot[first]] = start[flat[first]]
-    factors[slot[last] + 1] = close[flat[last]]
+    factors[slot[1:]] = sm.t_matrix[flat[:-1], flat[1:]]
+    factors[slot[first]] = sm.start_weights[flat[first]]
+    factors[slot[last] + 1] = sm.closure_probs[flat[last]]
     if np.any(factors <= 0.0):
-        raise InfiniteScoreError(
-            "pattern has zero probability under the model"
-        )
+        raise InfiniteScoreError("pattern has zero probability under the model")
     return np.add.reduceat(np.log(factors), slot[first])
-
-
-def pattern_log_prob(pattern, model: MarkovModel) -> float:
-    """Natural log of the exact occurrence probability of a palindrome pattern.
-
-    The probability that a given maximal palindrome occupies a fixed centre
-    factorises along its left half a_1..a_k (outermost base to fold): a
-    start weight for a_1 that excludes one-step-longer palindromes, one
-    quasi-transition factor per outward step, and the centre-pair closure
-    for a_k. ``pattern`` may be a DnaSeq or a raw code array.
-
-    Raises:
-        InfiniteScoreError: some factor is zero (or negative, which can occur
-            for a_1 when pi is far from stationary), so the pattern has no
-            positive probability under the model.
-    """
-    bases = np.asarray(getattr(pattern, "bases", pattern), dtype=np.uint8)
-    if bases.size == 0 or bases.size % 2:
-        raise ValueError("pattern must have positive even length")
-    half = bases.size // 2
-    return float(_log_probs(bases[:half], np.array([half]), start_weights(model),
-                            quasi_transition_matrix(model),
-                            center_pair_probs(model))[0])
 
 
 def score_events(events: PalindromeTable, sm: ScoreModel) -> np.ndarray:
@@ -229,10 +198,9 @@ def score_events(events: PalindromeTable, sm: ScoreModel) -> np.ndarray:
         pcs: plain count — every event scores 1.
         pls: length ratio — half_length / sm.half_length.
         bws: weight by rarity — minus the log occurrence probability of the
-            exact pattern (see pattern_log_prob) from sm's start weights,
-            quasi transition matrix and closure vector, for all events in
-            one vectorised pass; each left half is gathered from the
-            sequence by offset, with no event object built.
+            exact pattern (_log_probs) from sm's start weights, quasi
+            transition matrix and closure vector, for all events in one
+            vectorised pass, with no event object built.
 
     Raises:
         ValueError: the table was searched at another threshold than
@@ -250,8 +218,7 @@ def score_events(events: PalindromeTable, sm: ScoreModel) -> np.ndarray:
         return half / sm.half_length
     if not half.size:
         return np.empty(0)
-    return -_log_probs(_left_halves(events), half, sm.start_weights,
-                       sm.t_matrix, sm.closure_probs)
+    return -_log_probs(events, sm)
 
 
 def average_rate(events: PalindromeTable) -> RateEstimate:

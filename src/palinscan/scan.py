@@ -528,7 +528,8 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
             lambda0 not finite and positive.
         DomainError: window not shorter than total_length (check_scan),
             h < 0 at every trial of a closed bracket (alpha above the peak),
-            or h > 0 up to the MGF domain edge.
+            or h > 0 up to the MGF domain edge or, with none at an
+            analytic_nu, at every trial.
         ConvergenceError: the bracket about a sign change of h closes
             (spans under 1e-10 of b) before |h| <= ALPHA_RTOL, or the search
             takes ROOT_MAX_ITER trials, restarts included, without stopping.
@@ -598,7 +599,7 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
             x += np.log((b - h / slope) / b) / _log_slope(tilt.cumulants)
         if not lo < x < hi:
             x = mid
-    if b_hi == np.inf:  # h > 0 at every threshold tried
+    if b_hi == np.inf and not exceeded:  # h > 0 at every trial, none at an analytic_nu
         raise DomainError(f"alpha={alpha!r} is not attainable by any threshold "
                           f"up to {b_lo:.10g}")
     raise ConvergenceError(f"threshold search for alpha={alpha!r} did not "

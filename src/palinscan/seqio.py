@@ -1,4 +1,4 @@
-"""Sequence ingestion: FASTA parsing, remote fetch with caching, complements.
+"""Sequence ingestion: FASTA parsing and remote fetch with caching.
 
 Sequences are stored as uint8 code arrays over the fixed alphabet A=0, C=1,
 G=2, T=3, so that the complement of code ``c`` is ``3 - c``. Text is read
@@ -309,12 +309,6 @@ def parse_fasta(source) -> list[FastaRecord]:
 def parse_fasta_file(path) -> list[FastaRecord]:
     with open(path, "rb") as fh:
         return parse_fasta(fh)
-
-
-def reverse_complement(s: DnaSeq) -> DnaSeq:
-    """Reverse-complement: output[i] = complement(s[length-1-i])."""
-    rc = 3 - s.bases[::-1]
-    return DnaSeq(bases=rc, source_id=s.source_id, dropped_count=s.dropped_count)
 
 
 def _cache_path(cache_dir: Path, accession: str) -> Path:

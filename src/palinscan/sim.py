@@ -7,8 +7,9 @@ scan thresholds derived from each estimator flag the inserted segments. Hot
 spots are drawn from a bank that is simply the PalindromeTable of a
 reference sequence, and the power experiment scores each replicate's table
 under the same ScoreModel that sets its thresholds. The tilted score sampler
-draws from the per-length law of module mgf, built from the MGF kernel's own
-factors, so it samples the law score_mgf describes.
+reads its half-length law from the backward vectors Q^m u of the MGF
+kernel's factors at the tilt, the vectors its bws letter draws use too, so
+it samples the law score_mgf describes.
 Everything is reproducible: replicate i draws from a generator seeded by
 mixing the master seed with (0, i) through numpy's SeedSequence, so results
 do not depend on execution order. The experiments return result objects
@@ -30,14 +31,14 @@ from .markov import (
     generate_sequence,
     markov_rate,
 )
-from .mgf import ScoreModel, _bws_split, _power_jet, length_terms, score_mgf
+from .mgf import ScoreModel, _bws_split, _power_jet, score_mgf
 from .palindrome import (
     PalindromeTable,
     average_rate,
     find_palindromes,
     score_events,
 )
-from .scan import threshold_for_alpha, window_scores
+from .scan import check_scan, threshold_for_alpha, window_scores
 from .seqio import DnaSeq
 
 PLACEMENT_RETRIES = 1000
@@ -251,14 +252,16 @@ class TiltedScoreSampler:
     """Draws palindrome scores from the exponentially tilted distribution.
 
     Tilting by theta reweights the null score density by exp(theta * x)
-    (normalised). The half-length law is mgf.length_terms at theta from k =
-    half_length on, cut where the terms reach 1 - _TAIL_MASS of their
-    closed-form total score_mgf(sm, theta) * sm.rate. For the length-ratio
-    score that is the whole law; for the log-rarity score the letters of the
-    pattern are then sampled with backward accumulation vectors of the
-    kernel's (1 - theta) powers of the start weights, T and the closure
-    vector, so each conditional step is an exact categorical draw. Every
-    factor is the MGF kernel's.
+    (normalised). The MGF kernel's factors at theta, v, Q and u, are the
+    start weights, e^(theta / h) T and e^(theta / h) c for the length-ratio
+    score (whose score k / h gains 1 / h per step), and their entrywise
+    (1 - theta) powers for the log-rarity score. With the backward vectors
+    Q^m u, the term of half-length k is v Q^(k-1) u; the half-length law is
+    those terms from k = half_length on, cut where they reach 1 - _TAIL_MASS
+    of their closed-form total score_mgf(sm, theta) * sm.rate. That is the
+    whole law of the length-ratio score; the log-rarity score then draws the
+    pattern's letters from the same backward vectors, each conditional step
+    an exact categorical draw.
 
     Construction precomputes all lookup tables; ``draw`` is vectorised.
     """
@@ -270,26 +273,27 @@ class TiltedScoreSampler:
             return
         self.half_length = h = sm.half_length
         target = (1.0 - _TAIL_MASS) * score_mgf(sm, self.theta) * sm.rate
-        cum, k_max = [0.0], h
+        if self.kind == "pls":
+            grow = np.exp(self.theta / h)
+            v, q, u = sm.start_weights, grow * sm.t_matrix, grow * sm.closure_probs
+        else:
+            v, q, u = _bws_split(_power_jet(sm._bws_log_base, self.theta)[0])
+        # backward[m] = q^m u, so the term of half-length k is v backward[k - 1]
+        backward, cum, k_max = [u], [0.0], h
         while not cum[-1] >= target:  # "not >=", so a NaN sum never passes
             if k_max > 100_000:
                 raise ConvergenceError("tilted length distribution failed to truncate")
             k_max *= 2
-            cum = np.cumsum(length_terms(sm, self.theta, k_max)[h - 1:])
+            while len(backward) < k_max:
+                backward.append(q @ backward[-1])
+            cum = np.cumsum(np.array(backward[h - 1:]) @ v)
         n = int(np.searchsorted(cum, target)) + 1
         self._ks = np.arange(h, h + n)
         self._cum = cum[:n] / cum[n - 1]
-        if self.kind == "bws":
-            self._init_bws(sm)
-
-    def _init_bws(self, sm: ScoreModel) -> None:
-        v, q, u = _bws_split(_power_jet(sm._bws_log_base, self.theta)[0])
-        k_last = int(self._ks[-1])
-        # backward[m] = q^m u; conditional step tables follow from them
-        backward = np.empty((k_last, 4))
-        backward[0] = u
-        for m in range(1, k_last):
-            backward[m] = q @ backward[m - 1]
+        if self.kind == "pls":
+            return
+        k_last = h + n - 1
+        backward = np.array(backward[:k_last])
         first = v[None, :] * backward[self._ks - 1]
         self._first_cum = np.cumsum(first / first.sum(axis=1, keepdims=True), axis=1)
         steps = np.zeros((k_last, 4, 4))
@@ -391,8 +395,10 @@ def power_experiment(cfg: ExperimentConfig, kind: str, alpha: float = 0.05,
     reaches the threshold. Thresholds come from inverting the p-value
     approximation at ``alpha`` under each estimator's scenario-averaged rate
     (or per replicate with ``per_replicate_thresholds``). One ScoreModel of
-    the generator model scores the events and solves the tilts.
+    the generator model scores the events and solves the tilts. The window
+    and nu_fixed are checked (scan.check_scan) before any replicate is drawn.
     """
+    check_scan(cfg.window, cfg.seq_length, nu_fixed)
     sm = ScoreModel(kind, cfg.model, cfg.half_length)
     bounds = [_segment_window_bounds(spec, cfg.window, cfg.seq_length)
               for spec in default_hotspot_specs(cfg)]

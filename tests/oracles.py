@@ -3,12 +3,10 @@
 Everything here is deliberately naive: plain loops, exhaustive enumeration,
 direct summation, closed forms for independent bases and finite
 differences, sharing no code with the package internals beyond numpy
-primitives and the package's error types. Two exceptions: the Monte
+primitives and the package's error types. One exception: the Monte
 Carlo overshoot walk (overshoot_nu) draws its scores from
-palinscan.sim.TiltedScoreSampler, and mgf_at_length reads one term of
-palinscan.mgf.length_terms; both are checked against the series,
-enumeration and closed-form oracles in tests/test_sim.py and
-tests/test_mgf.py.
+palinscan.sim.TiltedScoreSampler, which is checked against the series,
+enumeration and closed-form oracles in tests/test_sim.py.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from palinscan.errors import (
     NonFiniteError,
     PalinscanError,
 )
-from palinscan.mgf import length_terms
 
 DERIV_STEP = 1e-5
 DERIV_STEP_SECOND = 2e-4
@@ -219,24 +216,14 @@ def enum_exact_length_mgf(pi, trans, min_half: int, k: int, t: float,
     return total
 
 
-def mgf_at_length(sm, t: float, k: int) -> float:
-    """Joint term E[exp(t * score); half-length = k] for a single centre
-    (the last of length_terms); at t = 0 on a pcs or pls model, the
-    probability that a centre holds a palindrome of half-length exactly k."""
-    return float(length_terms(sm, t, k)[-1])
+def term_factors(pi, trans, min_half: int, t, kind: str):
+    """(v, Q, u) of the exact-length terms v Q^(k-1) u at argument t.
 
-
-def series_mgf(pi, trans, min_half: int, t, kind: str,
-               max_terms: int = 5000, rtol: float = 1e-14):
-    """Score MGF as a truncated sum of exact-length terms over the rate.
-
-    Exact-length terms for k beyond enumeration reach use the matrix form
-    v(t)' Q(t)^{k-1} u(t) built directly here (entrywise powers for the
-    log-rarity score), which is the series the closed-form kernel must match.
-    The tilt of the count score, e^t, is folded into v; that of the length
-    ratio, e^{t k / h}, into one factor e^{t / h} per step of Q and one in u,
-    so no term multiplies an underflowed row by an overflowed exponential
-    near the domain edge. Accepts a complex argument t.
+    Built directly from pi and trans, with entrywise powers for the
+    log-rarity score. The tilt of the count score, e^t, is folded into v;
+    that of the length ratio, e^{t k / h}, into one factor e^{t / h} per
+    step of Q and one in u, so no term multiplies an underflowed row by an
+    overflowed exponential near the domain edge. Accepts a complex t.
     """
     v0 = start_weights(pi, trans)
     tq = quasi_matrix(trans)
@@ -252,7 +239,34 @@ def series_mgf(pi, trans, min_half: int, t, kind: str,
         v, q, u = v0, step * tq, step * close
     else:
         v, q, u = np.exp(t) * v0, tq, close
+    return v, q, u
 
+
+def mgf_at_length(sm, t: float, k: int) -> float:
+    """Joint term E[exp(t * score); half-length = k] for a single centre,
+    v Q^(k-1) u from term_factors of sm's pi and trans, one step at a time;
+    at t = 0 on a pcs or pls model, the probability that a centre holds a
+    palindrome of half-length exactly k."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    v, q, u = term_factors(sm.model.pi, sm.model.trans, sm.half_length, t, sm.kind)
+    for _ in range(k - 1):
+        v = v @ q
+    return float(v @ u)
+
+
+def series_mgf(pi, trans, min_half: int, t, kind: str,
+               max_terms: int = 5000, rtol: float = 1e-14):
+    """Score MGF as a truncated sum of exact-length terms over the rate.
+
+    Exact-length terms for k beyond enumeration reach use the matrix form
+    v(t)' Q(t)^{k-1} u(t) of term_factors, which is the series the
+    closed-form kernel must match.
+    """
+    v, q, u = term_factors(pi, trans, min_half, t, kind)
+    v0 = start_weights(pi, trans)
+    tq = quasi_matrix(trans)
+    close = closure_vector(trans)
     rate = 0.0
     vec = v0 @ np.linalg.matrix_power(tq, min_half - 1)
     for k in range(min_half, min_half + max_terms):

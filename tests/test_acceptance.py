@@ -19,7 +19,6 @@ from palinscan import (
     bohv1_model,
     find_palindromes,
     generate_sequence,
-    iid_match_prob,
     iid_rate,
     markov_rate,
     power_experiment,
@@ -31,7 +30,7 @@ from palinscan import (
     window_scores,
 )
 
-from oracles import overshoot_nu, random_model, series_mgf
+from oracles import iid_match_gamma, overshoot_nu, random_model, series_mgf
 
 GENOME_LENGTH = 135_301
 WINDOW = 1000
@@ -72,7 +71,7 @@ def test_markov_rate_reduces_to_iid_power():
     for _ in range(20):
         pi = rng.dirichlet(np.ones(4))
         model = MarkovModel(pi=pi, trans=np.tile(pi, (4, 1)))
-        gamma = iid_match_prob(pi)
+        gamma = iid_match_gamma(pi)
         for half in range(1, 13):
             got = markov_rate(model, half).value
             assert abs(got - gamma**half) < 1e-14, (

@@ -23,12 +23,14 @@ from palinscan import (
     iid_rate,
     markov_rate,
     parse_fasta_file,
-    pattern_log_prob,
 )
 from palinscan import cli, seqio
+from palinscan import sim as sim_module
 from palinscan.cli import SCAN_REPORT_KEYS, build_parser, main, run
 from palinscan.scan import null_window_mean
 from palinscan.seqio import decode
+
+from oracles import naive_pattern_log_prob
 
 
 def invoke(*argv):
@@ -320,8 +322,8 @@ class TestScan:
             assert row[:3] == [str(e.center), str(e.half_length), str(e.pattern)]
             assert float(row[3]) == 1.0
             assert float(row[4]) == pytest.approx(e.half_length / 6, rel=1e-9)
-            assert float(row[5]) == pytest.approx(-pattern_log_prob(e.pattern, model),
-                                                  rel=1e-9)
+            want = -naive_pattern_log_prob(e.pattern.bases, model.pi, model.trans)
+            assert float(row[5]) == pytest.approx(want, rel=1e-9)
 
     def test_requires_input(self):
         code, _ = invoke("scan")
@@ -518,6 +520,19 @@ class TestPower:
                          "--multipliers", "2,2", "--nu-fixed", "1.0")
         assert code == 1
         assert "--length 3000 or more" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", [20000, 25000])
+    def test_window_not_shorter_than_length_exits_1(self, window, capsys, monkeypatch):
+        # refused before any replicate sequence is drawn
+        def no_replicates(*args):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(sim_module, "generate_sequence", no_replicates)
+        code, text = invoke("power", "--replicates", "2", "--length", "20000",
+                            "--w", str(window), "--nu-fixed", "1.0")
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == (f"palinscan power: window w={window} must be "
+                                           f"shorter than the sequence, W=20000\n")
 
 
 class TestPinnedOutput:

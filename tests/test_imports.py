@@ -4,9 +4,11 @@ set fields with object.__setattr__ only in __post_init__, where they
 normalise their own fields: every other field is an init argument.
 
 __init__.py is left out of the import check: its imports are the package's
-exports, and __all__ must list exactly those. Output rendering lives in
-cli.py alone: no other module imports json, and no export renders TSV or
-JSON.
+exports, and __all__ must list exactly those. Every export has a caller
+in a package module, a demo or the benchmark harness, apart from the names
+EXPORTS_WITHOUT_CALLER keeps on purpose: no name is exported for the tests
+alone. Output rendering lives in cli.py alone: no other module imports
+json, and no export renders TSV or JSON.
 
 Importing the package and its CLI loads no module beyond what numpy,
 argparse, json and dataclasses load already: the network stack behind
@@ -60,6 +62,56 @@ def test_all_lists_exactly_the_imported_names():
     imported = {alias.asname or alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert sorted(palinscan.__all__) == sorted(imported)
+
+
+def loaded_names(source: str) -> set[str]:
+    """Names the source loads, bare or as an attribute, outside the body of
+    the function or class of that name."""
+    found = set()
+
+    def visit(node, inside: frozenset) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, inside | {child.name})
+                continue
+            if isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load):
+                name = child.id if isinstance(child, ast.Name) else child.attr
+                if name not in inside:
+                    found.add(name)
+            visit(child, inside)
+
+    visit(ast.parse(source), frozenset())
+    return found
+
+
+def unused_exports(exports, sources) -> list[str]:
+    """The exports that none of the sources loads (loaded_names)."""
+    used = set().union(*map(loaded_names, sources))
+    return sorted(set(exports) - used)
+
+
+# Exports that no package module, demo or benchmark loads, each kept on purpose
+EXPORTS_WITHOUT_CALLER = {
+    # the documented way to state independent bases: the Markov model
+    # iid_model(pi), which takes every matrix path of a fitted model
+    "iid_model",
+    # perfbench's tracer wraps its methods by name, from strings in METHODS
+    "TiltedScoreSampler",
+}
+
+
+def test_every_export_has_a_caller():
+    root = PACKAGE.parent.parent
+    callers = SOURCES + sorted((root / "demos").glob("*.py")) + sorted(
+        (root / "perfbench").glob("*.py"))
+    unused = unused_exports(palinscan.__all__, [p.read_text() for p in callers])
+    assert set(unused) == EXPORTS_WITHOUT_CALLER
+
+
+def test_export_checker_flags_an_unused_name():
+    sources = ["def f(n):\n    return f(n - 1)\n\nclass C:\n    pass\n",
+               "import m\nm.g(C())\n"]
+    assert unused_exports(["C", "f", "g", "h"], sources) == ["f", "h"]
 
 
 def setattr_outside_post_init(source: str) -> list[int]:

@@ -17,7 +17,6 @@ from palinscan import (
     center_pair_probs,
     estimate_model,
     generate_sequence,
-    iid_match_prob,
     iid_model,
     iid_rate,
     markov_rate,
@@ -231,8 +230,9 @@ class TestRates:
                 )
 
     def test_iid_match_prob(self):
-        assert iid_match_prob([0.25, 0.25, 0.25, 0.25]) == pytest.approx(0.25)
-        assert iid_match_prob([0.5, 0.0, 0.0, 0.5]) == pytest.approx(0.5)
+        # at half-length 1 the iid rate is the match probability gamma
+        assert iid_rate([0.25, 0.25, 0.25, 0.25], 1).value == pytest.approx(0.25)
+        assert iid_rate([0.5, 0.0, 0.0, 0.5], 1).value == pytest.approx(0.5)
 
     def test_rate_metadata(self, bohv1):
         est = markov_rate(bohv1, 6)

@@ -737,6 +737,18 @@ class TestThresholdForAlpha:
         with pytest.raises(ConvergenceError, match=f"did not converge in {trials - 1} p-values"):
             threshold_for_alpha(0.05, WINDOW, W, lam0, sm, nu_fixed=nu_fixed)
 
+    @pytest.mark.parametrize("kind, cap", [("pcs", 7), ("pls", 8), ("pls", 9)])
+    def test_running_out_after_a_restart_is_not_unattainable(self, kind, cap, lam0,
+                                                              bohv1, monkeypatch):
+        # every trial since the last analytic_nu restart had h > 0, but h > 0
+        # at an analytic_nu already showed alpha attained: the search ran out
+        sm = ScoreModel(kind, bohv1, 6)
+        monkeypatch.setattr(scan_module, "ROOT_MAX_ITER", cap)
+        with pytest.raises(ConvergenceError, match=f"did not converge in {cap} p-values"):
+            threshold_for_alpha(0.05, WINDOW, W, lam0, sm)
+        monkeypatch.setattr(scan_module, "ROOT_MAX_ITER", 10)
+        threshold_for_alpha(0.05, WINDOW, W, lam0, sm)
+
 
 class TestLiteralReading:
     """The paper's literal reading of the p-value, kept as a test oracle

@@ -16,7 +16,6 @@ from palinscan import (
     fetch_sequence,
     parse_fasta,
     parse_fasta_file,
-    reverse_complement,
 )
 from palinscan import seqio
 from palinscan.seqio import decode
@@ -328,20 +327,6 @@ class TestSerializeFasta:
         )
         lines = text.splitlines()
         assert [len(x) for x in lines[1:]] == [60, 60, 10]
-
-
-class TestReverseComplement:
-    def test_known_value(self):
-        s = DnaSeq.from_string("AACGT")
-        assert str(reverse_complement(s)) == "ACGTT"
-
-    def test_involution(self, rng):
-        s = DnaSeq(bases=rng.integers(0, 4, size=200).astype(np.uint8))
-        assert reverse_complement(reverse_complement(s)) == s
-
-    def test_palindrome_fixed_point(self):
-        s = DnaSeq.from_string("GAATTC")
-        assert reverse_complement(s) == s
 
 
 class TestFetchSequence:
