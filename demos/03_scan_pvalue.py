@@ -38,20 +38,21 @@ sm = ScoreModel(KIND, model, HALF_LENGTH)
 seq = generate_sequence(model, LENGTH, rng)
 events = find_palindromes(seq, HALF_LENGTH)
 series = window_scores(events.centers, score_events(events, sm), WINDOW, LENGTH)
-print(f"{len(events)} palindromes; best window starts at {series.argmax} "
-      f"with total score {series.max_value:.4f}")
+best, peak = series.peak()
+print(f"{len(events)} palindromes; best window starts at {best} "
+      f"with total score {peak:.4f}")
 
 # -- p-value of the observed maximum ----------------------------------------
 lam0 = markov_rate(model, HALF_LENGTH).value
-report = p_value(series.max_value, WINDOW, LENGTH, lam0, sm)
+report = p_value(peak, WINDOW, LENGTH, lam0, sm)
 print(f"\ntilted rate lambda1 = {report.tilt.lambda1:.6g} "
       f"(null {lam0:.6g}), tilt theta1 = {report.tilt.theta1:.4f}")
 print(f"overshoot nu = {report.nu:.4f} (from the score MGF, no sampling error)")
-print(f"P(max window score >= {series.max_value:.4f}) ~= {report.p:.4f}")
+print(f"P(max window score >= {peak:.4f}) ~= {report.p:.4f}")
 
 # -- the threshold a scan would need at alpha = 0.05 -------------------------
 b_alpha = threshold_for_alpha(0.05, WINDOW, LENGTH, lam0, sm)
-verdict = "exceeds" if series.max_value >= b_alpha else "stays below"
+verdict = "exceeds" if peak >= b_alpha else "stays below"
 print(f"\nalpha=0.05 threshold: {b_alpha:.4f}; the observed maximum "
       f"{verdict} it")
 

@@ -77,7 +77,6 @@ from .sim import (
     PowerExperimentResult,
     PowerRow,
     RateExperimentResult,
-    TiltedScoreSampler,
     default_hotspot_specs,
     insert_hotspots,
     power_experiment,
@@ -113,7 +112,6 @@ __all__ = [
     "ScoreModel",
     "SingularMatrixError",
     "TiltSolution",
-    "TiltedScoreSampler",
     "WindowSeries",
     "analytic_nu",
     "average_rate",

@@ -36,7 +36,7 @@ from .markov import (
 )
 from .mgf import SCORE_KINDS, ScoreModel, cumulants, score_mgf
 from .palindrome import average_rate, find_palindromes, score_events
-from .scan import check_scan, exceeds_null_mean, p_value, window_scores
+from .scan import WindowSeries, check_scan, exceeds_null_mean, p_value, window_scores
 from .seqio import ALPHABET, FastaRecord, decode, fetch_sequence, parse_fasta_file
 from .sim import (
     HOTSPOT_LENGTH,
@@ -49,7 +49,7 @@ from .sim import (
 SCAN_REPORT_KEYS = ("w", "W", "lambda0", "kind", "b", "theta1", "lambda1",
                     "nu", "nu_se", "p", "argmax", "max")
 
-# scan --dump-series formats and writes the window series this many lines
+# scan --dump-series sums, formats and writes the window series this many lines
 # at a time: a 10 Mbp genome's series took 3.1-3.5 s against 10.5-12.6 s
 # line by line
 SERIES_CHUNK = 1 << 16
@@ -263,51 +263,44 @@ def _cmd_scan(args: argparse.Namespace, out) -> int:
     sm = ScoreModel(args.score, model, args.half_length)
     series = window_scores(events.centers, score_events(events, sm), args.window,
                            total_length)
-    threshold = args.threshold if args.threshold is not None else series.max_value
-
+    argmax, peak = series.peak()
+    threshold = args.threshold if args.threshold is not None else peak
     if exceeds_null_mean(lambda0, sm, threshold, args.window):
         rep = p_value(threshold, args.window, total_length, lambda0, sm,
                       nu_fixed=args.nu_fixed)
-        report = {
-            "b": rep.threshold, "theta1": rep.tilt.theta1,
-            "lambda1": rep.tilt.lambda1, "nu": rep.nu, "nu_se": rep.nu_se,
-            "p": rep.p,
-        }
+        tilted = (rep.tilt.threshold, rep.tilt.theta1, rep.tilt.lambda1, rep.nu,
+                  rep.nu_se, rep.p)
     else:
-        report = {
-            "b": threshold, "theta1": 0.0, "lambda1": lambda0,
-            "nu": 1.0, "nu_se": 0.0, "p": 1.0,
-        }
-    full = {
-        "w": args.window, "W": total_length, "lambda0": lambda0,
-        "kind": args.score, **report,
-        "argmax": series.argmax, "max": series.max_value,
-    }
-    ordered = {k: full[k] for k in SCAN_REPORT_KEYS}
+        tilted = (threshold, 0.0, lambda0, 1.0, 0.0, 1.0)
+    row = dict(zip(SCAN_REPORT_KEYS, (args.window, total_length, lambda0, args.score,
+                                      *tilted, argmax, peak), strict=True))
     if args.dump_series:
-        _dump_series(args.dump_series, series.values)
+        _dump_series(args.dump_series, series)
     if args.dump_events:
         _dump_events(args.dump_events, events, model)
     if args.json_output:
-        _write_json(out, ordered)
+        _write_json(out, row)
     else:
-        _write_tsv(out, SCAN_REPORT_KEYS, [ordered.values()])
+        _write_tsv(out, SCAN_REPORT_KEYS, [row.values()])
     return 0
 
 
-def _dump_series(path: str, values: np.ndarray) -> None:
+def _dump_series(path: str, series: WindowSeries) -> None:
     """One line per window start: the start and its window sum to 10
-    significant digits. The series is piecewise constant, so each chunk of
-    SERIES_CHUNK lines formats each distinct value once (told apart by its
-    bits, so -0.0 keeps its sign) and is written with one join."""
+    significant digits. The starts are summed SERIES_CHUNK at a time, so no
+    per-start array is held. The sums are piecewise constant, so each run
+    of equal sums (told apart by their bits, so -0.0 keeps its sign) is
+    formatted once, and each chunk is written with one join."""
+    count = series.total_length - series.window + 1
     with open(path, "w") as fh:
         fh.write("t\tvalue\n")
-        for start in range(0, values.size, SERIES_CHUNK):
-            chunk = values[start : start + SERIES_CHUNK]
-            bits, index = np.unique(chunk.view(np.uint64), return_inverse=True)
-            texts = [f"{v:.10g}\n" for v in bits.view(np.float64).tolist()]
-            fh.write("".join([f"{t}\t{texts[i]}" for t, i in
-                              zip(range(start, start + chunk.size), index.tolist())]))
+        for start in range(0, count, SERIES_CHUNK):
+            stop = min(start + SERIES_CHUNK, count)
+            bits = series.sums(np.arange(start, stop)).view(np.uint64)
+            new_run = np.concatenate(([True], bits[1:] != bits[:-1]))
+            texts = [f"{v:.10g}\n" for v in bits[new_run].view(np.float64).tolist()]
+            runs = (np.cumsum(new_run) - 1).tolist()
+            fh.write("".join([f"{t}\t{texts[i]}" for t, i in zip(range(start, stop), runs)]))
 
 
 def _dump_events(path: str, events, model: MarkovModel) -> None:

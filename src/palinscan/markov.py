@@ -386,9 +386,9 @@ def generate_sequence(model: MarkovModel, length: int,
     if length < 0:
         raise ValueError("length must be non-negative")
     if length == 0:
-        return DnaSeq(bases=np.empty(0, dtype=np.uint8), source_id="generated")
+        return DnaSeq(bases=np.empty(0, dtype=np.uint8))
     out = np.zeros(length, dtype=np.uint8)
     first = _draw_step_maps(model, rng, out)
     out[0] = first
     _walk(out[1:], first)
-    return DnaSeq(bases=out, source_id="generated")
+    return DnaSeq(bases=out)

@@ -90,8 +90,7 @@ class PalindromeTable:
     def __iter__(self):
         bases = self.seq.bases
         for c, h in zip(self.centers.tolist(), self.half_lengths.tolist()):
-            pattern = DnaSeq(bases=bases[c - h + 1 : c + h + 1].copy(),
-                             source_id=self.seq.source_id)
+            pattern = DnaSeq(bases=bases[c - h + 1 : c + h + 1].copy())
             yield PalindromeEvent(center=c, half_length=h, pattern=pattern)
 
 

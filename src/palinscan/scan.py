@@ -16,7 +16,7 @@ threshold_for_alpha, the p-value's inverse, searches over theta1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,7 +85,7 @@ class WindowSeries:
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
-    def _sums(self, starts) -> np.ndarray:
+    def sums(self, starts) -> np.ndarray:
         """Window sums at the given window starts."""
         starts = np.asarray(starts, dtype=np.int64)
         right = np.searchsorted(self.positions, starts + self.window, side="right")
@@ -110,34 +110,9 @@ class WindowSeries:
         w = self.window
         first, stop = np.searchsorted(self.positions, [lo + w, hi + w], side="right")
         starts = np.concatenate(([lo], self.positions[first:stop] - w))
-        sums = self._sums(starts)
+        sums = self.sums(starts)
         k = int(np.argmax(sums))
         return int(starts[k]), float(sums[k])
-
-    @cached_property
-    def _overall_peak(self) -> tuple[int, float]:
-        return self.peak()
-
-    @property
-    def argmax(self) -> int:
-        return self._overall_peak[0]
-
-    @property
-    def max_value(self) -> float:
-        return self._overall_peak[1]
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """values[t] = sum of the window at start t, for every start; built
-        on first use, as it holds one float per base."""
-        n, w = self.total_length, self.window
-        # prefix[k] = cumulative[number of positions <= k]
-        prefix = np.repeat(self.cumulative, np.diff(self.positions, prepend=0, append=n))
-        values = np.empty(n - w + 1)
-        np.subtract(prefix[w:], prefix[: n - w], out=values[:-1])
-        values[-1] = prefix[-1] - prefix[n - w]
-        values.flags.writeable = False
-        return values
 
 
 @dataclass(frozen=True)
@@ -162,19 +137,15 @@ class PvalueReport:
     """Approximate tail probability of the scan maximum at a threshold.
 
     Attributes:
-        rate_function: large-deviation rate of one window at the threshold;
-            the exceedance exponent is rate_function * window.
         nu, nu_se: overshoot correction and its standard error; nu comes
             from analytic_nu (or was fixed by the caller), so nu_se is 0.
+        tilt: the tilt solved for the threshold, which holds the threshold
+            and the window.
     """
 
-    threshold: float
-    window: int
-    total_length: int
     p: float
     nu: float
     nu_se: float
-    rate_function: float
     tilt: TiltSolution
 
     def __post_init__(self):
@@ -431,11 +402,9 @@ def check_scan(window: int, total_length: int, nu_fixed: float | None) -> None:
                           f"sequence, W={total_length!r}")
 
 
-def _tail(tilt: TiltSolution, nu: float, total_length: int,
-          sm: ScoreModel) -> tuple[float, float]:
-    """p-value at a solved tilt for the overshoot correction nu (p_value),
-    and its exceedance exponent. nu may be any positive value, such as a
-    prediction of analytic_nu's."""
+def _tail(tilt: TiltSolution, nu: float, total_length: int, sm: ScoreModel) -> float:
+    """p-value at a solved tilt for the overshoot correction nu (p_value).
+    nu may be any positive value, such as a prediction of analytic_nu's."""
     threshold, window, lambda0 = tilt.threshold, tilt.window, tilt.lambda0
     _, mean1, var1 = tilt.cumulants
     var_term = mean1 * mean1 if sm.kind == "pcs" else var1
@@ -449,7 +418,7 @@ def _tail(tilt: TiltSolution, nu: float, total_length: int,
         # Assemble in log space: a far-below-par exponent would overflow the
         # bare exponential even though the p-value just clamps to 1.
         mean_hits = float(np.exp(min(np.log(prefactor) - exceed_exponent, 700.0)))
-    return float(min(max(-np.expm1(-mean_hits), 0.0), 1.0)), exceed_exponent
+    return float(min(max(-np.expm1(-mean_hits), 0.0), 1.0))
 
 
 def p_value(threshold: float, window: int, total_length: int, lambda0: float,
@@ -478,9 +447,7 @@ def p_value(threshold: float, window: int, total_length: int, lambda0: float,
     check_scan(window, total_length, nu_fixed)
     tilt = solve_tilt(lambda0, sm, threshold, window)
     nu = float(nu_fixed) if nu_fixed is not None else analytic_nu(tilt, sm)
-    p, exceed_exponent = _tail(tilt, nu, total_length, sm)
-    return PvalueReport(threshold=threshold, window=window, total_length=total_length, p=p,
-                        nu=nu, nu_se=0.0, rate_function=exceed_exponent / window, tilt=tilt)
+    return PvalueReport(p=_tail(tilt, nu, total_length, sm), nu=nu, nu_se=0.0, tilt=tilt)
 
 
 def threshold_for_alpha(alpha: float, window: int, total_length: int,
@@ -549,7 +516,7 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
             # the line through the last two of (1, 0), (0, 0) and the exact values
             (ta, la), (tb, lb) = ([(1.0, 0.0), (0.0, 0.0)] + exact)[-2:]
             nu = float(np.exp(lb + (lb - la) * ((tilt.theta1 - tb) / (tb - ta))))
-        p = _tail(tilt, nu, total_length, sm)[0]
+        p = _tail(tilt, nu, total_length, sm)
         with np.errstate(divide="ignore"):
             return np.log(-np.log1p(-p)) - target
 

@@ -58,12 +58,10 @@ class DnaSeq:
 
     Attributes:
         bases: uint8 codes, one per base (A=0, C=1, G=2, T=3).
-        source_id: free-text label of where the sequence came from.
         dropped_count: number of non-ACGT symbols removed during cleaning.
     """
 
     bases: np.ndarray
-    source_id: str = ""
     dropped_count: int = 0
 
     def __post_init__(self):
@@ -93,7 +91,7 @@ class DnaSeq:
         )
 
     @classmethod
-    def from_string(cls, text: str, source_id: str = "") -> "DnaSeq":
+    def from_string(cls, text: str) -> "DnaSeq":
         """Build a sequence from raw text, dropping and counting non-ACGT symbols.
 
         The text is read as its UTF-8 bytes. Whitespace is ignored
@@ -104,7 +102,7 @@ class DnaSeq:
         codes = np.frombuffer(raw.translate(_CODE_TABLE), dtype=np.uint8)
         keep = codes <= 3
         dropped = int(np.count_nonzero(codes == 255))
-        return cls(bases=codes[keep], source_id=source_id, dropped_count=dropped)
+        return cls(bases=codes[keep], dropped_count=dropped)
 
 
 def decode(codes: np.ndarray) -> str:
@@ -279,8 +277,8 @@ def parse_fasta(source) -> list[FastaRecord]:
     def finish() -> None:
         if bases.size == 0:
             raise FastaError(f"record {header!r} has no valid ACGT symbols")
-        records.append(FastaRecord(id=header, seq=DnaSeq(
-            bases=bases.take(), source_id=header, dropped_count=dropped)))
+        records.append(FastaRecord(id=header, seq=DnaSeq(bases=bases.take(),
+                                                         dropped_count=dropped)))
 
     offset = 0  # of the chunk in the source
     for data in _line_chunks(source):

@@ -243,9 +243,7 @@ def insert_hotspots(background: DnaSeq, specs, bank: PalindromeTable,
                     f"could not place pattern {len(placed) + 1}/{count} in "
                     f"segment at {spec.start} after {PLACEMENT_RETRIES} retries"
                 )
-    out = DnaSeq(bases=bases, source_id=background.source_id,
-                 dropped_count=background.dropped_count)
-    return out, sorted(centers)
+    return DnaSeq(bases=bases, dropped_count=background.dropped_count), sorted(centers)
 
 
 class TiltedScoreSampler:

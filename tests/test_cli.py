@@ -7,6 +7,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from palinscan import (
 from palinscan import cli, seqio
 from palinscan import sim as sim_module
 from palinscan.cli import SCAN_REPORT_KEYS, build_parser, main, run
-from palinscan.scan import null_window_mean
+from palinscan.scan import null_window_mean, window_scores
 from palinscan.seqio import decode
 
 from oracles import naive_pattern_log_prob
@@ -293,19 +294,42 @@ class TestScan:
 
     def test_dump_series_matches_line_by_line(self, tmp_path):
         # the series is written SERIES_CHUNK lines at a time, each distinct
-        # value formatted once: the bytes are those of one formatted line
-        # per start, across chunk edges, for runs of repeated values, both
-        # signed zeros and values past 10 significant digits
-        levels = np.array([0.0, -0.0, 1.0, 3.166666666666667, 0.1 + 0.2, 1e-300,
-                           2.5e15, 12345.678901234, 7.0000000004, 7.0000000006])
+        # sum formatted once: the bytes are those of one formatted line per
+        # start, across chunk edges, for runs of repeated sums, both signed
+        # zeros (a first score of -0.0 gives -0.0 - 0.0) and sums past 10
+        # significant digits
+        levels = [1.0, 3.166666666666667, 0.1 + 0.2, 2.5e15, 12345.678901234,
+                  7.0000000004, 7.0000000006]
         rng = np.random.default_rng(4)
-        values = np.repeat(levels[rng.integers(0, levels.size, 200)],
-                           rng.integers(1, 2000, 200))[: 2 * cli.SERIES_CHUNK + 123]
-        assert values.size == 2 * cli.SERIES_CHUNK + 123
+        total, window = 2 * cli.SERIES_CHUNK + 172, 50
+        positions = np.sort(rng.choice(np.arange(100, total), 2000, replace=False))
+        scores = [-0.0, 1e-300, *rng.choice(levels, positions.size - 2)]
+        series = window_scores([10, 70, *positions[2:]], scores, window, total)
         path = tmp_path / "series.tsv"
-        cli._dump_series(str(path), values)
-        want = "t\tvalue\n" + "".join(f"{t}\t{v:.10g}\n" for t, v in enumerate(values))
+        cli._dump_series(str(path), series)
+        sums = series.sums(np.arange(total - window + 1))
+        assert sums.size == 2 * cli.SERIES_CHUNK + 123
+        want = "t\tvalue\n" + "".join(f"{t}\t{v:.10g}\n" for t, v in enumerate(sums))
+        assert all(f"\t{v}\n" in want for v in ("-0", "0", "1e-300", "2.5e+15"))
         assert path.read_bytes() == want.encode("ascii")
+
+    def test_dump_series_memory_is_bounded(self, tmp_path, monkeypatch):
+        # the starts are summed a chunk at a time, so the peak is set by the
+        # chunk: at 2 Mbp one float per start, or per base, takes 4 or 16 MB
+        monkeypatch.setattr(cli, "SERIES_CHUNK", 1 << 12)
+        rng = np.random.default_rng(5)
+        total, window = 2_000_000, 1_500_000
+        positions = np.sort(rng.choice(total, 20_000, replace=False))
+        series = window_scores(positions, rng.random(positions.size), window, total)
+        path = tmp_path / "series.tsv"
+        tracemalloc.start()
+        try:
+            cli._dump_series(str(path), series)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes().count(b"\n") == total - window + 2
+        assert peak < 1_000_000
 
     def test_dump_events(self, sample_path, sample_record, tmp_path):
         out = tmp_path / "events.tsv"

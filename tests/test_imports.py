@@ -95,8 +95,6 @@ EXPORTS_WITHOUT_CALLER = {
     # the documented way to state independent bases: the Markov model
     # iid_model(pi), which takes every matrix path of a fitted model
     "iid_model",
-    # perfbench's tracer wraps its methods by name, from strings in METHODS
-    "TiltedScoreSampler",
 }
 
 
@@ -174,8 +172,8 @@ def test_no_exported_renderers():
 
 
 # Parameters still accepted for callers that pass them, and ignored: the
-# threshold and the p-value are deterministic. ROADMAP item 1 moves those
-# callers off them, which empties this list.
+# threshold and the p-value are deterministic. ROADMAP item 15 deletes
+# them and moves their callers off them, which empties this list.
 UNREAD_ALLOWED = {"scan.p_value.rng", "scan.threshold_for_alpha.rng",
                   "scan.threshold_for_alpha.nu_entropy"}
 

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -96,7 +96,8 @@ class TestWindowScores:
                             rng.random(25) * 3)
         ]
         series = series_of(events, window, total)
-        assert np.allclose(series.values, window_sums(events, window, total))
+        sums = series.sums(np.arange(total - window + 1))
+        assert np.allclose(sums, window_sums(events, window, total))
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -112,14 +113,13 @@ class TestWindowScores:
         events = [(p, data.draw(score)) for p in positions]
         dense = dense_window_sums(events, window, total)
         series = series_of(events, window, total)
-        assert series.argmax == int(np.argmax(dense))
-        assert series.max_value == dense.max()
+        assert series.peak() == (int(np.argmax(dense)), dense.max())
         # segment maxima, as power_experiment takes them
         lo = data.draw(st.integers(0, total - window))
         hi = data.draw(st.integers(lo, total - window))
         segment = dense[lo : hi + 1]
         assert series.peak(lo, hi) == (lo + int(np.argmax(segment)), segment.max())
-        assert np.array_equal(series.values, dense)
+        assert np.array_equal(series.sums(np.arange(total - window + 1)), dense)
 
     def test_unsorted_input(self):
         # positions are a table's centres, so they must strictly increase
@@ -131,23 +131,27 @@ class TestWindowScores:
         # window at t covers centres t+1 .. t+window
         series = series_of([(5, 2.0)], 5, 20)
         expected_ts = [t for t in range(16) if t + 1 <= 5 <= t + 5]
-        got = np.flatnonzero(series.values > 0).tolist()
+        got = np.flatnonzero(series.sums(np.arange(16)) > 0).tolist()
         assert got == expected_ts
 
     def test_empty_events(self):
         series = series_of([], 10, 50)
-        assert series.values.shape == (41,)
-        assert series.max_value == 0.0
+        assert series.peak() == (0, 0.0)
+        assert np.array_equal(series.sums(np.arange(41)), np.zeros(41))
 
     def test_argmax_and_max(self):
         series = series_of([(10, 1.0), (11, 2.0), (30, 0.5)], 5, 50)
-        assert series.max_value == 3.0
-        assert series.values[series.argmax] == 3.0
+        assert series.peak() == (6, 3.0)
+        assert series.sums([6]).tolist() == [3.0]
+        # the peak sums only the starts whose windows end on an event
+        series = series_of([(5, 1.0), (9_999_999, 2.0)], 1000, 10_000_000)
+        assert series.peak() == (9_998_999, 2.0)
+        assert series.peak(0, 5000) == (0, 1.0)
 
     def test_total_equals_window(self):
         series = series_of([(3, 1.5)], 10, 10)
-        assert series.values.shape == (1,)
-        assert series.values[0] == 1.5
+        assert series.peak() == (0, 1.5)
+        assert series.sums([0]).tolist() == [1.5]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -170,16 +174,12 @@ class TestWindowScores:
             with pytest.raises(ValueError):
                 series.peak(lo, hi)
 
-    def test_values_built_only_on_demand(self):
-        series = series_of([(5, 1.0), (9_999_999, 2.0)], 1000, 10_000_000)
-        assert (series.argmax, series.max_value) == (9_998_999, 2.0)
-        assert series.peak(0, 5000) == (0, 1.0)
-        assert "values" not in vars(series)
-
     def test_series_is_frozen(self):
         series = series_of([(3, 1.0)], 5, 20)
         with pytest.raises(ValueError):
-            series.values[0] = 9.9
+            series.positions[0] = 4
+        with pytest.raises(ValueError):
+            series.cumulative[1] = 9.9
 
 
 class TestSolveTilt:
@@ -276,7 +276,6 @@ class TestPvalue:
         local = 1.0 / np.sqrt(2.0 * np.pi * WINDOW * lam1)
         hits = (W - WINDOW) * mean_inc * np.exp(-exponent) * local
         assert rep.p == pytest.approx(-np.expm1(-hits), rel=1e-10)
-        assert rep.rate_function == pytest.approx(exponent / WINDOW, rel=1e-12)
 
     def test_small_tilt_shortcut(self, lam0, pls):
         # small tilts take the analytic nu too, which tends to its zero-tilt
@@ -340,8 +339,8 @@ class TestPvalue:
     def test_report_fields(self, lam0, bws):
         rng = np.random.default_rng(0)
         rep = p_value(125.0, WINDOW, W, lam0, bws, rng=rng)
-        assert rep.window == WINDOW
-        assert rep.total_length == W
+        assert [f.name for f in fields(rep)] == ["p", "nu", "nu_se", "tilt"]
+        assert (rep.tilt.threshold, rep.tilt.window) == (125.0, WINDOW)
         assert 0.0 < rep.nu <= 1.0
         assert rep.nu_se == 0.0
         assert 0.0 <= rep.p <= 1.0
@@ -864,13 +863,10 @@ class TestKernelTraffic:
 
 
 class TestWindowSeries:
-    def test_argmax_computed_once(self, monkeypatch):
-        series = series_of([(10, 1.0), (11, 2.0), (30, 0.5)], 5, 50)
-        calls = []
-        argmax = np.argmax
-        monkeypatch.setattr(np, "argmax", lambda *a: calls.append(a) or argmax(*a))
-        assert (series.argmax, series.max_value, series.max_value) == (6, 3.0, 3.0)
-        assert len(calls) == 1
+    def test_holds_its_arrays_and_two_methods(self):
+        assert [f.name for f in fields(WindowSeries)] == [
+            "window", "total_length", "positions", "cumulative"]
+        assert [n for n in vars(WindowSeries) if not n.startswith("_")] == ["sums", "peak"]
 
     def test_length_validation(self):
         with pytest.raises(ValueError):

@@ -41,8 +41,9 @@ class TestDnaSeq:
         assert DnaSeq.from_string("ACGT").bases.dtype == np.uint8
 
     def test_equality_is_content_based(self):
-        a = DnaSeq.from_string("ACGT", source_id="x")
-        b = DnaSeq.from_string("acgt", source_id="y")
+        a = DnaSeq.from_string("ACGT")
+        b = DnaSeq.from_string("acgNt")  # one symbol dropped
+        assert (a.dropped_count, b.dropped_count) == (0, 1)
         assert a == b
         assert a != DnaSeq.from_string("ACGA")
         assert a.__eq__("ACGT") is NotImplemented

@@ -12,7 +12,6 @@ from palinscan import (
     HotspotSpec,
     MarkovModel,
     ScoreModel,
-    TiltedScoreSampler,
     bohv1_model,
     default_hotspot_specs,
     find_palindromes,
@@ -26,6 +25,7 @@ from palinscan import (
 )
 from palinscan.cli import build_parser, run
 from palinscan.sim import (
+    TiltedScoreSampler,
     _replicate_rng,
     _segment_window_bounds,
     _validate_specs,
