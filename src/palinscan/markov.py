@@ -256,28 +256,32 @@ def iid_rate(pi, half_length: int) -> RateEstimate:
     )
 
 
-def _step_map_composition() -> np.ndarray:
-    """table[a, b]: the byte-coded step map "apply a, then b".
+def _pair_composition() -> np.ndarray:
+    """table[a | b << 8]: the byte-coded step map "apply a, then b".
 
     A step map sends each current base s to a next base, held in bits
-    2s..2s+1 of one byte, so 256 codes cover every map of 4 bases.
+    2s..2s+1 of one byte, so 256 codes cover every map of 4 bases, and two
+    adjacent maps read as one little-endian uint16 word index their
+    composition.
     """
-    a = np.arange(256, dtype=np.uint8)[:, None]
-    b = np.arange(256, dtype=np.uint8)[None, :]
+    a = np.arange(256, dtype=np.uint8)[None, :]
+    b = np.arange(256, dtype=np.uint8)[:, None]
     table = np.zeros((256, 256), dtype=np.uint8)
     for s in range(4):
         via = (a >> (2 * s)) & 3
         table |= ((b >> (2 * via)) & 3) << (2 * s)
-    return table
+    return table.ravel()
 
 
-_COMPOSE = _step_map_composition()
+_PAIRS = _pair_composition()
 
-# _walk's block width, and the most maps it walks by a Python loop; widths
-# 8 to 32 and loops of 16 to 256 maps walk 135 kbp within about 10% of one
-# another
-WALK_BLOCK = 16
+# the most maps _walk walks by a Python loop, and the words it composes or
+# reads out at a time: take casts each chunk's uint16 indices to intp, 512 kB
+# at 2^16 words. Loops of 16 to 256 maps walk 135 kbp within 5% of one
+# another; chunks of 2^15 to 2^17 words within about 10% at 135 kbp and
+# 10 Mbp, where 2^14 is 15-25% slower
 WALK_LEAF = 64
+WALK_CHUNK = 1 << 16
 
 # generate_sequence draws and maps this many uniforms at a time, so a
 # 135,301 bp replicate is one chunk; at 10 Mbp, chunks of 2^16 to 2^19 took
@@ -288,15 +292,16 @@ DRAW_CHUNK = 1 << 18
 def _walk(maps: np.ndarray, first: int) -> None:
     """Replace each step map by the base the walk from `first` reaches there.
 
-    maps is a 1-D uint8 array of byte-coded step maps; afterwards maps[t]
-    holds the base that maps[0], ..., maps[t] take the base `first` to.
-    Up to WALK_LEAF maps are walked one by one. Longer runs are laid out as
-    a contiguous (WALK_BLOCK, nblocks) array whose column b holds block b,
-    zero-padded at the end, and each row is composed onto the row above
-    with one lookup in the flat composition table, so row r then holds the
-    composition of each block's first r + 1 maps. The block start bases are
-    the walk over the block-final maps, found by the same function, and
-    each base is read out of its prefix map by shift and mask.
+    maps is a contiguous 1-D uint8 array of byte-coded step maps, best
+    2-byte aligned; afterwards maps[t] holds the base that maps[0], ...,
+    maps[t] take the base `first` to. Up to WALK_LEAF maps are walked one by
+    one. Longer runs are composed by pair doubling: maps 2i and 2i + 1 are
+    read as one little-endian uint16 word, whose lookup in _PAIRS is their
+    composition, and the walk over those half as many pair maps gives the
+    base after every odd map. Each word is then overwritten in place with
+    its two bases: the low byte is the base map 2i takes the base before the
+    pair to, the high byte the pair's own base. An odd last map is stepped
+    from the last pair's base. Both passes run WALK_CHUNK words at a time.
     """
     m = maps.size
     if m <= WALK_LEAF:
@@ -307,31 +312,30 @@ def _walk(maps: np.ndarray, first: int) -> None:
             states.append(state)
         maps[:] = states
         return
-    full, rest = divmod(m, WALK_BLOCK)
-    nblocks = full + (rest > 0)
-    blocks = np.empty((WALK_BLOCK, nblocks), dtype=np.uint8)
-    blocks[:, :full] = maps[: full * WALK_BLOCK].reshape(full, WALK_BLOCK).T
-    if rest:
-        blocks[:rest, full] = maps[full * WALK_BLOCK :]
-        blocks[rest:, full] = 0
-    table = _COMPOSE.ravel()
-    pair = np.empty(nblocks, dtype=np.intp)
-    for r in range(1, WALK_BLOCK):
-        np.left_shift(blocks[r - 1], 8, out=pair, dtype=np.intp)
-        pair |= blocks[r]
-        table.take(pair, out=blocks[r], mode="clip")
+    half = m // 2
+    words = maps[: 2 * half].view("<u2")
+    pairs = np.empty(half, dtype=np.uint8)
+    for start in range(0, half, WALK_CHUNK):
+        stop = start + WALK_CHUNK
+        _PAIRS.take(words[start:stop], out=pairs[start:stop], mode="clip")
+    _walk(pairs, first)
 
-    # the block start bases, then doubled into bit offsets
-    shifts = np.empty(nblocks, dtype=np.uint8)
-    shifts[0] = first
-    shifts[1:] = blocks[-1, :-1]
-    _walk(shifts[1:], first)
-    shifts <<= 1
-    blocks >>= shifts
-    blocks &= 3
-    maps[: full * WALK_BLOCK].reshape(full, WALK_BLOCK)[:] = blocks[:, :full].T
-    if rest:
-        maps[full * WALK_BLOCK :] = blocks[:rest, full]
+    # word i becomes (word >> 2 * base before the pair) & 3 | pairs[i] << 8
+    shifts = np.empty(min(half, WALK_CHUNK), dtype=np.uint16)
+    high = np.empty_like(shifts)
+    for start in range(0, half, WALK_CHUNK):
+        w = words[start : start + WALK_CHUNK]
+        k = w.size
+        shift, hi = shifts[:k], high[:k]
+        shift[0] = pairs[start - 1] if start else first
+        shift[1:] = pairs[start : start + k - 1]
+        shift <<= 1
+        w >>= shift
+        w &= 3
+        np.left_shift(pairs[start : start + k], 8, out=hi, dtype=np.uint16)
+        w |= hi
+    if m % 2:
+        maps[-1] = (maps[-1] >> (2 * pairs[-1])) & 3
 
 
 def _draw_step_maps(model: MarkovModel, rng: np.random.Generator,
@@ -375,13 +379,14 @@ def generate_sequence(model: MarkovModel, length: int,
     first three cumulative transition probabilities that u exceeds. The
     draws are made and mapped DRAW_CHUNK at a time, and the maps are written
     into the output array itself, so besides it the draws take one chunk
-    of floats and one comparison mask, freed before the walk. The chain is
-    realised there without a per-base Python loop by _walk: it composes the
-    maps in contiguous blocks of 16 through a 256x256 composition table,
-    finds the block start bases by walking the block-final maps the same
-    way (three levels of blocks at 135 kbp, five at 10 Mbp), and reads each
-    base out of its prefix map by shift and mask. The walk's block array
-    and index buffer set the peak: about 2.7 bytes per base.
+    of floats and one comparison mask, freed before the walk. The first map
+    is stepped here, so the rest start on an even address, and the chain is
+    realised there without a per-base Python loop by _walk: it composes
+    adjacent maps in pairs through a 65,536-entry table, walks the pair maps
+    the same way (12 levels of pairs at 135 kbp, 18 at 10 Mbp) and writes
+    both bases of each pair in place. Besides the output, the walk's pair
+    maps (one byte per base over all levels) and chunk buffers set the
+    peak: 2.22 bytes per base at 2 Mbp.
     """
     if length < 0:
         raise ValueError("length must be non-negative")
@@ -390,5 +395,7 @@ def generate_sequence(model: MarkovModel, length: int,
     out = np.zeros(length, dtype=np.uint8)
     first = _draw_step_maps(model, rng, out)
     out[0] = first
-    _walk(out[1:], first)
+    if length > 1:
+        out[1] = (out[1] >> (2 * first)) & 3
+        _walk(out[2:], int(out[1]))
     return DnaSeq(bases=out)

@@ -19,6 +19,7 @@ renders them as tables.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -101,7 +102,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RateExperimentResult:
-    """Hot-spot bias of the two rate estimators, averaged over replicates."""
+    """Hot-spot bias of the two rate estimators, averaged over replicates.
+
+    The *_se properties are standard errors of the means, NaN for a single
+    replicate.
+    """
 
     multipliers: tuple[float, ...]
     replicates: int
@@ -118,11 +123,19 @@ class RateExperimentResult:
 
     @property
     def average_rate_se(self) -> float:
-        return float(self.average_rates.std(ddof=1) / np.sqrt(self.replicates))
+        return _standard_error(self.average_rates)
 
     @property
     def markov_rate_se(self) -> float:
-        return float(self.markov_rates.std(ddof=1) / np.sqrt(self.replicates))
+        return _standard_error(self.markov_rates)
+
+
+def _standard_error(rates: np.ndarray) -> float:
+    """Standard error of the mean of the rates; NaN for a single replicate,
+    which has no spread to estimate it from."""
+    if rates.size < 2:
+        return float("nan")
+    return float(rates.std(ddof=1) / np.sqrt(rates.size))
 
 
 @dataclass(frozen=True)
@@ -221,7 +234,10 @@ def insert_hotspots(background: DnaSeq, specs, bank: PalindromeTable,
     centers: list[int] = []
     for spec in specs:
         count = int(rng.poisson(spec.length * spec.multiplier * lambda0))
-        placed: list[tuple[int, int]] = []
+        # the placements' first and last positions, both sorted: they are
+        # disjoint, so the one starting last at or before hi ends last
+        starts: list[int] = []
+        ends: list[int] = []
         for _ in range(count):
             for _attempt in range(PLACEMENT_RETRIES):
                 i = int(rng.integers(len(bank)))
@@ -232,15 +248,17 @@ def insert_hotspots(background: DnaSeq, specs, bank: PalindromeTable,
                     continue  # pattern wider than the segment; redraw
                 c = int(rng.integers(c_lo, c_hi + 1))
                 lo, hi = c - h + 1, c + h
-                if any(lo <= p_hi and p_lo <= hi for p_lo, p_hi in placed):
+                k = bisect_right(starts, hi)
+                if k and ends[k - 1] >= lo:
                     continue
                 bases[lo : hi + 1] = bank.seq.bases[drawn - h + 1 : drawn + h + 1]
-                placed.append((lo, hi))
+                starts.insert(k, lo)
+                ends.insert(k, hi)
                 centers.append(c)
                 break
             else:
                 raise CrowdedSegmentError(
-                    f"could not place pattern {len(placed) + 1}/{count} in "
+                    f"could not place pattern {len(starts) + 1}/{count} in "
                     f"segment at {spec.start} after {PLACEMENT_RETRIES} retries"
                 )
     return DnaSeq(bases=bases, dropped_count=background.dropped_count), sorted(centers)

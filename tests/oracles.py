@@ -17,6 +17,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from palinscan.errors import (
+    CrowdedSegmentError,
     EstimationError,
     FastaError,
     InfiniteScoreError,
@@ -110,6 +111,38 @@ def brute_palindromes(bases, min_half: int) -> list[tuple[int, int]]:
         if h >= min_half:
             out.append((c, h))
     return out
+
+
+def quadratic_hotspots(bases, specs, bank, lambda0: float, rng,
+                       retries: int) -> tuple[np.ndarray, list[int]]:
+    """Hot-spot insertion that tests each candidate against every earlier
+    placement in its segment, with the same rng calls as insert_hotspots."""
+    bases = np.array(bases, dtype=np.uint8)
+    centers = []
+    for spec in specs:
+        count = int(rng.poisson(spec.length * spec.multiplier * lambda0))
+        placed = []
+        for _ in range(count):
+            for _attempt in range(retries):
+                i = int(rng.integers(len(bank)))
+                drawn, h = int(bank.centers[i]), int(bank.half_lengths[i])
+                c_lo, c_hi = spec.start + h - 1, spec.stop - 1 - h
+                if c_hi < c_lo:
+                    continue
+                c = int(rng.integers(c_lo, c_hi + 1))
+                lo, hi = c - h + 1, c + h
+                if any(lo <= p_hi and p_lo <= hi for p_lo, p_hi in placed):
+                    continue
+                bases[lo : hi + 1] = bank.seq.bases[drawn - h + 1 : drawn + h + 1]
+                placed.append((lo, hi))
+                centers.append(c)
+                break
+            else:
+                raise CrowdedSegmentError(
+                    f"could not place pattern {len(placed) + 1}/{count} in "
+                    f"segment at {spec.start} after {retries} retries"
+                )
+    return bases, sorted(centers)
 
 
 def enum_markov_rate(pi, trans, half: int) -> float:

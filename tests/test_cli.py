@@ -482,6 +482,21 @@ class TestSimulate:
         assert payload[0]["replicates"] == 2
         assert payload[0]["lambda_avg"] > 0.0
 
+    def test_one_replicate_has_nan_se_and_no_warning(self):
+        # one replicate has no spread: its standard errors are NaN, stated
+        # as such rather than left to numpy's warning
+        proc = subprocess.run(
+            [sys.executable, "-m", "palinscan.cli", "simulate", "--replicates", "1",
+             "--length", "20000", "--json"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        payload = json.loads(proc.stdout)
+        assert '"lambda_avg_se": NaN' in proc.stdout
+        assert np.isnan(payload[0]["lambda_avg_se"])
+        assert np.isnan(payload[0]["lambda_markov_se"])
+
 
     def test_length_too_short_exits_1(self, capsys):
         code, _ = invoke("simulate", "--replicates", "1", "--length", "10")

@@ -24,7 +24,7 @@ from palinscan import (
 )
 from palinscan.cli import build_parser, run
 from palinscan import markov
-from palinscan.markov import PAIR_BLOCK, _walk
+from palinscan.markov import PAIR_BLOCK, WALK_CHUNK, _walk
 from palinscan.seqio import decode
 
 from oracles import (
@@ -54,16 +54,18 @@ def assert_fit_matches_counting(bases: np.ndarray, pseudocount: float) -> None:
 
 
 # Map counts m at the edges of _walk: it loops over up to 64 maps, else
-# composes blocks of 16, whose last block is full at m = 16k, and walks the
-# nblocks - 1 block-final maps by the same rule, so a second level of blocks
-# starts at m = 1041 (66 blocks) and a third at m = 16657. The edges are the
-# leaf 64/65, full last blocks 16k +- 1, the powers 1024/1025 and
-# 16384/16385, and the level starts.
-WALK_EDGES = [64, 65, 79, 80, 81, 1023, 1024, 1025, 1039, 1040, 1041,
-              16383, 16384, 16385, 16656, 16657]
+# composes maps 2i and 2i + 1 into m // 2 pair maps, walks those by the same
+# rule and steps an odd last map on its own, so a second level of pairs
+# starts at m = 130 (65 pairs). Both passes read WALK_CHUNK words, two maps
+# each, at a time. The edges are the leaf 64/65/66, odd and even m on either
+# side of the second level, and one and two chunks of words (m = 2 and 4
+# WALK_CHUNK) +- 1 and +- 2, whose pair maps also end on a chunk edge.
+WALK_EDGES = [64, 65, 66, 129, 130, 131,
+              *(k * WALK_CHUNK + d for k in (2, 4) for d in (-2, -1, 0, 1, 2))]
 
-# sequence lengths whose m = length - 1 maps sit on the walk's edges
-WALK_EDGE_LENGTHS = [m + 1 for m in WALK_EDGES]
+# sequence lengths whose m = length - 2 maps sit on the walk's edges:
+# generate_sequence steps the first map itself
+WALK_EDGE_LENGTHS = [m + 2 for m in WALK_EDGES]
 
 # codes that send every base to A, C, G or T, and the identity map
 CONSTANT_AND_IDENTITY_CODES = [0, 85, 170, 255, 0b11_10_01_00]
@@ -286,12 +288,14 @@ class TestGenerateSequence:
             out.append(sum(u[t] > c for c in cum_tr[out[-1]]))
         return np.array(out, dtype=np.uint8)
 
-    # short lengths, walked by the leaf loop or one level of blocks with
-    # partial and full last blocks, then the walk's edges
+    # short lengths, walked by the leaf loop or a few levels of pairs, and
+    # runs of three lengths up to 2^14 + 2, each with odd and even map
+    # counts; then the walk's edges
     @pytest.mark.parametrize("length", sorted({
-        1, 2, 3, 17, 32, 33, 34, 64, 65, 66, 100, 128, 129, 130, 143, 144,
-        145, 146, 156, 157, 158, 192, 193, 194, 288, 289, 290, 384, 385, 386,
-        1001, *WALK_EDGE_LENGTHS}))
+        1, 2, 3, 17, 32, 33, 34, 64, 65, 66, 80, 81, 82, 100, 128, 129, 130,
+        143, 144, 145, 146, 156, 157, 158, 192, 193, 194, 288, 289, 290, 384,
+        385, 386, 1001, 1024, 1025, 1026, 1040, 1041, 1042, 16384, 16385,
+        16386, 16657, 16658, *WALK_EDGE_LENGTHS}))
     def test_matches_sequential_reference(self, bohv1, length):
         got = generate_sequence(bohv1, length, np.random.default_rng(99))
         assert np.array_equal(got.bases, self.naive_chain(bohv1, length, 99))
@@ -306,7 +310,7 @@ class TestGenerateSequence:
         got = generate_sequence(model, length, np.random.default_rng(seed))
         assert np.array_equal(got.bases, self.naive_chain(model, length, seed))
 
-    # sha256 of the bases at 10^6, where the walk runs four levels of blocks
+    # sha256 of the bases at 10^6, where the walk runs 14 levels of pairs
     # and the sequential reference is too slow; the digests were taken from
     # the earlier sampler (strided sqrt(length) blocks), an implementation
     # independent of the walk
@@ -336,8 +340,8 @@ class TestGenerateSequence:
 
     def test_allocation_peak(self, bohv1):
         # besides the output, the draws take one chunk of floats and a mask,
-        # freed before the walk, whose block array and index buffer set the
-        # peak: about 2.7 bytes per base, against 10 with every draw at once
+        # freed before the walk, whose pair maps and chunk buffers set the
+        # peak: 2.22 bytes per base, against 10 with every draw at once
         n, rng = 2_000_000, np.random.default_rng(1)
         tracemalloc.start()
         try:
@@ -346,7 +350,7 @@ class TestGenerateSequence:
         finally:
             tracemalloc.stop()
         assert seq.length == n
-        assert peak <= 3 * n
+        assert peak <= 2.3 * n
 
     def test_zero_length(self, bohv1):
         assert generate_sequence(bohv1, 0, np.random.default_rng(0)).length == 0
@@ -392,6 +396,20 @@ class TestWalk:
         expected = self.loop_walk(maps, first)
         _walk(maps, first)
         assert np.array_equal(maps, expected)
+
+    def test_allocation_peak(self):
+        # the pair maps of all levels take up to one byte per map, and
+        # take's intp copy of a chunk of words (512 kB) a quarter byte per
+        # map at 2e6 maps: 1.22 bytes per map in all
+        n = 2_000_000
+        maps = np.random.default_rng(1).integers(0, 256, n, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            _walk(maps, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * n
 
 
 class TestModelJson:

@@ -25,6 +25,7 @@ from palinscan import (
 )
 from palinscan.cli import build_parser, run
 from palinscan.sim import (
+    PLACEMENT_RETRIES,
     TiltedScoreSampler,
     _replicate_rng,
     _segment_window_bounds,
@@ -32,7 +33,13 @@ from palinscan.sim import (
     min_seq_length,
 )
 
-from oracles import iid_geometric_mgf, mgf_at_length, random_model, series_mgf
+from oracles import (
+    iid_geometric_mgf,
+    mgf_at_length,
+    quadratic_hotspots,
+    random_model,
+    series_mgf,
+)
 
 
 def cli_output(*argv) -> str:
@@ -163,6 +170,37 @@ class TestInsertHotspots:
         with pytest.raises(CrowdedSegmentError):
             insert_hotspots(background, specs, bank, 0.01,
                             np.random.default_rng(9))
+
+    # at multiplier 100 a 1000 bp segment draws about 40 (lambda0 4e-4) or
+    # 50 (5e-4) patterns of 12 bp or more, so most are redrawn at least
+    # once; at 5e-4 some seeds run out of retries (25 of these 200)
+    @pytest.mark.parametrize("lambda0, outcomes", [
+        (0.0004, {"placed"}),
+        (0.0005, {"placed", "crowded"}),
+    ], ids=["multiplier100", "crowded"])
+    def test_matches_quadratic_overlap_rule(self, bank, lambda0, outcomes):
+        background = self._background()
+        specs = [HotspotSpec(start=2000, multiplier=100.0),
+                 HotspotSpec(start=12_000, multiplier=100.0)]
+        seen = set()
+        for seed in range(200):
+            try:
+                expected = quadratic_hotspots(background.bases, specs, bank, lambda0,
+                                              np.random.default_rng(seed),
+                                              PLACEMENT_RETRIES)
+            except CrowdedSegmentError as err:
+                with pytest.raises(CrowdedSegmentError) as got:
+                    insert_hotspots(background, specs, bank, lambda0,
+                                    np.random.default_rng(seed))
+                assert str(got.value) == str(err)
+                seen.add("crowded")
+                continue
+            seq, centers = insert_hotspots(background, specs, bank, lambda0,
+                                           np.random.default_rng(seed))
+            assert np.array_equal(seq.bases, expected[0])
+            assert centers == expected[1]
+            seen.add("placed")
+        assert seen == outcomes
 
     def test_empty_bank_rejected(self):
         empty = find_palindromes(DnaSeq.from_string("A" * 100), 6)
