@@ -9,20 +9,19 @@ first two derivatives (cumulants), the domain of valid arguments, and the
 log characteristic function of the ladder increment used by the overshoot
 correction in module scan.
 
-One kernel serves every evaluator: it carries each factor of the matrix form
-as a truncated Taylor series in the argument, so the MGF and its first two
-derivatives come out of the same matrix products in closed form. score_mgf
-and cumulants take real arguments; the kernel also takes complex ones, one
-or a whole array at a time, so the log characteristic function reuses the
-same series at every quadrature node. The argument's shape picks the
-path. A scalar, as cumulants and score_mgf pass, runs as block matrix
-products with one LAPACK inverse (numeric.mat_inv). An array, such as the
-overshoot quadrature's nodes, is laid out entries-first (entry (i, j) of Q
-is one array over the arguments) and runs the 4 x 4 algebra as elementwise
-arithmetic with a Gauss-Jordan inverse (numeric.stack_inv), in a number of
-numpy calls that does not grow with its size. A model with independent
-bases is the Markov model iid_model(pi), whose rank-one quasi transition
-matrix takes the same paths.
+One kernel serves every evaluator, on two paths that the argument's shape
+picks. At a scalar, real or complex, it carries each factor of the matrix
+form as a truncated Taylor series in the argument, so the MGF and its first
+two derivatives come out of the same block matrix products in closed form,
+with one LAPACK inverse (numeric.mat_inv); cumulants and score_mgf take
+this path. An array of arguments, such as the overshoot quadrature's nodes
+that the log characteristic function passes, gets the MGF's values only:
+it is laid out entries-first (entry (i, j) of Q is one array over the
+arguments), the 4 x 4 algebra runs as elementwise arithmetic, and the
+resolvent enters through one row solve by Gaussian elimination
+(numeric.row_solve), in a number of numpy calls that does not grow with
+the array's size. A model with independent bases is the Markov model
+iid_model(pi), whose rank-one quasi transition matrix takes the same paths.
 
 The closed form sums the joint terms E[exp(t * score); half-length = k] =
 v Q^(k-1) u over k >= h. The tilted sampler of module sim draws from that
@@ -33,16 +32,15 @@ kernel's own _bws_log_base), so it samples the law score_mgf describes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from math import factorial
-from operator import add
 
 import numpy as np
 
 from .errors import DomainError, SingularMatrixError
 from .markov import (MarkovModel, center_pair_probs, markov_rate,
                      quasi_transition_matrix, start_weights)
-from .numeric import mat_inv, newton_root, spectral_radius, stack_inv, vec_mat
+from .numeric import mat_inv, newton_root, row_solve, spectral_radius, vec_mat
 
 SCORE_KINDS = ("pcs", "pls", "bws")
 _EYE = np.eye(4)
@@ -141,6 +139,13 @@ class ScoreModel:
             raise DomainError("start weights have negative entries; bws undefined")
         return _log_base(np.concatenate((start, self.t_matrix.ravel(), self.closure_probs)))
 
+    @cached_property
+    def _bws_distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """(distinct, index) of _bws_log_base's logs, by np.unique: T[a, b]
+        = T[b', a'] for the complements ', so at most 18 of the 24 entries
+        differ, and the node path raises each distinct one once."""
+        return np.unique(self._bws_log_base[0], return_inverse=True)
+
 
 def _bws_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(v, Q, u) of an array laid out as ScoreModel._bws_log_base: its
@@ -155,24 +160,16 @@ def _log_base(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.log(np.where(pos, base, 1.0)), pos
 
 
-def _power_jet(log_base: tuple[np.ndarray, np.ndarray], z,
+def _power_jet(log_base: tuple[np.ndarray, np.ndarray], z: float | complex,
                order: int = 0) -> list[np.ndarray]:
     """Taylor coefficients in z of the entrywise power base ** (1 - z).
 
     log_base is _log_base(base). Coefficient j is base ** (1 - z) * (-log
     base) ** j / j!. Zero entries map to zero, matching the limit from
-    positive base; z may be complex, and an array of z gives coefficients
-    laid out entries-first, of shape base.shape + (len(z),).
+    positive base; z may be complex.
     """
     log_base, pos = log_base
-    if np.ndim(z):
-        # equal entries share one exponential: T[a, b] = T[b', a'] for the
-        # complements ', so at most 18 of the 24 bws entries differ
-        distinct, index = np.unique(log_base, return_inverse=True)
-        power = np.exp(np.multiply.outer(distinct, 1.0 - z))[index.reshape(log_base.shape)]
-        log_base, pos = log_base[..., None], pos[..., None]
-    else:
-        power = np.exp(log_base * (1.0 - z))
+    power = np.exp(log_base * (1.0 - z))
     jet = [power if pos.all() else power * pos]
     for j in range(1, order + 1):
         jet.append(jet[-1] * log_base / -j)
@@ -248,31 +245,6 @@ def _toeplitz(jet: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _jet_by_entries(v, q, u, n: int) -> np.ndarray:
-    """Taylor coefficients of v Q^n (I - Q)^-1 u (_mgf_jet) at N arguments,
-    as elementwise arithmetic on node vectors.
-
-    Every coefficient is held entries-first, (4, N) for v and u and
-    (4, 4, N) for Q, and every vector-matrix product is numeric.vec_mat,
-    so the number of numpy calls does not grow with N. The row r = v Q^n
-    is n Cauchy products of series, r_k = r_0 Q_k + ... + r_k Q_0; the
-    resolvent enters through the series y = r W, which solves y (I - Q) = r
-    order by order: y_k = (r_k + y_(k-1) Q_1 + ... + y_0 Q_k) W_0, with W_0
-    = (I - Q_0)^-1 from numeric.stack_inv. Returns shape (N, order + 1).
-    """
-    order = len(q) - 1
-    w0 = stack_inv(_EYE[..., None] - q[0])
-    for _ in range(n):
-        v = [reduce(add, [vec_mat(v[j], q[k - j]) for j in range(k + 1)])
-             for k in range(order + 1)]
-    y = []
-    for k in range(order + 1):
-        rhs = reduce(add, [v[k]] + [vec_mat(y[k - j], q[j]) for j in range(1, k + 1)])
-        y.append(vec_mat(rhs, w0))
-    return np.stack([reduce(add, [vec_mat(y[j], u[k - j]) for j in range(k + 1)])
-                     for k in range(order + 1)], axis=-1)
-
-
 def _jet_by_blocks(v, q, u, n: int) -> np.ndarray:
     """Taylor coefficients of v Q^n (I - Q)^-1 u (_mgf_jet) at a scalar.
 
@@ -291,20 +263,46 @@ def _jet_by_blocks(v, q, u, n: int) -> np.ndarray:
     return (row @ _toeplitz(w) @ col)[0]
 
 
-def _mgf_jet(sm: ScoreModel, z, order: int = 0) -> np.ndarray:
-    """Taylor coefficients M^(j)(z) / j!, j = 0 .. order, of the score MGF.
+def _factors(sm: ScoreModel, z, order: int) -> tuple[list, list, list, int]:
+    """Taylor coefficients j = 0 .. order of v, Q and u in M(z) = v Q^n
+    (I - Q)^-1 u / rate (_mgf_jet), and n, for pls or bws. A 1-D array of
+    z (order 0) lays each coefficient out entries-first, with the arguments
+    on a trailing axis."""
+    nodes = np.ndim(z) > 0
+    h = sm.half_length
+    if sm.kind == "bws":
+        if nodes:
+            # each distinct entry is raised once (ScoreModel._bws_distinct)
+            distinct, index = sm._bws_distinct
+            power = np.exp(np.multiply.outer(distinct, 1.0 - z))[index]
+            pos = sm._bws_log_base[1]
+            jet = [power if pos.all() else power * pos[:, None]]
+        else:
+            jet = _power_jet(sm._bws_log_base, z, order)
+        v, q, u = zip(*map(_bws_split, jet))
+        return v, q, u, h - 1
+    head, t, tail = sm._pls_factors
+    if nodes:
+        head, t, tail = head[:, None], t[..., None], tail[:, None]
+    fact = [float(factorial(j)) for j in range(order + 1)]
+    scale, grow = np.exp(z), np.exp(z / h)
+    v = [head * (scale / f) for f in fact]
+    q = [t * (grow / (h ** j * f)) for j, f in enumerate(fact)]
+    return v, q, [tail] + [np.zeros_like(tail)] * order, 0
+
+
+def _mgf_jet(sm: ScoreModel, z: float | complex, order: int = 0) -> np.ndarray:
+    """Taylor coefficients M^(j)(z) / j!, j = 0 .. order, of the score MGF
+    at one real or complex argument z (domain checks use Re z).
 
     pls and bws share one form, M(z) = v Q^n (I - Q)^-1 u / rate:
       - pls: v = e^z pi T^(h-1), Q = e^(z/h) T, n = 0, u = (I - T) c;
       - bws: v, Q, u the entrywise (1 - z) powers of the start weights, T
         and c, and n = h - 1.
-    Each factor is carried as a Taylor series in z, and the product of the
-    series gives exact derivatives. A scalar z is evaluated by block matrix
-    products (_jet_by_blocks). An array of z, of any size, lays the
-    coefficients out entries-first, with the arguments on a trailing axis,
-    and is evaluated as elementwise arithmetic on node vectors
-    (_jet_by_entries). z may be complex (domain checks use Re z); the
-    result has shape z.shape + (order + 1,).
+    Each factor is carried as a Taylor series in z (_factors), and the
+    product of the series, as block matrix products (_jet_by_blocks), gives
+    exact derivatives. Returns shape (order + 1,). An array of arguments
+    takes _mgf_value.
 
     Raises:
         DomainError: Re z at or beyond the domain supremum.
@@ -312,32 +310,35 @@ def _mgf_jet(sm: ScoreModel, z, order: int = 0) -> np.ndarray:
             the domain edge to round-off.
     """
     _require_in_domain(sm, z)
-    fact = [float(factorial(j)) for j in range(order + 1)]
     if sm.kind == "pcs":
-        return np.divide.outer(np.exp(z), fact)
-    shape = np.shape(z)
-    if shape:  # one trailing axis of arguments
-        z = np.ravel(z)
-    h = sm.half_length
-    if sm.kind == "pls":
-        head, t, tail = sm._pls_factors
-        if shape:
-            head, t, tail = head[:, None], t[..., None], tail[:, None]
-        scale, grow = np.exp(z), np.exp(z / h)
-        v = [head * (scale / f) for f in fact]
-        q = [t * (grow / (h ** j * f)) for j, f in enumerate(fact)]
-        u = [tail] + [np.zeros_like(tail)] * order
-        n = 0
-    else:
-        v, q, u = zip(*map(_bws_split, _power_jet(sm._bws_log_base, z, order)))
-        n = h - 1
-    product = _jet_by_entries if shape else _jet_by_blocks
-    return (product(v, q, u, n) / sm.rate).reshape(shape + (order + 1,))
+        return np.exp(z) / np.array([float(factorial(j)) for j in range(order + 1)])
+    return _jet_by_blocks(*_factors(sm, z, order)) / sm.rate
 
 
 def _mgf_value(sm: ScoreModel, z):
-    """The MGF itself at a real or complex argument, or at each of an array."""
-    return _mgf_jet(sm, z)[..., 0]
+    """The MGF itself at a real or complex argument (_mgf_jet), or at each of
+    a 1-D array of N arguments, as elementwise arithmetic on node vectors.
+
+    v, Q and u (_factors) are held entries-first, (4, N) for v and u and
+    (4, 4, N) for Q, and every vector-matrix product is numeric.vec_mat, so
+    the number of numpy calls does not grow with N, and each node gets the
+    value it has in any other array. The row r = v Q^n takes n products;
+    the resolvent enters through y (I - Q) = r, solved by numeric.row_solve
+    without forming an inverse.
+
+    Raises:
+        DomainError: Re z at or beyond the domain supremum, at any node.
+        SingularMatrixError: I - Q is numerically singular at some node.
+    """
+    if not np.ndim(z):
+        return _mgf_jet(sm, z)[0]
+    _require_in_domain(sm, z)
+    if sm.kind == "pcs":
+        return np.exp(z)
+    (v,), (q,), (u,), n = _factors(sm, z, 0)
+    for _ in range(n):
+        v = vec_mat(v, q)
+    return vec_mat(row_solve(v, _EYE[..., None] - q), u) / sm.rate
 
 
 def cumulants(sm: ScoreModel, theta: float) -> tuple[float, float, float]:

@@ -588,6 +588,9 @@ class TestPinnedOutput:
     the search moved from the threshold to the tilt theta1 (by up to 6.7e-9).
     The pls scan's JSON theta1, lambda1 and nu moved in their last digits
     (theta1 by 3.9e-14) when solve_tilt's Newton stop became relative.
+    The pls scan's JSON nu moved in its last digit (by 3e-16) when the MGF
+    at the quadrature nodes began to solve y (I - Q) = v Q^n instead of
+    multiplying by an inverse.
     The mgf grids were recorded while every scalar MGF argument already ran
     on the kernel's block products.
     The estimate tables, the simulate and power JSON, the per-replicate
@@ -798,7 +801,7 @@ class TestPinnedOutput:
         ("pls", "1000\t20000\t0.001130395015\tpls\t3.333333333\t0.9101248846"
                 "\t0.003038637189\t0.9723776886\t0\t0.999999987\t17658\t3.333333333",
          dict(b=3.333333333333332, theta1=0.9101248845980787,
-              lambda1=0.003038637189032656, nu=0.9723776885687396,
+              lambda1=0.003038637189032656, nu=0.9723776885687399,
               p=0.999999986950745, argmax=17658, max=3.333333333333332)),
         ("bws", "1000\t20000\t0.001130395015\tbws\t45.47454101\t0.07195156512"
                 "\t0.003139084756\t0.6503443838\t0\t0.9996312499\t18975\t45.47454101",

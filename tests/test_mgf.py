@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from palinscan import (
     DomainError,
     MarkovModel,
+    PalinscanError,
     ScoreModel,
     SingularMatrixError,
     center_pair_probs,
@@ -22,11 +23,13 @@ from palinscan.scan import _nu_quadrature
 
 from oracles import (
     bws_domain_edge,
+    closure_vector,
     derivative,
     enum_exact_length_mgf,
     enum_exact_length_prob,
     iid_domain_edge,
     iid_geometric_mgf,
+    matrix_form_factors,
     matrix_form_mgf,
     mgf_at_length,
     quasi_matrix,
@@ -176,6 +179,48 @@ class TestKernelAgainstMatrixOracle:
         assert np.all(np.abs(got / expected - 1.0) <= 1e-13)
         for x in (0.0, 0.3 * sm.t_max, 0.9 * sm.t_max, -0.5):
             assert score_mgf(sm, x) == pytest.approx(oracle(x).real, rel=1e-13)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(pi_trans=sparse_models(), kind=st.sampled_from(["pls", "bws"]))
+    def test_nodes_on_sparse_chains_match_per_node_solve(self, pi_trans, kind):
+        # zero transitions give reducible or periodic quasi matrices, on
+        # which the node path eliminates without pivoting; LAPACK's pivoted
+        # solve of y (I - Q) = v Q^n, node by node, for the kernel's own v,
+        # Q, u and n (_mgf_jet) is the reference. Each node's error is taken
+        # relative to the same form in the entrywise moduli |v|, |Q| and
+        # |u|, which bounds every term of the series v Q^k u (k >= n); it is
+        # M(Re z) where the terms are non-negative.
+        pi, trans = pi_trans
+        try:
+            sm = ScoreModel(kind, MarkovModel(pi=pi, trans=trans), 6)
+        except ValueError:  # T not subcritical
+            assume(False)
+        assume(sm.rate > 0.0 and np.isfinite(sm.t_max))
+        x = 0.99 * sm.t_max * np.linspace(-1.0, 1.0, 9)
+        z = np.concatenate([x + 1j * y for y in (0.0, 0.5, 3.0, 20.0)])
+        if kind == "bws" and np.any(sm.start_weights < 0):  # pi not stationary
+            with pytest.raises(PalinscanError):
+                mgf_module._mgf_value(sm, z)
+            return
+
+        def solved(v, q, u, n):
+            row = v @ np.linalg.matrix_power(q, n)
+            return np.linalg.solve((np.eye(4) - q).T, row) @ u / sm.rate
+
+        got = mgf_module._mgf_value(sm, z)
+        t = quasi_matrix(trans)
+        for node, value in zip(z, got):
+            if kind == "pls":
+                factors = (np.exp(node) * pi @ np.linalg.matrix_power(t, 5), np.exp(node / 6) * t,
+                           (np.eye(4) - t) @ closure_vector(trans), 0)
+            else:
+                factors = matrix_form_factors(pi, trans, 6, node, kind) + (5,)
+            expected = solved(*factors)
+            scale = solved(*[np.abs(f) for f in factors])
+            assert abs(value - expected) <= 1e-12 * scale
+        # a node on the domain edge is refused with a typed error
+        with pytest.raises(PalinscanError):
+            mgf_module._mgf_value(sm, np.append(z, sm.t_max + 0.5j))
 
 
 class TestExactLengthTerms:
@@ -486,33 +531,31 @@ class TestBatchedKernel:
         # the block products: the two agree to rounding
         sm = ScoreModel(kind, iid_model(bohv1.pi) if iid else bohv1, 6)
         z = np.array([0.0, 0.1 + 0.3j, 0.05 - 2.0j, 0.2, 7.0j])
-        for order in (0, 2):
-            batch = mgf_module._mgf_jet(sm, z, order=order)
-            assert batch.shape == (z.size, order + 1)
-            single = np.array([mgf_module._mgf_jet(sm, x, order=order) for x in z])
-            assert np.all(np.abs(batch / single - 1.0) <= 1e-13)
+        batch = mgf_module._mgf_value(sm, z)
+        assert batch.shape == z.shape
+        single = np.array([mgf_module._mgf_jet(sm, x, order=0)[0] for x in z])
+        assert np.all(np.abs(batch / single - 1.0) <= 1e-13)
 
     @pytest.mark.parametrize("kind", ["pls", "bws"])
     @pytest.mark.parametrize("iid", [False, True])
     def test_node_stack_matches_small_evaluations(self, kind, iid, bohv1):
         # a stack of nodes, as the overshoot quadrature passes, agrees with
-        # the block products at each node as a scalar, jets included
+        # the block products at each node as a scalar
         sm = ScoreModel(kind, iid_model(bohv1.pi) if iid else bohv1, 6)
         n = 64
         z = 0.3 * sm.t_max * np.linspace(-1.0, 1.0, n) + 1j * np.linspace(0.0, 7.0, n)
-        for order in (0, 2):
-            stack = mgf_module._mgf_jet(sm, z, order=order)
-            assert stack.shape == (n, order + 1)
-            small = np.array([mgf_module._mgf_jet(sm, x, order=order) for x in z])
-            assert np.all(np.abs(stack / small - 1.0) <= 1e-13)
+        stack = mgf_module._mgf_value(sm, z)
+        assert stack.shape == (n,)
+        small = np.array([mgf_module._mgf_jet(sm, x, order=0)[0] for x in z])
+        assert np.all(np.abs(stack / small - 1.0) <= 1e-13)
 
     def test_node_values_independent_of_the_stack(self, bohv1):
         # array arithmetic gives each node the value it has in any other
         # stack of the same kind
         sm = ScoreModel("bws", bohv1, 6)
         z = 0.2 + 1j * np.linspace(0.0, 20.0, 128)
-        whole = mgf_module._mgf_jet(sm, z, order=2)
-        halves = [mgf_module._mgf_jet(sm, z[i::2], order=2) for i in (0, 1)]
+        whole = mgf_module._mgf_value(sm, z)
+        halves = [mgf_module._mgf_value(sm, z[i::2]) for i in (0, 1)]
         assert np.array_equal(whole[0::2], halves[0])
         assert np.array_equal(whole[1::2], halves[1])
 

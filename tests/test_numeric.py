@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from palinscan import ConvergenceError, NonFiniteError, SingularMatrixError
-from palinscan.numeric import mat_inv, newton_root, spectral_radius, stack_inv, vec_mat
+from palinscan.numeric import mat_inv, newton_root, row_solve, spectral_radius, vec_mat
 
 from oracles import derivative
 
@@ -37,14 +37,23 @@ def entries_first(stack):
     return np.moveaxis(np.asarray(stack), 0, -1)
 
 
+def solve_each(x, stack):
+    """y with y m = x for each matrix m of a stack (N, n, n) and row x of
+    x (N, n), by np.linalg.solve, as (N, n)."""
+    return np.linalg.solve(np.swapaxes(stack, 1, 2), np.asarray(x)[..., None])[..., 0]
+
+
 class TestStackInv:
-    """The entries-first Gauss-Jordan inverse, mode by mode as mat_inv."""
+    """row_solve, the entries-first solve of y m = x by Gaussian elimination,
+    case by case as mat_inv: the six cases of the Gauss-Jordan stack
+    inverse it replaced, under their names."""
 
     def test_matches_numpy_inverse(self, rng):
         stack = rng.random((7, 4, 4)) + 4.0 * np.eye(4) + 1j * rng.random((7, 4, 4))
-        inv = stack_inv(entries_first(stack))
-        assert inv.shape == (4, 4, 7)
-        assert np.allclose(entries_first(np.linalg.inv(stack)), inv, rtol=1e-13, atol=1e-15)
+        x = rng.random((7, 4)) - 0.5 + 1j * rng.random((7, 4))
+        y = row_solve(x.T, entries_first(stack))
+        assert y.shape == (4, 7)
+        assert np.allclose(solve_each(x, stack).T, y, rtol=1e-13, atol=1e-15)
 
     def test_h_matrix_without_pivoting(self, rng):
         # I - Q for complex Q with |Q| of spectral radius 0.95, as in the
@@ -52,32 +61,42 @@ class TestStackInv:
         q = rng.random((5, 4, 4)) * np.exp(2j * np.pi * rng.random((5, 4, 4)))
         q *= 0.95 / np.abs(np.linalg.eigvals(np.abs(q))).max(axis=1)[:, None, None]
         m = np.eye(4) - q
-        inv = stack_inv(entries_first(m))
-        assert np.allclose(entries_first(np.linalg.inv(m)), inv, rtol=1e-12, atol=1e-14)
+        x = rng.random((5, 4))
+        y = row_solve(x.T, entries_first(m))
+        assert np.allclose(solve_each(x, m).T, y, rtol=1e-12, atol=1e-14)
 
     def test_singular_member(self, rng):
         stack = rng.random((3, 4, 4)) + 4.0 * np.eye(4)
         stack[1] = np.ones((4, 4))
         with pytest.raises(SingularMatrixError):
-            stack_inv(entries_first(stack))
+            row_solve(np.ones((4, 3)), entries_first(stack))
 
     def test_near_singular_member(self, rng):
         stack = rng.random((3, 4, 4)) + 4.0 * np.eye(4)
         stack[2, 3] = stack[2, 2] * (1.0 + 1e-15)
         with pytest.raises(SingularMatrixError):
-            stack_inv(entries_first(stack))
+            row_solve(np.ones((4, 3)), entries_first(stack))
 
     def test_zero_member(self, rng):
         stack = rng.random((3, 4, 4)) + 4.0 * np.eye(4)
         stack[0] = 0.0
         with pytest.raises(SingularMatrixError):
-            stack_inv(entries_first(stack))
+            row_solve(np.ones((4, 3)), entries_first(stack))
+
+    def test_matrix_that_needs_pivoting_fails_the_residual_check(self):
+        # well conditioned, with |det| near 1, but its tiny first pivot
+        # makes elimination without pivoting lose y_0 to cancellation
+        m = np.array([[1e-14, 1.0], [1.0, 1.0]])
+        assert np.allclose(solve_each([[1.0, 2.0]], m[None]), 1.0)
+        with pytest.raises(SingularMatrixError, match="residual"):
+            row_solve(np.array([[1.0], [2.0]]), m[..., None])
 
     def test_scale_invariance(self):
-        # a well-conditioned matrix times a tiny scalar must still invert
+        # a well-conditioned matrix times a tiny scalar must still solve
         stack = 1e-12 * (np.eye(4) + 0.1) * np.array([1.0, 1e-3])[:, None, None]
-        inv = stack_inv(entries_first(stack))
-        assert np.allclose(entries_first(np.linalg.inv(stack)), inv, rtol=1e-12)
+        x = np.array([[1.0, -2.0, 3.0, 0.5], [1e-9, 0.0, 2e-9, -1e-9]])
+        y = row_solve(x.T, entries_first(stack))
+        assert np.allclose(solve_each(x, stack).T, y, rtol=1e-12)
 
 
 class TestVecMat:

@@ -72,11 +72,12 @@ BAD_RATE_OR_THRESHOLD = [(np.nan, 5.0), (np.inf, 5.0), (0.0, 5.0), (-1e-3, 5.0),
 
 def fresh_model_without_kernel(monkeypatch):
     """A pls model with nothing cached, and an MGF kernel that fails the
-    test when it is called."""
+    test when either of its entry points is called."""
     def refuse(*args, **kwargs):
         raise AssertionError("the MGF kernel was called")
     sm = ScoreModel("pls", bohv1_model(), 6)
-    monkeypatch.setattr(mgf_module, "_mgf_jet", refuse)
+    for name in ("_mgf_jet", "_mgf_value"):
+        monkeypatch.setattr(mgf_module, name, refuse)
     return sm
 
 
@@ -511,14 +512,14 @@ class TestAnalyticNu:
 
     def test_bws_nu_is_one_array_evaluation(self, lam0, bws, monkeypatch):
         # all quadrature nodes go through the MGF kernel in one call, as
-        # array arithmetic: no per-matrix LAPACK inverse, determinant or
-        # matrix power (the model's own caches are filled beforehand)
+        # array arithmetic: no per-matrix LAPACK inverse, solve, determinant
+        # or matrix power (the model's own caches are filled beforehand)
         tilt = solve_tilt(lam0, bws, self.BENCHMARK_BWS[1], WINDOW)
         kernel_sizes, linalg_calls = [], []
-        kernel = mgf_module._mgf_jet
-        monkeypatch.setattr(mgf_module, "_mgf_jet", lambda sm, z, order=0: (
-            kernel_sizes.append(np.size(z)) or kernel(sm, z, order)))
-        for name in ("inv", "det", "matrix_power"):
+        kernel = mgf_module._mgf_value
+        monkeypatch.setattr(mgf_module, "_mgf_value", lambda sm, z: (
+            kernel_sizes.append(np.size(z)) or kernel(sm, z)))
+        for name in ("inv", "solve", "det", "matrix_power"):
             monkeypatch.setattr(np.linalg, name, lambda *a, f=getattr(np.linalg, name),
                                 name=name, **k: linalg_calls.append(name) or f(*a, **k))
         analytic_nu(tilt, bws)
@@ -821,19 +822,22 @@ class TestNuFixedValidation:
 
 
 class TestKernelTraffic:
-    """The MGF kernel takes the block products for a scalar and node-vector
-    arithmetic for any array, which is several times slower than the block
-    products for a handful of arguments. So every caller the pipeline runs
-    passes a scalar or a stack of at least MIN_NODES arguments."""
+    """The MGF kernel takes the block products for a scalar (_mgf_jet) and
+    node-vector arithmetic for any array (_mgf_value), which is slower than
+    the block products for a handful of arguments. So every caller the
+    pipeline runs passes a scalar or a stack of at least MIN_NODES
+    arguments; both entry points are recorded."""
 
     MIN_NODES = 64
 
     @pytest.fixture
     def shapes(self, monkeypatch):
         shapes = []
-        kernel = mgf_module._mgf_jet
+        jet, value = mgf_module._mgf_jet, mgf_module._mgf_value
         monkeypatch.setattr(mgf_module, "_mgf_jet", lambda sm, z, order=0: (
-            shapes.append(np.shape(z)) or kernel(sm, z, order)))
+            shapes.append(np.shape(z)) or jet(sm, z, order)))
+        monkeypatch.setattr(mgf_module, "_mgf_value", lambda sm, z: (
+            shapes.append(np.shape(z)) or value(sm, z)))
         return shapes
 
     def check(self, shapes):
