@@ -12,7 +12,9 @@ complementary centre pair.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +60,7 @@ class MarkovModel:
         trans = np.asarray(self.trans, dtype=float)
         if pi.shape != (4,) or trans.shape != (4, 4):
             raise ValueError("pi must have shape (4,) and trans shape (4, 4)")
-        if np.any(pi < 0) or np.any(trans < 0):
+        if not (np.all(pi >= 0) and np.all(trans >= 0)):  # NaN fails too
             raise ValueError("probabilities must be non-negative")
         if abs(pi.sum() - 1.0) > PROB_ATOL:
             raise ValueError(f"pi sums to {pi.sum()!r}, not 1")
@@ -76,6 +78,34 @@ class MarkovModel:
         pi = np.asarray(pi, dtype=float)
         trans = np.asarray(trans, dtype=float)
         return cls(pi=pi / pi.sum(), trans=trans / trans.sum(axis=1, keepdims=True))
+
+    @cached_property
+    def _step_table(self) -> tuple[np.ndarray, int, np.ndarray]:
+        """(table, marker, bounds) by which _draw_step_maps maps raw words.
+
+        bounds[s, i] is floor(c 2^53) for row s's cumulative transition
+        probability c = trans[s, 0] + ... + trans[s, i], i < 3: a draw
+        u = k 2^-53 (k an integer) exceeds c exactly when k exceeds that
+        bound. table[j] is the byte-coded step map of every k in bucket j,
+        the 2^37 values with k >> 37 == j (the word's top 16 bits); it is
+        built by one slice add per bound. The at most 12 buckets that hold a
+        bound, inside which the map may change, carry instead the marker,
+        the first code that no bucket holds.
+        """
+        cum = np.cumsum(self.trans, axis=1)[:, :3]
+        bounds = np.floor(cum * 2.0**53).astype(np.uint64)
+        edges = (bounds >> 37).tolist()
+        table = np.zeros(1 << 16, dtype=np.uint8)
+        for s, row in enumerate(edges):
+            for edge in row:
+                table[edge + 1 :] += 1 << (2 * s)
+        split = [edge for row in edges for edge in row if edge < table.size]
+        # the table steps up only past a split bucket, so these are its codes
+        steps = [edge + 1 for edge in split if edge + 1 < table.size]
+        used = {0, *table[steps].tolist()}
+        marker = min(set(range(256)) - used)
+        table[split] = marker
+        return table, marker, bounds
 
 
 @dataclass(frozen=True)
@@ -283,9 +313,11 @@ _PAIRS = _pair_composition()
 WALK_LEAF = 64
 WALK_CHUNK = 1 << 16
 
-# generate_sequence draws and maps this many uniforms at a time, so a
-# 135,301 bp replicate is one chunk; at 10 Mbp, chunks of 2^16 to 2^19 took
-# 121 to 167 ms (best of 5) against 220 to 236 ms for all draws at once
+# generate_sequence draws and maps this many raw words at a time, so a
+# 135,301 bp replicate is one chunk, and looks each chunk up an eighth at a
+# time: take casts its indices to intp, so the cast takes one byte per word.
+# At 10 Mbp, chunks of 2^16 to 2^19 took 68 to 82 ms (best of 7) against
+# 105 ms for all words at once
 DRAW_CHUNK = 1 << 18
 
 
@@ -340,32 +372,50 @@ def _walk(maps: np.ndarray, first: int) -> None:
 
 def _draw_step_maps(model: MarkovModel, rng: np.random.Generator,
                     out: np.ndarray) -> int:
-    """Draw one uniform per position of out and return the first base;
-    every later draw becomes the step map into its position in out.
+    """Draw one raw 64-bit word per position of out and return the first
+    base; every later word becomes the step map into its position in out.
 
-    The draws are made and mapped DRAW_CHUNK at a time, in one float64
-    buffer, and give the same stream as one call for all of them.
+    For PCG64, PCG64DXSM, Philox and SFC64, Generator.random() is one word
+    w as u = (w >> 11) 2^-53, so the words give the uniforms random() would
+    and leave the generator where rng.random(out.size) would. Other bit
+    generators are refused: MT19937, for one, makes a double from two
+    32-bit words. The first base is the composition quantile of u. Each map
+    is one take from model._step_table by the word's top 16 bits, read
+    through a zero-copy view of the words; the words in a bucket that holds
+    a threshold read the marker instead and are mapped exactly, by comparing
+    w >> 11 with each row's three integer bounds. The words are drawn
+    DRAW_CHUNK at a time and looked up an eighth of a chunk at a time; each
+    chunk is freed before the next is drawn, and the chunks give the same
+    stream as one call for all of them.
+
+    Raises:
+        TypeError: rng's bit generator is none of the four above.
     """
-    u = np.empty(min(out.size, DRAW_CHUNK))
-    above = np.empty(u.size, dtype=bool)
-    thresholds = np.cumsum(model.trans, axis=1)[:, :3]
+    bits = rng.bit_generator
+    if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM,
+                             np.random.Philox, np.random.SFC64)):
+        raise TypeError(
+            f"generate_sequence reads 64-bit words as Generator.random() does "
+            f"for PCG64, PCG64DXSM, Philox and SFC64, not {type(bits).__name__}")
+    table, marker, bounds = model._step_table
+    top = 3 if sys.byteorder == "little" else 0  # a word's top 16 bits
     first = 0
-    for start in range(0, out.size, u.size):
-        v = u[: out.size - start]
-        rng.random(out=v)
-        maps = out[start : start + v.size]
+    for start in range(0, out.size, DRAW_CHUNK):
+        maps = out[start : start + DRAW_CHUNK]
+        words = bits.random_raw(maps.size)
         if start == 0:
-            first = min(int(np.searchsorted(np.cumsum(model.pi), v[0], side="right")), 3)
-            v, maps = v[1:], maps[1:]
-        # maps first holds zeros: the next bases of rows 3, 2, 1, 0 are
-        # added in place, shifting two bits up between rows
-        mask = above[: v.size]
-        for s in range(3, -1, -1):
-            for threshold in thresholds[s]:
-                np.greater(v, threshold, out=mask)
-                maps += mask.view(np.uint8)
-            if s:
-                maps <<= 2
+            u = (int(words[0]) >> 11) * 2.0**-53
+            first = min(int(np.searchsorted(np.cumsum(model.pi), u, side="right")), 3)
+            words, maps = words[1:], maps[1:]
+        buckets = words.view(np.uint16)[top::4]
+        part = max(maps.size // 8, 1)
+        for i in range(0, maps.size, part):
+            table.take(buckets[i : i + part], out=maps[i : i + part], mode="clip")
+        hits = np.flatnonzero(maps == marker)
+        above = (words[hits] >> 11)[:, None, None] > bounds
+        # row s's count of bounds exceeded goes to bits 2s..2s+1
+        maps[hits] = above.sum(axis=2).dot((1, 4, 16, 64))
+        del words, buckets
     return first
 
 
@@ -373,26 +423,41 @@ def generate_sequence(model: MarkovModel, length: int,
                       rng: np.random.Generator) -> DnaSeq:
     """Sample a sequence of the given length from the model.
 
-    One uniform draw u per position. The first base is the composition
-    quantile of u[0]. Every later draw becomes a byte-coded step map: bits
-    2s..2s+1 hold the base that follows base s, namely the number of row s's
-    first three cumulative transition probabilities that u exceeds. The
-    draws are made and mapped DRAW_CHUNK at a time, and the maps are written
+    One raw 64-bit word of rng's bit generator per position, the words
+    rng.random(length) would read, so rng is left where that call leaves
+    it; rng must run on PCG64 (default_rng), PCG64DXSM, Philox or SFC64,
+    and any other bit generator raises TypeError. With u = (word >> 11)
+    2^-53, the uniform random() makes of it, the first base is the
+    composition quantile of u. Every later word becomes a byte-coded step
+    map: bits 2s..2s+1 hold the base that follows base s, namely the number
+    of row s's first three cumulative transition probabilities that u
+    exceeds. The map is one lookup in a 65,536-entry table by the word's
+    top 16 bits; the words in the at most 12 table buckets that hold a
+    threshold (about 12 words in 65,536) are mapped by exact integer
+    comparisons instead (_draw_step_maps). On one core of a 2-vCPU Xeon
+    this sampler took 0.80 of the time of one that maps float draws by
+    twelve comparison passes at 135,301 bp, and 0.67 at 10 Mbp. The words
+    are drawn and mapped DRAW_CHUNK at a time, and the maps are written
     into the output array itself, so besides it the draws take one chunk
-    of floats and one comparison mask, freed before the walk. The first map
-    is stepped here, so the rest start on an even address, and the chain is
-    realised there without a per-base Python loop by _walk: it composes
-    adjacent maps in pairs through a 65,536-entry table, walks the pair maps
-    the same way (12 levels of pairs at 135 kbp, 18 at 10 Mbp) and writes
-    both bases of each pair in place. Besides the output, the walk's pair
-    maps (one byte per base over all levels) and chunk buffers set the
-    peak: 2.22 bytes per base at 2 Mbp.
+    of words and one byte per word for the lookup's index cast, freed
+    before the walk. The first map is stepped here, so the rest start on an
+    even address, and the chain is realised there without a per-base Python
+    loop by _walk: it composes adjacent maps in pairs through a
+    65,536-entry table, walks the pair maps the same way (12 levels of
+    pairs at 135 kbp, 18 at 10 Mbp) and writes both bases of each pair in
+    place. Besides the output, the walk's pair maps (one byte per base over
+    all levels) and chunk buffers set the peak: 2.22 bytes per base at
+    2 Mbp.
+
+    Raises:
+        ValueError: a negative length.
+        TypeError: rng's bit generator is none of the four above.
     """
     if length < 0:
         raise ValueError("length must be non-negative")
     if length == 0:
         return DnaSeq(bases=np.empty(0, dtype=np.uint8))
-    out = np.zeros(length, dtype=np.uint8)
+    out = np.empty(length, dtype=np.uint8)
     first = _draw_step_maps(model, rng, out)
     out[0] = first
     if length > 1:

@@ -58,6 +58,10 @@ class ScoreModel:
         kind: "pcs", "pls", or "bws".
         model: the null first-order Markov model.
         half_length: detection threshold h >= half_length.
+
+    Raises:
+        DomainError: a quasi transition matrix that is not strictly
+            subcritical, or an occurrence rate of 0.
     """
 
     kind: str
@@ -70,8 +74,16 @@ class ScoreModel:
             raise ValueError(f"unknown score kind {self.kind!r}")
         if self.half_length < 1:
             raise ValueError("half_length must be >= 1")
-        if spectral_radius(self.t_matrix) >= 1.0:
-            raise ValueError("quasi transition matrix must be strictly subcritical")
+        radius = spectral_radius(self.t_matrix)
+        if radius >= 1.0:
+            raise DomainError(
+                f"quasi transition matrix must be strictly subcritical, but its "
+                f"spectral radius is {radius:.6g}: the chain makes every long "
+                f"stretch a palindrome")
+        if self.rate <= 0.0:
+            raise DomainError(
+                f"occurrence rate is 0: the model puts no palindrome of "
+                f"half-length {self.half_length} or more at any centre")
 
     @cached_property
     def t_matrix(self) -> np.ndarray:
@@ -195,7 +207,8 @@ def mgf_domain(sm: ScoreModel) -> float:
     if sm.kind == "pcs":
         return np.inf
     if sm.kind == "pls":
-        return float(-sm.half_length * np.log(spectral_radius(sm.t_matrix)))
+        radius = spectral_radius(sm.t_matrix)
+        return float(-sm.half_length * np.log(radius)) if radius > 0.0 else np.inf
     log_t = _log_base(sm.t_matrix)
 
     def excess(t: float) -> tuple[float, float]:

@@ -220,6 +220,18 @@ class TestScan:
         assert 0.0 <= float(row["p"]) <= 1.0
         assert float(row["max"]) == pytest.approx(float(row["b"]))
 
+    def test_supercritical_fit_exits_1(self, tmp_path, capsys):
+        # an ACGT repeat fits a chain under which every stretch is a
+        # palindrome; the refusal says so
+        path = tmp_path / "acgt.fa"
+        path.write_text(">acgt\n" + "ACGT" * 1250 + "\n")
+        code, text = invoke("scan", "--input", str(path))
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == (
+            "palinscan scan: quasi transition matrix must be strictly "
+            "subcritical, but its spectral radius is 1: the chain makes every "
+            "long stretch a palindrome\n")
+
     def test_lambda0_estimator_choice(self, sample_path, sample_record):
         seq = sample_record.seq
         model = estimate_model(seq)

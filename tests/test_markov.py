@@ -79,6 +79,11 @@ class TestMarkovModel:
             MarkovModel(pi=np.array([0.5, 0.5, 0.5, 0.5]), trans=np.eye(4))
         with pytest.raises(ValueError, match="non-negative"):
             MarkovModel(pi=np.array([1.5, -0.5, 0.0, 0.0]), trans=np.eye(4))
+        for where in ("pi", "trans"):
+            fields = {"pi": np.full(4, 0.25), "trans": np.full((4, 4), 0.25)}
+            fields[where].flat[0] = np.nan
+            with pytest.raises(ValueError, match="non-negative"):
+                MarkovModel(**fields)
         bad_rows = np.full((4, 4), 0.3)
         with pytest.raises(ValueError, match="rows"):
             MarkovModel(pi=np.full(4, 0.25), trans=bad_rows)
@@ -278,9 +283,9 @@ class TestStationary:
 
 class TestGenerateSequence:
     @staticmethod
-    def naive_chain(model, length, seed):
+    def naive_chain(model, length, seed, bit_generator=np.random.PCG64):
         """Sequential reference using the same uniform draws."""
-        u = np.random.default_rng(seed).random(length).tolist()
+        u = np.random.Generator(bit_generator(seed)).random(length).tolist()
         cum_pi = np.cumsum(model.pi)
         cum_tr = np.cumsum(model.trans, axis=1)[:, :3].tolist()
         out = [min(int(np.searchsorted(cum_pi, u[0], side="right")), 3)]
@@ -338,10 +343,88 @@ class TestGenerateSequence:
             got = generate_sequence(bohv1, length, np.random.default_rng(99))
             assert np.array_equal(got.bases, self.naive_chain(bohv1, length, 99))
 
+    # the draws are read as raw words, which must leave the generator where
+    # rng.random would, so that insert_hotspots' later draws are unchanged:
+    # a first base alone, one and two maps, one chunk of words and one
+    # more, and a 135,301 bp replicate
+    @pytest.mark.parametrize("length", [
+        1, 2, 3, markov.DRAW_CHUNK - 1, markov.DRAW_CHUNK, markov.DRAW_CHUNK + 1,
+        BOHV1_GENOME_LENGTH])
+    def test_leaves_generator_where_random_would(self, bohv1, length):
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        generate_sequence(bohv1, length, rng)
+        twin.random(length)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64])
+    def test_bit_generators_whose_doubles_are_top_53_bits(self, bohv1, bit_generator):
+        for length in (1, 2, 1001, markov.DRAW_CHUNK + 3):
+            rng = np.random.Generator(bit_generator(8))
+            twin = np.random.Generator(bit_generator(8))
+            got = generate_sequence(bohv1, length, rng)
+            want = self.naive_chain(bohv1, length, 8, bit_generator)
+            assert np.array_equal(got.bases, want)
+            twin.random(length)
+            assert np.array_equal(rng.integers(2**63, size=4),
+                                  twin.integers(2**63, size=4))
+
+    def test_refuses_32_bit_generator(self, bohv1):
+        # MT19937 makes a double from two 32-bit words, so its raw words
+        # are not the draws; the refusal comes before any draw
+        rng = np.random.Generator(np.random.MT19937(1))
+        with pytest.raises(TypeError, match="MT19937"):
+            generate_sequence(bohv1, 10, rng)
+        assert rng.random() == np.random.Generator(np.random.MT19937(1)).random()
+
+    # cumulative thresholds on the edges of the lookup's buckets, the 2^-16
+    # wide intervals of u that share a word's top 16 bits: the first bound
+    # of bucket 32,768 (0.5), a bucket's last bound (j 2^-16 - 2^-53), a
+    # bucket's second bound (j 2^-16 + 2^-53), and u = 0 (bucket 0)
+    EDGE_THRESHOLDS = [
+        (0.5, 0.75, 0.875),
+        (0.25 - 2.0**-53, 0.5 + 2.0**-16, 0.75 + 2.0**-53),
+        (2.0**-16, 0.5 - 2.0**-53, 1.0 - 2.0**-16),
+        (0.0, 0.0, 0.5),
+    ]
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_thresholds_on_bucket_edges_match_sequential_reference(self, seed):
+        cum = np.array(self.EDGE_THRESHOLDS)
+        trans = np.diff(cum, prepend=0.0, append=1.0)
+        assert np.array_equal(np.cumsum(trans, axis=1)[:, :3], cum)
+        model = MarkovModel(pi=np.full(4, 0.25), trans=trans)
+        got = generate_sequence(model, 100_000, np.random.default_rng(seed))
+        assert np.array_equal(got.bases, self.naive_chain(model, 100_000, seed))
+
+    # all 12 thresholds in one bucket, 2^-50 (8 steps of the draws' 2^-53
+    # grid) apart, around a value c that the first draw below 1/4 from
+    # position 100 on equals (shift 0), exceeds by one step (shift 1) or by
+    # a quarter step, off the grid (shift 1/4): every row holds c, so that
+    # draw is mapped by the exact comparisons whatever its row
+    OFFSETS = np.array([(0, 1, 2), (-1, 0, 1), (-2, -1, 0), (-2, 0, 1)]) * 2.0**-50
+
+    @pytest.mark.parametrize("seed", [21, 22])
+    @pytest.mark.parametrize("shift", [0.0, 1.0, 0.25])
+    def test_thresholds_of_all_rows_in_one_bucket(self, seed, shift):
+        u = np.random.default_rng(seed).random(1000)
+        t = 100 + int(np.argmax(u[100:] < 0.25))
+        c = u[t] - shift * 2.0**-53
+        assert 0.01 < c < 0.25
+        cum = c + self.OFFSETS
+        assert np.unique(np.floor(cum * 2.0**16)).size == 1
+        trans = np.diff(cum, prepend=0.0, append=1.0)
+        assert np.array_equal(np.cumsum(trans, axis=1)[:, :3], cum)
+        model = MarkovModel(pi=np.full(4, 0.25), trans=trans)
+        for length in (1000, 100_000):
+            got = generate_sequence(model, length, np.random.default_rng(seed))
+            assert np.array_equal(got.bases, self.naive_chain(model, length, seed))
+
     def test_allocation_peak(self, bohv1):
-        # besides the output, the draws take one chunk of floats and a mask,
-        # freed before the walk, whose pair maps and chunk buffers set the
-        # peak: 2.22 bytes per base, against 10 with every draw at once
+        # besides the output, the draws take one chunk of words and one byte
+        # per word for the lookup's index cast, freed before the walk, whose
+        # pair maps and chunk buffers set the peak: 2.22 bytes per base,
+        # against 10 with every draw at once
         n, rng = 2_000_000, np.random.default_rng(1)
         tracemalloc.start()
         try:

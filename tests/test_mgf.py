@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -85,6 +87,40 @@ class TestScoreModel:
         m = MarkovModel(pi=np.full(4, 0.25), trans=trans)
         with pytest.raises(ValueError, match="subcritical"):
             ScoreModel("pls", m, 6)
+
+    @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
+    def test_supercritical_chain_refusal_names_the_cause(self, kind):
+        # the ACGT repeat's chain steps A -> C -> G -> T -> A for sure, and
+        # its quasi matrix is a cycle of ones: every stretch is a palindrome
+        trans = np.roll(np.eye(4), 1, axis=1)
+        m = MarkovModel(pi=np.full(4, 0.25), trans=trans)
+        with pytest.raises(DomainError, match="strictly subcritical") as info:
+            ScoreModel(kind, m, 6)
+        assert "spectral radius is 1:" in str(info.value)
+        assert "every long stretch a palindrome" in str(info.value)
+
+    @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
+    def test_zero_rate_refused(self, kind):
+        # pi puts every centre on A, which only ever steps to A: no centre
+        # closes with its complement, so the rate is 0 and the MGFs would
+        # divide by it
+        trans = [[1.0, 0.0, 0.0, 0.0]] + [[0.25] * 4] * 3
+        m = MarkovModel(pi=[1.0, 0.0, 0.0, 0.0], trans=trans)
+        assert markov_rate(m, 6).value == 0.0
+        with pytest.raises(DomainError, match="occurrence rate is 0"):
+            ScoreModel(kind, m, 6)
+
+    def test_nilpotent_t_gives_infinite_pls_domain_without_warning(self):
+        # A -> C -> G -> T, T -> T: the quasi matrix has no cycle in its
+        # support, so pls scores are bounded and t_max is infinite, while
+        # centres still close at half-length 2
+        trans = np.eye(4)[[1, 2, 3, 3]]
+        m = MarkovModel(pi=np.full(4, 0.25), trans=trans)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sm = ScoreModel("pls", m, 2)
+            assert sm.rate > 0.0
+            assert sm.t_max == np.inf
 
     def test_cached_pieces_match_markov_module(self, bohv1):
         sm = ScoreModel("pls", bohv1, 6)
@@ -193,7 +229,7 @@ class TestKernelAgainstMatrixOracle:
         pi, trans = pi_trans
         try:
             sm = ScoreModel(kind, MarkovModel(pi=pi, trans=trans), 6)
-        except ValueError:  # T not subcritical
+        except ValueError:  # T not subcritical, or a rate of 0
             assume(False)
         assume(sm.rate > 0.0 and np.isfinite(sm.t_max))
         x = 0.99 * sm.t_max * np.linspace(-1.0, 1.0, 9)
@@ -309,7 +345,7 @@ class TestDomain:
         pi, trans = pi_trans
         try:
             sm = ScoreModel("bws", MarkovModel(pi=pi, trans=trans), 6)
-        except ValueError:  # T not subcritical
+        except ValueError:  # T not subcritical, or a rate of 0
             assume(False)
         assert sm.t_max == pytest.approx(bws_domain_edge(trans), rel=1e-6)
 

@@ -374,7 +374,7 @@ class TestScoreEvents:
         try:
             pcs, pls, bws = (ScoreModel(kind, model, min_half)
                              for kind in ("pcs", "pls", "bws"))
-        except ValueError:  # T not subcritical
+        except ValueError:  # T not subcritical, or a rate of 0
             assume(False)
         seq = generate_sequence(model, length, np.random.default_rng(seed))
         events = find_palindromes(seq, min_half)
@@ -413,7 +413,7 @@ class TestScoreEvents:
         model = MarkovModel(pi=chain[0], trans=chain[1])
         try:
             pls = ScoreModel("pls", model, min_half)
-        except ValueError:  # T not subcritical
+        except ValueError:  # T not subcritical, or a rate of 0
             assume(False)
         seq = generate_sequence(model, length, np.random.default_rng(seed))
         table = find_palindromes(seq, min_half)
