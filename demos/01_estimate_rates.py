@@ -5,8 +5,10 @@ Estimating palindrome rates three ways
 Generate a synthetic genome from the built-in BoHV-1-like reference model,
 then recover the null palindrome rate with the three estimators the library
 provides: the empirical average rate, the iid formula, and the first-order
-Markov formula. On a clean (hot-spot-free) sequence all three should land
-near the generator's true rate.
+Markov formula. The iid formula is the Markov formula on iid_model(pi), the
+model whose every transition row is the fitted composition. On a clean
+(hot-spot-free) sequence all three should land near the generator's true
+rate.
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ from palinscan import (
     estimate_model,
     find_palindromes,
     generate_sequence,
-    iid_rate,
+    iid_model,
     markov_rate,
 )
 
@@ -41,7 +43,7 @@ for row in fitted.trans:
 # -- the three rate estimates -----------------------------------------------
 events = find_palindromes(seq, HALF_LENGTH)
 lam_avg = average_rate(events)      # count / length, at the table's threshold
-lam_iid = iid_rate(fitted.pi, HALF_LENGTH)
+lam_iid = markov_rate(iid_model(fitted.pi), HALF_LENGTH)  # independent bases
 lam_markov = markov_rate(fitted, HALF_LENGTH)
 true_rate = markov_rate(model, HALF_LENGTH).value
 

@@ -11,7 +11,8 @@ analytic score MGFs and their cumulants with exponential tilting
 deterministic overshoot correction computed from the score MGF
 (:mod:`palinscan.scan`), and hot-spot robustness / power simulations
 (:mod:`palinscan.sim`). Independent bases are the Markov model
-``iid_model(pi)``; every formula has one implementation for both.
+``iid_model(pi)``; every formula has one implementation for both, so the
+iid rate is ``markov_rate(iid_model(pi), h)``.
 """
 
 from .errors import (
@@ -36,7 +37,6 @@ from .markov import (
     estimate_model,
     generate_sequence,
     iid_model,
-    iid_rate,
     markov_rate,
     quasi_transition_matrix,
 )
@@ -124,7 +124,6 @@ __all__ = [
     "find_palindromes",
     "generate_sequence",
     "iid_model",
-    "iid_rate",
     "increment_log_charfn",
     "insert_hotspots",
     "markov_rate",

@@ -31,7 +31,7 @@ from .markov import (
     MarkovModel,
     bohv1_model,
     estimate_model,
-    iid_rate,
+    iid_model,
     markov_rate,
 )
 from .mgf import SCORE_KINDS, ScoreModel, cumulants, score_mgf
@@ -227,7 +227,7 @@ def _cmd_estimate(args: argparse.Namespace, out) -> int:
             "length": rec.seq.length,
             "dropped": rec.seq.dropped_count,
             "lambda_avg": average_rate(events).value,
-            "lambda_iid": iid_rate(model.pi, args.half_length).value,
+            "lambda_iid": markov_rate(iid_model(model.pi), args.half_length).value,
             "lambda_markov": markov_rate(model, args.half_length).value,
             "model": {"pi": _round12(model.pi),
                       "trans": [_round12(row) for row in model.trans]},
@@ -259,7 +259,7 @@ def _cmd_scan(args: argparse.Namespace, out) -> int:
     elif args.rate_estimator == "average":
         lambda0 = average_rate(events).value
     else:
-        lambda0 = iid_rate(model.pi, args.half_length).value
+        lambda0 = markov_rate(iid_model(model.pi), args.half_length).value
     sm = ScoreModel(args.score, model, args.half_length)
     series = window_scores(events.centers, score_events(events, sm), args.window,
                            total_length)

@@ -7,7 +7,8 @@ matrix product: entry (i, j) of the quasi transition matrix is the chance of
 stepping i -> j on the leading strand times the chance of the mirrored step
 comp(j) -> comp(i) on the lagging strand, and the rate is the composition
 vector pushed through ``h - 1`` such steps and closed off with a
-complementary centre pair.
+complementary centre pair. Independent bases are the model iid_model(pi),
+whose every row is pi, so markov_rate(iid_model(pi), h) is the iid rate.
 """
 
 from __future__ import annotations
@@ -72,13 +73,6 @@ class MarkovModel:
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "trans", trans)
 
-    @classmethod
-    def from_unnormalized(cls, pi, trans) -> "MarkovModel":
-        """Build a model from near-stochastic inputs by rescaling rows."""
-        pi = np.asarray(pi, dtype=float)
-        trans = np.asarray(trans, dtype=float)
-        return cls(pi=pi / pi.sum(), trans=trans / trans.sum(axis=1, keepdims=True))
-
     @cached_property
     def _step_table(self) -> tuple[np.ndarray, int, np.ndarray]:
         """(table, marker, bounds) by which _draw_step_maps maps raw words.
@@ -115,13 +109,9 @@ class RateEstimate:
     Attributes:
         value: probability that a palindrome of the given half-length (or
             longer) is centred at a fixed position.
-        method: "markov" or "iid", naming the null model used.
-        half_length: minimum half-length counted as an occurrence.
     """
 
     value: float
-    method: str
-    half_length: int
 
 
 def _word_pairs() -> np.ndarray:
@@ -215,14 +205,16 @@ def estimate_model(seq: DnaSeq, pseudocount: float = 0.0) -> MarkovModel:
 
 
 def iid_model(pi) -> MarkovModel:
-    """Model with independent draws from a fixed composition."""
+    """Model with independent draws from a fixed composition: every
+    transition row is pi."""
     pi = np.asarray(pi, dtype=float)
     return MarkovModel(pi=pi, trans=np.tile(pi, (4, 1)))
 
 
 def bohv1_model() -> MarkovModel:
-    """The published bovine herpes virus 1 model (rows renormalised)."""
-    return MarkovModel.from_unnormalized(_BOHV1_PI, _BOHV1_TRANS)
+    """The published bovine herpes virus 1 model, each row renormalised."""
+    pi, trans = np.array(_BOHV1_PI), np.array(_BOHV1_TRANS)
+    return MarkovModel(pi=pi / pi.sum(), trans=trans / trans.sum(axis=1, keepdims=True))
 
 
 def quasi_transition_matrix(model: MarkovModel) -> np.ndarray:
@@ -271,19 +263,7 @@ def markov_rate(model: MarkovModel, half_length: int) -> RateEstimate:
     value = float(
         model.pi @ np.linalg.matrix_power(t, half_length - 1) @ center_pair_probs(model)
     )
-    return RateEstimate(value=value, method="markov", half_length=half_length)
-
-
-def iid_rate(pi, half_length: int) -> RateEstimate:
-    """Per-position palindrome rate gamma ** half_length when bases are
-    independent draws from pi, gamma the chance that two are complementary."""
-    if half_length < 1:
-        raise ValueError("half_length must be >= 1")
-    pi = np.asarray(pi, dtype=float)
-    gamma = float(2.0 * (pi[0] * pi[3] + pi[1] * pi[2]))
-    return RateEstimate(
-        value=float(gamma**half_length), method="iid", half_length=half_length
-    )
+    return RateEstimate(value=value)
 
 
 def _pair_composition() -> np.ndarray:
@@ -434,20 +414,17 @@ def generate_sequence(model: MarkovModel, length: int,
     exceeds. The map is one lookup in a 65,536-entry table by the word's
     top 16 bits; the words in the at most 12 table buckets that hold a
     threshold (about 12 words in 65,536) are mapped by exact integer
-    comparisons instead (_draw_step_maps). On one core of a 2-vCPU Xeon
-    this sampler took 0.80 of the time of one that maps float draws by
-    twelve comparison passes at 135,301 bp, and 0.67 at 10 Mbp. The words
-    are drawn and mapped DRAW_CHUNK at a time, and the maps are written
-    into the output array itself, so besides it the draws take one chunk
-    of words and one byte per word for the lookup's index cast, freed
-    before the walk. The first map is stepped here, so the rest start on an
-    even address, and the chain is realised there without a per-base Python
-    loop by _walk: it composes adjacent maps in pairs through a
-    65,536-entry table, walks the pair maps the same way (12 levels of
-    pairs at 135 kbp, 18 at 10 Mbp) and writes both bases of each pair in
-    place. Besides the output, the walk's pair maps (one byte per base over
-    all levels) and chunk buffers set the peak: 2.22 bytes per base at
-    2 Mbp.
+    comparisons instead (_draw_step_maps). The words are drawn and mapped
+    DRAW_CHUNK at a time, and the maps are written into the output array
+    itself, so besides it the draws take one chunk of words and one byte
+    per word for the lookup's index cast, freed before the walk. The first
+    map is stepped here, so the rest start on an even address, and the
+    chain is realised there without a per-base Python loop by _walk: it
+    composes adjacent maps in pairs through a 65,536-entry table, walks the
+    pair maps the same way (12 levels of pairs at 135 kbp, 18 at 10 Mbp)
+    and writes both bases of each pair in place. Besides the output, the
+    walk's pair maps (one byte per base over all levels) and chunk buffers
+    set the peak: 2.22 bytes per base at 2 Mbp.
 
     Raises:
         ValueError: a negative length.

@@ -328,9 +328,9 @@ def _mgf_jet(sm: ScoreModel, z: float | complex, order: int = 0) -> np.ndarray:
     return _jet_by_blocks(*_factors(sm, z, order)) / sm.rate
 
 
-def _mgf_value(sm: ScoreModel, z):
-    """The MGF itself at a real or complex argument (_mgf_jet), or at each of
-    a 1-D array of N arguments, as elementwise arithmetic on node vectors.
+def _mgf_value(sm: ScoreModel, z: np.ndarray) -> np.ndarray:
+    """The MGF itself at each of a 1-D array of N real or complex arguments,
+    as elementwise arithmetic on node vectors; one argument takes _mgf_jet.
 
     v, Q and u (_factors) are held entries-first, (4, N) for v and u and
     (4, 4, N) for Q, and every vector-matrix product is numeric.vec_mat, so
@@ -343,8 +343,6 @@ def _mgf_value(sm: ScoreModel, z):
         DomainError: Re z at or beyond the domain supremum, at any node.
         SingularMatrixError: I - Q is numerically singular at some node.
     """
-    if not np.ndim(z):
-        return _mgf_jet(sm, z)[0]
     _require_in_domain(sm, z)
     if sm.kind == "pcs":
         return np.exp(z)
@@ -380,7 +378,7 @@ def score_mgf(sm: ScoreModel, t: float) -> float:
     Raises:
         DomainError: t at or beyond the domain supremum.
     """
-    return float(np.real(_mgf_value(sm, float(t))))
+    return float(np.real(_mgf_jet(sm, float(t))[0]))
 
 
 def increment_log_charfn(sm: ScoreModel, lambda0: float, lambda1: float,

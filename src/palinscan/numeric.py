@@ -6,8 +6,9 @@ argument), and row_solve solves y m = x for a stack held entries-first (an
 MGF's values at an array) by Gaussian elimination as elementwise
 arithmetic, in numpy calls that do not grow with the stack.
 Spectral radii delegate to numpy's eigenvalue solver. The one scalar root
-finder, a Newton method kept inside a bracket, is self-contained so its
-convergence and failure behaviour stays under our control.
+finder, a Newton method kept inside a bracket and capped at ROOT_MAX_ITER
+steps, is self-contained so its convergence and failure behaviour stays
+under our control.
 """
 
 from __future__ import annotations
@@ -123,8 +124,7 @@ def spectral_radius(m: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvals(m)).max())
 
 
-def newton_root(f, lo: float, hi: float, x: float, tol: float = ROOT_TOL,
-                max_iter: int = ROOT_MAX_ITER) -> float:
+def newton_root(f, lo: float, hi: float, x: float, tol: float = ROOT_TOL) -> float:
     """Root of an increasing function by Newton steps kept inside a bracket.
 
     ``f(x)`` returns the pair (value, slope). The value must be negative at
@@ -138,9 +138,9 @@ def newton_root(f, lo: float, hi: float, x: float, tol: float = ROOT_TOL,
 
     Raises:
         NonFiniteError: f returns NaN.
-        ConvergenceError: iteration cap reached.
+        ConvergenceError: ROOT_MAX_ITER steps without success.
     """
-    for _ in range(max_iter):
+    for _ in range(ROOT_MAX_ITER):
         fx, slope = f(x)
         if np.isnan(fx):
             raise NonFiniteError(f"f({x!r}) is NaN during root search")
@@ -158,4 +158,4 @@ def newton_root(f, lo: float, hi: float, x: float, tol: float = ROOT_TOL,
         if abs(nxt - x) <= scale or hi - lo <= scale:
             return float(x)
         x = nxt
-    raise ConvergenceError(f"Newton search did not converge in {max_iter} iterations")
+    raise ConvergenceError(f"Newton search did not converge in {ROOT_MAX_ITER} iterations")

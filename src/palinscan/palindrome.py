@@ -221,7 +221,7 @@ def score_events(events: PalindromeTable, sm: ScoreModel) -> np.ndarray:
 
 
 def average_rate(events: PalindromeTable) -> RateEstimate:
-    """Observed events per position of the searched sequence, recorded at
+    """Observed events per position of the searched sequence, counted at
     the table's threshold.
 
     Raises:
@@ -229,5 +229,4 @@ def average_rate(events: PalindromeTable) -> RateEstimate:
     """
     if events.seq.length < 1:
         raise ValueError("average rate of an empty sequence")
-    return RateEstimate(value=len(events) / events.seq.length, method="average",
-                        half_length=events.min_half_length)
+    return RateEstimate(value=len(events) / events.seq.length)

@@ -451,8 +451,7 @@ def p_value(threshold: float, window: int, total_length: int, lambda0: float,
 
 
 def threshold_for_alpha(alpha: float, window: int, total_length: int,
-                        lambda0: float, sm: ScoreModel,
-                        rng: np.random.Generator | None = None, *,
+                        lambda0: float, sm: ScoreModel, *,
                         nu_fixed: float | None = None,
                         nu_entropy: int | None = None) -> float:
     """Invert the p-value approximation: smallest threshold with p <= alpha.
@@ -487,8 +486,7 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
     lambda1 phi' is zero), so p_value, which solves theta1 back from b,
     moves p by far less than ALPHA_RTOL. The returned b has |p / alpha -
     1| <= ALPHA_RTOL with analytic_nu's nu, itself accurate to about 3e-6
-    for bws. ``rng`` and ``nu_entropy`` are ignored (the result is
-    deterministic).
+    for bws. ``nu_entropy`` is ignored (the result is deterministic).
 
     Raises:
         ValueError: alpha outside (0, 1), nu_fixed outside (0, 1], or

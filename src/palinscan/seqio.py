@@ -35,12 +35,11 @@ _SKIPPED = b" \t\n\r\v\f"
 _LINE_BREAKS = b"\n\r"
 _LINE_BREAK_RE = re.compile(b"[" + _LINE_BREAKS + b"]")
 
-# byte -> code lookup; 255 marks a symbol to drop, 254 skipped whitespace
+# byte -> code lookup; 255 marks a symbol to drop
 _CODE = np.full(256, 255, dtype=np.uint8)
 for _i, _c in enumerate(ALPHABET):
     _CODE[ord(_c)] = _i
     _CODE[ord(_c.lower())] = _i
-_CODE[list(_SKIPPED)] = 254
 _CODE_TABLE = _CODE.tobytes()  # for bytes.translate, far faster than indexing
 
 _DECODE = np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)
@@ -89,20 +88,6 @@ class DnaSeq:
             self.bases.size == other.bases.size
             and bool(np.all(self.bases == other.bases))
         )
-
-    @classmethod
-    def from_string(cls, text: str) -> "DnaSeq":
-        """Build a sequence from raw text, dropping and counting non-ACGT symbols.
-
-        The text is read as its UTF-8 bytes. Whitespace is ignored
-        silently; any other byte outside {A,C,G,T} (case-insensitive) is
-        removed and tallied in ``dropped_count``.
-        """
-        raw = text.encode("utf-8", errors="replace")
-        codes = np.frombuffer(raw.translate(_CODE_TABLE), dtype=np.uint8)
-        keep = codes <= 3
-        dropped = int(np.count_nonzero(codes == 255))
-        return cls(bases=codes[keep], dropped_count=dropped)
 
 
 def decode(codes: np.ndarray) -> str:

@@ -50,22 +50,22 @@ _TAIL_MASS = 1e-12
 
 @dataclass(frozen=True)
 class HotspotSpec:
-    """One elevated-rate segment to insert into a background sequence."""
+    """One elevated-rate segment of HOTSPOT_LENGTH bases, from start on, to
+    insert into a background sequence."""
 
     start: int
-    length: int = HOTSPOT_LENGTH
     multiplier: float = 1.0
 
     def __post_init__(self):
-        if self.start < 0 or self.length < 1:
-            raise ValueError("hotspot segment must have start >= 0 and length >= 1")
+        if self.start < 0:
+            raise ValueError("hotspot segment must have start >= 0")
         if not 1.0 <= self.multiplier < np.inf:  # NaN fails too
             raise ValueError(f"hotspot multiplier must be finite and >= 1, "
                              f"got {self.multiplier}")
 
     @property
     def stop(self) -> int:
-        return self.start + self.length
+        return self.start + HOTSPOT_LENGTH
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class ExperimentConfig:
     Attributes:
         model: generator (and scoring) model for background sequences.
         lambda0_target: nominal per-position rate used to size hot-spot
-            insert counts (length * multiplier * lambda0_target).
+            insert counts (HOTSPOT_LENGTH * multiplier * lambda0_target).
     """
 
     model: MarkovModel
@@ -209,13 +209,13 @@ def insert_hotspots(background: DnaSeq, specs, bank: PalindromeTable,
 
     The bank is the table of palindromes found in a reference sequence, so
     patterns are drawn with the reference's own frequencies. Each segment
-    receives a Poisson(length * multiplier * lambda0) number of patterns,
-    drawn uniformly with replacement from the bank's events; each pattern
-    is placed at a uniform centre inside the segment, redrawing (up to
-    PLACEMENT_RETRIES times) when it would overlap a previous placement or
-    cross the segment boundary. Background palindromes remain, so a
-    segment's total event rate is the insert intensity plus the background
-    rate.
+    of HOTSPOT_LENGTH bases receives a Poisson(HOTSPOT_LENGTH * multiplier
+    * lambda0) number of patterns, drawn uniformly with replacement from
+    the bank's events; each pattern is placed at a uniform centre inside
+    the segment, redrawing (up to PLACEMENT_RETRIES times) when it would
+    overlap a previous placement or cross the segment boundary. Background
+    palindromes remain, so a segment's total event rate is the insert
+    intensity plus the background rate.
 
     Returns:
         (sequence, centers): modified sequence and the sorted ground-truth
@@ -233,7 +233,7 @@ def insert_hotspots(background: DnaSeq, specs, bank: PalindromeTable,
     bases = background.bases.copy()
     centers: list[int] = []
     for spec in specs:
-        count = int(rng.poisson(spec.length * spec.multiplier * lambda0))
+        count = int(rng.poisson(HOTSPOT_LENGTH * spec.multiplier * lambda0))
         # the placements' first and last positions, both sorted: they are
         # disjoint, so the one starting last at or before hi ends last
         starts: list[int] = []

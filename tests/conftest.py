@@ -1,3 +1,4 @@
+import os
 import pathlib
 import sys
 
@@ -6,11 +7,21 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
+import palinscan
 from palinscan import MarkovModel, bohv1_model, iid_model
 
 from fasta_server import serving
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
+
+
+def child_env() -> dict:
+    """This process's environment with the src directory of the palinscan
+    it imported first on PYTHONPATH, so that a Python process a test starts
+    imports the same package however pytest was started."""
+    src = str(pathlib.Path(palinscan.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture(scope="session")

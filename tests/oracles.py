@@ -3,10 +3,12 @@
 Everything here is deliberately naive: plain loops, exhaustive enumeration,
 direct summation, closed forms for independent bases and finite
 differences, sharing no code with the package internals beyond numpy
-primitives and the package's error types. One exception: the Monte
+primitives and the package's error types. Two exceptions: the Monte
 Carlo overshoot walk (overshoot_nu) draws its scores from
 palinscan.sim.TiltedScoreSampler, which is checked against the series,
-enumeration and closed-form oracles in tests/test_sim.py.
+enumeration and closed-form oracles in tests/test_sim.py; and seq_of, no
+oracle but the tests' way to write a sequence as text, reads it with the
+package's one text reader, parse_fasta.
 """
 
 from __future__ import annotations
@@ -24,12 +26,20 @@ from palinscan.errors import (
     NonFiniteError,
     PalinscanError,
 )
+from palinscan.seqio import parse_fasta
 
 DERIV_STEP = 1e-5
 DERIV_STEP_SECOND = 2e-4
 
 COMP = {0: 3, 1: 2, 2: 1, 3: 0}
 LETTER = "ACGT"
+
+
+def seq_of(text: str):
+    """The DnaSeq that parse_fasta reads from text as the body of one
+    record: whitespace skipped, other symbols outside ACGT dropped and
+    counted."""
+    return parse_fasta(">seq\n" + text)[0].seq
 
 
 def naive_parse_fasta(text: str) -> list[tuple[str, str]]:
@@ -120,7 +130,7 @@ def quadratic_hotspots(bases, specs, bank, lambda0: float, rng,
     bases = np.array(bases, dtype=np.uint8)
     centers = []
     for spec in specs:
-        count = int(rng.poisson(spec.length * spec.multiplier * lambda0))
+        count = int(rng.poisson((spec.stop - spec.start) * spec.multiplier * lambda0))
         placed = []
         for _ in range(count):
             for _attempt in range(retries):

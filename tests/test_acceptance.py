@@ -19,7 +19,7 @@ from palinscan import (
     bohv1_model,
     find_palindromes,
     generate_sequence,
-    iid_rate,
+    iid_model,
     markov_rate,
     power_experiment,
     rate_experiment,
@@ -81,7 +81,7 @@ def test_markov_rate_reduces_to_iid_power():
 
 def test_bohv1_reference_rates():
     model = bohv1_model()
-    lam_iid = iid_rate(model.pi, HALF).value
+    lam_iid = markov_rate(iid_model(model.pi), HALF).value
     lam_markov = markov_rate(model, HALF).value
     assert abs(lam_iid - 0.00073) < 1e-5, (
         f"iid rate {lam_iid:.6g} outside 0.00073 +/- 1e-5"

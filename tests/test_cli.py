@@ -1,7 +1,6 @@
 import functools
 import io
 import json
-import os
 import re
 import shlex
 import shutil
@@ -21,7 +20,7 @@ from palinscan import (
     estimate_model,
     find_palindromes,
     generate_sequence,
-    iid_rate,
+    iid_model,
     markov_rate,
     parse_fasta_file,
 )
@@ -31,6 +30,7 @@ from palinscan.cli import SCAN_REPORT_KEYS, build_parser, main, run
 from palinscan.scan import null_window_mean, window_scores
 from palinscan.seqio import decode
 
+from conftest import child_env
 from oracles import naive_pattern_log_prob
 
 
@@ -155,7 +155,7 @@ class TestEstimate:
         assert float(row["lambda_avg"]) == pytest.approx(
             average_rate(events).value, rel=1e-9)
         assert float(row["lambda_iid"]) == pytest.approx(
-            iid_rate(model.pi, 6).value, rel=1e-9)
+            markov_rate(iid_model(model.pi), 6).value, rel=1e-9)
         assert float(row["lambda_markov"]) == pytest.approx(
             markov_rate(model, 6).value, rel=1e-9)
         assert float(row["pi_A"]) == pytest.approx(model.pi[0], rel=1e-9)
@@ -176,6 +176,17 @@ class TestEstimate:
         again = MarkovModel(pi=entry["model"]["pi"], trans=entry["model"]["trans"])
         assert np.abs(again.pi - fitted.pi).max() < 1e-11
         assert np.abs(again.trans - fitted.trans).max() < 1e-11
+
+    def test_iid_rate_is_the_markov_rate_of_the_iid_model(self, sample_path,
+                                                          sample_record):
+        # estimate and scan --rate-estimator iid state the same value, to the bit
+        fitted = estimate_model(sample_record.seq)
+        iid = markov_rate(iid_model(fitted.pi), 6).value
+        _, text = invoke("estimate", "--input", sample_path, "--json")
+        assert json.loads(text)[0]["lambda_iid"] == iid
+        _, text = invoke("scan", "--input", sample_path, "--rate-estimator", "iid",
+                         "--nu-fixed", "1.0", "--json")
+        assert json.loads(text)["lambda0"] == iid
 
     def test_unestimable_record_exits_1(self, data_dir, capsys):
         # record beta is TTTTAAAA; no subcommand has a pseudocount option,
@@ -238,7 +249,7 @@ class TestScan:
         expect = {
             "markov": markov_rate(model, 6).value,
             "average": average_rate(find_palindromes(seq, 6)).value,
-            "iid": iid_rate(model.pi, 6).value,
+            "iid": markov_rate(iid_model(model.pi), 6).value,
         }
         for estimator, value in expect.items():
             _, text = invoke("scan", "--input", sample_path, "--nu-fixed", "1.0",
@@ -500,7 +511,7 @@ class TestSimulate:
         proc = subprocess.run(
             [sys.executable, "-m", "palinscan.cli", "simulate", "--replicates", "1",
              "--length", "20000", "--json"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=child_env(),
         )
         assert proc.returncode == 0
         assert proc.stderr == ""
@@ -608,6 +619,10 @@ class TestPinnedOutput:
     The estimate tables, the simulate and power JSON, the per-replicate
     threshold table and the window series were recorded while sim,
     palindrome and markov still rendered their own tables.
+    The estimate JSON's lambda_iid moved by one ulp (0.0007427154153629537
+    to 0.000742715415362954) when the iid rate became markov_rate of
+    iid_model(pi): the matrix product pi T^(h-1) c rounds differently from
+    gamma ** h. Its 10-digit TSV cell did not move.
     """
 
     ARGS = ("--replicates", "4", "--length", "20000", "--seed", "3")
@@ -629,7 +644,7 @@ class TestPinnedOutput:
         expected = [{
             "id": "sample-20k synthetic first-order sequence",
             "length": 20000, "dropped": 0, "lambda_avg": 0.00135,
-            "lambda_iid": 0.0007427154153629537,
+            "lambda_iid": 0.000742715415362954,
             "lambda_markov": 0.001130395014503999,
             "model": {
                 "pi": [0.1334, 0.3619, 0.36385, 0.14085],
@@ -920,10 +935,8 @@ class TestReadme:
         block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
         script = tmp_path / "tour.py"
         script.write_text(block)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, str(script)], capture_output=True,
-                              text=True, timeout=300, env=env)
+                              text=True, timeout=300, env=child_env())
         assert proc.returncode == 0, proc.stderr
 
 
@@ -932,7 +945,7 @@ class TestConsoleScript:
         proc = subprocess.run(
             [sys.executable, "-m", "palinscan.cli", "estimate",
              "--input", sample_path],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("id\tlength\tdropped")
@@ -940,7 +953,7 @@ class TestConsoleScript:
     def test_module_error_status(self):
         proc = subprocess.run(
             [sys.executable, "-m", "palinscan.cli", "scan"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=child_env(),
         )
         assert proc.returncode == 1
         assert "palinscan scan:" in proc.stderr

@@ -8,12 +8,13 @@ move a printed figure, regenerate it with
     PYTHONPATH=src python demos/<demo>.py > tests/data/demos/<demo>.out
 """
 
-import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from conftest import child_env
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted(p.stem for p in (ROOT / "demos").glob("0*.py"))
@@ -25,11 +26,8 @@ def test_every_demo_is_pinned(data_dir):
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_stdout_matches_pinned(demo, data_dir):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
-                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          cwd=ROOT, env=child_env(), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (data_dir / "demos" / f"{demo}.out").read_text()

@@ -4,11 +4,13 @@ set fields with object.__setattr__ only in __post_init__, where they
 normalise their own fields: every other field is an init argument.
 
 __init__.py is left out of the import check: its imports are the package's
-exports, and __all__ must list exactly those. Every export has a caller
-in a package module, a demo or the benchmark harness, apart from the names
-EXPORTS_WITHOUT_CALLER keeps on purpose: no name is exported for the tests
-alone. Output rendering lives in cli.py alone: no other module imports
-json, and no export renders TSV or JSON.
+exports, and __all__ must list exactly those. Every export, and every public
+method, property and dataclass field of an exported class, has a caller in
+a package module, a demo or the benchmark harness, apart from the names
+EXPORTS_WITHOUT_CALLER and ATTRIBUTES_WITHOUT_CALLER keep on purpose: no
+name is exported or kept for the tests alone. Output rendering lives in
+cli.py alone: no other module imports json, and no export renders TSV or
+JSON.
 
 Importing the package and its CLI loads no module beyond what numpy,
 argparse, json and dataclasses load already: the network stack behind
@@ -16,7 +18,8 @@ fetch_sequence loads only on a cache miss.
 """
 
 import ast
-import os
+import dataclasses
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +27,8 @@ from pathlib import Path
 import pytest
 
 import palinscan
+
+from conftest import child_env
 
 PACKAGE = Path(__file__).parent.parent / "src" / "palinscan"
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -90,11 +95,37 @@ def unused_exports(exports, sources) -> list[str]:
     return sorted(set(exports) - used)
 
 
+def public_attributes(cls) -> set[str]:
+    """The public methods, properties and dataclass fields that cls itself
+    defines."""
+    names = set(vars(cls))
+    if dataclasses.is_dataclass(cls):
+        names |= {f.name for f in dataclasses.fields(cls)}
+    return {name for name in names if not name.startswith("_")}
+
+
+def unused_attributes(classes, sources) -> list[str]:
+    """"Class.name" for each public attribute of the classes that none of
+    the sources loads (loaded_names).
+
+    Its blind spot: it matches names only, not the class they are read
+    from. RateEstimate.half_length, which only tests read, would have
+    passed, because other code reads the half_length of other classes.
+    """
+    used = set().union(*map(loaded_names, sources))
+    return sorted(f"{cls.__name__}.{name}" for cls in classes
+                  for name in public_attributes(cls) - used)
+
+
 # Exports that no package module, demo or benchmark loads, each kept on purpose
-EXPORTS_WITHOUT_CALLER = {
-    # the documented way to state independent bases: the Markov model
-    # iid_model(pi), which takes every matrix path of a fitted model
-    "iid_model",
+EXPORTS_WITHOUT_CALLER = set()
+
+# Attributes of exported classes that no package module, demo or benchmark
+# loads, each kept on purpose
+ATTRIBUTES_WITHOUT_CALLER = {
+    # the per-replicate maxima behind powers: the tests check powers against
+    # them, and a caller needs them to apply thresholds of its own
+    "PowerExperimentResult.segment_maxima",
 }
 
 
@@ -102,14 +133,35 @@ def test_every_export_has_a_caller():
     root = PACKAGE.parent.parent
     callers = SOURCES + sorted((root / "demos").glob("*.py")) + sorted(
         (root / "perfbench").glob("*.py"))
-    unused = unused_exports(palinscan.__all__, [p.read_text() for p in callers])
-    assert set(unused) == EXPORTS_WITHOUT_CALLER
+    sources = [p.read_text() for p in callers]
+    assert set(unused_exports(palinscan.__all__, sources)) == EXPORTS_WITHOUT_CALLER
+    classes = [obj for obj in map(palinscan.__dict__.get, palinscan.__all__)
+               if inspect.isclass(obj)]
+    assert set(unused_attributes(classes, sources)) == ATTRIBUTES_WITHOUT_CALLER
 
 
 def test_export_checker_flags_an_unused_name():
     sources = ["def f(n):\n    return f(n - 1)\n\nclass C:\n    pass\n",
                "import m\nm.g(C())\n"]
     assert unused_exports(["C", "f", "g", "h"], sources) == ["f", "h"]
+
+
+def test_attribute_checker_flags_an_unused_attribute():
+    @dataclasses.dataclass
+    class Point:
+        x: float
+        y: float = 0.0
+        _cache: int = 0
+
+        @property
+        def norm(self) -> float:
+            return abs(self.x)
+
+        def moved(self, dx: float) -> "Point":
+            return Point(self.x + dx, self.y)
+
+    sources = ["def moved(p):\n    return moved(p).norm\n", "print(p.x)\n"]
+    assert unused_attributes([Point], sources) == ["Point.moved", "Point.y"]
 
 
 def setattr_outside_post_init(source: str) -> list[int]:
@@ -172,10 +224,10 @@ def test_no_exported_renderers():
 
 
 # Parameters still accepted for callers that pass them, and ignored: the
-# threshold and the p-value are deterministic. ROADMAP item 15 deletes
-# them and moves their callers off them, which empties this list.
-UNREAD_ALLOWED = {"scan.p_value.rng", "scan.threshold_for_alpha.rng",
-                  "scan.threshold_for_alpha.nu_entropy"}
+# threshold and the p-value are deterministic. Their last callers are the
+# benchmark's, perfbench/worker.py lines 95 (nu_entropy) and 174 (rng);
+# once those stop passing them, both go and this set is empty.
+UNREAD_ALLOWED = {"scan.p_value.rng", "scan.threshold_for_alpha.nu_entropy"}
 
 
 def unread_parameters(source: str, module: str = "m") -> list[str]:
@@ -224,11 +276,8 @@ def modules_loaded_by(code: str) -> list[str]:
     palinscan this process imported, loads to run code after PRELOADED."""
     script = (f"import sys\n{PRELOADED}\nbefore = set(sys.modules)\n{code}\n"
               "print(*sorted(set(sys.modules) - before), sep='\\n')")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(Path(palinscan.__file__).parents[1]),
-                       os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=120, env=env)
+                          text=True, timeout=120, env=child_env())
     assert proc.returncode == 0, proc.stderr
     return [m for m in proc.stdout.split()
             if m != "palinscan" and not m.startswith("palinscan.")]

@@ -18,7 +18,6 @@ from palinscan import (
     estimate_model,
     generate_sequence,
     iid_model,
-    iid_rate,
     markov_rate,
     quasi_transition_matrix,
 )
@@ -35,6 +34,7 @@ from oracles import (
     iid_match_gamma,
     quasi_matrix,
     random_model,
+    seq_of,
     sparse_models,
 )
 
@@ -92,37 +92,32 @@ class TestMarkovModel:
         with pytest.raises(ValueError):
             bohv1.pi[0] = 0.5
 
-    def test_from_unnormalized(self):
-        m = MarkovModel.from_unnormalized([1, 1, 1, 1], np.full((4, 4), 7.0))
-        assert np.allclose(m.pi, 0.25)
-        assert np.allclose(m.trans.sum(axis=1), 1.0)
-
 
 class TestEstimateModel:
     def test_hand_counts(self):
         # ACGTA: bases A=2,C=1,G=1,T=1; transitions AC, CG, GT, TA
-        m = estimate_model(DnaSeq.from_string("ACGTA"))
+        m = estimate_model(seq_of("ACGTA"))
         assert np.allclose(m.pi, [0.4, 0.2, 0.2, 0.2])
         assert m.trans[0, 1] == 1.0  # A -> C always
         assert m.trans[3, 0] == 1.0  # T -> A always
 
     def test_pseudocount(self):
-        m = estimate_model(DnaSeq.from_string("AAAA"), pseudocount=1.0)
+        m = estimate_model(seq_of("AAAA"), pseudocount=1.0)
         # row A: 3 observed AA transitions + 1 pseudo each cell
         assert m.trans[0, 0] == pytest.approx(4.0 / 7.0)
         assert np.allclose(m.trans[1:], 0.25)
 
     def test_too_short(self):
         with pytest.raises(EstimationError):
-            estimate_model(DnaSeq.from_string("A"))
+            estimate_model(seq_of("A"))
 
     def test_missing_row(self):
         with pytest.raises(EstimationError, match="no transitions out of"):
-            estimate_model(DnaSeq.from_string("ACACAC"))
+            estimate_model(seq_of("ACACAC"))
 
     def test_negative_pseudocount(self):
         with pytest.raises(ValueError):
-            estimate_model(DnaSeq.from_string("ACGT"), pseudocount=-1.0)
+            estimate_model(seq_of("ACGT"), pseudocount=-1.0)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(bases=st.lists(st.integers(0, 3), min_size=2, max_size=60),
@@ -232,23 +227,15 @@ class TestRates:
                 assert markov_rate(m, half).value == pytest.approx(
                     gamma**half, abs=1e-14
                 )
-                assert iid_rate(pi, half).value == pytest.approx(
-                    gamma**half, abs=1e-15
-                )
 
     def test_iid_match_prob(self):
         # at half-length 1 the iid rate is the match probability gamma
-        assert iid_rate([0.25, 0.25, 0.25, 0.25], 1).value == pytest.approx(0.25)
-        assert iid_rate([0.5, 0.0, 0.0, 0.5], 1).value == pytest.approx(0.5)
+        for pi, gamma in (([0.25, 0.25, 0.25, 0.25], 0.25), ([0.5, 0.0, 0.0, 0.5], 0.5)):
+            assert markov_rate(iid_model(pi), 1).value == pytest.approx(gamma)
 
     def test_rate_metadata(self, bohv1):
-        est = markov_rate(bohv1, 6)
-        assert est.method == "markov"
-        assert est.half_length == 6
         with pytest.raises(ValueError):
             markov_rate(bohv1, 0)
-        with pytest.raises(ValueError):
-            iid_rate(bohv1.pi, 0)
 
 
 class TestBohv1:

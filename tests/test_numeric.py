@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from palinscan import ConvergenceError, NonFiniteError, SingularMatrixError
+from palinscan import numeric
 from palinscan.numeric import mat_inv, newton_root, row_solve, spectral_radius, vec_mat
 
 from oracles import derivative
@@ -151,11 +152,12 @@ class TestNewtonRoot:
         with pytest.raises(NonFiniteError):
             newton_root(lambda x: (math.nan, 1.0), 0.0, 1.0, x=0.5)
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
         # a jump with no root and a zero slope allows bisection only
         f = lambda x: (-1.0 if x < math.pi / 10 else 1.0, 0.0)
-        with pytest.raises(ConvergenceError):
-            newton_root(f, 0.0, 1.0, x=0.5, tol=0.0, max_iter=20)
+        monkeypatch.setattr(numeric, "ROOT_MAX_ITER", 20)
+        with pytest.raises(ConvergenceError, match="in 20 iterations"):
+            newton_root(f, 0.0, 1.0, x=0.5, tol=0.0)
 
 
 class TestDerivative:

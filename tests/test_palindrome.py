@@ -27,12 +27,9 @@ from oracles import (
     check_palindrome,
     naive_pattern_log_prob,
     random_model,
+    seq_of,
     sparse_models,
 )
-
-
-def seq_of(text: str) -> DnaSeq:
-    return DnaSeq.from_string(text)
 
 
 def events_tsv(events, model, directory) -> str:
@@ -427,23 +424,23 @@ class TestAverageRate:
         events = find_palindromes(seq_of("GAATTCGAATTC"), 3)
         est = average_rate(events)
         assert est.value == pytest.approx(len(events) / 12.0)
-        assert est.method == "average"
 
     def test_explicit_half_length(self):
-        # the table's threshold is recorded even when it holds no event
+        # a table with no event at its threshold has rate 0
         est = average_rate(find_palindromes(seq_of("AAAA"), 6))
         assert est.value == 0.0
-        assert est.half_length == 6
 
     def test_infers_half_length(self):
-        # the threshold comes from the table, not from its smallest event
+        # the table's threshold, not its smallest event, sets what is counted
         events = find_palindromes(seq_of("GAATTC"), 2)
         assert [e.half_length for e in events] == [3]
-        assert average_rate(events).half_length == 2
+        assert average_rate(events).value == 1 / 6
+        assert average_rate(find_palindromes(seq_of("GAATTC"), 4)).value == 0.0
 
     def test_length_validation(self):
+        empty = DnaSeq(bases=np.empty(0, dtype=np.uint8))
         with pytest.raises(ValueError, match="empty sequence"):
-            average_rate(find_palindromes(seq_of(""), 2))
+            average_rate(find_palindromes(empty, 2))
 
 
 class TestEventsTsv:

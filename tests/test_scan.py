@@ -604,12 +604,11 @@ class TestThresholdForAlpha:
         assert 0.045 < rep.p < 0.055
 
     def test_deterministic_given_entropy(self, lam0, pls):
-        # nu is deterministic: neither the entropy nor the generator that
-        # threshold_for_alpha still accepts changes the threshold
+        # nu is deterministic: the entropy that threshold_for_alpha still
+        # accepts does not change the threshold
         b = threshold_for_alpha(0.05, WINDOW, W, lam0, pls)
-        for kw in (dict(nu_entropy=11), dict(nu_entropy=12),
-                   dict(rng=np.random.default_rng(3))):
-            assert threshold_for_alpha(0.05, WINDOW, W, lam0, pls, **kw) == b
+        for entropy in (11, 12):
+            assert threshold_for_alpha(0.05, WINDOW, W, lam0, pls, nu_entropy=entropy) == b
 
     # cumulants calls per threshold search, measured: {kind: {alpha: (with
     # analytic_nu, with nu fixed)}}
@@ -823,10 +822,10 @@ class TestNuFixedValidation:
 
 class TestKernelTraffic:
     """The MGF kernel takes the block products for a scalar (_mgf_jet) and
-    node-vector arithmetic for any array (_mgf_value), which is slower than
+    node-vector arithmetic for a 1-D array (_mgf_value), which is slower than
     the block products for a handful of arguments. So every caller the
-    pipeline runs passes a scalar or a stack of at least MIN_NODES
-    arguments; both entry points are recorded."""
+    pipeline runs passes _mgf_jet a scalar and _mgf_value a stack of at
+    least MIN_NODES arguments; both entry points are recorded."""
 
     MIN_NODES = 64
 
@@ -835,15 +834,22 @@ class TestKernelTraffic:
         shapes = []
         jet, value = mgf_module._mgf_jet, mgf_module._mgf_value
         monkeypatch.setattr(mgf_module, "_mgf_jet", lambda sm, z, order=0: (
-            shapes.append(np.shape(z)) or jet(sm, z, order)))
+            shapes.append(("jet", np.shape(z))) or jet(sm, z, order)))
         monkeypatch.setattr(mgf_module, "_mgf_value", lambda sm, z: (
-            shapes.append(np.shape(z)) or value(sm, z)))
+            shapes.append(("value", np.shape(z))) or value(sm, z)))
         return shapes
 
     def check(self, shapes):
         assert shapes
-        small = [s for s in shapes if s != () and not (len(s) == 1 and s[0] >= self.MIN_NODES)]
-        assert small == []
+        wrong = [(entry, s) for entry, s in shapes if not (
+            s == () if entry == "jet" else len(s) == 1 and s[0] >= self.MIN_NODES)]
+        assert wrong == []
+
+    @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
+    def test_score_mgf(self, kind, bohv1, shapes):
+        score_mgf(ScoreModel(kind, bohv1, 6), 0.1)
+        assert [entry for entry, _ in shapes] == ["jet"]
+        self.check(shapes)
 
     @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
     def test_cli_scan(self, kind, data_dir, shapes):

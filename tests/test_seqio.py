@@ -21,31 +21,20 @@ from palinscan import seqio
 from palinscan.seqio import decode
 
 from fasta_server import DECLARED_LENGTH, PARTIAL_BODY, FastaHandler
-from oracles import line_parse_fasta, naive_parse_fasta, serialize_fasta
+from oracles import line_parse_fasta, naive_parse_fasta, seq_of, serialize_fasta
 
 
 class TestDnaSeq:
-    def test_from_string_drops_and_counts(self):
-        s = DnaSeq.from_string("ACGTNNacgt GAATTC\nxx")
-        assert str(s) == "ACGTACGTGAATTC"
-        assert s.dropped_count == 4
-        assert s.length == len(s) == 14
-
-    def test_whitespace_is_silent(self):
-        s = DnaSeq.from_string(" A\tC\rG\nT ")
-        assert str(s) == "ACGT"
-        assert s.dropped_count == 0
-
     def test_codes(self):
-        assert list(DnaSeq.from_string("ACGT").bases) == [0, 1, 2, 3]
-        assert DnaSeq.from_string("ACGT").bases.dtype == np.uint8
+        assert list(seq_of("ACGT").bases) == [0, 1, 2, 3]
+        assert seq_of("ACGT").bases.dtype == np.uint8
 
     def test_equality_is_content_based(self):
-        a = DnaSeq.from_string("ACGT")
-        b = DnaSeq.from_string("acgNt")  # one symbol dropped
+        a = seq_of("ACGT")
+        b = seq_of("acgNt")  # one symbol dropped
         assert (a.dropped_count, b.dropped_count) == (0, 1)
         assert a == b
-        assert a != DnaSeq.from_string("ACGA")
+        assert a != seq_of("ACGA")
         assert a.__eq__("ACGT") is NotImplemented
 
     def test_rejects_bad_codes(self):
@@ -55,13 +44,13 @@ class TestDnaSeq:
             DnaSeq(bases=np.zeros((2, 2), dtype=np.uint8))
 
     def test_empty_sequence_allowed_as_object(self):
-        assert DnaSeq.from_string("").length == 0
+        assert DnaSeq(bases=np.empty(0, dtype=np.uint8)).length == 0
 
 
 class TestEncodeDecode:
     def test_round_trip(self):
         text = "GATTACA"
-        assert decode(DnaSeq.from_string(text).bases) == text
+        assert decode(parse_fasta(f">r\n{text}\n")[0].seq.bases) == text
 
 
 # parse_fasta's chunk sizes under test: the module's own, then pieces so
@@ -91,6 +80,17 @@ def assert_parses_like_line_parser(text: str) -> None:
 
 
 class TestParseFasta:
+    def test_body_drops_and_counts(self):
+        s = parse_fasta(">r\nACGTNNacgt GAATTC\nxx")[0].seq
+        assert str(s) == "ACGTACGTGAATTC"
+        assert s.dropped_count == 4
+        assert s.length == len(s) == 14
+
+    def test_body_whitespace_is_silent(self):
+        s = parse_fasta(">r\n A\tC\rG\nT ")[0].seq
+        assert str(s) == "ACGT"
+        assert s.dropped_count == 0
+
     def test_matches_naive_reader(self, data_dir):
         text = (data_dir / "mixed.fa").read_text()
         records = parse_fasta(text)
@@ -307,14 +307,14 @@ class TestParseFasta:
 
     def test_record_id_required(self):
         with pytest.raises(FastaError):
-            FastaRecord(id="", seq=DnaSeq.from_string("ACGT"))
+            FastaRecord(id="", seq=seq_of("ACGT"))
 
 
 class TestSerializeFasta:
     def test_round_trip(self):
         records = [
-            FastaRecord(id="one", seq=DnaSeq.from_string("ACGT" * 40)),
-            FastaRecord(id="two words", seq=DnaSeq.from_string("GAATTC")),
+            FastaRecord(id="one", seq=seq_of("ACGT" * 40)),
+            FastaRecord(id="two words", seq=seq_of("GAATTC")),
         ]
         text = serialize_fasta(records)
         parsed = parse_fasta(text)
@@ -324,7 +324,7 @@ class TestSerializeFasta:
 
     def test_line_width(self):
         text = serialize_fasta(
-            [FastaRecord(id="x", seq=DnaSeq.from_string("A" * 130))], width=60
+            [FastaRecord(id="x", seq=seq_of("A" * 130))], width=60
         )
         lines = text.splitlines()
         assert [len(x) for x in lines[1:]] == [60, 60, 10]

@@ -6,7 +6,6 @@ import pytest
 
 from palinscan import (
     CrowdedSegmentError,
-    DnaSeq,
     EmptyBankError,
     ExperimentConfig,
     HotspotSpec,
@@ -25,6 +24,7 @@ from palinscan import (
 )
 from palinscan.cli import build_parser, run
 from palinscan.sim import (
+    HOTSPOT_LENGTH,
     PLACEMENT_RETRIES,
     TiltedScoreSampler,
     _replicate_rng,
@@ -38,6 +38,7 @@ from oracles import (
     mgf_at_length,
     quadratic_hotspots,
     random_model,
+    seq_of,
     series_mgf,
 )
 
@@ -61,8 +62,6 @@ class TestHotspotSpec:
         with pytest.raises(ValueError):
             HotspotSpec(start=-1)
         with pytest.raises(ValueError):
-            HotspotSpec(start=0, length=0)
-        with pytest.raises(ValueError):
             HotspotSpec(start=0, multiplier=0.5)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -71,7 +70,7 @@ class TestHotspotSpec:
             HotspotSpec(start=0, multiplier=value)
 
     def test_stop(self):
-        assert HotspotSpec(start=100, length=50).stop == 150
+        assert HotspotSpec(start=100).stop == 100 + HOTSPOT_LENGTH
 
 
 class TestExperimentConfig:
@@ -100,7 +99,7 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(model=bohv1, seq_length=100_000)
         specs = default_hotspot_specs(cfg)
         assert [s.start for s in specs] == [24_500, 49_500, 74_500]
-        assert all(s.length == 1000 for s in specs)
+        assert [s.stop for s in specs] == [25_500, 50_500, 75_500]
 
     @pytest.mark.parametrize("segments", [1, 2, 3, 5])
     def test_min_seq_length(self, bohv1, segments):
@@ -146,17 +145,17 @@ class TestInsertHotspots:
 
     def test_background_untouched_outside_segments(self, bank):
         background = self._background()
-        specs = [HotspotSpec(start=5000, length=500, multiplier=30.0)]
+        specs = [HotspotSpec(start=5000, multiplier=30.0)]
         seq, _ = insert_hotspots(background, specs, bank, 0.00098,
                                  np.random.default_rng(2))
-        outside = np.r_[0:5000, 5500:background.length]
+        outside = np.r_[0:5000, 5000 + HOTSPOT_LENGTH:background.length]
         assert np.array_equal(seq.bases[outside], background.bases[outside])
 
     def test_overlapping_specs_rejected(self, bank):
         with pytest.raises(ValueError, match="overlap"):
             insert_hotspots(self._background(), [
-                HotspotSpec(start=100, length=1000),
-                HotspotSpec(start=800, length=1000),
+                HotspotSpec(start=100),
+                HotspotSpec(start=800),
             ], bank, 0.00098, np.random.default_rng(0))
 
     def test_spec_past_end_rejected(self, bank):
@@ -166,7 +165,7 @@ class TestInsertHotspots:
 
     def test_crowded_segment(self, bank):
         background = self._background()
-        specs = [HotspotSpec(start=100, length=40, multiplier=5000.0)]
+        specs = [HotspotSpec(start=100, multiplier=5000.0)]
         with pytest.raises(CrowdedSegmentError):
             insert_hotspots(background, specs, bank, 0.01,
                             np.random.default_rng(9))
@@ -203,9 +202,9 @@ class TestInsertHotspots:
         assert seen == outcomes
 
     def test_empty_bank_rejected(self):
-        empty = find_palindromes(DnaSeq.from_string("A" * 100), 6)
+        empty = find_palindromes(seq_of("A" * 100), 6)
         with pytest.raises(EmptyBankError, match="empty"):
-            insert_hotspots(self._background(1000), [HotspotSpec(start=10, length=100)],
+            insert_hotspots(self._background(1000), [HotspotSpec(start=0)],
                             empty, 0.1, np.random.default_rng(0))
 
 
@@ -318,16 +317,16 @@ class TestSeeding:
 
 class TestSegmentWindowBounds:
     def test_interior(self):
-        lo, hi = _segment_window_bounds(HotspotSpec(start=5000, length=1000), 1000, 20_000)
+        lo, hi = _segment_window_bounds(HotspotSpec(start=5000), 1000, 20_000)
         assert lo == 4000
         assert hi == 5998
 
     def test_left_edge(self):
-        lo, hi = _segment_window_bounds(HotspotSpec(start=0, length=1000), 1000, 20_000)
+        lo, hi = _segment_window_bounds(HotspotSpec(start=0), 1000, 20_000)
         assert lo == 0
 
     def test_right_edge(self):
-        lo, hi = _segment_window_bounds(HotspotSpec(start=19_000, length=1000), 1000, 20_000)
+        lo, hi = _segment_window_bounds(HotspotSpec(start=19_000), 1000, 20_000)
         assert hi == 19_000
 
 
