@@ -20,8 +20,12 @@ it is laid out entries-first (entry (i, j) of Q is one array over the
 arguments), the 4 x 4 algebra runs as elementwise arithmetic, and the
 resolvent enters through one row solve by Gaussian elimination
 (numeric.row_solve), in a number of numpy calls that does not grow with
-the array's size. A model with independent bases is the Markov model
-iid_model(pi), whose rank-one quasi transition matrix takes the same paths.
+the array's size. The array comes as a NodeGrid, a plain array being the
+grid of its points alone: bws raises its bases to the power 1 - z from the
+grid's panel layout, one exponential per base and panel start or offset
+rather than per base and node. A model with independent bases is the
+Markov model iid_model(pi), whose rank-one quasi transition matrix takes
+the same paths.
 
 The closed form sums the joint terms E[exp(t * score); half-length = k] =
 v Q^(k-1) u over k >= h. The tilted sampler of module sim draws from that
@@ -31,7 +35,7 @@ kernel's own _bws_log_base), so it samples the law score_mgf describes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial
 
@@ -159,6 +163,52 @@ class ScoreModel:
         return np.unique(self._bws_log_base[0], return_inverse=True)
 
 
+_NO_PANELS = np.zeros(0)
+_NO_PANELS.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class NodeGrid:
+    """A 1-D array of MGF arguments held as a panel layout: the points one
+    by one, then every start plus every offset, start by start (nodes).
+
+    The overshoot quadrature's uniform panels share their Gauss-Legendre
+    offsets, so their nodes are the panel starts plus those offsets, and
+    the bws kernel raises each base to the power 1 - z as one table over
+    the points and starts times one over the offsets (_bws_powers): one
+    exponential per base and start or offset rather than per base and node.
+    A plain array z is the grid NodeGrid(z), all points and no panels, and
+    takes the same code. shape and size are those of nodes, so the grid
+    reads like the array it stands for.
+    """
+
+    points: np.ndarray
+    starts: np.ndarray = field(default_factory=lambda: _NO_PANELS)
+    offsets: np.ndarray = field(default_factory=lambda: _NO_PANELS)
+
+    def affine(self, shift, scale) -> NodeGrid:
+        """The grid of shift + scale z, in the same layout: the shift goes
+        to the points and starts, the scale to all three."""
+        if not self.starts.size:  # no panels: spare the empty arithmetic
+            return NodeGrid(shift + scale * self.points)
+        return NodeGrid(shift + scale * self.points, shift + scale * self.starts,
+                        scale * self.offsets)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        if not self.starts.size:
+            return self.points
+        return np.concatenate((self.points, np.add.outer(self.starts, self.offsets).ravel()))
+
+    @property
+    def shape(self) -> tuple[int]:
+        return self.nodes.shape
+
+    @property
+    def size(self) -> int:
+        return self.nodes.size
+
+
 def _bws_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(v, Q, u) of an array laid out as ScoreModel._bws_log_base: its
     first axis's 24 entries become shapes (4,), (4, 4) and (4,), and any
@@ -200,9 +250,11 @@ def mgf_domain(sm: ScoreModel) -> float:
     The root comes from Newton steps with the slope of a simple eigenvalue,
     l Q'(t) r / (l r) for the left and right Perron vectors l and r
     (Magnus, Econometric Theory 1985), Q' from the kernel's _power_jet; the
-    Perron root is the eigenvalue of largest real part. Where that slope is
-    not finite and positive, as on some reducible chains, newton_root
-    bisects instead.
+    Perron root is the eigenvalue of largest real part. Each step takes one
+    eigendecomposition, of Q(t): T[a, b] = T[b', a'] exactly for the
+    complements ', so Q(t)^T = J Q(t) J with J the complement swap (the base
+    order reversed), and l is r reversed. Where that slope is not finite
+    and positive, as on some reducible chains, newton_root bisects instead.
     """
     if sm.kind == "pcs":
         return np.inf
@@ -213,10 +265,11 @@ def mgf_domain(sm: ScoreModel) -> float:
 
     def excess(t: float) -> tuple[float, float]:
         q, dq = _power_jet(log_t, t, 1)
-        eigs = [np.linalg.eig(m) for m in (q, q.T)]
-        right, left = (vecs[:, np.argmax(vals.real)].real for vals, vecs in eigs)
+        vals, vecs = np.linalg.eig(q)
+        right = vecs[:, np.argmax(vals.real)].real
+        left = right[::-1]  # Q^T = J Q J
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.abs(eigs[0][0]).max() - 1.0, (left @ dq @ right) / (left @ right)
+            return np.abs(vals).max() - 1.0, (left @ dq @ right) / (left @ right)
 
     # The edge is located to round-off, so that the resolvent I - Q is
     # numerically singular right at t_max rather than some 1e-9 beyond it.
@@ -276,26 +329,47 @@ def _jet_by_blocks(v, q, u, n: int) -> np.ndarray:
     return (row @ _toeplitz(w) @ col)[0]
 
 
+def _bws_powers(sm: ScoreModel, grid: NodeGrid) -> np.ndarray:
+    """The 24 bases of ScoreModel._bws_log_base raised to the power 1 - z
+    at every node of grid, shape (24, N).
+
+    A node s + o of the panels has base ** (1 - s - o) = exp(l (1 - s))
+    exp(-l o), l = log base. So each distinct base
+    (ScoreModel._bws_distinct) is exponentiated once per point, start and
+    offset. The panels' powers, products of a start table entry and an
+    offset table entry, are written straight into the output rather than
+    into panel-sized temporaries first, which cost more than the product.
+    A zero base has start and point entries of exactly 0, so its powers
+    stay 0. A plain array (no panels) gets one exponential per base and
+    node.
+    """
+    distinct, index = sm._bws_distinct
+    pos = sm._bws_log_base[1]
+    n, s, k = grid.points.size, grid.starts.size, grid.offsets.size
+    head = np.exp(np.multiply.outer(distinct, 1.0 - np.concatenate((grid.points, grid.starts))))
+    head = head[index] if pos.all() else head[index] * pos[:, None]
+    tail = np.exp(np.multiply.outer(distinct, -grid.offsets))[index]
+    out = np.empty((len(index), n + s * k), dtype=np.result_type(head, tail))
+    out[:, :n] = head[:, :n]
+    np.multiply(head[:, n:, None], tail[:, None, :], out=out[:, n:].reshape(len(index), s, k))
+    return out
+
+
 def _factors(sm: ScoreModel, z, order: int) -> tuple[list, list, list, int]:
     """Taylor coefficients j = 0 .. order of v, Q and u in M(z) = v Q^n
-    (I - Q)^-1 u / rate (_mgf_jet), and n, for pls or bws. A 1-D array of
-    z (order 0) lays each coefficient out entries-first, with the arguments
-    on a trailing axis."""
-    nodes = np.ndim(z) > 0
+    (I - Q)^-1 u / rate (_mgf_jet), and n, for pls or bws. A NodeGrid z
+    (order 0) lays each coefficient out entries-first, with its nodes on a
+    trailing axis: bws takes its node powers from the grid's layout
+    (_bws_powers), pls from the nodes themselves."""
+    nodes = isinstance(z, NodeGrid)
     h = sm.half_length
     if sm.kind == "bws":
-        if nodes:
-            # each distinct entry is raised once (ScoreModel._bws_distinct)
-            distinct, index = sm._bws_distinct
-            power = np.exp(np.multiply.outer(distinct, 1.0 - z))[index]
-            pos = sm._bws_log_base[1]
-            jet = [power if pos.all() else power * pos[:, None]]
-        else:
-            jet = _power_jet(sm._bws_log_base, z, order)
+        jet = [_bws_powers(sm, z)] if nodes else _power_jet(sm._bws_log_base, z, order)
         v, q, u = zip(*map(_bws_split, jet))
         return v, q, u, h - 1
     head, t, tail = sm._pls_factors
     if nodes:
+        z = z.nodes
         head, t, tail = head[:, None], t[..., None], tail[:, None]
     fact = [float(factorial(j)) for j in range(order + 1)]
     scale, grow = np.exp(z), np.exp(z / h)
@@ -328,25 +402,28 @@ def _mgf_jet(sm: ScoreModel, z: float | complex, order: int = 0) -> np.ndarray:
     return _jet_by_blocks(*_factors(sm, z, order)) / sm.rate
 
 
-def _mgf_value(sm: ScoreModel, z: np.ndarray) -> np.ndarray:
+def _mgf_value(sm: ScoreModel, z: np.ndarray | NodeGrid) -> np.ndarray:
     """The MGF itself at each of a 1-D array of N real or complex arguments,
     as elementwise arithmetic on node vectors; one argument takes _mgf_jet.
 
-    v, Q and u (_factors) are held entries-first, (4, N) for v and u and
-    (4, 4, N) for Q, and every vector-matrix product is numeric.vec_mat, so
-    the number of numpy calls does not grow with N, and each node gets the
-    value it has in any other array. The row r = v Q^n takes n products;
-    the resolvent enters through y (I - Q) = r, solved by numeric.row_solve
+    z is a NodeGrid or a plain array, which is the grid NodeGrid(z); the
+    values come in the order of the grid's nodes. v, Q and u (_factors) are
+    held entries-first, (4, N) for v and u and (4, 4, N) for Q, and every
+    vector-matrix product is numeric.vec_mat, so the number of numpy calls
+    does not grow with N, and each node of a plain array gets the value it
+    has in any other array. The row r = v Q^n takes n products; the
+    resolvent enters through y (I - Q) = r, solved by numeric.row_solve
     without forming an inverse.
 
     Raises:
         DomainError: Re z at or beyond the domain supremum, at any node.
         SingularMatrixError: I - Q is numerically singular at some node.
     """
-    _require_in_domain(sm, z)
+    grid = z if isinstance(z, NodeGrid) else NodeGrid(np.asarray(z))
+    _require_in_domain(sm, grid.nodes)
     if sm.kind == "pcs":
-        return np.exp(z)
-    (v,), (q,), (u,), n = _factors(sm, z, 0)
+        return np.exp(grid.nodes)
+    (v,), (q,), (u,), n = _factors(sm, grid, 0)
     for _ in range(n):
         v = vec_mat(v, q)
     return vec_mat(row_solve(v, _EYE[..., None] - q), u) / sm.rate
@@ -395,22 +472,28 @@ def increment_log_charfn(sm: ScoreModel, lambda0: float, lambda1: float,
     transform is within rounding of 1.
 
     t may be complex, which makes this the log of the two-sided Laplace
-    transform E exp(-s Y) at s = -i t, and may be an array; all MGF values
-    come from one batched kernel call. On the line Im t = theta1 / 2 the two
-    MGF arguments are complex conjugates, so one evaluation per t serves
-    both.
+    transform E exp(-s Y) at s = -i t, and may be an array of any shape,
+    or a NodeGrid, whose nodes give a 1-D result; all MGF values come from
+    one batched kernel call. On the line Im t = theta1 / 2 the two MGF
+    arguments are complex conjugates, so one evaluation per t serves both,
+    and a grid reaches the kernel in its own layout (theta1 + i t has the
+    layout of t), which is what lets bws form its node powers per panel
+    start and offset (_bws_powers).
 
     Raises:
         DomainError: an MGF argument outside the domain.
     """
-    t = np.asarray(t, dtype=complex)
-    plus = (theta1 - t.imag) + 1j * t.real    # theta1 + i t
-    minus = t.imag - 1j * t.real              # -i t
-    mirrored = np.array_equal(minus, np.conj(plus))
-    args = [[0.0, theta1], plus.ravel()] + ([] if mirrored else [minus.ravel()])
-    values = _mgf_value(sm, np.concatenate(args))
+    grid = t if isinstance(t, NodeGrid) else NodeGrid(np.asarray(t, dtype=complex).ravel())
+    im = grid.nodes.imag
+    mirrored = np.array_equal(theta1 - im, im)  # -i t = conj(theta1 + i t)
+    plus = grid.affine(theta1, 1j)
+    if mirrored:
+        args = NodeGrid(np.concatenate(([0.0, theta1], plus.points)), plus.starts, plus.offsets)
+    else:
+        args = NodeGrid(np.concatenate(([0.0, theta1], plus.nodes, grid.affine(0.0, -1j).nodes)))
+    values = _mgf_value(sm, args)
     k0, k1 = values[:2].real
-    m_plus = values[2:2 + t.size].reshape(t.shape)
-    m_minus = np.conj(m_plus) if mirrored else values[2 + t.size:].reshape(t.shape)
-    out = lambda0 * (m_minus / k0 - 1.0) + lambda1 * (m_plus / k1 - 1.0)
+    m_plus = values[2:2 + grid.size]
+    m_minus = np.conj(m_plus) if mirrored else values[2 + grid.size:]
+    out = (lambda0 * (m_minus / k0 - 1.0) + lambda1 * (m_plus / k1 - 1.0)).reshape(np.shape(t))
     return out if out.ndim else complex(out)

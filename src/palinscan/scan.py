@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .mgf import KERNEL_FAILURES, ScoreModel, cumulants, increment_log_charfn
+from .mgf import KERNEL_FAILURES, NodeGrid, ScoreModel, cumulants, increment_log_charfn
 from .numeric import ROOT_MAX_ITER, newton_root
 
 # threshold_for_alpha stops once log(-log(1 - p)) is within this of its value
@@ -31,7 +31,9 @@ ALPHA_RTOL = 1e-7
 # nodes per panel, the width of the uniform panels, and the cut-off of the
 # integral for non-lattice scores. Panels 0.5 wide (688 bws nodes at the
 # tilts of BoHV-1 thresholds, against 1,296 at 0.25) keep nu within 1e-12
-# of a layout with four times the nodes there.
+# of a layout with four times the nodes there. The uniform panels share
+# their nodes' offsets from the panel start, so the bws kernel's
+# exponentials grow with panels plus nodes per panel, not with the nodes.
 NU_PANEL_NODES = 16
 NU_PANEL_WIDTH = 0.5
 NU_CUTOFF = 20.0
@@ -272,9 +274,14 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _graded_panels(scale: float, stop: float,
-                   width: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, stop]: panels [0, scale],
-    [scale, 2 scale], ... doubling up to 1, then panels of the given width."""
+                   width: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Gauss-Legendre panels on [0, stop]: panels [0, scale], [scale,
+    2 scale], ... doubling up to 1, then panels of the given width.
+
+    Returns each panel's left edge (a column), its nodes' offsets from that
+    edge (one row per panel, so the nodes are edge + offsets, panel by
+    panel), the weights in the same order, and the number of graded panels.
+    """
     graded, edge = [0.0], scale
     while edge < 1.0:
         graded.append(edge)
@@ -283,11 +290,11 @@ def _graded_panels(scale: float, stop: float,
     edges = np.array(graded + list(uniform) + [stop])
     x, g = _gauss_legendre(NU_PANEL_NODES)
     lo, width = edges[:-1, None], np.diff(edges)[:, None]
-    return (lo + 0.5 * width * (x + 1.0)).ravel(), (0.5 * width * g).ravel()
+    return lo, 0.5 * width * (x + 1.0), (0.5 * width * g).ravel(), len(graded)
 
 
-def _nu_quadrature(sm: ScoreModel, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t >= 0 and weights w with sum(w f(t)) approximating
+def _nu_quadrature(sm: ScoreModel, c: float) -> tuple[NodeGrid, np.ndarray]:
+    """Nodes t >= 0 (a NodeGrid) and weights w with sum(w f(t)) approximating
     (1/pi) integral_0^inf 2c / (c^2 + t^2) f(t) dt for an even f that is
     the transform of a walk increment.
 
@@ -306,19 +313,34 @@ def _nu_quadrature(sm: ScoreModel, c: float) -> tuple[np.ndarray, np.ndarray]:
     small values. Beyond 1 they are NU_PANEL_WIDTH wide, or half that for
     bws below NU_FINE_TILT: at BoHV-1's bws thresholds (theta1 = 0.13 to
     0.15) that is 5 graded and 38 uniform panels, 688 nodes.
+
+    The nodes come as a NodeGrid. For bws it keeps the panel layout: the
+    graded panels' nodes as points, then, as the uniform panels share their
+    offsets (they do whenever they are equally wide), the uniform panels'
+    starts and the 16 offsets. The kernel's node powers then take 18 x (80
+    + 38 + 16) complex exponentials for the 18 distinct bases (plus 18 x 2
+    for M(0) and M(theta1)), not 18 x 688. The lattice kinds' nodes are
+    points.
     """
     if sm.kind in ("pcs", "pls"):
         span = 1.0 if sm.kind == "pcs" else 1.0 / sm.half_length
         a = c * span
-        u, g = _graded_panels(a, np.pi, NU_PANEL_WIDTH)
+        lo, offsets, g, _ = _graded_panels(a, np.pi, NU_PANEL_WIDTH)
+        u = (lo + offsets).ravel()
         kernel = np.sinh(a) / (2.0 * np.sinh(0.5 * a) ** 2 + 2.0 * np.sin(0.5 * u) ** 2)
-        return u / span, g * kernel / np.pi
+        return NodeGrid(u / span), g * kernel / np.pi
     fine = 2.0 * c < NU_FINE_TILT
-    t, g = _graded_panels(c, NU_CUTOFF, NU_PANEL_WIDTH / (2.0 if fine else 1.0))
+    lo, offsets, g, k = _graded_panels(c, NU_CUTOFF, NU_PANEL_WIDTH / (2.0 if fine else 1.0))
+    nodes = lo + offsets
+    if (offsets[k:] == offsets[k]).all():
+        grid = NodeGrid(nodes[:k].ravel(), lo[k:, 0], offsets[k])
+    else:
+        grid = NodeGrid(nodes.ravel())
+    t = nodes.ravel()
     w = g * (2.0 * c / np.pi) / (c * c + t * t)
     far = t >= 1.0
     w[far] += g[far] * (2.0 / np.pi) * np.arctan(c / NU_CUTOFF) / (NU_CUTOFF - 1.0)
-    return t, w
+    return grid, w
 
 
 def _nu_tilt_floor(sm: ScoreModel) -> float:
@@ -349,7 +371,10 @@ def analytic_nu(tilt: TiltSolution, sm: ScoreModel) -> float:
     C = (1/pi) integral_0^inf theta / (c^2 + t^2) (-log(1 - psi(t))) dt,
     where psi(t) = E exp(-(c + i t) X) is real on that line and at most
     psi(0) < 1, so the integrand is smooth and bounded; log psi follows
-    from increment_log_charfn with one batched MGF evaluation per node.
+    from increment_log_charfn with one batched MGF evaluation per node,
+    M(0) and M(theta1) in the same kernel call. The nodes reach the kernel
+    in the quadrature's panel layout (a NodeGrid), from which bws forms its
+    node powers per panel start and offset.
     Lattice and atoms need no special case, because min(1, exp(-theta x))
     is continuous.
 
@@ -377,7 +402,7 @@ def analytic_nu(tilt: TiltSolution, sm: ScoreModel) -> float:
     c = 0.5 * theta
     t, w = _nu_quadrature(sm, c)
     log_psi_y = increment_log_charfn(sm, tilt.lambda0, tilt.lambda1, theta,
-                                     t + 1j * c).real
+                                     t.affine(1j * c, 1.0)).real
     eventful = -np.expm1(-(tilt.lambda0 + tilt.lambda1))
     # 1 - psi_x = (1 - psi_y) / P(an event), without forming psi_y near 1
     log_sum = float(w @ -np.log(-np.expm1(log_psi_y) / eventful))

@@ -366,6 +366,40 @@ def matrix_form_mgf(pi, trans, min_half: int, z, kind: str, bws_start=None):
     return v @ np.linalg.matrix_power(q, min_half - 1) @ np.linalg.inv(eye - q) @ u / rate
 
 
+def bws_powers(pi, trans, nodes) -> np.ndarray:
+    """The 24 bws bases (start weights, quasi matrix row by row, closure
+    vector) raised to the power 1 - z at each node z, shape (24, N): one
+    exponential per base and node (matrix_form_factors), zero bases 0."""
+    columns = []
+    for z in np.ravel(nodes):
+        v, q, u = matrix_form_factors(pi, trans, 1, z, "bws")
+        columns.append(np.concatenate((v, q.ravel(), u)))
+    return np.array(columns).T
+
+
+def quadrature_nu(pi, trans, min_half: int, kind: str, tilt, null_mean: float,
+                  nodes, weights) -> float:
+    """The overshoot correction of scan.analytic_nu from its quadrature
+    nodes t and weights, with every MGF value from matrix_form_mgf.
+
+    On the line Re z = c = theta1 / 2 the increment's transform is psi_y(t) =
+    exp(lambda0 (M(c - i t) / M(0) - 1) + lambda1 (M(c + i t) / M(theta1) -
+    1)); X is the increment given an event, and nu = exp(-sum w (-log(1 -
+    psi_x))) / ((1 - exp(-theta1)) E X), capped at 1. Both MGF arguments are
+    evaluated, not one taken as the other's conjugate.
+    """
+    theta = tilt.theta1
+    c = 0.5 * theta
+    mgf = lambda z: complex(matrix_form_mgf(pi, trans, min_half, z, kind))
+    k0, k1 = mgf(0.0).real, mgf(theta).real
+    log_psi = np.array([tilt.lambda0 * (mgf(c - 1j * t) / k0 - 1.0)
+                        + tilt.lambda1 * (mgf(c + 1j * t) / k1 - 1.0) for t in nodes]).real
+    eventful = -np.expm1(-(tilt.lambda0 + tilt.lambda1))
+    log_sum = float(np.asarray(weights) @ -np.log(-np.expm1(log_psi) / eventful))
+    mean_x = (tilt.lambda1 * tilt.cumulants[1] - tilt.lambda0 * null_mean) / eventful
+    return min(float(np.exp(-log_sum) / (-np.expm1(-theta) * mean_x)), 1.0)
+
+
 def column_start_weights(pi, trans) -> np.ndarray:
     """The bws start weights of the paper's literal reading: the column
     product (I - T) pi, where start_weights is the row product pi (I - T),

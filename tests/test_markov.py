@@ -233,7 +233,7 @@ class TestRates:
         for pi, gamma in (([0.25, 0.25, 0.25, 0.25], 0.25), ([0.5, 0.0, 0.0, 0.5], 0.5)):
             assert markov_rate(iid_model(pi), 1).value == pytest.approx(gamma)
 
-    def test_rate_metadata(self, bohv1):
+    def test_half_length_validated(self, bohv1):
         with pytest.raises(ValueError):
             markov_rate(bohv1, 0)
 

@@ -26,6 +26,7 @@ from palinscan.scan import _nu_quadrature
 
 from oracles import (
     bws_domain_edge,
+    bws_powers,
     closure_vector,
     derivative,
     enum_exact_length_mgf,
@@ -39,6 +40,7 @@ from oracles import (
     random_model,
     series_mgf,
     sparse_models,
+    stationary,
 )
 
 
@@ -205,7 +207,7 @@ class TestKernelAgainstMatrixOracle:
         # in front as increment_log_charfn puts them
         theta = 0.3 * sm.t_max
         t, _ = _nu_quadrature(sm, 0.5 * theta)
-        z = np.concatenate(([0.0, theta], 0.5 * theta + 1j * t))
+        z = np.concatenate(([0.0, theta], 0.5 * theta + 1j * t.nodes))
         got = mgf_module._mgf_value(sm, z)
         expected = np.array([oracle(x) for x in z])
         assert np.all(np.abs(got / expected - 1.0) <= 1e-13)
@@ -344,6 +346,69 @@ class TestDomain:
         except ValueError:  # T not subcritical, or a rate of 0
             assume(False)
         assert sm.t_max == pytest.approx(bws_domain_edge(trans), rel=1e-6)
+
+    def test_tilted_matrix_is_complement_symmetric(self, rng):
+        # T[a, b] = T[b', a'] exactly, so Q(t)^T = J Q(t) J for the
+        # complement swap J (the base order reversed), and so is Q'(t)
+        for _ in range(20):
+            pi, trans = random_model(rng)
+            log_t = mgf_module._log_base(quasi_transition_matrix(MarkovModel(pi=pi, trans=trans)))
+            for t in (0.0, 0.3, 0.77, 0.99):
+                for m in mgf_module._power_jet(log_t, t, 1):
+                    assert np.array_equal(m.T, m[::-1, ::-1])
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(pi_trans=sparse_models(), t=st.floats(0.0, 0.99))
+    def test_reversed_right_vector_is_the_left_one(self, pi_trans, t):
+        # mgf_domain's slope takes the left Perron vector as the right one
+        # reversed: l Q = rho l
+        q = quasi_matrix(pi_trans[1]) ** (1.0 - t)
+        vals, vecs = np.linalg.eig(q)
+        i = np.argmax(vals.real)
+        left = vecs[:, i].real[::-1]
+        assert np.abs(left @ q - vals[i].real * left).max() <= 1e-12 * np.abs(left).max()
+
+    def test_one_eigendecomposition_per_newton_step(self, bohv1, uniform, monkeypatch):
+        steps, eigs = [], []
+        root, eig = mgf_module.newton_root, np.linalg.eig
+        monkeypatch.setattr(mgf_module, "newton_root", lambda f, *a, **k: root(
+            lambda x: steps.append(x) or f(x), *a, **k))
+        monkeypatch.setattr(np.linalg, "eig", lambda m: eigs.append(m) or eig(m))
+        for model in (bohv1, uniform):
+            mgf_domain(ScoreModel("bws", model, 6))
+        # one more per model, for the radius at the cap 1 - 1e-9
+        assert len(steps) > 2 and len(eigs) == len(steps) + 2
+
+    def test_edge_on_a_sparse_chain_sweep(self):
+        """|rho(Q(t_max)) - 1| over 200 sparse chains (numpy default_rng(1),
+        6 zero transitions each, uniform pi), for the 138 with an edge below
+        1, Q(t_max) from oracles.matrix_form_factors.
+
+        np.linalg.eigvals resolves the radius of these reducible or
+        periodic matrices only to about 1e-8. The bound, 7.15e-9, is the
+        sweep's worst figure with the left Perron vector from a second
+        eigendecomposition, of Q(t)^T; with the right vector reversed it is
+        6.33e-9. ROADMAP item 6 (the radius per strongly connected class)
+        is the change that would tighten it.
+        """
+        rng = np.random.default_rng(1)
+        worst, edges = 0.0, 0
+        for _ in range(200):
+            trans = rng.random((4, 4))
+            trans.flat[rng.choice(16, 6, replace=False)] = 0.0
+            trans[trans.sum(axis=1) == 0.0] = 1.0
+            trans /= trans.sum(axis=1, keepdims=True)
+            pi = np.full(4, 0.25)
+            try:
+                sm = ScoreModel("bws", MarkovModel(pi=pi, trans=trans), 6)
+            except PalinscanError:
+                continue
+            if sm.t_max < 1.0:
+                edges += 1
+                q = matrix_form_factors(pi, trans, 6, sm.t_max, "bws")[1]
+                worst = max(worst, abs(np.abs(np.linalg.eigvals(q)).max() - 1.0))
+        assert edges == 138
+        assert worst <= 7.15e-9
 
     def test_bws_boundary_vs_eigvals(self, bohv1):
         sm = ScoreModel("bws", bohv1, 6)
@@ -553,6 +618,84 @@ class TestIncrementCharfn:
         expected = np.exp(lam0 * (m(-1j * t) / m(0.0) - 1.0)
                           + lam1 * (m(theta1 + 1j * t) / m(theta1) - 1.0))
         assert got == pytest.approx(expected, rel=1e-13)
+
+
+class TestNodeGrid:
+    """A NodeGrid holds its nodes as points and a panel layout (every start
+    plus every offset); the bws kernel forms its node powers from that
+    layout, and a plain array is the grid of its points alone."""
+
+    def grid(self):
+        """MGF arguments on the line Re z = 0.1, laid out like the nodes of
+        analytic_nu."""
+        return mgf_module.NodeGrid(0.1 + 1j * np.linspace(0.0, 1.0, 7),
+                                   0.1 + 1j * np.arange(1.0, 20.0, 0.5),
+                                   1j * np.linspace(0.0, 0.5, 16, endpoint=False))
+
+    def test_nodes_points_then_panels(self):
+        g = self.grid()
+        expected = np.concatenate((g.points, (g.starts[:, None] + g.offsets).ravel()))
+        assert np.array_equal(g.nodes, expected)
+        assert g.shape == (7 + 38 * 16,) and g.size == 7 + 38 * 16
+        shifted = g.affine(0.5, -1j)
+        assert np.allclose(shifted.nodes, 0.5 - 1j * g.nodes, rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
+    def test_kernel_on_a_grid_matches_its_nodes(self, kind, bohv1):
+        # within 1e-13 of M(Re z), which bounds |M(z)|
+        sm = ScoreModel(kind, bohv1, 6)
+        g = self.grid()
+        got = mgf_module._mgf_value(sm, g)
+        flat = mgf_module._mgf_value(sm, g.nodes)
+        assert got.shape == (g.size,)
+        assert np.all(np.abs(got - flat) <= 1e-13 * score_mgf(sm, 0.1))
+        # points alone take no panel product: the plain array's values
+        assert np.array_equal(got[:7], mgf_module._mgf_value(sm, g.points))
+
+    @pytest.mark.parametrize("c", [0.1, 0.13])  # on the line Im t = theta1 / 2, and off it
+    def test_increment_charfn_takes_a_grid(self, c, bohv1, monkeypatch):
+        # t may be a NodeGrid: the result is 1-D over its nodes, from one
+        # kernel call, and matches the same nodes as a plain array
+        sm = ScoreModel("bws", bohv1, 6)
+        lam0 = markov_rate(bohv1, 6).value
+        lam1 = lam0 * score_mgf(sm, 0.2)
+        t = self.grid().affine(1j * (c + 0.1), -1j)  # t + i c for t >= 0
+        sizes = []
+        kernel = mgf_module._mgf_value
+        monkeypatch.setattr(mgf_module, "_mgf_value",
+                            lambda sm, z: sizes.append(np.size(z)) or kernel(sm, z))
+        got = increment_log_charfn(sm, lam0, lam1, 0.2, t)
+        assert sizes == [2 + t.size * (1 if c == 0.1 else 2)]
+        expected = increment_log_charfn(sm, lam0, lam1, 0.2, t.nodes)
+        assert got.shape == (t.size,)
+        assert np.allclose(got, expected, rtol=1e-13, atol=1e-16)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(pi_trans=sparse_models())
+    def test_grid_powers_on_sparse_chains(self, pi_trans):
+        # zero bases stay exactly 0 and the rest match one exponential per
+        # base and node within 1e-13, with nodes up to Re z = 0.99 t_max.
+        # One rounding of z moves base ** (1 - z) by |l (1 - z)| eps
+        # (relative, l = log base), so for a base as small as a start weight
+        # that rounding left at 1e-16 (l = -37) the bound is 4 eps |l (1 - z)|.
+        pi, trans = pi_trans
+        pi = stationary(MarkovModel(pi=pi, trans=trans))  # start weights >= 0
+        try:
+            sm = ScoreModel("bws", MarkovModel(pi=pi, trans=trans), 6)
+        except ValueError:  # T not subcritical, or a rate of 0
+            assume(False)
+        re = 0.99 * sm.t_max * np.linspace(-1.0, 1.0, 38)
+        g = mgf_module.NodeGrid(re[::4] + 1j * np.linspace(0.0, 1.0, 10),
+                                re + 1j * np.arange(1.0, 20.0, 0.5),
+                                0.25j * (np.polynomial.legendre.leggauss(16)[0] + 1.0))
+        got = mgf_module._bws_powers(sm, g)
+        expected = bws_powers(pi, trans, g.nodes)
+        zero = expected == 0.0
+        assert np.all(got[zero] == 0.0)
+        base = bws_powers(pi, trans, [0.0])
+        log_base = np.log(np.where(base > 0.0, base, 1.0))
+        tol = np.maximum(1e-13, 4 * np.finfo(float).eps * np.abs(log_base * (1 - g.nodes)))
+        assert np.all(np.abs(got[~zero] / expected[~zero] - 1.0) <= tol[~zero])
 
 
 class TestBatchedKernel:

@@ -425,12 +425,12 @@ class TestAverageRate:
         est = average_rate(events)
         assert est.value == pytest.approx(len(events) / 12.0)
 
-    def test_explicit_half_length(self):
+    def test_empty_table_rate_is_zero(self):
         # a table with no event at its threshold has rate 0
         est = average_rate(find_palindromes(seq_of("AAAA"), 6))
         assert est.value == 0.0
 
-    def test_infers_half_length(self):
+    def test_counts_at_the_table_threshold(self):
         # the table's threshold, not its smallest event, sets what is counted
         events = find_palindromes(seq_of("GAATTC"), 2)
         assert [e.half_length for e in events] == [3]

@@ -27,6 +27,7 @@ from palinscan.scan import TiltSolution, WindowSeries, _nu_tilt_floor
 from oracles import (
     LadderCapError,
     bws_domain_edge,
+    bws_powers,
     column_start_weights,
     dense_window_sums,
     iid_match_gamma,
@@ -35,6 +36,7 @@ from oracles import (
     matrix_form_mgf,
     overshoot_nu,
     poisson_compound_pmf,
+    quadrature_nu,
     quasi_matrix,
     window_sums,
 )
@@ -484,6 +486,58 @@ class TestAnalyticNu:
     # the bws thresholds of the benchmark: alpha = 0.05, 0.01, 0.001 at
     # w = 1000, W = 135,301
     BENCHMARK_BWS = (112.8480032836862, 125.03101154129564, 141.3745951092381)
+    # the first and the last tilt at which each of the benchmark's three bws
+    # threshold searches evaluates nu
+    BENCHMARK_BWS_TILTS = (0.13224, 0.135482, 0.138685, 0.14158, 0.146361, 0.148891)
+
+    @pytest.mark.parametrize("patch", [{}, {"NU_PANEL_NODES": 32}, {"NU_PANEL_WIDTH": 0.25}])
+    def test_grid_powers_match_direct_exponentials(self, patch, lam0, bws, monkeypatch):
+        # at the benchmark's tilts and at a fine tilt (half-width panels),
+        # with the quadrature as it is or patched: the node powers the
+        # kernel forms from the panel layout (one table over the starts
+        # times one over the offsets) match one exponential per base and
+        # node within 1e-13, at every node of the one kernel call
+        for name, value in patch.items():
+            monkeypatch.setattr(scan_module, name, value)
+        grids = []
+        kernel = mgf_module._mgf_value
+        monkeypatch.setattr(mgf_module, "_mgf_value",
+                            lambda sm, z: grids.append(z) or kernel(sm, z))
+        for theta in self.BENCHMARK_BWS_TILTS + (0.5 * scan_module.NU_FINE_TILT,):
+            grids.clear()
+            analytic_nu(tilt_at(bws, theta, lam0), bws)
+            (grid,) = grids
+            assert grid.offsets.size == scan_module.NU_PANEL_NODES
+            assert grid.starts.size * grid.offsets.size > grid.points.size
+            got = mgf_module._bws_powers(bws, grid)
+            expected = bws_powers(bws.model.pi, bws.model.trans, grid.nodes)
+            assert np.all(np.abs(got / expected - 1.0) <= 1e-13), theta
+
+    @pytest.mark.parametrize("kind", ["pls", "bws"])
+    def test_matches_its_quadrature_on_the_matrix_oracle(self, kind, lam0, bohv1):
+        # the same nodes and weights with every MGF value from the matrix
+        # form node by node, at the benchmark's thresholds
+        sm = ScoreModel(kind, bohv1, 6)
+        for alpha in (0.05, 0.01, 0.001):
+            tilt = solve_tilt(lam0, sm, threshold_for_alpha(alpha, WINDOW, W, lam0, sm), WINDOW)
+            grid, weights = scan_module._nu_quadrature(sm, 0.5 * tilt.theta1)
+            expected = quadrature_nu(bohv1.pi, bohv1.trans, 6, kind, tilt,
+                                     sm.null_cumulants[1], grid.nodes, weights)
+            assert analytic_nu(tilt, sm) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_bws_nu_exponentiates_per_start_and_offset(self, lam0, bws, monkeypatch):
+        # one bws nu at a benchmark tilt takes 18 distinct bases to the
+        # power 1 - z from the panel layout: 18 x (2 + 80 points, 38 starts
+        # and 16 offsets) = 2,448 complex exponentials, against 18 x 690 =
+        # 12,420 at one per base and node
+        tilt = solve_tilt(lam0, bws, self.BENCHMARK_BWS[1], WINDOW)
+        analytic_nu(tilt, bws)  # fill the model's caches
+        sizes = []
+        exp = np.exp
+        monkeypatch.setattr(np, "exp", lambda x, *a, **k: (
+            sizes.append(np.size(x) if np.iscomplexobj(x) else 0) or exp(x, *a, **k)))
+        analytic_nu(tilt, bws)
+        assert 0 < sum(sizes) <= 2500
 
     def test_bws_cutoff_error(self, lam0, bws, monkeypatch):
         # Doubling the nodes (test_converged_in_nodes) keeps NU_CUTOFF and
