@@ -43,7 +43,6 @@ from .markov import (
 from .mgf import (
     ScoreModel,
     cumulants,
-    increment_log_charfn,
     mgf_domain,
     score_mgf,
 )
@@ -124,7 +123,6 @@ __all__ = [
     "find_palindromes",
     "generate_sequence",
     "iid_model",
-    "increment_log_charfn",
     "insert_hotspots",
     "markov_rate",
     "mgf_domain",

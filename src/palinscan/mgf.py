@@ -5,25 +5,25 @@ count (pcs), the length ratio (pls), or minus the log pattern probability
 (bws). Conditioned on an occurrence, each score has a moment-generating
 function with a closed matrix form built from the quasi transition matrix;
 this module evaluates those forms (score_mgf), the cumulant function and its
-first two derivatives (cumulants), the domain of valid arguments, and the
-log characteristic function of the ladder increment used by the overshoot
-correction in module scan.
+first two derivatives (cumulants) and the domain of valid arguments.
 
 One kernel serves every evaluator, on two paths that the argument's shape
 picks. At a scalar, real or complex, it carries each factor of the matrix
 form as a truncated Taylor series in the argument, so the MGF and its first
 two derivatives come out of the same block matrix products in closed form,
 with one LAPACK inverse (numeric.mat_inv); cumulants and score_mgf take
-this path. An array of arguments, such as the overshoot quadrature's nodes
-that the log characteristic function passes, gets the MGF's values only:
-it is laid out entries-first (entry (i, j) of Q is one array over the
-arguments), the 4 x 4 algebra runs as elementwise arithmetic, and the
-resolvent enters through one row solve by Gaussian elimination
-(numeric.row_solve), in a number of numpy calls that does not grow with
-the array's size. The array comes as a NodeGrid, a plain array being the
-grid of its points alone: bws raises its bases to the power 1 - z from the
-grid's panel layout, one exponential per base and panel start or offset
-rather than per base and node. A model with independent bases is the
+this path. An array of arguments, such as the ones scan.analytic_nu passes
+for its overshoot quadrature, gets the MGF's values only: it is laid out
+entries-first (entry (i, j) of Q is one array over the arguments), the
+4 x 4 algebra runs as elementwise arithmetic, and the resolvent enters
+through one row solve by Gaussian elimination (numeric.row_solve), in a
+number of numpy calls that does not grow with the array's size. The array
+comes as a NodeGrid, a plain array being the grid of its points alone: bws
+raises its bases to the power 1 - z from the grid's panel layout, one
+exponential per base and panel start or offset rather than per base and
+node. Where the quadrature's arguments lie, and why M at the conjugate
+arguments needs no evaluation of its own, is stated in module scan
+(_nu_quadrature, analytic_nu). A model with independent bases is the
 Markov model iid_model(pi), whose rank-one quasi transition matrix takes
 the same paths.
 
@@ -172,41 +172,24 @@ class NodeGrid:
     """A 1-D array of MGF arguments held as a panel layout: the points one
     by one, then every start plus every offset, start by start (nodes).
 
-    The overshoot quadrature's uniform panels share their Gauss-Legendre
-    offsets, so their nodes are the panel starts plus those offsets, and
-    the bws kernel raises each base to the power 1 - z as one table over
-    the points and starts times one over the offsets (_bws_powers): one
+    Panels that share their offsets have nodes start plus offset, and the
+    bws kernel raises each base to the power 1 - z as one table over the
+    points and starts times one over the offsets (_bws_powers): one
     exponential per base and start or offset rather than per base and node.
-    A plain array z is the grid NodeGrid(z), all points and no panels, and
-    takes the same code. shape and size are those of nodes, so the grid
-    reads like the array it stands for.
+    scan._nu_quadrature builds the one such grid, its overshoot arguments
+    on the line Re z = theta1 / 2. A plain array z is the grid NodeGrid(z),
+    all points and no panels, and takes the same code.
     """
 
     points: np.ndarray
     starts: np.ndarray = field(default_factory=lambda: _NO_PANELS)
     offsets: np.ndarray = field(default_factory=lambda: _NO_PANELS)
 
-    def affine(self, shift, scale) -> NodeGrid:
-        """The grid of shift + scale z, in the same layout: the shift goes
-        to the points and starts, the scale to all three."""
-        if not self.starts.size:  # no panels: spare the empty arithmetic
-            return NodeGrid(shift + scale * self.points)
-        return NodeGrid(shift + scale * self.points, shift + scale * self.starts,
-                        scale * self.offsets)
-
     @cached_property
     def nodes(self) -> np.ndarray:
         if not self.starts.size:
             return self.points
         return np.concatenate((self.points, np.add.outer(self.starts, self.offsets).ravel()))
-
-    @property
-    def shape(self) -> tuple[int]:
-        return self.nodes.shape
-
-    @property
-    def size(self) -> int:
-        return self.nodes.size
 
 
 def _bws_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -457,43 +440,3 @@ def score_mgf(sm: ScoreModel, t: float) -> float:
     """
     return float(np.real(_mgf_jet(sm, float(t))[0]))
 
-
-def increment_log_charfn(sm: ScoreModel, lambda0: float, lambda1: float,
-                         theta1: float, t):
-    """Log of the characteristic function E exp(i t Y) of one base's increment Y.
-
-    The increment over one base subtracts the scores of a Poisson(lambda0)
-    number of null occurrences and adds those of a Poisson(lambda1) number
-    drawn under tilt theta1, so log E exp(i t Y) = lambda0 (M(-i t) / M(0)
-    - 1) + lambda1 (M(theta1 + i t) / M(theta1) - 1), with M(0) evaluated
-    like M(theta1) rather than taken as 1. A stretch of d bases is the same
-    increment with both rates scaled by d. The exponent is returned rather
-    than the transform because it keeps its relative precision where the
-    transform is within rounding of 1.
-
-    t may be complex, which makes this the log of the two-sided Laplace
-    transform E exp(-s Y) at s = -i t, and may be an array of any shape,
-    or a NodeGrid, whose nodes give a 1-D result; all MGF values come from
-    one batched kernel call. On the line Im t = theta1 / 2 the two MGF
-    arguments are complex conjugates, so one evaluation per t serves both,
-    and a grid reaches the kernel in its own layout (theta1 + i t has the
-    layout of t), which is what lets bws form its node powers per panel
-    start and offset (_bws_powers).
-
-    Raises:
-        DomainError: an MGF argument outside the domain.
-    """
-    grid = t if isinstance(t, NodeGrid) else NodeGrid(np.asarray(t, dtype=complex).ravel())
-    im = grid.nodes.imag
-    mirrored = np.array_equal(theta1 - im, im)  # -i t = conj(theta1 + i t)
-    plus = grid.affine(theta1, 1j)
-    if mirrored:
-        args = NodeGrid(np.concatenate(([0.0, theta1], plus.points)), plus.starts, plus.offsets)
-    else:
-        args = NodeGrid(np.concatenate(([0.0, theta1], plus.nodes, grid.affine(0.0, -1j).nodes)))
-    values = _mgf_value(sm, args)
-    k0, k1 = values[:2].real
-    m_plus = values[2:2 + grid.size]
-    m_minus = np.conj(m_plus) if mirrored else values[2 + grid.size:]
-    out = (lambda0 * (m_minus / k0 - 1.0) + lambda1 * (m_plus / k1 - 1.0)).reshape(np.shape(t))
-    return out if out.ndim else complex(out)

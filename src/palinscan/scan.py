@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .mgf import KERNEL_FAILURES, NodeGrid, ScoreModel, cumulants, increment_log_charfn
+from .mgf import KERNEL_FAILURES, NodeGrid, ScoreModel, _mgf_value, cumulants
 from .numeric import ROOT_MAX_ITER, newton_root
 
 # threshold_for_alpha stops once log(-log(1 - p)) is within this of its value
@@ -31,9 +31,10 @@ ALPHA_RTOL = 1e-7
 # nodes per panel, the width of the uniform panels, and the cut-off of the
 # integral for non-lattice scores. Panels 0.5 wide (688 bws nodes at the
 # tilts of BoHV-1 thresholds, against 1,296 at 0.25) keep nu within 1e-12
-# of a layout with four times the nodes there. The uniform panels share
-# their nodes' offsets from the panel start, so the bws kernel's
-# exponentials grow with panels plus nodes per panel, not with the nodes.
+# of a layout with four times the nodes there. NU_CUTOFF - 1 is a whole
+# number of uniform panels at either bws width, so they share their nodes'
+# offsets from the panel start, and the bws kernel's exponentials grow with
+# panels plus nodes per panel, not with the nodes.
 NU_PANEL_NODES = 16
 NU_PANEL_WIDTH = 0.5
 NU_CUTOFF = 20.0
@@ -62,7 +63,8 @@ class WindowSeries:
     Attributes:
         window: window width in bases.
         total_length: sequence length in bases.
-        positions: strictly increasing event positions in [0, total_length).
+        positions: strictly increasing event positions in [0, total_length),
+            whole numbers (integral floats such as 3.0 are accepted).
         cumulative: cumulative[k] = total score at the first k positions;
             one entry longer than positions and non-decreasing.
     """
@@ -75,7 +77,11 @@ class WindowSeries:
     def __post_init__(self):
         if not 1 <= self.window <= self.total_length:
             raise ValueError("window must satisfy 1 <= window <= total_length")
-        positions = np.asarray(self.positions, dtype=np.int64)
+        positions = np.asarray(self.positions)
+        if positions.dtype.kind not in "biu" and not np.all(
+                np.isfinite(positions) & (np.round(positions) == positions)):
+            raise ValueError("event positions must be whole numbers")
+        positions = positions.astype(np.int64, copy=False)
         cumulative = np.asarray(self.cumulative, dtype=float)
         if positions.ndim != 1 or cumulative.shape != (positions.size + 1,):
             raise ValueError("cumulative must have one entry more than positions")
@@ -168,9 +174,9 @@ def window_scores(positions, scores, window: int, total_length: int) -> WindowSe
         total_length: sequence length.
 
     Raises:
-        ValueError: width out of range, positions out of range or not
-            strictly increasing, one score per position not given, or a
-            negative or non-finite score.
+        ValueError: width out of range, positions not whole numbers, out
+            of range or not strictly increasing, one score per position not
+            given, or a negative or non-finite score.
     """
     scores = np.asarray(scores, dtype=float)
     if not np.all((scores >= 0.0) & (scores < np.inf)):
@@ -273,30 +279,31 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _graded_panels(scale: float, stop: float,
-                   width: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Gauss-Legendre panels on [0, stop]: panels [0, scale], [scale,
-    2 scale], ... doubling up to 1, then panels of the given width.
-
-    Returns each panel's left edge (a column), its nodes' offsets from that
-    edge (one row per panel, so the nodes are edge + offsets, panel by
-    panel), the weights in the same order, and the number of graded panels.
-    """
-    graded, edge = [0.0], scale
+def _graded_edges(scale: float) -> list[float]:
+    """Left edges of panels graded geometrically up to 1: 0, scale,
+    2 scale, ... while below 1."""
+    edges, edge = [0.0], scale
     while edge < 1.0:
-        graded.append(edge)
+        edges.append(edge)
         edge *= 2.0
-    uniform = np.arange(1.0, stop, width)
-    edges = np.array(graded + list(uniform) + [stop])
+    return edges
+
+
+def _panels(edges: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on the panels between consecutive
+    edges, panel by panel."""
     x, g = _gauss_legendre(NU_PANEL_NODES)
+    edges = np.array(edges)
     lo, width = edges[:-1, None], np.diff(edges)[:, None]
-    return lo, 0.5 * width * (x + 1.0), (0.5 * width * g).ravel(), len(graded)
+    return (lo + 0.5 * width * (x + 1.0)).ravel(), (0.5 * width * g).ravel()
 
 
-def _nu_quadrature(sm: ScoreModel, c: float) -> tuple[NodeGrid, np.ndarray]:
-    """Nodes t >= 0 (a NodeGrid) and weights w with sum(w f(t)) approximating
-    (1/pi) integral_0^inf 2c / (c^2 + t^2) f(t) dt for an even f that is
-    the transform of a walk increment.
+def _nu_quadrature(sm: ScoreModel, theta: float) -> tuple[NodeGrid, np.ndarray]:
+    """The MGF arguments of analytic_nu, as one NodeGrid: 0 and theta, then
+    c + i t at the quadrature's nodes t >= 0 (c = theta / 2), in the order
+    of the weights w, with sum(w f(t)) approximating (1/pi) integral_0^inf
+    2c / (c^2 + t^2) f(t) dt for an even f that is the transform of a walk
+    increment.
 
     For a lattice score (pcs has span 1, pls span 1 / half_length) f is
     periodic with period 2 pi / span, and the weight summed over periods is
@@ -314,33 +321,32 @@ def _nu_quadrature(sm: ScoreModel, c: float) -> tuple[NodeGrid, np.ndarray]:
     bws below NU_FINE_TILT: at BoHV-1's bws thresholds (theta1 = 0.13 to
     0.15) that is 5 graded and 38 uniform panels, 688 nodes.
 
-    The nodes come as a NodeGrid. For bws it keeps the panel layout: the
-    graded panels' nodes as points, then, as the uniform panels share their
-    offsets (they do whenever they are equally wide), the uniform panels'
-    starts and the 16 offsets. The kernel's node powers then take 18 x (80
-    + 38 + 16) complex exponentials for the 18 distinct bases (plus 18 x 2
-    for M(0) and M(theta1)), not 18 x 688. The lattice kinds' nodes are
-    points.
+    The lattice kinds' arguments are points. bws keeps the panel layout:
+    its uniform panels run from 1 to NU_CUTOFF, a whole number of them, and
+    all take the offsets and weights of the one panel [0, width], so the
+    grid holds 0, theta and the graded panels' arguments as points, c + i s
+    for each uniform start s and i o for the 16 offsets o. The kernel's
+    node powers then take 18 x (82 + 38 + 16) complex exponentials for the
+    18 distinct bases, not 18 x 690.
     """
+    c = 0.5 * theta
     if sm.kind in ("pcs", "pls"):
         span = 1.0 if sm.kind == "pcs" else 1.0 / sm.half_length
         a = c * span
-        lo, offsets, g, _ = _graded_panels(a, np.pi, NU_PANEL_WIDTH)
-        u = (lo + offsets).ravel()
+        u, g = _panels(_graded_edges(a) + list(np.arange(1.0, np.pi, NU_PANEL_WIDTH)) + [np.pi])
         kernel = np.sinh(a) / (2.0 * np.sinh(0.5 * a) ** 2 + 2.0 * np.sin(0.5 * u) ** 2)
-        return NodeGrid(u / span), g * kernel / np.pi
-    fine = 2.0 * c < NU_FINE_TILT
-    lo, offsets, g, k = _graded_panels(c, NU_CUTOFF, NU_PANEL_WIDTH / (2.0 if fine else 1.0))
-    nodes = lo + offsets
-    if (offsets[k:] == offsets[k]).all():
-        grid = NodeGrid(nodes[:k].ravel(), lo[k:, 0], offsets[k])
-    else:
-        grid = NodeGrid(nodes.ravel())
-    t = nodes.ravel()
+        return NodeGrid(np.concatenate(([0.0, theta], c + 1j * (u / span)))), g * kernel / np.pi
+    width = NU_PANEL_WIDTH / (2.0 if theta < NU_FINE_TILT else 1.0)
+    graded, graded_g = _panels(_graded_edges(c) + [1.0])
+    starts = np.arange(1.0, NU_CUTOFF, width)
+    offsets, offset_g = _panels([0.0, width])
+    t = np.concatenate((graded, np.add.outer(starts, offsets).ravel()))
+    g = np.concatenate((graded_g, np.tile(offset_g, starts.size)))
     w = g * (2.0 * c / np.pi) / (c * c + t * t)
-    far = t >= 1.0
+    far = slice(graded.size, None)  # the uniform panels
     w[far] += g[far] * (2.0 / np.pi) * np.arctan(c / NU_CUTOFF) / (NU_CUTOFF - 1.0)
-    return grid, w
+    points = np.concatenate(([0.0, theta], c + 1j * graded))
+    return NodeGrid(points, c + 1j * starts, 1j * offsets), w
 
 
 def _nu_tilt_floor(sm: ScoreModel) -> float:
@@ -370,11 +376,19 @@ def analytic_nu(tilt: TiltSolution, sm: ScoreModel) -> float:
     Renewal Theory, 1982). By Parseval on the line Re z = c = theta / 2,
     C = (1/pi) integral_0^inf theta / (c^2 + t^2) (-log(1 - psi(t))) dt,
     where psi(t) = E exp(-(c + i t) X) is real on that line and at most
-    psi(0) < 1, so the integrand is smooth and bounded; log psi follows
-    from increment_log_charfn with one batched MGF evaluation per node,
-    M(0) and M(theta1) in the same kernel call. The nodes reach the kernel
-    in the quadrature's panel layout (a NodeGrid), from which bws forms its
-    node powers per panel start and offset.
+    psi(0) < 1, so the integrand is smooth and bounded. Per base,
+
+        log psi_y(t) = lambda0 (M(c + i t) / M(0) - 1)
+                       + lambda1 (M(c - i t) / M(theta1) - 1),
+
+    M(0) evaluated like M(theta1) rather than taken as 1. M has real
+    coefficients, so M(c - i t) is the conjugate of m = M(c + i t), and
+    rate matching makes the sum real. Moving the conjugate to the other
+    term keeps the real part, taken as that of lambda0 (conj(m) / M(0) -
+    1) + lambda1 (m / M(theta1) - 1). Kept as an exponent, log psi_y holds
+    its relative precision where psi is within rounding of 1. So one kernel
+    call on _nu_quadrature's grid, whose arguments are 0, theta1 and then
+    c + i t, gives every MGF value.
     Lattice and atoms need no special case, because min(1, exp(-theta x))
     is continuous.
 
@@ -399,10 +413,11 @@ def analytic_nu(tilt: TiltSolution, sm: ScoreModel) -> float:
     if theta < floor:
         at_floor = _tilt_at(tilt.lambda0, sm, floor, tilt.window)
         return 1.0 - theta / floor * (1.0 - analytic_nu(at_floor, sm))
-    c = 0.5 * theta
-    t, w = _nu_quadrature(sm, c)
-    log_psi_y = increment_log_charfn(sm, tilt.lambda0, tilt.lambda1, theta,
-                                     t.affine(1j * c, 1.0)).real
+    grid, w = _nu_quadrature(sm, theta)
+    values = _mgf_value(sm, grid)
+    k0, k1 = values[:2].real
+    m = values[2:]  # M(c + i t); M(c - i t) is its conjugate
+    log_psi_y = (tilt.lambda0 * (np.conj(m) / k0 - 1.0) + tilt.lambda1 * (m / k1 - 1.0)).real
     eventful = -np.expm1(-(tilt.lambda0 + tilt.lambda1))
     # 1 - psi_x = (1 - psi_y) / P(an event), without forming psi_y near 1
     log_sum = float(w @ -np.log(-np.expm1(log_psi_y) / eventful))
@@ -419,9 +434,12 @@ def _check_lambda0(lambda0: float) -> None:
 
 def check_scan(window: int, total_length: int, nu_fixed: float | None) -> None:
     """Refuse the scan arguments of p_value and threshold_for_alpha: a fixed
-    nu outside (0, 1], or a window not shorter than the sequence."""
+    nu outside (0, 1] or a window under 1 (ValueError), or a window not
+    shorter than the sequence (DomainError)."""
     if nu_fixed is not None and not 0.0 < nu_fixed <= 1.0:
         raise ValueError(f"nu_fixed must lie in (0, 1], got {nu_fixed!r}")
+    if not window >= 1:
+        raise ValueError(f"window must be >= 1, got {window!r}")
     if not window < total_length:
         raise DomainError(f"window w={window!r} must be shorter than the "
                           f"sequence, W={total_length!r}")
@@ -464,8 +482,8 @@ def p_value(threshold: float, window: int, total_length: int, lambda0: float,
     curvature vanishes.
 
     Raises:
-        ValueError: nu_fixed outside (0, 1], or lambda0 or threshold
-            refused by solve_tilt.
+        ValueError: nu_fixed outside (0, 1], window under 1, or lambda0
+            or threshold refused by solve_tilt.
         DomainError: window not shorter than total_length (check_scan), or
             threshold without a tilt (solve_tilt).
     """
@@ -514,8 +532,8 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
     for bws. ``nu_entropy`` is ignored (the result is deterministic).
 
     Raises:
-        ValueError: alpha outside (0, 1), nu_fixed outside (0, 1], or
-            lambda0 not finite and positive.
+        ValueError: alpha outside (0, 1), nu_fixed outside (0, 1], window
+            under 1, or lambda0 not finite and positive.
         DomainError: window not shorter than total_length (check_scan),
             h < 0 at every trial of a closed bracket (alpha above the peak),
             or h > 0 up to the MGF domain edge or, with none at an

@@ -14,7 +14,6 @@ from palinscan import (
     bohv1_model,
     center_pair_probs,
     cumulants,
-    increment_log_charfn,
     iid_model,
     markov_rate,
     mgf_domain,
@@ -203,11 +202,9 @@ class TestKernelAgainstMatrixOracle:
         model = iid_model(bohv1.pi) if iid else bohv1
         sm = ScoreModel(kind, model, 6)
         oracle = lambda z: matrix_form_mgf(model.pi, model.trans, 6, z, kind)
-        # the nodes of analytic_nu at theta1 = 0.3 t_max, with 0 and theta1
-        # in front as increment_log_charfn puts them
-        theta = 0.3 * sm.t_max
-        t, _ = _nu_quadrature(sm, 0.5 * theta)
-        z = np.concatenate(([0.0, theta], 0.5 * theta + 1j * t.nodes))
+        # the MGF arguments of analytic_nu at theta1 = 0.3 t_max, 0 and
+        # theta1 in front
+        z = _nu_quadrature(sm, 0.3 * sm.t_max)[0].nodes
         got = mgf_module._mgf_value(sm, z)
         expected = np.array([oracle(x) for x in z])
         assert np.all(np.abs(got / expected - 1.0) <= 1e-13)
@@ -555,71 +552,6 @@ class TestClosedFormCumulants:
             mgf_module._mgf_value(sm, z)
 
 
-def increment_charfn(*args):
-    """The characteristic function itself, from its log."""
-    return np.exp(increment_log_charfn(*args))
-
-
-class TestIncrementCharfn:
-    def _setup(self, bohv1, kind="pls", theta1=1.0):
-        sm = ScoreModel(kind, bohv1, 6)
-        lam0 = markov_rate(bohv1, 6).value
-        lam1 = lam0 * score_mgf(sm, theta1)  # rate matching
-        return sm, lam0, lam1, theta1
-
-    def test_unit_value_at_zero(self, bohv1):
-        sm, lam0, lam1, theta1 = self._setup(bohv1)
-        val = increment_charfn(sm, lam0, lam1, theta1, 0.0)
-        assert val == pytest.approx(1.0 + 0.0j, abs=1e-12)
-
-    def test_conjugate_symmetry(self, bohv1):
-        sm, lam0, lam1, theta1 = self._setup(bohv1)
-        plus = increment_charfn(sm, lam0, lam1, theta1, 0.35)
-        minus = increment_charfn(sm, lam0, lam1, theta1, -0.35)
-        assert minus == pytest.approx(np.conj(plus), abs=1e-12)
-
-    def test_modulus_bounded_by_value_at_zero(self, bohv1):
-        sm, lam0, lam1, theta1 = self._setup(bohv1, kind="bws", theta1=0.2)
-        at_zero = abs(increment_charfn(sm, lam0, lam1, theta1, 0.0))
-        for t in (0.1, 0.5, 2.0):
-            assert abs(increment_charfn(sm, lam0, lam1, theta1, t)) <= at_zero + 1e-12
-
-    @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
-    def test_array_argument_matches_scalars(self, kind, bohv1):
-        sm, lam0, lam1, theta1 = self._setup(bohv1, kind=kind, theta1=0.2)
-        t = np.array([0.0, 0.35, -1.2, 3.0 + 0.05j, 0.7 + 0.1j])
-        batch = increment_charfn(sm, lam0, lam1, theta1, t)
-        single = [increment_charfn(sm, lam0, lam1, theta1, x) for x in t]
-        assert batch.shape == t.shape
-        assert np.allclose(batch, single, rtol=1e-13, atol=0.0)
-
-    @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
-    def test_laplace_line_is_real(self, kind, bohv1, monkeypatch):
-        # on Im t = theta1 / 2 one MGF evaluation per t serves both factors,
-        # and the transform is real: 2 lambda0 Re M(c + i u) - lambda0 - lambda1
-        sm, lam0, lam1, theta1 = self._setup(bohv1, kind=kind, theta1=0.2)
-        c = theta1 / 2
-        u = np.linspace(0.0, 5.0, 7)
-        sizes = []
-        kernel = mgf_module._mgf_value
-        monkeypatch.setattr(mgf_module, "_mgf_value",
-                            lambda sm, z: sizes.append(np.size(z)) or kernel(sm, z))
-        log_psi = increment_log_charfn(sm, lam0, lam1, theta1, u + 1j * c)
-        assert sizes == [u.size + 2]
-        expected = 2.0 * lam0 * np.real(kernel(sm, c + 1j * u)) - lam0 - lam1
-        assert np.allclose(log_psi, expected, rtol=1e-12, atol=1e-15)
-
-    def test_general_rates_without_rate_matching(self, bohv1):
-        # each compound-Poisson factor is normalised by its own tilt's MGF
-        sm = ScoreModel("pls", bohv1, 6)
-        lam0, lam1, theta1, t = 0.02, 0.07, 0.9, 0.4
-        got = increment_charfn(sm, lam0, lam1, theta1, t)
-        m = lambda z: complex(mgf_module._mgf_jet(sm, z)[0])
-        expected = np.exp(lam0 * (m(-1j * t) / m(0.0) - 1.0)
-                          + lam1 * (m(theta1 + 1j * t) / m(theta1) - 1.0))
-        assert got == pytest.approx(expected, rel=1e-13)
-
-
 class TestNodeGrid:
     """A NodeGrid holds its nodes as points and a panel layout (every start
     plus every offset); the bws kernel forms its node powers from that
@@ -636,9 +568,7 @@ class TestNodeGrid:
         g = self.grid()
         expected = np.concatenate((g.points, (g.starts[:, None] + g.offsets).ravel()))
         assert np.array_equal(g.nodes, expected)
-        assert g.shape == (7 + 38 * 16,) and g.size == 7 + 38 * 16
-        shifted = g.affine(0.5, -1j)
-        assert np.allclose(shifted.nodes, 0.5 - 1j * g.nodes, rtol=1e-15, atol=1e-15)
+        assert g.nodes.shape == (7 + 38 * 16,)
 
     @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
     def test_kernel_on_a_grid_matches_its_nodes(self, kind, bohv1):
@@ -647,28 +577,10 @@ class TestNodeGrid:
         g = self.grid()
         got = mgf_module._mgf_value(sm, g)
         flat = mgf_module._mgf_value(sm, g.nodes)
-        assert got.shape == (g.size,)
+        assert got.shape == g.nodes.shape
         assert np.all(np.abs(got - flat) <= 1e-13 * score_mgf(sm, 0.1))
         # points alone take no panel product: the plain array's values
         assert np.array_equal(got[:7], mgf_module._mgf_value(sm, g.points))
-
-    @pytest.mark.parametrize("c", [0.1, 0.13])  # on the line Im t = theta1 / 2, and off it
-    def test_increment_charfn_takes_a_grid(self, c, bohv1, monkeypatch):
-        # t may be a NodeGrid: the result is 1-D over its nodes, from one
-        # kernel call, and matches the same nodes as a plain array
-        sm = ScoreModel("bws", bohv1, 6)
-        lam0 = markov_rate(bohv1, 6).value
-        lam1 = lam0 * score_mgf(sm, 0.2)
-        t = self.grid().affine(1j * (c + 0.1), -1j)  # t + i c for t >= 0
-        sizes = []
-        kernel = mgf_module._mgf_value
-        monkeypatch.setattr(mgf_module, "_mgf_value",
-                            lambda sm, z: sizes.append(np.size(z)) or kernel(sm, z))
-        got = increment_log_charfn(sm, lam0, lam1, 0.2, t)
-        assert sizes == [2 + t.size * (1 if c == 0.1 else 2)]
-        expected = increment_log_charfn(sm, lam0, lam1, 0.2, t.nodes)
-        assert got.shape == (t.size,)
-        assert np.allclose(got, expected, rtol=1e-13, atol=1e-16)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(pi_trans=sparse_models())

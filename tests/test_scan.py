@@ -80,6 +80,7 @@ def fresh_model_without_kernel(monkeypatch):
     sm = ScoreModel("pls", bohv1_model(), 6)
     for name in ("_mgf_jet", "_mgf_value"):
         monkeypatch.setattr(mgf_module, name, refuse)
+    monkeypatch.setattr(scan_module, "_mgf_value", refuse)  # analytic_nu's name
     return sm
 
 
@@ -311,6 +312,16 @@ class TestPvalue:
         with pytest.raises(DomainError, match=f"w={WINDOW} .* W={total}$"):
             threshold_for_alpha(0.05, WINDOW, total, lam0, sm)
 
+    @pytest.mark.parametrize("window", [0, -5])
+    @pytest.mark.parametrize("nu_fixed", [None, 1.0])
+    def test_window_under_one_refused_before_the_kernel(self, window, nu_fixed, lam0,
+                                                        monkeypatch):
+        sm = fresh_model_without_kernel(monkeypatch)
+        with pytest.raises(ValueError, match=f"window must be >= 1, got {window}"):
+            p_value(5.0, window, W, lam0, sm, nu_fixed=nu_fixed)
+        with pytest.raises(ValueError, match=f"window must be >= 1, got {window}"):
+            threshold_for_alpha(0.05, window, W, lam0, sm, nu_fixed=nu_fixed)
+
     @pytest.mark.parametrize("lambda0,threshold", BAD_RATE_OR_THRESHOLD)
     def test_bad_rate_or_threshold_rejected_before_the_kernel(self, lambda0, threshold,
                                                               monkeypatch):
@@ -501,7 +512,7 @@ class TestAnalyticNu:
             monkeypatch.setattr(scan_module, name, value)
         grids = []
         kernel = mgf_module._mgf_value
-        monkeypatch.setattr(mgf_module, "_mgf_value",
+        monkeypatch.setattr(scan_module, "_mgf_value",
                             lambda sm, z: grids.append(z) or kernel(sm, z))
         for theta in self.BENCHMARK_BWS_TILTS + (0.5 * scan_module.NU_FINE_TILT,):
             grids.clear()
@@ -520,9 +531,9 @@ class TestAnalyticNu:
         sm = ScoreModel(kind, bohv1, 6)
         for alpha in (0.05, 0.01, 0.001):
             tilt = solve_tilt(lam0, sm, threshold_for_alpha(alpha, WINDOW, W, lam0, sm), WINDOW)
-            grid, weights = scan_module._nu_quadrature(sm, 0.5 * tilt.theta1)
+            grid, weights = scan_module._nu_quadrature(sm, tilt.theta1)
             expected = quadrature_nu(bohv1.pi, bohv1.trans, 6, kind, tilt,
-                                     sm.null_cumulants[1], grid.nodes, weights)
+                                     sm.null_cumulants[1], grid.nodes[2:].imag, weights)
             assert analytic_nu(tilt, sm) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_bws_nu_exponentiates_per_start_and_offset(self, lam0, bws, monkeypatch):
@@ -558,10 +569,10 @@ class TestAnalyticNu:
         tilts = [solve_tilt(lam0, bws, b, WINDOW) for b in self.BENCHMARK_BWS]
         nus = [analytic_nu(tilt, bws) for tilt in tilts]
         for tilt in tilts:
-            assert scan_module._nu_quadrature(bws, 0.5 * tilt.theta1)[0].size == 688
+            assert scan_module._nu_quadrature(bws, tilt.theta1)[1].size == 688
         monkeypatch.setattr(scan_module, "NU_PANEL_WIDTH", 0.25)
         for tilt, nu in zip(tilts, nus):
-            assert scan_module._nu_quadrature(bws, 0.5 * tilt.theta1)[0].size == 1296
+            assert scan_module._nu_quadrature(bws, tilt.theta1)[1].size == 1296
             assert abs(analytic_nu(tilt, bws) / nu - 1.0) < 1e-10
 
     def test_bws_nu_is_one_array_evaluation(self, lam0, bws, monkeypatch):
@@ -571,14 +582,14 @@ class TestAnalyticNu:
         tilt = solve_tilt(lam0, bws, self.BENCHMARK_BWS[1], WINDOW)
         kernel_sizes, linalg_calls = [], []
         kernel = mgf_module._mgf_value
-        monkeypatch.setattr(mgf_module, "_mgf_value", lambda sm, z: (
-            kernel_sizes.append(np.size(z)) or kernel(sm, z)))
+        monkeypatch.setattr(scan_module, "_mgf_value", lambda sm, z: (
+            kernel_sizes.append(z.nodes.size) or kernel(sm, z)))
         for name in ("inv", "solve", "det", "matrix_power"):
             monkeypatch.setattr(np.linalg, name, lambda *a, f=getattr(np.linalg, name),
                                 name=name, **k: linalg_calls.append(name) or f(*a, **k))
         analytic_nu(tilt, bws)
-        nodes, _ = scan_module._nu_quadrature(bws, 0.5 * tilt.theta1)
-        assert kernel_sizes == [2 + nodes.size]  # 0 and theta1 go first
+        weights = scan_module._nu_quadrature(bws, tilt.theta1)[1]
+        assert kernel_sizes == [2 + weights.size]  # 0 and theta1 go first
         assert linalg_calls == []
 
     def test_bws_continuous_across_old_small_tilt_cut(self, lam0, bws):
@@ -620,6 +631,68 @@ class TestAnalyticNu:
         tilt = solve_tilt(lam0, pls, 9.0, WINDOW)
         assert replace(tilt).cumulants == tilt.cumulants
         assert analytic_nu(replace(tilt), pls) == analytic_nu(tilt, pls)
+
+    # nu at fixed tilts on BoHV-1 (h = 6, w = 1000), as float.hex: for bws a
+    # benchmark tilt, one below NU_FINE_TILT (half-width panels) and, for
+    # every kind, one below the small-tilt floor (_nu_tilt_floor), where nu
+    # is interpolated from its value at the floor
+    PINNED_NU = {
+        "pcs": {0.3: "0x1.ffe6f7cffd536p-1", 2.0: "0x1.fe37dfaff3260p-1",
+                1e-3: "0x1.ffffeda977586p-1"},
+        "pls": {0.3: "0x1.fdc93f17ee671p-1", 2.0: "0x1.d4d554032e6a4p-1",
+                1e-3: "0x1.ffffa9647e64dp-1"},
+        "bws": {0.14: "0x1.c603c76e742f6p-2", 0.05: "0x1.7aa0b59253e31p-1",
+                1e-4: "0x1.ffb13edce0420p-1"},
+    }
+
+    @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
+    def test_nu_pinned_to_the_bit(self, kind, lam0, bohv1):
+        sm = ScoreModel(kind, bohv1, 6)
+        got = {theta: analytic_nu(tilt_at(sm, theta, lam0), sm).hex()
+               for theta in self.PINNED_NU[kind]}
+        assert got == self.PINNED_NU[kind]
+
+    @pytest.mark.parametrize("kind, theta", [
+        ("pcs", 0.3), ("pcs", 2.0), ("pls", 0.3), ("pls", 2.0),
+        ("bws", 0.05), ("bws", 0.14)])  # both bws panel widths
+    def test_one_kernel_call_on_the_line(self, kind, theta, lam0, bohv1, monkeypatch):
+        # M(0) and M(theta1) first, then only arguments with real part
+        # exactly theta1 / 2, whose conjugates stand for M(c - i t)
+        sm = ScoreModel(kind, bohv1, 6)
+        grids = []
+        kernel = mgf_module._mgf_value
+        monkeypatch.setattr(scan_module, "_mgf_value",
+                            lambda sm, z: grids.append(z) or kernel(sm, z))
+        analytic_nu(tilt_at(sm, theta, lam0), sm)
+        (grid,) = grids
+        z = grid.nodes
+        assert np.array_equal(z[:2], [0.0, theta])
+        assert np.all(z[2:].real == 0.5 * theta)
+        assert np.all(np.diff(z[2:].imag) > 0.0)
+
+    @pytest.mark.parametrize("cutoff", [20.0, 40.0, 80.0, 160.0])
+    @pytest.mark.parametrize("theta", [0.05, 0.14])
+    def test_bws_grid_is_its_quadrature_on_the_line(self, cutoff, theta, bws, monkeypatch):
+        # the grid's nodes after 0 and theta1 are c + i t for the
+        # Gauss-Legendre nodes t of panels graded from c up to 1, then of
+        # uniform panels up to NU_CUTOFF, in the order of the weights
+        monkeypatch.setattr(scan_module, "NU_CUTOFF", cutoff)
+        grid, w = scan_module._nu_quadrature(bws, theta)
+        c = 0.5 * theta
+        width = scan_module.NU_PANEL_WIDTH / (2.0 if theta < scan_module.NU_FINE_TILT else 1.0)
+        graded = [0.0] + [c * 2.0 ** k for k in range(8) if c * 2.0 ** k < 1.0]
+        edges = np.array(graded + list(np.linspace(1.0, cutoff, round((cutoff - 1.0) / width) + 1)))
+        x, g = np.polynomial.legendre.leggauss(scan_module.NU_PANEL_NODES)
+        half = 0.5 * np.diff(edges)[:, None]
+        t = (edges[:-1, None] + half * (x + 1.0)).ravel()
+        g = (half * g).ravel()
+        far = np.where(t >= 1.0, 2.0 / np.pi * np.arctan(c / cutoff) / (cutoff - 1.0), 0.0)
+        expected_w = g * (2.0 * c / np.pi / (c * c + t * t) + far)
+        z = grid.nodes[2:]
+        assert grid.offsets.size == scan_module.NU_PANEL_NODES and z.size == w.size == t.size
+        assert np.all(z.real == c)
+        assert np.all(np.abs(z.imag - t) <= 4.0 * np.finfo(float).eps * t)
+        assert np.allclose(w, expected_w, rtol=1e-14, atol=0.0)
 
 
 class TestThresholdForAlpha:
@@ -885,12 +958,15 @@ class TestKernelTraffic:
 
     @pytest.fixture
     def shapes(self, monkeypatch):
+        # analytic_nu holds the kernel under its own name, and a NodeGrid
+        # has the shape of its nodes
         shapes = []
         jet, value = mgf_module._mgf_jet, mgf_module._mgf_value
         monkeypatch.setattr(mgf_module, "_mgf_jet", lambda sm, z, order=0: (
             shapes.append(("jet", np.shape(z))) or jet(sm, z, order)))
-        monkeypatch.setattr(mgf_module, "_mgf_value", lambda sm, z: (
-            shapes.append(("value", np.shape(z))) or value(sm, z)))
+        for module in (mgf_module, scan_module):
+            monkeypatch.setattr(module, "_mgf_value", lambda sm, z: (
+                shapes.append(("value", np.shape(getattr(z, "nodes", z)))) or value(sm, z)))
         return shapes
 
     def check(self, shapes):
@@ -936,6 +1012,18 @@ class TestWindowSeries:
         with pytest.raises(ValueError):
             WindowSeries(window=10, total_length=50, positions=np.array([3, 7]),
                          cumulative=np.zeros(2))
+
+    def test_positions_must_be_whole_numbers(self):
+        with pytest.raises(ValueError, match="whole numbers"):
+            window_scores([1.7, 3.2], [1.0, 1.0], 2, 10)
+        for bad in ([np.nan, 3.0], [1.0, np.inf]):
+            with pytest.raises(ValueError, match="whole numbers"):
+                window_scores(bad, [1.0, 1.0], 2, 10)
+        # integral floats are the same positions as integers
+        series = window_scores([1.0, 3.0], [1.0, 2.0], 2, 10)
+        assert series.positions.dtype == np.int64
+        assert series.positions.tolist() == [1, 3]
+        assert series.sums([0, 1, 2]).tolist() == [1.0, 2.0, 2.0]
 
     def test_order_validation(self):
         with pytest.raises(ValueError):  # positions out of order

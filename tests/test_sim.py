@@ -23,6 +23,7 @@ from palinscan import (
     score_mgf,
 )
 from palinscan.cli import build_parser, run
+import palinscan.sim as sim_module
 from palinscan.sim import (
     HOTSPOT_LENGTH,
     PLACEMENT_RETRIES,
@@ -402,6 +403,15 @@ class TestPowerExperiment:
         by_name = {r.estimator: r for r in res.rows}
         assert by_name["average"].rate > by_name["markov"].rate
         assert by_name["average"].threshold > by_name["markov"].threshold
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_under_one_refused_before_a_replicate(self, window, monkeypatch):
+        def no_replicates(*args):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(sim_module, "generate_sequence", no_replicates)
+        with pytest.raises(ValueError, match=f"window must be >= 1, got {window}"):
+            power_experiment(replace(self._cfg(), window=window), "pls", nu_fixed=1.0)
 
     def test_per_replicate_thresholds(self):
         res = power_experiment(self._cfg(reps=2), "pls", alpha=0.05,
