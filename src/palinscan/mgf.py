@@ -8,18 +8,24 @@ this module evaluates those forms (score_mgf), the cumulant function and its
 first two derivatives (cumulants) and the domain of valid arguments.
 
 One kernel serves every evaluator, on two paths that the argument's shape
-picks. At a scalar, real or complex, it carries each factor of the matrix
-form as a truncated Taylor series in the argument, so the MGF and its first
-two derivatives come out of the same block matrix products in closed form,
-with one LAPACK inverse (numeric.mat_inv); cumulants and score_mgf take
-this path. An array of arguments, such as the ones scan.analytic_nu passes
-for its overshoot quadrature, gets the MGF's values only: it is laid out
-entries-first (entry (i, j) of Q is one array over the arguments), the
-4 x 4 algebra runs as elementwise arithmetic, and the resolvent enters
-through one row solve by Gaussian elimination (numeric.row_solve), in a
-number of numpy calls that does not grow with the array's size. The array
-comes as a NodeGrid, a plain array being the grid of its points alone: bws
-raises its bases to the power 1 - z from the grid's panel layout, one
+picks: a scalar, real or complex, gets the MGF's Taylor coefficients
+(_mgf_jet), from which cumulants and score_mgf read the MGF and its first
+two derivatives in closed form; an array of arguments, such as the ones
+scan.analytic_nu passes for its overshoot quadrature, gets the MGF's
+values only (_mgf_value), in a number of numpy calls that does not grow
+with the array's size. pcs and pls are closed forms on both paths: e^z,
+and for pls a ratio of two fixed polynomials in s = e^(z/h), whose
+coefficients ScoreModel caches, so a pls argument costs a few powers of s
+and no matrix algebra. bws, whose entrywise powers of T have no such form,
+keeps the matrix form. At a scalar it carries each factor as a truncated
+Taylor series in the argument, so the MGF and its derivatives come out of
+the same block matrix products, with one LAPACK inverse
+(numeric.mat_inv). At an array it lays the factors out entries-first
+(entry (i, j) of Q is one array over the arguments), the 4 x 4 algebra
+runs as elementwise arithmetic, and the resolvent enters through one row
+solve by Gaussian elimination (numeric.row_solve). The array comes as a
+NodeGrid, a plain array being the grid of its points alone: bws raises
+its bases to the power 1 - z from the grid's panel layout, one
 exponential per base and panel start or offset rather than per base and
 node. Where the quadrature's arguments lie, and why M at the conjugate
 arguments needs no evaluation of its own, is stated in module scan
@@ -44,7 +50,8 @@ import numpy as np
 from .errors import DomainError, SingularMatrixError
 from .markov import (MarkovModel, center_pair_probs, markov_rate,
                      quasi_transition_matrix, start_weights)
-from .numeric import mat_inv, newton_root, row_solve, spectral_radius, vec_mat
+from .numeric import (mat_inv, newton_root, require_regular, row_solve, spectral_radius,
+                      vec_mat)
 
 SCORE_KINDS = ("pcs", "pls", "bws")
 _EYE = np.eye(4)
@@ -135,11 +142,44 @@ class ScoreModel:
         return cumulants(self, 0.0)
 
     @cached_property
-    def _pls_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(pi T^(h-1), T, (I - T) c) of the pls form."""
-        t = self.t_matrix
-        head = self.model.pi @ np.linalg.matrix_power(t, self.half_length - 1)
-        return head, t, (_EYE - t) @ self.closure_probs
+    def _pls_rational(self) -> tuple[np.ndarray, np.ndarray, tuple[float, float, float]]:
+        """(rates, table, entries) of the pls MGF as a rational function of
+        s = e^(z/h): rates and table of shapes (2, 5) and (2, 3, 5), lowest
+        power of s first.
+
+        M(z) = e^z v (I - sT)^-1 u / rate, v = pi T^(h-1) and u = (I - T)
+        c, is e^z N(s) / (rate D(s)) by Cramer's rule, with D(s) = det(I -
+        sT) = sum d_k s^k. The d_k come from the power traces p_i = tr T^i
+        by Newton's identities, k d_k = -(d_(k-1) p_1 + ... + d_0 p_k), so a
+        nilpotent T gives D = 1 exactly. N(s) = D(s) sum_m a_m s^m, a_m = v
+        T^m u, has coefficients d_0 a_k + ... + d_k a_0, which vanish from
+        k = 4 on (Cayley-Hamilton). Row 0 stands for e^z N(s) / rate =
+        sum_k n_k e^(z (h + k) / h) and row 1 for D(s) = sum_k d_k e^(z k /
+        h): rates holds the exponents' factors (h + k) / h and k / h, and
+        table[:, j] the coefficients of the j-th derivative in z over j!,
+        n_k ((h + k) / h)^j / j! and d_k (k / h)^j / j!, for j = 0, 1, 2,
+        the orders cumulants takes. entries holds min_i T_ii, max_i T_ii and
+        max_(i != j) T_ij, which give the scale of _require_regular_pls.
+        """
+        t, h = self.t_matrix, self.half_length
+        powers = [_EYE]
+        for _ in range(4):
+            powers.append(powers[-1] @ t)
+        traces = [np.trace(p) for p in powers]
+        den = [1.0]
+        for k in range(1, 5):
+            den.append(-sum(den[k - i] * traces[i] for i in range(1, k + 1)) / k)
+        head = self.model.pi @ np.linalg.matrix_power(t, h - 1)
+        tail = (_EYE - t) @ self.closure_probs
+        terms = [head @ p @ tail for p in powers[:4]]
+        num = np.append(np.convolve(den, terms)[:4], 0.0) / self.rate
+        k = np.arange(5.0)
+        rates = np.array([(h + k) / h, k / h])
+        j = np.arange(3.0)[:, None]
+        table = np.array([num, den])[:, None, :] * rates[:, None, :] ** j / [[1.0], [1.0], [2.0]]  # j!
+        diag = np.diagonal(t)
+        entries = float(diag.min()), float(diag.max()), float((t - np.diag(diag)).max())
+        return rates, table, entries
 
     @cached_property
     def _bws_log_base(self) -> tuple[np.ndarray, np.ndarray]:
@@ -338,51 +378,62 @@ def _bws_powers(sm: ScoreModel, grid: NodeGrid) -> np.ndarray:
     return out
 
 
-def _factors(sm: ScoreModel, z, order: int) -> tuple[list, list, list, int]:
-    """Taylor coefficients j = 0 .. order of v, Q and u in M(z) = v Q^n
-    (I - Q)^-1 u / rate (_mgf_jet), and n, for pls or bws. A NodeGrid z
-    (order 0) lays each coefficient out entries-first, with its nodes on a
-    trailing axis: bws takes its node powers from the grid's layout
-    (_bws_powers), pls from the nodes themselves."""
-    nodes = isinstance(z, NodeGrid)
-    h = sm.half_length
-    if sm.kind == "bws":
-        jet = [_bws_powers(sm, z)] if nodes else _power_jet(sm._bws_log_base, z, order)
-        v, q, u = zip(*map(_bws_split, jet))
-        return v, q, u, h - 1
-    head, t, tail = sm._pls_factors
-    if nodes:
-        z = z.nodes
-        head, t, tail = head[:, None], t[..., None], tail[:, None]
-    fact = [float(factorial(j)) for j in range(order + 1)]
-    scale, grow = np.exp(z), np.exp(z / h)
-    v = [head * (scale / f) for f in fact]
-    q = [t * (grow / (h ** j * f)) for j, f in enumerate(fact)]
-    return v, q, [tail] + [np.zeros_like(tail)] * order, 0
+def _bws_factors(sm: ScoreModel, z, order: int) -> tuple[list, list, list]:
+    """Taylor coefficients j = 0 .. order of v, Q and u in the bws form
+    M(z) = v Q^(h-1) (I - Q)^-1 u / rate (_mgf_jet). A NodeGrid z (order 0)
+    lays each coefficient out entries-first, with its nodes on a trailing
+    axis, and takes its node powers from the grid's layout (_bws_powers)."""
+    jet = [_bws_powers(sm, z)] if isinstance(z, NodeGrid) else _power_jet(sm._bws_log_base, z, order)
+    return zip(*map(_bws_split, jet))
+
+
+def _require_regular_pls(sm: ScoreModel, s, det) -> None:
+    """numeric.require_regular on I - sT, whose determinant is det = D(s)
+    (ScoreModel._pls_rational), at one s or at each of an array of them.
+    Its scale max |delta_ij - s T_ij| is the larger of |s| times T's largest
+    entry off the diagonal and max_i |1 - s T_ii|, which, convex in T_ii,
+    peaks at the smallest or the largest diagonal entry."""
+    low, high, off = sm._pls_rational[2]
+    scale = np.maximum(np.maximum(abs(1.0 - s * low), abs(1.0 - s * high)), abs(s) * off)
+    require_regular(det, scale, 4)
 
 
 def _mgf_jet(sm: ScoreModel, z: float | complex, order: int = 0) -> np.ndarray:
     """Taylor coefficients M^(j)(z) / j!, j = 0 .. order, of the score MGF
     at one real or complex argument z (domain checks use Re z).
 
-    pls and bws share one form, M(z) = v Q^n (I - Q)^-1 u / rate:
-      - pls: v = e^z pi T^(h-1), Q = e^(z/h) T, n = 0, u = (I - T) c;
-      - bws: v, Q, u the entrywise (1 - z) powers of the start weights, T
-        and c, and n = h - 1.
-    Each factor is carried as a Taylor series in z (_factors), and the
-    product of the series, as block matrix products (_jet_by_blocks), gives
-    exact derivatives. Returns shape (order + 1,). An array of arguments
-    takes _mgf_value.
+    pcs and pls are closed forms in e^z and s = e^(z/h):
+      - pcs: M(z) = e^z;
+      - pls: M(z) = e^z N(s) / (rate D(s)), D(s) = det(I - sT), a ratio of
+        fixed polynomials (ScoreModel._pls_rational). The Taylor series of
+        numerator and denominator come from one table product, and their
+        quotient series, q_j = (n_j - q_0 d_j - ... - q_(j-1) d_1) / d_0,
+        gives exact derivatives; order <= 2.
+    bws is M(z) = v Q^(h-1) (I - Q)^-1 u / rate, with v, Q and u the
+    entrywise (1 - z) powers of the start weights, T and c. Each factor is
+    carried as a Taylor series in z (_bws_factors), and the product of the
+    series, as block matrix products (_jet_by_blocks), gives exact
+    derivatives. Returns shape (order + 1,). An array of arguments takes
+    _mgf_value.
 
     Raises:
         DomainError: Re z at or beyond the domain supremum.
-        SingularMatrixError: I - Q_0 is numerically singular, i.e. z sits at
-            the domain edge to round-off.
+        SingularMatrixError: I - Q is numerically singular (I - sT for
+            pls), i.e. z sits at the domain edge to round-off.
     """
     _require_in_domain(sm, z)
     if sm.kind == "pcs":
         return np.exp(z) / np.array([float(factorial(j)) for j in range(order + 1)])
-    return _jet_by_blocks(*_factors(sm, z, order)) / sm.rate
+    if sm.kind == "pls":
+        rates, table, _ = sm._pls_rational
+        powers = np.exp(z * rates)
+        num, den = (table[:, :order + 1] @ powers[..., None])[..., 0].tolist()
+        _require_regular_pls(sm, powers[1, 1], den[0])  # powers[1, 1] = s
+        out = []
+        for j in range(order + 1):
+            out.append((num[j] - sum(out[i] * den[j - i] for i in range(j))) / den[0])
+        return np.array(out)
+    return _jet_by_blocks(*_bws_factors(sm, z, order), sm.half_length - 1) / sm.rate
 
 
 def _mgf_value(sm: ScoreModel, z: np.ndarray | NodeGrid) -> np.ndarray:
@@ -390,13 +441,15 @@ def _mgf_value(sm: ScoreModel, z: np.ndarray | NodeGrid) -> np.ndarray:
     as elementwise arithmetic on node vectors; one argument takes _mgf_jet.
 
     z is a NodeGrid or a plain array, which is the grid NodeGrid(z); the
-    values come in the order of the grid's nodes. v, Q and u (_factors) are
-    held entries-first, (4, N) for v and u and (4, 4, N) for Q, and every
-    vector-matrix product is numeric.vec_mat, so the number of numpy calls
-    does not grow with N, and each node of a plain array gets the value it
-    has in any other array. The row r = v Q^n takes n products; the
-    resolvent enters through y (I - Q) = r, solved by numeric.row_solve
-    without forming an inverse.
+    values come in the order of the grid's nodes. pls evaluates its
+    rational form (ScoreModel._pls_rational) by Horner's rule at s =
+    e^(z/h). For bws, v, Q and u (_bws_factors) are held entries-first,
+    (4, N) for v and u and (4, 4, N) for Q, and every vector-matrix product
+    is numeric.vec_mat, so the number of numpy calls does not grow with N,
+    and each node of a plain array gets the value it has in any other
+    array. The row r = v Q^(h-1) takes h - 1 products; the resolvent enters
+    through y (I - Q) = r, solved by numeric.row_solve without forming an
+    inverse.
 
     Raises:
         DomainError: Re z at or beyond the domain supremum, at any node.
@@ -406,8 +459,17 @@ def _mgf_value(sm: ScoreModel, z: np.ndarray | NodeGrid) -> np.ndarray:
     _require_in_domain(sm, grid.nodes)
     if sm.kind == "pcs":
         return np.exp(grid.nodes)
-    (v,), (q,), (u,), n = _factors(sm, grid, 0)
-    for _ in range(n):
+    if sm.kind == "pls":
+        coef = sm._pls_rational[1][:, 0, :, None]
+        s = np.exp(grid.nodes / sm.half_length)
+        poly = coef[:, 4]
+        for k in range(3, -1, -1):
+            poly = poly * s + coef[:, k]
+        num, den = poly
+        _require_regular_pls(sm, s, den)
+        return np.exp(grid.nodes) * num / den
+    (v,), (q,), (u,) = _bws_factors(sm, grid, 0)
+    for _ in range(sm.half_length - 1):
         v = vec_mat(v, q)
     return vec_mat(row_solve(v, _EYE[..., None] - q), u) / sm.rate
 

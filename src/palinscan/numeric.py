@@ -4,7 +4,9 @@ Two linear solvers make the same conditioning checks: mat_inv inverts one
 matrix with numpy's linear algebra (an MGF's Taylor coefficients at one
 argument), and row_solve solves y m = x for a stack held entries-first (an
 MGF's values at an array) by Gaussian elimination as elementwise
-arithmetic, in numpy calls that do not grow with the stack.
+arithmetic, in numpy calls that do not grow with the stack. Their
+determinant test, require_regular, also serves a determinant known in
+closed form.
 Spectral radii delegate to numpy's eigenvalue solver. The one scalar root
 finder, a Newton method kept inside a bracket and capped at ROOT_MAX_ITER
 steps, is self-contained so its convergence and failure behaviour stays
@@ -40,9 +42,7 @@ def mat_inv(m: np.ndarray) -> np.ndarray:
     scale = np.abs(m).max()
     if scale == 0.0:
         raise SingularMatrixError("zero matrix")
-    det = abs(np.linalg.det(m))
-    if det < SINGULARITY_TOL * scale**n:
-        raise SingularMatrixError(f"near-singular matrix: |det| = {det:.3e}")
+    require_regular(np.linalg.det(m), scale, n)
     try:
         inv = np.linalg.inv(m)
     except np.linalg.LinAlgError as exc:
@@ -51,6 +51,19 @@ def mat_inv(m: np.ndarray) -> np.ndarray:
     if residual > 1e-8 * max(1.0, np.abs(inv).max() * scale):
         raise SingularMatrixError(f"ill-conditioned inverse: residual = {residual:.3e}")
     return inv
+
+
+def require_regular(det, scale, n: int) -> None:
+    """The determinant test of mat_inv and row_solve: an n x n matrix, or
+    each of a stack of them, passes where |det| >= SINGULARITY_TOL scale^n,
+    scale its largest entry modulus. A NaN determinant fails.
+
+    Raises:
+        SingularMatrixError: the test fails at any entry.
+    """
+    det = np.abs(det)
+    if not (det >= SINGULARITY_TOL * scale**n).all():
+        raise SingularMatrixError(f"near-singular matrix: |det| = {np.min(det):.3e}")
 
 
 def vec_mat(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -101,9 +114,7 @@ def row_solve(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     scale = np.abs(m).max(axis=(0, 1))
     if not scale.all():
         raise SingularMatrixError("zero matrix")
-    det = np.abs(det)
-    if not (det >= SINGULARITY_TOL * scale**n).all():
-        raise SingularMatrixError(f"near-singular matrix: |det| = {np.min(det):.3e}")
+    require_regular(det, scale, n)
     residual = np.abs(vec_mat(y, m) - x).max(axis=0)
     if (residual > 1e-8 * np.abs(y).max(axis=0) * scale).any():
         raise SingularMatrixError(f"ill-conditioned solve: residual = {np.max(residual):.3e}")

@@ -89,7 +89,9 @@ class WindowSeries:
             raise ValueError("event position out of range")
         if np.any(np.diff(positions) <= 0) or np.any(np.diff(cumulative) < 0):
             raise ValueError("positions must increase and cumulative must not decrease")
+        # read-only views: the caller's own arrays stay writeable
         for name, array in (("positions", positions), ("cumulative", cumulative)):
+            array = array.view()
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 

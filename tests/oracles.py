@@ -327,6 +327,55 @@ def series_mgf(pi, trans, min_half: int, t, kind: str,
     return total / rate
 
 
+def pls_series_jet(pi, trans, min_half: int, z, order: int = 2,
+                   max_terms: int = 20000, rtol: float = 1e-17) -> np.ndarray:
+    """Taylor coefficients M^(j)(z) / j!, j = 0 .. order, of the pls MGF,
+    differentiating the truncated exact-length series term by term: the
+    half-length-k term e^(z k / h) p_k (term_factors) has j-th derivative
+    (k / h)^j times itself. Terms stop once the last order's term falls
+    below rtol of its sum; the rate is the sum of the p_k."""
+    weights = [1.0 / np.prod(np.arange(1, j + 1, dtype=float)) for j in range(order + 1)]
+
+    def sums(t):
+        v, q, u = term_factors(pi, trans, min_half, t, "pls")
+        vec = v @ np.linalg.matrix_power(q, min_half - 1)
+        out = np.zeros(order + 1, dtype=complex)
+        for k in range(min_half, min_half + max_terms):
+            term = vec @ u * np.array([(k / min_half) ** j * w for j, w in enumerate(weights)])
+            out += term
+            if k > min_half + 4 and abs(term[-1]) <= rtol * abs(out[-1]):
+                break
+            vec = vec @ q
+        return out
+
+    out = sums(z) / sums(0.0)[0].real
+    return out if np.iscomplexobj(z) else out.real
+
+
+@st.composite
+def nilpotent_models(draw):
+    """Random first-order models whose quasi transition matrix T is
+    nilpotent with T^3 != 0, as (pi, trans): the chain A -> C -> G -> T,
+    with T stepping to C, G or T, gives T[A, C] = T[C, G] = T[G, T] = 1 and
+    no other entry, and the bases are relabelled by one of the 8
+    permutations that commute with complementation. pi is drawn apart from
+    trans. pls scores are then bounded: its MGF has an infinite domain and
+    det(I - sT) = 1."""
+    entry = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    last = np.array([0.0] + draw(st.lists(entry, min_size=3, max_size=3)))
+    if not last.sum():
+        last[3] = 1.0
+    trans = np.vstack((np.eye(4)[[1, 2, 3]], last / last.sum()))
+    pi = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4)))
+    perm = draw(st.sampled_from([p for p in itertools.permutations(range(4))
+                                 if all(p[COMP[i]] == COMP[p[i]] for i in range(4))]))
+    relabelled = np.empty((4, 4))
+    relabelled[np.ix_(perm, perm)] = trans
+    out = np.empty(4)
+    out[list(perm)] = pi / pi.sum()
+    return out, relabelled
+
+
 def matrix_form_factors(pi, trans, min_half: int, z, kind: str, bws_start=None):
     """(v, Q, u) of matrix_form_mgf at one argument z, which may be complex:
     the start weights, the quasi matrix and the closure vector, with

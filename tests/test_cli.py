@@ -615,7 +615,11 @@ class TestPinnedOutput:
     at the quadrature nodes began to solve y (I - Q) = v Q^n instead of
     multiplying by an inverse.
     The mgf grids were recorded while every scalar MGF argument already ran
-    on the kernel's block products.
+    on the kernel's block products, and their pls values (mgf_pls in both
+    grids, phi and its derivatives in the pls grid) again when pls became
+    a rational function of e^(z/h) (by up to 2.4e-14 of their value).
+    The pls thresholds of power, and the pls scan's JSON theta1, lambda1
+    and nu, moved in their last digits then too (by up to 6.7e-16).
     The estimate tables, the simulate and power JSON, the per-replicate
     threshold table and the window series were recorded while sim,
     palindrome and markov still rendered their own tables.
@@ -694,15 +698,15 @@ class TestPinnedOutput:
         expected = [
             {"kind": "pls", "alpha": 0.05, "multipliers": [10.0, 10.0, 10.0],
              "replicates": 4, "rows": [
-                 row("average", 0.0030749999999999996, 13.414496124976155,
+                 row("average", 0.0030749999999999996, 13.414496124976154,
                      [0.5, 0.25, 1.0]),
-                 row("markov", 0.001144568497760454, 8.150247543567884,
+                 row("markov", 0.001144568497760454, 8.150247543567883,
                      [0.75, 0.75, 1.0])]},
             {"kind": "pls", "alpha": 0.05, "multipliers": [3.0, 3.0, 3.0],
              "replicates": 4, "rows": [
-                 row("average", 0.0018124999999999999, 10.16836805854336,
+                 row("average", 0.0018124999999999999, 10.168368058543361,
                      [0.25, 0.0, 0.0]),
-                 row("markov", 0.0011034909379832119, 8.014185401536787,
+                 row("markov", 0.0011034909379832119, 8.01418540153679,
                      [0.25, 0.25, 0.5])]},
         ]
         assert text == json.dumps(expected, indent=2) + "\n"
@@ -773,23 +777,23 @@ class TestPinnedOutput:
     @pytest.mark.parametrize("kind,rows", [
         ("pls", [
             (0.0, 1.0000000000000002, 1.0000000000000004,
-             2.2204460492503128e-16, 1.0764483215129221, 0.018585729130471407),
-            (0.8243053105174669, 2.4454908435336864, np.nan,
-             0.894245856779955, 1.094060641832721, 0.024524173040884056),
+             2.2204460492503128e-16, 1.076448321512922, 0.01858572913047185),
+            (0.8243053105174669, 2.445490843533686, np.nan,
+             0.894245856779955, 1.094060641832721, 0.02452417304088428),
             (1.6486106210349338, 6.081932263287986, np.nan,
-             1.805322451950139, 1.1176948382194214, 0.03346787455226119),
-            (2.472915931552401, 15.478298651104188, np.nan,
-             2.7394389558620262, 1.1506999117907897, 0.04782710596652939),
+             1.8053224519501392, 1.1176948382194214, 0.03346787455226119),
+            (2.472915931552401, 15.478298651104197, np.nan,
+             2.7394389558620267, 1.1506999117907897, 0.047827105966529615),
             (3.2972212420698677, 40.716997016536084, np.nan,
-             3.7066456223847015, 1.1994524857264783, 0.07302336156311773),
+             3.7066456223847015, 1.1994524857264783, 0.07302336156311817),
             (4.121526552587334, 112.71083783953878, np.nan,
-             4.724825581812897, 1.2777815048498262, 0.1234594618235334),
-            (4.945831863104802, 340.61965555441094, np.nan,
-             5.830766475178926, 1.4223585469539421, 0.24877980086033213),
-            (5.770137173622269, 1239.1761749955383, np.nan,
-             7.122202062800612, 1.7730695518042048, 0.7264813945405613),
-            (6.594442484139735, 8916.500394745453, np.nan,
-             9.095658816163914, 3.7986840789623293, 8.299079683290469),
+             4.724825581812897, 1.2777815048498264, 0.12345946182353229),
+            (4.945831863104802, 340.6196555544108, np.nan,
+             5.830766475178926, 1.4223585469539421, 0.2487798008603308),
+            (5.770137173622269, 1239.1761749955385, np.nan,
+             7.122202062800612, 1.7730695518042046, 0.7264813945405617),
+            (6.594442484139735, 8916.500394745455, np.nan,
+             9.095658816163914, 3.798684078962331, 8.299079683290483),
         ]),
         ("bws", [
             (0.0, 1.0000000000000002, 1.0000000000000004,
@@ -800,15 +804,15 @@ class TestPinnedOutput:
              1.7181909939694724, 14.99769816502636, 10.339142923997997),
             (0.1782019906065109, 1.2118232579179655, 13.858280494357933,
              2.6288829236092366, 15.694775998258638, 13.363783318617777),
-            (0.23760265414201454, 1.2921470811382074, 36.136997885172605,
+            (0.23760265414201454, 1.2921470811382076, 36.136997885172605,
              3.587317212681357, 16.625466386966416, 18.463180133524645),
-            (0.2970033176775182, 1.3778926385222021, 100.71024865012176,
+            (0.2970033176775182, 1.377892638522202, 100.71024865012176,
              4.612247568628525, 17.98075121791111, 28.40413732309662),
-            (0.3564039812130218, 1.4694343212543415, 311.45829891711287,
+            (0.3564039812130218, 1.4694343212543413, 311.45829891711287,
              5.741265457410696, 20.26820044792435, 52.74017467192499),
-            (0.4158046447485254, 1.5671731224822438, 1179.4677209405054,
+            (0.4158046447485254, 1.5671731224822434, 1179.4677209405054,
              7.0728185317420165, 25.42731815586787, 144.9035518577332),
-            (0.47520530828402907, 1.671538596031506, 8991.51254372149,
+            (0.47520530828402907, 1.6715385960315066, 8991.51254372149,
              9.10403636066867, 53.838255796157505, 1603.3105145143181),
         ]),
     ])
@@ -827,8 +831,8 @@ class TestPinnedOutput:
               nu=0.9990659557569278, p=0.9413504651475082, argmax=0, max=3.0)),
         ("pls", "1000\t20000\t0.001130395015\tpls\t3.333333333\t0.9101248846"
                 "\t0.003038637189\t0.9723776886\t0\t0.999999987\t17658\t3.333333333",
-         dict(b=3.333333333333332, theta1=0.9101248845980787,
-              lambda1=0.003038637189032656, nu=0.9723776885687399,
+         dict(b=3.333333333333332, theta1=0.9101248845980786,
+              lambda1=0.003038637189032656, nu=0.9723776885687395,
               p=0.999999986950745, argmax=17658, max=3.333333333333332)),
         ("bws", "1000\t20000\t0.001130395015\tbws\t45.47454101\t0.07195156512"
                 "\t0.003139084756\t0.6503443838\t0\t0.9996312499\t18975\t45.47454101",
@@ -898,8 +902,8 @@ class TestPinnedOutput:
         head = '{\n  "w": 1000,\n  "W": 300000,\n  "lambda0": 0.0010827643734766682,\n'
         assert invoke("scan", "--input", str(path), "--score", "pls", "--json") == (0, (
             head + '  "kind": "pls",\n  "b": 6.6666666666667425,\n'
-            '  "theta1": 1.5626755837104058,\n  "lambda1": 0.005981142869903545,\n'
-            '  "nu": 0.9398650691995101,\n  "nu_se": 0.0,\n  "p": 0.9964091302819011,\n'
+            '  "theta1": 1.562675583710406,\n  "lambda1": 0.0059811428699035486,\n'
+            '  "nu": 0.9398650691995102,\n  "nu_se": 0.0,\n  "p": 0.9964091302819011,\n'
             '  "argmax": 224235,\n  "max": 6.6666666666667425\n}\n'))
         assert invoke("scan", "--input", str(path), "--score", "bws", "--json") == (0, (
             head + '  "kind": "bws",\n  "b": 87.60956650636672,\n'

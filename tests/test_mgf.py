@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -35,6 +36,8 @@ from oracles import (
     matrix_form_factors,
     matrix_form_mgf,
     mgf_at_length,
+    nilpotent_models,
+    pls_series_jet,
     quasi_matrix,
     random_model,
     series_mgf,
@@ -552,6 +555,102 @@ class TestClosedFormCumulants:
             mgf_module._mgf_value(sm, z)
 
 
+def pls_models():
+    """(name, model) of BoHV-1 and three random_model chains."""
+    rng = np.random.default_rng(3)
+    return [("bohv1", bohv1_model())] + [
+        (f"random{i}", MarkovModel(*random_model(rng))) for i in range(3)]
+
+
+class TestPlsRationalForm:
+    """pls's M(z) = e^z N(s) / (rate D(s)), s = e^(z/h), with D(s) = det(I -
+    sT) (ScoreModel._pls_rational), against the matrix form, the truncated
+    series and the series differentiated term by term."""
+
+    @staticmethod
+    def arguments(sm):
+        """Real arguments up to 0.9 t_max, and the same shifted off the axis."""
+        x = np.concatenate(([-2.0, -0.3, 0.0], np.linspace(0.1, 0.9, 5) * sm.t_max))
+        return x, np.concatenate([x + 1j * y for y in (0.7, 5.0, -20.0)])
+
+    @pytest.mark.parametrize("name,model", pls_models())
+    @pytest.mark.parametrize("h", [4, 6])
+    def test_values_match_matrix_form_and_series(self, name, model, h):
+        # the series to rtol 1e-17, so that its truncated tail, about rtol /
+        # (1 - rho e^(Re z / h)), stays below 1e-15 at 0.9 t_max
+        sm = ScoreModel("pls", model, h)
+        x, off_axis = self.arguments(sm)
+        z = np.concatenate((x, off_axis))
+        values = mgf_module._mgf_value(sm, z)
+        scalars = np.array([mgf_module._mgf_jet(sm, w)[0] for w in z])
+        for oracle in (
+                [matrix_form_mgf(model.pi, model.trans, h, w, "pls") for w in z],
+                [series_mgf(model.pi, model.trans, h, w, "pls", rtol=1e-17) for w in z]):
+            for got in (values, scalars):
+                assert np.all(np.abs(got / np.array(oracle) - 1.0) <= 1e-13)
+
+    @pytest.mark.parametrize("name,model", pls_models())
+    @pytest.mark.parametrize("h", [4, 6])
+    def test_derivatives_match_termwise_series(self, name, model, h):
+        sm = ScoreModel("pls", model, h)
+        x, off_axis = self.arguments(sm)
+        for z in np.concatenate((x, off_axis[::3])):
+            expected = pls_series_jet(model.pi, model.trans, h, z)
+            got = mgf_module._mgf_jet(sm, z, order=2)
+            assert np.all(np.abs(got / expected - 1.0) <= 1e-13)
+
+    @pytest.mark.parametrize("name,model", pls_models())
+    def test_denominator_is_the_resolvent_determinant(self, name, model):
+        # d_k = (-1)^k times the sum of T's principal k x k minors, and
+        # D(s) = det(I - sT) at any s
+        sm = ScoreModel("pls", model, 6)
+        t = sm.t_matrix
+        den = sm._pls_rational[1][1, 0]
+        minors = [1.0] + [(-1) ** k * sum(np.linalg.det(t[np.ix_(rows, rows)])
+                                         for rows in itertools.combinations(range(4), k))
+                          for k in range(1, 5)]
+        assert np.allclose(den, minors, rtol=1e-13, atol=1e-16)
+        for s in (0.5, 1.0, 2.0 + 1.0j):
+            assert np.polynomial.polynomial.polyval(s, den) == pytest.approx(
+                np.linalg.det(np.eye(4) - s * t), rel=1e-13)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(pi_trans=nilpotent_models(), h=st.integers(1, 3))
+    def test_nilpotent_chains(self, pi_trans, h):
+        # T^4 = 0: D = 1 exactly, t_max is infinite, and the series is a
+        # finite sum, which the form matches on and off the axis
+        pi, trans = pi_trans
+        try:
+            sm = ScoreModel("pls", MarkovModel(pi=pi, trans=trans), h)
+        except DomainError:  # a rate of 0
+            assume(False)
+        assert sm.t_max == np.inf
+        assert sm._pls_rational[1][1, 0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+        z = np.array([-3.0, 0.0, 1.5, 3.0, 1.0 + 4.0j, 3.0 - 50.0j])
+        values = mgf_module._mgf_value(sm, z)
+        for w, value in zip(z, values):
+            assert value == pytest.approx(matrix_form_mgf(pi, trans, h, w, "pls"), rel=1e-13)
+            assert value == pytest.approx(series_mgf(pi, trans, h, w, "pls"), rel=1e-13)
+            got = mgf_module._mgf_jet(sm, w, order=2)
+            assert np.all(np.abs(got / pls_series_jet(pi, trans, h, w) - 1.0) <= 1e-13)
+
+    @pytest.mark.parametrize("name,model", pls_models())
+    def test_domain_edge(self, name, model):
+        # at and beyond t_max a DomainError, one ulp inside it a singular
+        # I - sT, on both paths
+        sm = ScoreModel("pls", model, 6)
+        edge = np.nextafter(sm.t_max, 0.0)
+        for z in (sm.t_max, 1.01 * sm.t_max, sm.t_max + 0.5j):
+            with pytest.raises(DomainError):
+                mgf_module._mgf_jet(sm, z, order=2)
+            with pytest.raises(DomainError):
+                mgf_module._mgf_value(sm, np.array([0.0, z]))
+        with pytest.raises(SingularMatrixError):
+            cumulants(sm, edge)
+        with pytest.raises(SingularMatrixError):
+            mgf_module._mgf_value(sm, np.array([0.0, 0.5j, edge]))
+
+
 class TestNodeGrid:
     """A NodeGrid holds its nodes as points and a panel layout (every start
     plus every offset); the bws kernel forms its node powers from that
@@ -614,8 +713,8 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
     @pytest.mark.parametrize("iid", [False, True])
     def test_array_matches_scalar_evaluations(self, kind, iid, bohv1):
-        # even a short array takes the node-vector arithmetic, and scalars
-        # the block products: the two agree to rounding
+        # even a short array takes the array path, and scalars the
+        # Taylor-coefficient path: the two agree to rounding
         sm = ScoreModel(kind, iid_model(bohv1.pi) if iid else bohv1, 6)
         z = np.array([0.0, 0.1 + 0.3j, 0.05 - 2.0j, 0.2, 7.0j])
         batch = mgf_module._mgf_value(sm, z)
@@ -627,7 +726,7 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("iid", [False, True])
     def test_node_stack_matches_small_evaluations(self, kind, iid, bohv1):
         # a stack of nodes, as the overshoot quadrature passes, agrees with
-        # the block products at each node as a scalar
+        # the scalar path at each node
         sm = ScoreModel(kind, iid_model(bohv1.pi) if iid else bohv1, 6)
         n = 64
         z = 0.3 * sm.t_max * np.linspace(-1.0, 1.0, n) + 1j * np.linspace(0.0, 7.0, n)
