@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EstimationError
+from .numeric import read_only
 from .seqio import DnaSeq
 
 PROB_ATOL = 1e-6
@@ -68,10 +69,8 @@ class MarkovModel:
         rows = trans.sum(axis=1)
         if np.any(np.abs(rows - 1.0) > PROB_ATOL):
             raise ValueError(f"transition rows sum to {rows!r}, not 1")
-        pi.flags.writeable = False
-        trans.flags.writeable = False
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "trans", trans)
+        object.__setattr__(self, "pi", read_only(pi))
+        object.__setattr__(self, "trans", read_only(trans))
 
     @cached_property
     def _step_table(self) -> tuple[np.ndarray, int, np.ndarray]:

@@ -41,9 +41,9 @@ kernel's own _bws_log_base), so it samples the law score_mgf describes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import factorial
 
 import numpy as np
 
@@ -85,7 +85,7 @@ class ScoreModel:
             raise ValueError(f"unknown score kind {self.kind!r}")
         if self.half_length < 1:
             raise ValueError("half_length must be >= 1")
-        radius = spectral_radius(self.t_matrix)
+        radius = self._t_radius
         if radius >= 1.0:
             raise DomainError(
                 f"quasi transition matrix must be strictly subcritical, but its "
@@ -99,6 +99,12 @@ class ScoreModel:
     @cached_property
     def t_matrix(self) -> np.ndarray:
         return quasi_transition_matrix(self.model)
+
+    @cached_property
+    def _t_radius(self) -> float:
+        """The spectral radius of t_matrix, which the subcritical check and
+        the pls domain both read."""
+        return spectral_radius(self.t_matrix)
 
     @cached_property
     def closure_probs(self) -> np.ndarray:
@@ -142,8 +148,8 @@ class ScoreModel:
         return cumulants(self, 0.0)
 
     @cached_property
-    def _pls_rational(self) -> tuple[np.ndarray, np.ndarray, tuple[float, float, float]]:
-        """(rates, table, entries) of the pls MGF as a rational function of
+    def _pls_rational(self) -> tuple[np.ndarray, np.ndarray, list[float]]:
+        """(rates, table, size) of the pls MGF as a rational function of
         s = e^(z/h): rates and table of shapes (2, 5) and (2, 3, 5), lowest
         power of s first.
 
@@ -158,8 +164,8 @@ class ScoreModel:
         h): rates holds the exponents' factors (h + k) / h and k / h, and
         table[:, j] the coefficients of the j-th derivative in z over j!,
         n_k ((h + k) / h)^j / j! and d_k (k / h)^j / j!, for j = 0, 1, 2,
-        the orders cumulants takes. entries holds min_i T_ii, max_i T_ii and
-        max_(i != j) T_ij, which give the scale of _require_regular_pls.
+        the orders cumulants takes. size holds |d_0|, ..., |d_4|, which
+        give the scale of _require_regular_pls.
         """
         t, h = self.t_matrix, self.half_length
         powers = [_EYE]
@@ -177,9 +183,7 @@ class ScoreModel:
         rates = np.array([(h + k) / h, k / h])
         j = np.arange(3.0)[:, None]
         table = np.array([num, den])[:, None, :] * rates[:, None, :] ** j / [[1.0], [1.0], [2.0]]  # j!
-        diag = np.diagonal(t)
-        entries = float(diag.min()), float(diag.max()), float((t - np.diag(diag)).max())
-        return rates, table, entries
+        return rates, table, np.abs(den).tolist()
 
     @cached_property
     def _bws_log_base(self) -> tuple[np.ndarray, np.ndarray]:
@@ -282,7 +286,7 @@ def mgf_domain(sm: ScoreModel) -> float:
     if sm.kind == "pcs":
         return np.inf
     if sm.kind == "pls":
-        radius = spectral_radius(sm.t_matrix)
+        radius = sm._t_radius
         return float(-sm.half_length * np.log(radius)) if radius > 0.0 else np.inf
     log_t = _log_base(sm.t_matrix)
 
@@ -387,15 +391,17 @@ def _bws_factors(sm: ScoreModel, z, order: int) -> tuple[list, list, list]:
     return zip(*map(_bws_split, jet))
 
 
-def _require_regular_pls(sm: ScoreModel, s, det) -> None:
-    """numeric.require_regular on I - sT, whose determinant is det = D(s)
-    (ScoreModel._pls_rational), at one s or at each of an array of them.
-    Its scale max |delta_ij - s T_ij| is the larger of |s| times T's largest
-    entry off the diagonal and max_i |1 - s T_ii|, which, convex in T_ii,
-    peaks at the smallest or the largest diagonal entry."""
-    low, high, off = sm._pls_rational[2]
-    scale = np.maximum(np.maximum(abs(1.0 - s * low), abs(1.0 - s * high)), abs(s) * off)
-    require_regular(det, scale, 4)
+def _require_regular_pls(sm: ScoreModel, r, det) -> None:
+    """numeric.require_regular on det = D(s) = det(I - sT)
+    (ScoreModel._pls_rational), at one modulus r = |s| or at each of an
+    array of them, scaled by the size of the terms D sums, sum_k |d_k| r^k.
+    So D fails where it cancels to round-off, as at the domain edge, and a
+    nilpotent T, whose D is 1, never fails."""
+    size = sm._pls_rational[2]
+    scale = size[4]
+    for k in range(3, -1, -1):
+        scale = scale * r + size[k]
+    require_regular(det, scale, 1)
 
 
 def _mgf_jet(sm: ScoreModel, z: float | complex, order: int = 0) -> np.ndarray:
@@ -423,12 +429,12 @@ def _mgf_jet(sm: ScoreModel, z: float | complex, order: int = 0) -> np.ndarray:
     """
     _require_in_domain(sm, z)
     if sm.kind == "pcs":
-        return np.exp(z) / np.array([float(factorial(j)) for j in range(order + 1)])
+        return np.exp(z) / np.array([float(math.factorial(j)) for j in range(order + 1)])
     if sm.kind == "pls":
         rates, table, _ = sm._pls_rational
         powers = np.exp(z * rates)
         num, den = (table[:, :order + 1] @ powers[..., None])[..., 0].tolist()
-        _require_regular_pls(sm, powers[1, 1], den[0])  # powers[1, 1] = s
+        _require_regular_pls(sm, abs(powers[1, 1].item()), den[0])  # powers[1, 1] = s
         out = []
         for j in range(order + 1):
             out.append((num[j] - sum(out[i] * den[j - i] for i in range(j))) / den[0])
@@ -466,7 +472,7 @@ def _mgf_value(sm: ScoreModel, z: np.ndarray | NodeGrid) -> np.ndarray:
         for k in range(3, -1, -1):
             poly = poly * s + coef[:, k]
         num, den = poly
-        _require_regular_pls(sm, s, den)
+        _require_regular_pls(sm, np.abs(s), den)
         return np.exp(grid.nodes) * num / den
     (v,), (q,), (u,) = _bws_factors(sm, grid, 0)
     for _ in range(sm.half_length - 1):
@@ -487,11 +493,11 @@ def cumulants(sm: ScoreModel, theta: float) -> tuple[float, float, float]:
     """
     if sm.kind == "pcs":
         return float(theta), 1.0, 0.0
-    m0, m1, m2 = np.real(_mgf_jet(sm, float(theta), order=2))
-    if not (np.isfinite(m0) and m0 > 0.0):
+    m0, m1, m2 = _mgf_jet(sm, float(theta), order=2).real.tolist()
+    if not 0.0 < m0 < math.inf:
         raise SingularMatrixError(f"MGF is {m0!r} at {theta!r}: resolvent singular")
     mean = m1 / m0
-    return float(np.log(m0)), float(mean), float(2.0 * m2 / m0 - mean * mean)
+    return math.log(m0), mean, 2.0 * m2 / m0 - mean * mean
 
 
 def score_mgf(sm: ScoreModel, t: float) -> float:

@@ -10,7 +10,7 @@ closed form.
 Spectral radii delegate to numpy's eigenvalue solver. The one scalar root
 finder, a Newton method kept inside a bracket and capped at ROOT_MAX_ITER
 steps, is self-contained so its convergence and failure behaviour stays
-under our control.
+under our control. read_only gives the frozen dataclasses their arrays.
 """
 
 from __future__ import annotations
@@ -56,7 +56,9 @@ def mat_inv(m: np.ndarray) -> np.ndarray:
 def require_regular(det, scale, n: int) -> None:
     """The determinant test of mat_inv and row_solve: an n x n matrix, or
     each of a stack of them, passes where |det| >= SINGULARITY_TOL scale^n,
-    scale its largest entry modulus. A NaN determinant fails.
+    scale its largest entry modulus. A determinant known as a sum of terms
+    passes n = 1 and the sum of their moduli instead. A NaN determinant
+    fails.
 
     Raises:
         SingularMatrixError: the test fails at any entry.
@@ -64,6 +66,14 @@ def require_regular(det, scale, n: int) -> None:
     det = np.abs(det)
     if not (det >= SINGULARITY_TOL * scale**n).all():
         raise SingularMatrixError(f"near-singular matrix: |det| = {np.min(det):.3e}")
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of array, so that a frozen dataclass can hold it
+    while the caller's own array stays writeable."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 def vec_mat(x: np.ndarray, a: np.ndarray) -> np.ndarray:

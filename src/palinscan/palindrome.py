@@ -28,6 +28,7 @@ import numpy as np
 from .errors import InfiniteScoreError
 from .markov import RateEstimate
 from .mgf import ScoreModel
+from .numeric import read_only
 from .seqio import DnaSeq
 
 
@@ -79,10 +80,8 @@ class PalindromeTable:
             raise ValueError("min_half_length must be >= 1")
         if np.any(half < self.min_half_length):
             raise ValueError("event half_length is below the detection threshold")
-        centers.flags.writeable = False
-        half.flags.writeable = False
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "half_lengths", half)
+        object.__setattr__(self, "centers", read_only(centers))
+        object.__setattr__(self, "half_lengths", read_only(half))
 
     def __len__(self) -> int:
         return self.centers.size

@@ -15,6 +15,7 @@ threshold_for_alpha, the p-value's inverse, searches over theta1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -22,11 +23,18 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .mgf import KERNEL_FAILURES, NodeGrid, ScoreModel, _mgf_value, cumulants
-from .numeric import ROOT_MAX_ITER, newton_root
+from .numeric import ROOT_MAX_ITER, newton_root, read_only
 
 # threshold_for_alpha stops once log(-log(1 - p)) is within this of its value
 # at alpha, which bounds |p / alpha - 1| by about the same figure.
 ALPHA_RTOL = 1e-7
+# While nu is predicted, threshold_for_alpha computes it afresh once |h| is
+# within NU_REFRESH_RTOL[k], k the exact values of nu it holds, and within
+# ALPHA_RTOL from len(NU_REFRESH_RTOL) on: a tighter h would only match p to
+# alpha under a nu that is still off. Looser values, such as (1e-1, 1e-3),
+# save cumulants calls but take more analytic_nu, and one bws analytic_nu
+# costs about ten bws cumulants.
+NU_REFRESH_RTOL = (1e-2, 1e-4)
 # Quadrature of the overshoot integral (see analytic_nu): Gauss-Legendre
 # nodes per panel, the width of the uniform panels, and the cut-off of the
 # integral for non-lattice scores. Panels 0.5 wide (688 bws nodes at the
@@ -89,11 +97,8 @@ class WindowSeries:
             raise ValueError("event position out of range")
         if np.any(np.diff(positions) <= 0) or np.any(np.diff(cumulative) < 0):
             raise ValueError("positions must increase and cumulative must not decrease")
-        # read-only views: the caller's own arrays stay writeable
-        for name, array in (("positions", positions), ("cumulative", cumulative)):
-            array = array.view()
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        object.__setattr__(self, "positions", read_only(positions))
+        object.__setattr__(self, "cumulative", read_only(cumulative))
 
     def sums(self, starts) -> np.ndarray:
         """Window sums at the given window starts."""
@@ -253,22 +258,16 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float,
     theta1 = newton_root(centering_gap, 0.0, hi, x=start,
                          tol=max(1e-14 * min(start, 1.0), 1e-15))
     jet = jets[theta1] if theta1 in jets else cumulants(sm, theta1)
-    return _tilt_solution(lambda0, theta1, jet, threshold, window)
+    return TiltSolution(lambda0, lambda0 * math.exp(jet[0]), theta1, threshold, window, jet)
 
 
 def _tilt_at(lambda0: float, sm: ScoreModel, theta1: float, window: int) -> TiltSolution:
     """The tilt solution at theta1 > 0 from one cumulants call: solve_tilt's
     equation gives its threshold, null_window_mean e^phi phi' / phi'(0)."""
     jet = cumulants(sm, theta1)
-    threshold = (null_window_mean(lambda0, sm, window) * float(np.exp(jet[0]))
-                 * jet[1] / sm.null_cumulants[1])
-    return _tilt_solution(lambda0, theta1, jet, threshold, window)
-
-
-def _tilt_solution(lambda0: float, theta1: float, jet: tuple[float, float, float],
-                   threshold: float, window: int) -> TiltSolution:
-    lambda1 = lambda0 * float(np.exp(jet[0]))  # rate matching
-    return TiltSolution(lambda0, lambda1, theta1, threshold, window, jet)
+    growth = math.exp(jet[0])  # lambda1 / lambda0, by rate matching
+    threshold = null_window_mean(lambda0, sm, window) * growth * jet[1] / sm.null_cumulants[1]
+    return TiltSolution(lambda0, lambda0 * growth, theta1, threshold, window, jet)
 
 
 @lru_cache
@@ -455,15 +454,15 @@ def _tail(tilt: TiltSolution, nu: float, total_length: int, sm: ScoreModel) -> f
     var_term = mean1 * mean1 if sm.kind == "pcs" else var1
     mean_increment = tilt.lambda1 * mean1 - lambda0 * sm.null_cumulants[1]
     exceed_exponent = threshold * tilt.theta1 - window * (tilt.lambda1 - tilt.lambda0)
-    local_factor = 1.0 / np.sqrt(2.0 * np.pi * window * tilt.lambda1 * var_term)
+    local_factor = 1.0 / math.sqrt(2.0 * math.pi * window * tilt.lambda1 * var_term)
     prefactor = (total_length - window) * nu * mean_increment * local_factor
     if prefactor <= 0.0:
         mean_hits = 0.0
     else:
         # Assemble in log space: a far-below-par exponent would overflow the
         # bare exponential even though the p-value just clamps to 1.
-        mean_hits = float(np.exp(min(np.log(prefactor) - exceed_exponent, 700.0)))
-    return float(min(max(-np.expm1(-mean_hits), 0.0), 1.0))
+        mean_hits = math.exp(min(math.log(prefactor) - exceed_exponent, 700.0))
+    return min(max(-math.expm1(-mean_hits), 0.0), 1.0)
 
 
 def p_value(threshold: float, window: int, total_length: int, lambda0: float,
@@ -517,15 +516,20 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
     past the peak, each step aims b along dh/db (-theta1, then secants),
     moving theta1 along d log b / d theta1 (_log_slope). h > 0, or
     h < 0 with a secant slope that is not negative (the artifact branch),
-    raises the bracket's lo end, any other h lowers hi, and a step out of
-    the bracket bisects it (doubles theta1 while hi is infinite). The
-    search stops at |h| <= ALPHA_RTOL. If nu was predicted there,
-    analytic_nu is computed and joins the model, h is evaluated again at
+    raises the bracket's lo end, any other h lowers hi, and a step that is
+    not finite or leaves the bracket bisects it (doubles theta1 while hi is
+    infinite). The search stops at |h| <= ALPHA_RTOL. While nu is
+    predicted, analytic_nu is computed as soon as |h| is within
+    NU_REFRESH_RTOL (1e-2 with no exact value, 1e-4 with one, ALPHA_RTOL
+    from two on): a tighter h would only match p to alpha under a nu that
+    is still off. The exact value joins the model, h is evaluated again at
     the same tilt, and unless that h stops the search the bracket restarts
-    in place from this trial: it forgets its ends and the last secant point,
-    and keeps only whether h > 0 at some analytic_nu. On BoHV-1 at w = 1000
-    and alpha down to 1e-12 that takes 3 analytic_nu (4 for bws at 0.2) and
-    at most 12 trials (6 with nu fixed), one cumulants call each.
+    in place from this trial. It forgets its ends and keeps whether h > 0
+    at some analytic_nu; the secant keeps its last point, whose h is
+    evaluated again under the new model of nu, without a cumulants call. On
+    BoHV-1 and its iid model at w = 1000 and alpha from 0.2 down to 1e-12
+    that takes 3 analytic_nu (4 for iid bws at 0.2 and 0.05) and at most 9
+    trials (6 with nu fixed), one cumulants call each.
 
     Centering makes p stationary in theta1 (the exponent's slope b - w
     lambda1 phi' is zero), so p_value, which solves theta1 back from b,
@@ -549,7 +553,7 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
     check_scan(window, total_length, nu_fixed)
     _check_lambda0(lambda0)
     null_mean = null_window_mean(lambda0, sm, window)
-    target = np.log(-np.log1p(-alpha))
+    target = math.log(-math.log1p(-alpha))
     exact = []  # (theta1, log nu) at each analytic_nu so far
     exceeded = False  # h > 0 at some analytic_nu: alpha is attained
 
@@ -558,58 +562,72 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
         if nu is None:
             # the line through the last two of (1, 0), (0, 0) and the exact values
             (ta, la), (tb, lb) = ([(1.0, 0.0), (0.0, 0.0)] + exact)[-2:]
-            nu = float(np.exp(lb + (lb - la) * ((tilt.theta1 - tb) / (tb - ta))))
+            nu = math.exp(lb + (lb - la) * ((tilt.theta1 - tb) / (tb - ta)))
         p = _tail(tilt, nu, total_length, sm)
-        with np.errstate(divide="ignore"):
-            return np.log(-np.log1p(-p)) - target
+        if p == 0.0 or p == 1.0:
+            return math.inf if p else -math.inf
+        return math.log(-math.log1p(-p)) - target
 
     slope0 = _log_slope(sm.null_cumulants)
-    z = np.sqrt(2.0 * np.log((total_length - window) / alpha))
-    b = null_mean + z * np.sqrt(null_mean * slope0)
+    z = math.sqrt(2.0 * math.log((total_length - window) / alpha))
+    b = null_mean + z * math.sqrt(null_mean * slope0)
     # the Newton step from theta1 = 0 towards b
-    x = min(np.log(b / null_mean) / slope0, 0.5 * sm.tilt_top)
-    lo, hi, b_lo, b_hi = 0.0, sm.tilt_top, null_mean, np.inf
+    x = min(math.log(b / null_mean) / slope0, 0.5 * sm.tilt_top)
+    lo, hi, b_lo, b_hi = 0.0, sm.tilt_top, null_mean, math.inf
     last, attained = None, False
     for _ in range(ROOT_MAX_ITER):
         tilt = _tilt_at(lambda0, sm, x, window)
         h, b = h_at(tilt), tilt.threshold
-        if abs(h) <= ALPHA_RTOL and nu_fixed is None:
-            # nu was predicted: compute it and restart the bracket here
+        k = len(exact)
+        refresh = nu_fixed is None and abs(h) <= (
+            NU_REFRESH_RTOL[k] if k < len(NU_REFRESH_RTOL) else ALPHA_RTOL)
+        if refresh:
+            # nu was predicted: compute it and evaluate h again here
             nu = analytic_nu(tilt, sm)
             # near the edge of the MGF domain adjacent thresholds can share theta1
             if exact and exact[-1][0] == x:
                 exact.pop()
-            exact.append((x, np.log(nu)))
+            exact.append((x, math.log(nu)))
             h = h_at(tilt, nu)
             exceeded |= h > 0
-            lo, hi, b_lo, b_hi = 0.0, sm.tilt_top, null_mean, np.inf
-            last, attained = None, exceeded
         if abs(h) <= ALPHA_RTOL:
             return float(b)
-        # dh/db, about -theta1 at the first trial; not finite once two
-        # adjacent tilts share a threshold
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = -x if last is None else (h - last[1]) / (b - last[0])
+        if refresh:
+            # restart the bracket here; the secant keeps its last point,
+            # with h evaluated again under the new model of nu
+            lo, hi, b_lo, b_hi = 0.0, sm.tilt_top, null_mean, math.inf
+            attained = exceeded
+            if last is not None:
+                last_h = h_at(last[0])
+                last = (last[0], last_h) if math.isfinite(last_h) else None
+        # dh/db, about -theta1 at the first trial; once two adjacent tilts
+        # share a threshold, infinite or NaN, as a division by +0.0 gives
+        if last is None:
+            slope = -x
+        else:
+            dh, db = h - last[1], b - last[0].threshold
+            slope = dh / db if db else dh * math.inf
         attained |= h > 0
         if h > 0 or not slope < 0:
             lo, b_lo = x, b
         else:
             hi, b_hi = x, b
-        mid = 0.5 * (lo + hi) if hi < np.inf else 2.0 * lo
+        mid = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
         # closed once its thresholds are, or no float lies inside it
         if b_hi - b_lo <= 1e-10 * b_lo or not lo < mid < hi:
             # without a hi end h > 0 up to the MGF domain edge
-            if not attained or b_hi == np.inf:
+            if not attained or b_hi == math.inf:
                 raise DomainError(f"alpha={alpha!r} is not attainable by any threshold")
             raise ConvergenceError(f"threshold search for alpha={alpha!r} closed its "
                                    f"bracket at {b_lo:.10g} before p reached alpha")
-        last = (b, h) if np.isfinite(h) else None
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # a step in theta1 follows log b, whose slope is closed form
-            x += np.log((b - h / slope) / b) / _log_slope(tilt.cumulants)
-        if not lo < x < hi:
-            x = mid
-    if b_hi == np.inf and not exceeded:  # h > 0 at every trial, none at an analytic_nu
+        last = (tilt, h) if math.isfinite(h) else None
+        # a step in theta1 follows log b, whose slope is closed form; a step
+        # that is not finite, or leaves the bracket, bisects it
+        step = math.nan
+        if math.isfinite(h) and slope and math.isfinite(slope) and b - h / slope > 0.0:
+            step = math.log((b - h / slope) / b) / _log_slope(tilt.cumulants)
+        x = x + step if lo < x + step < hi else mid
+    if b_hi == math.inf and not exceeded:  # h > 0 at every trial, none at an analytic_nu
         raise DomainError(f"alpha={alpha!r} is not attainable by any threshold "
                           f"up to {b_lo:.10g}")
     raise ConvergenceError(f"threshold search for alpha={alpha!r} did not "

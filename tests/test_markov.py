@@ -92,6 +92,14 @@ class TestMarkovModel:
         with pytest.raises(ValueError):
             bohv1.pi[0] = 0.5
 
+    def test_caller_arrays_stay_writeable(self):
+        # the model holds read-only views; float64 arrays, which np.asarray
+        # does not copy, are not frozen with it
+        pi, trans = np.full(4, 0.25), np.full((4, 4), 0.25)
+        model = MarkovModel(pi=pi, trans=trans)
+        assert pi.flags.writeable and trans.flags.writeable
+        assert not model.pi.flags.writeable and not model.trans.flags.writeable
+
 
 class TestEstimateModel:
     def test_hand_counts(self):

@@ -347,6 +347,26 @@ class TestDomain:
             assume(False)
         assert sm.t_max == pytest.approx(bws_domain_edge(trans), rel=1e-6)
 
+    def test_bws_edge_at_least_one_half_on_random_chains(self, rng):
+        # T = P o (J P J)^T (o entrywise, J the complement swap), so Q(1/2)
+        # is the entrywise geometric mean of two stochastic matrices, and
+        # rho(Q(1/2)) <= sqrt(rho(P) rho(J P J)) = 1 (Elsner, Johnson and
+        # Dias da Silva 1988): the edge is at 1/2 or beyond
+        for _ in range(50):
+            pi, trans = random_model(rng)
+            assert np.abs(np.linalg.eigvals(np.sqrt(quasi_matrix(trans)))).max() <= 1.0
+            assert ScoreModel("bws", MarkovModel(pi=pi, trans=trans), 6).t_max >= 0.5
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(pi_trans=sparse_models())
+    def test_bws_edge_at_least_one_half_on_sparse_chains(self, pi_trans):
+        pi, trans = pi_trans
+        try:
+            sm = ScoreModel("bws", MarkovModel(pi=pi, trans=trans), 6)
+        except ValueError:  # T not subcritical, or a rate of 0
+            assume(False)
+        assert sm.t_max >= 0.5
+
     def test_tilted_matrix_is_complement_symmetric(self, rng):
         # T[a, b] = T[b', a'] exactly, so Q(t)^T = J Q(t) J for the
         # complement swap J (the base order reversed), and so is Q'(t)
@@ -633,6 +653,27 @@ class TestPlsRationalForm:
             assert value == pytest.approx(series_mgf(pi, trans, h, w, "pls"), rel=1e-13)
             got = mgf_module._mgf_jet(sm, w, order=2)
             assert np.all(np.abs(got / pls_series_jet(pi, trans, h, w) - 1.0) <= 1e-13)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(pi_trans=nilpotent_models(), h=st.integers(1, 3))
+    def test_nilpotent_chains_far_out(self, pi_trans, h):
+        # D = 1 whatever s is, so the determinant test, scaled by the
+        # size of D's terms, passes at large arguments too, where the
+        # entries of I - sT grow as s
+        pi, trans = pi_trans
+        try:
+            sm = ScoreModel("pls", MarkovModel(pi=pi, trans=trans), h)
+        except DomainError:  # a rate of 0
+            assume(False)
+        z = np.array([20.0, 40.0, 20.0 + 3.0j, 40.0 - 1.0j])
+        values = mgf_module._mgf_value(sm, z)
+        for w, value in zip(z, values):
+            assert value == pytest.approx(matrix_form_mgf(pi, trans, h, w, "pls"), rel=1e-13)
+            got = mgf_module._mgf_jet(sm, w, order=2)
+            assert np.all(np.abs(got / pls_series_jet(pi, trans, h, w) - 1.0) <= 1e-13)
+        for w in (20.0, 40.0):
+            phi, mean, _ = cumulants(sm, w)
+            assert phi == pytest.approx(np.log(score_mgf(sm, w)), rel=1e-14)
 
     @pytest.mark.parametrize("name,model", pls_models())
     def test_domain_edge(self, name, model):

@@ -464,6 +464,16 @@ class TestEventsTsv:
         assert events_tsv(events, bohv1, tmp_path) == events_tsv(events, bohv1, tmp_path)
 
 
+class TestPalindromeTable:
+    def test_caller_arrays_stay_writeable(self):
+        # the table holds read-only views; int64 arrays, which np.asarray
+        # does not copy, are not frozen with it
+        centers, half = np.array([3, 8]), np.array([2, 2])
+        table = PalindromeTable(seq_of("ACGTACGTACGT"), centers, half, 2)
+        assert centers.flags.writeable and half.flags.writeable
+        assert not table.centers.flags.writeable and not table.half_lengths.flags.writeable
+
+
 class TestPalindromeEvent:
     def test_frozen(self):
         e = PalindromeEvent(center=1, half_length=1, pattern=seq_of("AT").bases)

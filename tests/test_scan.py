@@ -740,10 +740,10 @@ class TestThresholdForAlpha:
     # cumulants calls per threshold search, measured: {kind: {alpha: (with
     # analytic_nu, with nu fixed)}}
     CUMULANTS_PER_SEARCH = {
-        "pls": {0.05: (10, 5), 0.01: (10, 5), 0.001: (10, 5), 1e-6: (11, 6),
-                1e-12: (11, 6)},
-        "bws": {0.05: (9, 4), 0.01: (10, 5), 0.001: (10, 5), 1e-6: (10, 5),
-                1e-12: (11, 6)},
+        "pls": {0.05: (6, 5), 0.01: (6, 5), 0.001: (6, 5), 1e-6: (6, 6),
+                1e-12: (6, 6)},
+        "bws": {0.05: (6, 4), 0.01: (7, 5), 0.001: (7, 5), 1e-6: (7, 5),
+                1e-12: (7, 6)},
     }
 
     @pytest.mark.parametrize("kind", ["pls", "bws"])
@@ -830,18 +830,18 @@ class TestThresholdForAlpha:
     # float.hex of the thresholds on BoHV-1 at w = 1000, W = 135,301:
     # {kind: {(alpha, nu_fixed): threshold}}
     PINNED = {
-        "pcs": {(0.2, None): "0x1.a1aeba353b547p+2", (0.2, 0.6): "0x1.8e0217a6ee95dp+2",
-                (0.05, None): "0x1.d76c48ae1fda7p+2", (0.05, 0.6): "0x1.c5537cc98a5fcp+2",
-                (1e-6, None): "0x1.8ea87619ca737p+3", (1e-6, 0.6): "0x1.87dbce1347949p+3",
-                (1e-12, None): "0x1.1cd62133f3992p+4", (1e-12, 0.6): "0x1.19ead4ed5d561p+4"},
-        "pls": {(0.2, None): "0x1.0730387a65ea0p+3", (0.2, 0.6): "0x1.fd7b030ee954fp+2",
-                (0.05, None): "0x1.22627681b3c61p+3", (0.05, 0.6): "0x1.1a7d1d8c72f9bp+3",
-                (1e-6, None): "0x1.cf6d172a96f3ap+3", (1e-6, 0.6): "0x1.c974466faccefp+3",
-                (1e-12, None): "0x1.4589d11a28782p+4", (1e-12, 0.6): "0x1.43090ed36f2cfp+4"},
-        "bws": {(0.2, None): "0x1.95041a31abf3dp+6", (0.2, 0.6): "0x1.9c75bab9f4616p+6",
-                (0.05, None): "0x1.c3645a9c9efe1p+6", (0.05, 0.6): "0x1.cb8d1231166a6p+6",
-                (1e-6, None): "0x1.745773906e2ecp+7", (1e-6, 0.6): "0x1.799a0d81416eap+7",
-                (1e-12, None): "0x1.098221a919d30p+8", (1e-12, 0.6): "0x1.0c68938be3a09p+8"},
+        "pcs": {(0.2, None): "0x1.a1aeba452ac62p+2", (0.2, 0.6): "0x1.8e0217a6ee95dp+2",
+                (0.05, None): "0x1.d76c48bb13795p+2", (0.05, 0.6): "0x1.c5537cc98a5fcp+2",
+                (1e-6, None): "0x1.8ea8761cfdc61p+3", (1e-6, 0.6): "0x1.87dbce1347949p+3",
+                (1e-12, None): "0x1.1cd6213505bf2p+4", (1e-12, 0.6): "0x1.19ead4ed5d561p+4"},
+        "pls": {(0.2, None): "0x1.0730387b66b1ep+3", (0.2, 0.6): "0x1.fd7b030ee954fp+2",
+                (0.05, None): "0x1.22627681ad7c3p+3", (0.05, 0.6): "0x1.1a7d1d8c72f9bp+3",
+                (1e-6, None): "0x1.cf6d1726d4d2ap+3", (1e-6, 0.6): "0x1.c974466faccefp+3",
+                (1e-12, None): "0x1.4589d116b50c0p+4", (1e-12, 0.6): "0x1.43090ed36f2cfp+4"},
+        "bws": {(0.2, None): "0x1.95041a0f44db1p+6", (0.2, 0.6): "0x1.9c75bab9f4616p+6",
+                (0.05, None): "0x1.c3645ab064a77p+6", (0.05, 0.6): "0x1.cb8d1231166a6p+6",
+                (1e-6, None): "0x1.7457739ba84dcp+7", (1e-6, 0.6): "0x1.799a0d81416eap+7",
+                (1e-12, None): "0x1.098221aa60348p+8", (1e-12, 0.6): "0x1.0c68938be3a09p+8"},
     }
 
     @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
@@ -853,10 +853,10 @@ class TestThresholdForAlpha:
         assert got == self.PINNED[kind]
 
     @pytest.mark.parametrize("kind, nu_fixed, trials", [
-        ("pcs", 0.6, 5), ("pls", 0.6, 4), ("bws", 0.6, 5), ("bws", None, 9)])
+        ("pcs", 0.6, 5), ("pls", 0.6, 4), ("bws", 0.6, 5), ("bws", None, 6)])
     def test_one_cap_on_all_trials(self, kind, nu_fixed, trials, lam0, bohv1, monkeypatch):
         # ROOT_MAX_ITER caps the trials of a whole search: with nu computed
-        # the 9 bws trials span two analytic_nu restarts (4 + 3 + 2)
+        # the 6 bws trials span two analytic_nu restarts (2 + 3 + 1)
         sm = ScoreModel(kind, bohv1, 6)
         b = threshold_for_alpha(0.05, WINDOW, W, lam0, sm, nu_fixed=nu_fixed)
         monkeypatch.setattr(scan_module, "ROOT_MAX_ITER", trials)
@@ -865,17 +865,105 @@ class TestThresholdForAlpha:
         with pytest.raises(ConvergenceError, match=f"did not converge in {trials - 1} p-values"):
             threshold_for_alpha(0.05, WINDOW, W, lam0, sm, nu_fixed=nu_fixed)
 
-    @pytest.mark.parametrize("kind, cap", [("pcs", 7), ("pls", 8), ("pls", 9)])
+    @pytest.mark.parametrize("kind, alpha, total, p_seen, pinned", [
+        ("pcs", 1e-300, W, {0.0}, "0x1.5736e4b03237bp+7"),
+        ("pcs", 0.5, 10**9, {1.0}, "0x1.4f994683dcc32p+3"),
+        ("pls", 0.9, 10**9, {0.0, 1.0}, "0x1.79e72f0e4a0cdp+3"),
+        ("bws", 0.9, 10**9, {0.0, 1.0}, "0x1.3674012b66472p+7")])
+    def test_trials_at_p_zero_or_one(self, kind, alpha, total, p_seen, pinned, lam0, bohv1,
+                                     monkeypatch):
+        # a trial at p = 0 has h = -inf and one at p = 1 has h = +inf, and
+        # the search goes on from there to the threshold it found when h
+        # was numpy's log of 0 and of inf (float.hex recorded then)
+        seen, tail = set(), scan_module._tail
+
+        def recorded(*args):
+            p = tail(*args)
+            if p in (0.0, 1.0):
+                seen.add(p)
+            return p
+
+        monkeypatch.setattr(scan_module, "_tail", recorded)
+        b = threshold_for_alpha(alpha, WINDOW, total, lam0, ScoreModel(kind, bohv1, 6),
+                                nu_fixed=1.0)
+        assert seen == p_seen
+        assert b.hex() == pinned
+
+    @pytest.mark.parametrize("kind, digits, closed", [
+        ("pcs", 2, "7.08"), ("pls", 3, "8.827"), ("bws", 3, "114.887")])
+    def test_trials_that_share_a_threshold(self, kind, digits, closed, lam0, bohv1,
+                                           monkeypatch):
+        # Thresholds rounded to a few decimals make adjacent trials share
+        # one, so the secant divides by +0.0: its slope is then +-inf, or
+        # NaN where h did not move either, as numpy's division gave. The
+        # bracket closes where it closed then.
+        at = scan_module._tilt_at
+
+        def rounded(*args):
+            tilt = at(*args)
+            return replace(tilt, threshold=round(tilt.threshold, digits))
+
+        monkeypatch.setattr(scan_module, "_tilt_at", rounded)
+        with pytest.raises(ConvergenceError, match=f"closed its bracket at {closed} "):
+            threshold_for_alpha(0.05, WINDOW, W, lam0, ScoreModel(kind, bohv1, 6), nu_fixed=0.6)
+
+    @pytest.mark.parametrize("kind, cap", [("pcs", 4), ("pls", 5)])
     def test_running_out_after_a_restart_is_not_unattainable(self, kind, cap, lam0,
                                                               bohv1, monkeypatch):
         # every trial since the last analytic_nu restart had h > 0, but h > 0
-        # at an analytic_nu already showed alpha attained: the search ran out
+        # at an analytic_nu already showed alpha attained: the search ran out.
+        # The cap is the trial of the second analytic_nu, whose h is > 0.
         sm = ScoreModel(kind, bohv1, 6)
         monkeypatch.setattr(scan_module, "ROOT_MAX_ITER", cap)
         with pytest.raises(ConvergenceError, match=f"did not converge in {cap} p-values"):
             threshold_for_alpha(0.05, WINDOW, W, lam0, sm)
         monkeypatch.setattr(scan_module, "ROOT_MAX_ITER", 10)
         threshold_for_alpha(0.05, WINDOW, W, lam0, sm)
+
+
+class TestSearchSweep:
+    """Kernel calls and accuracy of the 72 threshold searches on BoHV-1 and
+    its iid model, for pcs, pls and bws, alpha in ALPHAS, and nu computed
+    or fixed at 0.6 (w = 1000, W = 135,301)."""
+
+    ALPHAS = (0.2, 0.05, 0.01, 1e-3, 1e-6, 1e-12)
+    # cumulants calls per search when each pass ran on to |h| <= ALPHA_RTOL
+    # under a predicted nu: {(model, kind, nu_fixed): one count per alpha}
+    CUMULANTS_BEFORE = {
+        ("bohv1", "pcs", None): (7, 8, 8, 8, 8, 9), ("bohv1", "pcs", 0.6): (5, 5, 5, 5, 5, 6),
+        ("bohv1", "pls", None): (9, 10, 10, 10, 11, 11), ("bohv1", "pls", 0.6): (5, 4, 5, 5, 6, 6),
+        ("bohv1", "bws", None): (12, 9, 10, 10, 10, 11), ("bohv1", "bws", 0.6): (4, 5, 5, 5, 5, 6),
+        ("iid", "pcs", None): (8, 8, 8, 8, 9, 9), ("iid", "pcs", 0.6): (4, 5, 5, 5, 6, 6),
+        ("iid", "pls", None): (9, 10, 10, 10, 11, 11), ("iid", "pls", 0.6): (5, 5, 5, 5, 6, 6),
+        ("iid", "bws", None): (12, 11, 11, 10, 11, 11), ("iid", "bws", 0.6): (5, 4, 5, 5, 6, 6),
+    }
+    # analytic_nu calls per search with nu computed: 3, or 4 for these
+    # (model, kind, alpha); the searches of CUMULANTS_BEFORE took as many,
+    # and 4 also for BoHV-1 bws at 0.2 and iid bws at 0.01
+    FOUR_NU = {("iid", "bws", 0.2), ("iid", "bws", 0.05)}
+
+    @pytest.mark.parametrize("name", ["bohv1", "iid"])
+    @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
+    def test_kernel_calls_and_accuracy(self, name, kind, bohv1, monkeypatch):
+        model = bohv1 if name == "bohv1" else iid_model(bohv1.pi)
+        lambda0 = markov_rate(model, 6).value
+        calls = {"nu": 0, "cumulants": 0}
+
+        def counted(key, f):
+            return lambda *args: calls.__setitem__(key, calls[key] + 1) or f(*args)
+
+        monkeypatch.setattr(scan_module, "analytic_nu", counted("nu", analytic_nu))
+        monkeypatch.setattr(scan_module, "cumulants", counted("cumulants", cumulants))
+        for nu_fixed in (None, 0.6):
+            for alpha, before in zip(self.ALPHAS, self.CUMULANTS_BEFORE[name, kind, nu_fixed]):
+                sm = ScoreModel(kind, model, 6)
+                calls.update(nu=0, cumulants=0)
+                b = threshold_for_alpha(alpha, WINDOW, W, lambda0, sm, nu_fixed=nu_fixed)
+                nu = 0 if nu_fixed else 4 if (name, kind, alpha) in self.FOUR_NU else 3
+                assert calls["nu"] == nu, (nu_fixed, alpha)
+                assert calls["cumulants"] <= before, (nu_fixed, alpha)
+                p = p_value(b, WINDOW, W, lambda0, sm, nu_fixed=nu_fixed).p
+                assert abs(p / alpha - 1.0) <= 1e-7, (nu_fixed, alpha)
 
 
 class TestLiteralReading:
