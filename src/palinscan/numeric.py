@@ -154,19 +154,23 @@ def newton_root(f, lo: float, hi: float, x: float, tol: float = ROOT_TOL) -> flo
     starts at x; a Newton step that would leave the bracket, or a point
     where the value or slope is not finite, falls back to bisection. It
     succeeds when |f(x)| <= tol, or when the next step or the bracket
-    shrinks below tol * max(1, |x|), and returns the last x at which f was
-    evaluated.
+    shrinks below tol * max(1, |x|), and returns the x with the smallest |f|
+    of those evaluated: on an f noisy near its root the last steps may
+    bisect inside the noise and end at a worse point than an earlier one.
 
     Raises:
         NonFiniteError: f returns NaN.
         ConvergenceError: ROOT_MAX_ITER steps without success.
     """
+    best, best_f = x, np.inf
     for _ in range(ROOT_MAX_ITER):
         fx, slope = f(x)
         if np.isnan(fx):
             raise NonFiniteError(f"f({x!r}) is NaN during root search")
         if abs(fx) <= tol:
             return float(x)
+        if abs(fx) < best_f:
+            best, best_f = x, abs(fx)
         if fx < 0.0:
             lo = x
         else:
@@ -177,6 +181,6 @@ def newton_root(f, lo: float, hi: float, x: float, tol: float = ROOT_TOL) -> flo
             nxt = 0.5 * (lo + hi)
         scale = tol * max(1.0, abs(x))
         if abs(nxt - x) <= scale or hi - lo <= scale:
-            return float(x)
+            return float(best)
         x = nxt
     raise ConvergenceError(f"Newton search did not converge in {ROOT_MAX_ITER} iterations")

@@ -25,8 +25,8 @@ from .errors import ConvergenceError, DomainError
 from .mgf import KERNEL_FAILURES, NodeGrid, ScoreModel, _mgf_value, cumulants
 from .numeric import ROOT_MAX_ITER, newton_root, read_only
 
-# threshold_for_alpha stops once log(-log(1 - p)) is within this of its value
-# at alpha, which bounds |p / alpha - 1| by about the same figure.
+# threshold_for_alpha stops once log E[hits] is within this of its value at
+# alpha, which bounds |p / alpha - 1| by about the same figure.
 ALPHA_RTOL = 1e-7
 # While nu is predicted, threshold_for_alpha computes it afresh once |h| is
 # within NU_REFRESH_RTOL[k], k the exact values of nu it holds, and within
@@ -446,9 +446,9 @@ def check_scan(window: int, total_length: int, nu_fixed: float | None) -> None:
                           f"sequence, W={total_length!r}")
 
 
-def _tail(tilt: TiltSolution, nu: float, total_length: int, sm: ScoreModel) -> float:
-    """p-value at a solved tilt for the overshoot correction nu (p_value).
-    nu may be any positive value, such as a prediction of analytic_nu's."""
+def _log_hits(tilt: TiltSolution, nu: float, total_length: int, sm: ScoreModel) -> float:
+    """log E[hits], the mean number of exceeding windows at a solved tilt for
+    the overshoot correction nu (p_value), which may be any positive value."""
     threshold, window, lambda0 = tilt.threshold, tilt.window, tilt.lambda0
     _, mean1, var1 = tilt.cumulants
     var_term = mean1 * mean1 if sm.kind == "pcs" else var1
@@ -456,13 +456,7 @@ def _tail(tilt: TiltSolution, nu: float, total_length: int, sm: ScoreModel) -> f
     exceed_exponent = threshold * tilt.theta1 - window * (tilt.lambda1 - tilt.lambda0)
     local_factor = 1.0 / math.sqrt(2.0 * math.pi * window * tilt.lambda1 * var_term)
     prefactor = (total_length - window) * nu * mean_increment * local_factor
-    if prefactor <= 0.0:
-        mean_hits = 0.0
-    else:
-        # Assemble in log space: a far-below-par exponent would overflow the
-        # bare exponential even though the p-value just clamps to 1.
-        mean_hits = math.exp(min(math.log(prefactor) - exceed_exponent, 700.0))
-    return min(max(-math.expm1(-mean_hits), 0.0), 1.0)
+    return math.log(prefactor) - exceed_exponent
 
 
 def p_value(threshold: float, window: int, total_length: int, lambda0: float,
@@ -473,7 +467,7 @@ def p_value(threshold: float, window: int, total_length: int, lambda0: float,
     The mean number of exceeding windows is (total_length - window) times
     the overshoot correction, the mean ladder increment, the exponential
     large-deviation factor, and a Gaussian local-limit factor; the p-value is
-    its Poisson complement, clamped to [0, 1]. The overshoot correction is
+    its Poisson complement, 1 - exp(-E[hits]). The overshoot correction is
     ``nu_fixed`` when given, else analytic_nu at the solved tilt. ``rng`` is
     accepted for compatibility and not used: the result is deterministic.
 
@@ -491,7 +485,9 @@ def p_value(threshold: float, window: int, total_length: int, lambda0: float,
     check_scan(window, total_length, nu_fixed)
     tilt = solve_tilt(lambda0, sm, threshold, window)
     nu = float(nu_fixed) if nu_fixed is not None else analytic_nu(tilt, sm)
-    return PvalueReport(p=_tail(tilt, nu, total_length, sm), nu=nu, nu_se=0.0, tilt=tilt)
+    # capped where exp would overflow; p is 1 long before that
+    p = -math.expm1(-math.exp(min(_log_hits(tilt, nu, total_length, sm), 700.0)))
+    return PvalueReport(p=p, nu=nu, nu_se=0.0, tilt=tilt)
 
 
 def threshold_for_alpha(alpha: float, window: int, total_length: int,
@@ -500,12 +496,13 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
                         nu_entropy: int | None = None) -> float:
     """Invert the p-value approximation: smallest threshold with p <= alpha.
 
-    p is unimodal in the threshold b: an artifact branch rises from zero just
-    above the null mean (where the approximation is not valid) to the peak,
-    past which h(b) = log(-log(1 - p)) - log(-log(1 - alpha)) falls almost
-    linearly, with slope about -theta1. Up to rounding h is log M1(b) +
-    log nu(theta1(b)) - log(-log(1 - alpha)), where M1, the mean number of
-    exceeding windows at nu = 1, needs only the tilt.
+    The search is a secant on h(b) = log E[hits] - log(-log(1 - alpha)),
+    zero where p = 1 - exp(-E[hits]) is alpha, and finite however near 0 or
+    1 p rounds. E[hits] is unimodal in the threshold b: an artifact branch
+    rises from zero just above the null mean (where the approximation is not
+    valid) to the peak, past which h falls almost linearly, with slope about
+    -theta1. h is log M1(b) + log nu(theta1(b)) - log(-log(1 - alpha)),
+    where M1, E[hits] at nu = 1, needs only the tilt.
 
     b rises with theta1 and is explicit in it (_tilt_at), so the search
     runs over theta1 in (0, sm.tilt_top), infinite for pcs, one
@@ -563,13 +560,10 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
             # the line through the last two of (1, 0), (0, 0) and the exact values
             (ta, la), (tb, lb) = ([(1.0, 0.0), (0.0, 0.0)] + exact)[-2:]
             nu = math.exp(lb + (lb - la) * ((tilt.theta1 - tb) / (tb - ta)))
-        p = _tail(tilt, nu, total_length, sm)
-        if p == 0.0 or p == 1.0:
-            return math.inf if p else -math.inf
-        return math.log(-math.log1p(-p)) - target
+        return _log_hits(tilt, nu, total_length, sm) - target
 
     slope0 = _log_slope(sm.null_cumulants)
-    z = math.sqrt(2.0 * math.log((total_length - window) / alpha))
+    z = math.sqrt(2.0 * (math.log(total_length - window) - math.log(alpha)))
     b = null_mean + z * math.sqrt(null_mean * slope0)
     # the Newton step from theta1 = 0 towards b
     x = min(math.log(b / null_mean) / slope0, 0.5 * sm.tilt_top)
@@ -598,8 +592,7 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
             lo, hi, b_lo, b_hi = 0.0, sm.tilt_top, null_mean, math.inf
             attained = exceeded
             if last is not None:
-                last_h = h_at(last[0])
-                last = (last[0], last_h) if math.isfinite(last_h) else None
+                last = (last[0], h_at(last[0]))
         # dh/db, about -theta1 at the first trial; once two adjacent tilts
         # share a threshold, infinite or NaN, as a division by +0.0 gives
         if last is None:
@@ -620,11 +613,11 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
                 raise DomainError(f"alpha={alpha!r} is not attainable by any threshold")
             raise ConvergenceError(f"threshold search for alpha={alpha!r} closed its "
                                    f"bracket at {b_lo:.10g} before p reached alpha")
-        last = (tilt, h) if math.isfinite(h) else None
+        last = (tilt, h)
         # a step in theta1 follows log b, whose slope is closed form; a step
         # that is not finite, or leaves the bracket, bisects it
         step = math.nan
-        if math.isfinite(h) and slope and math.isfinite(slope) and b - h / slope > 0.0:
+        if slope and math.isfinite(slope) and b - h / slope > 0.0:
             step = math.log((b - h / slope) / b) / _log_slope(tilt.cumulants)
         x = x + step if lo < x + step < hi else mid
     if b_hi == math.inf and not exceeded:  # h > 0 at every trial, none at an analytic_nu

@@ -709,7 +709,7 @@ class TestPinnedOutput:
              "replicates": 4, "rows": [
                  row("average", 0.0018124999999999999, 10.168368058543361,
                      [0.25, 0.0, 0.0]),
-                 row("markov", 0.0011034909379832119, 8.01418540153679,
+                 row("markov", 0.0011034909379832119, 8.014185401536794,
                      [0.25, 0.25, 0.5])]},
         ]
         assert text == json.dumps(expected, indent=2) + "\n"

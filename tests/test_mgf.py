@@ -405,11 +405,11 @@ class TestDomain:
         1, Q(t_max) from oracles.matrix_form_factors.
 
         np.linalg.eigvals resolves the radius of these reducible or
-        periodic matrices only to about 1e-8. The bound, 7.15e-9, is the
-        sweep's worst figure with the left Perron vector from a second
-        eigendecomposition, of Q(t)^T; with the right vector reversed it is
-        6.33e-9. ROADMAP item 6 (the radius per strongly connected class)
-        is the change that would tighten it.
+        periodic matrices only to about 1e-8, so Newton steps near the edge
+        can wander inside that noise; newton_root returns the step with the
+        smallest |rho - 1| it saw. The sweep's worst figure is 1.01e-10,
+        under the bound of 1e-9. ROADMAP item 6 (the radius per strongly
+        connected class) is the change that would tighten it further.
         """
         rng = np.random.default_rng(1)
         worst, edges = 0.0, 0
@@ -428,7 +428,7 @@ class TestDomain:
                 q = matrix_form_factors(pi, trans, 6, sm.t_max, "bws")[1]
                 worst = max(worst, abs(np.abs(np.linalg.eigvals(q)).max() - 1.0))
         assert edges == 138
-        assert worst <= 7.15e-9
+        assert worst <= 1e-9
 
     def test_bws_boundary_vs_eigvals(self, bohv1):
         sm = ScoreModel("bws", bohv1, 6)
@@ -484,6 +484,14 @@ class TestCumulant:
             assert mean == pytest.approx(fd1, rel=1e-5)
             fd2 = (f(theta + h) - 2 * f(theta) + f(theta - h)) / h**2
             assert var == pytest.approx(fd2, rel=1e-3)
+
+    @pytest.mark.parametrize("m0", [0.0, -1.0, np.inf, np.nan])
+    def test_mgf_not_finite_and_positive_refused(self, m0, bohv1, monkeypatch):
+        sm = ScoreModel("pls", bohv1, 6)
+        monkeypatch.setattr(mgf_module, "_mgf_jet",
+                            lambda *args, **kwargs: np.array([m0, 1.0, 1.0], dtype=complex))
+        with pytest.raises(SingularMatrixError, match="resolvent singular"):
+            cumulants(sm, 0.5)
 
     def test_variance_positive(self, bohv1):
         for kind in ("pls", "bws"):

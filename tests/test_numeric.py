@@ -21,6 +21,10 @@ class TestMatInv:
         with pytest.raises(SingularMatrixError):
             mat_inv(m)
 
+    def test_zero_matrix(self):
+        with pytest.raises(SingularMatrixError, match="zero matrix"):
+            mat_inv(np.zeros((3, 3)))
+
     def test_near_singular_matrix(self):
         m = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
         with pytest.raises(SingularMatrixError):
@@ -147,6 +151,20 @@ class TestNewtonRoot:
         # beyond 2 the function "fails"; the bracket must shrink onto [.., 2)
         f = lambda x: (x - 1.5, 1.0) if x < 2.0 else (math.inf, math.nan)
         assert newton_root(f, 0.0, 10.0, x=9.0) == pytest.approx(1.5, abs=1e-12)
+
+    def test_returns_the_best_iterate_of_a_noisy_function(self):
+        # noise of 1e-8 that swings between adjacent floats near the root:
+        # the last steps bisect inside it and end worse than an earlier step
+        seen = []
+
+        def f(x):
+            value = x - 0.3 + 1e-8 * math.sin(1e14 * x)
+            seen.append((abs(value), x))
+            return value, 1.0
+
+        root = newton_root(f, 0.0, 1.0, x=0.9, tol=1e-15)
+        assert seen[-1][0] > 100.0 * min(seen)[0]
+        assert root == min(seen)[1]
 
     def test_nan_raises(self):
         with pytest.raises(NonFiniteError):

@@ -473,6 +473,10 @@ class TestPalindromeTable:
         assert centers.flags.writeable and half.flags.writeable
         assert not table.centers.flags.writeable and not table.half_lengths.flags.writeable
 
+    def test_arrays_of_different_shapes_refused(self):
+        with pytest.raises(ValueError, match="one length"):
+            PalindromeTable(seq_of("ACGTACGTACGT"), np.array([3, 8]), np.array([2]), 2)
+
 
 class TestPalindromeEvent:
     def test_frozen(self):

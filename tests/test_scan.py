@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from palinscan import (
     ConvergenceError,
     DomainError,
+    MarkovModel,
     ScoreModel,
     analytic_nu,
     bohv1_model,
@@ -268,6 +269,36 @@ class TestSolveTilt:
         # log-uniform in [1e-3, 0.9 t_max]
         self.assert_round_trip(sm.rate, sm, 1e-3 * (900.0 * sm.t_max) ** frac)
 
+    def test_kernel_failures_near_the_edge_on_a_sparse_chain(self, monkeypatch):
+        # The fifth chain of test_mgf's sparse sweep (default_rng(1), 6 zero
+        # transitions, uniform pi), pls: the MGF cannot be evaluated at
+        # tilt_top, and solve_tilt's Newton steps towards a tilt just inside
+        # it land where the kernel refuses. They bisect past those points
+        # and still solve the tilt the threshold was built from.
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            trans = rng.random((4, 4))
+            trans.flat[rng.choice(16, 6, replace=False)] = 0.0
+            trans[trans.sum(axis=1) == 0.0] = 1.0
+            trans /= trans.sum(axis=1, keepdims=True)
+        sm = ScoreModel("pls", MarkovModel(pi=np.full(4, 0.25), trans=trans), 6)
+        assert sm.edge_cumulants is None
+        theta = 0.999999 * sm.tilt_top
+        closed = scan_module._tilt_at(sm.rate, sm, theta, WINDOW)
+        refused, jet = [], scan_module.cumulants
+
+        def recorded(sm, theta):
+            try:
+                return jet(sm, theta)
+            except mgf_module.KERNEL_FAILURES:
+                refused.append(theta)
+                raise
+
+        monkeypatch.setattr(scan_module, "cumulants", recorded)
+        solved = solve_tilt(sm.rate, sm, closed.threshold, WINDOW)
+        assert refused
+        assert abs(solved.theta1 / theta - 1.0) <= 1e-9
+
 
 class TestPvalue:
     def test_pcs_formula_recomputed(self, lam0, pcs):
@@ -349,6 +380,14 @@ class TestPvalue:
         calls.clear()
         p_value(b, WINDOW, W, lam0, sm, nu_fixed=1.0)
         assert len(calls) == tilt_calls
+
+    @pytest.mark.parametrize("p, nu, field", [
+        (-1e-3, 0.5, "p"), (1.001, 0.5, "p"), (np.nan, 0.5, "p"),
+        (0.5, 0.0, "nu"), (0.5, 1.001, "nu"), (0.5, np.nan, "nu")])
+    def test_report_refuses_values_out_of_range(self, p, nu, field, lam0, pls):
+        tilt = solve_tilt(lam0, pls, 10.0, WINDOW)
+        with pytest.raises(ValueError, match=f"^{field} must lie in"):
+            scan_module.PvalueReport(p=p, nu=nu, nu_se=0.0, tilt=tilt)
 
     def test_report_fields(self, lam0, bws):
         rng = np.random.default_rng(0)
@@ -761,7 +800,7 @@ class TestThresholdForAlpha:
                 return f(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(scan_module, "_tail", counted("p", scan_module._tail))
+        monkeypatch.setattr(scan_module, "_log_hits", counted("p", scan_module._log_hits))
         monkeypatch.setattr(scan_module, "analytic_nu", counted("nu", analytic_nu))
         monkeypatch.setattr(scan_module, "cumulants", counted("cumulants", cumulants))
         monkeypatch.setattr(scan_module, "solve_tilt", counted("solve", solve_tilt))
@@ -801,6 +840,21 @@ class TestThresholdForAlpha:
         sm = fresh_model_without_kernel(monkeypatch)
         with pytest.raises(ValueError, match="lambda0"):
             threshold_for_alpha(0.05, WINDOW, W, lambda0, sm, nu_fixed=nu_fixed)
+
+    @pytest.mark.parametrize("nu_fixed", [None, 1.0])
+    def test_tiny_alpha_on_a_long_sequence(self, nu_fixed, lam0, pcs):
+        # (W - w) / alpha overflows a float; the search's first trial, which
+        # takes its log, must not start pcs (no domain edge) at theta1 = inf
+        b = threshold_for_alpha(1e-300, WINDOW, 10**9, lam0, pcs, nu_fixed=nu_fixed)
+        assert 173.3 < b < 173.4
+        p = p_value(b, WINDOW, 10**9, lam0, pcs, nu_fixed=nu_fixed).p
+        assert abs(p / 1e-300 - 1.0) <= 1e-7
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, np.nan])
+    def test_alpha_outside_unit_interval_refused_before_the_kernel(self, alpha, monkeypatch):
+        sm = fresh_model_without_kernel(monkeypatch)
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            threshold_for_alpha(alpha, WINDOW, W, 1e-3, sm)
 
     def test_unattainable_alpha(self, lam0, pls):
         # with only 200 windows the exceedance probability peaks well below
@@ -865,29 +919,29 @@ class TestThresholdForAlpha:
         with pytest.raises(ConvergenceError, match=f"did not converge in {trials - 1} p-values"):
             threshold_for_alpha(0.05, WINDOW, W, lam0, sm, nu_fixed=nu_fixed)
 
-    @pytest.mark.parametrize("kind, alpha, total, p_seen, pinned", [
-        ("pcs", 1e-300, W, {0.0}, "0x1.5736e4b03237bp+7"),
-        ("pcs", 0.5, 10**9, {1.0}, "0x1.4f994683dcc32p+3"),
-        ("pls", 0.9, 10**9, {0.0, 1.0}, "0x1.79e72f0e4a0cdp+3"),
-        ("bws", 0.9, 10**9, {0.0, 1.0}, "0x1.3674012b66472p+7")])
-    def test_trials_at_p_zero_or_one(self, kind, alpha, total, p_seen, pinned, lam0, bohv1,
+    @pytest.mark.parametrize("kind, alpha, total, p_seen", [
+        ("pcs", 1e-300, W, {0.0}), ("pcs", 0.5, 10**9, {1.0}),
+        ("pls", 0.9, 10**9, {1.0}), ("bws", 0.9, 10**9, {1.0})])
+    def test_finite_h_where_p_rounds(self, kind, alpha, total, p_seen, lam0, bohv1,
                                      monkeypatch):
-        # a trial at p = 0 has h = -inf and one at p = 1 has h = +inf, and
-        # the search goes on from there to the threshold it found when h
-        # was numpy's log of 0 and of inf (float.hex recorded then)
-        seen, tail = set(), scan_module._tail
+        # Some trials have an E[hits] at which p = 1 - exp(-E[hits]) rounds
+        # to 0 or to 1 (p_seen). h, log E[hits] - log(-log(1 - alpha)),
+        # stays finite there, and the search goes on to a threshold with p
+        # at alpha.
+        logs, log_hits = [], scan_module._log_hits
 
         def recorded(*args):
-            p = tail(*args)
-            if p in (0.0, 1.0):
-                seen.add(p)
-            return p
+            logs.append(log_hits(*args))
+            return logs[-1]
 
-        monkeypatch.setattr(scan_module, "_tail", recorded)
-        b = threshold_for_alpha(alpha, WINDOW, total, lam0, ScoreModel(kind, bohv1, 6),
-                                nu_fixed=1.0)
-        assert seen == p_seen
-        assert b.hex() == pinned
+        monkeypatch.setattr(scan_module, "_log_hits", recorded)
+        sm = ScoreModel(kind, bohv1, 6)
+        b = threshold_for_alpha(alpha, WINDOW, total, lam0, sm, nu_fixed=1.0)
+        assert all(np.isfinite(logs)), logs
+        p_trials = {-np.expm1(-np.exp(min(x, 700.0))) for x in logs}
+        assert p_trials & {0.0, 1.0} == p_seen
+        p = p_value(b, WINDOW, total, lam0, sm, nu_fixed=1.0).p
+        assert abs(p / alpha - 1.0) <= 1e-7
 
     @pytest.mark.parametrize("kind, digits, closed", [
         ("pcs", 2, "7.08"), ("pls", 3, "8.827"), ("bws", 3, "114.887")])

@@ -1,4 +1,5 @@
 import io
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from palinscan import (
     ExperimentConfig,
     HotspotSpec,
     MarkovModel,
+    RateExperimentResult,
     ScoreModel,
     bohv1_model,
     default_hotspot_specs,
@@ -358,6 +360,14 @@ class TestRateExperiment:
         assert res.average_rates.shape == (3,)
         assert res.replicates == 3
         assert res.average_rate_se > 0.0
+
+    def test_single_replicate_has_no_standard_error(self):
+        # one replicate has no spread: NaN, without numpy's ddof warning
+        one = np.array([1e-3])
+        res = RateExperimentResult((1.0, 1.0, 1.0), 1, average_rates=one, markov_rates=one)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(res.average_rate_se) and np.isnan(res.markov_rate_se)
 
     def test_tsv_header(self):
         # the table simulate writes for _cfg((1.0, 1.0, 1.0), reps=2)
