@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -34,7 +35,7 @@ from .markov import (
     iid_model,
     markov_rate,
 )
-from .mgf import SCORE_KINDS, ScoreModel, cumulants, score_mgf
+from .mgf import SCORE_KINDS, ScoreModel, cumulants
 from .palindrome import average_rate, find_palindromes, score_events
 from .scan import WindowSeries, check_scan, exceeds_null_mean, p_value, window_scores
 from .seqio import ALPHABET, FastaRecord, decode, fetch_sequence, parse_fasta_file
@@ -324,11 +325,14 @@ def _cmd_mgf(args: argparse.Namespace, out) -> int:
     grid = np.linspace(0.0, 0.95 * min(sm.t_max, 50.0), args.points)
     rows = []
     for t in grid.tolist():
+        # one cumulants call per kind: the MGF columns are e^phi, and the
+        # selected kind's call gives the phi columns too
+        shown = [kind for kind in ("pls", "bws") if t < 0.99 * sms[kind].t_max]
+        jets = {kind: cumulants(sms[kind], t) for kind in {args.score, *shown}}
         row = {"t": t}
         for kind in ("pls", "bws"):
-            row[f"mgf_{kind}"] = (score_mgf(sms[kind], t)
-                                  if t < 0.99 * sms[kind].t_max else float("nan"))
-        row["phi"], row["phi_prime"], row["phi_double_prime"] = cumulants(sm, t)
+            row[f"mgf_{kind}"] = math.exp(jets[kind][0]) if kind in shown else float("nan")
+        row["phi"], row["phi_prime"], row["phi_double_prime"] = jets[args.score]
         rows.append(row)
     if args.json_output:
         _write_json(out, rows)

@@ -7,29 +7,28 @@ function with a closed matrix form built from the quasi transition matrix;
 this module evaluates those forms (score_mgf), the cumulant function and its
 first two derivatives (cumulants) and the domain of valid arguments.
 
-One kernel serves every evaluator, on two paths that the argument's shape
-picks: a scalar, real or complex, gets the MGF's Taylor coefficients
-(_mgf_jet), from which cumulants and score_mgf read the MGF and its first
-two derivatives in closed form; an array of arguments, such as the ones
-scan.analytic_nu passes for its overshoot quadrature, gets the MGF's
-values only (_mgf_value), in a number of numpy calls that does not grow
-with the array's size. pcs and pls are closed forms on both paths: e^z,
-and for pls a ratio of two fixed polynomials in s = e^(z/h), whose
-coefficients ScoreModel caches, so a pls argument costs a few powers of s
-and no matrix algebra. bws, whose entrywise powers of T have no such form,
-keeps the matrix form. At a scalar it carries each factor as a truncated
-Taylor series in the argument, so the MGF and its derivatives come out of
-the same block matrix products, with one LAPACK inverse
-(numeric.mat_inv). At an array it lays the factors out entries-first
-(entry (i, j) of Q is one array over the arguments), the 4 x 4 algebra
-runs as elementwise arithmetic, and the resolvent enters through one row
-solve by Gaussian elimination (numeric.row_solve). The array comes as a
-NodeGrid, a plain array being the grid of its points alone: bws raises
-its bases to the power 1 - z from the grid's panel layout, one
-exponential per base and panel start or offset rather than per base and
-node. Where the quadrature's arguments lie, and why M at the conjugate
-arguments needs no evaluation of its own, is stated in module scan
-(_nu_quadrature, analytic_nu). A model with independent bases is the
+The kernel has two entries. At one real tilt, cumulants gives phi = log M
+and its first two derivatives, each kind in its own closed form, and
+score_mgf is e^phi. At an array of real or complex arguments, such as the
+ones scan.analytic_nu passes for its overshoot quadrature, _mgf_value gives
+the MGF's values, in a number of numpy calls that does not grow with the
+array's size. pcs is e^z. pls is a ratio of two fixed polynomials in s =
+e^(z/h), M = e^z N(s) / D(s), whose coefficients ScoreModel caches: at a
+tilt its cumulants are log-derivatives of N and D, at an array Horner's
+rule evaluates the ratio, and neither takes matrix algebra. bws, whose
+entrywise powers of T have no such form, keeps the matrix form. At a tilt
+it carries each factor as a truncated Taylor series in the tilt, so the MGF
+and its first two derivatives come out of the same block matrix products,
+with one LAPACK inverse (numeric.mat_inv). At an array it lays the factors
+out entries-first (entry (i, j) of Q is one array over the arguments), the
+4 x 4 algebra runs as elementwise arithmetic, and the resolvent enters
+through one row solve by Gaussian elimination (numeric.row_solve). The
+array comes as a NodeGrid, a plain array being the grid of its points
+alone: bws raises its bases to the power 1 - z from the grid's panel
+layout, one exponential per base and panel start or offset rather than per
+base and node. Where the quadrature's arguments lie, and why M at the
+conjugate arguments needs no evaluation of its own, is stated in module
+scan (_nu_quadrature, analytic_nu). A model with independent bases is the
 Markov model iid_model(pi), whose rank-one quasi transition matrix takes
 the same paths.
 
@@ -57,7 +56,8 @@ SCORE_KINDS = ("pcs", "pls", "bws")
 _EYE = np.eye(4)
 
 # What cumulants raises where the MGF cannot be evaluated: beyond its
-# domain, at a singular resolvent, or on overflow
+# domain, at a singular resolvent, where it cancels to a tilted mean or
+# variance that no score law has, or on overflow
 KERNEL_FAILURES = (DomainError, SingularMatrixError, FloatingPointError, OverflowError)
 
 
@@ -148,24 +148,22 @@ class ScoreModel:
         return cumulants(self, 0.0)
 
     @cached_property
-    def _pls_rational(self) -> tuple[np.ndarray, np.ndarray, list[float]]:
-        """(rates, table, size) of the pls MGF as a rational function of
-        s = e^(z/h): rates and table of shapes (2, 5) and (2, 3, 5), lowest
-        power of s first.
+    def _pls_rational(self) -> tuple[np.ndarray, list[float]]:
+        """(table, size) of the pls MGF as a rational function of s =
+        e^(z/h): table of shape (2, 3, 5), lowest power of s first.
 
         M(z) = e^z v (I - sT)^-1 u / rate, v = pi T^(h-1) and u = (I - T)
-        c, is e^z N(s) / (rate D(s)) by Cramer's rule, with D(s) = det(I -
-        sT) = sum d_k s^k. The d_k come from the power traces p_i = tr T^i
-        by Newton's identities, k d_k = -(d_(k-1) p_1 + ... + d_0 p_k), so a
-        nilpotent T gives D = 1 exactly. N(s) = D(s) sum_m a_m s^m, a_m = v
-        T^m u, has coefficients d_0 a_k + ... + d_k a_0, which vanish from
-        k = 4 on (Cayley-Hamilton). Row 0 stands for e^z N(s) / rate =
-        sum_k n_k e^(z (h + k) / h) and row 1 for D(s) = sum_k d_k e^(z k /
-        h): rates holds the exponents' factors (h + k) / h and k / h, and
-        table[:, j] the coefficients of the j-th derivative in z over j!,
-        n_k ((h + k) / h)^j / j! and d_k (k / h)^j / j!, for j = 0, 1, 2,
-        the orders cumulants takes. size holds |d_0|, ..., |d_4|, which
-        give the scale of _require_regular_pls.
+        c, is e^z N(s) / D(s) by Cramer's rule, with D(s) = det(I - sT) =
+        sum d_k s^k. The d_k come from the power traces p_i = tr T^i by
+        Newton's identities, k d_k = -(d_(k-1) p_1 + ... + d_0 p_k), so a
+        nilpotent T gives D = 1 exactly. N(s) = D(s) sum_m a_m s^m / rate,
+        a_m = v T^m u, has coefficients n_k = (d_0 a_k + ... + d_k a_0) /
+        rate, which vanish from k = 4 on (Cayley-Hamilton). table[0, j]
+        holds n_k k^j and table[1, j] d_k k^j, for j = 0, 1, 2, so one
+        product with the powers s^k gives the sums N_j = sum n_k k^j s^k
+        and D_j of cumulants, and row j = 0 the coefficients of N and D
+        themselves (_mgf_value). size holds |d_0|, ..., |d_4|, which give
+        the scale of _require_regular_pls.
         """
         t, h = self.t_matrix, self.half_length
         powers = [_EYE]
@@ -179,11 +177,8 @@ class ScoreModel:
         tail = (_EYE - t) @ self.closure_probs
         terms = [head @ p @ tail for p in powers[:4]]
         num = np.append(np.convolve(den, terms)[:4], 0.0) / self.rate
-        k = np.arange(5.0)
-        rates = np.array([(h + k) / h, k / h])
-        j = np.arange(3.0)[:, None]
-        table = np.array([num, den])[:, None, :] * rates[:, None, :] ** j / [[1.0], [1.0], [2.0]]  # j!
-        return rates, table, np.abs(den).tolist()
+        table = np.array([num, den])[:, None, :] * np.arange(5.0) ** np.arange(3.0)[:, None]
+        return table, np.abs(den).tolist()
 
     @cached_property
     def _bws_log_base(self) -> tuple[np.ndarray, np.ndarray]:
@@ -249,13 +244,13 @@ def _log_base(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.log(np.where(pos, base, 1.0)), pos
 
 
-def _power_jet(log_base: tuple[np.ndarray, np.ndarray], z: float | complex,
+def _power_jet(log_base: tuple[np.ndarray, np.ndarray], z: float,
                order: int = 0) -> list[np.ndarray]:
     """Taylor coefficients in z of the entrywise power base ** (1 - z).
 
     log_base is _log_base(base). Coefficient j is base ** (1 - z) * (-log
     base) ** j / j!. Zero entries map to zero, matching the limit from
-    positive base; z may be complex.
+    positive base.
     """
     log_base, pos = log_base
     power = np.exp(log_base * (1.0 - z))
@@ -339,7 +334,8 @@ def _toeplitz(jet: list[np.ndarray]) -> np.ndarray:
 
 
 def _jet_by_blocks(v, q, u, n: int) -> np.ndarray:
-    """Taylor coefficients of v Q^n (I - Q)^-1 u (_mgf_jet) at a scalar.
+    """Taylor coefficients of v Q^n (I - Q)^-1 u at one real tilt, from
+    those of v, Q and u (_bws_factors), as bws cumulants takes them.
 
     Every series becomes a block Toeplitz matrix (_toeplitz), so one chain
     of matrix products carries all Taylor coefficients; the resolvent's
@@ -384,9 +380,10 @@ def _bws_powers(sm: ScoreModel, grid: NodeGrid) -> np.ndarray:
 
 def _bws_factors(sm: ScoreModel, z, order: int) -> tuple[list, list, list]:
     """Taylor coefficients j = 0 .. order of v, Q and u in the bws form
-    M(z) = v Q^(h-1) (I - Q)^-1 u / rate (_mgf_jet). A NodeGrid z (order 0)
-    lays each coefficient out entries-first, with its nodes on a trailing
-    axis, and takes its node powers from the grid's layout (_bws_powers)."""
+    M(z) = v Q^(h-1) (I - Q)^-1 u / rate at one real tilt z (cumulants).
+    A NodeGrid z (order 0) lays each coefficient out entries-first, with
+    its nodes on a trailing axis, and takes its node powers from the grid's
+    layout (_bws_powers)."""
     jet = [_bws_powers(sm, z)] if isinstance(z, NodeGrid) else _power_jet(sm._bws_log_base, z, order)
     return zip(*map(_bws_split, jet))
 
@@ -397,54 +394,17 @@ def _require_regular_pls(sm: ScoreModel, r, det) -> None:
     array of them, scaled by the size of the terms D sums, sum_k |d_k| r^k.
     So D fails where it cancels to round-off, as at the domain edge, and a
     nilpotent T, whose D is 1, never fails."""
-    size = sm._pls_rational[2]
+    size = sm._pls_rational[1]
     scale = size[4]
     for k in range(3, -1, -1):
         scale = scale * r + size[k]
     require_regular(det, scale, 1)
 
 
-def _mgf_jet(sm: ScoreModel, z: float | complex, order: int = 0) -> np.ndarray:
-    """Taylor coefficients M^(j)(z) / j!, j = 0 .. order, of the score MGF
-    at one real or complex argument z (domain checks use Re z).
-
-    pcs and pls are closed forms in e^z and s = e^(z/h):
-      - pcs: M(z) = e^z;
-      - pls: M(z) = e^z N(s) / (rate D(s)), D(s) = det(I - sT), a ratio of
-        fixed polynomials (ScoreModel._pls_rational). The Taylor series of
-        numerator and denominator come from one table product, and their
-        quotient series, q_j = (n_j - q_0 d_j - ... - q_(j-1) d_1) / d_0,
-        gives exact derivatives; order <= 2.
-    bws is M(z) = v Q^(h-1) (I - Q)^-1 u / rate, with v, Q and u the
-    entrywise (1 - z) powers of the start weights, T and c. Each factor is
-    carried as a Taylor series in z (_bws_factors), and the product of the
-    series, as block matrix products (_jet_by_blocks), gives exact
-    derivatives. Returns shape (order + 1,). An array of arguments takes
-    _mgf_value.
-
-    Raises:
-        DomainError: Re z at or beyond the domain supremum.
-        SingularMatrixError: I - Q is numerically singular (I - sT for
-            pls), i.e. z sits at the domain edge to round-off.
-    """
-    _require_in_domain(sm, z)
-    if sm.kind == "pcs":
-        return np.exp(z) / np.array([float(math.factorial(j)) for j in range(order + 1)])
-    if sm.kind == "pls":
-        rates, table, _ = sm._pls_rational
-        powers = np.exp(z * rates)
-        num, den = (table[:, :order + 1] @ powers[..., None])[..., 0].tolist()
-        _require_regular_pls(sm, abs(powers[1, 1].item()), den[0])  # powers[1, 1] = s
-        out = []
-        for j in range(order + 1):
-            out.append((num[j] - sum(out[i] * den[j - i] for i in range(j))) / den[0])
-        return np.array(out)
-    return _jet_by_blocks(*_bws_factors(sm, z, order), sm.half_length - 1) / sm.rate
-
-
 def _mgf_value(sm: ScoreModel, z: np.ndarray | NodeGrid) -> np.ndarray:
     """The MGF itself at each of a 1-D array of N real or complex arguments,
-    as elementwise arithmetic on node vectors; one argument takes _mgf_jet.
+    as elementwise arithmetic on node vectors; one real tilt takes
+    cumulants.
 
     z is a NodeGrid or a plain array, which is the grid NodeGrid(z); the
     values come in the order of the grid's nodes. pls evaluates its
@@ -466,7 +426,7 @@ def _mgf_value(sm: ScoreModel, z: np.ndarray | NodeGrid) -> np.ndarray:
     if sm.kind == "pcs":
         return np.exp(grid.nodes)
     if sm.kind == "pls":
-        coef = sm._pls_rational[1][:, 0, :, None]
+        coef = sm._pls_rational[0][:, 0, :, None]
         s = np.exp(grid.nodes / sm.half_length)
         poly = coef[:, 4]
         for k in range(3, -1, -1):
@@ -481,30 +441,62 @@ def _mgf_value(sm: ScoreModel, z: np.ndarray | NodeGrid) -> np.ndarray:
 
 
 def cumulants(sm: ScoreModel, theta: float) -> tuple[float, float, float]:
-    """The cumulant function phi = log M and its first two derivatives.
+    """The cumulant function phi = log M and its first two derivatives at
+    one real tilt theta, each kind in its own closed form.
 
-    phi' is the tilted mean score and phi'' the tilted score variance, both
-    in closed form from the MGF's Taylor coefficients at theta.
+    phi' is the tilted mean score and phi'' the tilted score variance.
+      - pcs: phi = theta, phi' = 1, phi'' = 0.
+      - pls: M = e^theta N(s) / D(s), s = e^(theta/h)
+        (ScoreModel._pls_rational). With N_j = sum n_k k^j s^k and D_j
+        likewise, log-derivatives of N and D give phi = theta + log(N_0 /
+        D_0), phi' = 1 + (N_1 / N_0 - D_1 / D_0) / h and phi'' = ((N_2 /
+        N_0 - (N_1 / N_0)^2) - (D_2 / D_0 - (D_1 / D_0)^2)) / h^2.
+      - bws: block products of the Taylor series of v, Q and u
+        (_bws_factors, _jet_by_blocks) give M, M' and M''/2 exactly.
 
     Raises:
         DomainError: theta at or beyond the domain supremum.
         SingularMatrixError: theta at the domain edge to round-off, where
-            the resolvent is singular or the MGF no longer positive.
+            the resolvent is singular, the MGF or the tilted mean not
+            positive, or the tilted variance negative (as pls's also is
+            where negative start weights make its law a signed one).
     """
+    theta = float(theta)
     if sm.kind == "pcs":
-        return float(theta), 1.0, 0.0
-    m0, m1, m2 = _mgf_jet(sm, float(theta), order=2).real.tolist()
+        return theta, 1.0, 0.0
+    _require_in_domain(sm, theta)
+    h = sm.half_length
+    if sm.kind == "pls":
+        powers = np.exp(theta / h * np.arange(5.0))  # s^k
+        (n0, n1, n2), (d0, d1, d2) = (sm._pls_rational[0] @ powers).tolist()
+        _require_regular_pls(sm, powers[1], d0)
+        m0 = n0 / d0  # M e^-theta
+    else:
+        m0, m1, m2 = (_jet_by_blocks(*_bws_factors(sm, theta, 2), h - 1) / sm.rate).tolist()
     if not 0.0 < m0 < math.inf:
-        raise SingularMatrixError(f"MGF is {m0!r} at {theta!r}: resolvent singular")
-    mean = m1 / m0
-    return math.log(m0), mean, 2.0 * m2 / m0 - mean * mean
+        raise SingularMatrixError(f"MGF not positive and finite at {theta!r}: resolvent singular")
+    if sm.kind == "pls":
+        n1, n2, d1, d2 = n1 / n0, n2 / n0, d1 / d0, d2 / d0
+        phi, mean = theta + math.log(m0), 1.0 + (n1 - d1) / h
+        var = ((n2 - n1 * n1) - (d2 - d1 * d1)) / (h * h)
+    else:
+        mean = m1 / m0
+        phi, var = math.log(m0), 2.0 * m2 / m0 - mean * mean
+    # Scores are positive, so no score law has these. A variance of 0 is
+    # exact for a score of one value.
+    if not (mean > 0.0 and var >= 0.0):
+        raise SingularMatrixError(
+            f"tilted mean {mean!r} or variance {var!r} at {theta!r} out of range: the MGF "
+            f"cancels to round-off there, or the start weights have negative entries")
+    return phi, mean, var
 
 
 def score_mgf(sm: ScoreModel, t: float) -> float:
-    """MGF of the configured score kind at t, conditioned on an occurrence.
+    """MGF of the configured score kind at a real t, conditioned on an
+    occurrence: e^phi of cumulants.
 
     Raises:
         DomainError: t at or beyond the domain supremum.
+        SingularMatrixError: t at the domain edge to round-off (cumulants).
     """
-    return float(np.real(_mgf_jet(sm, float(t))[0]))
-
+    return math.exp(cumulants(sm, t)[0])

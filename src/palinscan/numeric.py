@@ -1,12 +1,12 @@
 """Small numerical kernels shared across the package.
 
 Two linear solvers make the same conditioning checks: mat_inv inverts one
-matrix with numpy's linear algebra (an MGF's Taylor coefficients at one
-argument), and row_solve solves y m = x for a stack held entries-first (an
-MGF's values at an array) by Gaussian elimination as elementwise
-arithmetic, in numpy calls that do not grow with the stack. Their
-determinant test, require_regular, also serves a determinant known in
-closed form.
+real matrix with numpy's linear algebra (the bws MGF's Taylor coefficients
+at one real tilt), and row_solve solves y m = x for a stack held
+entries-first (an MGF's values at an array of real or complex arguments)
+by Gaussian elimination as elementwise arithmetic, in numpy calls that do
+not grow with the stack. Their determinant test, require_regular, also
+serves a determinant known in closed form.
 Spectral radii delegate to numpy's eigenvalue solver. The one scalar root
 finder, a Newton method kept inside a bracket and capped at ROOT_MAX_ITER
 steps, is self-contained so its convergence and failure behaviour stays
@@ -27,17 +27,14 @@ ROOT_MAX_ITER = 200
 def mat_inv(m: np.ndarray) -> np.ndarray:
     """Inverse of one n x n matrix with an explicit near-singularity check.
 
-    Real input stays real; complex input (e.g. MGF evaluation off the real
-    axis) is inverted in complex arithmetic. A linear system at each of a
-    stack of matrices takes row_solve.
+    A linear system at each of a stack of matrices takes row_solve.
 
     Raises:
         SingularMatrixError: determinant is tiny relative to the matrix scale,
             or the inverse fails to reproduce the identity to a scaled
             residual of 1e-8.
     """
-    m = np.asarray(m)
-    m = m.astype(complex) if np.iscomplexobj(m) else m.astype(float)
+    m = np.asarray(m, dtype=float)
     n = len(m)
     scale = np.abs(m).max()
     if scale == 0.0:

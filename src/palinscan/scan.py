@@ -224,7 +224,9 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float,
     Raises:
         ValueError: lambda0 not finite and positive, or threshold not finite.
         DomainError: threshold not above the null window mean
-            (exceeds_null_mean), or not reachable inside the MGF domain.
+            (exceeds_null_mean), or not reachable inside the MGF domain:
+            above the threshold at tilt_top, or at every tilt the kernel
+            can evaluate.
     """
     _check_lambda0(lambda0)
     if not np.isfinite(threshold):
@@ -258,6 +260,11 @@ def solve_tilt(lambda0: float, sm: ScoreModel, threshold: float,
     theta1 = newton_root(centering_gap, 0.0, hi, x=start,
                          tol=max(1e-14 * min(start, 1.0), 1e-15))
     jet = jets[theta1] if theta1 in jets else cumulants(sm, theta1)
+    # where the kernel refuses every tilt above those that fall short, the
+    # bracket closes on the last of them: a threshold missed, not solved
+    if gap(jet)[0] < -1e-9 and all(gap(j)[0] < 0.0 for j in jets.values()):
+        raise DomainError(f"threshold {threshold!r} unreachable where the MGF can be "
+                          f"evaluated, below theta1 = {theta1!r}")
     return TiltSolution(lambda0, lambda0 * math.exp(jet[0]), theta1, threshold, window, jet)
 
 
@@ -448,10 +455,17 @@ def check_scan(window: int, total_length: int, nu_fixed: float | None) -> None:
 
 def _log_hits(tilt: TiltSolution, nu: float, total_length: int, sm: ScoreModel) -> float:
     """log E[hits], the mean number of exceeding windows at a solved tilt for
-    the overshoot correction nu (p_value), which may be any positive value."""
+    the overshoot correction nu (p_value), which may be any positive value.
+
+    Raises:
+        DomainError: a tilted score variance of 0 (a score of one value).
+    """
     threshold, window, lambda0 = tilt.threshold, tilt.window, tilt.lambda0
     _, mean1, var1 = tilt.cumulants
     var_term = mean1 * mean1 if sm.kind == "pcs" else var1
+    if not var_term > 0.0:
+        raise DomainError(f"tilted score variance {var_term!r} at theta1={tilt.theta1!r}: "
+                          f"a score of one value has no local-limit factor")
     mean_increment = tilt.lambda1 * mean1 - lambda0 * sm.null_cumulants[1]
     exceed_exponent = threshold * tilt.theta1 - window * (tilt.lambda1 - tilt.lambda0)
     local_factor = 1.0 / math.sqrt(2.0 * math.pi * window * tilt.lambda1 * var_term)
@@ -479,8 +493,9 @@ def p_value(threshold: float, window: int, total_length: int, lambda0: float,
     Raises:
         ValueError: nu_fixed outside (0, 1], window under 1, or lambda0
             or threshold refused by solve_tilt.
-        DomainError: window not shorter than total_length (check_scan), or
-            threshold without a tilt (solve_tilt).
+        DomainError: window not shorter than total_length (check_scan),
+            threshold without a tilt (solve_tilt), or a score of one value
+            (_log_hits).
     """
     check_scan(window, total_length, nu_fixed)
     tilt = solve_tilt(lambda0, sm, threshold, window)
@@ -540,7 +555,10 @@ def threshold_for_alpha(alpha: float, window: int, total_length: int,
         DomainError: window not shorter than total_length (check_scan),
             h < 0 at every trial of a closed bracket (alpha above the peak),
             or h > 0 up to the MGF domain edge or, with none at an
-            analytic_nu, at every trial.
+            analytic_nu, at every trial; or a score of one value
+            (_log_hits).
+        SingularMatrixError: a trial tilt at which cumulants refuses the
+            MGF, such as one where it cancels to a negative variance.
         ConvergenceError: the bracket about a sign change of h closes
             (spans under 1e-10 of b) before |h| <= ALPHA_RTOL, or the search
             takes ROOT_MAX_ITER trials, restarts included, without stopping.

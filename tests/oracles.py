@@ -663,6 +663,21 @@ def random_model(rng: np.random.Generator):
     return pi, trans
 
 
+def sparse_chains(count: int = 200) -> list[np.ndarray]:
+    """The first count transition matrices of the sparse chain sweep:
+    numpy default_rng(1), 6 of the 16 transitions set to zero in each, a
+    row left all zero made uniform. On uniform pi many of them put pls and
+    bws tilts near the edge of the MGF domain."""
+    rng = np.random.default_rng(1)
+    chains = []
+    for _ in range(count):
+        trans = rng.random((4, 4))
+        trans.flat[rng.choice(16, 6, replace=False)] = 0.0
+        trans[trans.sum(axis=1) == 0.0] = 1.0
+        chains.append(trans / trans.sum(axis=1, keepdims=True))
+    return chains
+
+
 @st.composite
 def sparse_models(draw):
     """Random first-order models as (pi, trans), with exact zeros allowed.

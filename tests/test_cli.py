@@ -428,7 +428,12 @@ class TestMgf:
         assert "4 records" in capsys.readouterr().err
 
     def test_cumulants_once_per_grid_point(self, monkeypatch):
-        # phi, phi' and phi'' of a grid point come from one cumulants call
+        # One cumulants call per kind and grid point gives that kind's MGF
+        # column as e^phi, and the selected kind's call the phi columns too.
+        # On BoHV-1 (pls t_max 6.94, bws t_max 0.50) every point is inside
+        # 0.99 pls t_max, and with the grid up to 0.95 pls t_max only its
+        # first 2 points are inside 0.99 bws t_max: 27 calls for --score
+        # pls, 50 for --score bws.
         import palinscan.cli as cli_module
         import palinscan.mgf as mgf_module
 
@@ -436,14 +441,16 @@ class TestMgf:
         kernel = mgf_module.cumulants
 
         def counted(*args):
-            calls.append(args[1])
+            calls.append(args[0].kind)
             return kernel(*args)
 
         monkeypatch.setattr(mgf_module, "cumulants", counted)
-        monkeypatch.setattr(cli_module, "cumulants", counted, raising=False)
-        code, _ = invoke("mgf", "--points", "25", "--score", "pls")
-        assert code == 0
-        assert len(calls) == 25
+        monkeypatch.setattr(cli_module, "cumulants", counted)
+        for score, bws_calls in (("pls", 2), ("bws", 25)):
+            calls.clear()
+            code, _ = invoke("mgf", "--points", "25", "--score", score)
+            assert code == 0
+            assert sorted(calls) == ["bws"] * bws_calls + ["pls"] * 25
 
     def test_bws_grid_in_narrow_domain(self):
         # bws has t_max < 1, so the grid must stay finite and populated
@@ -620,6 +627,10 @@ class TestPinnedOutput:
     a rational function of e^(z/h) (by up to 2.4e-14 of their value).
     The pls thresholds of power, and the pls scan's JSON theta1, lambda1
     and nu, moved in their last digits then too (by up to 6.7e-16).
+    They moved again when pls cumulants became log-derivatives of N(s)
+    and D(s) (grid values by up to 7.1e-15, the rest by up to 4.5e-16),
+    and both grids' MGF columns when score_mgf became e^phi of cumulants
+    (by up to 7.8e-16); the bws phi columns did not move.
     One power threshold (pls, markov, multipliers 10) moved by 1 ulp when
     the threshold search's scalar arithmetic moved from numpy to math,
     whose exp rounds differently in the last bit at some arguments.
@@ -701,15 +712,15 @@ class TestPinnedOutput:
         expected = [
             {"kind": "pls", "alpha": 0.05, "multipliers": [10.0, 10.0, 10.0],
              "replicates": 4, "rows": [
-                 row("average", 0.0030749999999999996, 13.414496124976154,
+                 row("average", 0.0030749999999999996, 13.414496124976159,
                      [0.5, 0.25, 1.0]),
-                 row("markov", 0.001144568497760454, 8.150247543567884,
+                 row("markov", 0.001144568497760454, 8.150247543567883,
                      [0.75, 0.75, 1.0])]},
             {"kind": "pls", "alpha": 0.05, "multipliers": [3.0, 3.0, 3.0],
              "replicates": 4, "rows": [
-                 row("average", 0.0018124999999999999, 10.168368058543361,
+                 row("average", 0.0018124999999999999, 10.168368058543363,
                      [0.25, 0.0, 0.0]),
-                 row("markov", 0.0011034909379832119, 8.014185401536794,
+                 row("markov", 0.0011034909379832119, 8.01418540153679,
                      [0.25, 0.25, 0.5])]},
         ]
         assert text == json.dumps(expected, indent=2) + "\n"
@@ -779,43 +790,43 @@ class TestPinnedOutput:
 
     @pytest.mark.parametrize("kind,rows", [
         ("pls", [
-            (0.0, 1.0000000000000002, 1.0000000000000004,
-             2.2204460492503128e-16, 1.076448321512922, 0.01858572913047185),
+            (0.0, 1.0000000000000002, 1.0000000000000002,
+             2.2204460492503128e-16, 1.0764483215129221, 0.018585729130471747),
             (0.8243053105174669, 2.445490843533686, np.nan,
-             0.894245856779955, 1.094060641832721, 0.02452417304088428),
-            (1.6486106210349338, 6.081932263287986, np.nan,
-             1.8053224519501392, 1.1176948382194214, 0.03346787455226119),
-            (2.472915931552401, 15.478298651104197, np.nan,
-             2.7394389558620267, 1.1506999117907897, 0.047827105966529615),
+             0.8942458567799549, 1.094060641832721, 0.024524173040884105),
+            (1.6486106210349338, 6.081932263287988, np.nan,
+             1.8053224519501392, 1.1176948382194214, 0.03346787455226117),
+            (2.472915931552401, 15.478298651104195, np.nan,
+             2.7394389558620267, 1.15069991179079, 0.04782710596652957),
             (3.2972212420698677, 40.716997016536084, np.nan,
-             3.7066456223847015, 1.1994524857264783, 0.07302336156311817),
-            (4.121526552587334, 112.71083783953878, np.nan,
-             4.724825581812897, 1.2777815048498264, 0.12345946182353229),
-            (4.945831863104802, 340.6196555544108, np.nan,
-             5.830766475178926, 1.4223585469539421, 0.2487798008603308),
-            (5.770137173622269, 1239.1761749955385, np.nan,
-             7.122202062800612, 1.7730695518042046, 0.7264813945405617),
-            (6.594442484139735, 8916.500394745455, np.nan,
-             9.095658816163914, 3.798684078962331, 8.299079683290483),
+             3.7066456223847015, 1.1994524857264783, 0.07302336156311787),
+            (4.121526552587334, 112.71083783953874, np.nan,
+             4.724825581812897, 1.2777815048498264, 0.12345946182353273),
+            (4.945831863104802, 340.61965555441077, np.nan,
+             5.830766475178926, 1.4223585469539421, 0.24877980086033144),
+            (5.770137173622269, 1239.176174995538, np.nan,
+             7.122202062800612, 1.7730695518042046, 0.7264813945405614),
+            (6.594442484139735, 8916.500394745462, np.nan,
+             9.095658816163914, 3.7986840789623315, 8.299079683290485),
         ]),
         ("bws", [
-            (0.0, 1.0000000000000002, 1.0000000000000004,
+            (0.0, 1.0000000000000002, 1.0000000000000002,
              2.2204460492503128e-16, 13.994176328242137, 6.943285520841101),
-            (0.059400663535503634, 1.066065472472887, 2.3262967576366633,
+            (0.059400663535503634, 1.0660654724728873, 2.3262967576366633,
              0.8442776287773348, 14.4462706377186, 8.351734394293032),
-            (0.11880132707100727, 1.1365715603669797, 5.574435150791539,
+            (0.11880132707100727, 1.1365715603669801, 5.5744351507915395,
              1.7181909939694724, 14.99769816502636, 10.339142923997997),
-            (0.1782019906065109, 1.2118232579179655, 13.858280494357933,
+            (0.1782019906065109, 1.211823257917966, 13.858280494357935,
              2.6288829236092366, 15.694775998258638, 13.363783318617777),
-            (0.23760265414201454, 1.2921470811382076, 36.136997885172605,
+            (0.23760265414201454, 1.2921470811382079, 36.1369978851726,
              3.587317212681357, 16.625466386966416, 18.463180133524645),
-            (0.2970033176775182, 1.377892638522202, 100.71024865012176,
+            (0.2970033176775182, 1.3778926385222017, 100.71024865012171,
              4.612247568628525, 17.98075121791111, 28.40413732309662),
-            (0.3564039812130218, 1.4694343212543413, 311.45829891711287,
+            (0.3564039812130218, 1.4694343212543415, 311.458298917113,
              5.741265457410696, 20.26820044792435, 52.74017467192499),
-            (0.4158046447485254, 1.5671731224822434, 1179.4677209405054,
+            (0.4158046447485254, 1.5671731224822436, 1179.4677209405054,
              7.0728185317420165, 25.42731815586787, 144.9035518577332),
-            (0.47520530828402907, 1.6715385960315066, 8991.51254372149,
+            (0.47520530828402907, 1.6715385960315066, 8991.512543721483,
              9.10403636066867, 53.838255796157505, 1603.3105145143181),
         ]),
     ])
@@ -834,8 +845,8 @@ class TestPinnedOutput:
               nu=0.9990659557569278, p=0.9413504651475082, argmax=0, max=3.0)),
         ("pls", "1000\t20000\t0.001130395015\tpls\t3.333333333\t0.9101248846"
                 "\t0.003038637189\t0.9723776886\t0\t0.999999987\t17658\t3.333333333",
-         dict(b=3.333333333333332, theta1=0.9101248845980786,
-              lambda1=0.003038637189032656, nu=0.9723776885687395,
+         dict(b=3.333333333333332, theta1=0.9101248845980785,
+              lambda1=0.003038637189032655, nu=0.9723776885687391,
               p=0.999999986950745, argmax=17658, max=3.333333333333332)),
         ("bws", "1000\t20000\t0.001130395015\tbws\t45.47454101\t0.07195156512"
                 "\t0.003139084756\t0.6503443838\t0\t0.9996312499\t18975\t45.47454101",
@@ -905,8 +916,8 @@ class TestPinnedOutput:
         head = '{\n  "w": 1000,\n  "W": 300000,\n  "lambda0": 0.0010827643734766682,\n'
         assert invoke("scan", "--input", str(path), "--score", "pls", "--json") == (0, (
             head + '  "kind": "pls",\n  "b": 6.6666666666667425,\n'
-            '  "theta1": 1.562675583710406,\n  "lambda1": 0.0059811428699035486,\n'
-            '  "nu": 0.9398650691995102,\n  "nu_se": 0.0,\n  "p": 0.9964091302819011,\n'
+            '  "theta1": 1.562675583710406,\n  "lambda1": 0.005981142869903548,\n'
+            '  "nu": 0.9398650691995102,\n  "nu_se": 0.0,\n  "p": 0.996409130281901,\n'
             '  "argmax": 224235,\n  "max": 6.6666666666667425\n}\n'))
         assert invoke("scan", "--input", str(path), "--score", "bws", "--json") == (0, (
             head + '  "kind": "bws",\n  "b": 87.60956650636672,\n'

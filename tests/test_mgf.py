@@ -41,6 +41,7 @@ from oracles import (
     quasi_matrix,
     random_model,
     series_mgf,
+    sparse_chains,
     sparse_models,
     stationary,
 )
@@ -172,12 +173,13 @@ class TestKernelAgainstSeriesOracle:
 
     def test_complex_arguments_match_series(self, bohv1):
         # the overshoot characteristic function evaluates the MGF off the
-        # real axis; the truncated series is the reference there too
+        # real axis, at an array; the truncated series is the reference
+        # there too
         z = complex(0.2, 0.7)
         for kind in ("pls", "bws"):
             sm = ScoreModel(kind, bohv1, 6)
             oracle = series_mgf(bohv1.pi, bohv1.trans, 6, z, kind)
-            got = mgf_module._mgf_jet(sm, z)[0]
+            got = mgf_module._mgf_value(sm, np.array([z]))[0]
             assert got.real == pytest.approx(oracle.real, rel=1e-8)
             assert got.imag == pytest.approx(oracle.imag, rel=1e-8)
 
@@ -220,7 +222,7 @@ class TestKernelAgainstMatrixOracle:
         # zero transitions give reducible or periodic quasi matrices, on
         # which the node path eliminates without pivoting; LAPACK's pivoted
         # solve of y (I - Q) = v Q^n, node by node, for the kernel's own v,
-        # Q, u and n (_mgf_jet) is the reference. Each node's error is taken
+        # Q, u and n (_mgf_value) is the reference. Each node's error is taken
         # relative to the same form in the entrywise moduli |v|, |Q| and
         # |u|, which bounds every term of the series v Q^k u (k >= n); it is
         # M(Re z) where the terms are non-negative.
@@ -400,9 +402,9 @@ class TestDomain:
         assert len(steps) > 2 and len(eigs) == len(steps) + 2
 
     def test_edge_on_a_sparse_chain_sweep(self):
-        """|rho(Q(t_max)) - 1| over 200 sparse chains (numpy default_rng(1),
-        6 zero transitions each, uniform pi), for the 138 with an edge below
-        1, Q(t_max) from oracles.matrix_form_factors.
+        """|rho(Q(t_max)) - 1| over the 200 sparse chains (oracles.sparse_chains,
+        uniform pi), for the 138 with an edge below 1, Q(t_max) from
+        oracles.matrix_form_factors.
 
         np.linalg.eigvals resolves the radius of these reducible or
         periodic matrices only to about 1e-8, so Newton steps near the edge
@@ -411,13 +413,8 @@ class TestDomain:
         under the bound of 1e-9. ROADMAP item 6 (the radius per strongly
         connected class) is the change that would tighten it further.
         """
-        rng = np.random.default_rng(1)
         worst, edges = 0.0, 0
-        for _ in range(200):
-            trans = rng.random((4, 4))
-            trans.flat[rng.choice(16, 6, replace=False)] = 0.0
-            trans[trans.sum(axis=1) == 0.0] = 1.0
-            trans /= trans.sum(axis=1, keepdims=True)
+        for trans in sparse_chains():
             pi = np.full(4, 0.25)
             try:
                 sm = ScoreModel("bws", MarkovModel(pi=pi, trans=trans), 6)
@@ -487,11 +484,55 @@ class TestCumulant:
 
     @pytest.mark.parametrize("m0", [0.0, -1.0, np.inf, np.nan])
     def test_mgf_not_finite_and_positive_refused(self, m0, bohv1, monkeypatch):
-        sm = ScoreModel("pls", bohv1, 6)
-        monkeypatch.setattr(mgf_module, "_mgf_jet",
-                            lambda *args, **kwargs: np.array([m0, 1.0, 1.0], dtype=complex))
-        with pytest.raises(SingularMatrixError, match="resolvent singular"):
-            cumulants(sm, 0.5)
+        # bws's block products, and pls's N(s) with D = 1, made to give an
+        # MGF of m0 (times e^theta for pls)
+        bws = ScoreModel("bws", bohv1, 6)
+        monkeypatch.setattr(mgf_module, "_jet_by_blocks", lambda *args: np.array([m0, 1.0, 1.0]))
+        pls = ScoreModel("pls", bohv1, 6)
+        table = np.zeros((2, 3, 5))
+        table[:, 0, 0] = m0, 1.0
+        pls.__dict__["_pls_rational"] = (table, [1.0, 0.0, 0.0, 0.0, 0.0])
+        for sm in (bws, pls):
+            with pytest.raises(SingularMatrixError, match="resolvent singular"):
+                cumulants(sm, 0.1)
+
+    @pytest.mark.parametrize("mean, var", [(1.0, -0.2), (0.0, 1.0), (-1.0, 1.0)])
+    def test_tilted_mean_or_variance_out_of_range_refused(self, mean, var, bohv1,
+                                                          monkeypatch):
+        # Near the domain edge the closed forms can cancel to a tilted mean
+        # that is not positive or a negative variance, which the tilt and
+        # p-value formulas divide by or take the square root of. Here bws's
+        # block products give M = 1, M' = mean and M''/2 = (var + mean^2) /
+        # 2, and pls's N_1 / N_0 and N_2 / N_0 the same moments with D = 1.
+        bws = ScoreModel("bws", bohv1, 6)
+        monkeypatch.setattr(mgf_module, "_jet_by_blocks",
+                            lambda *args: np.array([1.0, mean, 0.5 * (var + mean * mean)]))
+        pls = ScoreModel("pls", bohv1, 6)
+        table = np.zeros((2, 3, 5))
+        n1 = 6.0 * (mean - 1.0)
+        table[0, :, 0] = 1.0, n1, 36.0 * var + n1 * n1
+        table[1, 0, 0] = 1.0
+        pls.__dict__["_pls_rational"] = (table, [1.0, 0.0, 0.0, 0.0, 0.0])
+        for sm in (bws, pls):
+            with pytest.raises(SingularMatrixError, match="out of range"):
+                cumulants(sm, 0.1)
+
+    def test_variance_near_a_cancelled_pole(self):
+        # Draw 122 of oracles.sparse_chains, pls: N(s) and D(s) share a
+        # double root at the pole s = 1 / rho(T), so near it both cancel.
+        # At 0.99 tilt_top phi'' is within 1.0e-5 of the exact-length
+        # series (the bound of 3e-5 fails a quotient series of M's Taylor
+        # coefficients, off by 6.3e-5); at 0.9999 tilt_top it cancels to
+        # about -3.9, where the series gives 5.97e-3, and is refused.
+        pi, trans = np.full(4, 0.25), sparse_chains(123)[122]
+        sm = ScoreModel("pls", MarkovModel(pi=pi, trans=trans), 6)
+        theta = 0.99 * sm.tilt_top
+        m0, m1, m2 = pls_series_jet(pi, trans, 6, theta)
+        _, mean, var = cumulants(sm, theta)
+        assert mean == pytest.approx(m1 / m0, rel=1e-9)
+        assert var == pytest.approx(2.0 * m2 / m0 - (m1 / m0) ** 2, rel=3e-5)
+        with pytest.raises(SingularMatrixError, match="out of range"):
+            cumulants(sm, 0.9999 * sm.tilt_top)
 
     def test_variance_positive(self, bohv1):
         for kind in ("pls", "bws"):
@@ -583,6 +624,28 @@ class TestClosedFormCumulants:
             mgf_module._mgf_value(sm, z)
 
 
+def cumulant_jet(sm, x):
+    """M, M' and M''/2 at a real x from cumulants, e^phi (1, phi', (phi'' +
+    phi'^2) / 2), to set against Taylor coefficients without the
+    cancellation of phi'' = 2 M''/2 / M - (M' / M)^2."""
+    phi, mean, var = cumulants(sm, x)
+    return np.exp(phi) * np.array([1.0, mean, 0.5 * (var + mean * mean)])
+
+
+def assert_cumulants_match_jet(sm, x, jet):
+    """cumulants at x against the Taylor coefficients M, M' and M''/2 of
+    the MGF there, within 1e-13 relative (cumulant_jet). pi drawn apart
+    from the chain can give start weights with negative entries and a
+    signed pls law: where its M, or its tilted variance, is negative,
+    cumulants refuses instead."""
+    m0, m1, m2 = jet
+    if m0 <= 0.0 or 2.0 * m2 / m0 - (m1 / m0) ** 2 < -1e-12 * (m1 / m0) ** 2:
+        with pytest.raises(SingularMatrixError):
+            cumulants(sm, x)
+        return
+    assert np.all(np.abs(cumulant_jet(sm, x) / jet - 1.0) <= 1e-13)
+
+
 def pls_models():
     """(name, model) of BoHV-1 and three random_model chains."""
     rng = np.random.default_rng(3)
@@ -591,9 +654,9 @@ def pls_models():
 
 
 class TestPlsRationalForm:
-    """pls's M(z) = e^z N(s) / (rate D(s)), s = e^(z/h), with D(s) = det(I -
-    sT) (ScoreModel._pls_rational), against the matrix form, the truncated
-    series and the series differentiated term by term."""
+    """pls's M(z) = e^z N(s) / D(s), s = e^(z/h), with D(s) = det(I - sT)
+    (ScoreModel._pls_rational), against the matrix form, the truncated
+    series and, for cumulants, the series differentiated term by term."""
 
     @staticmethod
     def arguments(sm):
@@ -610,22 +673,21 @@ class TestPlsRationalForm:
         x, off_axis = self.arguments(sm)
         z = np.concatenate((x, off_axis))
         values = mgf_module._mgf_value(sm, z)
-        scalars = np.array([mgf_module._mgf_jet(sm, w)[0] for w in z])
+        scalars = np.array([score_mgf(sm, w) for w in x])
         for oracle in (
                 [matrix_form_mgf(model.pi, model.trans, h, w, "pls") for w in z],
                 [series_mgf(model.pi, model.trans, h, w, "pls", rtol=1e-17) for w in z]):
-            for got in (values, scalars):
-                assert np.all(np.abs(got / np.array(oracle) - 1.0) <= 1e-13)
+            oracle = np.array(oracle)
+            assert np.all(np.abs(values / oracle - 1.0) <= 1e-13)
+            assert np.all(np.abs(scalars / oracle[:len(x)] - 1.0) <= 1e-13)
 
     @pytest.mark.parametrize("name,model", pls_models())
     @pytest.mark.parametrize("h", [4, 6])
     def test_derivatives_match_termwise_series(self, name, model, h):
         sm = ScoreModel("pls", model, h)
-        x, off_axis = self.arguments(sm)
-        for z in np.concatenate((x, off_axis[::3])):
-            expected = pls_series_jet(model.pi, model.trans, h, z)
-            got = mgf_module._mgf_jet(sm, z, order=2)
-            assert np.all(np.abs(got / expected - 1.0) <= 1e-13)
+        for x in self.arguments(sm)[0]:
+            expected = pls_series_jet(model.pi, model.trans, h, x)
+            assert np.all(np.abs(cumulant_jet(sm, x) / expected - 1.0) <= 1e-13)
 
     @pytest.mark.parametrize("name,model", pls_models())
     def test_denominator_is_the_resolvent_determinant(self, name, model):
@@ -633,7 +695,7 @@ class TestPlsRationalForm:
         # D(s) = det(I - sT) at any s
         sm = ScoreModel("pls", model, 6)
         t = sm.t_matrix
-        den = sm._pls_rational[1][1, 0]
+        den = sm._pls_rational[0][1, 0]
         minors = [1.0] + [(-1) ** k * sum(np.linalg.det(t[np.ix_(rows, rows)])
                                          for rows in itertools.combinations(range(4), k))
                           for k in range(1, 5)]
@@ -653,14 +715,14 @@ class TestPlsRationalForm:
         except DomainError:  # a rate of 0
             assume(False)
         assert sm.t_max == np.inf
-        assert sm._pls_rational[1][1, 0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+        assert sm._pls_rational[0][1, 0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
         z = np.array([-3.0, 0.0, 1.5, 3.0, 1.0 + 4.0j, 3.0 - 50.0j])
         values = mgf_module._mgf_value(sm, z)
         for w, value in zip(z, values):
             assert value == pytest.approx(matrix_form_mgf(pi, trans, h, w, "pls"), rel=1e-13)
             assert value == pytest.approx(series_mgf(pi, trans, h, w, "pls"), rel=1e-13)
-            got = mgf_module._mgf_jet(sm, w, order=2)
-            assert np.all(np.abs(got / pls_series_jet(pi, trans, h, w) - 1.0) <= 1e-13)
+        for w in z.real[:4]:
+            assert_cumulants_match_jet(sm, w, pls_series_jet(pi, trans, h, w))
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(pi_trans=nilpotent_models(), h=st.integers(1, 3))
@@ -677,11 +739,8 @@ class TestPlsRationalForm:
         values = mgf_module._mgf_value(sm, z)
         for w, value in zip(z, values):
             assert value == pytest.approx(matrix_form_mgf(pi, trans, h, w, "pls"), rel=1e-13)
-            got = mgf_module._mgf_jet(sm, w, order=2)
-            assert np.all(np.abs(got / pls_series_jet(pi, trans, h, w) - 1.0) <= 1e-13)
         for w in (20.0, 40.0):
-            phi, mean, _ = cumulants(sm, w)
-            assert phi == pytest.approx(np.log(score_mgf(sm, w)), rel=1e-14)
+            assert_cumulants_match_jet(sm, w, pls_series_jet(pi, trans, h, w))
 
     @pytest.mark.parametrize("name,model", pls_models())
     def test_domain_edge(self, name, model):
@@ -690,8 +749,9 @@ class TestPlsRationalForm:
         sm = ScoreModel("pls", model, 6)
         edge = np.nextafter(sm.t_max, 0.0)
         for z in (sm.t_max, 1.01 * sm.t_max, sm.t_max + 0.5j):
-            with pytest.raises(DomainError):
-                mgf_module._mgf_jet(sm, z, order=2)
+            if not z.imag:
+                with pytest.raises(DomainError):
+                    cumulants(sm, z)
             with pytest.raises(DomainError):
                 mgf_module._mgf_value(sm, np.array([0.0, z]))
         with pytest.raises(SingularMatrixError):
@@ -762,26 +822,32 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
     @pytest.mark.parametrize("iid", [False, True])
     def test_array_matches_scalar_evaluations(self, kind, iid, bohv1):
-        # even a short array takes the array path, and scalars the
-        # Taylor-coefficient path: the two agree to rounding
-        sm = ScoreModel(kind, iid_model(bohv1.pi) if iid else bohv1, 6)
+        # even a short array takes the array path, and one real tilt
+        # cumulants: the two agree to rounding, and with the matrix form
+        # node by node
+        model = iid_model(bohv1.pi) if iid else bohv1
+        sm = ScoreModel(kind, model, 6)
         z = np.array([0.0, 0.1 + 0.3j, 0.05 - 2.0j, 0.2, 7.0j])
         batch = mgf_module._mgf_value(sm, z)
         assert batch.shape == z.shape
-        single = np.array([mgf_module._mgf_jet(sm, x, order=0)[0] for x in z])
+        single = np.array([matrix_form_mgf(model.pi, model.trans, 6, x, kind) for x in z])
         assert np.all(np.abs(batch / single - 1.0) <= 1e-13)
+        for x, value in zip(z, batch):
+            if not x.imag:
+                assert score_mgf(sm, x.real) == pytest.approx(value.real, rel=1e-13)
 
     @pytest.mark.parametrize("kind", ["pls", "bws"])
     @pytest.mark.parametrize("iid", [False, True])
     def test_node_stack_matches_small_evaluations(self, kind, iid, bohv1):
         # a stack of nodes, as the overshoot quadrature passes, agrees with
-        # the scalar path at each node
-        sm = ScoreModel(kind, iid_model(bohv1.pi) if iid else bohv1, 6)
+        # the matrix form at each node
+        model = iid_model(bohv1.pi) if iid else bohv1
+        sm = ScoreModel(kind, model, 6)
         n = 64
         z = 0.3 * sm.t_max * np.linspace(-1.0, 1.0, n) + 1j * np.linspace(0.0, 7.0, n)
         stack = mgf_module._mgf_value(sm, z)
         assert stack.shape == (n,)
-        small = np.array([mgf_module._mgf_jet(sm, x, order=0)[0] for x in z])
+        small = np.array([matrix_form_mgf(model.pi, model.trans, 6, x, kind) for x in z])
         assert np.all(np.abs(stack / small - 1.0) <= 1e-13)
 
     def test_node_values_independent_of_the_stack(self, bohv1):

@@ -9,7 +9,9 @@ from palinscan import (
     ConvergenceError,
     DomainError,
     MarkovModel,
+    PalinscanError,
     ScoreModel,
+    SingularMatrixError,
     analytic_nu,
     bohv1_model,
     cumulants,
@@ -39,6 +41,7 @@ from oracles import (
     poisson_compound_pmf,
     quadrature_nu,
     quasi_matrix,
+    sparse_chains,
     window_sums,
 )
 from test_cli import invoke
@@ -79,9 +82,9 @@ def fresh_model_without_kernel(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the MGF kernel was called")
     sm = ScoreModel("pls", bohv1_model(), 6)
-    for name in ("_mgf_jet", "_mgf_value"):
-        monkeypatch.setattr(mgf_module, name, refuse)
-    monkeypatch.setattr(scan_module, "_mgf_value", refuse)  # analytic_nu's name
+    for module in (mgf_module, scan_module):  # scan holds both under its own names
+        for name in ("cumulants", "_mgf_value"):
+            monkeypatch.setattr(module, name, refuse)
     return sm
 
 
@@ -269,20 +272,19 @@ class TestSolveTilt:
         # log-uniform in [1e-3, 0.9 t_max]
         self.assert_round_trip(sm.rate, sm, 1e-3 * (900.0 * sm.t_max) ** frac)
 
-    def test_kernel_failures_near_the_edge_on_a_sparse_chain(self, monkeypatch):
-        # The fifth chain of test_mgf's sparse sweep (default_rng(1), 6 zero
-        # transitions, uniform pi), pls: the MGF cannot be evaluated at
-        # tilt_top, and solve_tilt's Newton steps towards a tilt just inside
-        # it land where the kernel refuses. They bisect past those points
-        # and still solve the tilt the threshold was built from.
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            trans = rng.random((4, 4))
-            trans.flat[rng.choice(16, 6, replace=False)] = 0.0
-            trans[trans.sum(axis=1) == 0.0] = 1.0
-            trans /= trans.sum(axis=1, keepdims=True)
-        sm = ScoreModel("pls", MarkovModel(pi=np.full(4, 0.25), trans=trans), 6)
+    @staticmethod
+    def fifth_sparse_chain():
+        """pls on the fifth of oracles.sparse_chains, uniform pi: the MGF
+        cannot be evaluated at tilt_top."""
+        sm = ScoreModel("pls", MarkovModel(pi=np.full(4, 0.25), trans=sparse_chains(5)[4]), 6)
         assert sm.edge_cumulants is None
+        return sm
+
+    def test_kernel_failures_near_the_edge_on_a_sparse_chain(self, monkeypatch):
+        # solve_tilt's Newton steps towards a tilt just inside tilt_top
+        # land where the kernel refuses. They bisect past those points and
+        # still solve the tilt the threshold was built from.
+        sm = self.fifth_sparse_chain()
         theta = 0.999999 * sm.tilt_top
         closed = scan_module._tilt_at(sm.rate, sm, theta, WINDOW)
         refused, jet = [], scan_module.cumulants
@@ -298,6 +300,20 @@ class TestSolveTilt:
         solved = solve_tilt(sm.rate, sm, closed.threshold, WINDOW)
         assert refused
         assert abs(solved.theta1 / theta - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("factor", [2.0, 10.0, 1000.0])
+    def test_threshold_past_every_evaluable_tilt_refused(self, factor):
+        # Thresholds above the one at 0.999999 tilt_top lie past every tilt
+        # the kernel can evaluate: every gap solve_tilt sees is negative,
+        # and its bracket closes on the last of those tilts, whose
+        # threshold is 0.5 to 0.001 of the one asked. That is no root, and
+        # p_value must not report a p of 0 from it.
+        sm = self.fifth_sparse_chain()
+        b = factor * scan_module._tilt_at(sm.rate, sm, 0.999999 * sm.tilt_top, WINDOW).threshold
+        with pytest.raises(DomainError, match="unreachable"):
+            solve_tilt(sm.rate, sm, b, WINDOW)
+        with pytest.raises(DomainError, match="unreachable"):
+            p_value(b, WINDOW, W, sm.rate, sm)
 
 
 class TestPvalue:
@@ -359,6 +375,21 @@ class TestPvalue:
         sm = fresh_model_without_kernel(monkeypatch)
         with pytest.raises(ValueError, match="lambda0|threshold"):
             p_value(threshold, WINDOW, W, lambda0, sm)
+
+    def test_score_of_one_value_refused(self):
+        # On A -> C -> G -> T, T -> T every palindrome has half-length 2, so
+        # at h = 1 each pls score is 2 and the tilted variance is 0 exactly:
+        # the local-limit factor, which divides by its square root, does
+        # not exist
+        trans = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                          [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]])
+        sm = ScoreModel("pls", MarkovModel(pi=np.full(4, 0.25), trans=trans), 1)
+        assert sm.null_cumulants == (0.0, 2.0, 0.0)
+        b = 2.0 * scan_module.null_window_mean(sm.rate, sm, WINDOW)
+        with pytest.raises(DomainError, match="variance 0.0"):
+            p_value(b, WINDOW, W, sm.rate, sm, nu_fixed=1.0)
+        with pytest.raises(DomainError, match="variance 0.0"):
+            threshold_for_alpha(0.05, WINDOW, W, sm.rate, sm)
 
     def test_monotone_decreasing_on_decay_branch(self, lam0, pls):
         ps = [
@@ -678,8 +709,8 @@ class TestAnalyticNu:
     PINNED_NU = {
         "pcs": {0.3: "0x1.ffe6f7cffd536p-1", 2.0: "0x1.fe37dfaff3260p-1",
                 1e-3: "0x1.ffffeda977586p-1"},
-        "pls": {0.3: "0x1.fdc93f17ee666p-1", 2.0: "0x1.d4d554032e6a4p-1",
-                1e-3: "0x1.ffffa964f621dp-1"},
+        "pls": {0.3: "0x1.fdc93f17ee663p-1", 2.0: "0x1.d4d554032e6a4p-1",
+                1e-3: "0x1.ffffa964f63c7p-1"},
         "bws": {0.14: "0x1.c603c76e742f6p-2", 0.05: "0x1.7aa0b59253e31p-1",
                 1e-4: "0x1.ffb13edce0420p-1"},
     }
@@ -888,10 +919,10 @@ class TestThresholdForAlpha:
                 (0.05, None): "0x1.d76c48bb13795p+2", (0.05, 0.6): "0x1.c5537cc98a5fcp+2",
                 (1e-6, None): "0x1.8ea8761cfdc61p+3", (1e-6, 0.6): "0x1.87dbce1347949p+3",
                 (1e-12, None): "0x1.1cd6213505bf2p+4", (1e-12, 0.6): "0x1.19ead4ed5d561p+4"},
-        "pls": {(0.2, None): "0x1.0730387b66b1ep+3", (0.2, 0.6): "0x1.fd7b030ee954fp+2",
-                (0.05, None): "0x1.22627681ad7c3p+3", (0.05, 0.6): "0x1.1a7d1d8c72f9bp+3",
-                (1e-6, None): "0x1.cf6d1726d4d2ap+3", (1e-6, 0.6): "0x1.c974466faccefp+3",
-                (1e-12, None): "0x1.4589d116b50c0p+4", (1e-12, 0.6): "0x1.43090ed36f2cfp+4"},
+        "pls": {(0.2, None): "0x1.0730387b66b20p+3", (0.2, 0.6): "0x1.fd7b030ee9551p+2",
+                (0.05, None): "0x1.22627681ad7c3p+3", (0.05, 0.6): "0x1.1a7d1d8c72f9ap+3",
+                (1e-6, None): "0x1.cf6d1726d4d28p+3", (1e-6, 0.6): "0x1.c974466facceep+3",
+                (1e-12, None): "0x1.4589d116b50bfp+4", (1e-12, 0.6): "0x1.43090ed36f2d1p+4"},
         "bws": {(0.2, None): "0x1.95041a0f44db1p+6", (0.2, 0.6): "0x1.9c75bab9f4616p+6",
                 (0.05, None): "0x1.c3645ab064a77p+6", (0.05, 0.6): "0x1.cb8d1231166a6p+6",
                 (1e-6, None): "0x1.7457739ba84dcp+7", (1e-6, 0.6): "0x1.799a0d81416eap+7",
@@ -944,7 +975,7 @@ class TestThresholdForAlpha:
         assert abs(p / alpha - 1.0) <= 1e-7
 
     @pytest.mark.parametrize("kind, digits, closed", [
-        ("pcs", 2, "7.08"), ("pls", 3, "8.827"), ("bws", 3, "114.887")])
+        ("pcs", 2, "7.08"), ("pls", 3, "8.828"), ("bws", 3, "114.887")])
     def test_trials_that_share_a_threshold(self, kind, digits, closed, lam0, bohv1,
                                            monkeypatch):
         # Thresholds rounded to a few decimals make adjacent trials share
@@ -1092,13 +1123,12 @@ class TestNuFixedValidation:
 
 
 class TestKernelTraffic:
-    """The MGF kernel has one entry point for a scalar (_mgf_jet), which
-    gives Taylor coefficients, and one for a 1-D array (_mgf_value), which
-    gives values only. pcs and pls are closed forms on both; bws takes the
-    block products at a scalar and node-vector arithmetic at an array, which
+    """The MGF kernel has one entry point for one real tilt (cumulants) and
+    one for a 1-D array (_mgf_value), which gives values only. bws takes
+    block products at a tilt and node-vector arithmetic at an array, which
     is slower than the block products for a handful of arguments. So every
-    caller the pipeline runs passes _mgf_jet a scalar and _mgf_value a stack
-    of at least MIN_NODES arguments; both entry points are recorded."""
+    caller the pipeline runs passes _mgf_value a stack of at least
+    MIN_NODES arguments; its calls are recorded."""
 
     MIN_NODES = 64
 
@@ -1107,25 +1137,24 @@ class TestKernelTraffic:
         # analytic_nu holds the kernel under its own name, and a NodeGrid
         # has the shape of its nodes
         shapes = []
-        jet, value = mgf_module._mgf_jet, mgf_module._mgf_value
-        monkeypatch.setattr(mgf_module, "_mgf_jet", lambda sm, z, order=0: (
-            shapes.append(("jet", np.shape(z))) or jet(sm, z, order)))
+        value = mgf_module._mgf_value
         for module in (mgf_module, scan_module):
             monkeypatch.setattr(module, "_mgf_value", lambda sm, z: (
-                shapes.append(("value", np.shape(getattr(z, "nodes", z)))) or value(sm, z)))
+                shapes.append(np.shape(getattr(z, "nodes", z))) or value(sm, z)))
         return shapes
 
-    def check(self, shapes):
-        assert shapes
-        wrong = [(entry, s) for entry, s in shapes if not (
-            s == () if entry == "jet" else len(s) == 1 and s[0] >= self.MIN_NODES)]
-        assert wrong == []
+    def check(self, shapes, called=True):
+        assert bool(shapes) == called
+        assert [s for s in shapes if not (len(s) == 1 and s[0] >= self.MIN_NODES)] == []
 
     @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
-    def test_score_mgf(self, kind, bohv1, shapes):
+    def test_score_mgf(self, kind, bohv1, shapes, monkeypatch):
+        # one cumulants call and no array
+        calls, kernel = [], mgf_module.cumulants
+        monkeypatch.setattr(mgf_module, "cumulants", lambda *a: calls.append(a) or kernel(*a))
         score_mgf(ScoreModel(kind, bohv1, 6), 0.1)
-        assert [entry for entry, _ in shapes] == ["jet"]
-        self.check(shapes)
+        assert len(calls) == 1
+        self.check(shapes, called=False)
 
     @pytest.mark.parametrize("kind", ["pcs", "pls", "bws"])
     def test_cli_scan(self, kind, data_dir, shapes):
@@ -1137,9 +1166,10 @@ class TestKernelTraffic:
     @pytest.mark.parametrize("alpha", [0.05, 1e-3])
     @pytest.mark.parametrize("nu_fixed", [None, 1.0])
     def test_threshold_for_alpha(self, kind, alpha, nu_fixed, lam0, bohv1, shapes):
+        # with nu fixed, no overshoot quadrature and no array
         threshold_for_alpha(alpha, WINDOW, W, lam0, ScoreModel(kind, bohv1, 6),
                             nu_fixed=nu_fixed)
-        self.check(shapes)
+        self.check(shapes, called=nu_fixed is None)
 
     @pytest.mark.parametrize("scale", [0.5, 2.0])
     def test_analytic_nu_about_the_fine_panel_tilt(self, scale, lam0, bohv1, shapes):
@@ -1188,3 +1218,76 @@ class TestWindowSeries:
         with pytest.raises(ValueError):  # a negative score
             WindowSeries(window=10, total_length=50, positions=np.array([3, 7]),
                          cumulative=np.array([0.0, 1.0, 0.5]))
+
+
+class TestNearTheDomainEdge:
+    """On the sparse chains of oracles.sparse_chains (uniform pi) many pls
+    and bws tilts lie near the edge of the MGF domain, where the kernel
+    loses precision or refuses. There the package meets its contract, or
+    refuses with a PalinscanError and nothing else."""
+
+    # every eighth of the 200 chains, with the ones below that run into the
+    # edge: draws 3 and 122 (a pls variance that cancels below 0 on the way
+    # to their peak) and draw 4 (pls cannot be evaluated at tilt_top)
+    DRAWS = sorted({*range(0, 200, 8), 3, 4, 122})
+
+    @staticmethod
+    def models(draws):
+        """(draw, model) of pls and bws at h = 6 on the sparse chains, where
+        ScoreModel accepts them."""
+        chains = sparse_chains(max(draws) + 1)
+        for i in draws:
+            for kind in ("pls", "bws"):
+                try:
+                    yield i, ScoreModel(kind, MarkovModel(pi=np.full(4, 0.25),
+                                                          trans=chains[i]), 6)
+                except PalinscanError:  # T not subcritical, or a rate of 0
+                    continue
+
+    def test_thresholds_meet_alpha_or_are_refused(self):
+        # each threshold has |p / alpha - 1| <= ALPHA_RTOL at W = 135,301, w
+        # = 1000, nu computed; the refusals are the four searches on draws 3
+        # and 122 that meet a tilted variance cancelled below 0 on the way
+        # to their peak, which has no square root for the local-limit factor
+        met, refused = 0, []
+        for i, sm in self.models(self.DRAWS):
+            for lam0 in (sm.rate, 1e-3):
+                for alpha in (0.05, 1e-6):
+                    try:
+                        b = threshold_for_alpha(alpha, WINDOW, W, lam0, sm)
+                    except PalinscanError as exc:
+                        refused.append((i, sm.kind, lam0 == sm.rate, alpha, type(exc)))
+                        continue
+                    p = p_value(b, WINDOW, W, lam0, sm).p
+                    assert abs(p / alpha - 1.0) <= scan_module.ALPHA_RTOL, (i, sm.kind, alpha)
+                    met += 1
+        assert refused == [(i, "pls", True, alpha, SingularMatrixError)
+                           for i in (3, 122) for alpha in (0.05, 1e-6)]
+        assert met == 4 * len(list(self.models(self.DRAWS))) - 4
+
+    def test_tilts_near_the_edge_solved_or_refused(self):
+        # Thresholds from tilts up to 0.99999999 tilt_top, and above them,
+        # on the chains whose MGF cannot be evaluated at tilt_top: the
+        # solved tilt gives the threshold back, or solve_tilt refuses. Two
+        # refusals keep wrong tilts out: a bracket closed below every
+        # threshold solve_tilt could evaluate (four bws cases here), and
+        # cumulants' refusal of a negative tilted variance. Without the
+        # second, pls on draws 3 and 122, whose N(s) and D(s) share a
+        # double root at s = 1 / rho(T) near which phi' is noise of a few
+        # percent, would take a noisy crossing of the gap for a root.
+        solved = 0
+        for i, sm in self.models(self.DRAWS):
+            if sm.edge_cumulants is not None:
+                continue
+            for frac in (0.9, 0.999, 0.99999999):
+                for factor in (1.0, 1.5, 100.0):
+                    try:
+                        b = factor * scan_module._tilt_at(
+                            sm.rate, sm, frac * sm.tilt_top, WINDOW).threshold
+                        tilt = solve_tilt(sm.rate, sm, b, WINDOW)
+                    except PalinscanError:
+                        continue
+                    back = scan_module._tilt_at(sm.rate, sm, tilt.theta1, WINDOW).threshold
+                    assert abs(back / b - 1.0) <= 1e-4, (i, sm.kind, frac, factor)
+                    solved += 1
+        assert solved

@@ -387,6 +387,18 @@ class TestFetchSequence:
         assert FastaHandler.hits == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_cache_write_leaves_no_part_file(self, local_endpoint, tmp_path,
+                                                    monkeypatch):
+        # the body goes to a .part file renamed into place; a rename that
+        # fails removes the .part file and raises
+        def fail(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(seqio.os, "replace", fail)
+        with pytest.raises(OSError, match="no space left"):
+            fetch_sequence("GOOD1", endpoint=local_endpoint, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("accession, cause", [("SHORT1", http.client.IncompleteRead),
                                                   ("STALL1", TimeoutError)])
     def test_cut_body_is_a_fetch_error(self, local_endpoint, tmp_path, accession, cause):

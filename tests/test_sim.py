@@ -204,6 +204,22 @@ class TestInsertHotspots:
             seen.add("placed")
         assert seen == outcomes
 
+    def test_pattern_wider_than_the_segment_redrawn(self):
+        # A bank of two palindromes: one of half-length 510, 1,020 bp, wider
+        # than the 1,000 bp segment, and one of half-length 7. About 20
+        # placements draw the wide one about half the time; each such draw
+        # is redrawn, and only the short pattern is placed.
+        short = "CACGTAGCTACGTG"
+        bank = find_palindromes(seq_of("AAC" * 170 + "GTT" * 170 + "A" * 10 + short
+                                       + "A" * 10), 6)
+        assert bank.half_lengths.tolist() == [510, 7]
+        seq, centers = insert_hotspots(self._background(5000), [HotspotSpec(start=2000,
+                                                                             multiplier=40.0)],
+                                       bank, 5e-4, np.random.default_rng(4))
+        assert len(centers) >= 10
+        for c in centers:
+            assert seq_of(short).bases.tolist() == seq.bases[c - 6 : c + 8].tolist()
+
     def test_empty_bank_rejected(self):
         empty = find_palindromes(seq_of("A" * 100), 6)
         with pytest.raises(EmptyBankError, match="empty"):
