@@ -269,14 +269,24 @@ def mgf_domain(sm: ScoreModel) -> float:
     matrix below 1. bws arguments must keep the tilted matrix Q(t), T to the
     entrywise power 1 - t, subcritical; t_max is the root of rho(Q(t)) = 1
     on (0, 1), or 1 when the radius stays below 1 on the whole interval.
-    The root comes from Newton steps with the slope of a simple eigenvalue,
-    l Q'(t) r / (l r) for the left and right Perron vectors l and r
-    (Magnus, Econometric Theory 1985), Q' from the kernel's _power_jet; the
-    Perron root is the eigenvalue of largest real part. Each step takes one
-    eigendecomposition, of Q(t): T[a, b] = T[b', a'] exactly for the
-    complements ', so Q(t)^T = J Q(t) J with J the complement swap (the base
-    order reversed), and l is r reversed. Where that slope is not finite
-    and positive, as on some reducible chains, newton_root bisects instead.
+    The root comes from Newton steps on log rho(Q(t)), with the slope of a
+    simple eigenvalue, l Q'(t) r / (l r) for the left and right Perron
+    vectors l and r (Magnus, Econometric Theory 1985), over rho; Q' comes
+    from the kernel's _power_jet, and the Perron root is the eigenvalue of
+    largest real part. Each step takes one eigendecomposition, of Q(t):
+    T[a, b] = T[b', a'] exactly for the complements ', so Q(t)^T = J Q(t) J
+    with J the complement swap (the base order reversed), and l is r
+    reversed. The entries of Q(t) are exponentials of affine functions of
+    t, so log rho(Q(t)) is convex in t (Kingman, Q. J. Math. 1961), and
+    rho(Q(1/2)) <= 1 (T = P o (J P J)^T, o entrywise, makes Q(1/2) the
+    entrywise geometric mean of two stochastic matrices). So the search
+    starts at 1/2, and where the Perron root is simple its first step lands
+    at or beyond t_max and the later ones approach t_max from above: 4
+    eigendecompositions on BoHV-1 and on its iid model, the first for the
+    radius at the cap. Where the slope is not finite and positive, as on
+    some reducible chains, newton_root bisects instead, and where two
+    complementary classes share the Perron root its bracket carries the
+    search.
     """
     if sm.kind == "pcs":
         return np.inf
@@ -285,20 +295,21 @@ def mgf_domain(sm: ScoreModel) -> float:
         return float(-sm.half_length * np.log(radius)) if radius > 0.0 else np.inf
     log_t = _log_base(sm.t_matrix)
 
-    def excess(t: float) -> tuple[float, float]:
+    def log_radius(t: float) -> tuple[float, float]:
         q, dq = _power_jet(log_t, t, 1)
         vals, vecs = np.linalg.eig(q)
         right = vecs[:, np.argmax(vals.real)].real
         left = right[::-1]  # Q^T = J Q J
+        radius = np.abs(vals).max()
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.abs(vals).max() - 1.0, (left @ dq @ right) / (left @ right)
+            return np.log(radius), (left @ dq @ right) / (left @ right) / radius
 
     # The edge is located to round-off, so that the resolvent I - Q is
     # numerically singular right at t_max rather than some 1e-9 beyond it.
     hi = 1.0 - 1e-9
-    if excess(hi)[0] < 0.0:
+    if log_radius(hi)[0] < 0.0:
         return 1.0
-    return newton_root(excess, 0.0, hi, x=0.25, tol=1e-15)
+    return newton_root(log_radius, 0.0, hi, x=0.5, tol=1e-15)
 
 
 def _require_in_domain(sm: ScoreModel, z) -> None:
@@ -422,7 +433,12 @@ def _mgf_value(sm: ScoreModel, z: np.ndarray | NodeGrid) -> np.ndarray:
         SingularMatrixError: I - Q is numerically singular at some node.
     """
     grid = z if isinstance(z, NodeGrid) else NodeGrid(np.asarray(z))
-    _require_in_domain(sm, grid.nodes)
+    _require_in_domain(sm, grid.points)
+    if grid.starts.size:
+        # the largest Re(start + offset) is the largest Re start plus the
+        # largest Re offset (rounding is monotone), so bws, which takes
+        # its node powers from the layout, never builds the nodes
+        _require_in_domain(sm, grid.starts.real.max() + grid.offsets.real.max())
     if sm.kind == "pcs":
         return np.exp(grid.nodes)
     if sm.kind == "pls":

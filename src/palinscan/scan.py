@@ -38,8 +38,12 @@ NU_REFRESH_RTOL = (1e-2, 1e-4)
 # Quadrature of the overshoot integral (see analytic_nu): Gauss-Legendre
 # nodes per panel, the width of the uniform panels, and the cut-off of the
 # integral for non-lattice scores. Panels 0.5 wide (688 bws nodes at the
-# tilts of BoHV-1 thresholds, against 1,296 at 0.25) keep nu within 1e-12
-# of a layout with four times the nodes there. NU_CUTOFF - 1 is a whole
+# tilts of BoHV-1 thresholds, against 1,296 at 0.25) keep bws nu within
+# 3.1e-13 of a layout with four times the nodes (64 per panel) at BoHV-1's
+# thresholds for alpha from 0.2 to 1e-6 (W = 135,301, w = 1000), and
+# within 1.8e-10 on its iid model, whose nearly periodic integrand has the
+# sharpest peaks (1.1e-10 on 17 random dense chains, 1.5e-12 on 10 sparse
+# ones; pls nu within 4.4e-16 on all of them). NU_CUTOFF - 1 is a whole
 # number of uniform panels at either bws width, so they share their nodes'
 # offsets from the panel start, and the bws kernel's exponentials grow with
 # panels plus nodes per panel, not with the nodes.
@@ -297,13 +301,26 @@ def _graded_edges(scale: float) -> list[float]:
     return edges
 
 
-def _panels(edges: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on the panels between consecutive
-    edges, panel by panel."""
-    x, g = _gauss_legendre(NU_PANEL_NODES)
+def _panels(edges: list[float], nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights, nodes of each per panel, on the
+    panels between consecutive edges, panel by panel."""
+    x, g = _gauss_legendre(nodes)
     edges = np.array(edges)
     lo, width = edges[:-1, None], np.diff(edges)[:, None]
     return (lo + 0.5 * width * (x + 1.0)).ravel(), (0.5 * width * g).ravel()
+
+
+@lru_cache
+def _uniform_panels(width: float, cutoff: float, nodes: int) -> tuple[np.ndarray, ...]:
+    """The bws quadrature's uniform panels from 1 to cutoff, width wide with
+    nodes Gauss-Legendre nodes each, laid out once per (width, cutoff,
+    nodes) and shared read-only: (starts, offsets, t, g), the panel starts,
+    the nodes' offsets from their start, and every node t = start + offset
+    with its weight g, panel by panel."""
+    starts = np.arange(1.0, cutoff, width)
+    offsets, offset_g = _panels([0.0, width], nodes)
+    t = np.add.outer(starts, offsets).ravel()
+    return tuple(map(read_only, (starts, offsets, t, np.tile(offset_g, starts.size))))
 
 
 def _nu_quadrature(sm: ScoreModel, theta: float) -> tuple[NodeGrid, np.ndarray]:
@@ -331,7 +348,8 @@ def _nu_quadrature(sm: ScoreModel, theta: float) -> tuple[NodeGrid, np.ndarray]:
 
     The lattice kinds' arguments are points. bws keeps the panel layout:
     its uniform panels run from 1 to NU_CUTOFF, a whole number of them, and
-    all take the offsets and weights of the one panel [0, width], so the
+    all take the offsets and weights of the one panel [0, width], laid out
+    once per width (_uniform_panels) and the same at every tilt, so the
     grid holds 0, theta and the graded panels' arguments as points, c + i s
     for each uniform start s and i o for the 16 offsets o. The kernel's
     node powers then take 18 x (82 + 38 + 16) complex exponentials for the
@@ -341,15 +359,15 @@ def _nu_quadrature(sm: ScoreModel, theta: float) -> tuple[NodeGrid, np.ndarray]:
     if sm.kind in ("pcs", "pls"):
         span = 1.0 if sm.kind == "pcs" else 1.0 / sm.half_length
         a = c * span
-        u, g = _panels(_graded_edges(a) + list(np.arange(1.0, np.pi, NU_PANEL_WIDTH)) + [np.pi])
+        u, g = _panels(_graded_edges(a) + list(np.arange(1.0, np.pi, NU_PANEL_WIDTH)) + [np.pi],
+                       NU_PANEL_NODES)
         kernel = np.sinh(a) / (2.0 * np.sinh(0.5 * a) ** 2 + 2.0 * np.sin(0.5 * u) ** 2)
         return NodeGrid(np.concatenate(([0.0, theta], c + 1j * (u / span)))), g * kernel / np.pi
     width = NU_PANEL_WIDTH / (2.0 if theta < NU_FINE_TILT else 1.0)
-    graded, graded_g = _panels(_graded_edges(c) + [1.0])
-    starts = np.arange(1.0, NU_CUTOFF, width)
-    offsets, offset_g = _panels([0.0, width])
-    t = np.concatenate((graded, np.add.outer(starts, offsets).ravel()))
-    g = np.concatenate((graded_g, np.tile(offset_g, starts.size)))
+    graded, graded_g = _panels(_graded_edges(c) + [1.0], NU_PANEL_NODES)
+    starts, offsets, uniform_t, uniform_g = _uniform_panels(width, NU_CUTOFF, NU_PANEL_NODES)
+    t = np.concatenate((graded, uniform_t))
+    g = np.concatenate((graded_g, uniform_g))
     w = g * (2.0 * c / np.pi) / (c * c + t * t)
     far = slice(graded.size, None)  # the uniform panels
     w[far] += g[far] * (2.0 / np.pi) * np.arctan(c / NU_CUTOFF) / (NU_CUTOFF - 1.0)
@@ -392,11 +410,14 @@ def analytic_nu(tilt: TiltSolution, sm: ScoreModel) -> float:
     M(0) evaluated like M(theta1) rather than taken as 1. M has real
     coefficients, so M(c - i t) is the conjugate of m = M(c + i t), and
     rate matching makes the sum real. Moving the conjugate to the other
-    term keeps the real part, taken as that of lambda0 (conj(m) / M(0) -
-    1) + lambda1 (m / M(theta1) - 1). Kept as an exponent, log psi_y holds
-    its relative precision where psi is within rounding of 1. So one kernel
-    call on _nu_quadrature's grid, whose arguments are 0, theta1 and then
-    c + i t, gives every MGF value.
+    term keeps the real part, and as M(0) and M(theta1) are real that part
+    reads Re m alone: lambda0 (Re m / M(0) - 1) + lambda1 (Re m / M(theta1)
+    - 1), formed in real arithmetic. Each quotient is taken as Re m times
+    the reciprocal, as numpy divides a complex array by a real scalar, so
+    nu keeps every bit it had from the complex form. Kept as an exponent,
+    log psi_y holds its relative precision where psi is within rounding of
+    1. So one kernel call on _nu_quadrature's grid, whose arguments are 0,
+    theta1 and then c + i t, gives every MGF value.
     Lattice and atoms need no special case, because min(1, exp(-theta x))
     is continuous.
 
@@ -424,8 +445,8 @@ def analytic_nu(tilt: TiltSolution, sm: ScoreModel) -> float:
     grid, w = _nu_quadrature(sm, theta)
     values = _mgf_value(sm, grid)
     k0, k1 = values[:2].real
-    m = values[2:]  # M(c + i t); M(c - i t) is its conjugate
-    log_psi_y = (tilt.lambda0 * (np.conj(m) / k0 - 1.0) + tilt.lambda1 * (m / k1 - 1.0)).real
+    re = values[2:].real  # Re M(c + i t) = Re M(c - i t)
+    log_psi_y = tilt.lambda0 * (re * (1.0 / k0) - 1.0) + tilt.lambda1 * (re * (1.0 / k1) - 1.0)
     eventful = -np.expm1(-(tilt.lambda0 + tilt.lambda1))
     # 1 - psi_x = (1 - psi_y) / P(an event), without forming psi_y near 1
     log_sum = float(w @ -np.log(-np.expm1(log_psi_y) / eventful))

@@ -401,6 +401,54 @@ class TestDomain:
         # one more per model, for the radius at the cap 1 - 1e-9
         assert len(steps) > 2 and len(eigs) == len(steps) + 2
 
+    @pytest.mark.parametrize("iid", [False, True])
+    def test_edge_in_four_eigendecompositions(self, iid, bohv1, monkeypatch):
+        # a fresh model's t_max: the radius at the cap, then Newton steps on
+        # log rho from 1/2, to round-off
+        model = iid_model(bohv1.pi) if iid else bohv1
+        eigs, eig = [], np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda m: eigs.append(m) or eig(m))
+        t_max = ScoreModel("bws", model, 6).t_max
+        assert len(eigs) <= 4
+        q = quasi_matrix(model.trans) ** (1.0 - t_max)
+        assert abs(np.abs(np.linalg.eigvals(q)).max() - 1.0) <= 1e-14
+
+    def test_newton_step_from_one_half_lands_beyond_the_edge(self, rng):
+        """log rho(Q(t)) is convex in t (Kingman 1961), so its tangent at 1/2,
+        where it is at most 0, reaches 0 at or beyond t_max: mgf_domain's
+        first Newton step brackets the edge from above. The tangent's slope,
+        l Q' r / (l r) / rho, with l from Q^T here, holds where the Perron
+        root is simple; chains on which two complementary classes share it
+        (|l r| ~ 1e-15 |l| |r|, 4 of the sparse ones) are left out, as
+        there the step is noise and newton_root's bracket carries the
+        search. The smallest margin, step - t_max, is 8.0e-9, on a chain
+        whose edge is 7.6e-9 below 1, and the next is 1.7e-6."""
+        chains = [(np.full(4, 0.25), trans) for trans in sparse_chains()]
+        chains += [random_model(rng) for _ in range(20)]
+        checked = 0
+        for pi, trans in chains:
+            try:
+                sm = ScoreModel("bws", MarkovModel(pi=pi, trans=trans), 6)
+            except PalinscanError:
+                continue
+            if sm.t_max >= 1.0:
+                continue
+            t = quasi_matrix(trans)
+            q = np.sqrt(t)
+            dq = -np.log(np.where(t > 0.0, t, 1.0)) * q
+            vals, right = np.linalg.eig(q)
+            left_vals, left = np.linalg.eig(q.T)
+            r = right[:, np.argmax(vals.real)].real
+            l = left[:, np.argmax(left_vals.real)].real
+            if abs(l @ r) < 1e-12 * np.linalg.norm(l) * np.linalg.norm(r):
+                continue
+            radius = np.abs(vals).max()
+            assert radius <= 1.0
+            step = 0.5 - np.log(radius) / ((l @ dq @ r) / (l @ r) / radius)
+            assert step >= sm.t_max
+            checked += 1
+        assert checked == 134 + 20
+
     def test_edge_on_a_sparse_chain_sweep(self):
         """|rho(Q(t_max)) - 1| over the 200 sparse chains (oracles.sparse_chains,
         uniform pi), for the 138 with an edge below 1, Q(t_max) from
@@ -409,8 +457,10 @@ class TestDomain:
         np.linalg.eigvals resolves the radius of these reducible or
         periodic matrices only to about 1e-8, so Newton steps near the edge
         can wander inside that noise; newton_root returns the step with the
-        smallest |rho - 1| it saw. The sweep's worst figure is 1.01e-10,
-        under the bound of 1e-9. ROADMAP item 6 (the radius per strongly
+        smallest |log rho| it saw. The sweep's worst figure is 3.51e-10
+        (1.01e-10 when the search ran on rho - 1 from 1/4, in 1,340
+        eigendecompositions over the 200 chains against 1,036 now), under
+        the bound of 1e-9. ROADMAP item 6 (the radius per strongly
         connected class) is the change that would tighten it further.
         """
         worst, edges = 0.0, 0
@@ -789,6 +839,21 @@ class TestNodeGrid:
         assert np.all(np.abs(got - flat) <= 1e-13 * score_mgf(sm, 0.1))
         # points alone take no panel product: the plain array's values
         assert np.array_equal(got[:7], mgf_module._mgf_value(sm, g.points))
+
+    def test_panels_checked_against_the_domain(self, bohv1):
+        # the domain check reads the points, the starts and the offsets'
+        # real parts without building the nodes; a grid whose points all
+        # lie inside t_max is refused where a start reaches it, or where an
+        # offset's real part carries a start inside it beyond
+        sm = ScoreModel("bws", bohv1, 6)
+        g = self.grid()
+        mgf_module._mgf_value(sm, g)
+        assert "nodes" not in vars(g)
+        for re, shift in ((sm.t_max, 0.0), (1.01 * sm.t_max, 0.0), (0.9 * sm.t_max, 0.2)):
+            starts = np.append(g.starts[:-1], re + 1j * g.starts[-1].imag)
+            with pytest.raises(DomainError):
+                mgf_module._mgf_value(sm, mgf_module.NodeGrid(
+                    g.points, starts, g.offsets + shift * sm.t_max))
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(pi_trans=sparse_models())

@@ -722,6 +722,23 @@ class TestAnalyticNu:
                for theta in self.PINNED_NU[kind]}
         assert got == self.PINNED_NU[kind]
 
+    # the same on iid_model(bohv1.pi) at its own rate: independent bases
+    # make the bws score nearly periodic, the integrand's sharpest case
+    PINNED_NU_IID = {
+        "pls": {0.3: "0x1.fe2fce879295cp-1", 2.0: "0x1.d8cd3916be35dp-1",
+                1e-3: "0x1.fffffa75f0511p-1"},
+        "bws": {0.14: "0x1.b56fd7956ccb9p-2", 0.05: "0x1.733074f609fb1p-1",
+                1e-4: "0x1.ffab7dec4ed79p-1"},
+    }
+
+    @pytest.mark.parametrize("kind", ["pls", "bws"])
+    def test_nu_pinned_to_the_bit_on_independent_bases(self, kind, bohv1):
+        model = iid_model(bohv1.pi)
+        sm, lam0 = ScoreModel(kind, model, 6), markov_rate(model, 6).value
+        got = {theta: analytic_nu(tilt_at(sm, theta, lam0), sm).hex()
+               for theta in self.PINNED_NU_IID[kind]}
+        assert got == self.PINNED_NU_IID[kind]
+
     @pytest.mark.parametrize("kind, theta", [
         ("pcs", 0.3), ("pcs", 2.0), ("pls", 0.3), ("pls", 2.0),
         ("bws", 0.05), ("bws", 0.14)])  # both bws panel widths
@@ -936,6 +953,24 @@ class TestThresholdForAlpha:
                                                       nu_fixed=nu_fixed).hex()
                for alpha, nu_fixed in self.PINNED[kind]}
         assert got == self.PINNED[kind]
+
+    # the same on iid_model(bohv1.pi) at its own rate, nu computed:
+    # {kind: {(alpha, W): threshold}}; at W = 5,000 and alpha = 0.5 the bws
+    # tilt is 0.095, on the half-width panels below NU_FINE_TILT
+    PINNED_IID = {
+        "pls": {(0.2, W): "0x1.b8bd0ba6569b3p+2", (1e-6, W): "0x1.9023760c6c66dp+3",
+                (0.5, 5000): "0x1.0497abff230f6p+2"},
+        "bws": {(0.2, W): "0x1.69c6e35a01b76p+6", (1e-6, W): "0x1.56baf7bb5a52ap+7",
+                (0.5, 5000): "0x1.87be8dfe831afp+5"},
+    }
+
+    @pytest.mark.parametrize("kind", ["pls", "bws"])
+    def test_thresholds_pinned_to_the_bit_on_independent_bases(self, kind, bohv1):
+        model = iid_model(bohv1.pi)
+        sm, lam0 = ScoreModel(kind, model, 6), markov_rate(model, 6).value
+        got = {(alpha, total): threshold_for_alpha(alpha, WINDOW, total, lam0, sm).hex()
+               for alpha, total in self.PINNED_IID[kind]}
+        assert got == self.PINNED_IID[kind]
 
     @pytest.mark.parametrize("kind, nu_fixed, trials", [
         ("pcs", 0.6, 5), ("pls", 0.6, 4), ("bws", 0.6, 5), ("bws", None, 6)])
