@@ -457,10 +457,9 @@ class TestDomain:
         np.linalg.eigvals resolves the radius of these reducible or
         periodic matrices only to about 1e-8, so Newton steps near the edge
         can wander inside that noise; newton_root returns the step with the
-        smallest |log rho| it saw. The sweep's worst figure is 3.51e-10
-        (1.01e-10 when the search ran on rho - 1 from 1/4, in 1,340
-        eigendecompositions over the 200 chains against 1,036 now), under
-        the bound of 1e-9. ROADMAP item 6 (the radius per strongly
+        smallest |log rho| it saw. The sweep's worst figure is 3.51e-10,
+        in 1,036 eigendecompositions over the 200 chains, under the bound
+        of 1e-9. ROADMAP item 6 (the radius per strongly
         connected class) is the change that would tighten it further.
         """
         worst, edges = 0.0, 0
